@@ -714,27 +714,8 @@ class BusDaemon:
         try:
             packet = decode_packet(data, tables=self._peer_tables,
                                    type_tables=self._peer_type_tables)
-        except UnresolvedIds as err:
-            # CRC-valid but referencing table ids — string or type — we
-            # never learned (the defining frame was lost): drop it like
-            # a gap, but *arm the repair* — the self-contained RETRANS
-            # will resolve
-            if isinstance(err, UnresolvedTypeId):
-                self._typedef_unresolved.value += 1
-            else:
-                self._unresolved_dropped.value += 1
-            if self.tracer:
-                self.tracer.emit(self.sim.now, "wire.unresolved",
-                                 session=err.session,
-                                 first=err.first_seq, last=err.last_seq)
-            self._receiver.note_undecodable(
-                err.session, err.first_seq, err.last_seq,
-                session_start=err.session_start)
-            return
-        except CorruptFrame:
-            # a corrupted frame is indistinguishable from loss; the
-            # NACK/heartbeat machinery repairs the gap
-            self._corrupt_dropped.value += 1
+        except CorruptFrame as err:
+            self._drop_undecodable(err)
             return
         if packet.kind is PacketKind.DATA:
             for envelope in packet.envelopes:
@@ -769,26 +750,10 @@ class BusDaemon:
         try:
             digest = read_digest(data, tables=self._peer_tables,
                                  type_tables=self._peer_type_tables)
-        except UnresolvedIds as err:
-            # identical handling to the full path: the bodies reference
-            # at least the ids the digest (and the typedef reference
-            # list) does, so decoding would have raised the same
-            # condition
-            if isinstance(err, UnresolvedTypeId):
-                self._typedef_unresolved.value += 1
-            else:
-                self._unresolved_dropped.value += 1
-            if self.tracer:
-                self.tracer.emit(self.sim.now, "wire.unresolved",
-                                 session=err.session,
-                                 first=err.first_seq, last=err.last_seq)
-            self._receiver.note_undecodable(
-                err.session, err.first_seq, err.last_seq,
-                session_start=err.session_start)
-            return True
-        except CorruptFrame:
-            # same counter, same silence as the full path's CRC reject
-            self._corrupt_dropped.value += 1
+        except CorruptFrame as err:
+            # the full path would have rejected it too: the digest read
+            # is the full decode stopped early
+            self._drop_undecodable(err)
             return True
         if digest is None or digest.needs_full:
             return False
@@ -801,6 +766,29 @@ class BusDaemon:
         self._skipped_frames.value += 1
         self._skipped_envelopes.value += len(digest.entries)
         return True
+
+    def _drop_undecodable(self, err: CorruptFrame) -> None:
+        """Drop a data-port frame either wire entry point rejected."""
+        if not isinstance(err, UnresolvedIds):
+            # a corrupted frame is indistinguishable from loss; the
+            # NACK/heartbeat machinery repairs the gap
+            self._corrupt_dropped.value += 1
+            return
+        # CRC-valid but referencing table ids — string or type — we
+        # never learned (the defining frame was lost): drop it like a
+        # gap, but *arm the repair* — the self-contained RETRANS will
+        # resolve
+        if isinstance(err, UnresolvedTypeId):
+            self._typedef_unresolved.value += 1
+        else:
+            self._unresolved_dropped.value += 1
+        if self.tracer:
+            self.tracer.emit(self.sim.now, "wire.unresolved",
+                             session=err.session,
+                             first=err.first_seq, last=err.last_seq)
+        self._receiver.note_undecodable(
+            err.session, err.first_seq, err.last_seq,
+            session_start=err.session_start)
 
     def _serve_nack(self, packet: Packet, src: Endpoint) -> None:
         if packet.session != self.session or packet.nack_range is None:

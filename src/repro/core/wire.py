@@ -43,17 +43,26 @@ seq range; the daemon treats it exactly like a gap: drop the frame and
 NACK, never crash.  HEARTBEAT/NACK/ACK packets are never compressed —
 they are rare, small, and must be readable with zero session state.
 
-Decoding is memoized symmetrically: a broadcast is the *same* byte
-buffer at every receiving daemon, so :func:`decode_packet` keeps a small
-LRU keyed by the exact frame bytes and CRC-checks + parses each unique
-buffer once per fan-out instead of once per receiver.  This is safe
-because decoding is a pure function of the bytes *and the receiver's
-string table*: memo entries record which table ids the frame relied on
-(``needs``) and which it defined (``defines``), and a memo hit replays
-the definitions into the receiver's table and validates every needed id
-*by value* against it — a receiver that has not learned an id gets
+Decoding is one staged walk with one memo.  A frame is parsed by a
+single private walker in five stages — (1) header, (2) string defs,
+(3) typedefs, (4) subject digest, (5) envelope bodies —
+:func:`read_digest` is that walk stopped after stage 4 and
+:func:`decode_packet` is all five, so flag validity, table effects and
+unresolved-id rules are judged once, identically, for both.  A
+broadcast is the *same* byte buffer at every receiving daemon, so the
+walker keeps a small LRU keyed by the exact frame bytes whose entry
+records *how far that frame has been parsed*: each unique buffer is
+CRC-checked and its prefix parsed once per fan-out instead of once per
+receiver, and a full decode that finds a digest-stage entry resumes at
+the bodies.  This is safe because parsing is a pure function of the
+bytes *and the receiver's session tables*: an entry records which ids
+the frame defined (``defines``) and which it relied on (``needs`` — the
+digest's apart from the bodies', so a digest hit never fails a receiver
+for an id only the bodies cite), and every hit replays the definitions
+into the receiver's table and validates every needed id *by value*
+against it — a receiver that has not learned an id gets
 :class:`UnresolvedStringId` from the memo exactly as it would from a
-fresh parse, and a (contrived) byte-identical frame meeting a
+fresh walk, and a (contrived) byte-identical frame meeting a
 conflicting table bypasses the memo entirely.  It is fault-honest
 because a receiver-side bit flip (``corrupt_rate``) produces a
 *different* buffer that misses the memo and fails its own CRC check —
@@ -102,9 +111,9 @@ its reliable session window straight from the digest's seq spans
 frame unparsed — O(header) instead of O(frame) per uninteresting frame.
 Crucially a skipped frame still replays the table definitions it
 carries (the defs section precedes the digest), so skipping never
-starves the receiver's string table.  Digest reads share the decode
-memo's design: a per-frame-bytes LRU whose entries replay ``defines``
-and validate ``needs`` per receiver.
+starves the receiver's string table.  A digest read leaves its parse
+in the frame memo at stage 4; whichever receiver does want the frame
+picks it up there and only walks the bodies.
 
 Envelope bodies decode to :class:`EnvelopeView`\\ s: header fields are
 parsed eagerly (they drive matching and ordering) but the payload stays
@@ -192,6 +201,10 @@ _P_ACK_CONSUMER = 0x04
 _P_COMPRESSED = 0x08
 _P_DIGEST = 0x10
 _P_TYPED = 0x20
+
+#: region flags: valid only on the kinds that carry envelopes
+_P_REGIONS = _P_COMPRESSED | _P_DIGEST | _P_TYPED
+_ENVELOPE_KINDS = (PacketKind.DATA, PacketKind.RETRANS)
 
 # envelope flag bits
 _E_LEDGER = 0x01
@@ -348,22 +361,25 @@ class EnvelopeView(Envelope):
 # envelopes
 # ----------------------------------------------------------------------
 
-def _encode_envelope_body(envelope: Envelope) -> bytes:
+def _write_envelope_body(envelope: Envelope, write_header_str) -> bytes:
+    """The one envelope body writer.  ``write_header_str(out, text)``
+    decides how a header string goes out: inline (:func:`write_str`)
+    or as a session string-table id."""
     out = BytesIO()
     flags = _E_LEDGER if envelope.ledger_id is not None else 0
     out.write(bytes((flags,)))
-    write_str(out, envelope.subject)
-    write_str(out, envelope.sender)
-    write_str(out, envelope.session)
+    write_header_str(out, envelope.subject)
+    write_header_str(out, envelope.sender)
+    write_header_str(out, envelope.session)
     write_varint(out, envelope.seq)
     out.write(bytes((_QOS_TO_CODE[envelope.qos],)))
     write_f64(out, envelope.publish_time)
     write_varint(out, envelope.envelope_id)
     if envelope.ledger_id is not None:
-        write_str(out, envelope.ledger_id)
+        write_header_str(out, envelope.ledger_id)
     write_varint(out, len(envelope.via))
     for hop in envelope.via:
-        write_str(out, hop)
+        write_header_str(out, hop)
     write_bytes(out, envelope.payload)
     return out.getvalue()
 
@@ -380,18 +396,9 @@ def encode_envelope(envelope: Envelope) -> bytes:
     key = (envelope.session, envelope.seq)
     if cached is not None and cached[0] == key:
         return cached[1]
-    body = _encode_envelope_body(envelope)
+    body = _write_envelope_body(envelope, write_str)
     envelope._wire_cache = (key, body)
     return body
-
-
-def _table_ref(table: StringTable, text: str,
-               new_defs: List[Tuple[int, str]], refs: List[int]) -> int:
-    idx, is_new = table.intern(text)
-    if is_new:
-        new_defs.append((idx, table.strings[idx]))
-    refs.append(idx)
-    return idx
 
 
 def encode_envelope_compressed(
@@ -415,25 +422,16 @@ def encode_envelope_compressed(
         new_defs.extend(cached[4])
         return cached[2], cached[3]
     refs: List[int] = []
-    out = BytesIO()
     own_defs: List[Tuple[int, str]] = []
-    flags = _E_LEDGER if envelope.ledger_id is not None else 0
-    out.write(bytes((flags,)))
-    write_varint(out, _table_ref(table, envelope.subject, own_defs, refs))
-    write_varint(out, _table_ref(table, envelope.sender, own_defs, refs))
-    write_varint(out, _table_ref(table, envelope.session, own_defs, refs))
-    write_varint(out, envelope.seq)
-    out.write(bytes((_QOS_TO_CODE[envelope.qos],)))
-    write_f64(out, envelope.publish_time)
-    write_varint(out, envelope.envelope_id)
-    if envelope.ledger_id is not None:
-        write_varint(out,
-                     _table_ref(table, envelope.ledger_id, own_defs, refs))
-    write_varint(out, len(envelope.via))
-    for hop in envelope.via:
-        write_varint(out, _table_ref(table, hop, own_defs, refs))
-    write_bytes(out, envelope.payload)
-    body = out.getvalue()
+
+    def write_ref(out: BytesIO, text: str) -> None:
+        idx, is_new = table.intern(text)
+        if is_new:
+            own_defs.append((idx, table.strings[idx]))
+        refs.append(idx)
+        write_varint(out, idx)
+
+    body = _write_envelope_body(envelope, write_ref)
     new_defs.extend(own_defs)
     envelope._wire_cache_z = (key, table, body, tuple(refs),
                               tuple(own_defs))
@@ -463,6 +461,11 @@ def _write_digest(out: BytesIO, packet: Packet,
     encoded first (their defs precede the digest on the wire), and a
     body always references its subject and session.
     """
+    if table is None:
+        write_header_str = write_str
+    else:
+        def write_header_str(out: BytesIO, text: str) -> None:
+            write_varint(out, table.ids[text])
     write_varint(out, len(packet.envelopes))
     for envelope in packet.envelopes:
         dflags = 0
@@ -472,16 +475,10 @@ def _write_digest(out: BytesIO, packet: Packet,
         if alt_session:
             dflags |= _D_SESSION
         out.write(bytes((dflags,)))
-        if table is not None:
-            write_varint(out, table.ids[envelope.subject])
-        else:
-            write_str(out, envelope.subject)
+        write_header_str(out, envelope.subject)
         write_varint(out, envelope.seq)
         if alt_session:
-            if table is not None:
-                write_varint(out, table.ids[envelope.session])
-            else:
-                write_str(out, envelope.session)
+            write_header_str(out, envelope.session)
 
 
 def _write_typedefs(out: BytesIO, packet: Packet, type_table,
@@ -525,7 +522,7 @@ def encode_packet(packet: Packet, table: Optional[StringTable] = None,
     (see the module docstring) so receivers can interest-gate without
     decoding them.
     """
-    digest = packet.kind in (PacketKind.DATA, PacketKind.RETRANS)
+    digest = packet.kind in _ENVELOPE_KINDS
     compress = table is not None and digest
     trefs: Set[int] = set()
     if type_table is not None and digest:
@@ -576,71 +573,48 @@ def encode_packet(packet: Packet, table: Optional[StringTable] = None,
         for idx, text in def_pairs:
             write_varint(out, idx)
             write_str(out, text)
-        if trefs:
-            _write_typedefs(out, packet, type_table, trefs)
-        _write_digest(out, packet, table)
-        write_varint(out, len(bodies))
-        for body in bodies:
-            out.write(body)
     else:
-        if trefs:
-            _write_typedefs(out, packet, type_table, trefs)
-        if digest:
-            _write_digest(out, packet, None)
-        write_varint(out, len(packet.envelopes))
-        for envelope in packet.envelopes:
-            out.write(encode_envelope(envelope))
+        bodies = [encode_envelope(envelope) for envelope in packet.envelopes]
+    if trefs:
+        _write_typedefs(out, packet, type_table, trefs)
+    if digest:
+        _write_digest(out, packet, table if compress else None)
+    write_varint(out, len(bodies))
+    for body in bodies:
+        out.write(body)
     return frame(out.getvalue())
 
 
-#: Default bound on memoized decoded frames.  Sized for the fan-out
+#: Default bound on memoized frame parses.  Sized for the fan-out
 #: window: a frame only repeats while N daemons hear one broadcast, so a
 #: few hundred entries cover even deep outbound queues.
 DEFAULT_DECODE_MEMO_CAPACITY = 256
 
-# entry: (packet, needs, defines, tneeds, tdefines) — needs/defines are
-# None for plain frames; for compressed frames, defines maps in-frame
-# definitions and needs maps every other referenced id to its value at
-# parse time.  tneeds/tdefines are the same pair for the typedef region
-# (values are raw definition bytes), None for untyped frames.
-_MemoEntry = Tuple[Packet, Optional[Dict[int, str]], Optional[Dict[int, str]],
-                   Optional[Dict[int, bytes]], Optional[Dict[int, bytes]]]
-_decode_memo: "OrderedDict[bytes, _MemoEntry]" = OrderedDict()
-_decode_memo_capacity = DEFAULT_DECODE_MEMO_CAPACITY
-
-# The memo is process-global (deliberately: the N receivers of one
-# broadcast share a single parse), so its counters live in a module-
-# level registry rather than any one daemon's — and are therefore NOT
-# part of per-daemon ``_bus.stat.*`` snapshots, where self-referential
-# stat frames hitting the shared memo would make publishing perturb the
-# very counters being published.
-# digest memo: the O(header) companion of the decode memo, same design
-# (keyed by exact frame bytes; entries replay defines and validate needs
-# per receiver), shared capacity knob.  Kept separate because the two
-# populate independently: an interest-gated daemon reads only digests,
-# an interested one decodes fully.
-_DigestEntry = Tuple["FrameDigest", Optional[Dict[int, str]],
-                     Optional[Dict[int, str]], Optional[Dict[int, bytes]],
-                     Optional[Dict[int, bytes]]]
-_digest_memo: "OrderedDict[bytes, _DigestEntry]" = OrderedDict()
+# frame bytes -> how far that frame has been parsed (a _Parse).  The
+# memo is process-global (deliberately: the N receivers of one broadcast
+# share a single parse), so its counters live in a module-level registry
+# rather than any one daemon's — and are therefore NOT part of
+# per-daemon ``_bus.stat.*`` snapshots, where self-referential stat
+# frames hitting the shared memo would make publishing perturb the very
+# counters being published.
+_memo: "OrderedDict[bytes, _Parse]" = OrderedDict()
+_memo_capacity = DEFAULT_DECODE_MEMO_CAPACITY
 
 _wire_metrics = MetricsRegistry()
 _decode_memo_hits = _wire_metrics.counter("wire.decode_memo.hits")
 _decode_memo_misses = _wire_metrics.counter("wire.decode_memo.misses")
 _wire_metrics.gauge("wire.decode_memo.capacity",
-                    source=lambda: _decode_memo_capacity)
-_wire_metrics.gauge("wire.decode_memo.size",
-                    source=lambda: len(_decode_memo))
+                    source=lambda: _memo_capacity)
+_wire_metrics.gauge("wire.decode_memo.size", source=lambda: len(_memo))
 _digest_memo_hits = _wire_metrics.counter("wire.digest_memo.hits")
 _digest_memo_misses = _wire_metrics.counter("wire.digest_memo.misses")
-_wire_metrics.gauge("wire.digest_memo.size",
-                    source=lambda: len(_digest_memo))
+_wire_metrics.gauge("wire.digest_memo.size", source=lambda: len(_memo))
 #: lazy-payload accounting: views created by the decoder vs views whose
 #: payload something downstream actually materialized
 _lazy_views = _wire_metrics.counter("wire.lazy.views")
 _lazy_hydrations = _wire_metrics.counter("wire.lazy.hydrations")
 #: typedef-region accounting: definitions written by encoders vs
-#: definitions learned by fresh (non-memoized) parses
+#: definitions learned by fresh (non-memoized) walks of a typedef region
 _typedef_defined = _wire_metrics.counter("wire.typedef.defined")
 _typedef_learned = _wire_metrics.counter("wire.typedef.learned")
 
@@ -653,310 +627,27 @@ def wire_metrics() -> MetricsRegistry:
 
 def configure_decode_memo(capacity: int = DEFAULT_DECODE_MEMO_CAPACITY
                           ) -> None:
-    """Resize the decode and digest memos (0 disables both); clears
-    entries and every module-level wire counter (memo hit/miss and
-    ``wire.lazy.*``) so runs start cold."""
-    global _decode_memo_capacity
+    """Resize the frame memo (0 disables it); clears entries and every
+    module-level wire counter (memo hit/miss, ``wire.lazy.*``,
+    ``wire.typedef.*``) so runs start cold."""
+    global _memo_capacity
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0 (got {capacity})")
-    _decode_memo_capacity = capacity
-    _decode_memo.clear()
-    _decode_memo_hits.reset()
-    _decode_memo_misses.reset()
-    _digest_memo.clear()
-    _digest_memo_hits.reset()
-    _digest_memo_misses.reset()
-    _lazy_views.reset()
-    _lazy_hydrations.reset()
-    _typedef_defined.reset()
-    _typedef_learned.reset()
+    _memo_capacity = capacity
+    _memo.clear()
+    for counter in (_decode_memo_hits, _decode_memo_misses,
+                    _digest_memo_hits, _digest_memo_misses, _lazy_views,
+                    _lazy_hydrations, _typedef_defined, _typedef_learned):
+        counter.reset()
 
 
 def decode_memo_stats() -> Dict[str, int]:
     """Hit/miss/size counters for benches and cache-honesty tests (a
     dict view over the :func:`wire_metrics` registry instruments)."""
-    return {"capacity": _decode_memo_capacity, "size": len(_decode_memo),
+    return {"capacity": _memo_capacity, "size": len(_memo),
             "hits": _decode_memo_hits.value,
             "misses": _decode_memo_misses.value}
 
-
-def decode_packet(data: bytes,
-                  tables: Optional[Dict[str, Dict[int, str]]] = None,
-                  type_tables: Optional[Dict[str, Dict[int, bytes]]] = None
-                  ) -> Packet:
-    """Decode one wire frame back to a :class:`Packet`.
-
-    ``tables`` is the receiving daemon's per-session learned string
-    tables (``session -> {id: string}``); compressed frames read and
-    update them.  ``type_tables`` is the analogous per-session learned
-    typedef map (``session -> {type id: definition bytes}``); typed
-    frames read and update it.  Without them throwaway tables are used,
-    so only fully self-contained frames resolve.
-
-    Raises :class:`CorruptFrame` on any framing, checksum, or field
-    validation failure, and its subclasses :class:`UnresolvedStringId` /
-    :class:`UnresolvedTypeId` when a frame references ids this receiver
-    has not learned — the caller drops the frame and lets the
-    NACK/heartbeat machinery repair the gap.  Successful decodes are
-    memoized by the exact frame bytes (see the module docstring), so the
-    N receivers of one broadcast share a single parse; the memo replays
-    each frame's table effects per receiver, keeping per-receiver
-    outcomes identical to a fresh parse.
-    """
-    key = None
-    if _decode_memo_capacity:
-        key = bytes(data)
-        entry = _decode_memo.get(key)
-        if entry is not None:
-            packet, needs, defines, tneeds, tdefines = entry
-            if needs is None and tneeds is None:    # plain frame
-                _decode_memo.move_to_end(key)
-                _decode_memo_hits.value += 1
-                return packet
-            unresolved = []
-            tunresolved = []
-            mismatch = False
-            if defines is not None:
-                table = (tables.setdefault(packet.session, {})
-                         if tables is not None else {})
-                for idx, text in defines.items():
-                    table[idx] = text
-                for idx, text in needs.items():
-                    have = table.get(idx)
-                    if have is None:
-                        unresolved.append(idx)
-                    elif have != text:
-                        mismatch = True             # colliding table state:
-                        break                       # this parse isn't ours
-            if not mismatch and tdefines is not None:
-                ttable = (type_tables.setdefault(packet.session, {})
-                          if type_tables is not None else {})
-                for tid, blob in tdefines.items():
-                    ttable[tid] = blob
-                for tid, blob in tneeds.items():
-                    have = ttable.get(tid)
-                    if have is None:
-                        tunresolved.append(tid)
-                    elif have != blob:
-                        mismatch = True             # colliding table state
-                        break
-            if not mismatch:
-                _decode_memo.move_to_end(key)
-                _decode_memo_hits.value += 1
-                if unresolved:
-                    seqs = [e.seq for e in packet.envelopes]
-                    raise UnresolvedStringId(
-                        packet.session, unresolved, min(seqs), max(seqs),
-                        packet.session_start)
-                if tunresolved:
-                    seqs = [e.seq for e in packet.envelopes]
-                    raise UnresolvedTypeId(
-                        packet.session, tunresolved, min(seqs), max(seqs),
-                        packet.session_start)
-                return packet
-            key = None                              # bypass, parse fresh
-    packet, needs, defines, tneeds, tdefines = _decode_packet_body(
-        data, tables, type_tables)
-    if key is not None:
-        _decode_memo_misses.value += 1
-        _decode_memo[key] = (packet, needs, defines, tneeds, tdefines)
-        while len(_decode_memo) > _decode_memo_capacity:
-            _decode_memo.popitem(last=False)
-    return packet
-
-
-def _resolve_ref(idx: int, table: Dict[int, str], referenced: Set[int],
-                 missing: Set[int]) -> str:
-    referenced.add(idx)
-    value = table.get(idx)
-    if value is None:
-        missing.add(idx)
-        return ""
-    return value
-
-
-def _read_typedefs(cur: Cursor, session: str,
-                   type_tables: Optional[Dict[str, Dict[int, bytes]]]
-                   ) -> Tuple[Dict[int, bytes], Dict[int, bytes],
-                              List[int], Set[int]]:
-    """Parse one typedef region, applying its definitions.
-
-    The frame passed its CRC, so the definitions are intact: they go
-    into the receiver's per-session table even if reference validation
-    fails afterwards — that is what makes a later repair decodable.
-    Returns ``(ttable, tdefines, treferenced, tmissing)``.
-    """
-    ttable: Dict[int, bytes] = {}
-    if type_tables is not None:
-        ttable = type_tables.setdefault(session, {})
-    tdefines: Dict[int, bytes] = {}
-    for _ in range(cur.varint()):
-        tid = cur.varint()
-        blob = cur.bytes_()
-        tdefines[tid] = blob
-        ttable[tid] = blob
-    _typedef_learned.value += len(tdefines)
-    treferenced: List[int] = []
-    tmissing: Set[int] = set()
-    for _ in range(cur.varint()):
-        tid = cur.varint()
-        treferenced.append(tid)
-        if tid not in ttable:
-            tmissing.add(tid)
-    return ttable, tdefines, treferenced, tmissing
-
-
-def _decode_packet_body(
-        data: bytes, tables: Optional[Dict[str, Dict[int, str]]],
-        type_tables: Optional[Dict[str, Dict[int, bytes]]] = None
-) -> Tuple[Packet, Optional[Dict[int, str]], Optional[Dict[int, str]],
-           Optional[Dict[int, bytes]], Optional[Dict[int, bytes]]]:
-    cur = Cursor(unframe_view(data))
-    try:
-        kind = _CODE_TO_KIND[cur.u8()]
-    except KeyError:
-        raise CorruptFrame("unknown packet kind code") from None
-    flags = cur.u8()
-    session = _intern(cur.str_())
-    session_start = cur.f64()
-    last_seq = cur.varint()
-    nack_range = None
-    if flags & _P_NACK_RANGE:
-        first = cur.varint()
-        last = cur.varint()
-        nack_range = (first, last)
-    ack_ledger_id = None
-    if flags & _P_ACK_LEDGER:
-        ack_ledger_id = _intern(cur.str_())
-    ack_consumer = None
-    if flags & _P_ACK_CONSUMER:
-        ack_consumer = _intern(cur.str_())
-    compressed = bool(flags & _P_COMPRESSED)
-    needs: Optional[Dict[int, str]] = None
-    defines: Optional[Dict[int, str]] = None
-    table: Dict[int, str] = {}
-    referenced: Set[int] = set()
-    missing: Set[int] = set()
-    if compressed:
-        if kind not in (PacketKind.DATA, PacketKind.RETRANS):
-            raise CorruptFrame(f"compressed flag on {kind.value} packet")
-        # the frame passed its CRC, so the defs section is intact: apply
-        # it to the receiver's table even if resolution fails below —
-        # that is what makes a later repair decodable.
-        if tables is not None:
-            table = tables.setdefault(session, {})
-        defines = {}
-        for _ in range(cur.varint()):
-            idx = cur.varint()
-            text = _intern(cur.str_())
-            defines[idx] = text
-            table[idx] = text
-    typed = bool(flags & _P_TYPED)
-    tneeds: Optional[Dict[int, bytes]] = None
-    tdefines: Optional[Dict[int, bytes]] = None
-    ttable: Dict[int, bytes] = {}
-    treferenced: List[int] = []
-    tmissing: Set[int] = set()
-    if typed:
-        if kind not in (PacketKind.DATA, PacketKind.RETRANS):
-            raise CorruptFrame(f"typedef flag on {kind.value} packet")
-        ttable, tdefines, treferenced, tmissing = _read_typedefs(
-            cur, session, type_tables)
-    digest_count = None
-    if flags & _P_DIGEST:
-        if kind not in (PacketKind.DATA, PacketKind.RETRANS):
-            raise CorruptFrame(f"digest flag on {kind.value} packet")
-        # the full decode only *skips over* the digest — the bodies are
-        # authoritative — but digest subject/session refs still count as
-        # referenced ids, so a frame whose digest cites an unlearned id
-        # resolves (or fails) identically via read_digest and here.
-        digest_count = cur.varint()
-        for _ in range(digest_count):
-            dflags = cur.u8()
-            if dflags & ~(_D_LEDGER | _D_SESSION):
-                raise CorruptFrame(f"unknown digest flags {dflags:#x}")
-            if compressed:
-                _resolve_ref(cur.varint(), table, referenced, missing)
-            else:
-                cur.str_()
-            cur.varint()
-            if dflags & _D_SESSION:
-                if compressed:
-                    _resolve_ref(cur.varint(), table, referenced, missing)
-                else:
-                    cur.str_()
-    count = cur.varint()
-    if digest_count is not None and digest_count != count:
-        raise CorruptFrame(
-            f"digest lists {digest_count} envelopes, body carries {count}")
-    envelopes = []
-    for _ in range(count):
-        envelopes.append(
-            _read_envelope(cur, compressed, table, referenced, missing))
-    if not cur.exhausted:
-        raise CorruptFrame(f"{cur.remaining()} trailing bytes after packet")
-    if missing:
-        seqs = [e.seq for e in envelopes]
-        raise UnresolvedStringId(session, missing, min(seqs), max(seqs),
-                                 session_start)
-    if tmissing:
-        # a well-formed typed frame always has envelopes (the refs come
-        # from them), but a hostile encoder might not — default the span
-        seqs = [e.seq for e in envelopes] or [0]
-        raise UnresolvedTypeId(session, tmissing, min(seqs), max(seqs),
-                               session_start)
-    if compressed:
-        needs = {idx: table[idx] for idx in referenced
-                 if idx not in defines}
-    if typed:
-        tneeds = {tid: ttable[tid] for tid in treferenced
-                  if tid not in tdefines}
-    return (Packet(kind, session, envelopes, nack_range=nack_range,
-                   last_seq=last_seq, session_start=session_start,
-                   ack_ledger_id=ack_ledger_id, ack_consumer=ack_consumer),
-            needs, defines, tneeds, tdefines)
-
-
-def _read_envelope(cur: Cursor, compressed: bool, table: Dict[int, str],
-                   referenced: Set[int], missing: Set[int]) -> EnvelopeView:
-    flags = cur.u8()
-    if compressed:
-        subject = _resolve_ref(cur.varint(), table, referenced, missing)
-        sender = _resolve_ref(cur.varint(), table, referenced, missing)
-        session = _resolve_ref(cur.varint(), table, referenced, missing)
-    else:
-        subject = _intern(cur.str_())
-        sender = _intern(cur.str_())
-        session = _intern(cur.str_())
-    seq = cur.varint()
-    qos_code = cur.u8()
-    try:
-        qos = _CODE_TO_QOS[qos_code]
-    except KeyError:
-        raise CorruptFrame(f"unknown qos code {qos_code}") from None
-    publish_time = cur.f64()
-    envelope_id = cur.varint()
-    ledger_id = None
-    if flags & _E_LEDGER:
-        if compressed:
-            ledger_id = _resolve_ref(cur.varint(), table, referenced, missing)
-        else:
-            ledger_id = _intern(cur.str_())
-    via_count = cur.varint()
-    via = []
-    for _ in range(via_count):
-        if compressed:
-            via.append(_resolve_ref(cur.varint(), table, referenced, missing))
-        else:
-            via.append(_intern(cur.str_()))
-    payload_view = cur.view_()
-    return EnvelopeView(subject, sender, session, seq, qos, ledger_id,
-                        publish_time, tuple(via), envelope_id, payload_view)
-
-
-# ----------------------------------------------------------------------
-# the O(header) digest read (the interest gate's view of a frame)
-# ----------------------------------------------------------------------
 
 class FrameDigest:
     """What :func:`read_digest` learns about a frame without decoding it.
@@ -984,16 +675,314 @@ class FrameDigest:
         self.needs_full = needs_full
 
 
+class _Parse:
+    """One frame's parse, as far as it has got — what the memo holds.
+
+    Stages 1-4 (header, string defs, typedefs, digest) fill everything
+    but the bodies: ``packet`` has its header fields and no envelopes,
+    ``digest`` is the :class:`FrameDigest` (``None`` for a frame without
+    one), ``rest`` is the unparsed remainder of the frame body — the
+    envelope region.  Stage 5 fills ``packet.envelopes`` and clears
+    ``rest``: a parse with nothing left is complete.
+
+    ``defines`` / ``tdefines`` are the frame's in-frame string / type
+    definitions (``None`` when it lacks the region).  ``needs`` maps
+    every other string id the *digest* cites to its value at parse time,
+    ``body_needs`` every other id the digest *or the bodies* cite — kept
+    apart so a digest hit never fails a receiver for an id only the
+    bodies use; ``tneeds`` is the same for the typedef reference list,
+    which both stages share.
+    """
+
+    __slots__ = ("packet", "digest", "rest", "defines", "needs",
+                 "body_needs", "tdefines", "tneeds")
+
+    def __init__(self, packet: Packet) -> None:
+        self.packet = packet
+        self.digest: Optional[FrameDigest] = None
+        self.rest: Optional[memoryview] = None
+        self.defines = self.needs = self.body_needs = None
+        self.tdefines = self.tneeds = None
+
+
+def _session_table(learned: Optional[Dict[str, Dict[int, object]]],
+                   session: str) -> Dict[int, object]:
+    """One receiver's learned ids for ``session`` in ``learned`` (its
+    ``tables`` or ``type_tables``); a throwaway when it keeps none."""
+    if learned is None:
+        return {}
+    return learned.setdefault(session, {})
+
+
+def _replay(table: Dict[int, object], defines: Dict[int, object],
+            needs: Dict[int, object]) -> Optional[Tuple[int, ...]]:
+    """Apply a memoized parse's table effects for one receiver.
+
+    The one routine both planes (string ids, type ids) and both entry
+    points use: replay the frame's ``defines`` into the receiver's
+    session ``table``, then check every id in ``needs`` *by value*.
+    Returns the ids this receiver has not learned — or ``None`` when an
+    id maps to a different value: colliding table state, so the memoized
+    parse is not this receiver's and the caller must walk the frame
+    fresh.
+    """
+    if defines:
+        table.update(defines)
+    missing = ()
+    for idx, value in needs.items():
+        have = table.get(idx)
+        if have is None:
+            missing += (idx,)
+        elif have != value:
+            return None
+    return missing
+
+
+def _needs(table: Dict[int, object], refs: Iterable[int],
+           defines: Dict[int, object]) -> Dict[int, object]:
+    """The ``needs`` a fresh walk records: every id in ``refs`` the
+    frame did not define itself, mapped to this receiver's value for it
+    (``None`` = not learned)."""
+    return {idx: table.get(idx) for idx in refs if idx not in defines}
+
+
+def _read_header_str(cur: Cursor, table: Optional[Dict[int, str]],
+                     refs: Set[int]) -> str:
+    """One header string: inline, or (``table`` given: a compressed
+    frame) a session-table id, noted in ``refs``.  An unlearned id reads
+    as ``""``; the walk reports it once the stage is structurally done."""
+    if table is None:
+        return _intern(cur.str_())
+    idx = cur.varint()
+    refs.add(idx)
+    return table.get(idx, "")
+
+
+def _walk(data: bytes, tables: Optional[Dict[str, Dict[int, str]]],
+          type_tables: Optional[Dict[str, Dict[int, bytes]]],
+          bodies: bool) -> _Parse:
+    """The one frame parser: header → string defs → typedefs → digest
+    [→ bodies], for one receiver, through the memo.
+
+    :func:`read_digest` stops after stage 4 (``bodies`` false);
+    :func:`decode_packet` runs all five.  A memoized parse is replayed
+    for this receiver (:func:`_replay`) and picked up where it stopped,
+    so a decode after a digest read resumes at the bodies.  Structural
+    errors raise :class:`CorruptFrame` where they are met; unlearned ids
+    raise only once the last requested stage is structurally sound
+    (string ids before type ids), so both entry points — memoized or
+    not — agree on which error a frame earns.  Failures are never
+    stored.
+    """
+    key = parse = table = None
+    hit = False
+    missing = tmissing = ()     # string / type ids this receiver lacks
+    if _memo_capacity:
+        key = bytes(data)
+        parse = _memo.get(key)
+    if parse is not None:
+        # replay for this receiver; on colliding table state the parse
+        # is not ours: walk fresh and leave the memo alone
+        session = parse.packet.session
+        complete = parse.rest is None
+        if parse.defines is not None:
+            table = _session_table(tables, session)
+            missing = _replay(
+                table, parse.defines,
+                parse.body_needs if bodies and complete else parse.needs)
+        if missing is not None and parse.tdefines is not None:
+            tmissing = _replay(_session_table(type_tables, session),
+                               parse.tdefines, parse.tneeds)
+        if missing is None or tmissing is None:
+            key = parse = table = None
+            missing = tmissing = ()
+        else:
+            _memo.move_to_end(key)
+            hit = complete or not bodies
+    if parse is None:
+        # -- stage 1: header; the one place flags are judged against kind
+        cur = Cursor(unframe_view(data))
+        kind = _CODE_TO_KIND.get(cur.u8())
+        if kind is None:
+            raise CorruptFrame("unknown packet kind code")
+        flags = cur.u8()
+        if flags & _P_REGIONS and kind not in _ENVELOPE_KINDS:
+            raise CorruptFrame(
+                f"region flags {flags & _P_REGIONS:#x} on {kind.value} packet")
+        session = _intern(cur.str_())
+        session_start = cur.f64()
+        last_seq = cur.varint()
+        nack_range = ack_ledger_id = ack_consumer = None
+        if flags & _P_NACK_RANGE:
+            first = cur.varint()
+            nack_range = (first, cur.varint())
+        if flags & _P_ACK_LEDGER:
+            ack_ledger_id = _intern(cur.str_())
+        if flags & _P_ACK_CONSUMER:
+            ack_consumer = _intern(cur.str_())
+        parse = _Parse(Packet(
+            kind, session, nack_range=nack_range, last_seq=last_seq,
+            session_start=session_start, ack_ledger_id=ack_ledger_id,
+            ack_consumer=ack_consumer))
+        # -- stage 2: string defs.  The frame passed its CRC, so they
+        # are intact: apply them even if resolution fails below or the
+        # caller goes on to skip the frame — later frames reference them
+        # without redefining, and they make a later repair decodable.
+        if flags & _P_COMPRESSED:
+            table = _session_table(tables, session)
+            defines = parse.defines = {}
+            for _ in range(cur.varint()):
+                idx = cur.varint()
+                table[idx] = defines[idx] = _intern(cur.str_())
+        # -- stage 3: typedefs (applied for the same reason), then the
+        # frame's full type-reference list
+        if flags & _P_TYPED:
+            ttable = _session_table(type_tables, session)
+            tdefines = parse.tdefines = {}
+            for _ in range(cur.varint()):
+                tid = cur.varint()
+                ttable[tid] = tdefines[tid] = cur.bytes_()
+            _typedef_learned.value += len(tdefines)
+            trefs = [cur.varint() for _ in range(cur.varint())]
+            parse.tneeds = _needs(ttable, trefs, tdefines)
+            tmissing = [t for t, blob in parse.tneeds.items() if blob is None]
+        # -- stage 4: digest
+        refs: Set[int] = set()
+        if flags & _P_DIGEST:
+            entries: List[Tuple[str, int]] = []
+            subjects: Dict[str, None] = {}      # distinct, first-seen order
+            needs_full = False
+            for _ in range(cur.varint()):
+                dflags = cur.u8()
+                if dflags & ~(_D_LEDGER | _D_SESSION):
+                    raise CorruptFrame(f"unknown digest flags {dflags:#x}")
+                subjects[_read_header_str(cur, table, refs)] = None
+                seq = cur.varint()
+                env_session = session
+                if dflags & _D_SESSION:
+                    env_session = _read_header_str(cur, table, refs)
+                if dflags & _D_LEDGER or seq == 0:
+                    needs_full = True
+                entries.append((env_session, seq))
+            parse.digest = FrameDigest(kind, session, session_start, last_seq,
+                                       tuple(subjects), entries, needs_full)
+        if table is not None:
+            parse.needs = _needs(table, refs, parse.defines)
+            missing = [i for i, text in parse.needs.items() if text is None]
+        parse.rest = cur.buf[cur.pos:]
+    envelopes = body_needs = None
+    if bodies and parse.rest is not None:
+        # -- stage 5: bodies.  They are authoritative; the digest only
+        # has to list as many envelopes as follow it.
+        cur = Cursor(parse.rest)
+        count = cur.varint()
+        digest = parse.digest
+        if digest is not None and len(digest.entries) != count:
+            raise CorruptFrame(f"digest lists {len(digest.entries)} "
+                               f"envelopes, body carries {count}")
+        refs = set()
+        envelopes = [_read_envelope(cur, table, refs) for _ in range(count)]
+        if not cur.exhausted:
+            raise CorruptFrame(
+                f"{cur.remaining()} trailing bytes after packet")
+        if table is not None:
+            body_needs = _needs(table, refs, parse.defines)
+            missing = set(missing).union(
+                i for i, text in body_needs.items() if text is None)
+            body_needs.update(parse.needs)
+    # a frame without a digest gives read_digest nothing to act on — it
+    # returns None, the caller decodes fully, and any error surfaces
+    # there — so it neither counts in the digest memo nor raises here
+    acts = bodies or parse.digest is not None
+    if hit and acts:
+        (_decode_memo_hits if bodies else _digest_memo_hits).value += 1
+    if missing or tmissing:
+        if not acts:
+            return parse
+        packet = parse.packet
+        if bodies:
+            seqs = [e.seq for e in envelopes or packet.envelopes]
+        else:
+            seqs = [seq for _, seq in parse.digest.entries]
+        # a well-formed frame citing ids has envelopes (the refs come
+        # from them), but a hostile encoder's might not: default the span
+        seqs = seqs or [0]
+        error = UnresolvedStringId if missing else UnresolvedTypeId
+        raise error(packet.session, missing or tmissing, min(seqs),
+                    max(seqs), packet.session_start)
+    if envelopes is not None:
+        parse.packet.envelopes = envelopes
+        parse.body_needs = body_needs
+        parse.rest = None
+    if not hit and key is not None:
+        if acts:
+            (_decode_memo_misses if bodies
+             else _digest_memo_misses).value += 1
+        _memo[key] = parse
+        while len(_memo) > _memo_capacity:
+            _memo.popitem(last=False)
+    return parse
+
+
+def _read_envelope(cur: Cursor, table: Optional[Dict[int, str]],
+                   refs: Set[int]) -> EnvelopeView:
+    flags = cur.u8()
+    subject = _read_header_str(cur, table, refs)
+    sender = _read_header_str(cur, table, refs)
+    session = _read_header_str(cur, table, refs)
+    seq = cur.varint()
+    qos_code = cur.u8()
+    qos = _CODE_TO_QOS.get(qos_code)
+    if qos is None:
+        raise CorruptFrame(f"unknown qos code {qos_code}")
+    publish_time = cur.f64()
+    envelope_id = cur.varint()
+    ledger_id = None
+    if flags & _E_LEDGER:
+        ledger_id = _read_header_str(cur, table, refs)
+    via = tuple([_read_header_str(cur, table, refs)
+                 for _ in range(cur.varint())])
+    return EnvelopeView(subject, sender, session, seq, qos, ledger_id,
+                        publish_time, via, envelope_id, cur.view_())
+
+
+def decode_packet(data: bytes,
+                  tables: Optional[Dict[str, Dict[int, str]]] = None,
+                  type_tables: Optional[Dict[str, Dict[int, bytes]]] = None
+                  ) -> Packet:
+    """Decode one wire frame back to a :class:`Packet`.
+
+    ``tables`` is the receiving daemon's per-session learned string
+    tables (``session -> {id: string}``); compressed frames read and
+    update them.  ``type_tables`` is the analogous per-session learned
+    typedef map (``session -> {type id: definition bytes}``); typed
+    frames read and update it.  Without them throwaway tables are used,
+    so only fully self-contained frames resolve.
+
+    Raises :class:`CorruptFrame` on any framing, checksum, or field
+    validation failure, and its subclasses :class:`UnresolvedStringId` /
+    :class:`UnresolvedTypeId` when a frame references ids this receiver
+    has not learned — the caller drops the frame and lets the
+    NACK/heartbeat machinery repair the gap.  Successful decodes are
+    memoized by the exact frame bytes (see the module docstring), so the
+    N receivers of one broadcast share a single parse; the memo replays
+    each frame's table effects per receiver, keeping per-receiver
+    outcomes identical to a fresh parse.
+    """
+    return _walk(data, tables, type_tables, True).packet
+
+
 def read_digest(data: bytes,
                 tables: Optional[Dict[str, Dict[int, str]]] = None,
                 type_tables: Optional[Dict[str, Dict[int, bytes]]] = None
                 ) -> Optional[FrameDigest]:
     """Parse just the header, defs, and subject digest of one frame.
 
-    The interest gate's entry point: O(header) work (the CRC check is
-    still O(frame), but at C speed), never touching envelope bodies.
-    Returns ``None`` for frames without a digest (HEARTBEAT/NACK/ACK, or
-    pre-digest encodings) — the caller must decode fully.  Like
+    The interest gate's entry point — :func:`decode_packet` stopped
+    after stage 4: O(header) work (the CRC check is still O(frame), but
+    at C speed), never touching envelope bodies.  Returns ``None`` for
+    frames without a digest (HEARTBEAT/NACK/ACK, or pre-digest
+    encodings) — the caller must decode fully.  Like
     :func:`decode_packet` it applies the frame's table and typedef
     definitions to ``tables``/``type_tables`` *even when the caller goes
     on to skip the frame* — a skipped frame must still replay the
@@ -1001,167 +990,11 @@ def read_digest(data: bytes,
     :class:`UnresolvedTypeId` when the digest or the typedef reference
     list cites ids this receiver has not learned (the bodies reference
     at least those same ids, so the full path would fail identically).
-    Successful reads are memoized by frame bytes next to the decode
-    memo, with the same per-receiver ``defines`` replay and by-value
-    ``needs`` check.
+    Successful reads are memoized in the same per-frame entry a full
+    decode completes, with the same per-receiver ``defines`` replay and
+    by-value ``needs`` check.
     """
-    key = None
-    if _decode_memo_capacity:
-        key = bytes(data)
-        entry = _digest_memo.get(key)
-        if entry is not None:
-            digest, needs, defines, tneeds, tdefines = entry
-            if needs is None and tneeds is None:    # plain frame
-                _digest_memo.move_to_end(key)
-                _digest_memo_hits.value += 1
-                return digest
-            unresolved = []
-            tunresolved = []
-            mismatch = False
-            if defines is not None:
-                table = (tables.setdefault(digest.session, {})
-                         if tables is not None else {})
-                for idx, text in defines.items():
-                    table[idx] = text
-                for idx, text in needs.items():
-                    have = table.get(idx)
-                    if have is None:
-                        unresolved.append(idx)
-                    elif have != text:
-                        mismatch = True             # colliding table state
-                        break
-            if not mismatch and tdefines is not None:
-                ttable = (type_tables.setdefault(digest.session, {})
-                          if type_tables is not None else {})
-                for tid, blob in tdefines.items():
-                    ttable[tid] = blob
-                for tid, blob in tneeds.items():
-                    have = ttable.get(tid)
-                    if have is None:
-                        tunresolved.append(tid)
-                    elif have != blob:
-                        mismatch = True             # colliding table state
-                        break
-            if not mismatch:
-                _digest_memo.move_to_end(key)
-                _digest_memo_hits.value += 1
-                if unresolved:
-                    seqs = [seq for _, seq in digest.entries]
-                    raise UnresolvedStringId(
-                        digest.session, unresolved, min(seqs), max(seqs),
-                        digest.session_start)
-                if tunresolved:
-                    seqs = [seq for _, seq in digest.entries] or [0]
-                    raise UnresolvedTypeId(
-                        digest.session, tunresolved, min(seqs), max(seqs),
-                        digest.session_start)
-                return digest
-            key = None                              # bypass, parse fresh
-    digest, needs, defines, tneeds, tdefines = _read_digest_body(
-        data, tables, type_tables)
-    if key is not None and digest is not None:
-        _digest_memo_misses.value += 1
-        _digest_memo[key] = (digest, needs, defines, tneeds, tdefines)
-        while len(_digest_memo) > _decode_memo_capacity:
-            _digest_memo.popitem(last=False)
-    return digest
-
-
-def _read_digest_body(
-        data: bytes, tables: Optional[Dict[str, Dict[int, str]]],
-        type_tables: Optional[Dict[str, Dict[int, bytes]]] = None
-) -> Tuple[Optional[FrameDigest], Optional[Dict[int, str]],
-           Optional[Dict[int, str]], Optional[Dict[int, bytes]],
-           Optional[Dict[int, bytes]]]:
-    cur = Cursor(unframe_view(data))
-    kind = _CODE_TO_KIND.get(cur.u8())
-    if kind is None:
-        raise CorruptFrame("unknown packet kind code")
-    flags = cur.u8()
-    if not flags & _P_DIGEST:
-        return None, None, None, None, None
-    session = _intern(cur.str_())
-    session_start = cur.f64()
-    last_seq = cur.varint()
-    if flags & _P_NACK_RANGE:
-        cur.varint()
-        cur.varint()
-    if flags & _P_ACK_LEDGER:
-        cur.str_()
-    if flags & _P_ACK_CONSUMER:
-        cur.str_()
-    compressed = bool(flags & _P_COMPRESSED)
-    defines: Optional[Dict[int, str]] = None
-    table: Dict[int, str] = {}
-    if compressed:
-        # apply the defs even if the digest resolves nothing below: the
-        # frame may be skipped, but its definitions must survive (later
-        # frames reference them without redefining)
-        if tables is not None:
-            table = tables.setdefault(session, {})
-        defines = {}
-        for _ in range(cur.varint()):
-            idx = cur.varint()
-            text = _intern(cur.str_())
-            defines[idx] = text
-            table[idx] = text
-    typed = bool(flags & _P_TYPED)
-    tneeds: Optional[Dict[int, bytes]] = None
-    tdefines: Optional[Dict[int, bytes]] = None
-    ttable: Dict[int, bytes] = {}
-    treferenced: List[int] = []
-    tmissing: Set[int] = set()
-    if typed:
-        ttable, tdefines, treferenced, tmissing = _read_typedefs(
-            cur, session, type_tables)
-    referenced: Set[int] = set()
-    missing: Set[int] = set()
-    entries: List[Tuple[str, int]] = []
-    subjects: List[str] = []
-    seen: Set[str] = set()
-    needs_full = False
-    for _ in range(cur.varint()):
-        dflags = cur.u8()
-        if dflags & ~(_D_LEDGER | _D_SESSION):
-            raise CorruptFrame(f"unknown digest flags {dflags:#x}")
-        if compressed:
-            subject = _resolve_ref(cur.varint(), table, referenced, missing)
-        else:
-            subject = _intern(cur.str_())
-        seq = cur.varint()
-        env_session = session
-        if dflags & _D_SESSION:
-            if compressed:
-                env_session = _resolve_ref(cur.varint(), table, referenced,
-                                           missing)
-            else:
-                env_session = _intern(cur.str_())
-        if dflags & _D_LEDGER or seq == 0:
-            needs_full = True
-        entries.append((env_session, seq))
-        if subject not in seen:
-            seen.add(subject)
-            subjects.append(subject)
-    # deliberately no exhaustion check: the envelope bodies follow,
-    # unread — that is the whole point
-    if missing:
-        seqs = [seq for _, seq in entries]
-        raise UnresolvedStringId(session, missing, min(seqs), max(seqs),
-                                 session_start)
-    if tmissing:
-        seqs = [seq for _, seq in entries] or [0]
-        raise UnresolvedTypeId(session, tmissing, min(seqs), max(seqs),
-                               session_start)
-    needs = None
-    if compressed:
-        needs = {idx: table[idx] for idx in referenced
-                 if idx not in defines}
-    if typed:
-        tneeds = {tid: ttable[tid] for tid in treferenced
-                  if tid not in tdefines}
-    return (FrameDigest(kind, session, session_start, last_seq,
-                        tuple(subjects), entries, needs_full),
-            needs, defines, tneeds, tdefines)
+    return _walk(data, tables, type_tables, False).digest
 
 
 def packet_wire_size(packet: Packet) -> int:

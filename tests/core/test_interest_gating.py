@@ -170,6 +170,28 @@ def test_semantically_bad_digest_is_corrupt_on_both_paths():
         decode_packet(tampered)
 
 
+@pytest.mark.parametrize("flag", [0x08, 0x10, 0x20],
+                         ids=["compressed", "digest", "typed"])
+@pytest.mark.parametrize("packet", [
+    Packet(PacketKind.HEARTBEAT, "node00#0", last_seq=9, session_start=0.5),
+    Packet(PacketKind.NACK, "node00#0", nack_range=(1, 4)),
+    Packet(PacketKind.ACK, "node00#0", ack_ledger_id="x/1",
+           ack_consumer="node01"),
+], ids=lambda packet: packet.kind.value)
+def test_region_flag_on_control_frame_is_corrupt_on_both_paths(packet, flag):
+    """HEARTBEAT/NACK/ACK never carry defs, typedefs or a digest.  A
+    CRC-valid control frame claiming one is rejected by read_digest as
+    it is by decode_packet — the gate must never hand try_skip a
+    "digest" read out of a heartbeat's trailing bytes."""
+    body = bytearray(unframe(encode_packet(packet)))
+    body[1] |= flag                   # byte 0 is the kind, byte 1 the flags
+    tampered = frame(bytes(body))
+    with pytest.raises(CorruptFrame):
+        decode_packet(tampered)
+    with pytest.raises(CorruptFrame):
+        read_digest(tampered)
+
+
 def test_digest_memo_shares_parses():
     wire.configure_decode_memo()
     data = encode_packet(Packet(PacketKind.DATA, "node00#0",

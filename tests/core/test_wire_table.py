@@ -24,8 +24,10 @@ import pytest
 
 from repro.core import Envelope, Packet, PacketKind, QoS
 from repro.core import wire
+from repro.core.typeplane import TypeTable
 from repro.core.wire import (CorruptFrame, StringTable, UnresolvedStringId,
-                             decode_packet, encode_packet)
+                             decode_packet, encode_packet, read_digest)
+from repro.objects import AttributeSpec, TypeDescriptor
 from repro.sim.framing import flip_random_bit
 
 
@@ -266,3 +268,198 @@ class TestInterning:
         p1 = decode_packet(first, tables=tables)
         p2 = decode_packet(second, tables=tables)
         assert p1.envelopes[0].subject is p2.envelopes[0].subject
+
+
+class TestStagedMemoHonesty:
+    """One memo entry per frame records how far it was parsed: a digest
+    read leaves it at stage 4, a decode completes it.  Whatever mix of
+    receivers and entry points touches an entry, every receiver sees
+    exactly what a memo-less parse would have shown it."""
+
+    @staticmethod
+    def typed_frames():
+        """Two typed+compressed DATA frames; the second only references
+        what the first defined."""
+        strings, types = StringTable(), TypeTable()
+        types.intern(TypeDescriptor(
+            "quote", attributes=[AttributeSpec("n", "int")]))
+        frames = []
+        for seq in (1, 2):
+            envelope = make_envelope(seq, type_refs=(0,))
+            frames.append(encode_packet(
+                Packet(PacketKind.DATA, "node00#0", [envelope],
+                       session_start=0.0), strings, type_table=types))
+        return strings, frames
+
+    @staticmethod
+    def play(script, receivers):
+        """Run ``(entry point, frame, receiver)`` steps; per step the
+        result (or the exception class) — comparable across memo modes."""
+        outcomes = []
+        for entry_point, data, name in script:
+            tables, type_tables = receivers[name]
+            try:
+                result = entry_point(data, tables=tables,
+                                     type_tables=type_tables)
+            except CorruptFrame as error:
+                outcomes.append(type(error))
+                continue
+            if isinstance(result, Packet):
+                outcomes.append(result)
+            else:
+                outcomes.append((result.subjects, result.entries,
+                                 result.needs_full))
+        return outcomes
+
+    def assert_memo_invisible(self, script, make_receivers):
+        """Same outcomes and same learned tables, memo on vs off."""
+        wire.configure_decode_memo()
+        with_memo = make_receivers()
+        seen = self.play(script, with_memo)
+        stats = dict(wire.decode_memo_stats(),
+                     digest_hits=wire.wire_metrics().counter(
+                         "wire.digest_memo.hits").value,
+                     digest_misses=wire.wire_metrics().counter(
+                         "wire.digest_memo.misses").value)
+        wire.configure_decode_memo(0)
+        without = make_receivers()
+        assert self.play(script, without) == seen
+        assert without == with_memo
+        return seen, stats
+
+    def test_warm_receiver_digest_then_decode(self):
+        _, (first, second) = self.typed_frames()
+        script = [(read_digest, first, "a"), (decode_packet, first, "a"),
+                  (read_digest, second, "a"), (decode_packet, second, "a")]
+        seen, stats = self.assert_memo_invisible(
+            script, lambda: {"a": ({}, {})})
+        assert seen[3].envelopes[0].seq == 2
+        # each frame: one digest miss, then the decode *completes* that
+        # entry — a decode miss (bodies not parsed yet), never a hit
+        assert (stats["digest_misses"], stats["misses"]) == (2, 2)
+        assert (stats["digest_hits"], stats["hits"]) == (0, 0)
+        assert stats["size"] == 2
+
+    def test_second_receiver_completes_a_digest_stage_entry(self):
+        _, (first, second) = self.typed_frames()
+        script = [(read_digest, first, "a"), (read_digest, second, "a"),
+                  # b wants what a skipped: resumes a's entries at stage 5
+                  (read_digest, first, "b"), (decode_packet, first, "b"),
+                  (read_digest, second, "b"), (decode_packet, second, "b"),
+                  # c finds them complete
+                  (decode_packet, first, "c"), (decode_packet, second, "c")]
+        seen, stats = self.assert_memo_invisible(
+            script, lambda: {n: ({}, {}) for n in "abc"})
+        assert seen[5] == seen[7]
+        assert (stats["digest_misses"], stats["digest_hits"]) == (2, 2)
+        assert (stats["misses"], stats["hits"]) == (2, 2)
+
+    def test_completed_packet_is_shared(self):
+        strings = StringTable()
+        first = data_frame(strings, [1])
+        read_digest(first, tables={})
+        assert decode_packet(first, tables={}) is \
+            decode_packet(first, tables={})
+
+    def test_digest_hit_ignores_ids_only_the_bodies_cite(self):
+        """Receiver b knows the digest's ids (subject, session) but not
+        the sender id the bodies use: the digest read serves it, the
+        decode fails it — from the memo exactly as from a fresh parse."""
+        strings = StringTable()
+        first, second = data_frame(strings, [1]), data_frame(strings, [2])
+        digest_ids = {strings.ids[text]: text
+                      for text in ("news.equity.gmc", "node00#0")}
+
+        def receivers():
+            a = {}
+            decode_packet(first, tables=a)
+            return {"a": (a, {}), "b": ({"node00#0": dict(digest_ids)}, {})}
+
+        for prime in ([(read_digest, second, "a")],          # stage 4 only
+                      [(read_digest, second, "a"),
+                       (decode_packet, second, "a")]):       # complete
+            script = prime + [(read_digest, second, "b"),
+                              (decode_packet, second, "b"),
+                              (decode_packet, second, "a")]
+            seen, _ = self.assert_memo_invisible(script, receivers)
+            assert seen[-3] == (("news.equity.gmc",), [("node00#0", 2)],
+                                False)
+            assert seen[-2] is UnresolvedStringId
+            assert seen[-1].envelopes[0].seq == 2
+
+    def test_failed_completion_is_not_cached(self):
+        strings = StringTable()
+        data_frame(strings, [1])                    # lost: defines the ids
+        second = data_frame(strings, [2])
+        warm = {"node00#0": dict(enumerate(strings.strings))}
+        digest_only = {"node00#0": {
+            strings.ids[text]: text
+            for text in ("news.equity.gmc", "node00#0")}}
+        read_digest(second, tables=warm)            # entry at stage 4
+        for _ in range(3):
+            with pytest.raises(UnresolvedStringId):
+                decode_packet(second, tables=digest_only)
+        stats = wire.decode_memo_stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 0, 1)
+        decode_packet(second, tables=warm)          # still a real parse
+        assert wire.decode_memo_stats()["misses"] == 1
+        # and a frame no stage accepts leaves nothing behind
+        wire.configure_decode_memo()
+        corrupt = flip_random_bit(second, random.Random(7))
+        for entry_point in (read_digest, decode_packet):
+            with pytest.raises(CorruptFrame):
+                entry_point(corrupt, tables=warm)
+        assert wire.decode_memo_stats()["size"] == 0
+
+    def test_conflicting_table_bypasses_either_stage(self):
+        strings = StringTable()
+        first, second = data_frame(strings, [1]), data_frame(strings, [2])
+        a = {}
+        decode_packet(first, tables=a)
+        read_digest(second, tables=a)               # entry at stage 4
+        conflicting = {"node00#0": {i: f"other-{i}" for i in range(8)}}
+        assert read_digest(second, tables=conflicting).subjects[0] \
+            .startswith("other-")
+        packet = decode_packet(second, tables=conflicting)
+        assert packet.envelopes[0].subject.startswith("other-")
+        # the bypass neither completed nor replaced a's entry
+        assert wire.decode_memo_stats()["misses"] == 1      # first frame
+        served = decode_packet(second, tables=a)
+        assert served.envelopes[0].subject == "news.equity.gmc"
+        assert wire.decode_memo_stats()["misses"] == 2
+        assert decode_packet(second, tables=a) is served
+        assert decode_packet(second, tables=conflicting) is not served
+
+    def test_lru_bound_holds_with_mixed_stage_entries(self):
+        wire.configure_decode_memo(capacity=8)
+        frames = [data_frame(StringTable(), [seq]) for seq in range(1, 21)]
+        for index, data in enumerate(frames):
+            read_digest(data)
+            if index % 2:
+                decode_packet(data)
+        assert wire.decode_memo_stats()["size"] == 8
+        hits = wire.wire_metrics().counter("wire.digest_memo.hits")
+        read_digest(frames[-1])                     # newest: retained
+        assert hits.value == 1
+        read_digest(frames[0])                      # oldest: evicted
+        assert hits.value == 1
+        assert wire.decode_memo_stats()["size"] == 8
+
+    def test_control_frames_are_crc_checked_once(self, monkeypatch):
+        """read_digest on a HEARTBEAT returns None but leaves its parse
+        behind: the decode that must follow does not unframe again."""
+        calls = []
+        real = wire.unframe_view
+        monkeypatch.setattr(
+            wire, "unframe_view",
+            lambda data: calls.append(1) or real(data))
+        heartbeat = encode_packet(Packet(PacketKind.HEARTBEAT, "node00#0",
+                                         last_seq=9, session_start=0.5))
+        assert read_digest(heartbeat) is None
+        assert decode_packet(heartbeat).last_seq == 9
+        assert len(calls) == 1
+        # and a frame without a digest never counts in the digest memo
+        metrics = wire.wire_metrics()
+        assert metrics.counter("wire.digest_memo.misses").value == 0
+        assert read_digest(heartbeat) is None
+        assert metrics.counter("wire.digest_memo.hits").value == 0

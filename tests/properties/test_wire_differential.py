@@ -1,0 +1,138 @@
+"""Differential decoder fuzz: ``read_digest`` vs ``decode_packet``.
+
+The interest gate acts on what :func:`read_digest` says about a frame
+without ever running :func:`decode_packet` on it, so the two must never
+disagree about whether a frame is acceptable.  Seeds are real encoder
+output in every shape the daemons send (plain, compressed, typed,
+RETRANS, reference-only, control); each is hit with 0-3 byte mutations
+*inside* the frame body and re-framed under a valid CRC — the hostile
+encoder the checksum cannot catch.  For every such frame:
+
+(a) neither entry point raises anything but :class:`CorruptFrame`
+    (which includes ``UnresolvedStringId`` / ``UnresolvedTypeId``);
+(b) whatever ``read_digest`` rejects, ``decode_packet`` rejects;
+(c) when both accept, the digest lists exactly as many entries as the
+    packet has envelopes — and for unmutated encoder output the entries
+    and subjects are the envelopes' own;
+(d) flag-vs-kind validity is judged identically: a HEARTBEAT/NACK/ACK
+    frame claiming a defs, typedef or digest region is rejected by both.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import Envelope, Packet, PacketKind, QoS, wire
+from repro.core.typeplane import TypeTable
+from repro.core.wire import (CorruptFrame, StringTable, decode_packet,
+                             encode_packet, read_digest)
+from repro.objects import AttributeSpec, TypeDescriptor
+from repro.sim.framing import frame, unframe
+
+CONTROL_KIND_CODES = (2, 3, 4)          # NACK, HEARTBEAT, ACK
+REGION_FLAGS = 0x08 | 0x10 | 0x20       # COMPRESSED | DIGEST | TYPED
+
+SESSION = "node00#0"
+
+envelopes = st.builds(
+    Envelope,
+    subject=st.sampled_from(["feed.a", "feed.b", "feed.é", "_bus.stat.x"]),
+    sender=st.sampled_from(["node00.pub", "node00.other"]),
+    session=st.sampled_from([SESSION, SESSION, "node05#1"]),
+    seq=st.integers(0, 300),
+    payload=st.binary(max_size=24),
+    qos=st.sampled_from([QoS.RELIABLE, QoS.GUARANTEED]),
+    ledger_id=st.one_of(st.none(), st.just("node00/g/7")),
+    publish_time=st.just(0.5),
+    via=st.sampled_from([(), ("wan-router",)]),
+    type_refs=st.sampled_from([(), (0,), (0, 1)]),
+)
+
+
+def type_table() -> TypeTable:
+    table = TypeTable()
+    for name in ("quote", "story"):
+        table.intern(TypeDescriptor(
+            name, attributes=[AttributeSpec("n", "int")]))
+    return table
+
+
+@st.composite
+def seed_frames(draw):
+    """One frame of real encoder output, plus the packet it encodes."""
+    shape = draw(st.sampled_from(
+        ["plain", "compressed", "typed", "retrans", "cold", "control"]))
+    if shape == "control":
+        packet = draw(st.sampled_from([
+            Packet(PacketKind.HEARTBEAT, SESSION, last_seq=9,
+                   session_start=0.25),
+            Packet(PacketKind.NACK, SESSION, nack_range=(3, 200)),
+            Packet(PacketKind.ACK, SESSION, ack_ledger_id="node00/g/7",
+                   ack_consumer="node01"),
+        ]))
+        return encode_packet(packet), packet
+    kind = PacketKind.RETRANS if shape == "retrans" else PacketKind.DATA
+    packet = Packet(kind, SESSION,
+                    draw(st.lists(envelopes, min_size=1, max_size=3)),
+                    session_start=0.25)
+    if shape == "plain":
+        return encode_packet(packet), packet
+    table = StringTable()
+    types = type_table() if shape in ("typed", "retrans") else None
+    if shape in ("retrans", "cold"):
+        # ids already defined on an earlier frame this receiver missed:
+        # RETRANS re-defines them all, a DATA frame only references them
+        encode_packet(Packet(PacketKind.DATA, SESSION, packet.envelopes,
+                             session_start=0.25), table, type_table=types)
+    return encode_packet(packet, table, type_table=types), packet
+
+
+# positions favour the first bytes (kind, flags, session length) without
+# neglecting the rest of the frame
+mutations = st.lists(
+    st.tuples(st.one_of(st.integers(0, 3), st.integers(0, 4096)),
+              st.integers(0, 255)),
+    max_size=3)
+
+
+def attempt(entry_point, data):
+    """``(result, error)`` against a cold receiver; anything but a
+    CorruptFrame propagates and fails the test — property (a)."""
+    try:
+        return entry_point(data, tables={}, type_tables={}), None
+    except CorruptFrame as error:
+        return None, error
+
+
+@given(seed_frames(), mutations, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_digest_and_decode_agree(seed, edits, digest_first):
+    data, original = seed
+    body = bytearray(unframe(data))
+    for position, value in edits:
+        body[position % len(body)] = value
+    mutated = bytes(body) != unframe(data)
+    data = frame(bytes(body))
+
+    wire.configure_decode_memo()            # each example starts cold
+    if digest_first:                        # the daemon's order ...
+        digest, digest_error = attempt(read_digest, data)
+        packet, decode_error = attempt(decode_packet, data)
+    else:                                   # ... and a digest memo hit
+        packet, decode_error = attempt(decode_packet, data)
+        digest, digest_error = attempt(read_digest, data)
+
+    if digest_error is not None:                                    # (b)
+        assert decode_error is not None
+    if body[0] in CONTROL_KIND_CODES and body[1] & REGION_FLAGS:    # (d)
+        assert decode_error is not None and digest_error is not None
+    if digest is not None and packet is not None:                   # (c)
+        assert len(digest.entries) == len(packet.envelopes)
+    if not mutated and decode_error is None:
+        assert packet == original
+        if original.envelopes:
+            assert digest.entries == [(e.session, e.seq)
+                                      for e in original.envelopes]
+            assert digest.subjects == tuple(dict.fromkeys(
+                e.subject for e in original.envelopes))
+        else:
+            assert digest is None           # control frames carry none
