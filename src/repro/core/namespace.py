@@ -45,6 +45,11 @@ class SubjectScheme:
                         or not name.replace("_", "").isalnum()):
                     raise BadSubjectError(
                         f"bad template field {element!r} in {template!r}")
+                if name == "tail":
+                    # pattern(tail=True) is the ``>`` switch; a field of
+                    # that name could never be bound through it
+                    raise BadSubjectError(
+                        f"field name 'tail' is reserved: {template!r}")
                 self.fields.append(name)
             elif "{" in element or "}" in element:
                 raise BadSubjectError(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..objects import ServiceObject, decode, encode
-from ..objects.marshal import MarshalError
+from ..objects.types import TypeError_
 from ..sim.kernel import Event, PeriodicTimer
 from ..sim.transport import StreamConnection, StreamManager
 from .client import BusClient
@@ -192,7 +192,7 @@ class RmiServer:
     def _on_request(self, conn: StreamConnection, data: bytes) -> None:
         try:
             msg = decode(data, self.service.registry)
-        except MarshalError:
+        except TypeError_:      # all decode raises, whatever the bytes
             return
         if not isinstance(msg, dict) or msg.get("kind") != "call":
             return
@@ -390,7 +390,7 @@ class RmiClient:
     def _on_reply(self, data: bytes) -> None:
         try:
             msg = decode(data, self.client.registry)
-        except MarshalError:
+        except TypeError_:
             return
         if not isinstance(msg, dict) or msg.get("kind") != "reply":
             return

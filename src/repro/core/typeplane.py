@@ -53,13 +53,14 @@ class TypeTable:
     envelope shed by outbound admission can never consume a first-use
     definition that then never reaches the wire.
 
-    Also implements the resolver protocol (``description``/``named``)
+    Also implements the resolver protocol (``descriptor``/``named``)
     for deliveries that loop back to clients on the publishing daemon
     itself.
     """
 
     def __init__(self) -> None:
         self._ids: Dict[str, int] = {}          # fingerprint -> id
+        self._descriptors: List[TypeDescriptor] = []    # id -> as interned
         self._descriptions: List[Dict] = []     # id -> describe() dict
         self._blobs: List[bytes] = []           # id -> marshalled dict
         self._names: Dict[str, int] = {}        # name -> latest id
@@ -78,6 +79,7 @@ class TypeTable:
         tid = len(self._blobs)
         desc = descriptor.describe()
         self._ids[fp] = tid
+        self._descriptors.append(descriptor)
         self._descriptions.append(desc)
         self._blobs.append(_marshal_encode(desc))
         self._names[desc["name"]] = tid
@@ -95,6 +97,13 @@ class TypeTable:
         return fresh
 
     # -- resolver protocol (local loop-back deliveries) -----------------
+    def descriptor(self, tid: int) -> Optional[TypeDescriptor]:
+        """The descriptor behind ``tid``: the one object the decoder
+        offers to its registry for every message that references it."""
+        if 0 <= tid < len(self._descriptors):
+            return self._descriptors[tid]
+        return None
+
     def description(self, tid: int) -> Optional[Dict]:
         if 0 <= tid < len(self._descriptions):
             return self._descriptions[tid]
@@ -117,6 +126,20 @@ class PeerTypeView:
     def __init__(self, raw: Dict[int, bytes]) -> None:
         self._raw = raw
         self._described: Dict[int, Dict] = {}
+        # built from ``_described`` entries: same keys, same lifetime
+        self._descriptors: Dict[int, TypeDescriptor] = {}
+
+    def descriptor(self, tid: int) -> Optional[TypeDescriptor]:
+        """The descriptor for ``tid``, built once per session from its
+        description (see :meth:`TypeTable.descriptor`)."""
+        built = self._descriptors.get(tid)
+        if built is None:
+            desc = self.description(tid)
+            if desc is None:
+                return None
+            built = TypeDescriptor.from_description(desc)
+            self._descriptors[tid] = built
+        return built
 
     def description(self, tid: int) -> Optional[Dict]:
         desc = self._described.get(tid)

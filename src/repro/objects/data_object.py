@@ -15,10 +15,11 @@ Property objects to reference the object they annotate.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .registry import TypeRegistry
-from .types import (AttributeSpec, OperationSpec, TypeError_, parse_type_name)
+from .types import (AttributeSpec, OperationSpec, TypeDescriptor, TypeError_,
+                    parse_type_name)
 
 __all__ = ["DataObject", "check_value", "ValidationError"]
 
@@ -33,86 +34,140 @@ class ValidationError(TypeError_):
     """An attribute value does not conform to its declared type."""
 
 
+def _expect(kind: str, accepted, rejected=()) -> Callable[[Any], None]:
+    """Checker for one fundamental type."""
+
+    def check(value: Any) -> None:
+        if not isinstance(value, accepted) or isinstance(value, rejected):
+            raise ValidationError(f"expected {kind}, got {value!r}")
+
+    return check
+
+
+#: bool is an int subclass in Python; int and float attributes reject it
+_FUNDAMENTAL_CHECKERS: Dict[str, Callable[[Any], None]] = {
+    "any": lambda value: None,
+    "int": _expect("int", int, bool),
+    "float": _expect("float", (int, float), bool),
+    "bool": _expect("bool", bool),
+    "string": _expect("string", str),
+    "bytes": _expect("bytes", bytes),
+}
+
+
+def _container_checker(outer: str, check_item) -> Callable[[Any], None]:
+    if outer == "list":
+        def check(value: Any) -> None:
+            if not isinstance(value, list):
+                raise ValidationError(f"expected list, got {value!r}")
+            for item in value:
+                check_item(item)
+    else:
+        def check(value: Any) -> None:
+            if not isinstance(value, dict):
+                raise ValidationError(f"expected map, got {value!r}")
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise ValidationError(
+                        f"map keys must be strings, got {key!r}")
+                check_item(item)
+    return check
+
+
+def _object_checker(registry: TypeRegistry, expected: str):
+    """A DataObject of type ``expected`` or a subtype.  The subtype test
+    reads the registry per value, so subtypes registered after the
+    checker was built are accepted."""
+
+    def check(value: Any) -> None:
+        if not isinstance(value, DataObject):
+            raise ValidationError(
+                f"expected object of type {expected!r}, got {value!r}")
+        if not registry.is_subtype(value._type_name, expected):
+            raise ValidationError(
+                f"expected object of type {expected!r}, "
+                f"got {value._type_name!r}")
+
+    return check
+
+
+def _checker(registry: TypeRegistry, type_name: str) -> Callable[[Any], None]:
+    """The compiled validator for ``type_name``, built on first use:
+    ``parse_type_name`` runs here, once per distinct type name per
+    registry, and the returned closure only tests values."""
+    check = registry._checkers.get(type_name)
+    if check is None:
+        outer, inner = parse_type_name(type_name)
+        if inner is not None:
+            check = _container_checker(outer, _checker(registry, inner))
+        else:
+            check = (_FUNDAMENTAL_CHECKERS.get(outer)
+                     or _object_checker(registry, outer))
+        registry._checkers[type_name] = check
+    return check
+
+
 def check_value(registry: TypeRegistry, type_name: str, value: Any) -> None:
     """Validate ``value`` against ``type_name``; raise :class:`ValidationError`.
 
     Implements the full attribute-type vocabulary: fundamentals, ``any``,
     object types (subtype instances accepted), ``list<T>`` and ``map<T>``.
     """
-    outer, inner = parse_type_name(type_name)
-    if outer == "any":
-        return
-    if outer == "int":
-        # bool is an int subclass in Python; reject it for int attributes
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(f"expected int, got {value!r}")
-        return
-    if outer == "float":
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"expected float, got {value!r}")
-        return
-    if outer == "bool":
-        if not isinstance(value, bool):
-            raise ValidationError(f"expected bool, got {value!r}")
-        return
-    if outer == "string":
-        if not isinstance(value, str):
-            raise ValidationError(f"expected string, got {value!r}")
-        return
-    if outer == "bytes":
-        if not isinstance(value, bytes):
-            raise ValidationError(f"expected bytes, got {value!r}")
-        return
-    if outer == "list":
-        if not isinstance(value, list):
-            raise ValidationError(f"expected list, got {value!r}")
-        for item in value:
-            check_value(registry, inner, item)
-        return
-    if outer == "map":
-        if not isinstance(value, dict):
-            raise ValidationError(f"expected map, got {value!r}")
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise ValidationError(f"map keys must be strings, got {key!r}")
-            check_value(registry, inner, item)
-        return
-    # an object type: value must be a DataObject of that type or a subtype
-    if not isinstance(value, DataObject):
-        raise ValidationError(
-            f"expected object of type {outer!r}, got {value!r}")
-    if not registry.is_subtype(value.type_name, outer):
-        raise ValidationError(
-            f"expected object of type {outer!r}, got {value.type_name!r}")
+    _checker(registry, type_name)(value)
+
+
+class _InstancePlan:
+    """What constructing and reading an instance of one type needs,
+    derived once per (registry, type) and memoised on the registry."""
+
+    __slots__ = ("descriptor", "specs", "checkers", "required")
+
+    def __init__(self, registry: TypeRegistry, type_name: str) -> None:
+        self.descriptor = registry.get(type_name)   # raises on unknown type
+        #: attribute name -> spec, inherited first (the registry's table)
+        self.specs: Dict[str, AttributeSpec] = registry._attributes[type_name]
+        self.checkers = {name: _checker(registry, spec.type_name)
+                         for name, spec in self.specs.items()}
+        self.required = tuple(name for name, spec in self.specs.items()
+                              if spec.required)
+
+
+def _plan_for(registry: TypeRegistry, type_name: str) -> _InstancePlan:
+    plan = registry._plans.get(type_name)
+    if plan is None:
+        plan = registry._plans[type_name] = _InstancePlan(registry, type_name)
+    return plan
 
 
 class DataObject:
     """An instance of a registered type, validated against its descriptor."""
 
-    __slots__ = ("_registry", "_type_name", "_attrs", "oid")
+    __slots__ = ("_registry", "_plan", "_type_name", "_attrs", "oid")
 
     def __init__(self, registry: TypeRegistry, type_name: str,
                  attributes: Optional[Dict[str, Any]] = None,
                  oid: Optional[str] = None, **kwargs: Any):
-        descriptor = registry.get(type_name)   # raises on unknown type
+        plan = _plan_for(registry, type_name)
         self._registry = registry
-        self._type_name = descriptor.name
+        self._plan = plan
+        self._type_name = type_name
         self._attrs: Dict[str, Any] = {}
-        self.oid = oid or _new_oid(descriptor.name)
-        values = dict(attributes or {})
-        values.update(kwargs)
-        specs = {a.name: a for a in registry.all_attributes(type_name)}
+        self.oid = oid or _new_oid(type_name)
+        values = {**attributes, **kwargs} if attributes else kwargs
+        attrs, checkers = self._attrs, plan.checkers
         for name, value in values.items():
-            if name not in specs:
+            check = checkers.get(name)
+            if check is None:
                 raise ValidationError(
                     f"type {type_name!r} has no attribute {name!r}")
-            check_value(registry, specs[name].type_name, value)
-            self._attrs[name] = value
-        missing = [a.name for a in specs.values()
-                   if a.required and a.name not in self._attrs]
-        if missing:
-            raise ValidationError(
-                f"type {type_name!r}: missing required attributes {missing}")
+            check(value)
+            attrs[name] = value
+        for name in plan.required:
+            if name not in attrs:
+                missing = [n for n in plan.required if n not in attrs]
+                raise ValidationError(
+                    f"type {type_name!r}: missing required attributes "
+                    f"{missing}")
 
     # ------------------------------------------------------------------
     # meta-object protocol
@@ -125,22 +180,25 @@ class DataObject:
     def registry(self) -> TypeRegistry:
         return self._registry
 
-    def descriptor(self):
-        return self._registry.get(self._type_name)
+    def descriptor(self) -> TypeDescriptor:
+        return self._plan.descriptor
 
     def attribute_names(self) -> List[str]:
         """Declared attribute names (inherited first), set or not."""
-        return [a.name for a in self._registry.all_attributes(self._type_name)]
+        return list(self._plan.specs)
 
-    def attribute_type(self, name: str) -> str:
-        spec = self._registry.attribute(self._type_name, name)
+    def _declared(self, name: str) -> AttributeSpec:
+        spec = self._plan.specs.get(name)
         if spec is None:
             raise ValidationError(
                 f"type {self._type_name!r} has no attribute {name!r}")
-        return spec.type_name
+        return spec
+
+    def attribute_type(self, name: str) -> str:
+        return self._declared(name).type_name
 
     def attribute_specs(self) -> List[AttributeSpec]:
-        return self._registry.all_attributes(self._type_name)
+        return list(self._plan.specs.values())
 
     def operations(self) -> List[OperationSpec]:
         return self._registry.all_operations(self._type_name)
@@ -153,12 +211,12 @@ class DataObject:
     # attribute access
     # ------------------------------------------------------------------
     def get(self, name: str, default: Any = None) -> Any:
-        self.attribute_type(name)   # raise on undeclared name
+        self._declared(name)   # raise on undeclared name
         return self._attrs.get(name, default)
 
     def set(self, name: str, value: Any) -> None:
-        type_name = self.attribute_type(name)
-        check_value(self._registry, type_name, value)
+        self._declared(name)
+        self._plan.checkers[name](value)
         self._attrs[name] = value
 
     def has(self, name: str) -> bool:

@@ -34,13 +34,20 @@ anyone holding the bytes can decode them.  ``O``-tag payloads
 table and need a ``type_resolver`` at decode time — the definitions
 ride once per session on the wire frames themselves (see
 ``docs/PROTOCOLS.md``, "The session type plane").
+
+Decoding is strict: for *any* byte string :func:`decode` either returns
+a value or raises a :class:`~repro.objects.types.TypeError_` (malformed
+bytes are always the :class:`MarshalError` branch of that family) —
+containers nested deeper than :data:`_MAX_DEPTH` and strings that are
+not valid UTF-8 included.  The encoder refuses the same nesting, so it
+cannot produce bytes its own decoder rejects.
 """
 
 from __future__ import annotations
 
 import struct
 from io import BytesIO
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .data_object import DataObject
 from .registry import TypeRegistry
@@ -50,6 +57,17 @@ __all__ = ["encode", "encode_typed", "decode", "encoded_size",
            "MarshalError", "UnknownTypeError", "type_closure"]
 
 _MAGIC = b"IB\x01"
+
+#: Containers (list, map, object) may nest at most this deep, on both
+#: the encode and the decode side.  A constant of the format, not a knob:
+#: it bounds the decoder's recursion on hostile input.
+_MAX_DEPTH = 64
+
+#: Dependency closures memoised per registry; cleared when full.
+_CLOSURE_MEMO_LIMIT = 1024
+
+_INT64 = struct.Struct(">q")
+_FLOAT64 = struct.Struct(">d")
 
 
 class MarshalError(TypeError_):
@@ -68,20 +86,26 @@ class UnknownTypeError(MarshalError):
 # varints
 # ----------------------------------------------------------------------
 
-def _write_varint(out: BytesIO, value: int) -> None:
+#: the 128 one-byte varints (every attribute count, most string lengths)
+_VARINT1 = tuple(bytes([n]) for n in range(0x80))
+
+
+def _varint(value: int) -> bytes:
+    if 0 <= value < 0x80:
+        return _VARINT1[value]
     if value < 0:
         raise MarshalError(f"varint must be non-negative: {value}")
-    while True:
-        byte = value & 0x7F
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.write(bytes([byte | 0x80]))
-        else:
-            out.write(bytes([byte]))
-            return
+    out.append(value)
+    return bytes(out)
 
 
-def _read_varint(data: memoryview, pos: int):
+def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
+    if pos < len(data) and data[pos] < 0x80:
+        return data[pos], pos + 1
     result = 0
     shift = 0
     while True:
@@ -101,61 +125,74 @@ def _read_varint(data: memoryview, pos: int):
 # encoding
 # ----------------------------------------------------------------------
 
-def _write_str(out: BytesIO, text: str) -> None:
+def _str(text: str) -> bytes:
+    """Length-prefixed UTF-8."""
     raw = text.encode("utf-8")
-    _write_varint(out, len(raw))
-    out.write(raw)
+    return _varint(len(raw)) + raw
 
 
-def _encode_value(out, value: Any,
-                  type_ids: Optional[Dict[str, int]] = None) -> None:
-    if value is None:
-        out.write(b"N")
+def _encode_value(write: Callable[[bytes], Any], value: Any,
+                  type_ids: Optional[Dict[str, int]], depth: int) -> None:
+    if isinstance(value, str):
+        write(b"s" + _str(value))
+    elif value is None:
+        write(b"N")
     elif value is True:
-        out.write(b"T")
+        write(b"T")
     elif value is False:
-        out.write(b"F")
+        write(b"F")
     elif isinstance(value, int):
-        out.write(b"i")
-        out.write(struct.pack(">q", value))
+        write(b"i" + _INT64.pack(value))
     elif isinstance(value, float):
-        out.write(b"d")
-        out.write(struct.pack(">d", value))
-    elif isinstance(value, str):
-        out.write(b"s")
-        _write_str(out, value)
+        write(b"d" + _FLOAT64.pack(value))
     elif isinstance(value, bytes):
-        out.write(b"b")
-        _write_varint(out, len(value))
-        out.write(value)
+        write(b"b" + _varint(len(value)) + value)
+    elif depth >= _MAX_DEPTH:
+        raise MarshalError(
+            f"value nests containers deeper than {_MAX_DEPTH} levels")
     elif isinstance(value, list):
-        out.write(b"l")
-        _write_varint(out, len(value))
+        write(b"l" + _varint(len(value)))
         for item in value:
-            _encode_value(out, item, type_ids)
+            _encode_value(write, item, type_ids, depth + 1)
     elif isinstance(value, dict):
-        out.write(b"m")
-        _write_varint(out, len(value))
+        write(b"m" + _varint(len(value)))
         for key, item in value.items():
             if not isinstance(key, str):
                 raise MarshalError(f"map keys must be strings: {key!r}")
-            _write_str(out, key)
-            _encode_value(out, item, type_ids)
+            write(_str(key))
+            _encode_value(write, item, type_ids, depth + 1)
     elif isinstance(value, DataObject):
+        attrs = value._attrs
         if type_ids is not None:
-            out.write(b"O")
-            _write_varint(out, type_ids[value.type_name])
+            head = b"O" + _varint(type_ids[value._type_name])
         else:
-            out.write(b"o")
-            _write_str(out, value.type_name)
-        _write_str(out, value.oid)
-        attrs = value.as_dict()
-        _write_varint(out, len(attrs))
+            head = b"o" + _str(value._type_name)
+        write(head + _str(value.oid) + _varint(len(attrs)))
         for name, item in attrs.items():
-            _write_str(out, name)
-            _encode_value(out, item, type_ids)
+            write(_str(name))
+            _encode_value(write, item, type_ids, depth + 1)
     else:
         raise MarshalError(f"cannot marshal value of type {type(value)!r}")
+
+
+def _base_type(type_name: str) -> Optional[str]:
+    """The object type ``list<map<T>>`` bottoms out in, if it is one."""
+    outer, inner = parse_type_name(type_name)
+    while inner is not None:
+        outer, inner = parse_type_name(inner)
+    return None if outer in FUNDAMENTAL_TYPES or outer == "void" else outer
+
+
+def _direct_deps(descriptor: TypeDescriptor) -> List[str]:
+    """The object types ``descriptor`` references: supertype, attribute
+    types, operation signatures — in declaration order."""
+    referenced = [attr.type_name for attr in descriptor.own_attributes()]
+    for op in descriptor.own_operations():
+        referenced.append(op.result_type)
+        referenced.extend(param.type_name for param in op.params)
+    deps = [] if descriptor.supertype is None else [descriptor.supertype]
+    deps.extend(filter(None, map(_base_type, referenced)))
+    return deps
 
 
 def type_closure(registry: TypeRegistry, type_names: Set[str]) -> List[str]:
@@ -166,75 +203,34 @@ def type_closure(registry: TypeRegistry, type_names: Set[str]) -> List[str]:
     register the types without dangling references.  Returned in
     dependency order (supertypes before subtypes).
     """
-    needed: Set[str] = set()
+    deps: Dict[str, List[str]] = {}
     stack = [n for n in type_names if n not in FUNDAMENTAL_TYPES]
     while stack:
         name = stack.pop()
-        if name in needed or name in FUNDAMENTAL_TYPES:
-            continue
-        needed.add(name)
-        descriptor = registry.get(name)
-        refs: List[str] = []
-        if descriptor.supertype is not None:
-            refs.append(descriptor.supertype)
-        for attr in descriptor.own_attributes():
-            refs.append(attr.type_name)
-        for op in descriptor.own_operations():
-            refs.append(op.result_type)
-            refs.extend(p.type_name for p in op.params)
-        for ref in refs:
-            outer, inner = parse_type_name(ref)
-            for piece in filter(None, (outer if outer not in ("list", "map", "void") else None, inner)):
-                # unwrap nested parameterizations like list<list<story>>
-                while True:
-                    o, i = parse_type_name(piece)
-                    if i is None:
-                        if o not in FUNDAMENTAL_TYPES and o != "void":
-                            stack.append(o)
-                        break
-                    piece = i
-    # dependency order: every type a descriptor references (supertype,
-    # attribute types, operation signature types) precedes it
+        if name not in deps:
+            deps[name] = _direct_deps(registry.get(name))
+            stack.extend(deps[name])
+    # dependency order: every type a descriptor references precedes it
+    # (a self-reference is already ``seen`` when it comes up)
     ordered: List[str] = []
     seen: Set[str] = set()
 
-    def base_names(type_name: str) -> List[str]:
-        outer, inner = parse_type_name(type_name)
-        if inner is not None:
-            return base_names(inner)
-        if outer in FUNDAMENTAL_TYPES or outer == "void":
-            return []
-        return [outer]
-
     def visit(name: str) -> None:
-        if name in seen or name not in needed:
-            return
-        seen.add(name)
-        descriptor = registry.get(name)
-        deps: List[str] = []
-        if descriptor.supertype is not None:
-            deps.append(descriptor.supertype)
-        for attr in descriptor.own_attributes():
-            deps.extend(base_names(attr.type_name))
-        for op in descriptor.own_operations():
-            if op.result_type != "void":
-                deps.extend(base_names(op.result_type))
-            for param in op.params:
-                deps.extend(base_names(param.type_name))
-        for dep in deps:
-            if dep != name:   # self-referential types are fine
+        if name not in seen:
+            seen.add(name)
+            for dep in deps[name]:
                 visit(dep)
-        ordered.append(name)
+            ordered.append(name)
 
-    for name in sorted(needed):
+    for name in sorted(deps):
         visit(name)
     return ordered
 
 
 def _collect_instance_types(value: Any, acc: Set[str]) -> None:
     if isinstance(value, DataObject):
-        acc.add(value.type_name)
-        for item in value.as_dict().values():
+        acc.add(value._type_name)
+        for item in value._attrs.values():
             _collect_instance_types(item, acc)
     elif isinstance(value, list):
         for item in value:
@@ -244,20 +240,38 @@ def _collect_instance_types(value: Any, acc: Set[str]) -> None:
             _collect_instance_types(item, acc)
 
 
-def _encode_payload(out, value: Any, registry: TypeRegistry,
-                    inline_types: bool) -> None:
-    out.write(_MAGIC)
+def _closure(registry: TypeRegistry, value: Any) -> Tuple[TypeDescriptor, ...]:
+    """Descriptors of the dependency closure of ``value``'s instance
+    types, in :func:`type_closure` order.  Memoised on the registry per
+    set of instance types: registries only grow and descriptors never
+    change, so a closure computed once stays right."""
+    used: Set[str] = set()
+    _collect_instance_types(value, used)
+    if not used:
+        return ()
+    key = frozenset(used)
+    memo = registry._closures
+    closure = memo.get(key)
+    if closure is None:
+        closure = tuple(registry.get(name)
+                        for name in type_closure(registry, used))
+        if len(memo) >= _CLOSURE_MEMO_LIMIT:
+            memo.clear()
+        memo[key] = closure
+    return closure
+
+
+def _encode_payload(write: Callable[[bytes], Any], value: Any,
+                    registry: TypeRegistry, inline_types: bool) -> None:
+    write(_MAGIC)
     if inline_types:
         if registry is None:
             raise MarshalError("inline_types requires a registry")
-        used: Set[str] = set()
-        _collect_instance_types(value, used)
-        closure = type_closure(registry, used)
-        out.write(b"M")
-        _write_varint(out, len(closure))
-        for name in closure:
-            _encode_value(out, registry.get(name).describe())
-    _encode_value(out, value)
+        closure = _closure(registry, value)
+        write(b"M" + _varint(len(closure)))
+        for descriptor in closure:
+            _encode_value(write, descriptor.describe(), None, 0)
+    _encode_value(write, value, None, 0)
 
 
 def encode(value: Any, registry: TypeRegistry = None,
@@ -269,7 +283,7 @@ def encode(value: Any, registry: TypeRegistry = None,
     decode it (P2: objects are self-describing on the wire).
     """
     out = BytesIO()
-    _encode_payload(out, value, registry, inline_types)
+    _encode_payload(out.write, value, registry, inline_types)
     return out.getvalue()
 
 
@@ -292,32 +306,18 @@ def encode_typed(value: Any, registry: TypeRegistry,
     """
     if registry is None:
         raise MarshalError("encode_typed requires a registry")
-    used: Set[str] = set()
-    _collect_instance_types(value, used)
+    closure = _closure(registry, value)
     type_ids: Optional[Dict[str, int]] = None
-    refs: Tuple[int, ...] = ()
-    if used:
-        closure = type_closure(registry, used)
-        type_ids = {}
-        for name in closure:
-            type_ids[name] = type_table.intern(registry.get(name))
-        refs = tuple(type_ids[name] for name in closure)
+    if closure:
+        # interned in closure order: that order is the dense-id
+        # assignment order and the order of ``type_refs``
+        intern = type_table.intern
+        type_ids = {descriptor.name: intern(descriptor)
+                    for descriptor in closure}
     out = BytesIO()
     out.write(_MAGIC)
-    _encode_value(out, value, type_ids)
-    return out.getvalue(), refs
-
-
-class _CountingSink:
-    """Write-counting stand-in for BytesIO: measures without materializing."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def write(self, data: bytes) -> None:
-        self.count += len(data)
+    _encode_value(out.write, value, type_ids, 0)
+    return out.getvalue(), tuple(type_ids.values()) if type_ids else ()
 
 
 def encoded_size(value: Any, registry: TypeRegistry = None,
@@ -327,56 +327,41 @@ def encoded_size(value: Any, registry: TypeRegistry = None,
     Runs the encoder against a counting sink, so the answer costs the
     traversal but never builds the byte string.
     """
-    sink = _CountingSink()
-    _encode_payload(sink, value, registry, inline_types)
-    return sink.count
+    count = 0
+
+    def write(data: bytes) -> None:
+        nonlocal count
+        count += len(data)
+
+    _encode_payload(write, value, registry, inline_types)
+    return count
 
 
 # ----------------------------------------------------------------------
 # decoding
 # ----------------------------------------------------------------------
 
-def _read_str(data: memoryview, pos: int):
+def _read_str(data: bytes, pos: int) -> Tuple[str, int]:
     length, pos = _read_varint(data, pos)
-    if pos + length > len(data):
+    end = pos + length
+    if end > len(data):
         raise MarshalError("truncated string")
-    return bytes(data[pos:pos + length]).decode("utf-8"), pos + length
+    try:
+        return str(data[pos:end], "utf-8"), end
+    except UnicodeDecodeError as error:
+        raise MarshalError(f"string is not valid UTF-8: {error}") from None
 
 
-def _description_deps(desc: Dict) -> List[str]:
-    """Non-fundamental type names a description references directly."""
-
-    def base_names(type_name: str) -> List[str]:
-        outer, inner = parse_type_name(type_name)
-        if inner is not None:
-            return base_names(inner)
-        if outer in FUNDAMENTAL_TYPES or outer == "void":
-            return []
-        return [outer]
-
-    deps: List[str] = []
-    if desc.get("supertype") is not None:
-        deps.append(desc["supertype"])
-    for attr in desc.get("attributes", []):
-        deps.extend(base_names(attr["type"]))
-    for op in desc.get("operations", []):
-        if op.get("result", "void") != "void":
-            deps.extend(base_names(op["result"]))
-        for param in op.get("params", []):
-            deps.extend(base_names(param["type"]))
-    return deps
-
-
-def _register_learned(registry: TypeRegistry, desc: Dict, resolver,
-                      pending: Set[str]) -> None:
+def _register_learned(registry: TypeRegistry, descriptor: TypeDescriptor,
+                      resolver, pending: Set[str]) -> None:
     """Register a type learned from the session type plane, dependencies
     first (the typedef region carries descriptions individually, not in
     closure order, so the receiver re-derives the order here)."""
-    name = desc["name"]
+    name = descriptor.name
     if name in pending:
         return   # self/mutually-referential types; registry validates
     pending.add(name)
-    for dep in _description_deps(desc):
+    for dep in _direct_deps(descriptor):
         if dep == name or registry.has(dep):
             continue
         dep_desc = resolver.named(dep)
@@ -384,100 +369,108 @@ def _register_learned(registry: TypeRegistry, desc: Dict, resolver,
             raise UnknownTypeError(
                 f"type {name!r} references {dep!r}, which this session's "
                 f"type table has not defined")
-        _register_learned(registry, dep_desc, resolver, pending)
-    registry.register(TypeDescriptor.from_description(desc))
+        _register_learned(registry, TypeDescriptor.from_description(dep_desc),
+                          resolver, pending)
+    registry.register(descriptor)
 
 
 def _resolve_typed(registry: TypeRegistry, tid: int, resolver) -> str:
     """Map a session type id to a registered type name, learning it (and
-    its dependencies) from the resolver on first sight.  A conflicting
-    shape for an already-registered name raises the registry's
-    ``TypeError_`` — the same failure inline metadata produces."""
+    its dependencies) from the resolver on first sight.  The resolver
+    hands out one descriptor per id for the session's lifetime; it is
+    still offered to the registry on every message — two memoised
+    fingerprints to compare — so a conflicting shape for an
+    already-registered name raises the registry's ``TypeError_``, the
+    same failure inline metadata produces."""
     if resolver is None:
         raise UnknownTypeError(
             f"typed payload references session type id {tid} but no "
             f"type_resolver was supplied")
-    desc = resolver.description(tid)
-    if desc is None:
+    descriptor = resolver.descriptor(tid)
+    if descriptor is None:
         raise UnknownTypeError(
             f"session type id {tid} is not defined in this session's "
             f"type table")
-    name = desc["name"]
-    if registry is not None and registry.has(name):
-        # idempotent when shapes match; conflicting shape raises
-        registry.register(TypeDescriptor.from_description(desc))
-    elif registry is not None:
-        _register_learned(registry, desc, resolver, set())
-    else:
+    name = descriptor.name
+    if registry is None:
         raise UnknownTypeError(
             f"received object of unknown type {name!r}; "
             f"publish with inline_types=True")
+    if registry.has(name):
+        # idempotent when shapes match; conflicting shape raises
+        registry.register(descriptor)
+    else:
+        _register_learned(registry, descriptor, resolver, set())
     return name
 
 
-def _decode_value(data: memoryview, pos: int, registry: TypeRegistry,
-                  resolver=None):
+def _decode_value(data: bytes, pos: int, registry: TypeRegistry,
+                  resolver, depth: int) -> Tuple[Any, int]:
     if pos >= len(data):
         raise MarshalError("truncated value")
-    tag = chr(data[pos])
+    tag = data[pos]
     pos += 1
-    if tag == "N":
-        return None, pos
-    if tag == "T":
-        return True, pos
-    if tag == "F":
-        return False, pos
-    if tag == "i":
+    if tag == 0x73:     # s
+        return _read_str(data, pos)
+    if tag == 0x69:     # i
         if pos + 8 > len(data):
             raise MarshalError("truncated int")
-        return struct.unpack(">q", data[pos:pos + 8])[0], pos + 8
-    if tag == "d":
+        return _INT64.unpack_from(data, pos)[0], pos + 8
+    if tag == 0x4E:     # N
+        return None, pos
+    if tag == 0x54:     # T
+        return True, pos
+    if tag == 0x46:     # F
+        return False, pos
+    if tag == 0x64:     # d
         if pos + 8 > len(data):
             raise MarshalError("truncated float")
-        return struct.unpack(">d", data[pos:pos + 8])[0], pos + 8
-    if tag == "s":
-        return _read_str(data, pos)
-    if tag == "b":
+        return _FLOAT64.unpack_from(data, pos)[0], pos + 8
+    if tag == 0x62:     # b
         length, pos = _read_varint(data, pos)
         if pos + length > len(data):
             raise MarshalError("truncated bytes")
-        return bytes(data[pos:pos + length]), pos + length
-    if tag == "l":
+        return data[pos:pos + length], pos + length
+    if depth >= _MAX_DEPTH:
+        raise MarshalError(
+            f"containers nested deeper than {_MAX_DEPTH} levels "
+            f"at offset {pos - 1}")
+    depth += 1
+    if tag == 0x6C:     # l
         count, pos = _read_varint(data, pos)
         items = []
         for _ in range(count):
-            item, pos = _decode_value(data, pos, registry, resolver)
+            item, pos = _decode_value(data, pos, registry, resolver, depth)
             items.append(item)
         return items, pos
-    if tag == "m":
+    if tag == 0x6D:     # m
         count, pos = _read_varint(data, pos)
         mapping = {}
         for _ in range(count):
             key, pos = _read_str(data, pos)
-            item, pos = _decode_value(data, pos, registry, resolver)
-            mapping[key] = item
+            mapping[key], pos = _decode_value(data, pos, registry, resolver,
+                                              depth)
         return mapping, pos
-    if tag == "o" or tag == "O":
-        if tag == "O":
-            tid, pos = _read_varint(data, pos)
-            type_name = _resolve_typed(registry, tid, resolver)
-        else:
-            type_name, pos = _read_str(data, pos)
-            # fail fast before decoding attributes: a bad frame should
-            # not pay for (or allocate) a value tree it cannot use
-            if registry is None or not registry.has(type_name):
-                raise UnknownTypeError(
-                    f"received object of unknown type {type_name!r}; "
-                    f"publish with inline_types=True")
-        oid, pos = _read_str(data, pos)
-        count, pos = _read_varint(data, pos)
-        attrs = {}
-        for _ in range(count):
-            name, pos = _read_str(data, pos)
-            item, pos = _decode_value(data, pos, registry, resolver)
-            attrs[name] = item
-        return DataObject(registry, type_name, attrs, oid=oid), pos
-    raise MarshalError(f"unknown tag {tag!r} at offset {pos - 1}")
+    if tag == 0x4F:     # O
+        tid, pos = _read_varint(data, pos)
+        type_name = _resolve_typed(registry, tid, resolver)
+    elif tag == 0x6F:   # o
+        type_name, pos = _read_str(data, pos)
+        # fail fast before decoding attributes: a bad frame should
+        # not pay for (or allocate) a value tree it cannot use
+        if registry is None or not registry.has(type_name):
+            raise UnknownTypeError(
+                f"received object of unknown type {type_name!r}; "
+                f"publish with inline_types=True")
+    else:
+        raise MarshalError(f"unknown tag {chr(tag)!r} at offset {pos - 1}")
+    oid, pos = _read_str(data, pos)
+    count, pos = _read_varint(data, pos)
+    attrs = {}
+    for _ in range(count):
+        name, pos = _read_str(data, pos)
+        attrs[name], pos = _decode_value(data, pos, registry, resolver, depth)
+    return DataObject(registry, type_name, attrs, oid=oid), pos
 
 
 def decode(data: bytes, registry: TypeRegistry, type_resolver=None) -> Any:
@@ -486,21 +479,28 @@ def decode(data: bytes, registry: TypeRegistry, type_resolver=None) -> Any:
     Inline type metadata, if present, is registered into ``registry``
     before the value is decoded (idempotently — identical re-registration
     is a no-op).  ``O``-tagged objects resolve their session type ids
-    through ``type_resolver`` (``description(tid)`` / ``named(name)``,
+    through ``type_resolver`` (``descriptor(tid)`` / ``named(name)``,
     see :mod:`repro.core.typeplane`), registering learned types the same
     way; without a resolver they raise :class:`UnknownTypeError`.
+
+    Whatever the bytes, the only exceptions are :class:`MarshalError`
+    (malformed input) and the other ``TypeError_`` subclasses the
+    descriptor, registry and validator raise for well-formed bytes this
+    process must refuse.
     """
-    view = memoryview(data)
-    if bytes(view[:3]) != _MAGIC:
+    if not isinstance(data, bytes):
+        data = bytes(data)      # one copy; indexing bytes beats a view
+    if not data.startswith(_MAGIC):
         raise MarshalError("bad magic: not an Information Bus encoding")
     pos = 3
-    if pos < len(view) and chr(view[pos]) == "M":
-        pos += 1
-        count, pos = _read_varint(view, pos)
+    if data[3:4] == b"M":
+        if registry is None:
+            raise MarshalError("inline type metadata needs a registry")
+        count, pos = _read_varint(data, 4)
         for _ in range(count):
-            desc, pos = _decode_value(view, pos, registry)
+            desc, pos = _decode_value(data, pos, registry, None, 0)
             registry.register(TypeDescriptor.from_description(desc))
-    value, pos = _decode_value(view, pos, registry, type_resolver)
-    if pos != len(view):
-        raise MarshalError(f"{len(view) - pos} trailing bytes after value")
+    value, pos = _decode_value(data, pos, registry, type_resolver, 0)
+    if pos != len(data):
+        raise MarshalError(f"{len(data) - pos} trailing bytes after value")
     return value

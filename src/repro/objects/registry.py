@@ -14,14 +14,21 @@ Idempotent re-registration is decided by descriptor *fingerprint*
 that independently learn the same type off the wire converge, while a
 conflicting shape for an already-registered name raises — whether the
 conflict arrives inline or through the type plane.
+
+The registry is append-only and descriptors are immutable, so anything
+that depends only on *(registry, type)* is derived once and never goes
+stale: the supertype chain and the merged attribute table are filled in
+at registration; the instance plan and value checkers
+(:mod:`~repro.objects.data_object`) and the dependency closures
+(:mod:`~repro.objects.marshal`) are memoised here on first use.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Tuple
 
-from .types import (FUNDAMENTAL_TYPES, ROOT_TYPE, TypeDescriptor, TypeError_,
-                    parse_type_name)
+from .types import (FUNDAMENTAL_TYPES, ROOT_TYPE, AttributeSpec,
+                    TypeDescriptor, TypeError_, parse_type_name)
 
 __all__ = ["TypeRegistry"]
 
@@ -33,6 +40,17 @@ class TypeRegistry:
         self._types: Dict[str, TypeDescriptor] = {}
         self._subtypes: Dict[str, List[str]] = {}
         self._listeners: List[Callable[[TypeDescriptor], None]] = []
+        # derived views, valid for the registry's lifetime (see module doc)
+        #: name -> itself and its ancestors, most-derived first
+        self._chains: Dict[str, Tuple[str, ...]] = {}
+        #: name -> every attribute including inherited, supertype's first
+        self._attributes: Dict[str, Dict[str, AttributeSpec]] = {}
+        #: memos owned here, compiled by data_object (instance plan per
+        #: type name, checker per attribute-type name) and marshal
+        #: (dependency closure per set of instance types)
+        self._plans: Dict[str, object] = {}
+        self._checkers: Dict[str, Callable[[object], None]] = {}
+        self._closures: Dict[frozenset, Tuple[TypeDescriptor, ...]] = {}
         self.register(TypeDescriptor(ROOT_TYPE, supertype=None,
                                      doc="root of the object hierarchy"))
 
@@ -65,8 +83,18 @@ class TypeRegistry:
                 self._check_type_ref(descriptor.name, op.result_type)
             for param in op.params:
                 self._check_type_ref(descriptor.name, param.type_name)
-        self._check_attribute_conflicts(descriptor)
+        inherited = self._attributes.get(descriptor.supertype, {})
+        for attr in descriptor.own_attributes():
+            # a subtype may not redeclare an inherited attribute name
+            if attr.name in inherited:
+                raise TypeError_(
+                    f"type {descriptor.name!r} redeclares inherited "
+                    f"attribute {attr.name!r}")
         self._types[descriptor.name] = descriptor
+        self._chains[descriptor.name] = (
+            (descriptor.name,) + self._chains.get(descriptor.supertype, ()))
+        self._attributes[descriptor.name] = {
+            **inherited, **{a.name: a for a in descriptor.own_attributes()}}
         if descriptor.supertype is not None:
             self._subtypes.setdefault(descriptor.supertype, []).append(
                 descriptor.name)
@@ -85,17 +113,6 @@ class TypeRegistry:
             raise TypeError_(
                 f"type {owner!r} references unknown type {outer!r}")
 
-    def _check_attribute_conflicts(self, descriptor: TypeDescriptor) -> None:
-        """A subtype may not redeclare an inherited attribute name."""
-        if descriptor.supertype is None:
-            return
-        inherited = {a.name for a in self.all_attributes(descriptor.supertype)}
-        for attr in descriptor.own_attributes():
-            if attr.name in inherited:
-                raise TypeError_(
-                    f"type {descriptor.name!r} redeclares inherited "
-                    f"attribute {attr.name!r}")
-
     def on_register(self, listener: Callable[[TypeDescriptor], None]) -> None:
         """Call ``listener(descriptor)`` for every future registration."""
         self._listeners.append(listener)
@@ -103,11 +120,15 @@ class TypeRegistry:
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
-    def get(self, name: str) -> TypeDescriptor:
+    @staticmethod
+    def _lookup(table: Dict, name: str):
         try:
-            return self._types[name]
+            return table[name]
         except KeyError:
             raise TypeError_(f"unknown type: {name!r}") from None
+
+    def get(self, name: str) -> TypeDescriptor:
+        return self._lookup(self._types, name)
 
     def has(self, name: str) -> bool:
         return name in self._types
@@ -126,17 +147,11 @@ class TypeRegistry:
     # ------------------------------------------------------------------
     def supertype_chain(self, name: str) -> List[str]:
         """``name`` and its ancestors, most-derived first, ending at root."""
-        chain = []
-        current: Optional[str] = name
-        while current is not None:
-            descriptor = self.get(current)
-            chain.append(current)
-            current = descriptor.supertype
-        return chain
+        return list(self._lookup(self._chains, name))
 
     def is_subtype(self, name: str, ancestor: str) -> bool:
         """True if ``name`` equals or descends from ``ancestor``."""
-        return ancestor in self.supertype_chain(name)
+        return ancestor in self._lookup(self._chains, name)
 
     def subtypes_of(self, name: str, transitive: bool = True) -> List[str]:
         """Direct (or all transitive) subtypes of ``name``, sorted."""
@@ -155,35 +170,28 @@ class TypeRegistry:
     # ------------------------------------------------------------------
     # inherited views (the MOP answers merged declarations)
     # ------------------------------------------------------------------
-    def all_attributes(self, name: str) -> List:
+    def all_attributes(self, name: str) -> List[AttributeSpec]:
         """Every attribute of ``name`` including inherited ones.
 
         Supertype attributes come first, matching the paper's repository
         mapping where supertype columns are shared across subtypes.
         """
-        out = []
-        for type_name in reversed(self.supertype_chain(name)):
-            out.extend(self.get(type_name).own_attributes())
-        return out
+        return list(self._lookup(self._attributes, name).values())
 
     def attribute(self, name: str, attr_name: str):
-        for type_name in self.supertype_chain(name):
-            attr = self.get(type_name).own_attribute(attr_name)
-            if attr is not None:
-                return attr
-        return None
+        return self._lookup(self._attributes, name).get(attr_name)
 
     def all_operations(self, name: str) -> List:
         """Every operation of ``name``; subtype declarations override."""
         merged: Dict[str, object] = {}
-        for type_name in reversed(self.supertype_chain(name)):
-            for op in self.get(type_name).own_operations():
+        for type_name in reversed(self._lookup(self._chains, name)):
+            for op in self._types[type_name].own_operations():
                 merged[op.name] = op
         return list(merged.values())
 
     def operation(self, name: str, op_name: str):
-        for type_name in self.supertype_chain(name):
-            op = self.get(type_name).own_operation(op_name)
+        for type_name in self._lookup(self._chains, name):
+            op = self._types[type_name].own_operation(op_name)
             if op is not None:
                 return op
         return None

@@ -145,6 +145,8 @@ class TypeDescriptor:
             raise TypeError_(f"cannot redefine fundamental type {name!r}")
         self.name = name
         self.supertype = supertype if name != ROOT_TYPE else None
+        if self.supertype is not None and not _NAME_RE.match(self.supertype):
+            raise TypeError_(f"malformed supertype name: {supertype!r}")
         self.doc = doc
         self._attributes: Dict[str, AttributeSpec] = {}
         for attr in attributes or []:
@@ -197,27 +199,40 @@ class TypeDescriptor:
 
     @classmethod
     def from_description(cls, desc: Dict) -> "TypeDescriptor":
-        """Inverse of :meth:`describe` — rebuild a descriptor from the wire."""
-        return cls(
-            name=desc["name"],
-            supertype=desc.get("supertype"),
-            attributes=[
-                AttributeSpec(a["name"], a["type"],
-                              required=a.get("required", True),
-                              doc=a.get("doc", ""))
-                for a in desc.get("attributes", [])
-            ],
-            operations=[
-                OperationSpec(
-                    o["name"],
-                    params=tuple(ParamSpec(p["name"], p["type"])
-                                 for p in o.get("params", [])),
-                    result_type=o.get("result", "void"),
-                    doc=o.get("doc", ""))
-                for o in desc.get("operations", [])
-            ],
-            doc=desc.get("doc", ""),
-        )
+        """Inverse of :meth:`describe` — rebuild a descriptor from the wire.
+
+        ``desc`` is untrusted: anything that is not the shape
+        :meth:`describe` produces raises :class:`TypeError_`.
+        """
+        try:
+            descriptor = cls(
+                name=desc["name"],
+                supertype=desc.get("supertype"),
+                attributes=[
+                    AttributeSpec(a["name"], a["type"],
+                                  required=a.get("required", True),
+                                  doc=a.get("doc", ""))
+                    for a in desc.get("attributes", [])
+                ],
+                operations=[
+                    OperationSpec(
+                        o["name"],
+                        params=tuple(ParamSpec(p["name"], p["type"])
+                                     for p in o.get("params", [])),
+                        result_type=o.get("result", "void"),
+                        doc=o.get("doc", ""))
+                    for o in desc.get("operations", [])
+                ],
+                doc=desc.get("doc", ""),
+            )
+            # the canonical-JSON rendering refuses what describe() could
+            # never have produced (bytes, objects); the registry compares
+            # fingerprints next anyway
+            descriptor.fingerprint()
+            return descriptor
+        except (KeyError, TypeError, AttributeError) as error:
+            raise TypeError_(
+                f"malformed type description: {error!r}") from None
 
     def fingerprint(self) -> str:
         """Stable content hash of :meth:`describe`.

@@ -28,6 +28,19 @@ def test_pattern_tail():
         "news.equity.*.>"
 
 
+def test_field_named_tail_is_reserved():
+    """``pattern(tail=...)`` is the ``>`` switch, so a ``{tail}`` field
+    could never be bound: ``pattern(tail="x")`` used to answer
+    ``root.*.*.>`` instead of ``root.*.x``."""
+    with pytest.raises(BadSubjectError, match="reserved"):
+        SubjectScheme("root.{a}.{tail}")
+    # the switch itself and near-miss names are unaffected
+    assert NEWS_SCHEME.pattern(category="equity", tail=True) == \
+        "news.equity.*.>"
+    assert SubjectScheme("root.{tails}.{tail_}").pattern(tails="x") == \
+        "root.x.*"
+
+
 def test_subject_requires_all_fields():
     with pytest.raises(BadSubjectError, match="unbound"):
         NEWS_SCHEME.subject(category="equity")

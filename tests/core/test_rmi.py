@@ -243,3 +243,39 @@ def test_rmi_protocol_phases():
     # after: a live point-to-point connection to the discovered endpoint
     assert rmi._conn is not None and rmi._conn.established
     assert rmi._conn.peer == server.endpoint
+
+
+def test_hostile_stream_bytes_are_dropped_and_service_continues():
+    """One malformed stream message must not escape a simulator callback:
+    the nesting bomb used to raise ``RecursionError`` and the bad UTF-8
+    ``UnicodeDecodeError`` — neither a ``MarshalError`` — out of
+    ``_on_request`` / ``_on_reply`` and kill the run."""
+    from repro.objects import encode
+    hostile = [
+        b"IB\x01" + b"l\x01" * 5000 + b"N",        # nesting bomb
+        b"IB\x01s\x02\xff\xfe",                    # invalid UTF-8
+        b"IB\x01M\x01N" + b"N",                    # metadata that is no type
+        b"IB\x01o\x05quote\x01x\x01\x05price\x54",  # attribute fails its type
+        b"not even the magic",
+    ]
+    bus, reg, server = setup()
+    rmi = RmiClient(bus.client("node00", "trader"), "svc.quotes")
+    assert call_sync(bus, rmi, "symbols", {}) == (["GM", "IBM"], None)
+    # client -> server: hostile requests on the established connection
+    for data in hostile:
+        rmi._conn.send(data)
+    bus.run_for(1.0)
+    assert server.calls_served == 1
+    # server -> client: hostile replies on the server's end of it
+    (server_conn,) = server._streams._conns.values()
+    for data in hostile:
+        server_conn.send(data)
+    # ... and a well-formed reply nobody is waiting for
+    server_conn.send(encode({"kind": "reply", "request_id": "ghost",
+                             "ok": True, "value": b""}))
+    bus.run_for(1.0)
+    # both ends still work, on the same connection
+    value, error = call_sync(bus, rmi, "last", {"symbol": "IBM"})
+    assert error is None and value.get("price") == 58.25
+    assert server.calls_served == 2
+    assert rmi._conn is not None and rmi._conn.established

@@ -209,3 +209,115 @@ def test_conflicting_fingerprint_redefinition_raises(attrs):
         AttributeSpec("other", "bytes", required=False)]))
     with pytest.raises(TypeError_):
         decode(wire, conflicted2)
+
+
+# ----------------------------------------------------------------------
+# nested typed objects through both resolvers, and hostile payloads
+# ----------------------------------------------------------------------
+
+def folder_registry():
+    """``doc`` plus a subtype and a container type that nests them."""
+    reg = doc_registry()
+    reg.register(TypeDescriptor("memo", supertype="doc", attributes=[
+        AttributeSpec("to", "string", required=False)]))
+    reg.register(TypeDescriptor("folder", attributes=[
+        AttributeSpec("cover", "doc", required=False),
+        AttributeSpec("docs", "list<doc>", required=False),
+        AttributeSpec("index", "map<doc>", required=False),
+        AttributeSpec("shelves", "list<list<doc>>", required=False),
+        AttributeSpec("parent", "folder", required=False),
+        AttributeSpec("note", "any", required=False)]))
+    return reg
+
+
+def docs(reg):
+    plain = attr_values.map(lambda attrs: DataObject(reg, "doc", attrs))
+    memos = st.tuples(attr_values, st.text(max_size=6)).map(
+        lambda pair: DataObject(reg, "memo", pair[0], to=pair[1]))
+    return st.one_of(plain, memos)       # a memo is a doc wherever one fits
+
+
+def folders(reg):
+    doc = docs(reg)
+    leaf = st.fixed_dictionaries({}, optional={
+        "cover": doc,
+        "docs": st.lists(doc, max_size=3),
+        "index": st.dictionaries(
+            st.text(string.ascii_lowercase, max_size=4), doc, max_size=3),
+        "shelves": st.lists(st.lists(doc, max_size=2), max_size=2),
+        "note": st.one_of(values, doc),
+    })
+    build = lambda attrs: DataObject(reg, "folder", attrs)      # noqa: E731
+    return st.recursive(
+        leaf.map(build),
+        lambda inner: st.tuples(leaf, inner).map(
+            lambda pair: build({**pair[0], "parent": pair[1]})),
+        max_leaves=3)
+
+
+_FOLDER_REG = folder_registry()
+
+
+@given(folders(_FOLDER_REG))
+@settings(max_examples=120, deadline=None)
+def test_nested_typed_roundtrip_through_table_and_peer_view(folder):
+    """Nested objects, ``list<T>``, ``map<T>``, ``list<list<T>>``,
+    subtype instances and unset optionals survive ``encode_typed`` →
+    ``decode`` whether the resolver is the publisher's own table
+    (loop-back) or a view over the typedef blobs a peer learned."""
+    from repro.core import PeerTypeView, TypeTable
+    from repro.objects import encode_typed, encoded_size
+    table = TypeTable()
+    payload, refs = encode_typed(folder, _FOLDER_REG, table)
+    assert refs == tuple(range(len(table)))       # dense, closure order
+    view = PeerTypeView({tid: table.blob(tid) for tid in refs})
+    for resolver in (table, view):
+        fresh = standard_registry()
+        for _ in range(2):      # cold, then with the descriptors cached
+            back = decode(payload, fresh, type_resolver=resolver)
+            assert back == folder
+            assert back.oid == folder.oid
+        assert fresh.has("folder")
+    # the three encodings agree on the value they carry
+    wire = encode(folder, _FOLDER_REG, inline_types=True)
+    assert encoded_size(folder, _FOLDER_REG, inline_types=True) == len(wire)
+    assert decode(wire, standard_registry()) == folder
+
+
+@given(folders(_FOLDER_REG), st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_payloads_only_raise_the_type_error_family(folder, data):
+    """Flip, splice or truncate a typed or inline payload anywhere: the
+    decoder answers with a value or a ``TypeError_`` — never
+    ``IndexError``, ``UnicodeDecodeError``, ``RecursionError``,
+    ``struct.error`` or ``KeyError``."""
+    from repro.core import PeerTypeView, TypeTable
+    from repro.objects import TypeError_, encode_typed
+    table = TypeTable()
+    typed, refs = encode_typed(folder, _FOLDER_REG, table)
+    view = PeerTypeView({tid: table.blob(tid) for tid in refs})
+    inline = encode(folder, _FOLDER_REG, inline_types=True)
+    for payload, resolver in ((typed, view), (typed, table), (inline, None)):
+        mutated = bytearray(payload)
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(mutated) - 1))
+            action = data.draw(st.sampled_from(
+                ["flip", "set", "cut", "insert", "nest"]))
+            if action == "flip":
+                mutated[at] ^= 1 << data.draw(st.integers(0, 7))
+            elif action == "set":
+                mutated[at] = data.draw(st.sampled_from(
+                    [0x00, 0x7F, 0x80, 0xFF, 0x6C, 0x6D, 0x4F, 0x4D, 0x73]))
+            elif action == "cut":
+                del mutated[at:]
+            elif action == "insert":
+                mutated[at:at] = data.draw(st.binary(min_size=1, max_size=6))
+            else:
+                mutated[at:at] = b"l\x01" * data.draw(st.integers(1, 200))
+            if not mutated:
+                break
+        try:
+            decode(bytes(mutated), standard_registry(),
+                   type_resolver=resolver)
+        except TypeError_:
+            pass
