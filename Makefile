@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench ledger pytest-bench lint examples quicktest all clean
+.PHONY: install test bench pytest-bench lint examples quicktest all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -11,9 +11,6 @@ test:
 	$(PYTHON) -m pytest tests/
 
 bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf/run_perf.py
-
-ledger:
 	$(PYTHON) benchmarks/ledger/run.py
 
 pytest-bench:

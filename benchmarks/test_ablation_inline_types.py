@@ -5,15 +5,14 @@ and learn unknown types — the mechanism behind every dynamic-evolution
 scenario in Section 5.2.  The cost is extra bytes per message.  This
 ablation measures that overhead for a realistic Story object and shows
 the obvious optimization (senders that know their audience already has
-the type can omit the metadata) — and then the session type plane
-(``BusConfig.type_plane``), which keeps the learn-on-first-sight
-property while hoisting the metadata out of every payload into
-once-per-session typedefs.
+the type can omit the metadata) — and then the session type plane,
+which keeps the learn-on-first-sight property while hoisting the
+metadata out of every payload into once-per-session typedefs.
 """
 
 from repro.adapters import register_news_types
 from repro.bench import Report
-from repro.core import BusConfig, InformationBus, TypeTable
+from repro.core import InformationBus, TypeTable
 from repro.objects import (DataObject, encode_typed, encoded_size,
                            standard_registry)
 
@@ -59,16 +58,17 @@ def run_ablation():
 
 
 def run_type_plane_ablation():
-    """The same story stream with the type plane on vs off, receivers
-    learning from scratch in both runs."""
+    """The same story stream over the type plane (the default) and with
+    every publish opting for inline metadata, receivers learning from
+    scratch in both runs."""
     reg = standard_registry()
     register_news_types(reg)
     story = sample_story(reg)
     inline = encoded_size(story, reg, inline_types=True)
     typed = len(encode_typed(story, reg, TypeTable())[0])
 
-    def wire_bytes(plane):
-        bus = InformationBus(seed=15, config=BusConfig(type_plane=plane))
+    def wire_bytes(inline_types):
+        bus = InformationBus(seed=15)
         bus.add_hosts(3)
         pub = bus.client("node00", "feed", registry=reg)
         count = [0]
@@ -76,14 +76,15 @@ def run_type_plane_ablation():
         consumer.subscribe("news.>", lambda s, o, i:
                            count.__setitem__(0, count[0] + 1))
         for _ in range(200):
-            pub.publish("news.equity.gmc", story)
+            pub.publish("news.equity.gmc", story,
+                        inline_types=inline_types)
         bus.settle(10.0)
         assert count[0] == 200
         assert consumer.registry.has("reuters_story")
         return bus.lan.bytes_transmitted
 
     return {"inline": inline, "typed": typed,
-            "plane_wire": wire_bytes(True), "flat_wire": wire_bytes(False)}
+            "plane_wire": wire_bytes(None), "flat_wire": wire_bytes(True)}
 
 
 def test_inline_type_metadata_overhead(benchmark):

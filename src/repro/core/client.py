@@ -69,8 +69,7 @@ class BusClient:
         # Matching a delivery costs O(subject depth), not O(#subs) —
         # essential when an app subscribes to thousands of subjects
         # (the Figure 8 workload).
-        self._dispatch: SubjectTrie = SubjectTrie(
-            memo_capacity=daemon.config.match_memo_capacity)
+        self._dispatch: SubjectTrie = SubjectTrie()
         # refcount of daemon-level registrations per (pattern, durable)
         self._registered: Dict[tuple, int] = {}
         self.messages_published = 0
@@ -103,11 +102,10 @@ class BusClient:
         bytes.  A falsy receipt means the outbound pipeline deferred or
         dropped the publish (see :meth:`on_flow_credit` to learn when to
         retry).  ``inline_types`` defaults to the bus config (normally
-        True, so receivers can learn new types); with the session type
-        plane on (``BusConfig.type_plane``) that default is served by
-        :func:`~repro.objects.marshal.encode_typed` instead — receivers
-        still learn types, from typedefs riding the wire frames once per
-        session rather than inline in every payload.  An explicit
+        True, so receivers can learn new types); that default is served
+        by :func:`~repro.objects.marshal.encode_typed` — receivers learn
+        types from typedefs riding the wire frames once per session
+        rather than inline in every payload.  An explicit
         ``inline_types=`` argument always gets the requested
         self-contained (or bare) encoding.  Guaranteed publishes stay
         inline regardless: their ledgered payloads are retransmitted
@@ -115,25 +113,20 @@ class BusClient:
         scoped to.  ``via`` is for information routers re-publishing
         forwarded traffic; ordinary applications leave it empty.
         """
-        if inline_types is None:
-            inline_types = self.daemon.config.inline_types
-            if inline_types and qos is not QoS.GUARANTEED:
-                # ask by subject: on a sharded daemon each plane owns
-                # its own session type table, and the payload must
-                # reference ids defined on the plane that carries it
-                table = self.daemon.type_table_for(subject)
-                if table is not None:
-                    payload, type_refs = encode_typed(
-                        obj, self.registry, table)
-                    receipt = self.daemon.publish(
-                        self.id, subject, payload, qos, via=via,
-                        type_refs=type_refs)
-                    if receipt.accepted:
-                        self.messages_published += 1
-                    return receipt
-        payload = encode(obj, self.registry, inline_types=inline_types)
+        if (inline_types is None and self.daemon.config.inline_types
+                and qos is not QoS.GUARANTEED):
+            # ask by subject: on a sharded daemon each plane owns its
+            # own session type table, and the payload must reference
+            # ids defined on the plane that carries it
+            payload, type_refs = encode_typed(
+                obj, self.registry, self.daemon.type_table_for(subject))
+        else:
+            if inline_types is None:
+                inline_types = self.daemon.config.inline_types
+            payload = encode(obj, self.registry, inline_types=inline_types)
+            type_refs = ()
         receipt = self.daemon.publish(self.id, subject, payload, qos,
-                                      via=via)
+                                      via=via, type_refs=type_refs)
         if receipt.accepted:
             self.messages_published += 1
         return receipt

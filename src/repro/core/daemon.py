@@ -118,18 +118,17 @@ class BusConfig:
     ack_quorum: int = 1
     #: Re-attach client subscriptions when the host recovers.
     auto_restart_clients: bool = True
-    #: Marshal type metadata into every published message by default.
-    inline_types: bool = True
-    #: Session type plane: when on (and ``inline_types`` would apply),
-    #: reliable publishes carry dense session type ids instead of the
-    #: full inline metadata block, with typedef definitions riding
-    #: once per session on the wire frames (see
+    #: Publish type metadata with every message by default, so any
+    #: receiver can decode and learn types it has never seen.  Reliable
+    #: publishes carry it as dense session type ids whose typedefs ride
+    #: the wire frames once per session (see
     #: :mod:`repro.core.typeplane` and "The session type plane" in
-    #: docs/PROTOCOLS.md).  Guaranteed publishes stay self-contained —
-    #: their ledgered payloads must outlive the session.  False keeps
-    #: the per-message inline encoding — the ablation baseline the perf
-    #: harness compares against to prove behaviour is bit-identical.
-    type_plane: bool = True
+    #: docs/PROTOCOLS.md); guaranteed publishes, and any publish passing
+    #: ``inline_types=True`` explicitly, carry it inline in the payload —
+    #: ledgered bytes must outlive the session.  False publishes bare
+    #: payloads: a closed-world deployment whose receivers pre-register
+    #: every type.
+    inline_types: bool = True
     #: Broadcast subscription-table changes on ADVERT_SUBJECT so routers
     #: can forward across WANs only what somebody actually wants.
     advertise_subscriptions: bool = True
@@ -139,25 +138,6 @@ class BusConfig:
     #: deliveries to non-durable subscribers; oldest are evicted past
     #: this, so a long-running daemon's memory stays bounded.
     seen_ledger_cap: int = 4096
-    #: Concrete subjects the subscription trie memoizes (see
-    #: :class:`~repro.core.subjects.SubjectTrie`).  0 disables the memo —
-    #: the escape hatch the perf harness uses to prove cache honesty.
-    #: None uses the trie's default.
-    match_memo_capacity: Optional[int] = None
-    #: Header-compress DATA/RETRANS frames with a per-session string
-    #: table (see "Wire header compression" in :mod:`repro.core.wire`).
-    #: False keeps the plain encoding — the ablation baseline the perf
-    #: harness compares against to prove behaviour is identical.
-    wire_compression: bool = True
-    #: Interest-gate the receive path: read each DATA/RETRANS frame's
-    #: subject digest first and, when no subject matches a local
-    #: subscription, advance the reliable session window straight from
-    #: the digest without decoding envelope bodies (see "Receive path"
-    #: in docs/PROTOCOLS.md).  Guaranteed (ledgered) envelopes and
-    #: ``_bus.stat.*`` frames always take the full path.  False decodes
-    #: every frame fully — the ablation baseline the perf harness
-    #: compares against to prove behaviour is bit-identical.
-    interest_gating: bool = True
     #: Seconds between telemetry snapshots published on
     #: ``_bus.stat.<host>.daemon``.  0 (the default) disables the
     #: publisher entirely; runs with it on are bit-identical to runs
@@ -167,11 +147,6 @@ class BusConfig:
     #: under backpressure stale snapshots are shed first — the newest
     #: snapshot supersedes them anyway).
     stat_queue: int = 8
-    #: Replace every registry instrument with shared no-op stubs — the
-    #: ablation knob the ``metrics_overhead`` perf bench uses to bound
-    #: what full instrumentation costs.  Not for normal use: stats
-    #: surfaces read garbage under it.
-    metrics_stub: bool = False
     #: Partition the subject space into this many hash-sharded planes,
     #: each owned by its own daemon instance on its own CPU lane and
     #: port pair (see :mod:`repro.core.sharding` and "Subject-space
@@ -234,7 +209,7 @@ class BusDaemon:
         #: (the object that gets snapshotted onto ``_bus.stat.*``).  The
         #: registry itself survives restarts; per-incarnation instrument
         #: families are dropped by :meth:`_start`.
-        self.metrics = MetricsRegistry(stub=self.config.metrics_stub)
+        self.metrics = MetricsRegistry()
         # daemon-lifetime counters (survive restarts; they describe the
         # daemon object) — int views exposed as properties below
         scope = self.metrics.scope(f"daemon.{host.address}")
@@ -266,16 +241,14 @@ class BusDaemon:
         scope.gauge("subscriptions",
                     source=lambda: len(self._subscriptions))
         scope.gauge("wire.table_strings",
-                    source=lambda: (len(self._wire_table)
-                                    if self._wire_table is not None else 0))
+                    source=lambda: len(self._wire_table))
         scope.gauge("wire.peer_sessions",
                     source=lambda: len(self._peer_tables))
         scope.gauge("wire.peer_strings",
                     source=lambda: sum(len(t)
                                        for t in self._peer_tables.values()))
         scope.gauge("wire.typedef.table_types",
-                    source=lambda: (len(self._type_table)
-                                    if self._type_table is not None else 0))
+                    source=lambda: len(self._type_table))
         scope.gauge("wire.typedef.peer_sessions",
                     source=lambda: len(self._peer_type_tables))
         scope.gauge("wire.typedef.peer_types",
@@ -363,14 +336,12 @@ class BusDaemon:
         # wire-compression state is volatile by design: a restarted
         # daemon has a fresh session name, so receivers key learned
         # tables by session and can never mix incarnations
-        self._wire_table: Optional[StringTable] = (
-            StringTable() if self.config.wire_compression else None)
+        self._wire_table = StringTable()
         self._peer_tables: Dict[str, Dict[int, str]] = {}
         # the session type plane is equally volatile: type ids are scoped
         # to the session name, so a restart (fresh session) starts a
         # fresh table and receivers never mix incarnations
-        self._type_table: Optional[TypeTable] = (
-            TypeTable() if self.config.type_plane else None)
+        self._type_table = TypeTable()
         self._peer_type_tables: Dict[str, Dict[int, bytes]] = {}
         self._peer_type_views: Dict[str, PeerTypeView] = {}
         self._receiver = ReliableReceiver(self.sim, self.config.reliable,
@@ -399,9 +370,8 @@ class BusDaemon:
                 capacity=max(self.config.batch.max_messages, 1),
                 tracer=self.tracer, now=lambda: self.sim.now,
                 metrics=self.metrics))
-        memo = self.config.match_memo_capacity
-        self._subscriptions: SubjectTrie = SubjectTrie(memo_capacity=memo)
-        self._durable: SubjectTrie = SubjectTrie(memo_capacity=memo)
+        self._subscriptions: SubjectTrie = SubjectTrie()
+        self._durable: SubjectTrie = SubjectTrie()
         self._heartbeat = PeriodicTimer(
             self.sim, self.config.reliable.heartbeat_interval,
             self._send_heartbeat, name="daemon.heartbeat")
@@ -709,7 +679,7 @@ class BusDaemon:
     # receive path
     # ------------------------------------------------------------------
     def _on_datagram(self, data: bytes, size: int, src: Endpoint) -> None:
-        if self.config.interest_gating and self._gate_datagram(data):
+        if self._gate_datagram(data):
             return
         try:
             packet = decode_packet(data, tables=self._peer_tables,
@@ -1041,11 +1011,11 @@ class BusDaemon:
     # session type plane (see repro.core.typeplane)
     # ------------------------------------------------------------------
     @property
-    def type_table(self) -> Optional[TypeTable]:
-        """This session's sender-side type table (None with the plane off)."""
+    def type_table(self) -> TypeTable:
+        """This session's sender-side type table."""
         return self._type_table
 
-    def type_table_for(self, subject: str) -> Optional[TypeTable]:
+    def type_table_for(self, subject: str) -> TypeTable:
         """The sender-side type table a publish on ``subject`` rides.
 
         On an unsharded daemon this is the one session table; the
@@ -1063,7 +1033,7 @@ class BusDaemon:
         session is unknown (a typed payload then fails decode with
         ``UnknownTypeError`` — counted by the client, never a crash).
         """
-        if self._type_table is not None and session == self.session:
+        if session == self.session:
             return self._type_table
         raw = self._peer_type_tables.get(session)
         if raw is None:
@@ -1092,18 +1062,13 @@ class BusDaemon:
         """Wire state: compression tables, unresolvable drops, and what
         the interest gate skipped."""
         return {
-            "compression": self._wire_table is not None,
-            "table_strings": len(self._wire_table)
-            if self._wire_table is not None else 0,
+            "table_strings": len(self._wire_table),
             "peer_sessions": len(self._peer_tables),
             "peer_strings": sum(len(t) for t in self._peer_tables.values()),
             "unresolved_dropped": self.unresolved_dropped,
-            "interest_gating": self.config.interest_gating,
             "skipped_frames": self.skipped_frames,
             "skipped_envelopes": self.skipped_envelopes,
-            "type_plane": self._type_table is not None,
-            "typedef_table_types": (len(self._type_table)
-                                    if self._type_table is not None else 0),
+            "typedef_table_types": len(self._type_table),
             "typedef_peer_sessions": len(self._peer_type_tables),
             "typedef_peer_types": sum(
                 len(t) for t in self._peer_type_tables.values()),

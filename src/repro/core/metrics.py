@@ -174,22 +174,10 @@ class MetricsRegistry:
     re-finds counters that are documented to survive restarts — and why
     components whose counters are documented *volatile* call
     :meth:`drop_prefix` when they restart.
-
-    ``stub=True`` builds a degenerate registry for overhead ablation:
-    every request returns a shared throwaway instrument of the right
-    type (increments still run, so the hot-path instruction count is
-    identical) but nothing is registered and :meth:`snapshot` is empty.
-    The ``metrics_overhead`` bench compares a stubbed bus against a real
-    one to bound what full instrumentation costs.
     """
 
-    def __init__(self, stub: bool = False):
-        self.stub = stub
+    def __init__(self):
         self._instruments: Dict[str, Instrument] = {}
-        if stub:
-            self._stub_counter = Counter("_stub")
-            self._stub_gauge = Gauge("_stub")
-            self._stub_histogram = Histogram("_stub")
 
     # ------------------------------------------------------------------
     # get-or-create
@@ -205,8 +193,6 @@ class MetricsRegistry:
         return instrument
 
     def counter(self, name: str) -> Counter:
-        if self.stub:
-            return self._stub_counter
         instrument = self._get(name, Counter)
         if instrument is None:
             instrument = Counter(name)
@@ -216,8 +202,6 @@ class MetricsRegistry:
     def gauge(self, name: str,
               source: Optional[Callable[[], Union[int, float]]] = None
               ) -> Gauge:
-        if self.stub:
-            return self._stub_gauge
         instrument = self._get(name, Gauge)
         if instrument is None:
             instrument = Gauge(name, source)
@@ -229,8 +213,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str,
                   bounds: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        if self.stub:
-            return self._stub_histogram
         instrument = self._get(name, Histogram)
         if instrument is None:
             instrument = Histogram(name, bounds)
@@ -246,8 +228,6 @@ class MetricsRegistry:
         object twice is a no-op; a *different* object under a taken name
         is an error — two components may not share a name by accident.
         """
-        if self.stub:
-            return instrument
         existing = self._instruments.get(name)
         if existing is instrument:
             return instrument
@@ -291,8 +271,7 @@ class MetricsRegistry:
         return len(self._instruments)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        flavor = "stub " if self.stub else ""
-        return f"<MetricsRegistry {flavor}{len(self._instruments)} instruments>"
+        return f"<MetricsRegistry {len(self._instruments)} instruments>"
 
 
 class MetricsScope:

@@ -196,15 +196,19 @@ class RmiServer:
             return
         if not isinstance(msg, dict) or msg.get("kind") != "call":
             return
-        request_id = msg["request_id"]
+        request_id, op, args = (msg.get("request_id"), msg.get("op"),
+                                msg.get("args"))
+        if not (isinstance(request_id, str) and isinstance(op, str)
+                and isinstance(args, bytes)):
+            return      # decodes, but is no request: dropped like noise
         cached = self._reply_cache.get(request_id)
         if cached is not None:
             # duplicate request: at-most-once execution, answer from cache
             conn.send(cached)
             return
         try:
-            args = decode(msg["args"], self.service.registry)
-            result = self.service.invoke(msg["op"], args)
+            result = self.service.invoke(
+                op, decode(args, self.service.registry))
             # self-contained on purpose: replies are cached and replayed
             # to duplicate requests from *later* sessions, so they must
             # not reference session-scoped type-plane ids
@@ -218,7 +222,7 @@ class RmiServer:
         tracer = self.client.daemon.tracer
         if tracer:
             tracer.emit(self.client.sim.now, "rmi.call",
-                        service=self.service_subject, op=msg["op"],
+                        service=self.service_subject, op=op,
                         request_id=request_id, ok=reply["ok"])
         self._reply_cache[request_id] = encoded
         if self.durable_replies:
@@ -394,21 +398,32 @@ class RmiClient:
             return
         if not isinstance(msg, dict) or msg.get("kind") != "reply":
             return
-        pending = self._pending.pop(msg.get("request_id", ""), None)
+        request_id = msg.get("request_id")
+        if not isinstance(request_id, str):
+            return
+        pending = self._pending.pop(request_id, None)
         if pending is None or pending.done:
             return
         pending.done = True
         if pending.timeout_event is not None:
             pending.timeout_event.cancel()
+        # the call is off the books now, so whatever the body holds the
+        # caller must hear exactly one result: a reply that names a
+        # pending call but is otherwise ill-shaped fails it
+        value, error = None, "malformed reply"
+        if msg.get("ok") is True and isinstance(msg.get("value"), bytes):
+            try:
+                value = decode(msg["value"], self.client.registry)
+                error = None
+            except TypeError_ as err:
+                error = f"malformed reply: {err}"
+        elif msg.get("ok") is False and isinstance(msg.get("error"), str):
+            error = msg["error"]
         tracer = self.client.daemon.tracer
         if tracer:
             tracer.emit(self.client.sim.now, "rmi.reply", op=pending.op,
-                        request_id=pending.request_id, ok=msg["ok"])
-        if msg["ok"]:
-            value = decode(msg["value"], self.client.registry)
-            pending.on_result(value, None)
-        else:
-            pending.on_result(None, msg["error"])
+                        request_id=pending.request_id, ok=error is None)
+        pending.on_result(value, error)
 
     def _fail(self, pending: _PendingCall, error: str) -> None:
         if pending.done:

@@ -672,9 +672,3 @@ class Router:
     def flow_stats(self) -> Dict[str, Any]:
         """The WAN link's per-direction flow-control queue stats."""
         return self.link.link_stats()
-
-    def wire_stats(self) -> Dict[str, Dict[str, Any]]:
-        """Per-leg wire-compression state of each leg's egress daemon
-        (see :meth:`repro.core.daemon.BusDaemon.wire_stats`)."""
-        return {name: leg.client.daemon.wire_stats()
-                for name, leg in self.legs.items()}

@@ -10,7 +10,7 @@ the daemon interface clients and routers already speak.  Each plane is
 a self-contained bus daemon: its own port pair, CPU lane, reliable
 sessions, wire string table, session type table, and telemetry
 publisher.  Planes never share wire state, so everything the
-wire-efficiency arc built (header compression, interest gating, the
+wire-efficiency arc built (header compression, the interest gate, the
 type plane) rides unchanged per plane.
 
 Shard map rules (all deterministic, all derived from the subject's
@@ -224,10 +224,10 @@ class ShardedDaemon:
     # session type plane
     # ------------------------------------------------------------------
     @property
-    def type_table(self) -> Optional[TypeTable]:
+    def type_table(self) -> TypeTable:
         return self.shards[0].type_table
 
-    def type_table_for(self, subject: str) -> Optional[TypeTable]:
+    def type_table_for(self, subject: str) -> TypeTable:
         """The owning plane's type table — typed payloads must reference
         ids defined on the plane that carries them."""
         return self.shards[self.map.shard_of(subject)].type_table
@@ -311,13 +311,11 @@ class ShardedDaemon:
         return merged
 
     def wire_stats(self) -> Dict[str, Any]:
-        """Per-plane wire state summed (booleans are config, shared)."""
+        """Per-plane wire state, summed."""
         out = dict(self.shards[0].wire_stats())
         for daemon in self.shards[1:]:
             for key, value in daemon.wire_stats().items():
-                if isinstance(value, bool):
-                    continue
-                out[key] = out[key] + value
+                out[key] += value
         return out
 
     def guaranteed_pending(self) -> List[LedgerEntry]:

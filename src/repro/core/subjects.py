@@ -40,8 +40,8 @@ _ELEMENT_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 MAX_DEPTH = 32
 
 #: Default bound on memoized concrete subjects per trie.  0 disables the
-#: memo entirely (the cache-free escape hatch the perf harness uses to
-#: prove the memo changes no observable behaviour).
+#: memo entirely (the cache-free reference ``tests/core/test_subjects.py``
+#: cross-checks the memo against).
 DEFAULT_MEMO_CAPACITY = 1024
 
 

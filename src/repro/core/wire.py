@@ -68,8 +68,8 @@ because a receiver-side bit flip (``corrupt_rate``) produces a
 *different* buffer that misses the memo and fails its own CRC check —
 every afflicted receiver still rejects its own corrupted copy.
 Failures are never cached.  :func:`configure_decode_memo` resizes or
-disables the memo (the escape hatch the perf harness uses to prove
-behaviour is unchanged).
+disables the memo (capacity 0 is the reference the differential
+decoder fuzz compares against).
 
 The session type plane
 ----------------------

@@ -19,11 +19,13 @@ from repro.core import (BusConfig, CorruptFrame, Envelope, EnvelopeView,
                         StringTable, UnresolvedStringId, decode_packet,
                         encode_packet, read_digest)
 from repro.core import wire
+from repro.core.daemon import BusDaemon
 from repro.core.reliable import ReliableConfig, ReliableReceiver
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator
 from repro.sim.framing import frame, unframe
+from tests.integration.test_golden_run import pivot_run
 
 
 # ----------------------------------------------------------------------
@@ -318,9 +320,9 @@ def test_heartbeat_after_skip_sees_no_gap():
 # end to end: the gated daemon
 # ----------------------------------------------------------------------
 
-def make_bus(seed=3, hosts=4, gating=True, **cfg):
+def make_bus(seed=3, hosts=4, **cfg):
     bus = InformationBus(seed=seed, cost=CostModel.ideal(),
-                         config=BusConfig(interest_gating=gating, **cfg))
+                         config=BusConfig(**cfg))
     bus.add_hosts(hosts)
     return bus
 
@@ -351,20 +353,76 @@ def test_uninterested_daemon_skips_frames():
     assert gated.delivered == interested.delivered
     assert gated.nacks_sent == interested.nacks_sent == 0
     stats = quiet.wire_stats()
-    assert stats["interest_gating"] is True
     assert stats["skipped_frames"] == quiet.skipped_frames
     assert stats["skipped_envelopes"] == quiet.skipped_envelopes
 
 
-def test_gating_knob_off_disables_skip():
-    bus = make_bus(gating=False)
-    bus.client("node02", "mon").subscribe("quiet.>", lambda *a: None)
-    publisher = bus.client("node00", "pub")
-    for n in range(40):
-        publisher.publish("feed.tick", {"n": n})
+@pytest.mark.parametrize("typed", [False, True], ids=["dict", "typed"])
+def test_gate_is_invisible_beside_the_full_decode(monkeypatch, typed):
+    """The gate's reference is its own fall-through: the golden-run
+    scenario (corruption, repair, mid-stream subscribe/unsubscribe, one
+    daemon with no interest) twice on one seed, once as is and once with
+    every frame sent down the full decode.  Deliveries, trace, drop
+    counters, wire bytes and every receiver's reliable stats must be
+    identical; only the skip counter may tell the runs apart."""
+    gated = pivot_run(typed)
+    monkeypatch.setattr(BusDaemon, "_gate_datagram",
+                        lambda self, data: False)
+    wire.configure_decode_memo()
+    ungated = pivot_run(typed)
+    assert gated.pop("skipped_frames") > 0
+    assert ungated.pop("skipped_frames") == 0
+    assert gated == ungated
+
+
+def test_receiver_that_gave_up_keeps_up_without_futile_repair():
+    """The post-``_give_up`` corner (docs/PROTOCOLS.md).  An uninterested
+    daemon misses frames that defined a new subject id and a new sender
+    id, the sender's retention moves past them, and the receiver gives
+    up on the gap after ``nack_max`` NACKs.  Afterwards an id only the
+    bodies cite (the sender) is never needed — those frames skip from
+    the digest with no repair traffic — and an id the digest cites (the
+    subject) costs exactly one drop and one NACK: the self-contained
+    RETRANS re-defines it and the stream skips again."""
+    bus = make_bus(seed=5, hosts=2, advertise_subscriptions=False,
+                   reliable=ReliableConfig(retention=4, nack_max=3))
+    got = []
+    bus.client("node01", "mon").subscribe("quiet.>",
+                                          lambda s, p, i: got.append(s))
+    pub = bus.client("node00", "pub")
+    other = bus.client("node00", "other")
+    for n in range(5):
+        pub.publish("feed.a", {"n": n})
+    bus.run_for(1.0)
+    bus.partition({"node00"}, {"node01"})
+    for n in range(10):                    # both new ids are defined here
+        pub.publish("feed.b", {"n": n})
+        other.publish("feed.a", {"n": n})
+    for n in range(4):                     # all that retention still holds
+        pub.publish("feed.a", {"n": n})
+    bus.run_for(1.0)
+    bus.heal()
+    bus.run_for(10.0)
+    daemon = bus.daemons["node01"]
+    stats = daemon.reliable_stats(bus.daemons["node00"].session)
+    assert (stats.gaps_skipped, stats.messages_lost) == (1, 20)
+    assert stats.nacks_sent == 3           # nack_max, then silence
+
+    skipped = daemon.skipped_frames
+    for n in range(10):                    # lost id cited by bodies only
+        bus.sim.schedule(0.05 * n, other.publish, "feed.a", {"n": n})
     bus.run_for(5.0)
-    assert all(d.skipped_frames == 0 for d in bus.daemons.values())
-    assert bus.daemons["node02"].wire_stats()["interest_gating"] is False
+    assert daemon.skipped_frames == skipped + 10
+    assert (stats.nacks_sent, daemon.unresolved_dropped) == (3, 0)
+
+    for n in range(10):                    # lost id cited by the digest
+        bus.sim.schedule(0.05 * n, pub.publish, "feed.b", {"n": n})
+    bus.run_for(5.0)
+    assert (stats.nacks_sent, daemon.unresolved_dropped) == (4, 1)
+    assert daemon.skipped_frames == skipped + 19
+    assert (stats.gaps_skipped, stats.messages_lost) == (1, 20)
+    assert stats.delivered == 49 - 20      # in step with the sender again
+    assert got == []
 
 
 def test_late_interest_subscribe_mid_stream():
@@ -395,12 +453,11 @@ def test_late_interest_subscribe_mid_stream():
     assert daemon.reliable_stats(session).delivered == 30
 
 
-@pytest.mark.parametrize("compression", [True, False])
-def test_exactly_once_under_corruption_with_gating(compression):
+def test_exactly_once_under_corruption_with_gating():
     """Satellite: a corrupted frame (digest region included) drops whole
     and arms repair exactly as before gating existed — interested daemons
     recover exactly-once, uninterested daemons still skip clean frames."""
-    bus = make_bus(seed=11, hosts=5, wire_compression=compression)
+    bus = make_bus(seed=11, hosts=5)
     bus.lan.corrupt_rate = 0.15
     inboxes = {}
     for i in (1, 2, 3):

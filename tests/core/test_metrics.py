@@ -1,10 +1,14 @@
 """Unit tests for the unified metrics registry."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.core.metrics import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
-                                MetricsPublisher, MetricsRegistry,
-                                sum_counters)
+from repro.core import BusConfig
+from repro.core.metrics import (Counter, Gauge, Histogram, MetricsPublisher,
+                                MetricsRegistry, sum_counters)
 from repro.sim import Simulator
 
 
@@ -107,17 +111,15 @@ def test_snapshot_renders_every_instrument():
     assert snap["h"]["type"] == "histogram"
 
 
-def test_stub_registry_shares_noop_instruments():
-    reg = MetricsRegistry(stub=True)
-    a = reg.counter("a")
-    b = reg.counter("b")
-    assert a is b                 # one shared throwaway
-    a.value += 5                  # increments still execute
-    g = reg.gauge("g", source=lambda: 1)
-    assert g is reg.gauge("other")
-    assert reg.histogram("h", bounds=DEFAULT_BUCKETS) is reg.histogram("i")
-    assert reg.snapshot() == {}   # nothing registered, nothing rendered
-    assert len(reg) == 0
+def test_every_busconfig_field_is_documented():
+    """OBSERVABILITY.md's knob table has exactly one row per
+    ``BusConfig`` field: a new knob must say why a user would turn it,
+    and a retired one must leave the docs with it."""
+    doc = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+    table = doc.read_text().split("## BusConfig knobs")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert sorted(rows) == sorted(
+        f.name for f in dataclasses.fields(BusConfig))
 
 
 def test_publisher_fires_on_interval_and_stops():

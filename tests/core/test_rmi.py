@@ -279,3 +279,58 @@ def test_hostile_stream_bytes_are_dropped_and_service_continues():
     assert error is None and value.get("price") == 58.25
     assert server.calls_served == 2
     assert rmi._conn is not None and rmi._conn.established
+
+
+def test_ill_shaped_requests_are_dropped_and_service_continues():
+    """A stream message that decodes fine and says ``kind == "call"`` but
+    lacks a key, or holds one of the wrong type (an unhashable
+    ``request_id`` used to reach the reply-cache lookup), is dropped
+    like undecodable bytes — no reply, no execution, no exception."""
+    from repro.objects import encode
+    good = {"kind": "call", "request_id": "r1", "op": "symbols",
+            "args": encode({})}
+    bad = [{k: v for k, v in good.items() if k != missing}
+           for missing in ("request_id", "op", "args")]
+    bad += [dict(good, request_id=["r", 1]), dict(good, request_id=7),
+            dict(good, op=None), dict(good, args={}), dict(good, args="x")]
+    bus, reg, server = setup()
+    rmi = RmiClient(bus.client("node00", "trader"), "svc.quotes")
+    assert call_sync(bus, rmi, "symbols", {}) == (["GM", "IBM"], None)
+    replies = []
+    rmi._conn.on_message = lambda data, size: replies.append(data)
+    for msg in bad:
+        rmi._conn.send(encode(msg))
+        bus.run_for(0.5)
+        assert server.calls_served == 1 and replies == []
+    rmi._conn.on_message = lambda data, size: rmi._on_reply(data)
+    assert call_sync(bus, rmi, "symbols", {}) == (["GM", "IBM"], None)
+    assert server.calls_served == 2
+
+
+def test_ill_shaped_reply_completes_the_call_with_an_error():
+    """A reply that names a pending call is popped off the books before
+    its body is read, so a body that is ill-shaped or fails to decode
+    must still complete the call — with an error, exactly once — rather
+    than raise out of the simulator and leave the caller waiting."""
+    from repro.objects import encode
+    bodies = [{"ok": True, "value": b"not marshalled"}, {"ok": True},
+              {"ok": True, "value": "text"}, {"ok": "yes", "value": b""},
+              {"ok": False}, {"ok": False, "error": 5}, {}]
+    bus, reg, server = setup()
+    rmi = RmiClient(bus.client("node00", "trader"), "svc.quotes")
+    assert call_sync(bus, rmi, "symbols", {}) == (["GM", "IBM"], None)
+    (server_conn,) = server._streams._conns.values()
+    server_conn.on_message = lambda data, size: None   # the server is mute
+    for n, body in enumerate(bodies):
+        out = []
+        rmi.call("symbols", {}, lambda value, error: out.append((value, error)),
+                 request_id=f"forged{n}")
+        # unhashable / missing ids name no call: ignored, not raised
+        server_conn.send(encode({"kind": "reply", "request_id": [n]}))
+        server_conn.send(encode({"kind": "reply", "ok": True}))
+        server_conn.send(encode(dict(body, kind="reply",
+                                     request_id=f"forged{n}")))
+        bus.run_for(0.5)
+        assert len(out) == 1 and out[0][0] is None, (body, out)
+        assert out[0][1].startswith("malformed reply"), (body, out)
+    assert rmi._pending == {}

@@ -9,7 +9,9 @@ The invariants mirror the string-table ones (PR 6), one layer up:
   crash), and the RETRANS repair re-defines everything it references;
 * guaranteed traffic stays self-contained (ledger entries outlive the
   session the type ids are scoped to);
-* the ``type_plane`` knob off reproduces the inline-metadata baseline.
+* ``publish(..., inline_types=True)`` still gets the self-contained
+  inline-metadata encoding, and it is the baseline the plane's saving
+  is measured against.
 """
 
 from repro.core import BusConfig, InformationBus, QoS
@@ -67,18 +69,18 @@ def test_steady_state_payloads_shrink():
     more than the 40%% acceptance floor."""
     reg = story_registry()
     sizes = {}
-    for plane in (True, False):
-        bus = make_bus(type_plane=plane)
+    for inline in (None, True):            # the plane vs inline metadata
+        bus = make_bus()
         pub = bus.client("node00", "feed", registry=story_registry())
         seen = []
         bus.client("node01", "mon").subscribe(
             "news.>", lambda s, o, i: seen.append(i.size))
         for n in range(20):
-            pub.publish("news.x", make_story(reg, n))
+            pub.publish("news.x", make_story(reg, n), inline_types=inline)
         bus.settle()
         assert len(seen) == 20
-        sizes[plane] = seen[-1]            # steady-state payload bytes
-    assert sizes[True] < sizes[False] * 0.6
+        sizes[inline] = seen[-1]           # steady-state payload bytes
+    assert sizes[None] < sizes[True] * 0.6
 
 
 def test_lost_defining_frame_is_repaired():
@@ -177,19 +179,20 @@ def test_guaranteed_payloads_stay_self_contained():
 
 
 def test_plane_off_reproduces_inline_baseline():
-    bus = make_bus(type_plane=False)
+    """Every publish opting out with ``inline_types=True``: receivers
+    learn from the payloads, and the plane carries nothing."""
+    bus = make_bus()
     reg = story_registry()
     pub = bus.client("node00", "feed", registry=reg)
     got = []
     sub = bus.client("node01", "mon")
     sub.subscribe("news.>", lambda s, o, i: got.append(o))
     for n in range(5):
-        pub.publish("news.x", make_story(reg, n))
+        pub.publish("news.x", make_story(reg, n), inline_types=True)
     bus.settle()
     assert [o.get("n") for o in got] == list(range(5))
     assert sub.registry.has("story")       # learned inline, the old way
     stats = bus.daemons["node00"].wire_stats()
-    assert stats["type_plane"] is False
     assert stats["typedef_table_types"] == 0
     assert bus.daemons["node01"].wire_stats()["typedef_peer_sessions"] == 0
 

@@ -1,33 +1,32 @@
 """Wire header compression end-to-end: fewer bytes, same behaviour.
 
-The daemon-level contract: with ``BusConfig.wire_compression`` on (the
-default), DATA/RETRANS frames ride the wire with string-table ids in
-place of repeated header strings — measurably fewer bytes — while every
-delivery guarantee holds unchanged: exactly-once in-order delivery under
+The daemon-level contract: DATA/RETRANS frames ride the wire with
+string-table ids in place of repeated header strings — measurably fewer
+bytes than the plain encoding control frames still use — while every
+delivery guarantee holds: exactly-once in-order delivery under
 corruption, NACK repair, and late joiners who never saw the defining
 frames (the unresolvable-id path: drop + NACK + self-contained RETRANS,
 never an exception).
 """
 
-import pytest
-
-from repro.core import BusConfig, InformationBus, QoS
+from repro.core import (BusConfig, Envelope, InformationBus, Packet,
+                        PacketKind, QoS, StringTable, encode_packet)
+from repro.objects import encode
 from repro.sim import CostModel
 
+WIRE_SUBJECT = "market.feed.equity.gmc.tick"
 
-def make_bus(compression, seed=11, hosts=4, corrupt_rate=0.0, **cfg):
+
+def make_bus(seed=11, hosts=4, corrupt_rate=0.0, **cfg):
     bus = InformationBus(seed=seed, cost=CostModel.ideal(),
-                         config=BusConfig(wire_compression=compression,
-                                          **cfg))
+                         config=BusConfig(**cfg))
     bus.add_hosts(hosts)
     bus.lan.corrupt_rate = corrupt_rate
     return bus
 
 
-def fanout_run(compression, messages=300, seed=3):
-    # adverts off and a short idle tail keep the wire data-dominated, so
-    # the byte comparison measures header compression, not heartbeats
-    bus = make_bus(compression, seed=seed, advertise_subscriptions=False)
+def fanout_run(messages=300, seed=3):
+    bus = make_bus(seed=seed, advertise_subscriptions=False)
     boxes = []
     for i in range(1, 4):
         box = []
@@ -36,39 +35,40 @@ def fanout_run(compression, messages=300, seed=3):
             "market.>", lambda s, p, i, box=box: box.append(p["n"]))
     publisher = bus.client("node00", "pub")
     for n in range(messages):
-        publisher.publish("market.feed.equity.gmc.tick", {"n": n})
+        publisher.publish(WIRE_SUBJECT, {"n": n})
     bus.run_for(5.0)
     return bus, boxes
 
 
 def test_compression_reduces_bytes_on_wire():
-    on, on_boxes = fanout_run(True)
-    off, off_boxes = fanout_run(False)
-    # identical deliveries either way...
-    assert on_boxes == off_boxes
-    assert all(box == list(range(300)) for box in on_boxes)
-    # ...for meaningfully fewer bytes: repeated headers dwarf the small
-    # payloads, so the table-compressed run must save at least 25%
-    assert on.lan.bytes_transmitted < 0.75 * off.lan.bytes_transmitted
+    """The steady-state DATA frame of the fan-out below, table-compressed
+    as the daemon sends it vs plain: repeated headers dwarf the small
+    payload, so compression must save at least 25%."""
+    def frame(seq, table):
+        envelope = Envelope(subject=WIRE_SUBJECT, sender="node00.pub",
+                            session="node00#0", seq=seq,
+                            payload=encode({"n": seq}), publish_time=0.5)
+        return encode_packet(Packet(PacketKind.DATA, "node00#0", [envelope],
+                                    session_start=0.0), table)
+    table = StringTable()
+    frame(1, table)                             # defines the header strings
+    assert len(frame(2, table)) < 0.75 * len(frame(2, None))
+    # and end to end every consumer hears the whole stream in order
+    _, boxes = fanout_run()
+    assert all(box == list(range(300)) for box in boxes)
 
 
 def test_wire_stats_reflect_mode():
-    on, _ = fanout_run(True, messages=10)
-    stats = on.daemons["node00"].wire_stats()
-    assert stats["compression"] is True
+    bus, _ = fanout_run(messages=10)
+    stats = bus.daemons["node00"].wire_stats()
     assert stats["table_strings"] > 0           # the publisher interned
-    consumer = on.daemons["node01"].wire_stats()
+    consumer = bus.daemons["node01"].wire_stats()
     assert consumer["peer_strings"] > 0         # the consumer learned
-    off, _ = fanout_run(False, messages=10)
-    stats = off.daemons["node00"].wire_stats()
-    assert stats["compression"] is False
-    assert stats["table_strings"] == 0
 
 
-@pytest.mark.parametrize("compression", [True, False])
-def test_exactly_once_under_corruption(compression):
-    """The corrupt-rate NACK-repair guarantee holds in both modes."""
-    bus = make_bus(compression, seed=11, hosts=5, corrupt_rate=0.15)
+def test_exactly_once_under_corruption():
+    """The corrupt-rate NACK-repair guarantee."""
+    bus = make_bus(seed=11, hosts=5, corrupt_rate=0.15)
     inboxes = {}
     for i in range(1, 5):
         box = []
@@ -85,9 +85,8 @@ def test_exactly_once_under_corruption(compression):
         assert box == list(range(80)), f"{address} saw {len(box)}"
 
 
-@pytest.mark.parametrize("compression", [True, False])
-def test_guaranteed_delivery_both_modes(compression):
-    bus = make_bus(compression, seed=7, corrupt_rate=0.1)
+def test_guaranteed_delivery_under_corruption():
+    bus = make_bus(seed=7, corrupt_rate=0.1)
     got = []
     bus.client("node02", "ledger").subscribe(
         "g.>", lambda s, p, i: got.append(p["n"]), durable=True)
@@ -106,7 +105,7 @@ def test_late_joining_daemon_recovers_via_self_contained_retrans():
     — dropped and counted, never raised to the app — and the armed NACK
     brings a RETRANS that defines everything it references, after which
     the joiner is fully caught up and stays in order."""
-    bus = make_bus(True, seed=5, hosts=2)
+    bus = make_bus(seed=5, hosts=2)
     steady = []
     bus.client("node01", "mon").subscribe(
         "feed.>", lambda s, p, i: steady.append(p["n"]))
@@ -143,7 +142,7 @@ def test_late_joining_daemon_recovers_via_self_contained_retrans():
 def test_unresolvable_is_repaired_not_raised():
     """Force the defining frame to be lost to one receiver only: that
     receiver NACKs and recovers from the self-contained repair."""
-    bus = make_bus(True, seed=9, hosts=3, corrupt_rate=0.3)
+    bus = make_bus(seed=9, hosts=3, corrupt_rate=0.3)
     boxes = {}
     for i in (1, 2):
         box = []

@@ -42,7 +42,6 @@ ALLOWED = {
     ("repro/core/reliable.py", "ReliableSender.retention_stats"),
     ("repro/core/router.py", "Router.flow_stats"),
     ("repro/core/router.py", "Router.leg_stats"),
-    ("repro/core/router.py", "Router.wire_stats"),
     ("repro/core/router.py", "WanLink.link_stats"),
     # the ShardedDaemon facade mirrors BusDaemon's grandfathered
     # surfaces, aggregated across shard planes (one entry per mirror)
