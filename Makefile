@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench pytest-bench lint examples quicktest all clean
+.PHONY: install test bench ledger-ab pytest-bench lint examples quicktest all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -12,6 +12,10 @@ test:
 
 bench:
 	$(PYTHON) benchmarks/ledger/run.py
+
+# alternating parent/change pairs of the ledger: make ledger-ab PARENT=<rev>
+ledger-ab:
+	$(PYTHON) tools/ledger_ab.py $(PARENT)
 
 pytest-bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -205,33 +205,39 @@ class BusClient:
     # delivery (called by the daemon)
     # ------------------------------------------------------------------
     def _deliver(self, envelope: Envelope, retransmitted: bool) -> None:
+        payload = envelope.payload
+        session = envelope.session
+        daemon = self.daemon
         try:
-            obj = decode(envelope.payload, self.registry,
-                         type_resolver=self.daemon.type_resolver(
-                             envelope.session))
+            obj = decode(payload, self.registry,
+                         type_resolver=daemon.type_resolver(session))
         except Exception as error:   # unknown type, corrupt payload
             self.decode_errors += 1
             self.last_error = error
             return
-        info = MessageInfo(
-            subject=envelope.subject, sender=envelope.sender,
-            session=envelope.session, seq=envelope.seq, qos=envelope.qos,
-            publish_time=envelope.publish_time, deliver_time=self.sim.now,
-            size=len(envelope.payload), retransmitted=retransmitted,
-            via=envelope.via)
-        matching = sorted(self._dispatch.match(envelope.subject),
-                          key=lambda s: s.seq)
+        subject = envelope.subject
+        seq = envelope.seq
+        publish_time = envelope.publish_time
+        # one clock read: simulated time cannot advance inside a callback
+        now = daemon.sim.now
+        info = MessageInfo(subject, envelope.sender, session, seq,
+                           envelope.qos, publish_time, now, len(payload),
+                           retransmitted, envelope.via)
+        matching = self._dispatch.match(subject)
+        if len(matching) > 1:
+            # callbacks run in subscription order, whatever the set's
+            matching = sorted(matching, key=lambda s: s.seq)
         delivered = False
         for subscription in matching:
             if subscription.active:
                 delivered = True
-                subscription.callback(envelope.subject, obj, info)
+                subscription.callback(subject, obj, info)
         if delivered:
             self.messages_received += 1
             # seq-0 envelopes are telemetry-plane self-traffic: they are
             # delivered but never measured (the no-echo invariant)
-            if envelope.seq and self._latency is not None:
-                self._latency.observe(self.sim.now - envelope.publish_time)
+            if seq and self._latency is not None:
+                self._latency.observe(now - publish_time)
 
     def _reattach(self) -> None:
         """Re-register all subscriptions after the host recovered."""

@@ -46,7 +46,7 @@ from .guaranteed import GuaranteedConsumer, GuaranteedPublisher, LedgerEntry
 from .message import Envelope, Packet, PacketKind, QoS
 from .metrics import MetricsPublisher, MetricsRegistry
 from .reliable import ReliableConfig, ReliableReceiver, ReliableSender
-from .subjects import SubjectTrie, validate_subject
+from .subjects import BadSubjectError, SubjectTrie, validate_subject
 from .typeplane import PeerTypeView, TypeTable
 from .wire import (CorruptFrame, StringTable, UnresolvedIds,
                    UnresolvedTypeId, decode_packet, encode_packet,
@@ -236,6 +236,10 @@ class BusDaemon:
         #: envelopes inside those skipped frames (seq accounting done,
         #: bodies never materialized)
         self._skipped_envelopes = scope.counter("wire.skipped_envelopes")
+        #: receive-path subject lookups (the gate's, per digest subject;
+        #: dispatch's, per envelope body) that met an ill-formed subject
+        #: in a CRC-valid frame and treated it as matching nothing
+        self._bad_subjects = scope.counter("wire.bad_subjects")
         # lazily read wire/topology gauges (cost is paid at snapshot)
         scope.gauge("clients", source=lambda: len(self.clients))
         scope.gauge("subscriptions",
@@ -302,6 +306,10 @@ class BusDaemon:
     @property
     def skipped_envelopes(self) -> int:
         return self._skipped_envelopes.value
+
+    @property
+    def bad_subjects(self) -> int:
+        return self._bad_subjects.value
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -682,26 +690,24 @@ class BusDaemon:
         if self._gate_datagram(data):
             return
         try:
-            packet = decode_packet(data, tables=self._peer_tables,
-                                   type_tables=self._peer_type_tables)
+            packet = decode_packet(data, self._peer_tables,
+                                   self._peer_type_tables)
         except CorruptFrame as err:
             self._drop_undecodable(err)
             return
-        if packet.kind is PacketKind.DATA:
+        kind = packet.kind
+        if kind is PacketKind.DATA or kind is PacketKind.RETRANS:
+            handle = self._receiver.handle_envelope
+            retransmitted = kind is PacketKind.RETRANS
+            session_start = packet.session_start
             for envelope in packet.envelopes:
-                self._receiver.handle_envelope(
-                    envelope, session_start=packet.session_start)
-        elif packet.kind is PacketKind.RETRANS:
-            for envelope in packet.envelopes:
-                self._receiver.handle_envelope(
-                    envelope, retransmitted=True,
-                    session_start=packet.session_start)
-        elif packet.kind is PacketKind.HEARTBEAT:
+                handle(envelope, retransmitted, session_start)
+        elif kind is PacketKind.HEARTBEAT:
             self._receiver.handle_heartbeat(packet.session, packet.last_seq,
                                             packet.session_start)
-        elif packet.kind is PacketKind.NACK:
+        elif kind is PacketKind.NACK:
             self._serve_nack(packet, src)
-        elif packet.kind is PacketKind.ACK:
+        elif kind is PacketKind.ACK:
             self._gpub.handle_ack(packet.ack_ledger_id, packet.ack_consumer)
 
     def _gate_datagram(self, data: bytes) -> bool:
@@ -718,8 +724,8 @@ class BusDaemon:
         other than trivial in-order/duplicate accounting.
         """
         try:
-            digest = read_digest(data, tables=self._peer_tables,
-                                 type_tables=self._peer_type_tables)
+            digest = read_digest(data, self._peer_tables,
+                                 self._peer_type_tables)
         except CorruptFrame as err:
             # the full path would have rejected it too: the digest read
             # is the full decode stopped early
@@ -729,8 +735,13 @@ class BusDaemon:
             return False
         matches = self._subscriptions.matches_anything
         for subject in digest.subjects:
-            if matches(subject):
-                return False
+            try:
+                if matches(subject):
+                    return False
+            except BadSubjectError:
+                # wire is subject-syntax-agnostic, so a CRC-valid frame
+                # can carry an ill-formed subject: it matches nothing
+                self._bad_subjects.value += 1
         if not self._receiver.try_skip(digest.entries):
             return False
         self._skipped_frames.value += 1
@@ -801,9 +812,17 @@ class BusDaemon:
         self._dispatch(envelope, retransmitted)
 
     def _dispatch(self, envelope: Envelope, retransmitted: bool) -> None:
-        if not self.up:
+        # ``self.up``, minus its two chained property calls per envelope
+        if not (self._started and self.host.up):
             return
-        clients = self._subscriptions.match(envelope.subject)
+        try:
+            clients = self._subscriptions.match(envelope.subject)
+        except BadSubjectError:
+            # a peer's body subject (authoritative, and it may differ
+            # from the digest's) is ill-formed: it matches nothing.
+            # A local publish cannot raise here: publish() validated it.
+            self._bad_subjects.value += 1
+            return
         if envelope.ledger_id is not None:
             self._dispatch_guaranteed(envelope, clients, retransmitted)
             return
@@ -1004,8 +1023,13 @@ class BusDaemon:
         """
         if not self.up:
             return
-        for client in self._subscriptions.match(envelope.subject):
-            self._lane_offer(client, envelope, retransmitted=False)
+        try:
+            clients = self._subscriptions.match(envelope.subject)
+        except BadSubjectError:
+            self._bad_subjects.value += 1    # ill-formed: matches nothing
+            return
+        for client in clients:
+            self._lane_offer(client, envelope, False)
 
     # ------------------------------------------------------------------
     # session type plane (see repro.core.typeplane)

@@ -119,21 +119,45 @@ class Packet:
         return _wire_codec().packet_wire_size(self)
 
 
-@dataclass
 class MessageInfo:
-    """Delivery metadata handed to subscriber callbacks."""
+    """Delivery metadata handed to subscriber callbacks.
 
-    subject: str
-    sender: str
-    session: str
-    seq: int
-    qos: QoS
-    publish_time: float      # simulated time the publish call was made
-    deliver_time: float      # simulated time the callback ran
-    size: int                # payload bytes on the wire
-    retransmitted: bool = False
-    via: Tuple[str, ...] = ()   # routers this message traversed
+    One is built per delivery, so this is a hand-written ``__slots__``
+    class that :meth:`BusClient._deliver` constructs positionally
+    (``dataclass(slots=True)`` needs Python 3.10; ``requires-python`` is
+    3.9).  Keyword construction, the two defaults, ``repr`` and ``==``
+    behave as the dataclass they replace.
+    """
+
+    __slots__ = ("subject", "sender", "session", "seq", "qos",
+                 "publish_time", "deliver_time", "size", "retransmitted",
+                 "via")
+
+    def __init__(self, subject: str, sender: str, session: str, seq: int,
+                 qos: QoS, publish_time: float, deliver_time: float,
+                 size: int, retransmitted: bool = False,
+                 via: Tuple[str, ...] = ()):
+        self.subject = subject
+        self.sender = sender
+        self.session = session
+        self.seq = seq
+        self.qos = qos
+        self.publish_time = publish_time   # simulated time of the publish
+        self.deliver_time = deliver_time   # simulated time the callback ran
+        self.size = size                   # payload bytes on the wire
+        self.retransmitted = retransmitted
+        self.via = via                     # routers this message traversed
 
     @property
     def latency(self) -> float:
         return self.deliver_time - self.publish_time
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (tuple(getattr(self, name) for name in self.__slots__)
+                == tuple(getattr(other, name) for name in self.__slots__))
+
+    def __repr__(self) -> str:
+        return "MessageInfo(%s)" % ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__)

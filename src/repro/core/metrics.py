@@ -17,8 +17,8 @@ This module is the common shape.  Three instrument flavours:
   (``gauge.value = depth``) or given a ``source`` callable that is
   evaluated lazily at snapshot time (queue depths, table sizes).
 * :class:`Histogram` — fixed-bucket distribution (service times,
-  delivery latencies).  ``observe`` is a short linear scan over a
-  handful of bucket bounds plus two adds.
+  delivery latencies).  ``observe`` is one bisection over a handful of
+  bucket bounds plus two adds.
 
 A :class:`MetricsRegistry` names instruments hierarchically
 (``daemon.<host>.wire.unresolved_dropped``, ``flow.<queue>.drops``) and
@@ -42,6 +42,7 @@ Two properties the telemetry plane guarantees, both test-asserted:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -120,8 +121,8 @@ class Histogram:
 
     ``bounds`` are the inclusive upper edges of the finite buckets; one
     implicit overflow bucket catches everything above the last bound.
-    ``observe`` is a linear scan — with the handful of buckets used here
-    that is cheaper than binary search and allocates nothing.
+    ``observe`` finds the bucket with one C-level bisection: the first
+    bound that is >= the value, or the overflow bucket past the last.
     """
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "sum")
@@ -140,11 +141,7 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     def reset(self) -> None:
         self.bucket_counts = [0] * (len(self.bounds) + 1)

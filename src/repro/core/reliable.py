@@ -278,8 +278,28 @@ class ReliableReceiver:
     def handle_envelope(self, envelope: Envelope,
                         retransmitted: bool = False,
                         session_start: Optional[float] = None) -> None:
-        state = self._state(envelope.session)
         seq = envelope.seq
+        state = self._sessions.get(envelope.session)
+        if (state is not None and seq == state.expected
+                and state.sync_event is None and state.nack_event is None
+                and not state.buffer):
+            # The steady state — next in order, nothing buffered, no
+            # timer armed (:meth:`try_skip`'s preconditions, minus the
+            # gap check).  What ``_deliver_in_order`` + ``_drain`` +
+            # ``_refresh_gap`` below reduce to in that state; with an
+            # empty buffer ``has_gap()`` is ``expected <= known_last``.
+            if seq > state.known_last:
+                state.known_last = seq
+            state.expected = seq + 1
+            state.stats._delivered.value += 1
+            self._deliver(envelope, retransmitted)
+            state.nack_attempts = 0
+            if seq < state.known_last:
+                # a tail is known beyond this envelope: a gap remains
+                self._arm_nack(envelope.session, state)
+            return
+        if state is None:
+            state = self._state(envelope.session)
         state.known_last = max(state.known_last, seq)
         if state.expected is None:
             # First contact with this session.  Sessions always start at
@@ -370,7 +390,8 @@ class ReliableReceiver:
         envelope, in frame order.  All-or-nothing: commits and returns
         True only when every entry would have taken the trivial
         duplicate or contiguous in-order path through
-        :meth:`handle_envelope` — nothing buffered, no timer armed,
+        :meth:`handle_envelope` (its guarded in-order prefix has these
+        same preconditions) — nothing buffered, no timer armed,
         cancelled, or re-aimed — so that for a daemon with no matching
         subscription, skipping is *observably identical* (stats, traces,
         scheduled events) to decoding.  Anything else — first contact

@@ -278,6 +278,10 @@ class ShardedDaemon:
     def skipped_envelopes(self) -> int:
         return sum(d.skipped_envelopes for d in self.shards)
 
+    @property
+    def bad_subjects(self) -> int:
+        return sum(d.bad_subjects for d in self.shards)
+
     # ------------------------------------------------------------------
     # introspection (aggregated across planes)
     # ------------------------------------------------------------------

@@ -361,25 +361,45 @@ class EnvelopeView(Envelope):
 # envelopes
 # ----------------------------------------------------------------------
 
-def _write_envelope_body(envelope: Envelope, write_header_str) -> bytes:
-    """The one envelope body writer.  ``write_header_str(out, text)``
-    decides how a header string goes out: inline (:func:`write_str`)
-    or as a session string-table id."""
+def _write_header_str(out: BytesIO, text: str,
+                      table: Optional[StringTable],
+                      refs: Optional[List[int]],
+                      own_defs: Optional[List[Tuple[int, str]]]) -> None:
+    """One header string: inline, or (``table`` given: a compressed
+    frame) its session string-table id, noted in ``refs`` — and in
+    ``own_defs`` when this call assigned it."""
+    if table is None:
+        write_str(out, text)
+        return
+    idx, is_new = table.intern(text)
+    if is_new:
+        own_defs.append((idx, table.strings[idx]))
+    refs.append(idx)
+    write_varint(out, idx)
+
+
+def _write_envelope_body(envelope: Envelope,
+                         table: Optional[StringTable] = None,
+                         refs: Optional[List[int]] = None,
+                         own_defs: Optional[List[Tuple[int, str]]] = None
+                         ) -> bytes:
+    """The one envelope body writer; header strings go out through
+    :func:`_write_header_str`."""
     out = BytesIO()
     flags = _E_LEDGER if envelope.ledger_id is not None else 0
     out.write(bytes((flags,)))
-    write_header_str(out, envelope.subject)
-    write_header_str(out, envelope.sender)
-    write_header_str(out, envelope.session)
+    _write_header_str(out, envelope.subject, table, refs, own_defs)
+    _write_header_str(out, envelope.sender, table, refs, own_defs)
+    _write_header_str(out, envelope.session, table, refs, own_defs)
     write_varint(out, envelope.seq)
     out.write(bytes((_QOS_TO_CODE[envelope.qos],)))
     write_f64(out, envelope.publish_time)
     write_varint(out, envelope.envelope_id)
     if envelope.ledger_id is not None:
-        write_header_str(out, envelope.ledger_id)
+        _write_header_str(out, envelope.ledger_id, table, refs, own_defs)
     write_varint(out, len(envelope.via))
     for hop in envelope.via:
-        write_header_str(out, hop)
+        _write_header_str(out, hop, table, refs, own_defs)
     write_bytes(out, envelope.payload)
     return out.getvalue()
 
@@ -396,7 +416,7 @@ def encode_envelope(envelope: Envelope) -> bytes:
     key = (envelope.session, envelope.seq)
     if cached is not None and cached[0] == key:
         return cached[1]
-    body = _write_envelope_body(envelope, write_str)
+    body = _write_envelope_body(envelope)
     envelope._wire_cache = (key, body)
     return body
 
@@ -423,15 +443,7 @@ def encode_envelope_compressed(
         return cached[2], cached[3]
     refs: List[int] = []
     own_defs: List[Tuple[int, str]] = []
-
-    def write_ref(out: BytesIO, text: str) -> None:
-        idx, is_new = table.intern(text)
-        if is_new:
-            own_defs.append((idx, table.strings[idx]))
-        refs.append(idx)
-        write_varint(out, idx)
-
-    body = _write_envelope_body(envelope, write_ref)
+    body = _write_envelope_body(envelope, table, refs, own_defs)
     new_defs.extend(own_defs)
     envelope._wire_cache_z = (key, table, body, tuple(refs),
                               tuple(own_defs))
@@ -461,11 +473,7 @@ def _write_digest(out: BytesIO, packet: Packet,
     encoded first (their defs precede the digest on the wire), and a
     body always references its subject and session.
     """
-    if table is None:
-        write_header_str = write_str
-    else:
-        def write_header_str(out: BytesIO, text: str) -> None:
-            write_varint(out, table.ids[text])
+    ids = None if table is None else table.ids
     write_varint(out, len(packet.envelopes))
     for envelope in packet.envelopes:
         dflags = 0
@@ -475,10 +483,16 @@ def _write_digest(out: BytesIO, packet: Packet,
         if alt_session:
             dflags |= _D_SESSION
         out.write(bytes((dflags,)))
-        write_header_str(out, envelope.subject)
+        if ids is None:
+            write_str(out, envelope.subject)
+        else:
+            write_varint(out, ids[envelope.subject])
         write_varint(out, envelope.seq)
         if alt_session:
-            write_header_str(out, envelope.session)
+            if ids is None:
+                write_str(out, envelope.session)
+            else:
+                write_varint(out, ids[envelope.session])
 
 
 def _write_typedefs(out: BytesIO, packet: Packet, type_table,
@@ -820,10 +834,8 @@ def _walk(data: bytes, tables: Optional[Dict[str, Dict[int, str]]],
             ack_ledger_id = _intern(cur.str_())
         if flags & _P_ACK_CONSUMER:
             ack_consumer = _intern(cur.str_())
-        parse = _Parse(Packet(
-            kind, session, nack_range=nack_range, last_seq=last_seq,
-            session_start=session_start, ack_ledger_id=ack_ledger_id,
-            ack_consumer=ack_consumer))
+        parse = _Parse(Packet(kind, session, [], nack_range, last_seq,
+                              session_start, ack_ledger_id, ack_consumer))
         # -- stage 2: string defs.  The frame passed its CRC, so they
         # are intact: apply them even if resolution fails below or the
         # caller goes on to skip the frame — later frames reference them

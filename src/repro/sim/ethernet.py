@@ -47,6 +47,10 @@ class EthernetSegment:
         self._frame_ids = itertools.count(1)
         self._medium_busy_until = 0.0
         self._partition: Optional[List[Set[Address]]] = None
+        #: the segment's fault stream, held after its first use (a named
+        #: stream is created once and never reset, so holding the object
+        #: cannot change a draw)
+        self._rng = None
         #: per-receiver probability that a frame arrives with one bit
         #: flipped.  The payload bytes are altered, the receiver's
         #: checksum fails, and the frame is dropped above the socket —
@@ -140,31 +144,41 @@ class EthernetSegment:
                           name="ether.deliver")
 
     def _deliver(self, frame: Frame) -> None:
-        rng = self.sim.rng(f"ether.{self.name}")
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.sim.rng(f"ether.{self.name}")
+        src = frame.src
         if frame.dst == BROADCAST:
-            targets = [h for a, h in self._hosts.items() if a != frame.src]
+            targets = [h for a, h in self._hosts.items() if a != src]
         else:
             host = self._hosts.get(frame.dst)
             targets = [host] if host is not None else []
+        # the rates are the same for every receiver of one frame; per
+        # receiver the draws stay loss -> corrupt -> duplicate -> jitter,
+        # each made only when its rate is > 0
+        cost = self.cost
+        loss = cost.loss_probability
+        corrupt = self.corrupt_rate
+        duplicate = cost.duplicate_probability
+        jitter = cost.reorder_jitter
+        partitioned = self._partition is not None
+        draw = rng.random
         for host in targets:
-            if not self._reachable(frame.src, host.address):
+            if partitioned and not self._reachable(src, host.address):
                 continue
-            if self.cost.loss_probability > 0 and \
-                    rng.random() < self.cost.loss_probability:
+            if loss > 0 and draw() < loss:
                 self.frames_dropped += 1
                 continue
             delivered = frame
-            if self.corrupt_rate > 0 and rng.random() < self.corrupt_rate:
+            if corrupt > 0 and draw() < corrupt:
                 delivered = self._corrupt(frame, rng)
             copies = 1
-            if self.cost.duplicate_probability > 0 and \
-                    rng.random() < self.cost.duplicate_probability:
+            if duplicate > 0 and draw() < duplicate:
                 copies = 2
             for _ in range(copies):
-                if self.cost.reorder_jitter > 0:
-                    delay = rng.random() * self.cost.reorder_jitter
-                    self.sim.schedule(delay, host.deliver_frame, delivered,
-                                      name="ether.jitter")
+                if jitter > 0:
+                    self.sim.schedule(draw() * jitter, host.deliver_frame,
+                                      delivered, name="ether.jitter")
                 else:
                     host.deliver_frame(delivered)
 

@@ -152,6 +152,13 @@ class Cursor:
 
     def varint(self) -> int:
         buf, pos, end = self.buf, self.pos, self.end
+        if pos < end:
+            # one-byte values (ids, small counts and lengths) are nearly
+            # every varint on the wire; the loop below reads any length
+            byte = buf[pos]
+            if byte < 0x80:
+                self.pos = pos + 1
+                return byte
         result = 0
         shift = 0
         while True:
@@ -213,7 +220,15 @@ class Cursor:
 # primitive field codecs
 # ----------------------------------------------------------------------
 
+#: the one-byte varints, prebuilt: ids, small counts and lengths are
+#: nearly every varint written
+_ONE_BYTE_VARINTS = tuple(bytes((value,)) for value in range(0x80))
+
+
 def write_varint(out: BytesIO, value: int) -> None:
+    if 0 <= value < 0x80:
+        out.write(_ONE_BYTE_VARINTS[value])
+        return
     if value < 0:
         raise ValueError(f"varint must be non-negative: {value}")
     while True:

@@ -13,10 +13,9 @@ and a couple of run-loop variants (`run`, `run_until`, `step`).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
-from typing import Any, Callable, Dict, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["Event", "Simulator", "SimError"]
 
@@ -33,7 +32,7 @@ class Event:
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired",
-                 "name", "sort_key", "_sim")
+                 "name", "_sim")
 
     def __init__(self, time: float, seq: int, callback: Callable[..., None],
                  args: tuple, name: str = "",
@@ -45,9 +44,6 @@ class Event:
         self.cancelled = False
         self.fired = False
         self.name = name
-        # the heap compares events on every sift; precomputing the key
-        # once beats building a tuple per comparison
-        self.sort_key = (time, seq)
         self._sim = sim
 
     def cancel(self) -> None:
@@ -57,9 +53,6 @@ class Event:
         self.cancelled = True
         if self._sim is not None:
             self._sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key < other.sort_key
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -86,8 +79,11 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._heap: List[Event] = []
-        self._seq = itertools.count()
+        #: ``(time, seq, event)`` entries: the heap orders them on the
+        #: float and the int in C, and ``seq`` is unique, so the
+        #: :class:`Event` itself is never compared
+        self._heap: List[Tuple[float, int, Event]] = []
+        self._seq = 0
         self._now = 0.0
         self._rngs: Dict[str, random.Random] = {}
         self._running = False
@@ -125,9 +121,11 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self._now + delay, next(self._seq), callback, args,
-                      name, sim=self)
-        heapq.heappush(self._heap, event)
+        time = self._now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, callback, args, name, self)
+        heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., None],
@@ -145,8 +143,9 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Fire the single next event.  Returns False when the heap is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[2]
             if event.cancelled:
                 self._cancelled_count -= 1
                 continue
@@ -194,12 +193,12 @@ class Simulator:
             while fired < max_events and not self._stopped:
                 if not self._heap:
                     break
-                nxt = self._heap[0]
+                when, _seq, nxt = self._heap[0]
                 if nxt.cancelled:
-                    heapq.heappop(self._heap)
+                    heappop(self._heap)
                     self._cancelled_count -= 1
                     continue
-                if nxt.time > deadline:
+                if when > deadline:
                     break
                 self.step()
                 fired += 1
@@ -240,8 +239,9 @@ class Simulator:
         order of live events: the heap is re-heapified on the same
         ``(time, seq)`` keys.
         """
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
+        self._heap = [entry for entry in self._heap
+                      if not entry[2].cancelled]
+        heapify(self._heap)
         self._cancelled_count = 0
         self.compactions += 1
 

@@ -57,6 +57,10 @@ class Host:
         self._recv_ready_at: Dict[int, float] = {0: 0.0}
         self._crash_listeners: List[Callable[[], None]] = []
         self._recover_listeners: List[Callable[[], None]] = []
+        #: this host's CPU-noise stream, held after its first use (a
+        #: named stream is created once and never reset, so holding the
+        #: object cannot change a draw)
+        self._cpu_rng = None
         # traffic counters (used by benches)
         self.frames_sent = 0
         self.frames_received = 0
@@ -145,10 +149,13 @@ class Host:
 
     def _jitter(self) -> float:
         """Per-packet CPU-cost noise factor (scheduler/cache effects)."""
-        if self.cost.cpu_jitter <= 0:
+        jitter = self.cost.cpu_jitter
+        if jitter <= 0:
             return 1.0
-        u = self.sim.rng(f"cpu.{self.address}").random()
-        return 1.0 + self.cost.cpu_jitter * (2.0 * u - 1.0)
+        rng = self._cpu_rng
+        if rng is None:
+            rng = self._cpu_rng = self.sim.rng(f"cpu.{self.address}")
+        return 1.0 + jitter * (2.0 * rng.random() - 1.0)
 
     def send_frame(self, frame: Frame, lane: int = 0) -> float:
         """Push ``frame`` through one CPU send lane onto the segment.
@@ -161,43 +168,49 @@ class Host:
         if self.segment is None:
             raise RuntimeError(f"{self.address} is not attached to a segment")
         cpu = self.cost.send_cpu_time(frame.size) * self._jitter()
-        start = max(self.sim.now, self._send_ready_at.get(lane, 0.0))
+        now = self.sim.now
+        start = self._send_ready_at.get(lane, 0.0)
+        if start < now:
+            start = now
         done = start + cpu
         self._send_ready_at[lane] = done
         self.frames_sent += 1
         self.bytes_sent += frame.size
-        epoch = self.epoch
-        segment = self.segment
-
-        def _to_wire() -> None:
-            # a crash between enqueue and wire kills the frame
-            if self._up and self.epoch == epoch:
-                segment.transmit(frame)
-
-        self.sim.schedule(done - self.sim.now, _to_wire, name="host.send")
+        self.sim.schedule(done - now, self._to_wire, frame, self.segment,
+                          self.epoch, name="host.send")
         return done
+
+    def _to_wire(self, frame: Frame, segment: "EthernetSegment",
+                 epoch: int) -> None:
+        # a crash between enqueue and wire kills the frame
+        if self._up and self.epoch == epoch:
+            segment.transmit(frame)
 
     def deliver_frame(self, frame: Frame) -> None:
         """Called by the segment when a frame arrives at this host's NIC."""
         if not self._up:
             return
         cpu = self.cost.recv_cpu_time(frame.size) * self._jitter()
-        lane = self._port_lanes.get(frame.dst_port, 0)
-        start = max(self.sim.now, self._recv_ready_at.get(lane, 0.0))
+        now = self.sim.now
+        ready = self._recv_ready_at
+        lanes = self._port_lanes
+        lane = lanes.get(frame.dst_port, 0) if lanes else 0
+        start = ready.get(lane, 0.0)
+        if start < now:
+            start = now
         done = start + cpu
-        self._recv_ready_at[lane] = done
-        epoch = self.epoch
+        ready[lane] = done
+        self.sim.schedule(done - now, self._to_socket, frame, self.epoch,
+                          name="host.recv")
 
-        def _to_socket() -> None:
-            if not self._up or self.epoch != epoch:
-                return
-            handler = self._ports.get(frame.dst_port)
-            if handler is not None:
-                self.frames_received += 1
-                self.bytes_received += frame.size
-                handler(frame)
-
-        self.sim.schedule(done - self.sim.now, _to_socket, name="host.recv")
+    def _to_socket(self, frame: Frame, epoch: int) -> None:
+        if not self._up or self.epoch != epoch:
+            return
+        handler = self._ports.get(frame.dst_port)
+        if handler is not None:
+            self.frames_received += 1
+            self.bytes_received += frame.size
+            handler(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self._up else "DOWN"

@@ -1,0 +1,127 @@
+"""Hostile input on the hot receive path: CRC-valid frames whose subject
+is not a well-formed subject.
+
+``wire`` is subject-syntax-agnostic (it round-trips any string), so a
+peer can put ``""`` or ``"feed..x"`` in a frame that passes its CRC.
+The daemon validates subjects when it matches them — in the interest
+gate (digest subjects), in dispatch and on the stat port (body subjects,
+which are authoritative and may differ from the digest's) — and that
+validation used to raise ``BadSubjectError`` out of a simulator callback
+and through ``run_until``.  On the receive path an ill-formed subject
+now *matches nothing*: never delivered, nothing raised, counted in
+``daemon.<host>.wire.bad_subjects``, and the reliable window treated
+exactly as for any other frame nobody wanted, so the session's next
+well-formed frame is delivered in order.
+"""
+
+import pytest
+
+from repro.core import (BusConfig, Envelope, InformationBus, Packet,
+                        PacketKind, encode_envelope, encode_packet)
+from repro.core.daemon import DAEMON_PORT, STAT_PORT
+from repro.core.subjects import BadSubjectError
+from repro.objects import encode
+from repro.sim import CostModel
+from repro.sim.transport import DatagramSocket
+
+SESSION = "evil#0"
+BAD_SUBJECTS = ["", "feed..x", "feed.bad subject!", ".".join(["e"] * 41)]
+
+
+def make_bus():
+    """node00 subscribes, node01 has no interest; ``evil`` is a host with
+    no daemon whose socket broadcasts hand-built frames."""
+    bus = InformationBus(seed=5, cost=CostModel.ideal(),
+                         config=BusConfig(advertise_subscriptions=False))
+    bus.add_hosts(2)
+    socket = DatagramSocket(bus.sim, bus.lan.add_host("evil"), 99,
+                            lambda data, size, src: None)
+    return bus, socket
+
+
+def data_frame(subject, seq, body_subject=None):
+    """A plain-encoded one-envelope DATA frame from the hostile session.
+    With ``body_subject`` the digest says ``subject`` and the body
+    something else: the encoder reuses an envelope's cached body for its
+    ``(session, seq)``, so encode the body first, then rename."""
+    envelope = Envelope(subject=body_subject or subject, sender="evil.app",
+                        session=SESSION, seq=seq, payload=encode(seq))
+    if body_subject is not None:
+        encode_envelope(envelope)
+        envelope.subject = subject
+    return encode_packet(Packet(PacketKind.DATA, SESSION, [envelope],
+                                session_start=0.0))
+
+
+def deliver_around(hostile_frame):
+    """seq 1 (well-formed), the hostile seq 2, seq 3 (well-formed) on the
+    data port; returns the bus and what node00's subscriber received."""
+    bus, socket = make_bus()
+    inbox = []
+    bus.client("node00", "mon").subscribe(
+        "feed.>", lambda subject, obj, info: inbox.append((info.seq, obj)))
+    for frame in (data_frame("feed.a", 1), hostile_frame,
+                  data_frame("feed.a", 3)):
+        socket.broadcast(frame, DAEMON_PORT)
+        bus.run_for(0.01)           # raised through here before the fix
+    bus.run_for(1.0)
+    return bus, inbox
+
+
+@pytest.mark.parametrize("subject", BAD_SUBJECTS)
+def test_ill_formed_digest_subject_matches_nothing(subject):
+    bus, inbox = deliver_around(data_frame(subject, 2))
+    assert inbox == [(1, 1), (3, 3)]
+    for address in ("node00", "node01"):
+        daemon = bus.daemons[address]
+        stats = daemon.reliable_stats(SESSION)
+        # the window advanced over the hostile frame like over any frame
+        # nobody wanted: no gap, no repair traffic, not a codec reject
+        assert stats.delivered == 3 and stats.nacks_sent == 0
+        assert daemon.bad_subjects == 1
+        assert daemon.corrupt_dropped == 0
+    # nobody matched it, so both daemons took the O(header) skip
+    assert bus.daemons["node00"].skipped_frames == 1
+    assert bus.daemons["node01"].skipped_frames == 2   # seq 1: first contact
+
+
+def test_ill_formed_body_subject_behind_a_valid_digest_matches_nothing():
+    bus, inbox = deliver_around(
+        data_frame("feed.a", 2, body_subject="feed..x"))
+    assert inbox == [(1, 1), (3, 3)]
+    interested, idle = bus.daemons["node00"], bus.daemons["node01"]
+    # node00's gate saw "feed.a", decoded, and dispatch met the real one
+    assert interested.bad_subjects == 1 and interested.skipped_frames == 0
+    # node01 skipped on the digest and never saw the body
+    assert idle.bad_subjects == 0 and idle.skipped_frames == 2
+    for daemon in (interested, idle):
+        stats = daemon.reliable_stats(SESSION)
+        assert stats.delivered == 3 and stats.nacks_sent == 0
+
+
+def test_ill_formed_subject_on_the_stat_port_matches_nothing():
+    bus, socket = make_bus()
+    inbox = []
+    bus.client("node00", "browser").subscribe(
+        "_bus.stat.>", lambda subject, obj, info: inbox.append(obj))
+    for n, subject in enumerate(["_bus.stat.evil.daemon", "_bus.stat..x",
+                                 "_bus.stat.evil.daemon"]):
+        envelope = Envelope(subject=subject, sender=SESSION, session=SESSION,
+                            seq=0, payload=encode(n))
+        socket.broadcast(
+            encode_packet(Packet(PacketKind.DATA, SESSION, [envelope])),
+            STAT_PORT)
+        bus.run_for(0.01)
+    assert inbox == [0, 2]
+    assert bus.daemons["node00"].bad_subjects == 1
+
+
+def test_local_callers_are_still_told():
+    """Only the receive path forgives: a publisher and a subscriber get
+    their own mistake back as an exception."""
+    bus, _socket = make_bus()
+    client = bus.client("node00", "app")
+    with pytest.raises(BadSubjectError):
+        client.publish("feed..x", 1)
+    with pytest.raises(BadSubjectError):
+        client.subscribe("feed.bad subject!", lambda *args: None)

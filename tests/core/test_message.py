@@ -65,3 +65,31 @@ def test_message_info_latency():
                        deliver_time=1.25, size=10)
     assert info.latency == 0.25
     assert info.via == ()
+
+
+def test_message_info_keeps_its_dataclass_surface():
+    """``MessageInfo`` is a hand-written ``__slots__`` class (one is
+    built per delivery); what callers could do with the dataclass it
+    replaced still works."""
+    import pytest
+    from repro.core import MessageInfo
+    positional = MessageInfo("a.b", "x", "h#0", 1, QoS.RELIABLE, 1.0, 1.5,
+                             10, True, ("r1",))
+    keyword = MessageInfo(subject="a.b", sender="x", session="h#0", seq=1,
+                          qos=QoS.RELIABLE, publish_time=1.0,
+                          deliver_time=1.5, size=10, retransmitted=True,
+                          via=("r1",))
+    assert positional == keyword
+    assert positional != MessageInfo("a.b", "x", "h#0", 2, QoS.RELIABLE,
+                                     1.0, 1.5, 10, True, ("r1",))
+    assert positional != "a.b"
+    defaults = MessageInfo("a.b", "x", "h#0", 1, QoS.RELIABLE, 1.0, 1.5, 10)
+    assert defaults.retransmitted is False and defaults.via == ()
+    assert repr(defaults) == (
+        "MessageInfo(subject='a.b', sender='x', session='h#0', seq=1, "
+        "qos=<QoS.RELIABLE: 'reliable'>, publish_time=1.0, "
+        "deliver_time=1.5, size=10, retransmitted=False, via=())")
+    with pytest.raises(TypeError):
+        hash(defaults)                  # eq without hash, as before
+    with pytest.raises(AttributeError):
+        defaults.extra = 1              # slots: no per-delivery __dict__

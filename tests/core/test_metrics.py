@@ -44,6 +44,33 @@ def test_histogram_buckets_count_and_sum():
     assert snap["bounds"] == [0.001, 0.01, 0.1]
 
 
+def test_histogram_bisection_picks_the_linear_scans_bucket():
+    """``observe`` bisects for the first bound >= the value; the
+    reference is the linear scan it replaced, on every bound, both its
+    floating-point neighbours, 0 and +inf."""
+    import math
+    from repro.core.metrics import DEFAULT_BUCKETS
+
+    def linear_bucket(bounds, value):
+        for index, bound in enumerate(bounds):
+            if value <= bound:
+                return index
+        return len(bounds)
+
+    for bounds in (DEFAULT_BUCKETS, (0.001, 0.01, 0.1), (2.0,), ()):
+        values = [0.0, math.inf]
+        for bound in bounds:
+            values += [bound, math.nextafter(bound, -math.inf),
+                       math.nextafter(bound, math.inf)]
+        for value in values:
+            h = Histogram("h", bounds=bounds)
+            h.observe(value)
+            expected = [0] * (len(bounds) + 1)
+            expected[linear_bucket(bounds, value)] = 1
+            assert h.bucket_counts == expected, (bounds, value)
+            assert h.count == 1 and h.sum == value
+
+
 def test_histogram_bounds_must_ascend():
     with pytest.raises(ValueError):
         Histogram("bad", bounds=(0.1, 0.01))

@@ -65,6 +65,49 @@ def test_maximal_varint_is_accepted():
     assert Cursor(data).varint() == value
 
 
+def _reference_varint(value: int) -> bytes:
+    """LEB128, the general loop: what both one-byte fast paths
+    (``write_varint``'s prebuilt table, ``Cursor.varint``'s first-byte
+    return) must agree with."""
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+@pytest.mark.parametrize("value", [0, 1, 126, 127, 128, 129, 16_383, 16_384,
+                                   2**63, 2**64 - 1])
+def test_varint_fast_paths_at_the_byte_boundaries(value):
+    """Either side of every length boundary the fast paths straddle:
+    the bytes are the reference's, every reader returns the value and
+    stops at the right byte, and a following field is not disturbed."""
+    encoded = _reference_varint(value)
+    assert len(encoded) == max(1, (value.bit_length() + 6) // 7)
+    out = BytesIO()
+    write_varint(out, value)
+    write_varint(out, 5)                       # a field behind it
+    assert out.getvalue() == encoded + b"\x05"
+    cur = Cursor(out.getvalue())
+    assert cur.varint() == value and cur.pos == len(encoded)
+    assert cur.varint() == 5 and cur.exhausted
+    assert read_varint(out.getvalue(), 0) == (value, len(encoded))
+    with pytest.raises(CorruptFrame):
+        Cursor(encoded[:-1]).varint()          # truncated, even to nothing
+
+
+def test_every_one_byte_varint_matches_the_reference():
+    for value in range(128):
+        out = BytesIO()
+        write_varint(out, value)
+        assert out.getvalue() == _reference_varint(value) == bytes((value,))
+        assert Cursor(bytes((value,))).varint() == value
+
+
 @given(st.binary(max_size=64), st.text(max_size=32),
        st.floats(allow_nan=False, allow_infinity=False),
        st.integers(0, 2**40))

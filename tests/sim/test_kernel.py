@@ -219,3 +219,56 @@ def test_compaction_preserves_event_order():
     quiet = run(churn=2)               # far below the compaction floor
     churned = run(churn=300)           # forces at least one compaction
     assert quiet == churned == list(range(10))
+
+
+def test_random_schedules_fire_in_time_then_schedule_order():
+    """The heap holds ``(time, seq, event)`` tuples compared in C; the
+    order they fire in must be time first and schedule order within one
+    instant — across cancels, a forced ``_compact()`` and events
+    scheduled from inside callbacks — and ``pending()`` must stay exact.
+    A few thousand random schedules against a sorted-list model."""
+    import random
+    rng = random.Random(19930)
+    for _round in range(40):
+        sim = Simulator()
+        fired = []
+        live = set()                   # labels scheduled, not yet fired
+        handles = {}
+        label = 0
+
+        def fire(tag, respawn):
+            fired.append(tag)
+            live.remove(tag)
+            if respawn:                # same-instant and later children
+                add(rng.choice([0.0, 0.0, 0.25]))
+
+        def add(delay):
+            nonlocal label
+            tag = label
+            label += 1
+            live.add(tag)
+            handles[tag] = sim.schedule(delay, fire, tag,
+                                        rng.random() < 0.2)
+
+        for _op in range(100):
+            roll = rng.random()
+            if roll < 0.6:
+                # few distinct times: most events tie with another
+                add(rng.choice([0.0, 0.5, 0.5, 1.0, 1.0, 1.5, 2.0]))
+            elif roll < 0.8 and live:
+                tag = rng.choice(sorted(live))
+                handles[tag].cancel()
+                handles[tag].cancel()          # idempotent
+                live.remove(tag)
+            elif roll < 0.9:
+                sim._compact()
+            else:
+                sim.run_until(sim.now + rng.choice([0.0, 0.5, 1.0]))
+            assert sim.pending() == len(live)
+        sim.run()
+        assert sim.pending() == 0 and not live
+        # every event fired at its own time, ties in schedule order:
+        # a label is a schedule index, and children get later labels
+        # than anything scheduled before their parent fired
+        times = {tag: handles[tag].time for tag in fired}
+        assert fired == sorted(fired, key=lambda tag: (times[tag], tag))

@@ -280,3 +280,49 @@ def test_background_traffic_zero_load_is_inert():
     bg = BackgroundTraffic(sim, lan, load=0.0)
     sim.run_until(5.0)
     assert bg.frames_injected == 0
+
+
+def test_faulty_partitioned_segment_matches_the_recorded_run():
+    """``EthernetSegment._deliver`` reads the fault rates once per frame,
+    keeps its RNG stream, and asks ``_reachable`` only while partitioned;
+    per receiver the draws must stay loss -> corrupt -> duplicate ->
+    reorder jitter, and ``Host`` must keep drawing CPU jitter per frame.
+    One seed with all four rates > 0, a partition, a heal and a
+    re-partition, against a recording made before those fast paths
+    existed (commit 775305c): what was dropped, corrupted and duplicated,
+    and every receiver's arrival times and bytes."""
+    import hashlib
+    import json
+
+    sim, lan, hosts = make_lan(6, seed=77, cost=CostModel(
+        loss_probability=0.15, duplicate_probability=0.2,
+        reorder_jitter=0.002))
+    lan.corrupt_rate = 0.25
+    arrivals = []
+    for host in hosts:
+        host.bind(7, lambda frame, who=host.address: arrivals.append(
+            [who, sim.now, frame.payload.hex()]))
+    lan.partition(["node0", "node1", "node2", "node3"])   # rest: node4, 5
+    for n in range(60):
+        if n == 20:
+            sim.schedule(n * 0.001, lan.heal)
+        if n == 40:
+            sim.schedule(n * 0.001, lan.partition, ["node0", "node5"],
+                         ["node1", "node2"])
+        src = hosts[0] if n % 3 else hosts[4]
+        dst = BROADCAST if n % 5 else f"node{(n // 5) % 6}"
+        payload = bytes([n]) * (8 + n % 7)
+        sim.schedule(n * 0.001, src.send_frame,
+                     Frame(src.address, dst, 7, 7, payload, len(payload)))
+    sim.run()
+
+    assert lan.frames_transmitted == 60
+    assert lan.frames_dropped == 25
+    assert lan.frames_corrupted == 25
+    assert len(arrivals) == 144          # duplicates included
+    assert arrivals[:3] == [
+        ["node2", 0.0020444361744364776, "010101010101010101"],
+        ["node2", 0.002310770010183547, "010101010101010101"],
+        ["node1", 0.002894262744037341, "010101010101010101"]]
+    assert hashlib.sha256(json.dumps(arrivals).encode()).hexdigest() == \
+        "3c5e811de00e9254a4c8b3aca05c7621f7ca6ba3369687da03539f1020ea8ef9"
