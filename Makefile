@@ -22,7 +22,6 @@ pytest-bench:
 
 lint:
 	ruff check src tests benchmarks tools
-	$(PYTHON) tools/check_stats_surfaces.py
 
 examples:
 	$(PYTHON) -m repro all

@@ -60,7 +60,3 @@ class Adapter:
     @property
     def running(self) -> bool:
         return self._running
-
-    def stats(self) -> dict:
-        return {"name": self.name, "inbound": self.inbound,
-                "outbound": self.outbound, "errors": self.errors}

@@ -5,7 +5,7 @@ from .subjects import (BadSubjectError, SubjectTrie, is_admin_subject,
                        is_valid_pattern, is_valid_subject, split_subject,
                        subject_matches, validate_pattern, validate_subject)
 from .message import Envelope, MessageInfo, Packet, PacketKind, QoS
-from .wire import (CorruptFrame, EnvelopeView, FrameDigest, StringTable,
+from .wire import (CorruptFrame, FrameDigest, StringTable,
                    UnresolvedStringId, UnresolvedTypeId,
                    decode_packet, encode_envelope, encode_packet,
                    envelope_wire_size, packet_wire_size, read_digest)
@@ -36,7 +36,7 @@ __all__ = [
     "Batcher", "BoundedBuffer", "BoundedQueue",
     "BusClient", "BusConfig", "BusDaemon", "BusDownError", "CorruptFrame",
     "Counter", "DAEMON_PORT", "DiscoveredService", "Envelope",
-    "EnvelopeView", "FrameDigest", "read_digest", "Gauge",
+    "FrameDigest", "read_digest", "Gauge",
     "Histogram", "MetricsPublisher", "MetricsRegistry", "MetricsScope",
     "STAT_PORT", "STAT_SUBJECT_PREFIX", "sum_counters",
     "FlowConfig", "FlowStats", "OVERFLOW_POLICIES", "POLICY_BLOCK",

@@ -100,11 +100,6 @@ class InformationBus:
         return BusClient(self.daemons[address], name, registry,
                          service_time=service_time)
 
-    def flow_stats(self) -> Dict[str, Dict[str, dict]]:
-        """Per-daemon snapshots of every flow-control queue on the bus."""
-        return {address: daemon.flow_stats()
-                for address, daemon in self.daemons.items()}
-
     # ------------------------------------------------------------------
     # failures
     # ------------------------------------------------------------------

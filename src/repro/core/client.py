@@ -191,10 +191,6 @@ class BusClient:
         pushing back — the signal to retry a deferred publish."""
         self.daemon.on_publish_credit(callback)
 
-    def delivery_stats(self) -> Dict[str, Any]:
-        """This application's delivery-lane flow stats snapshot."""
-        return self.daemon.flow_stats()[f"deliver[{self.name}]"]
-
     def close(self) -> None:
         """Unsubscribe everything and detach from the daemon."""
         for subscription in list(self._subscriptions):

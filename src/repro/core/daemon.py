@@ -414,7 +414,7 @@ class BusDaemon:
         self._stat_publisher: Optional[MetricsPublisher] = None
         if self.config.stat_interval > 0:
             self._stat_publisher = MetricsPublisher(
-                self.sim, self.metrics, self.publish_stats,
+                self.sim, self.metrics, self._publish_stats,
                 self.config.stat_interval, name="daemon.stat")
         self._started = True
 
@@ -708,7 +708,11 @@ class BusDaemon:
         elif kind is PacketKind.NACK:
             self._serve_nack(packet, src)
         elif kind is PacketKind.ACK:
-            self._gpub.handle_ack(packet.ack_ledger_id, packet.ack_consumer)
+            # both fields are optional on the wire; an ACK that does not
+            # say what was received, or by whom, confirms nothing
+            ledger_id, consumer = packet.ack_ledger_id, packet.ack_consumer
+            if isinstance(ledger_id, str) and isinstance(consumer, str):
+                self._gpub.handle_ack(ledger_id, consumer)
 
     def _gate_datagram(self, data: bytes) -> bool:
         """The interest gate: True when the frame is fully handled in
@@ -931,7 +935,7 @@ class BusDaemon:
     # ------------------------------------------------------------------
     # telemetry plane (reserved ``_bus.stat.*`` subjects)
     # ------------------------------------------------------------------
-    def publish_stats(self, snapshot: Dict[str, Any]) -> None:
+    def _publish_stats(self, snapshot: Dict[str, Any]) -> None:
         """Publish one registry snapshot on ``_bus.stat.<host>.daemon``.
 
         Snapshots are self-describing data objects (the
@@ -1081,43 +1085,6 @@ class BusDaemon:
         for name, lane in self._lanes.items():
             stats[f"deliver[{name}]"] = lane.queue.stats.snapshot()
         return stats
-
-    def wire_stats(self) -> Dict[str, Any]:
-        """Wire state: compression tables, unresolvable drops, and what
-        the interest gate skipped."""
-        return {
-            "table_strings": len(self._wire_table),
-            "peer_sessions": len(self._peer_tables),
-            "peer_strings": sum(len(t) for t in self._peer_tables.values()),
-            "unresolved_dropped": self.unresolved_dropped,
-            "skipped_frames": self.skipped_frames,
-            "skipped_envelopes": self.skipped_envelopes,
-            "typedef_table_types": len(self._type_table),
-            "typedef_peer_sessions": len(self._peer_type_tables),
-            "typedef_peer_types": sum(
-                len(t) for t in self._peer_type_tables.values()),
-            "typedef_unresolved_dropped": self.typedef_unresolved_dropped,
-        }
-
-    def shard_stats(self) -> List[Dict[str, Any]]:
-        """This daemon's shard-plane placement and per-plane load.
-
-        One row per shard plane; the classic unsharded daemon is plane
-        0 of 1.  The :class:`~repro.core.sharding.ShardedDaemon`
-        facade concatenates its members' rows, so callers see the same
-        shape either way.
-        """
-        return [{
-            "shard": self.shard,
-            "shards": self.shard_count,
-            "session": self.session,
-            "port": self._port,
-            "stat_port": self._stat_port,
-            "published": self.published,
-            "delivered": self.delivered,
-            "subscriptions": len(self._subscriptions),
-            "skipped_frames": self.skipped_frames,
-        }]
 
     def guaranteed_pending(self) -> List[LedgerEntry]:
         return self._gpub.pending()

@@ -321,9 +321,6 @@ class BoundedQueue:
         self._maybe_credit()
         return item
 
-    def peek(self) -> Any:
-        return self._items[0]
-
     def items(self) -> Tuple[Any, ...]:
         """The queued items, head first (read-only snapshot)."""
         return tuple(self._items)

@@ -10,12 +10,13 @@
 
 Publisher side (:class:`GuaranteedPublisher`): each guaranteed publish is
 recorded in the host's stable ledger *before* transmission and republished
-on a timer until ``ack_quorum`` distinct consumers have acknowledged it.
-The ledger (and the acks collected so far) survive crashes; on recovery
-the publisher resumes retransmitting unacknowledged entries.
+on a timer until ``ack_quorum`` distinct consumers have acknowledged it,
+at which point it leaves the ledger: the ledger is the *unacknowledged*
+set.  It (and the acks collected so far) survives crashes; on recovery
+the publisher resumes retransmitting what is in it.
 
 Consumer side (:class:`GuaranteedConsumer`): a daemon with *durable*
-subscribers records delivered ledger ids in stable storage, so a
+subscribers appends delivered ledger ids to a stable log, so a
 retransmission after a consumer crash is acknowledged but not delivered
 twice — at-least-once to the application, exactly-once when nothing
 fails.
@@ -50,17 +51,16 @@ class LedgerEntry:
     sender: str          # publishing client id
     payload: bytes
     acks: List[str]      # consumer daemon sessions' hosts that confirmed
-    done: bool = False
 
     def to_record(self) -> dict:
         return {"ledger_id": self.ledger_id, "subject": self.subject,
                 "sender": self.sender, "payload": self.payload,
-                "acks": list(self.acks), "done": self.done}
+                "acks": list(self.acks)}
 
     @classmethod
     def from_record(cls, record: dict) -> "LedgerEntry":
         return cls(record["ledger_id"], record["subject"], record["sender"],
-                   record["payload"], list(record["acks"]), record["done"])
+                   record["payload"], list(record["acks"]))
 
 
 class GuaranteedPublisher:
@@ -82,6 +82,7 @@ class GuaranteedPublisher:
         # so ids from different shard planes can never collide
         self._id_prefix = (f"{host.address}/{namespace}." if namespace
                            else f"{host.address}/")
+        #: the unacknowledged entries, mirrored in stable storage
         self._entries: Dict[str, LedgerEntry] = {}
         self._timer: Optional[PeriodicTimer] = None
         self.retransmits = 0
@@ -106,21 +107,22 @@ class GuaranteedPublisher:
         return ledger_id
 
     def handle_ack(self, ledger_id: str, consumer: str) -> None:
-        """A consumer confirmed stable receipt of ``ledger_id``."""
+        """A consumer confirmed stable receipt of ``ledger_id``.
+
+        The ack that completes the quorum retires the entry; an ack for
+        an id not (or no longer) in the ledger, or a repeat from a
+        consumer already counted, changes nothing and writes nothing.
+        """
         entry = self._entries.get(ledger_id)
-        if entry is None or entry.done:
+        if entry is None or consumer in entry.acks:
             return
-        if consumer not in entry.acks:
-            entry.acks.append(consumer)
+        entry.acks.append(consumer)
         if len(entry.acks) >= self.ack_quorum:
-            entry.done = True
+            del self._entries[ledger_id]
         self._persist()
 
     def pending(self) -> List[LedgerEntry]:
-        return [e for e in self._entries.values() if not e.done]
-
-    def entry(self, ledger_id: str) -> Optional[LedgerEntry]:
-        return self._entries.get(ledger_id)
+        return list(self._entries.values())
 
     def shutdown(self) -> None:
         if self._timer is not None:
@@ -160,23 +162,25 @@ class GuaranteedPublisher:
 
 
 class GuaranteedConsumer:
-    """The consume side: stable dedupe of delivered ledger ids."""
+    """The consume side: stable dedupe of delivered ledger ids.
+
+    The seen-set only grows, so it lives in one of the store's
+    append-only logs: one appended id per first delivery, the in-memory
+    set rebuilt from the log on start and recovery.
+    """
 
     def __init__(self, host: Host, namespace: str = ""):
         self.host = host
         self._seen_key = _SEEN_KEY + namespace
-        self._seen = set(host.stable.get(self._seen_key, []))
+        self.recover()
 
     def first_delivery(self, ledger_id: str) -> bool:
         """True exactly once per ledger id, durably across crashes."""
         if ledger_id in self._seen:
             return False
         self._seen.add(ledger_id)
-        self.host.stable.put(self._seen_key, sorted(self._seen))
+        self.host.stable.append(self._seen_key, ledger_id)
         return True
 
-    def seen(self, ledger_id: str) -> bool:
-        return ledger_id in self._seen
-
     def recover(self) -> None:
-        self._seen = set(self.host.stable.get(self._seen_key, []))
+        self._seen = set(self.host.stable.read_log(self._seen_key))

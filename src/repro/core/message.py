@@ -84,8 +84,9 @@ class Envelope:
     #: marshalled with :func:`repro.objects.marshal.encode_typed`; the
     #: wire layer rides the matching typedef definitions in-band
     #: (:mod:`repro.core.typeplane`).  Send-side only — never encoded
-    #: into the envelope body, so decoded envelopes leave it empty.
-    type_refs: Tuple[int, ...] = ()
+    #: into the envelope body, so decoded envelopes leave it empty and
+    #: equality ignores it: ``decode(encode(p)) == p``.
+    type_refs: Tuple[int, ...] = field(default=(), compare=False)
 
     @property
     def size(self) -> int:

@@ -4,7 +4,7 @@ The paper's deepest claim is that the bus is its own application —
 infrastructure state should be self-describing objects addressable by
 subject, which is exactly how its bus browser and system-management
 tools work (Section 5.1).  Before this module the repro contradicted
-that: telemetry was a pile of hand-rolled dicts (``wire_stats()`` here,
+that: telemetry was a pile of hand-rolled dicts (one per subsystem, a
 ``Router.stats()`` there, module globals in :mod:`repro.core.wire`) with
 no common shape and no way to observe a running bus *over the bus*.
 
@@ -307,7 +307,7 @@ class MetricsPublisher:
     """Periodically renders a registry and hands the snapshot to a sink.
 
     The sink (``publish``) is typically
-    :meth:`repro.core.daemon.BusDaemon.publish_stats` — which wraps the
+    ``BusDaemon._publish_stats`` — which wraps the
     snapshot in a self-describing payload and broadcasts it on the
     reserved ``_bus.stat.<host>.*`` subject space, flow-controlled by
     the daemon's bounded stat queue.  The publisher itself only owns the

@@ -78,10 +78,10 @@ class ReliableSender:
 
     The retention window is a :class:`~repro.core.flow.BoundedBuffer`
     stage: stamping inserts, the count bound rolls the oldest entry out
-    (observable in ``retention_stats``), and the optional age bound
-    expires from the front.  ``now`` is a clock callable used for the
-    time-based bound; pass ``sim.now`` via a lambda (or leave the
-    default for count-only retention).
+    (counted under ``flow.reliable.retention[<session>].*``), and the
+    optional age bound expires from the front.  ``now`` is a clock
+    callable used for the time-based bound; pass ``sim.now`` via a
+    lambda (or leave the default for count-only retention).
     """
 
     def __init__(self, session: str, config: ReliableConfig,
@@ -115,11 +115,6 @@ class ReliableSender:
         """Envelopes re-sent to serve NACK repairs (an int view over
         the ``reliable.send[<session>].retransmissions`` counter)."""
         return self._retransmissions.value
-
-    @property
-    def retention_stats(self):
-        """The retention window's :class:`~repro.core.flow.FlowStats`."""
-        return self._retention.stats
 
     def stamp(self, envelope: Envelope) -> Envelope:
         """Assign the next sequence number and retain for repair."""
@@ -533,12 +528,6 @@ class ReliableReceiver:
         while state.expected in state.buffer:
             envelope, retransmitted = state.buffer.pop(state.expected)
             self._deliver_in_order(state, envelope, retransmitted)
-
-    def _gap(self, state: _SessionState) -> Optional[Tuple[int, int]]:
-        if not state.buffer:
-            return None
-        return (state.expected, max(state.buffer) - 1) \
-            if max(state.buffer) > state.expected else None
 
     def _refresh_gap(self, state: _SessionState) -> None:
         """After progress, cancel or re-aim the outstanding NACK timer."""

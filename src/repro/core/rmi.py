@@ -121,10 +121,12 @@ class RmiServer:
         self._streams = StreamManager(client.sim, client.host, self.port)
         self._streams.listen(self._on_accept)
         #: request id -> encoded reply bytes (marshalled once, replayed
-        #: verbatim for duplicate requests)
+        #: verbatim for duplicate requests); with durable_replies it is
+        #: mirrored by an append-only stable log of (id, reply) pairs
         self._reply_cache: Dict[str, bytes] = {}
         if durable_replies:
-            self._reply_cache = client.host.stable.get(self._stable_key, {})
+            self._reply_cache = dict(
+                client.host.stable.read_log(self._stable_key))
         self._group: Optional[ServerGroup] = None
         if exclusive:
             self._group = ServerGroup(client, service_subject, client.id,
@@ -160,8 +162,8 @@ class RmiServer:
                                       self.port)
         self._streams.listen(self._on_accept)
         if self.durable_replies:
-            self._reply_cache = self.client.host.stable.get(
-                self._stable_key, {})
+            self._reply_cache = dict(
+                self.client.host.stable.read_log(self._stable_key))
 
     @property
     def endpoint(self) -> Tuple[str, int]:
@@ -228,8 +230,8 @@ class RmiServer:
         if self.durable_replies:
             # logged before the reply leaves: a crash after execution
             # cannot cause re-execution on retry
-            self.client.host.stable.put(self._stable_key,
-                                        self._reply_cache)
+            self.client.host.stable.append(self._stable_key,
+                                           (request_id, encoded))
         self.calls_served += 1
         conn.send(encoded)
 

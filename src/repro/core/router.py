@@ -195,17 +195,6 @@ class WanLink:
             sim.schedule(self.latency, deliver, name="wan.deliver")
         self._pump(sim, key)
 
-    def link_stats(self) -> Dict[str, Any]:
-        """Per-direction flow stats plus the link-level drop counter.
-
-        (Renamed from the ambiguous ``stats()``, which collided with
-        :meth:`Router.leg_stats` in every discussion of "router stats".)
-        """
-        out: Dict[str, Any] = {"messages_dropped": self.messages_dropped}
-        for key, queue in self._queues.items():
-            out[f"{key[0]}->{key[1]}"] = queue.stats.snapshot()
-        return out
-
 
 class RouterLeg:
     """One router foot on one bus."""
@@ -240,6 +229,9 @@ class RouterLeg:
         #: forwards shed by the WAN queue's drop policy or a down link
         self._forwards_shed = scope.counter("shed")
         self._sf_timer = None
+        #: shipment ids already republished here, mirrored by an
+        #: append-only stable log (store-and-forward target side)
+        self._sf_seen = set(self.host.stable.read_log(self._SF_SEEN))
         self.host.on_recover(self._on_host_recover)
         self.client.subscribe(ADVERT_SUBJECT, self._on_advert)
         if router.bridge_stats:
@@ -415,10 +407,9 @@ class RouterLeg:
         if not self.client.daemon.up:
             return   # origin keeps retrying until we are back
         record = decode(data, self.router.registry)
-        seen = set(self.host.stable.get(self._SF_SEEN, []))
-        if record["sf_id"] not in seen:
-            seen.add(record["sf_id"])
-            self.host.stable.put(self._SF_SEEN, sorted(seen))
+        if record["sf_id"] not in self._sf_seen:
+            self._sf_seen.add(record["sf_id"])
+            self.host.stable.append(self._SF_SEEN, record["sf_id"])
             obj = decode(record["wire"], self.router.registry)
             out_subject = (self.transform(record["subject"])
                            if self.transform else record["subject"])
@@ -463,7 +454,9 @@ class RouterLeg:
             self._sf_ship(record)
 
     def _on_host_recover(self) -> None:
-        """Resume shipping anything the crash left in the pending log."""
+        """Reload the seen log and resume shipping anything the crash
+        left pending."""
+        self._sf_seen = set(self.host.stable.read_log(self._SF_SEEN))
         if self.host.stable.get(self._SF_PENDING, {}):
             self._sf_arm_timer()
 
@@ -659,16 +652,3 @@ class Router:
                 continue
             self.link.send(self._sim, origin.name, leg.name, len(data),
                            lambda leg=leg: leg._stat_receive(data))
-
-    def leg_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-leg forwarding counters (renamed from the ambiguous
-        ``stats()``, which collided with :meth:`WanLink.link_stats`)."""
-        return {name: {"forwarded": leg.messages_forwarded,
-                       "republished": leg.messages_republished,
-                       "deferred": leg.forwards_deferred,
-                       "shed": leg.forwards_shed}
-                for name, leg in self.legs.items()}
-
-    def flow_stats(self) -> Dict[str, Any]:
-        """The WAN link's per-direction flow-control queue stats."""
-        return self.link.link_stats()

@@ -285,13 +285,6 @@ class ShardedDaemon:
     # ------------------------------------------------------------------
     # introspection (aggregated across planes)
     # ------------------------------------------------------------------
-    def shard_stats(self) -> List[Dict[str, Any]]:
-        """One row per shard plane (see :meth:`BusDaemon.shard_stats`)."""
-        rows: List[Dict[str, Any]] = []
-        for daemon in self.shards:
-            rows.extend(daemon.shard_stats())
-        return rows
-
     def reliable_stats(self, session: str):
         for daemon in self.shards:
             if session in daemon._receiver.sessions():
@@ -303,8 +296,8 @@ class ShardedDaemon:
 
         Counters sum, depths sum, high watermarks take the max, and the
         name/capacity/policy identity fields come from shard 0 — so
-        ``flow_stats()["deliver[app]"]`` keeps working unchanged for
-        :meth:`BusClient.delivery_stats`.
+        ``flow_stats()["deliver[app]"]`` reads the same on either kind
+        of daemon.
         """
         merged: Dict[str, Dict[str, Any]] = {}
         for daemon in self.shards:
@@ -313,14 +306,6 @@ class ShardedDaemon:
                 merged[key] = snap if seen is None else \
                     _merge_snapshots(seen, snap)
         return merged
-
-    def wire_stats(self) -> Dict[str, Any]:
-        """Per-plane wire state, summed."""
-        out = dict(self.shards[0].wire_stats())
-        for daemon in self.shards[1:]:
-            for key, value in daemon.wire_stats().items():
-                out[key] += value
-        return out
 
     def guaranteed_pending(self) -> List[LedgerEntry]:
         pending: List[LedgerEntry] = []

@@ -115,12 +115,6 @@ starves the receiver's string table.  A digest read leaves its parse
 in the frame memo at stage 4; whichever receiver does want the frame
 picks it up there and only walks the bodies.
 
-Envelope bodies decode to :class:`EnvelopeView`\\ s: header fields are
-parsed eagerly (they drive matching and ordering) but the payload stays
-a zero-copy slice of the frame buffer and is copied out at most once,
-on first access — delivery, retention, and router re-encode hydrate;
-an envelope nobody reads never pays the copy.
-
 Frame body layout (all integers varint unless noted)::
 
     packet     := kind:u8 flags:u8 session:str session_start:f64
@@ -173,7 +167,7 @@ from ..sim.framing import (CorruptFrame, Cursor, frame, unframe_view,
 from .message import Envelope, Packet, PacketKind, QoS
 from .metrics import MetricsRegistry
 
-__all__ = ["CorruptFrame", "DEFAULT_DECODE_MEMO_CAPACITY", "EnvelopeView",
+__all__ = ["CorruptFrame", "DEFAULT_DECODE_MEMO_CAPACITY",
            "FrameDigest", "StringTable",
            "UnresolvedStringId", "UnresolvedTypeId",
            "configure_decode_memo",
@@ -286,75 +280,6 @@ class StringTable:
         self.ids[text] = idx
         self.strings.append(_intern(text))
         return idx, True
-
-
-class EnvelopeView(Envelope):
-    """A decoded envelope whose payload is still a view into its frame.
-
-    Header fields (subject, session, seq, ...) are parsed eagerly —
-    they drive subscription matching and reliable ordering — but the
-    payload stays a zero-copy ``memoryview`` slice of the (immutable)
-    frame buffer.  The first ``payload`` read copies it out to ``bytes``
-    exactly once (counted in ``wire.lazy.hydrations``); an envelope that
-    is decoded but never delivered, retained, or re-encoded never pays
-    the copy.  Compares equal to a plain :class:`Envelope` with the same
-    fields, and is assignable/cacheable like one (``payload`` has a
-    setter; ``_wire_cache`` attributes land in the instance dict), so
-    everything downstream of the decoder treats it as an Envelope.
-    """
-
-    def __init__(self, subject: str, sender: str, session: str, seq: int,
-                 qos: QoS, ledger_id: Optional[str], publish_time: float,
-                 via: Tuple[str, ...], envelope_id: int,
-                 payload_view: memoryview):
-        # not the dataclass __init__: ``payload`` stays a lazy property
-        self.subject = subject
-        self.sender = sender
-        self.session = session
-        self.seq = seq
-        self.qos = qos
-        self.ledger_id = ledger_id
-        self.publish_time = publish_time
-        self.via = via
-        self.envelope_id = envelope_id
-        self.type_refs = ()   # send-side field; not carried in bodies
-        self._payload_view = payload_view
-        self._payload: Optional[bytes] = None
-        _lazy_views.value += 1
-
-    @property
-    def payload(self) -> bytes:
-        payload = self._payload
-        if payload is None:
-            payload = self._payload_view.tobytes()
-            self._payload = payload
-            self._payload_view = None
-            _lazy_hydrations.value += 1
-        return payload
-
-    @payload.setter
-    def payload(self, value: bytes) -> None:
-        self._payload = value
-        self._payload_view = None
-
-    @property
-    def hydrated(self) -> bool:
-        """True once the payload bytes have been materialized."""
-        return self._payload is not None
-
-    def __eq__(self, other: object) -> bool:
-        # the Envelope dataclass __eq__ requires an exact class match;
-        # a view must instead compare equal to any Envelope with the
-        # same fields (round-trip tests, retention lookups)
-        if not isinstance(other, Envelope):
-            return NotImplemented
-        return (
-            (self.subject, self.sender, self.session, self.seq,
-             self.payload, self.qos, self.ledger_id, self.publish_time,
-             self.via, self.envelope_id)
-            == (other.subject, other.sender, other.session, other.seq,
-                other.payload, other.qos, other.ledger_id,
-                other.publish_time, other.via, other.envelope_id))
 
 
 # ----------------------------------------------------------------------
@@ -623,10 +548,6 @@ _wire_metrics.gauge("wire.decode_memo.size", source=lambda: len(_memo))
 _digest_memo_hits = _wire_metrics.counter("wire.digest_memo.hits")
 _digest_memo_misses = _wire_metrics.counter("wire.digest_memo.misses")
 _wire_metrics.gauge("wire.digest_memo.size", source=lambda: len(_memo))
-#: lazy-payload accounting: views created by the decoder vs views whose
-#: payload something downstream actually materialized
-_lazy_views = _wire_metrics.counter("wire.lazy.views")
-_lazy_hydrations = _wire_metrics.counter("wire.lazy.hydrations")
 #: typedef-region accounting: definitions written by encoders vs
 #: definitions learned by fresh (non-memoized) walks of a typedef region
 _typedef_defined = _wire_metrics.counter("wire.typedef.defined")
@@ -634,24 +555,24 @@ _typedef_learned = _wire_metrics.counter("wire.typedef.learned")
 
 
 def wire_metrics() -> MetricsRegistry:
-    """The module-level registry holding the decode-memo, digest-memo,
-    and lazy-payload (``wire.lazy.*``) instruments."""
+    """The module-level registry holding the decode-memo, digest-memo
+    and typedef (``wire.typedef.*``) instruments."""
     return _wire_metrics
 
 
 def configure_decode_memo(capacity: int = DEFAULT_DECODE_MEMO_CAPACITY
                           ) -> None:
     """Resize the frame memo (0 disables it); clears entries and every
-    module-level wire counter (memo hit/miss, ``wire.lazy.*``,
-    ``wire.typedef.*``) so runs start cold."""
+    module-level wire counter (memo hit/miss, ``wire.typedef.*``) so
+    runs start cold."""
     global _memo_capacity
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0 (got {capacity})")
     _memo_capacity = capacity
     _memo.clear()
     for counter in (_decode_memo_hits, _decode_memo_misses,
-                    _digest_memo_hits, _digest_memo_misses, _lazy_views,
-                    _lazy_hydrations, _typedef_defined, _typedef_learned):
+                    _digest_memo_hits, _digest_memo_misses,
+                    _typedef_defined, _typedef_learned):
         counter.reset()
 
 
@@ -930,6 +851,9 @@ def _walk(data: bytes, tables: Optional[Dict[str, Dict[int, str]]],
         if acts:
             (_decode_memo_misses if bodies
              else _digest_memo_misses).value += 1
+        # every receiver of this broadcast gets this one Packet and its
+        # Envelopes: nothing on the receive path assigns to a decoded
+        # envelope, so sharing them is safe
         _memo[key] = parse
         while len(_memo) > _memo_capacity:
             _memo.popitem(last=False)
@@ -937,7 +861,7 @@ def _walk(data: bytes, tables: Optional[Dict[str, Dict[int, str]]],
 
 
 def _read_envelope(cur: Cursor, table: Optional[Dict[int, str]],
-                   refs: Set[int]) -> EnvelopeView:
+                   refs: Set[int]) -> Envelope:
     flags = cur.u8()
     subject = _read_header_str(cur, table, refs)
     sender = _read_header_str(cur, table, refs)
@@ -954,8 +878,8 @@ def _read_envelope(cur: Cursor, table: Optional[Dict[int, str]],
         ledger_id = _read_header_str(cur, table, refs)
     via = tuple([_read_header_str(cur, table, refs)
                  for _ in range(cur.varint())])
-    return EnvelopeView(subject, sender, session, seq, qos, ledger_id,
-                        publish_time, via, envelope_id, cur.view_())
+    return Envelope(subject, sender, session, seq, cur.bytes_(), qos,
+                    ledger_id, publish_time, via, envelope_id)
 
 
 def decode_packet(data: bytes,

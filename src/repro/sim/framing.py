@@ -183,19 +183,6 @@ class Cursor:
         self.pos = pos + length
         return self.buf[pos:pos + length].tobytes()
 
-    def view_(self) -> memoryview:
-        """Like :meth:`bytes_` but zero-copy: the returned view aliases
-        the frame buffer.  For fields that may never be materialized —
-        lazy envelope payloads copy out only if something downstream
-        actually reads them (see :class:`repro.core.wire.EnvelopeView`).
-        """
-        length = self.varint()
-        pos = self.pos
-        if pos + length > self.end:
-            raise CorruptFrame("truncated bytes field")
-        self.pos = pos + length
-        return self.buf[pos:pos + length]
-
     def str_(self) -> str:
         length = self.varint()
         pos = self.pos

@@ -71,7 +71,7 @@ def run_overload(seed, trace=False):
         "gold": sorted(gold),
         "receipts": receipts,
         "gold_admissions": [r.admission.value for r in gold_receipts],
-        "flow": bus.flow_stats(),
+        "flow": {a: d.flow_stats() for a, d in bus.daemons.items()},
         "pending": len(bus.daemon("node00").guaranteed_pending()),
         "trace_flow": tracer.category_counts("flow."),
     }
@@ -165,7 +165,8 @@ def test_slow_consumer_sheds_without_stalling_sibling():
     assert max(fast_latency) < 0.05
 
     # the slow app's lane stayed bounded and shed per its policy
-    slow_stats = slow.delivery_stats()
+    lanes = bus.daemon("node01").flow_stats()
+    slow_stats = lanes["deliver[slow]"]
     assert slow_stats["high_watermark"] <= 32
     assert slow_stats["dropped_oldest"] > 0
     assert slow_count[0] < total[0]
@@ -173,7 +174,7 @@ def test_slow_consumer_sheds_without_stalling_sibling():
     assert slow_count[0] > total[0] // 20
 
     # the fast sibling's lane never even queued
-    fast_stats = fast.delivery_stats()
+    fast_stats = lanes["deliver[fast]"]
     assert fast_stats["dropped"] == 0
 
 

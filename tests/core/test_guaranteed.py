@@ -5,10 +5,14 @@ database over an unreliable network" — so these scenarios model a
 publisher feeding a durable consumer (the Object Repository pattern).
 """
 
-from repro.core import BusConfig, InformationBus, QoS
+import pytest
+
+from repro.core import (BusConfig, DAEMON_PORT, InformationBus, Packet,
+                        PacketKind, QoS, encode_packet)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel
+from repro.sim.transport import DatagramSocket
 
 
 def story_registry():
@@ -49,7 +53,7 @@ def test_message_logged_before_send():
     ledger = bus.host("node00").stable.get("gd.ledger")
     assert len(ledger) == 1
     assert ledger[0]["subject"] == "gd.data"
-    assert not ledger[0]["done"]
+    assert ledger[0]["acks"] == []
 
 
 def test_retransmits_until_consumer_ack():
@@ -114,6 +118,9 @@ def test_non_durable_subscribers_see_guaranteed_messages_once():
 
 
 def test_ack_quorum_two_consumers():
+    """With a quorum of two and one of two durable consumers cut off,
+    the entry stays in the ledger with the one ack it has, durably;
+    the second ack retires it.  Both consumers store the message once."""
     config = BusConfig()
     config.ack_quorum = 2
     bus = InformationBus(seed=6, cost=CostModel.ideal(), config=config)
@@ -127,15 +134,22 @@ def test_ack_quorum_two_consumers():
             "gd.>", lambda s, o, i, box=box: box.append(o.get("n")),
             durable=True)
         boxes.append(box)
+    bus.partition({"node00", "node01"}, {"node02"})
     pub.publish("gd.data", DataObject(reg, "record", n=9),
                 qos=QoS.GUARANTEED)
     bus.settle(3.0)
-    assert boxes[0] == [9] and boxes[1] == [9]
-    assert bus.daemon("node00").guaranteed_pending() == []
-    entry = bus.daemon("node00")._gpub.entry(
-        bus.daemon("node00").guaranteed_pending() or
-        bus.host("node00").stable.get("gd.ledger")[0]["ledger_id"])
-    assert sorted(entry.acks) == ["node01", "node02"]
+    assert boxes == [[9], []]
+    publisher = bus.daemon("node00")
+    assert [entry.acks for entry in publisher.guaranteed_pending()] == \
+        [["node01"]]
+    stable = bus.host("node00").stable
+    assert [record["acks"] for record in stable.get("gd.ledger")] == \
+        [["node01"]]
+    bus.heal()
+    bus.settle(3.0)
+    assert boxes == [[9], [9]]      # node01 re-acked, did not redeliver
+    assert publisher.guaranteed_pending() == []
+    assert stable.get("gd.ledger") == []
 
 
 def test_local_durable_consumer_acks_without_network():
@@ -162,3 +176,137 @@ def test_guaranteed_survives_lossy_network():
     bus.settle(20.0)
     assert sorted(received) == list(range(10))
     assert bus.daemon("node00").guaranteed_pending() == []
+
+
+# ----------------------------------------------------------------------
+# the ledger is the unacknowledged set
+# ----------------------------------------------------------------------
+
+def watch_ledger_puts(monkeypatch, bus, address="node00"):
+    """Record how many entries each ``put`` under ``gd.ledger`` carried,
+    checking each against what was unacknowledged at that instant."""
+    sizes = []
+    stable = bus.host(address).stable
+    real_put = stable.put
+
+    def put(key, value):
+        if key == "gd.ledger":
+            assert len(value) == len(bus.daemon(address).guaranteed_pending())
+            sizes.append(len(value))
+        real_put(key, value)
+
+    monkeypatch.setattr(stable, "put", put)
+    return sizes
+
+
+@pytest.mark.parametrize("crash_at", [None, 100], ids=["steady", "crash"])
+def test_acknowledged_entries_leave_the_ledger(monkeypatch, crash_at):
+    bus, reg, pub, consumer, received = setup(seed=9)
+    sizes = watch_ledger_puts(monkeypatch, bus)
+    for n in range(200):
+        if n == crash_at:
+            bus.crash_host("node00")
+            bus.run_for(0.2)
+            bus.recover_host("node00")   # reloads an empty ledger
+        pub.publish("gd.data", DataObject(reg, "record", n=n),
+                    qos=QoS.GUARANTEED)
+        bus.run_for(0.05)
+    bus.settle(3.0)
+    assert received == list(range(200))
+    assert bus.host("node00").stable.get("gd.ledger") == []
+    assert bus.daemon("node00")._gpub._entries == {}
+    assert len(sizes) == 400            # one write per record, one per ack
+    assert max(sizes) <= 3              # what was in flight, never history
+
+
+def test_ledger_holds_exactly_the_unacknowledged(monkeypatch):
+    bus, reg, pub, consumer, received = setup(seed=10)
+    sizes = watch_ledger_puts(monkeypatch, bus)
+    bus.partition({"node00"}, {"node01", "node02"})
+    for n in range(40):
+        if n == 20:
+            bus.heal()
+            bus.settle(3.0)
+            assert bus.host("node00").stable.get("gd.ledger") == []
+        pub.publish("gd.data", DataObject(reg, "record", n=n),
+                    qos=QoS.GUARANTEED)
+        bus.run_for(0.05)
+        if n == 19:
+            ledger = bus.host("node00").stable.get("gd.ledger")
+            assert len(ledger) == 20
+            assert [record["ledger_id"] for record in ledger] == \
+                [entry.ledger_id
+                 for entry in bus.daemon("node00").guaranteed_pending()]
+    bus.settle(3.0)
+    assert sorted(received) == list(range(40))
+    assert bus.host("node00").stable.get("gd.ledger") == []
+    assert max(sizes) == 20
+
+
+def test_seen_log_survives_consumer_crash():
+    """A durable consumer that stored 51 messages, crashed and recovered
+    re-acks a retransmission of the last one without redelivering it:
+    its seen-set is rebuilt from the stable log.  (Holds at the parent
+    of the change that introduced the log; it pins the reload.)"""
+    bus, reg, pub, _consumer, _received = setup(seed=11)
+    received = []
+
+    def on_record(subject, obj, info):
+        received.append(obj.get("n"))
+        if obj.get("n") == 50:
+            # the publisher dies before this delivery's ack reaches it
+            bus.crash_host("node00")
+
+    bus.client("node01", "audit").subscribe("gd.>", on_record, durable=True)
+    for n in range(51):
+        pub.publish("gd.data", DataObject(reg, "record", n=n),
+                    qos=QoS.GUARANTEED)
+        bus.run_for(0.05)
+    assert received == list(range(51))
+    consumer = bus.daemon("node01")
+    acks_before = consumer.acks_sent
+    bus.crash_host("node01")
+    bus.run_for(0.2)
+    bus.recover_host("node01")
+    bus.recover_host("node00")          # entry 50 is still in its ledger
+    assert len(bus.daemon("node00").guaranteed_pending()) == 1
+    bus.settle(3.0)
+    assert consumer.acks_sent > acks_before   # the retransmission: re-acked
+    assert received == list(range(51))  # ... and not redelivered
+    assert bus.daemon("node00").guaranteed_pending() == []
+
+
+# ----------------------------------------------------------------------
+# malformed ACKs confirm nothing
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("fields", [("ack_ledger_id",), ("ack_consumer",), ()],
+                         ids=["no-consumer", "no-ledger-id", "neither"])
+def test_malformed_ack_leaves_the_entry_pending(fields):
+    """Both ACK fields are optional on the wire; an ACK lacking either
+    must not complete (or touch) the entry it names — and a well-formed
+    one afterwards still does."""
+    bus = InformationBus(seed=12, cost=CostModel.ideal())
+    bus.add_hosts(2)
+    reg = story_registry()
+    pub = bus.client("node00", "feed", registry=reg)
+    pub.publish("gd.data", DataObject(reg, "record", n=1),
+                qos=QoS.GUARANTEED)     # no durable subscriber anywhere
+    publisher = bus.daemon("node00")
+    stable = bus.host("node00").stable
+    (entry,) = publisher.guaranteed_pending()
+    well_formed = {"ack_ledger_id": entry.ledger_id, "ack_consumer": "node01"}
+    rogue = DatagramSocket(bus.sim, bus.host("node01"), 99,
+                           lambda *args: None)
+
+    def send_ack(**ack):
+        rogue.sendto(encode_packet(Packet(PacketKind.ACK, "node01#0", **ack)),
+                     "node00", DAEMON_PORT)
+        bus.run_for(0.1)
+
+    send_ack(**{name: well_formed[name] for name in fields})
+    assert [e.acks for e in publisher.guaranteed_pending()] == [[]]
+    assert [r["acks"] for r in stable.get("gd.ledger")] == [[]]
+    send_ack(**well_formed)
+    assert publisher.guaranteed_pending() == []
+    assert stable.get("gd.ledger") == []

@@ -14,13 +14,14 @@ boundary documented in docs/PROTOCOLS.md).
 
 import pytest
 
-from repro.core import (BusConfig, CorruptFrame, Envelope, EnvelopeView,
+from repro.core import (BusConfig, CorruptFrame, Envelope,
                         InformationBus, Packet, PacketKind, QoS, Router,
                         StringTable, UnresolvedStringId, decode_packet,
                         encode_packet, read_digest)
 from repro.core import wire
 from repro.core.daemon import BusDaemon
 from repro.core.reliable import ReliableConfig, ReliableReceiver
+from repro.core.typeplane import TypeTable
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator
@@ -206,23 +207,25 @@ def test_digest_memo_shares_parses():
 
 
 # ----------------------------------------------------------------------
-# lazy envelope decode
+# one envelope class
 # ----------------------------------------------------------------------
 
-def test_decoded_envelopes_are_lazy_views():
-    wire.configure_decode_memo()
-    data = encode_packet(Packet(PacketKind.DATA, "node00#0",
-                                [make_envelope(seq=1)], session_start=0.0))
+def test_decoded_envelopes_are_plain_envelopes():
+    """A typed packet round-trips to exactly an ``Envelope`` equal to
+    the original: ``type_refs`` is send-side only, never on the wire,
+    so equality ignores it."""
+    types = TypeTable()
+    assert types.intern(TypeDescriptor(
+        "story", attributes=[AttributeSpec("headline", "string")])) == 0
+    original = make_envelope(seq=1, type_refs=(0,))
+    data = encode_packet(Packet(PacketKind.DATA, "node00#0", [original],
+                                session_start=0.0), type_table=types)
     envelope = decode_packet(data).envelopes[0]
-    assert isinstance(envelope, EnvelopeView)
-    assert not envelope.hydrated
-    metrics = wire.wire_metrics()
-    assert metrics.counter("wire.lazy.views").value == 1
-    assert metrics.counter("wire.lazy.hydrations").value == 0
-    assert envelope.payload == b"payload-bytes"   # hydrates exactly once
-    assert envelope.hydrated
-    assert envelope.payload == b"payload-bytes"
-    assert metrics.counter("wire.lazy.hydrations").value == 1
+    assert type(envelope) is Envelope
+    assert type(envelope.payload) is bytes
+    assert envelope.type_refs == ()
+    assert envelope == original
+    assert make_envelope(seq=1) == make_envelope(seq=1, type_refs=(0, 1))
 
 
 def test_envelope_view_equals_eager_envelope():
@@ -352,9 +355,11 @@ def test_uninterested_daemon_skips_frames():
     gated = quiet.reliable_stats(session)
     assert gated.delivered == interested.delivered
     assert gated.nacks_sent == interested.nacks_sent == 0
-    stats = quiet.wire_stats()
-    assert stats["skipped_frames"] == quiet.skipped_frames
-    assert stats["skipped_envelopes"] == quiet.skipped_envelopes
+    snapshot = quiet.metrics.snapshot()
+    assert snapshot["daemon.node02.wire.skipped_frames"]["value"] == \
+        quiet.skipped_frames
+    assert snapshot["daemon.node02.wire.skipped_envelopes"]["value"] == \
+        quiet.skipped_envelopes
 
 
 @pytest.mark.parametrize("typed", [False, True], ids=["dict", "typed"])
@@ -525,7 +530,7 @@ def test_router_forwarding_interest_rides_the_gate():
     sim.run_until(4.0)
     gated = [east.daemons[h].skipped_frames for h in ("e01", "e02")]
     assert all(count > 0 for count in gated), gated
-    assert all(s["forwarded"] == 0 for s in router.leg_stats().values())
+    assert all(leg.messages_forwarded == 0 for leg in router.legs.values())
     pub.publish("news.equity.gmc", story)      # forwarded: full path
     sim.run_until(6.0)
     assert received == ["news.equity.gmc"]

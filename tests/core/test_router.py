@@ -57,8 +57,7 @@ def test_no_remote_subscription_no_forwarding():
     sim.run_until(2.0)
     pub.publish("news.equity.gmc", DataObject(reg, "story", headline="X"))
     sim.run_until(4.0)
-    stats = router.leg_stats()
-    assert all(s["forwarded"] == 0 for s in stats.values())
+    assert all(leg.messages_forwarded == 0 for leg in router.legs.values())
 
 
 def test_wildcard_subscription_forwards():

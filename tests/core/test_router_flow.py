@@ -1,8 +1,10 @@
 """Flow control on the WAN link: bounded store-and-forward queues,
 observable drops, and backpressure on the router leg."""
 
+from repro.adapters import Adapter
 from repro.core import (Admission, BusConfig, InformationBus,
-                        POLICY_DROP_NEWEST, Router, WanLink)
+                        MetricsRegistry, POLICY_DROP_NEWEST, Router,
+                        ShardedDaemon, WanLink)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator
@@ -55,8 +57,7 @@ def test_down_link_drops_are_counted_and_traced():
     assert len(drops) >= 4
     assert drops[0]["queue"].startswith("wan[")
     # the leg noticed its forwards were shed
-    stats = router.leg_stats()
-    assert any(s["shed"] >= 4 for s in stats.values())
+    assert any(leg.forwards_shed >= 4 for leg in router.legs.values())
 
 
 def test_saturated_link_queues_within_bounds_then_sheds():
@@ -74,21 +75,25 @@ def test_saturated_link_queues_within_bounds_then_sheds():
     for i in range(6):
         pub.publish(f"news.n{i}", DataObject(reg, "story", headline="X"))
     sim.run_until(20.0)
-    stats = router.leg_stats()
-    shed = sum(s["shed"] for s in stats.values())
+    shed = sum(leg.forwards_shed for leg in router.legs.values())
     assert shed > 0
     assert 0 < len(received) < 6
-    flow = router.flow_stats()
-    direction = [v for k, v in flow.items() if k != "messages_dropped"]
-    assert direction   # per-direction queue stats exposed
-    for snap in direction:
-        assert snap["high_watermark"] <= snap["capacity"]
-    assert sum(s["dropped"] for s in direction) == shed
+    # per-direction queue instruments live in the router's registry
+    flow = {name: row["value"]
+            for name, row in router.metrics.snapshot().items()
+            if name.startswith("router.router.flow.wan[")}
+    watermarks = [v for k, v in flow.items() if k.endswith(".high_watermark")]
+    assert watermarks
+    assert all(mark <= slow.queue_capacity for mark in watermarks)
+    assert sum(v for k, v in flow.items()
+               if k.endswith((".dropped_newest", ".dropped_oldest"))) == shed
 
 
 def test_link_send_returns_admission():
     link = WanLink(queue_capacity=1, overflow_policy=POLICY_DROP_NEWEST,
                    bandwidth_bytes_per_sec=10.0)
+    registry = MetricsRegistry()
+    link.attach_metrics(registry)
     sim = Simulator(seed=1)
     delivered = []
     # first transfer starts immediately; second queues; third sheds
@@ -103,17 +108,30 @@ def test_link_send_returns_admission():
                      no_shed=True) is Admission.DEFERRED
     sim.run()
     assert delivered == [1, 2]
-    stats = link.link_stats()
-    assert stats["a->b"]["dropped_newest"] == 1
-    assert stats["a->b"]["deferred"] == 1
+    assert registry.counter("flow.wan[a->b].dropped_newest").value == 1
+    assert registry.counter("flow.wan[a->b].deferred").value == 1
 
 
 def test_deprecated_stats_aliases_are_gone():
-    # the PR-7 `stats()` shims had their two-release grace period;
-    # `leg_stats()`/`link_stats()` are the only spellings now
+    # the PR-7 `stats()` shims, and since PR 20 the dict copies that
+    # replaced them: counters are read from the registry and the int
+    # views (docs/OBSERVABILITY.md, "Where to read it")
     sim, east, west, router = two_buses()
     sim.run_until(1.0)
-    assert not hasattr(router, "stats")
-    assert not hasattr(router.link, "stats")
-    assert len(router.leg_stats()) == 2
-    assert "messages_dropped" in router.link.link_stats()
+    leg = next(iter(router.legs.values()))
+    daemon = leg.client.daemon
+    retired = [
+        (router, ("stats", "leg_stats", "flow_stats")),
+        (router.link, ("stats", "link_stats")),
+        (east, ("flow_stats",)),
+        (leg.client, ("delivery_stats",)),
+        (daemon, ("wire_stats", "shard_stats", "publish_stats")),
+        (daemon._sender, ("retention_stats",)),
+        (ShardedDaemon, ("wire_stats", "shard_stats")),
+        (Adapter, ("stats",)),
+    ]
+    for owner, names in retired:
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+    assert len(router.legs) == 2
+    assert router.link.messages_dropped == 0

@@ -100,12 +100,14 @@ def test_sharded_bus_builds_a_facade_with_per_plane_ports():
     bus = make_bus(shards=4, hosts=1)
     daemon = bus.daemon("node00")
     assert isinstance(daemon, ShardedDaemon)
-    rows = daemon.shard_stats()
-    assert [row["shard"] for row in rows] == [0, 1, 2, 3]
-    assert [row["port"] for row in rows] == \
+    assert [plane.shard for plane in daemon.shards] == [0, 1, 2, 3]
+    assert [shard_data_port(k) for k in range(4)] == \
         [DAEMON_PORT + SHARD_PORT_STRIDE * k for k in range(4)]
-    assert [row["stat_port"] for row in rows] == \
+    assert [shard_stat_port(k) for k in range(4)] == \
         [STAT_PORT + SHARD_PORT_STRIDE * k for k in range(4)]
+    host = bus.host("node00")
+    assert all(host.port_bound(shard_data_port(k))
+               and host.port_bound(shard_stat_port(k)) for k in range(4))
     assert shard_data_port(0) == DAEMON_PORT
     assert shard_stat_port(0) == STAT_PORT
 
@@ -148,8 +150,7 @@ def test_publishes_route_to_owning_plane_and_are_counted():
         assert snapshot[name]["value"] >= 3
     # each literal-first pattern landed on exactly one plane, so the
     # per-plane published counters only count their own subjects
-    by_shard = {row["shard"]: row for row in daemon.shard_stats()}
-    assert sum(row["published"] for row in by_shard.values()) == \
+    assert sum(plane.published for plane in daemon.shards) == \
         daemon.published
 
 
@@ -181,8 +182,7 @@ def test_facade_counters_sum_across_planes():
     daemon = bus.daemon("node00")
     assert daemon.published >= 4
     assert bus.daemon("node01").delivered >= 4
-    # flow_stats keeps the per-client deliver[...] keys the client's
-    # delivery_stats view depends on
+    # flow_stats keeps the per-client deliver[...] keys
     flow = bus.daemon("node01").flow_stats()
     assert any(key.startswith("deliver[") for key in flow)
 
@@ -427,4 +427,4 @@ def test_router_bridges_two_sharded_buses():
     sim.run_until(5.0)
     assert received == list(range(5))
     # the leg forwarded across planes with its usual counters
-    assert any(s["forwarded"] >= 5 for s in router.leg_stats().values())
+    assert any(leg.messages_forwarded >= 5 for leg in router.legs.values())

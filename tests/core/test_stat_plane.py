@@ -66,7 +66,7 @@ def _run_workload(stat_interval):
         "trace": [(r.time, r.category, r.fields) for r in tracer.records],
         "registries": {a: d.metrics.snapshot()
                        for a, d in bus.daemons.items()},
-        "flow": bus.flow_stats(),
+        "flow": {a: d.flow_stats() for a, d in bus.daemons.items()},
         "client_counts": [pub.messages_published, slow.messages_received,
                           fast.messages_received],
     }
@@ -129,7 +129,7 @@ def test_stat_self_traffic_is_not_measured_but_is_flow_controlled():
     assert daemon.delivered == 0                      # not counted
     assert browser._latency.count == 0                # not measured
     # but delivered through the ordinary bounded lane (flow-controlled)
-    assert browser.delivery_stats()["offered"] >= len(got)
+    assert daemon.flow_stats()["deliver[browser]"]["offered"] >= len(got)
 
 
 def test_stat_queue_sheds_oldest_under_backpressure():

@@ -43,6 +43,12 @@ def make_story(reg, n):
                       source=DataObject(reg, "source", name="Reuters"))
 
 
+def typedef_metric(daemon, leaf):
+    """One ``daemon.<host>.wire.typedef.<leaf>`` instrument's value."""
+    name = f"daemon.{daemon.host.address}.wire.typedef.{leaf}"
+    return daemon.metrics.snapshot()[name]["value"]
+
+
 def test_bare_receiver_learns_types_from_the_wire():
     bus = make_bus()
     reg = story_registry()
@@ -58,10 +64,10 @@ def test_bare_receiver_learns_types_from_the_wire():
     assert sub.registry.has("story") and sub.registry.has("source")
     assert sub.decode_errors == 0
     # the definitions travelled once, not in every payload
-    recv = bus.daemons["node01"].wire_stats()
-    assert recv["typedef_peer_sessions"] == 1
-    assert recv["typedef_peer_types"] == 3          # root, source, story
-    assert bus.daemons["node00"].wire_stats()["typedef_table_types"] == 3
+    recv = bus.daemons["node01"]
+    assert typedef_metric(recv, "peer_sessions") == 1
+    assert typedef_metric(recv, "peer_types") == 3   # root, source, story
+    assert len(bus.daemons["node00"].type_table) == 3
 
 
 def test_steady_state_payloads_shrink():
@@ -133,7 +139,7 @@ def test_unresolved_type_id_drops_and_arms_repair():
     stories = [o.get("n") for o in got[1:]]
     assert stories == list(range(4))
     assert sub.decode_errors == 0
-    assert daemon.wire_stats()["typedef_unresolved_dropped"] == \
+    assert typedef_metric(daemon, "unresolved_dropped") == \
         daemon.typedef_unresolved_dropped
 
 
@@ -192,9 +198,8 @@ def test_plane_off_reproduces_inline_baseline():
     bus.settle()
     assert [o.get("n") for o in got] == list(range(5))
     assert sub.registry.has("story")       # learned inline, the old way
-    stats = bus.daemons["node00"].wire_stats()
-    assert stats["typedef_table_types"] == 0
-    assert bus.daemons["node01"].wire_stats()["typedef_peer_sessions"] == 0
+    assert len(bus.daemons["node00"].type_table) == 0
+    assert typedef_metric(bus.daemons["node01"], "peer_sessions") == 0
 
 
 def test_explicit_inline_types_bypasses_the_plane():
@@ -207,7 +212,7 @@ def test_explicit_inline_types_bypasses_the_plane():
     pub.publish("news.x", make_story(reg, 0), inline_types=True)
     pub.publish("news.x", make_story(reg, 1), inline_types=True)
     bus.settle()
-    assert bus.daemons["node00"].wire_stats()["typedef_table_types"] == 0
+    assert len(bus.daemons["node00"].type_table) == 0
     assert got[0] == got[1]                # both self-contained, same size
 
 
@@ -233,7 +238,7 @@ def test_gated_daemon_still_learns_typedefs():
     assert late_box == list(range(late_box[0], 30))
     assert client.decode_errors == 0
     # the typedefs arrived on skipped frames, before the subscribe
-    assert daemon.wire_stats()["typedef_peer_types"] == 3
+    assert typedef_metric(daemon, "peer_types") == 3
     session = bus.daemons["node00"].session
     assert daemon.reliable_stats(session).nacks_sent == 0
 

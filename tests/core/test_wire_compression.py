@@ -60,10 +60,12 @@ def test_compression_reduces_bytes_on_wire():
 
 def test_wire_stats_reflect_mode():
     bus, _ = fanout_run(messages=10)
-    stats = bus.daemons["node00"].wire_stats()
-    assert stats["table_strings"] > 0           # the publisher interned
-    consumer = bus.daemons["node01"].wire_stats()
-    assert consumer["peer_strings"] > 0         # the consumer learned
+    stats = bus.daemons["node00"].metrics.snapshot()
+    # the publisher interned
+    assert stats["daemon.node00.wire.table_strings"]["value"] > 0
+    consumer = bus.daemons["node01"].metrics.snapshot()
+    # the consumer learned
+    assert consumer["daemon.node01.wire.peer_strings"]["value"] > 0
 
 
 def test_exactly_once_under_corruption():
@@ -130,7 +132,9 @@ def test_late_joining_daemon_recovers_via_self_contained_retrans():
 
     late = bus.daemons["late00"]
     assert late.unresolved_dropped > 0            # the path was exercised
-    assert late.wire_stats()["unresolved_dropped"] == late.unresolved_dropped
+    assert late.metrics.snapshot()[
+        "daemon.late00.wire.unresolved_dropped"]["value"] == \
+        late.unresolved_dropped
     assert steady == list(range(30))              # bystander unaffected
     # the joiner heard a contiguous, in-order, exactly-once suffix that
     # covers everything published after it joined
