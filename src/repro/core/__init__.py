@@ -13,8 +13,8 @@ from .typeplane import PeerTypeView, TypeTable
 from .flow import (Admission, BoundedBuffer, BoundedQueue, FlowConfig,
                    FlowStats, OVERFLOW_POLICIES, POLICY_BLOCK,
                    POLICY_DROP_NEWEST, POLICY_DROP_OLDEST, PublishReceipt)
-from .reliable import (ReliableConfig, ReliableReceiver, ReliableSender,
-                       SessionStats)
+from .reliable import (PeerSession, RefusedSession, ReliableConfig,
+                       ReliableReceiver, ReliableSender, SessionStats)
 from .metrics import (Counter, Gauge, Histogram, MetricsPublisher,
                       MetricsRegistry, MetricsScope, sum_counters)
 from .batching import BatchConfig, Batcher
@@ -44,7 +44,8 @@ __all__ = [
     "GuaranteedConsumer", "GuaranteedPublisher", "InformationBus",
     "Inquiry", "LedgerEntry", "MessageInfo", "Packet",
     "ExactlyOnceRmiClient", "FAB_SENSOR_SCHEME", "NEWS_SCHEME",
-    "PacketKind", "QoS", "ReliableConfig", "SubjectScheme",
+    "PacketKind", "PeerSession", "QoS", "RefusedSession", "ReliableConfig",
+    "SubjectScheme",
     "ReliableReceiver", "decode_packet", "encode_envelope",
     "encode_packet", "envelope_wire_size", "packet_wire_size",
     "ReliableSender", "Responder", "RmiClient", "RmiError", "RmiServer",

@@ -181,11 +181,6 @@ class BusClient:
     # ------------------------------------------------------------------
     # flow control
     # ------------------------------------------------------------------
-    def set_service_time(self, service_time: float) -> None:
-        """Model this application's consume rate (seconds per message)."""
-        self.service_time = max(0.0, service_time)
-        self.daemon.set_client_service_time(self.name, self.service_time)
-
     def on_flow_credit(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` when the daemon's outbound queue drains after
         pushing back — the signal to retry a deferred publish."""
@@ -200,13 +195,16 @@ class BusClient:
     # ------------------------------------------------------------------
     # delivery (called by the daemon)
     # ------------------------------------------------------------------
-    def _deliver(self, envelope: Envelope, retransmitted: bool) -> None:
+    def _deliver(self, envelope: Envelope, retransmitted: bool,
+                 resolver=None) -> None:
         payload = envelope.payload
         session = envelope.session
         daemon = self.daemon
         try:
-            obj = decode(payload, self.registry,
-                         type_resolver=daemon.type_resolver(session))
+            # ``resolver``: the one a lane captured when it queued this
+            if resolver is None:
+                resolver = daemon.type_resolver(session)
+            obj = decode(payload, self.registry, type_resolver=resolver)
         except Exception as error:   # unknown type, corrupt payload
             self.decode_errors += 1
             self.last_error = error

@@ -45,9 +45,10 @@ from .flow import (Admission, BoundedQueue, FlowConfig, POLICY_DROP_OLDEST,
 from .guaranteed import GuaranteedConsumer, GuaranteedPublisher, LedgerEntry
 from .message import Envelope, Packet, PacketKind, QoS
 from .metrics import MetricsPublisher, MetricsRegistry
-from .reliable import ReliableConfig, ReliableReceiver, ReliableSender
+from .reliable import (PeerSession, RefusedSession, ReliableConfig,
+                       ReliableReceiver, ReliableSender)
 from .subjects import BadSubjectError, SubjectTrie, validate_subject
-from .typeplane import PeerTypeView, TypeTable
+from .typeplane import TypeTable
 from .wire import (CorruptFrame, StringTable, UnresolvedIds,
                    UnresolvedTypeId, decode_packet, encode_packet,
                    read_digest)
@@ -240,24 +241,28 @@ class BusDaemon:
         #: dispatch's, per envelope body) that met an ill-formed subject
         #: in a CRC-valid frame and treated it as matching nothing
         self._bad_subjects = scope.counter("wire.bad_subjects")
+        #: CRC-valid frames refused at first hearing of their session:
+        #: ill-shaped name / epoch a newer one has superseded (a ghost)
+        self._bad_sessions = scope.counter("wire.bad_sessions")
+        self._stale_sessions = scope.counter("wire.stale_sessions")
         # lazily read wire/topology gauges (cost is paid at snapshot)
         scope.gauge("clients", source=lambda: len(self.clients))
         scope.gauge("subscriptions",
                     source=lambda: len(self._subscriptions))
         scope.gauge("wire.table_strings",
                     source=lambda: len(self._wire_table))
-        scope.gauge("wire.peer_sessions",
-                    source=lambda: len(self._peer_tables))
+        scope.gauge("wire.peer_sessions", source=lambda: len(self.peers))
         scope.gauge("wire.peer_strings",
-                    source=lambda: sum(len(t)
-                                       for t in self._peer_tables.values()))
+                    source=lambda: sum(len(peer.strings)
+                                       for peer in self.peers.values()))
         scope.gauge("wire.typedef.table_types",
                     source=lambda: len(self._type_table))
         scope.gauge("wire.typedef.peer_sessions",
-                    source=lambda: len(self._peer_type_tables))
+                    source=lambda: sum(1 for peer in self.peers.values()
+                                       if peer.types))
         scope.gauge("wire.typedef.peer_types",
-                    source=lambda: sum(
-                        len(t) for t in self._peer_type_tables.values()))
+                    source=lambda: sum(len(peer.types)
+                                       for peer in self.peers.values()))
         if self.shard_count > 1:
             # the shard.* family only exists on sharded hosts, so
             # unsharded snapshots are byte-identical to the pre-shard era
@@ -311,6 +316,12 @@ class BusDaemon:
     def bad_subjects(self) -> int:
         return self._bad_subjects.value
 
+    @property
+    def peers(self) -> Dict[str, PeerSession]:
+        """``session -> PeerSession``: all this plane knows of remote
+        sessions (a session never heard, or retired, is not in it)."""
+        return self._receiver.sessions
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -341,17 +352,12 @@ class BusDaemon:
         self._sender = ReliableSender(self.session, self.config.reliable,
                                       now=lambda: self.sim.now,
                                       metrics=self.metrics)
-        # wire-compression state is volatile by design: a restarted
-        # daemon has a fresh session name, so receivers key learned
-        # tables by session and can never mix incarnations
+        # wire-compression and type-plane state is volatile by design:
+        # ids are scoped to the session name, so a restart (fresh
+        # session) starts fresh tables and receivers, who learn them
+        # into that session's PeerSession, never mix incarnations
         self._wire_table = StringTable()
-        self._peer_tables: Dict[str, Dict[int, str]] = {}
-        # the session type plane is equally volatile: type ids are scoped
-        # to the session name, so a restart (fresh session) starts a
-        # fresh table and receivers never mix incarnations
         self._type_table = TypeTable()
-        self._peer_type_tables: Dict[str, Dict[int, bytes]] = {}
-        self._peer_type_views: Dict[str, PeerTypeView] = {}
         self._receiver = ReliableReceiver(self.sim, self.config.reliable,
                                           self._deliver_remote,
                                           self._send_nack,
@@ -489,17 +495,6 @@ class BusDaemon:
         lane = self._lanes.pop(client.name, None)
         if lane is not None and lane.drain_event is not None:
             lane.drain_event.cancel()
-
-    def set_client_service_time(self, name: str, service_time: float) -> None:
-        """Model the application's consume rate (seconds per message).
-
-        0 restores the synchronous fast path; > 0 makes deliveries queue
-        in the client's bounded lane and drain one per ``service_time``.
-        """
-        lane = self._lanes[name]
-        lane.service_time = max(0.0, service_time)
-        if lane.queue and lane.drain_event is None:
-            self._arm_lane(name, lane)
 
     def on_publish_credit(self, callback) -> None:
         """Run ``callback`` when the outbound queue drains after having
@@ -690,8 +685,7 @@ class BusDaemon:
         if self._gate_datagram(data):
             return
         try:
-            packet = decode_packet(data, self._peer_tables,
-                                   self._peer_type_tables)
+            packet = decode_packet(data, self._receiver)
         except CorruptFrame as err:
             self._drop_undecodable(err)
             return
@@ -701,10 +695,18 @@ class BusDaemon:
             retransmitted = kind is PacketKind.RETRANS
             session_start = packet.session_start
             for envelope in packet.envelopes:
-                handle(envelope, retransmitted, session_start)
+                try:
+                    handle(envelope, retransmitted, session_start)
+                except RefusedSession as err:
+                    # an uncompressed frame: the codec never asked, so
+                    # the receiver is the first to hear (and refuse) it
+                    self._drop_undecodable(err)
         elif kind is PacketKind.HEARTBEAT:
-            self._receiver.handle_heartbeat(packet.session, packet.last_seq,
-                                            packet.session_start)
+            try:
+                self._receiver.handle_heartbeat(
+                    packet.session, packet.last_seq, packet.session_start)
+            except RefusedSession as err:
+                self._drop_undecodable(err)
         elif kind is PacketKind.NACK:
             self._serve_nack(packet, src)
         elif kind is PacketKind.ACK:
@@ -728,8 +730,7 @@ class BusDaemon:
         other than trivial in-order/duplicate accounting.
         """
         try:
-            digest = read_digest(data, self._peer_tables,
-                                 self._peer_type_tables)
+            digest = read_digest(data, self._receiver)
         except CorruptFrame as err:
             # the full path would have rejected it too: the digest read
             # is the full decode stopped early
@@ -753,7 +754,12 @@ class BusDaemon:
         return True
 
     def _drop_undecodable(self, err: CorruptFrame) -> None:
-        """Drop a data-port frame either wire entry point rejected."""
+        """Drop a data-port frame either wire entry point rejected, or
+        whose session the receiver refused at first hearing."""
+        if isinstance(err, RefusedSession):
+            (self._stale_sessions if err.stale
+             else self._bad_sessions).value += 1
+            return
         if not isinstance(err, UnresolvedIds):
             # a corrupted frame is indistinguishable from loss; the
             # NACK/heartbeat machinery repairs the gap
@@ -845,8 +851,10 @@ class BusDaemon:
                 self._delivered.value += 1
             client._deliver(envelope, retransmitted)
             return Admission.ACCEPTED
+        # queued with its type resolver: the sender's record may be
+        # retired (a newer epoch heard) before a slow consumer gets here
         admission = lane.queue.offer(
-            (envelope, retransmitted),
+            (envelope, retransmitted, self.type_resolver(envelope.session)),
             no_shed=(envelope.ledger_id is not None))
         if admission is Admission.ACCEPTED and lane.drain_event is None:
             self._arm_lane(client.name, lane)
@@ -863,12 +871,12 @@ class BusDaemon:
         lane.drain_event = None
         if not self.up or not lane.queue:
             return
-        envelope, retransmitted = lane.queue.take()
+        envelope, retransmitted, resolver = lane.queue.take()
         client = self.clients.get(name)
         if client is not None:
             if envelope.seq:   # seq-0 = telemetry; never self-counted
                 self._delivered.value += 1
-            client._deliver(envelope, retransmitted)
+            client._deliver(envelope, retransmitted, resolver)
         if lane.queue and lane.drain_event is None:
             self._arm_lane(name, lane)
 
@@ -1056,28 +1064,19 @@ class BusDaemon:
     def type_resolver(self, session: str):
         """The resolver clients use to decode ``O``-tagged payloads from
         ``session``: this daemon's own :class:`TypeTable` for loop-back
-        deliveries, or a cached :class:`PeerTypeView` over the typedefs
-        learned from that peer session's frames.  ``None`` when the
-        session is unknown (a typed payload then fails decode with
+        deliveries, or the peer session's :class:`PeerTypeView` over
+        the typedefs learned from its frames.  ``None`` when the session
+        is unknown or retired (a typed payload then fails decode with
         ``UnknownTypeError`` — counted by the client, never a crash).
         """
         if session == self.session:
             return self._type_table
-        raw = self._peer_type_tables.get(session)
-        if raw is None:
-            return None
-        view = self._peer_type_views.get(session)
-        if view is None:
-            view = PeerTypeView(raw)
-            self._peer_type_views[session] = view
-        return view
+        peer = self._receiver.sessions.get(session)
+        return None if peer is None else peer.type_view
 
     # ------------------------------------------------------------------
     # introspection helpers (tests, benches, routers)
     # ------------------------------------------------------------------
-    def reliable_stats(self, session: str):
-        return self._receiver.stats(session)
-
     def flow_stats(self) -> Dict[str, Dict[str, Any]]:
         """Snapshot every flow-control queue this daemon owns."""
         stats = {"outbound": self._outbound.stats.snapshot(),

@@ -24,17 +24,24 @@ degrading to at-most-once exactly as specified.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..sim.framing import CorruptFrame
 from ..sim.kernel import Event, Simulator
 from ..sim.trace import Tracer
 from .flow import BoundedBuffer, POLICY_DROP_NEWEST, POLICY_DROP_OLDEST
 from .message import Envelope
 from .metrics import MetricsRegistry
+from .typeplane import PeerTypeView
 
-__all__ = ["ReliableConfig", "ReliableSender", "ReliableReceiver",
-           "SessionStats"]
+__all__ = ["PeerSession", "RefusedSession", "ReliableConfig",
+           "ReliableSender", "ReliableReceiver", "SessionStats"]
+
+#: How every daemon names a session: ``<host>#<epoch>[~<plane>]``
+#: (digits bounded: ``int()`` of a longer run can raise, not refuse).
+_SESSION_NAME = re.compile(r"([^#]+)#([0-9]{1,18})((?:~[0-9]{1,18})?)")
 
 
 @dataclass
@@ -161,67 +168,39 @@ class ReliableSender:
 
 
 class SessionStats:
-    """Receiver-side accounting for one remote session (benches, tests).
-
-    A view over ``reliable.recv[<session>].<field>`` instruments in the
-    receiving daemon's :class:`~repro.core.metrics.MetricsRegistry`
-    (or a detached private registry for standalone receivers).  The
-    int-returning properties keep the historical dataclass read surface.
-    """
+    """One :class:`PeerSession`'s ``reliable.recv[<session>].<field>``
+    counters in the receiving daemon's registry (a private one for a
+    standalone receiver); read ``stats.delivered.value``.
+    ``overflow_dropped`` is pressure, not necessarily loss: an envelope
+    shed from a full reorder buffer may still be NACK-repaired."""
 
     _FIELDS = ("delivered", "duplicates", "buffered", "nacks_sent",
                "gaps_skipped", "messages_lost", "overflow_dropped")
 
-    __slots__ = tuple(f"_{name}" for name in _FIELDS)
+    __slots__ = _FIELDS
 
-    def __init__(self, session: str = "",
-                 metrics: Optional[MetricsRegistry] = None):
-        if metrics is None:
-            metrics = MetricsRegistry()
+    def __init__(self, session: str, metrics: MetricsRegistry):
         scope = metrics.scope(f"reliable.recv[{session}]")
         for name in self._FIELDS:
-            setattr(self, f"_{name}", scope.counter(name))
-
-    @property
-    def delivered(self) -> int:
-        return self._delivered.value
-
-    @property
-    def duplicates(self) -> int:
-        return self._duplicates.value
-
-    @property
-    def buffered(self) -> int:
-        return self._buffered.value
-
-    @property
-    def nacks_sent(self) -> int:
-        return self._nacks_sent.value
-
-    @property
-    def gaps_skipped(self) -> int:
-        return self._gaps_skipped.value
-
-    @property
-    def messages_lost(self) -> int:
-        return self._messages_lost.value
-
-    @property
-    def overflow_dropped(self) -> int:
-        """Envelopes shed because the reorder buffer was full (the
-        policy-driven bound; a shed buffered envelope may still be
-        NACK-repaired later, so this is pressure, not necessarily loss).
-        """
-        return self._overflow_dropped.value
+            setattr(self, name, scope.counter(name))
 
 
-class _SessionState:
-    __slots__ = ("session", "expected", "buffer", "nack_event",
-                 "nack_attempts", "known_last", "sync_event", "stats")
+class PeerSession:
+    """All one daemon plane knows about one remote session: the string
+    ids and typedef blobs :mod:`repro.core.wire` learns from its frames
+    (``type_view`` resolves typed payloads), the reliable window, the
+    ``reliable.recv[<session>].*`` counters.  Made only in
+    :meth:`ReliableReceiver.hear`, dropped only in ``_retire``."""
 
-    def __init__(self, session: str,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    __slots__ = ("session", "strings", "types", "type_view", "expected",
+                 "buffer", "nack_event", "nack_attempts", "known_last",
+                 "sync_event", "stats")
+
+    def __init__(self, session: str, metrics: MetricsRegistry) -> None:
         self.session = session
+        self.strings: Dict[int, str] = {}
+        self.types: Dict[int, bytes] = {}
+        self.type_view = PeerTypeView(self.types)
         self.expected: Optional[int] = None
         self.buffer: Dict[int, Tuple[Envelope, bool]] = {}
         self.nack_event: Optional[Event] = None
@@ -243,12 +222,27 @@ class _SessionState:
                 and self.expected <= self.last_missing())
 
 
+class RefusedSession(CorruptFrame):
+    """A frame named a session the receiver keeps no record for: not
+    ``<host>#<epoch>[~<plane>]``, or (``stale``) a dead sender's — a
+    newer epoch of that host and plane has been heard."""
+
+    def __init__(self, session: str, stale: bool):
+        super().__init__(f"refused session {session!r}")
+        self.stale = stale
+
+
 class ReliableReceiver:
     """Per-daemon receive side: ordering, dedupe, gap repair, give-up.
 
     ``deliver`` is called exactly once per delivered envelope, in per-
     session sequence order.  ``send_nack(session, first, last)`` must
     transmit a NACK packet toward the session's daemon.
+
+    ``sessions`` is the plane's one ``session -> PeerSession`` mapping;
+    the wire codec, handed this receiver, reads it and calls :meth:`hear`
+    for a session not in it.  :meth:`hear` and :meth:`_retire` are a
+    record's whole lifetime.
     """
 
     def __init__(self, sim: Simulator, config: ReliableConfig,
@@ -261,8 +255,11 @@ class ReliableReceiver:
         self._deliver = deliver
         self._send_nack = send_nack
         self._tracer = tracer
-        self._metrics = metrics
-        self._sessions: Dict[str, _SessionState] = {}
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
+        self.sessions: Dict[str, PeerSession] = {}
+        #: ``<host>[~<plane>]`` -> (highest epoch heard, its session):
+        #: outlives the record, so a dead epoch's late frames stay dead
+        self._newest: Dict[str, Tuple[int, str]] = {}
         #: when this receiver came up; sessions born after this are fully
         #: recoverable from seq 1 (we must have been within earshot)
         self.started_at = sim.now
@@ -274,7 +271,7 @@ class ReliableReceiver:
                         retransmitted: bool = False,
                         session_start: Optional[float] = None) -> None:
         seq = envelope.seq
-        state = self._sessions.get(envelope.session)
+        state = self.sessions.get(envelope.session)
         if (state is not None and seq == state.expected
                 and state.sync_event is None and state.nack_event is None
                 and not state.buffer):
@@ -286,15 +283,15 @@ class ReliableReceiver:
             if seq > state.known_last:
                 state.known_last = seq
             state.expected = seq + 1
-            state.stats._delivered.value += 1
+            state.stats.delivered.value += 1
             self._deliver(envelope, retransmitted)
             state.nack_attempts = 0
             if seq < state.known_last:
                 # a tail is known beyond this envelope: a gap remains
-                self._arm_nack(envelope.session, state)
+                self._arm_nack(state)
             return
         if state is None:
-            state = self._state(envelope.session)
+            state = self._peer(envelope.session)
         state.known_last = max(state.known_last, seq)
         if state.expected is None:
             # First contact with this session.  Sessions always start at
@@ -312,16 +309,16 @@ class ReliableReceiver:
                 # should have reached us — treat the hole as loss
                 state.expected = 1
                 state.buffer[seq] = (envelope, retransmitted)
-                state.stats._buffered.value += 1
-                self._arm_nack(envelope.session, state)
+                state.stats.buffered.value += 1
+                self._arm_nack(state)
                 return
             else:
                 # genuinely late join (or unknown): sync-window baseline
                 state.buffer[seq] = (envelope, retransmitted)
                 if state.sync_event is None:
                     state.sync_event = self.sim.schedule(
-                        self.config.nack_delay, self._end_sync,
-                        envelope.session, name="reliable.sync")
+                        self.config.nack_delay, self._end_sync, state,
+                        name="reliable.sync")
                 return
         if state.sync_event is not None:
             # syncing ended implicitly: seq 1 showed up
@@ -329,7 +326,7 @@ class ReliableReceiver:
             state.sync_event = None
             self._drain(state)
         if seq < state.expected:
-            state.stats._duplicates.value += 1
+            state.stats.duplicates.value += 1
             return
         if seq == state.expected:
             self._deliver_in_order(state, envelope, retransmitted)
@@ -338,16 +335,16 @@ class ReliableReceiver:
             return
         # gap: buffer and arrange repair
         if seq in state.buffer:
-            state.stats._duplicates.value += 1
+            state.stats.duplicates.value += 1
             return
         if len(state.buffer) >= self.config.receive_buffer:
             if not self._shed(state, envelope):
                 return   # the incoming envelope itself was shed
         state.buffer[seq] = (envelope, retransmitted)
-        state.stats._buffered.value += 1
-        self._arm_nack(envelope.session, state)
+        state.stats.buffered.value += 1
+        self._arm_nack(state)
 
-    def _shed(self, state: _SessionState, incoming: Envelope) -> bool:
+    def _shed(self, state: PeerSession, incoming: Envelope) -> bool:
         """Apply the overflow policy to a full reorder buffer.
 
         Returns True when room was made for ``incoming`` (a buffered
@@ -363,7 +360,7 @@ class ReliableReceiver:
             victim = max(state.buffer)
             if incoming.seq > victim:
                 victim = incoming.seq
-        state.stats._overflow_dropped.value += 1
+        state.stats.overflow_dropped.value += 1
         if self._tracer:
             self._tracer.emit(self.sim.now, "flow.drop",
                               queue="reliable.reorder",
@@ -398,7 +395,7 @@ class ReliableReceiver:
         for session, seq in entries:
             cur = cursors.get(session)
             if cur is None:
-                state = self._sessions.get(session)
+                state = self.sessions.get(session)
                 if (state is None or state.expected is None
                         or state.sync_event is not None
                         or state.nack_event is not None
@@ -415,12 +412,12 @@ class ReliableReceiver:
                 return False    # seq 0, or a gap this frame would open
         for state, expected, delivered, duplicates in cursors.values():
             if duplicates:
-                state.stats._duplicates.value += duplicates
+                state.stats.duplicates.value += duplicates
             if delivered:
                 state.expected = expected
                 if expected - 1 > state.known_last:
                     state.known_last = expected - 1
-                state.stats._delivered.value += delivered
+                state.stats.delivered.value += delivered
                 # mirror _refresh_gap after an in-order delivery: no gap
                 # remains (pre-flight guaranteed none existed and the
                 # frame was contiguous), so only the attempt counter
@@ -441,7 +438,7 @@ class ReliableReceiver:
         extend and arm a NACK — the RETRANS repair is self-contained
         (defines every id it references), so it always resolves.
         """
-        state = self._state(session)
+        state = self._peer(session)
         if last_seq > state.known_last:
             state.known_last = last_seq
         if state.expected is None:
@@ -458,11 +455,11 @@ class ReliableReceiver:
                 # permanently deaf.)
                 state.expected = first_seq
         if state.has_gap():
-            self._arm_nack(session, state)
+            self._arm_nack(state)
 
     def handle_heartbeat(self, session: str, last_seq: int,
                          session_start: Optional[float] = None) -> None:
-        state = self._state(session)
+        state = self._peer(session)
         if state.expected is None:
             state.known_last = max(state.known_last, last_seq)
             if state.sync_event is not None:
@@ -472,34 +469,26 @@ class ReliableReceiver:
                 # young session: its entire history is recoverable
                 state.expected = 1
                 if state.has_gap():
-                    self._arm_nack(session, state)
+                    self._arm_nack(state)
                 return
             # late joiner: nothing published since we arrived is missing
             state.expected = last_seq + 1
             return
         state.known_last = max(state.known_last, last_seq)
         if state.has_gap():
-            self._arm_nack(session, state)
-
-    def stats(self, session: str) -> SessionStats:
-        return self._state(session).stats
-
-    def sessions(self) -> List[str]:
-        return list(self._sessions)
+            self._arm_nack(state)
 
     def shutdown(self) -> None:
         """Cancel all pending timers (daemon stopping or host crashing)."""
-        for state in self._sessions.values():
+        for state in self.sessions.values():
             for event in (state.nack_event, state.sync_event):
                 if event is not None:
                     event.cancel()
-            state.nack_event = None
-            state.sync_event = None
-        self._sessions.clear()
+        self.sessions.clear()
+        self._newest.clear()
 
-    def _end_sync(self, session: str) -> None:
-        state = self._sessions.get(session)
-        if state is None or state.expected is not None:
+    def _end_sync(self, state: PeerSession) -> None:
+        if state.expected is not None:
             return
         state.sync_event = None
         if not state.buffer:
@@ -511,25 +500,62 @@ class ReliableReceiver:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _state(self, session: str) -> _SessionState:
-        state = self._sessions.get(session)
-        if state is None:
-            state = _SessionState(session, self._metrics)
-            self._sessions[session] = state
+    def _peer(self, session: str) -> PeerSession:
+        state = self.sessions.get(session)
+        return state if state is not None else self.hear(session)
+
+    def hear(self, session: str) -> PeerSession:
+        """First frame naming ``session``: the one place a record is
+        made.  Hosts are fail-stop and restart into the next epoch, so
+        a newer epoch proves that host and plane's older one dead: it
+        is retired here and its later frames are refused."""
+        name = _SESSION_NAME.fullmatch(session)
+        if name is None:
+            raise RefusedSession(session, stale=False)
+        sender, epoch = name[1] + name[3], int(name[2])
+        newest = self._newest.get(sender)
+        if newest is not None:
+            if epoch <= newest[0]:
+                raise RefusedSession(session, stale=True)
+            self._retire(newest[1])
+        self._newest[sender] = (epoch, session)
+        state = self.sessions[session] = PeerSession(session, self._metrics)
         return state
 
-    def _deliver_in_order(self, state: _SessionState, envelope: Envelope,
+    def _retire(self, session: str) -> None:
+        """The one place a record is dropped.  Its sender is dead: stop
+        NACKing and give its gaps up now (what is buffered is delivered,
+        each hole counted in ``messages_lost``).  Its instruments go
+        too; the ``reliable.retire`` record keeps their last values."""
+        state = self.sessions[session]
+        for event in (state.nack_event, state.sync_event):
+            if event is not None:
+                event.cancel()
+        if state.expected is None and state.buffer:
+            state.expected = min(state.buffer)  # its sync window ends now
+            self._drain(state)
+        while state.has_gap():
+            self._give_up(state)
+        del self.sessions[session]
+        if self._tracer:
+            self._tracer.emit(self.sim.now, "reliable.retire",
+                              session=session,
+                              **{name: getattr(state.stats, name).value
+                                 for name in SessionStats._FIELDS})
+        self._metrics.drop_prefix(f"reliable.recv[{session}]")
+
+    def _deliver_in_order(self, state: PeerSession, envelope: Envelope,
                           retransmitted: bool) -> None:
         state.expected = envelope.seq + 1
-        state.stats._delivered.value += 1
+        state.stats.delivered.value += 1
         self._deliver(envelope, retransmitted)
 
-    def _drain(self, state: _SessionState) -> None:
+    def _drain(self, state: PeerSession) -> None:
         while state.expected in state.buffer:
             envelope, retransmitted = state.buffer.pop(state.expected)
             self._deliver_in_order(state, envelope, retransmitted)
 
-    def _refresh_gap(self, state: _SessionState) -> None:
+    def _refresh_gap(self, state: PeerSession) -> None:
         """After progress, cancel or re-aim the outstanding NACK timer."""
         if state.nack_event is not None:
             state.nack_event.cancel()
@@ -537,44 +563,41 @@ class ReliableReceiver:
         state.nack_attempts = 0
         if state.has_gap():
             # there is still a hole (below the buffer, or a lost tail)
-            self._arm_nack(state.session, state)
+            self._arm_nack(state)
 
-    def _arm_nack(self, session: str, state: _SessionState) -> None:
+    def _arm_nack(self, state: PeerSession) -> None:
         if state.nack_event is not None:
             return
         delay = min(self.config.nack_delay
                     * (self.config.nack_backoff ** state.nack_attempts),
                     self.config.nack_backoff_cap)
         state.nack_event = self.sim.schedule(
-            delay, self._fire_nack, session, name="reliable.nack")
+            delay, self._fire_nack, state, name="reliable.nack")
 
-    def _fire_nack(self, session: str) -> None:
-        state = self._sessions.get(session)
-        if state is None:
-            return
+    def _fire_nack(self, state: PeerSession) -> None:
         state.nack_event = None
         if not state.has_gap():
             return
         if state.nack_attempts >= self.config.nack_max:
             self._give_up(state)
+            if state.has_gap():
+                self._arm_nack(state)
             return
         state.nack_attempts += 1
-        state.stats._nacks_sent.value += 1
-        self._send_nack(session, state.expected, state.last_missing())
-        self._arm_nack(session, state)
+        state.stats.nacks_sent.value += 1
+        self._send_nack(state.session, state.expected, state.last_missing())
+        self._arm_nack(state)
 
-    def _give_up(self, state: _SessionState) -> None:
+    def _give_up(self, state: PeerSession) -> None:
         """Unrepairable gap: skip it (at-most-once under failure)."""
-        state.stats._gaps_skipped.value += 1
+        state.stats.gaps_skipped.value += 1
         if state.buffer:
             lowest = min(state.buffer)
-            state.stats._messages_lost.value += lowest - state.expected
+            state.stats.messages_lost.value += lowest - state.expected
             state.expected = lowest
         else:
             # a lost tail the (dead or amnesiac) sender cannot repair
-            state.stats._messages_lost.value += state.known_last - state.expected + 1
+            state.stats.messages_lost.value += state.known_last - state.expected + 1
             state.expected = state.known_last + 1
         state.nack_attempts = 0
         self._drain(state)
-        if state.has_gap():
-            self._arm_nack(state.session, state)

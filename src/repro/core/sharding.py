@@ -175,10 +175,6 @@ class ShardedDaemon:
         for daemon in self.shards:
             daemon.detach_client(client)
 
-    def set_client_service_time(self, name: str, service_time: float) -> None:
-        for daemon in self.shards:
-            daemon.set_client_service_time(name, service_time)
-
     def on_publish_credit(self, callback) -> None:
         for daemon in self.shards:
             daemon.on_publish_credit(callback)
@@ -285,12 +281,6 @@ class ShardedDaemon:
     # ------------------------------------------------------------------
     # introspection (aggregated across planes)
     # ------------------------------------------------------------------
-    def reliable_stats(self, session: str):
-        for daemon in self.shards:
-            if session in daemon._receiver.sessions():
-                return daemon.reliable_stats(session)
-        return self.shards[0].reliable_stats(session)
-
     def flow_stats(self) -> Dict[str, Dict[str, Any]]:
         """Queue snapshots merged across planes.
 

@@ -87,9 +87,9 @@ envelopes reference, and the region additionally lists the frame's full
 reference set so :func:`read_digest` validates resolvability in
 O(header) — gated and ungated receivers fail identically.  Definitions
 are opaque byte strings (marshalled ``describe()`` dicts) the wire
-layer never parses; receivers accumulate them per session in
-``type_tables``.  A frame referencing an unlearned type id raises
-:class:`UnresolvedTypeId` — same drop + NACK arming as
+layer never parses; receivers accumulate them in the session's
+record (``PeerSession.types``).  A frame referencing an unlearned type
+id raises :class:`UnresolvedTypeId` — same drop + NACK arming as
 :class:`UnresolvedStringId` (which takes precedence when both are
 missing, keeping the two decode paths deterministic).  The typedef
 region is independent of header compression and absent when no envelope
@@ -640,13 +640,17 @@ class _Parse:
         self.tdefines = self.tneeds = None
 
 
-def _session_table(learned: Optional[Dict[str, Dict[int, object]]],
-                   session: str) -> Dict[int, object]:
-    """One receiver's learned ids for ``session`` in ``learned`` (its
-    ``tables`` or ``type_tables``); a throwaway when it keeps none."""
-    if learned is None:
-        return {}
-    return learned.setdefault(session, {})
+def _learned(peers, session: str) -> Tuple[Dict[int, str], Dict[int, bytes]]:
+    """One receiver's learned string ids and typedef blobs for
+    ``session``: the tables of its record in ``peers.sessions``
+    (``peers.hear`` makes, or refuses, a missing one); throwaways when
+    there is no receiver."""
+    if peers is None:
+        return {}, {}
+    peer = peers.sessions.get(session)
+    if peer is None:
+        peer = peers.hear(session)
+    return peer.strings, peer.types
 
 
 def _replay(table: Dict[int, object], defines: Dict[int, object],
@@ -693,9 +697,7 @@ def _read_header_str(cur: Cursor, table: Optional[Dict[int, str]],
     return table.get(idx, "")
 
 
-def _walk(data: bytes, tables: Optional[Dict[str, Dict[int, str]]],
-          type_tables: Optional[Dict[str, Dict[int, bytes]]],
-          bodies: bool) -> _Parse:
+def _walk(data: bytes, peers, bodies: bool) -> _Parse:
     """The one frame parser: header → string defs → typedefs → digest
     [→ bodies], for one receiver, through the memo.
 
@@ -720,14 +722,15 @@ def _walk(data: bytes, tables: Optional[Dict[str, Dict[int, str]]],
         # is not ours: walk fresh and leave the memo alone
         session = parse.packet.session
         complete = parse.rest is None
-        if parse.defines is not None:
-            table = _session_table(tables, session)
-            missing = _replay(
-                table, parse.defines,
-                parse.body_needs if bodies and complete else parse.needs)
-        if missing is not None and parse.tdefines is not None:
-            tmissing = _replay(_session_table(type_tables, session),
-                               parse.tdefines, parse.tneeds)
+        if parse.defines is not None or parse.tdefines is not None:
+            strings, types = _learned(peers, session)
+            if parse.defines is not None:
+                table = strings
+                missing = _replay(
+                    table, parse.defines,
+                    parse.body_needs if bodies and complete else parse.needs)
+            if missing is not None and parse.tdefines is not None:
+                tmissing = _replay(types, parse.tdefines, parse.tneeds)
         if missing is None or tmissing is None:
             key = parse = table = None
             missing = tmissing = ()
@@ -761,8 +764,10 @@ def _walk(data: bytes, tables: Optional[Dict[str, Dict[int, str]]],
         # are intact: apply them even if resolution fails below or the
         # caller goes on to skip the frame — later frames reference them
         # without redefining, and they make a later repair decodable.
+        if flags & (_P_COMPRESSED | _P_TYPED):
+            strings, ttable = _learned(peers, session)
         if flags & _P_COMPRESSED:
-            table = _session_table(tables, session)
+            table = strings
             defines = parse.defines = {}
             for _ in range(cur.varint()):
                 idx = cur.varint()
@@ -770,7 +775,6 @@ def _walk(data: bytes, tables: Optional[Dict[str, Dict[int, str]]],
         # -- stage 3: typedefs (applied for the same reason), then the
         # frame's full type-reference list
         if flags & _P_TYPED:
-            ttable = _session_table(type_tables, session)
             tdefines = parse.tdefines = {}
             for _ in range(cur.varint()):
                 tid = cur.varint()
@@ -882,36 +886,34 @@ def _read_envelope(cur: Cursor, table: Optional[Dict[int, str]],
                     ledger_id, publish_time, via, envelope_id)
 
 
-def decode_packet(data: bytes,
-                  tables: Optional[Dict[str, Dict[int, str]]] = None,
-                  type_tables: Optional[Dict[str, Dict[int, bytes]]] = None
-                  ) -> Packet:
+def decode_packet(data: bytes, peers=None) -> Packet:
     """Decode one wire frame back to a :class:`Packet`.
 
-    ``tables`` is the receiving daemon's per-session learned string
-    tables (``session -> {id: string}``); compressed frames read and
-    update them.  ``type_tables`` is the analogous per-session learned
-    typedef map (``session -> {type id: definition bytes}``); typed
-    frames read and update it.  Without them throwaway tables are used,
-    so only fully self-contained frames resolve.
+    ``peers`` is the receiving plane's
+    :class:`~repro.core.reliable.ReliableReceiver`, owner of its one
+    mapping ``sessions`` (``session ->``
+    :class:`~repro.core.reliable.PeerSession`): compressed frames read
+    and update a record's ``strings`` (``{id: string}``), typed frames
+    its ``types`` (``{type id: definition bytes}``), and a session not
+    in the mapping gets its record from ``peers.hear(session)``.
+    Without ``peers`` throwaway tables are used, so only fully
+    self-contained frames resolve.
 
     Raises :class:`CorruptFrame` on any framing, checksum, or field
     validation failure, and its subclasses :class:`UnresolvedStringId` /
     :class:`UnresolvedTypeId` when a frame references ids this receiver
     has not learned — the caller drops the frame and lets the
-    NACK/heartbeat machinery repair the gap.  Successful decodes are
+    NACK/heartbeat machinery repair the gap (what ``peers.hear`` raises
+    for a session it refuses passes through).  Successful decodes are
     memoized by the exact frame bytes (see the module docstring), so the
     N receivers of one broadcast share a single parse; the memo replays
     each frame's table effects per receiver, keeping per-receiver
     outcomes identical to a fresh parse.
     """
-    return _walk(data, tables, type_tables, True).packet
+    return _walk(data, peers, True).packet
 
 
-def read_digest(data: bytes,
-                tables: Optional[Dict[str, Dict[int, str]]] = None,
-                type_tables: Optional[Dict[str, Dict[int, bytes]]] = None
-                ) -> Optional[FrameDigest]:
+def read_digest(data: bytes, peers=None) -> Optional[FrameDigest]:
     """Parse just the header, defs, and subject digest of one frame.
 
     The interest gate's entry point — :func:`decode_packet` stopped
@@ -920,9 +922,9 @@ def read_digest(data: bytes,
     frames without a digest (HEARTBEAT/NACK/ACK, or pre-digest
     encodings) — the caller must decode fully.  Like
     :func:`decode_packet` it applies the frame's table and typedef
-    definitions to ``tables``/``type_tables`` *even when the caller goes
-    on to skip the frame* — a skipped frame must still replay the
-    definitions it carries — and raises :class:`UnresolvedStringId` /
+    definitions to the session's record in ``peers`` *even when the
+    caller goes on to skip the frame* — a skipped frame must still
+    replay what it carries — and raises :class:`UnresolvedStringId` /
     :class:`UnresolvedTypeId` when the digest or the typedef reference
     list cites ids this receiver has not learned (the bodies reference
     at least those same ids, so the full path would fail identically).
@@ -930,7 +932,7 @@ def read_digest(data: bytes,
     decode completes, with the same per-receiver ``defines`` replay and
     by-value ``needs`` check.
     """
-    return _walk(data, tables, type_tables, False).digest
+    return _walk(data, peers, False).digest
 
 
 def packet_wire_size(packet: Packet) -> int:

@@ -201,8 +201,8 @@ def test_reorder_overflow_is_counted_and_traced():
     # ...5 and 6 must shed (drop-newest keeps the gap-fillers)
     receiver.handle_envelope(env(5), session_start=0.0)
     receiver.handle_envelope(env(6), session_start=0.0)
-    stats = receiver.stats("s#0")
-    assert stats.overflow_dropped == 2
+    stats = receiver.sessions["s#0"].stats
+    assert stats.overflow_dropped.value == 2
     drops = tracer.select("flow.drop", queue="reliable.reorder")
     assert [d["seq"] for d in drops] == [5, 6]
     # the buffered gap-fillers still deliver once 2 arrives
@@ -225,5 +225,5 @@ def test_reorder_overflow_drop_oldest_prefers_fresh_data():
     receiver.handle_envelope(env(3), session_start=0.0)
     receiver.handle_envelope(env(4), session_start=0.0)
     receiver.handle_envelope(env(6), session_start=0.0)  # evicts seq 3
-    stats = receiver.stats("s#0")
-    assert stats.overflow_dropped == 1
+    stats = receiver.sessions["s#0"].stats
+    assert stats.overflow_dropped.value == 1

@@ -74,10 +74,10 @@ def test_ill_formed_digest_subject_matches_nothing(subject):
     assert inbox == [(1, 1), (3, 3)]
     for address in ("node00", "node01"):
         daemon = bus.daemons[address]
-        stats = daemon.reliable_stats(SESSION)
+        stats = daemon.peers[SESSION].stats
         # the window advanced over the hostile frame like over any frame
         # nobody wanted: no gap, no repair traffic, not a codec reject
-        assert stats.delivered == 3 and stats.nacks_sent == 0
+        assert stats.delivered.value == 3 and stats.nacks_sent.value == 0
         assert daemon.bad_subjects == 1
         assert daemon.corrupt_dropped == 0
     # nobody matched it, so both daemons took the O(header) skip
@@ -95,8 +95,8 @@ def test_ill_formed_body_subject_behind_a_valid_digest_matches_nothing():
     # node01 skipped on the digest and never saw the body
     assert idle.bad_subjects == 0 and idle.skipped_frames == 2
     for daemon in (interested, idle):
-        stats = daemon.reliable_stats(SESSION)
-        assert stats.delivered == 3 and stats.nacks_sent == 0
+        stats = daemon.peers[SESSION].stats
+        assert stats.delivered.value == 3 and stats.nacks_sent.value == 0
 
 
 def test_ill_formed_subject_on_the_stat_port_matches_nothing():

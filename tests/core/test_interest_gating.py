@@ -27,6 +27,7 @@ from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
 from repro.sim import CostModel, Simulator
 from repro.sim.framing import frame, unframe
 from tests.integration.test_golden_run import pivot_run
+from tests.learned import Learned
 
 
 # ----------------------------------------------------------------------
@@ -62,13 +63,13 @@ def test_digest_roundtrip_compressed():
     second = encode_packet(
         Packet(PacketKind.DATA, "node00#0", [make_envelope(seq=2)],
                session_start=0.0), table=table)
-    tables = {}
-    d1 = read_digest(first, tables=tables)
+    tables = Learned()
+    d1 = read_digest(first, peers=tables)
     assert d1.subjects == ("feed.equity.gmc",)
     assert d1.entries == [("node00#0", 1)]
     # the second frame is reference-only on the wire; the digest resolves
     # through the table the first frame defined
-    d2 = read_digest(second, tables=tables)
+    d2 = read_digest(second, peers=tables)
     assert d2.subjects == ("feed.equity.gmc",)
     assert d2.entries == [("node00#0", 2)]
 
@@ -130,9 +131,9 @@ def test_unresolved_digest_matches_full_decode_failure():
         Packet(PacketKind.DATA, "node00#0", [make_envelope(seq=2)],
                session_start=0.0), table=table)
     with pytest.raises(UnresolvedStringId) as via_digest:
-        read_digest(reference_only, tables={})
+        read_digest(reference_only, peers=Learned())
     with pytest.raises(UnresolvedStringId) as via_decode:
-        decode_packet(reference_only, tables={})
+        decode_packet(reference_only, peers=Learned())
     assert via_digest.value.session == via_decode.value.session
     assert via_digest.value.first_seq == via_decode.value.first_seq
     assert via_digest.value.last_seq == via_decode.value.last_seq
@@ -261,10 +262,10 @@ def prime(receiver, upto=3, session="node00#0"):
 def test_try_skip_contiguous_advances_window():
     sim, receiver, delivered, nacks = make_receiver()
     prime(receiver)
-    before = receiver.stats("node00#0").delivered
+    before = receiver.sessions["node00#0"].stats.delivered.value
     assert receiver.try_skip([("node00#0", 4), ("node00#0", 5)])
-    stats = receiver.stats("node00#0")
-    assert stats.delivered == before + 2
+    stats = receiver.sessions["node00#0"].stats
+    assert stats.delivered.value == before + 2
     assert nacks == []
     # the next decoded envelope slots straight in: no phantom gap
     receiver.handle_envelope(make_envelope(seq=6), session_start=0.0)
@@ -275,8 +276,8 @@ def test_try_skip_counts_duplicates():
     sim, receiver, delivered, nacks = make_receiver()
     prime(receiver)
     assert receiver.try_skip([("node00#0", 2)])   # a retransmitted dup
-    assert receiver.stats("node00#0").duplicates == 1
-    assert receiver.stats("node00#0").delivered == 3
+    assert receiver.sessions["node00#0"].stats.duplicates.value == 1
+    assert receiver.sessions["node00#0"].stats.delivered.value == 3
 
 
 def test_try_skip_refuses_unknown_session():
@@ -288,7 +289,7 @@ def test_try_skip_refuses_gap():
     sim, receiver, delivered, nacks = make_receiver()
     prime(receiver)
     assert not receiver.try_skip([("node00#0", 6)])   # would open a gap
-    assert receiver.stats("node00#0").delivered == 3  # untouched
+    assert receiver.sessions["node00#0"].stats.delivered.value == 3  # untouched
 
 
 def test_try_skip_refuses_while_buffered():
@@ -303,7 +304,7 @@ def test_try_skip_all_or_nothing():
     sim, receiver, delivered, nacks = make_receiver()
     prime(receiver)
     assert not receiver.try_skip([("node00#0", 4), ("node00#0", 9)])
-    assert receiver.stats("node00#0").delivered == 3
+    assert receiver.sessions["node00#0"].stats.delivered.value == 3
     receiver.handle_envelope(make_envelope(seq=4), session_start=0.0)
     assert delivered == [1, 2, 3, 4]
 
@@ -351,10 +352,10 @@ def test_uninterested_daemon_skips_frames():
     # the skip is invisible to the reliable layer: both daemons tracked
     # the publisher session identically and neither ever NACKed
     session = bus.daemons["node00"].session
-    interested = bus.daemons["node01"].reliable_stats(session)
-    gated = quiet.reliable_stats(session)
-    assert gated.delivered == interested.delivered
-    assert gated.nacks_sent == interested.nacks_sent == 0
+    interested = bus.daemons["node01"].peers[session].stats
+    gated = quiet.peers[session].stats
+    assert gated.delivered.value == interested.delivered.value
+    assert gated.nacks_sent.value == interested.nacks_sent.value == 0
     snapshot = quiet.metrics.snapshot()
     assert snapshot["daemon.node02.wire.skipped_frames"]["value"] == \
         quiet.skipped_frames
@@ -409,24 +410,24 @@ def test_receiver_that_gave_up_keeps_up_without_futile_repair():
     bus.heal()
     bus.run_for(10.0)
     daemon = bus.daemons["node01"]
-    stats = daemon.reliable_stats(bus.daemons["node00"].session)
-    assert (stats.gaps_skipped, stats.messages_lost) == (1, 20)
-    assert stats.nacks_sent == 3           # nack_max, then silence
+    stats = daemon.peers[bus.daemons["node00"].session].stats
+    assert (stats.gaps_skipped.value, stats.messages_lost.value) == (1, 20)
+    assert stats.nacks_sent.value == 3           # nack_max, then silence
 
     skipped = daemon.skipped_frames
     for n in range(10):                    # lost id cited by bodies only
         bus.sim.schedule(0.05 * n, other.publish, "feed.a", {"n": n})
     bus.run_for(5.0)
     assert daemon.skipped_frames == skipped + 10
-    assert (stats.nacks_sent, daemon.unresolved_dropped) == (3, 0)
+    assert (stats.nacks_sent.value, daemon.unresolved_dropped) == (3, 0)
 
     for n in range(10):                    # lost id cited by the digest
         bus.sim.schedule(0.05 * n, pub.publish, "feed.b", {"n": n})
     bus.run_for(5.0)
-    assert (stats.nacks_sent, daemon.unresolved_dropped) == (4, 1)
+    assert (stats.nacks_sent.value, daemon.unresolved_dropped) == (4, 1)
     assert daemon.skipped_frames == skipped + 19
-    assert (stats.gaps_skipped, stats.messages_lost) == (1, 20)
-    assert stats.delivered == 49 - 20      # in step with the sender again
+    assert (stats.gaps_skipped.value, stats.messages_lost.value) == (1, 20)
+    assert stats.delivered.value == 49 - 20      # in step with the sender again
     assert got == []
 
 
@@ -454,8 +455,8 @@ def test_late_interest_subscribe_mid_stream():
     assert late_box == list(range(late_box[0], 30))  # contiguous suffix
     assert late_box[0] > 0                          # prefix really skipped
     session = bus.daemons["node00"].session
-    assert daemon.reliable_stats(session).nacks_sent == 0
-    assert daemon.reliable_stats(session).delivered == 30
+    assert daemon.peers[session].stats.nacks_sent.value == 0
+    assert daemon.peers[session].stats.delivered.value == 30
 
 
 def test_exactly_once_under_corruption_with_gating():

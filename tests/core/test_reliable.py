@@ -103,9 +103,9 @@ def test_at_most_once_when_sender_crashes():
     bus.crash_host("node00")        # sender gone; NACKs go unanswered
     bus.run_for(10.0)
     assert received == [0, 2]       # 1 lost: at-most-once, order preserved
-    stats = bus.daemon("node01").reliable_stats("node00#0")
-    assert stats.gaps_skipped == 1
-    assert stats.messages_lost == 1
+    stats = bus.daemon("node01").peers["node00#0"].stats
+    assert stats.gaps_skipped.value == 1
+    assert stats.messages_lost.value == 1
 
 
 def test_sender_recovery_starts_fresh_session():

@@ -240,7 +240,7 @@ def test_gated_daemon_still_learns_typedefs():
     # the typedefs arrived on skipped frames, before the subscribe
     assert typedef_metric(daemon, "peer_types") == 3
     session = bus.daemons["node00"].session
-    assert daemon.reliable_stats(session).nacks_sent == 0
+    assert daemon.peers[session].stats.nacks_sent.value == 0
 
 
 def test_exactly_once_under_corruption_with_type_plane():

@@ -29,6 +29,7 @@ from repro.core.wire import (CorruptFrame, StringTable, UnresolvedStringId,
                              decode_packet, encode_packet, read_digest)
 from repro.objects import AttributeSpec, TypeDescriptor
 from repro.sim.framing import flip_random_bit
+from tests.learned import Learned, record
 
 
 def make_envelope(seq, subject="news.equity.gmc", session="node00#0",
@@ -104,9 +105,9 @@ class TestSelfContainedFrames:
         table = StringTable()
         first = data_frame(table, [1])
         second = data_frame(table, [2])
-        tables = {}
-        decode_packet(first, tables=tables)
-        packet = decode_packet(second, tables=tables)
+        tables = Learned()
+        decode_packet(first, peers=tables)
+        packet = decode_packet(second, peers=tables)
         assert packet.envelopes[0].seq == 2
         assert packet.envelopes[0].subject == "news.equity.gmc"
 
@@ -116,10 +117,10 @@ class TestSelfContainedFrames:
         table = StringTable()
         data_frame(table, [1])                               # lost frame
         second = data_frame(table, [2], subject="news.bond.t30")
-        tables = {}
+        tables = Learned()
         with pytest.raises(UnresolvedStringId):
-            decode_packet(second, tables=tables)             # new subject
-        learned = set(tables["node00#0"].values())
+            decode_packet(second, peers=tables)             # new subject
+        learned = set(tables["node00#0"].strings.values())
         assert "news.bond.t30" in learned                    # def learned
         assert "news.equity.gmc" not in learned              # still unknown
 
@@ -150,7 +151,7 @@ class TestSelfContainedFrames:
         for seed in range(64):
             flipped = flip_random_bit(data, random.Random(seed))
             with pytest.raises(CorruptFrame):
-                decode_packet(flipped, tables={})
+                decode_packet(flipped, peers=Learned())
 
 
 class TestEncodeCache:
@@ -183,22 +184,22 @@ class TestEncodeCache:
         envelope = make_envelope(1)
         p = Packet(PacketKind.DATA, "node00#0", [envelope],
                    session_start=0.0)
-        tables = {}
-        decode_packet(encode_packet(p, table), tables=tables)
+        tables = Learned()
+        decode_packet(encode_packet(p, table), peers=tables)
         envelope.seq = 2          # re-stamped: the cached body is stale
         assert decode_packet(encode_packet(p, table),
-                             tables=tables).envelopes[0].seq == 2
+                             peers=tables).envelopes[0].seq == 2
 
 
 class TestDecodeMemoHonesty:
     def test_memo_hit_replays_defs_into_receiver_table(self):
         table = StringTable()
         first = data_frame(table, [1])
-        a, b = {}, {}
-        decode_packet(first, tables=a)            # fresh parse
-        decode_packet(first, tables=b)            # memo hit
+        a, b = Learned(), Learned()
+        decode_packet(first, peers=a)            # fresh parse
+        decode_packet(first, peers=b)            # memo hit
         assert wire.decode_memo_stats()["hits"] == 1
-        assert b == a and b["node00#0"]           # B learned the same defs
+        assert b == a and b["node00#0"].strings   # B learned the same defs
 
     def test_memo_hit_still_unresolvable_for_cold_receiver(self):
         """Receiver A heard the defining frame; receiver B did not.  The
@@ -206,15 +207,15 @@ class TestDecodeMemoHonesty:
         table = StringTable()
         first = data_frame(table, [1])
         second = data_frame(table, [2])
-        a, b = {}, {}
-        decode_packet(first, tables=a)
-        decode_packet(second, tables=a)           # A resolves; memo primed
+        a, b = Learned(), Learned()
+        decode_packet(first, peers=a)
+        decode_packet(second, peers=a)           # A resolves; memo primed
         with pytest.raises(UnresolvedStringId) as exc:
-            decode_packet(second, tables=b)       # memo hit, B still cold
+            decode_packet(second, peers=b)       # memo hit, B still cold
         assert (exc.value.first_seq, exc.value.last_seq) == (2, 2)
         # after hearing the defining frame (e.g. via repair), B resolves
-        decode_packet(first, tables=b)
-        packet = decode_packet(second, tables=b)
+        decode_packet(first, peers=b)
+        packet = decode_packet(second, peers=b)
         assert packet.envelopes[0].subject == "news.equity.gmc"
 
     def test_conflicting_table_bypasses_memo(self):
@@ -225,27 +226,28 @@ class TestDecodeMemoHonesty:
         table = StringTable()
         data_frame(table, [1])
         second = data_frame(table, [2])
-        a = {}
-        decode_packet(data_frame(StringTable(), [1]), tables=a)  # same bytes
-        served = decode_packet(second, tables=a)  # primes memo with needs
+        a = Learned()
+        decode_packet(data_frame(StringTable(), [1]), peers=a)  # same bytes
+        served = decode_packet(second, peers=a)  # primes memo with needs
         # a receiver whose table maps the same ids to different strings
-        conflicting = {"node00#0": {i: f"other-{i}" for i in range(8)}}
-        packet = decode_packet(second, tables=conflicting)
+        conflicting = Learned({"node00#0": record(
+            {i: f"other-{i}" for i in range(8)})})
+        packet = decode_packet(second, peers=conflicting)
         assert packet is not served               # not memo-served
         # resolved against the receiver's own table, not A's
         assert packet.envelopes[0].subject != served.envelopes[0].subject
         assert packet.envelopes[0].subject.startswith("other-")
         # and A itself still gets its correct resolution from the memo
-        assert decode_packet(second, tables=a) is served
+        assert decode_packet(second, peers=a) is served
 
     def test_memo_disabled_still_resolves(self):
         wire.configure_decode_memo(0)
         table = StringTable()
         first, second = data_frame(table, [1]), data_frame(table, [2])
-        tables = {}
-        decode_packet(first, tables=tables)
+        tables = Learned()
+        decode_packet(first, peers=tables)
         assert decode_packet(second,
-                             tables=tables).envelopes[0].seq == 2
+                             peers=tables).envelopes[0].seq == 2
 
 
 class TestInterning:
@@ -255,8 +257,8 @@ class TestInterning:
         table = StringTable()
         first = data_frame(table, [1])
         wire.configure_decode_memo(0)             # force two real parses
-        p1 = decode_packet(first, tables={})
-        p2 = decode_packet(first, tables={})
+        p1 = decode_packet(first, peers=Learned())
+        p2 = decode_packet(first, peers=Learned())
         assert p1.envelopes[0].subject is p2.envelopes[0].subject
         assert p1.session is p2.session
 
@@ -264,9 +266,9 @@ class TestInterning:
         table = StringTable()
         wire.configure_decode_memo(0)
         first, second = data_frame(table, [1]), data_frame(table, [2])
-        tables = {}
-        p1 = decode_packet(first, tables=tables)
-        p2 = decode_packet(second, tables=tables)
+        tables = Learned()
+        p1 = decode_packet(first, peers=tables)
+        p2 = decode_packet(second, peers=tables)
         assert p1.envelopes[0].subject is p2.envelopes[0].subject
 
 
@@ -297,10 +299,8 @@ class TestStagedMemoHonesty:
         result (or the exception class) — comparable across memo modes."""
         outcomes = []
         for entry_point, data, name in script:
-            tables, type_tables = receivers[name]
             try:
-                result = entry_point(data, tables=tables,
-                                     type_tables=type_tables)
+                result = entry_point(data, peers=receivers[name])
             except CorruptFrame as error:
                 outcomes.append(type(error))
                 continue
@@ -332,7 +332,7 @@ class TestStagedMemoHonesty:
         script = [(read_digest, first, "a"), (decode_packet, first, "a"),
                   (read_digest, second, "a"), (decode_packet, second, "a")]
         seen, stats = self.assert_memo_invisible(
-            script, lambda: {"a": ({}, {})})
+            script, lambda: {"a": Learned()})
         assert seen[3].envelopes[0].seq == 2
         # each frame: one digest miss, then the decode *completes* that
         # entry — a decode miss (bodies not parsed yet), never a hit
@@ -349,7 +349,7 @@ class TestStagedMemoHonesty:
                   # c finds them complete
                   (decode_packet, first, "c"), (decode_packet, second, "c")]
         seen, stats = self.assert_memo_invisible(
-            script, lambda: {n: ({}, {}) for n in "abc"})
+            script, lambda: {n: Learned() for n in "abc"})
         assert seen[5] == seen[7]
         assert (stats["digest_misses"], stats["digest_hits"]) == (2, 2)
         assert (stats["misses"], stats["hits"]) == (2, 2)
@@ -357,9 +357,9 @@ class TestStagedMemoHonesty:
     def test_completed_packet_is_shared(self):
         strings = StringTable()
         first = data_frame(strings, [1])
-        read_digest(first, tables={})
-        assert decode_packet(first, tables={}) is \
-            decode_packet(first, tables={})
+        read_digest(first, peers=Learned())
+        assert decode_packet(first, peers=Learned()) is \
+            decode_packet(first, peers=Learned())
 
     def test_digest_hit_ignores_ids_only_the_bodies_cite(self):
         """Receiver b knows the digest's ids (subject, session) but not
@@ -371,9 +371,10 @@ class TestStagedMemoHonesty:
                       for text in ("news.equity.gmc", "node00#0")}
 
         def receivers():
-            a = {}
-            decode_packet(first, tables=a)
-            return {"a": (a, {}), "b": ({"node00#0": dict(digest_ids)}, {})}
+            a = Learned()
+            decode_packet(first, peers=a)
+            return {"a": a,
+                    "b": Learned({"node00#0": record(digest_ids)})}
 
         for prime in ([(read_digest, second, "a")],          # stage 4 only
                       [(read_digest, second, "a"),
@@ -391,44 +392,45 @@ class TestStagedMemoHonesty:
         strings = StringTable()
         data_frame(strings, [1])                    # lost: defines the ids
         second = data_frame(strings, [2])
-        warm = {"node00#0": dict(enumerate(strings.strings))}
-        digest_only = {"node00#0": {
+        warm = Learned({"node00#0": record(enumerate(strings.strings))})
+        digest_only = Learned({"node00#0": record({
             strings.ids[text]: text
-            for text in ("news.equity.gmc", "node00#0")}}
-        read_digest(second, tables=warm)            # entry at stage 4
+            for text in ("news.equity.gmc", "node00#0")})})
+        read_digest(second, peers=warm)            # entry at stage 4
         for _ in range(3):
             with pytest.raises(UnresolvedStringId):
-                decode_packet(second, tables=digest_only)
+                decode_packet(second, peers=digest_only)
         stats = wire.decode_memo_stats()
         assert (stats["hits"], stats["misses"], stats["size"]) == (0, 0, 1)
-        decode_packet(second, tables=warm)          # still a real parse
+        decode_packet(second, peers=warm)          # still a real parse
         assert wire.decode_memo_stats()["misses"] == 1
         # and a frame no stage accepts leaves nothing behind
         wire.configure_decode_memo()
         corrupt = flip_random_bit(second, random.Random(7))
         for entry_point in (read_digest, decode_packet):
             with pytest.raises(CorruptFrame):
-                entry_point(corrupt, tables=warm)
+                entry_point(corrupt, peers=warm)
         assert wire.decode_memo_stats()["size"] == 0
 
     def test_conflicting_table_bypasses_either_stage(self):
         strings = StringTable()
         first, second = data_frame(strings, [1]), data_frame(strings, [2])
-        a = {}
-        decode_packet(first, tables=a)
-        read_digest(second, tables=a)               # entry at stage 4
-        conflicting = {"node00#0": {i: f"other-{i}" for i in range(8)}}
-        assert read_digest(second, tables=conflicting).subjects[0] \
+        a = Learned()
+        decode_packet(first, peers=a)
+        read_digest(second, peers=a)               # entry at stage 4
+        conflicting = Learned({"node00#0": record(
+            {i: f"other-{i}" for i in range(8)})})
+        assert read_digest(second, peers=conflicting).subjects[0] \
             .startswith("other-")
-        packet = decode_packet(second, tables=conflicting)
+        packet = decode_packet(second, peers=conflicting)
         assert packet.envelopes[0].subject.startswith("other-")
         # the bypass neither completed nor replaced a's entry
         assert wire.decode_memo_stats()["misses"] == 1      # first frame
-        served = decode_packet(second, tables=a)
+        served = decode_packet(second, peers=a)
         assert served.envelopes[0].subject == "news.equity.gmc"
         assert wire.decode_memo_stats()["misses"] == 2
-        assert decode_packet(second, tables=a) is served
-        assert decode_packet(second, tables=conflicting) is not served
+        assert decode_packet(second, peers=a) is served
+        assert decode_packet(second, peers=conflicting) is not served
 
     def test_lru_bound_holds_with_mixed_stage_entries(self):
         wire.configure_decode_memo(capacity=8)

@@ -141,7 +141,7 @@ def test_no_reliable_layer_losses(world):
     """On a healthy (if realistic) network, nothing was lost anywhere."""
     bus = world["bus"]
     for address, daemon in bus.daemons.items():
-        for session in daemon._receiver.sessions():
-            stats = daemon.reliable_stats(session)
-            assert stats.gaps_skipped == 0, (address, session)
-            assert stats.messages_lost == 0, (address, session)
+        for session, peer in daemon.peers.items():
+            stats = peer.stats
+            assert stats.gaps_skipped.value == 0, (address, session)
+            assert stats.messages_lost.value == 0, (address, session)

@@ -117,9 +117,9 @@ def pivot_run(typed: bool) -> dict:
         # how every receiver tracked the publisher session:
         # [delivered, duplicates, nacks_sent]
         "recv_stats": {
-            address: [stats.delivered, stats.duplicates, stats.nacks_sent]
+            address: [stats.delivered.value, stats.duplicates.value, stats.nacks_sent.value]
             for address in sorted(daemons) if address != "node00"
-            for stats in [daemons[address].reliable_stats(session)]},
+            for stats in [daemons[address].peers[session].stats]},
         "trace_records": len(trace),
         "trace_sha256": hashlib.sha256(
             json.dumps(trace, sort_keys=True).encode()).hexdigest(),

@@ -9,7 +9,8 @@ delivered stream must still be an ordered, duplicate-free subsequence.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Envelope, QoS, ReliableConfig, ReliableReceiver, ReliableSender
+from repro.core import (Envelope, QoS, RefusedSession, ReliableConfig,
+                        ReliableReceiver, ReliableSender)
 from repro.sim import Simulator
 
 
@@ -94,8 +95,8 @@ def test_without_repair_delivery_is_ordered_subsequence(count, data):
     assert set(delivered) <= set(range(1, count + 1))
     # accounting is consistent (the duplicates counter may include
     # pre-baseline arrivals a late joiner classifies as history)
-    stats = receiver.stats("host#0")
-    assert stats.delivered == len(delivered)
+    stats = receiver.sessions["host#0"].stats
+    assert stats.delivered.value == len(delivered)
 
 
 @given(st.integers(1, 40), st.integers(1, 40))
@@ -138,7 +139,7 @@ class _MissOnce(dict):
     ``handle_envelope`` looks the session up first thing, for the guard
     of its in-order prefix; arming the table before each call makes that
     one lookup miss, so the guard is false and the envelope takes the
-    general path (whose own ``_state()`` lookup then finds the session).
+    general path (whose own ``_peer()`` lookup then finds the session).
     No production switch: the reference is the code the prefix falls
     through to.
     """
@@ -169,57 +170,71 @@ class _Harness:
         self.sim = _LoggingSimulator(seed=7)
         self.delivered = []
         self.nacks = []
+        self.refused = 0
         self.receiver = ReliableReceiver(
             self.sim, ReliableConfig(nack_delay=0.004, nack_max=3),
             lambda e, r: self.delivered.append((e.session, e.seq, r)),
             lambda *nack: self.nacks.append((self.sim.now,) + nack))
         self.prefix_enabled = prefix_enabled
         if not prefix_enabled:
-            self.receiver._sessions = _MissOnce()
+            self.receiver.sessions = _MissOnce()
 
     def envelope(self, session, seq, retransmitted, session_start):
         if seq == 0:
-            state = dict.get(self.receiver._sessions, session)
+            state = dict.get(self.receiver.sessions, session)
             seq = (state.expected if state is not None else None) or 1
         if not self.prefix_enabled:
-            self.receiver._sessions.armed = True
-        self.receiver.handle_envelope(
-            Envelope("p.x", "app", session, seq, b""), retransmitted,
-            session_start)
+            self.receiver.sessions.armed = True
+        try:
+            self.receiver.handle_envelope(
+                Envelope("p.x", "app", session, seq, b""), retransmitted,
+                session_start)
+        except RefusedSession:
+            self.refused += 1       # a ghost of a superseded epoch
         if not self.prefix_enabled:
             # the armed miss was the guard's lookup, or there was no
-            # session yet and it was _state()'s — either way consumed
-            assert not self.receiver._sessions.armed
+            # session yet and it was _peer()'s — either way consumed
+            assert not self.receiver.sessions.armed
+
+    def heartbeat(self, session, last_seq, session_start):
+        try:
+            self.receiver.handle_heartbeat(session, last_seq, session_start)
+        except RefusedSession:
+            self.refused += 1
 
     def observable(self):
         sessions = {}
-        for name in self.receiver.sessions():
-            state = self.receiver._sessions[name]
+        for name, state in self.receiver.sessions.items():
             sessions[name] = (
                 state.expected, state.known_last, state.nack_attempts,
                 sorted(state.buffer), state.nack_event is not None,
                 state.sync_event is not None,
-                [getattr(state.stats, field)
+                [getattr(state.stats, field).value
                  for field in state.stats._FIELDS])
-        return (self.delivered, self.nacks, self.sim.scheduled,
-                self.sim.pending(), sessions)
+        return (self.delivered, self.nacks, self.refused,
+                self.sim.scheduled, self.sim.pending(), sessions)
 
+
+# ``a#1`` supersedes ``a#0`` the moment it is heard: whatever ``a#0``
+# had buffered is delivered, its gaps are given up, and its later frames
+# are refused — on both harnesses alike
+_SESSIONS = ["a#0", "a#1", "b#0"]
 
 _STEP = st.one_of(
-    st.tuples(st.just("envelope"), st.sampled_from(["a#0", "b#0"]),
+    st.tuples(st.just("envelope"), st.sampled_from(_SESSIONS),
               st.integers(1, 12), st.booleans()),
     # the envelope the session expects next (seq 0 stands for it): a
     # uniform draw of seq would rarely be the in-order one
-    st.tuples(st.just("envelope"), st.sampled_from(["a#0", "b#0"]),
+    st.tuples(st.just("envelope"), st.sampled_from(_SESSIONS),
               st.just(0), st.booleans()),
-    st.tuples(st.just("heartbeat"), st.sampled_from(["a#0", "b#0"]),
+    st.tuples(st.just("heartbeat"), st.sampled_from(_SESSIONS),
               st.integers(1, 14)),
     st.tuples(st.just("wait"), st.sampled_from([0.001, 0.005, 0.05])),
     # not a protocol input: plants a NACK attempt count and an announced
     # tail (``known_last`` raised with no timer armed), so the
     # equivalence holds from every state the guard admits — the
     # protocol's own invariants keep a stream from reaching most of them
-    st.tuples(st.just("plant"), st.sampled_from(["a#0", "b#0"]),
+    st.tuples(st.just("plant"), st.sampled_from(_SESSIONS),
               st.integers(0, 3), st.integers(0, 2)))
 
 
@@ -240,11 +255,10 @@ def test_in_order_prefix_equals_the_general_path(steps, session_start):
             if step[0] == "envelope":
                 harness.envelope(step[1], step[2], step[3], session_start)
             elif step[0] == "heartbeat":
-                harness.receiver.handle_heartbeat(step[1], step[2],
-                                                  session_start)
+                harness.heartbeat(step[1], step[2], session_start)
             elif step[0] == "plant":
-                if step[1] in harness.receiver.sessions():
-                    state = harness.receiver._sessions[step[1]]
+                if step[1] in harness.receiver.sessions:
+                    state = harness.receiver.sessions[step[1]]
                     state.nack_attempts = step[2]
                     state.known_last += step[3]
             else:
@@ -252,3 +266,59 @@ def test_in_order_prefix_equals_the_general_path(steps, session_start):
         assert fast.observable() == general.observable()
     assert fast.delivered[:3] == [("a#0", 1, False), ("a#0", 2, False),
                                   ("a#0", 3, False)]
+
+
+# ----------------------------------------------------------------------
+# session lifetime: a newer epoch of a host retires the older one
+# ----------------------------------------------------------------------
+
+_EPOCH_STEP = st.one_of(
+    st.tuples(st.just("envelope"),
+              st.sampled_from(["a#0", "a#1", "a#2", "b#0"]),
+              st.integers(1, 8), st.booleans()),
+    st.tuples(st.just("heartbeat"),
+              st.sampled_from(["a#0", "a#1", "a#2", "b#0"]),
+              st.integers(1, 10)),
+    st.tuples(st.just("wait"), st.sampled_from([0.001, 0.005, 0.05])))
+
+
+@given(st.lists(_EPOCH_STEP, min_size=1, max_size=60),
+       st.sampled_from([None, 0.0, -5.0]))
+@settings(max_examples=300, deadline=None)
+def test_epochs_of_one_host_leave_one_record(steps, session_start):
+    """Any interleaving of envelopes, heartbeats and waits over three
+    epochs of host ``a`` and one of ``b``: each session's deliveries are
+    duplicate-free and in order whenever it is retired, a retired epoch
+    is never heard again, and after a quiesce at most one record per
+    host is left (the first per-peer table inside a declared bound —
+    ROADMAP item 4)."""
+    harness = _Harness(True)
+    receiver = harness.receiver
+    newest = {}                     # host -> highest epoch heard
+    for step in steps:
+        if step[0] == "wait":
+            harness.sim.run_until(harness.sim.now + step[1])
+            continue
+        host, epoch = step[1].split("#")
+        refused = harness.refused
+        if step[0] == "envelope":
+            harness.envelope(step[1], step[2], step[3], session_start)
+        else:
+            harness.heartbeat(step[1], step[2], session_start)
+        # refused exactly when a newer epoch of that host was heard first
+        assert (harness.refused > refused) == \
+            (int(epoch) < newest.get(host, 0))
+        newest[host] = max(newest.get(host, 0), int(epoch))
+        assert set(receiver.sessions) == {f"{h}#{e}"
+                                          for h, e in newest.items()}
+    harness.sim.run_until(harness.sim.now + 30.0)       # quiesce
+    assert len(receiver.sessions) <= 2
+    assert not harness.sim.pending()
+    for name in ("a#0", "a#1", "a#2", "b#0"):
+        seqs = [seq for session, seq, _ in harness.delivered
+                if session == name]
+        assert all(a < b for a, b in zip(seqs, seqs[1:])), (name, seqs)
+    # instruments follow the records: seven rows each, none for the dead
+    rows = [row for row in receiver._metrics.names()
+            if row.startswith("reliable.recv[")]
+    assert len(rows) == 7 * len(receiver.sessions)

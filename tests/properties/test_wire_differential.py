@@ -27,6 +27,7 @@ from repro.core.wire import (CorruptFrame, StringTable, decode_packet,
                              encode_packet, read_digest)
 from repro.objects import AttributeSpec, TypeDescriptor
 from repro.sim.framing import frame, unframe
+from tests.learned import Learned
 
 CONTROL_KIND_CODES = (2, 3, 4)          # NACK, HEARTBEAT, ACK
 REGION_FLAGS = 0x08 | 0x10 | 0x20       # COMPRESSED | DIGEST | TYPED
@@ -98,7 +99,7 @@ def attempt(entry_point, data):
     """``(result, error)`` against a cold receiver; anything but a
     CorruptFrame propagates and fails the test — property (a)."""
     try:
-        return entry_point(data, tables={}, type_tables={}), None
+        return entry_point(data, peers=Learned()), None
     except CorruptFrame as error:
         return None, error
 

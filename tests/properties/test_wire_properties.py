@@ -16,6 +16,7 @@ from repro.core import Envelope, Packet, PacketKind, QoS
 from repro.core.wire import (CorruptFrame, StringTable, decode_packet,
                              encode_envelope, encode_packet)
 from repro.sim.framing import FRAME_OVERHEAD, flip_random_bit, frame, unframe
+from tests.learned import Learned
 
 # subjects mix plain ASCII labels with non-ASCII ones (UTF-8 on the wire)
 subjects = st.lists(
@@ -109,7 +110,7 @@ def test_compressed_bit_flip_never_decodes(packet, seed):
     flipped = flip_random_bit(data, random.Random(seed))
     assert flipped != data
     with pytest.raises(CorruptFrame):
-        decode_packet(flipped, tables={})
+        decode_packet(flipped, peers=Learned())
 
 
 @given(packets, st.integers(0, 2**31))

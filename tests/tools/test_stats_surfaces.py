@@ -3,11 +3,11 @@
 The registry (``src/repro/core/metrics.py``) is where observability
 lands: an instrument gets a hierarchical name, shows up in
 ``snapshot()`` and rides the ``_bus.stat.*`` plane for free
-(docs/OBSERVABILITY.md, "Where to read it").  Six public ``stats`` /
-``*_stats`` defs predate it and survive — the frozen ledger harness
-calls three, and ``reliable_stats`` / ``ReliableReceiver.stats`` return
-the live ``SessionStats`` view rather than a copy.  Anything else is a
-failure here: register instruments instead.
+(docs/OBSERVABILITY.md, "Where to read it").  Three public ``*_stats``
+defs predate it and survive because the frozen ledger harness calls
+them.  Anything else is a failure here: register instruments instead
+(a receiver's view of one sender session is
+``daemon.peers[session].stats``, an attribute of the session's record).
 """
 
 import ast
@@ -20,10 +20,7 @@ EXEMPT = {"repro/core/metrics.py"}
 
 ALLOWED = {
     ("repro/core/daemon.py", "BusDaemon.flow_stats"),
-    ("repro/core/daemon.py", "BusDaemon.reliable_stats"),
-    ("repro/core/reliable.py", "ReliableReceiver.stats"),
     ("repro/core/sharding.py", "ShardedDaemon.flow_stats"),
-    ("repro/core/sharding.py", "ShardedDaemon.reliable_stats"),
     ("repro/core/wire.py", "decode_memo_stats"),
 }
 
@@ -52,7 +49,7 @@ def stats_surfaces(root: Path) -> set:
     return found
 
 
-def test_the_stats_surfaces_are_exactly_the_six_survivors():
+def test_the_stats_surfaces_are_exactly_the_three_survivors():
     # equality, so a stale allow-list entry fails as a new surface does
     assert stats_surfaces(SRC) == ALLOWED
 
