@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench ledger-ab pytest-bench lint examples quicktest all clean
+.PHONY: install test bench ledger-ab pytest-bench goldens lint examples quicktest all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -19,6 +19,26 @@ ledger-ab:
 
 pytest-bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# regenerate the golden files (only for a deliberate wire/format change),
+# under two hash seeds: a file the second run changes is not a golden
+GOLDEN_TESTS = tests/integration/test_golden_run.py \
+               tests/objects/test_marshal_golden.py
+GOLDEN_FILES = tests/integration/golden_run.json \
+               tests/objects/golden_marshal.json
+
+goldens:
+	@set -e; for seed in 0 1; do \
+	    for test in $(GOLDEN_TESTS); do \
+	        PYTHONHASHSEED=$$seed PYTHONPATH=src $(PYTHON) $$test; \
+	    done; \
+	    sums=$$(cksum $(GOLDEN_FILES)); \
+	    if [ $$seed = 1 ] && [ "$$sums" != "$$first" ]; then \
+	        echo "goldens: PYTHONHASHSEED=1 changed a file:"; \
+	        echo "$$first"; echo "$$sums"; exit 1; \
+	    fi; \
+	    first=$$sums; \
+	done
 
 lint:
 	ruff check src tests benchmarks tools

@@ -143,9 +143,6 @@ class CellController:
         self._subscription = client.subscribe(f"{plant}.cc.*.*",
                                               self._on_reading)
 
-    def set_limit(self, metric: str, low: float, high: float) -> None:
-        self.limits[metric] = (low, high)
-
     def _on_reading(self, subject: str, obj: Any,
                     info: MessageInfo) -> None:
         if not (isinstance(obj, DataObject)

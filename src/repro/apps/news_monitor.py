@@ -86,9 +86,6 @@ class NewsMonitor:
                 lines.append(f"  {prop.get('name')}: {prop.get('value')!r}")
         return "\n".join(lines)
 
-    def story_at(self, index: int) -> DataObject:
-        return self.stories[index]
-
     def keywords_for(self, index: int) -> Any:
         """Convenience: the 'keywords' property of story ``index``."""
         story = self.stories[index]

@@ -694,13 +694,14 @@ class BusDaemon:
             handle = self._receiver.handle_envelope
             retransmitted = kind is PacketKind.RETRANS
             session_start = packet.session_start
-            for envelope in packet.envelopes:
-                try:
+            try:
+                for envelope in packet.envelopes:
                     handle(envelope, retransmitted, session_start)
-                except RefusedSession as err:
-                    # an uncompressed frame: the codec never asked, so
-                    # the receiver is the first to hear (and refuse) it
-                    self._drop_undecodable(err)
+            except RefusedSession as err:
+                # an uncompressed frame: the codec never asked, so the
+                # receiver is the first to hear (and refuse) its session
+                # — the whole frame's, so the frame is dropped, once
+                self._drop_undecodable(err)
         elif kind is PacketKind.HEARTBEAT:
             try:
                 self._receiver.handle_heartbeat(

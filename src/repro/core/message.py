@@ -58,7 +58,14 @@ class PacketKind(enum.Enum):
 
 @dataclass
 class Envelope:
-    """One published message as it travels between daemons."""
+    """One published message as it travels between daemons.
+
+    Invariant on everything a daemon sends: ``qos is QoS.GUARANTEED``
+    iff ``ledger_id`` is set.  The wire carries only the ledger flag and
+    a decoder reads ``qos`` back off it (:mod:`repro.core.wire`), as it
+    fills ``session`` from the frame header; ``encode`` does not check
+    the invariant, and nothing in ``src/`` can violate it.
+    """
 
     subject: str
     sender: str               # client id, e.g. "node3.news_adapter"
@@ -73,13 +80,6 @@ class Envelope:
     #: which keeps arbitrary router topologies (chains, meshes, cycles)
     #: loop-free while allowing multi-hop forwarding.
     via: Tuple[str, ...] = ()
-    #: wire-visible identity, stamped by the publishing daemon from its
-    #: own counter (0 = not yet stamped).  The id rides the wire as a
-    #: varint, so a process-global counter would make a message's size —
-    #: and therefore its send-CPU timing — depend on how many envelopes
-    #: *earlier, unrelated* runs created.  Per-daemon counters keep
-    #: same-seed runs bit-identical.
-    envelope_id: int = 0
     #: session type-table ids the payload references when it was
     #: marshalled with :func:`repro.objects.marshal.encode_typed`; the
     #: wire layer rides the matching typedef definitions in-band

@@ -23,7 +23,6 @@ degrading to at-most-once exactly as specified.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -98,9 +97,6 @@ class ReliableSender:
         self.config = config
         self.now = now
         self.next_seq = 1
-        # per-sender envelope identities: a module-global counter would
-        # leak across runs and (as a wire varint) perturb packet sizes
-        self._envelope_ids = itertools.count(1)
         # seq -> (envelope, stamp time); drop-oldest IS the rolling
         # repair window, so the buffer's eviction counters double as
         # "how much repairability the retention bound cost us"
@@ -127,8 +123,6 @@ class ReliableSender:
         """Assign the next sequence number and retain for repair."""
         envelope.session = self.session
         envelope.seq = self.next_seq
-        if envelope.envelope_id == 0:
-            envelope.envelope_id = next(self._envelope_ids)
         self.next_seq += 1
         self._retention.insert(envelope.seq, (envelope, self.now()))
         self._expire()

@@ -19,8 +19,8 @@ Wire header compression
 -----------------------
 
 Small payloads are dwarfed by their headers: ``subject``, ``sender``,
-``session``, ``ledger_id``, and ``via`` hops repeat on every envelope a
-session publishes.  A publishing daemon may therefore hold a
+``ledger_id``, and ``via`` hops repeat on every envelope a session
+publishes.  A publishing daemon may therefore hold a
 :class:`StringTable` that assigns dense varint ids to header strings in
 first-use order (HPACK-style; ids are never reassigned for the life of
 the session), and encode DATA/RETRANS frames with ids in place of
@@ -101,8 +101,8 @@ Subject digests and the interest gate
 On a broadcast bus most daemons are uninterested in most frames, yet
 every daemon hears every DATA frame.  So DATA and RETRANS frames lead
 with a **subject digest**: one tiny entry per envelope — subject,
-``(session, seq)``, and a guaranteed-delivery marker — placed *before*
-the envelope bodies.  :func:`read_digest` parses just the frame header,
+seq, and a guaranteed-delivery marker — placed *before* the envelope
+bodies.  :func:`read_digest` parses just the frame header,
 the defs section, and the digest in O(header) time, letting a receiving
 daemon ask "does anything here match my subscriptions?" without ever
 materializing the bodies.  When nothing matches, the daemon advances
@@ -124,13 +124,19 @@ Frame body layout (all integers varint unless noted)::
     tdefs      := tdef_count (tid desc:bytes)*
                   tref_count tid*                     # iff flags TYPED
     digest     := entry_count entry*                  # iff flags DIGEST
-    entry      := dflags:u8 subject seq [env_session]
-    envelope   := flags:u8 subject:str sender:str session:str seq qos:u8
-                  publish_time:f64 envelope_id [ledger_id:str]
-                  via_count via:str* payload:bytes
-    envelope'  := flags:u8 subject_id sender_id session_id seq qos:u8
-                  publish_time:f64 envelope_id [ledger_id_id]
-                  via_count via_id* payload:bytes     # iff flags COMPRESSED
+    entry      := dflags:u8 subject seq
+    envelope   := flags:u8 subject:str sender:str seq publish_time:f64
+                  [ledger_id:str] via_count via:str* payload:bytes
+    envelope'  := flags:u8 subject_id sender_id seq publish_time:f64
+                  [ledger_id_id] via_count via_id* payload:bytes
+                                                      # iff flags COMPRESSED
+
+One frame, one session: every envelope and digest entry in a frame
+belongs to the session its header names (a daemon only ever sends its
+own), so the session is written once per frame and a frame mixing
+sessions cannot be written down.  QoS rides the ledger flag: envelope
+flag ``0x01`` says a ``ledger_id`` follows, which is exactly what makes
+an envelope guaranteed, so no separate qos field is sent.
 
 ``flags`` marks which optional fields follow (packet bit ``0x08`` =
 COMPRESSED, ``0x10`` = DIGEST, set on every DATA/RETRANS frame,
@@ -138,11 +144,10 @@ COMPRESSED, ``0x10`` = DIGEST, set on every DATA/RETRANS frame,
 ``tdefs`` carries ``(type id, definition bytes)`` pairs followed by the
 frame's full type-reference list (``tref_count tid*``) — definitions
 are applied, references validated, on both decode paths.
-Digest ``subject``/``env_session`` are table ids iff the frame is
-COMPRESSED, else inline strings; ``env_session`` appears only when
-``dflags`` bit ``0x02`` is set (the envelope's session differs from the
-packet session).  ``dflags`` bit ``0x01`` marks a guaranteed (ledgered)
-envelope — those always take the full decode path.  ``entry_count``
+A digest ``subject`` is a table id iff the frame is COMPRESSED, else an
+inline string.  ``dflags`` bit ``0x01`` marks a guaranteed (ledgered)
+envelope — those always take the full decode path; any other bit is a
+:class:`CorruptFrame`.  ``entry_count``
 must equal the body ``count``; a digest lists exactly the envelopes
 behind it, and the encoder derives it from the same envelope objects,
 so a CRC-valid frame's digest can only disagree with its bodies if the
@@ -185,9 +190,6 @@ _KIND_TO_CODE = {
 }
 _CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
 
-_QOS_TO_CODE = {QoS.RELIABLE: 0, QoS.GUARANTEED: 1}
-_CODE_TO_QOS = {code: qos for qos, code in _QOS_TO_CODE.items()}
-
 # packet flag bits
 _P_NACK_RANGE = 0x01
 _P_ACK_LEDGER = 0x02
@@ -205,7 +207,6 @@ _E_LEDGER = 0x01
 
 # digest entry flag bits
 _D_LEDGER = 0x01     # guaranteed envelope: receivers must decode fully
-_D_SESSION = 0x02    # envelope session differs from the packet session
 
 _intern = sys.intern
 
@@ -315,11 +316,8 @@ def _write_envelope_body(envelope: Envelope,
     out.write(bytes((flags,)))
     _write_header_str(out, envelope.subject, table, refs, own_defs)
     _write_header_str(out, envelope.sender, table, refs, own_defs)
-    _write_header_str(out, envelope.session, table, refs, own_defs)
     write_varint(out, envelope.seq)
-    out.write(bytes((_QOS_TO_CODE[envelope.qos],)))
     write_f64(out, envelope.publish_time)
-    write_varint(out, envelope.envelope_id)
     if envelope.ledger_id is not None:
         _write_header_str(out, envelope.ledger_id, table, refs, own_defs)
     write_varint(out, len(envelope.via))
@@ -393,31 +391,21 @@ def _write_digest(out: BytesIO, packet: Packet,
                   table: Optional[StringTable]) -> None:
     """Write the subject-digest region: one entry per envelope body.
 
-    With ``table`` (compressed frames) subjects/sessions are written as
-    table ids; every id is already interned — the envelope bodies were
-    encoded first (their defs precede the digest on the wire), and a
-    body always references its subject and session.
+    With ``table`` (compressed frames) subjects are written as table
+    ids; every id is already interned — the envelope bodies were encoded
+    first (their defs precede the digest on the wire), and a body always
+    references its subject.
     """
     ids = None if table is None else table.ids
     write_varint(out, len(packet.envelopes))
     for envelope in packet.envelopes:
-        dflags = 0
-        if envelope.ledger_id is not None:
-            dflags |= _D_LEDGER
-        alt_session = envelope.session != packet.session
-        if alt_session:
-            dflags |= _D_SESSION
-        out.write(bytes((dflags,)))
+        out.write(bytes((_D_LEDGER if envelope.ledger_id is not None
+                         else 0,)))
         if ids is None:
             write_str(out, envelope.subject)
         else:
             write_varint(out, ids[envelope.subject])
         write_varint(out, envelope.seq)
-        if alt_session:
-            if ids is None:
-                write_str(out, envelope.session)
-            else:
-                write_varint(out, ids[envelope.session])
 
 
 def _write_typedefs(out: BytesIO, packet: Packet, type_table,
@@ -595,16 +583,11 @@ class FrameDigest:
     with no subscriber, and unsequenced ``seq == 0`` telemetry frames).
     """
 
-    __slots__ = ("kind", "session", "session_start", "last_seq",
-                 "subjects", "entries", "needs_full")
+    __slots__ = ("session", "subjects", "entries", "needs_full")
 
-    def __init__(self, kind: PacketKind, session: str, session_start: float,
-                 last_seq: int, subjects: Tuple[str, ...],
+    def __init__(self, session: str, subjects: Tuple[str, ...],
                  entries: List[Tuple[str, int]], needs_full: bool):
-        self.kind = kind
         self.session = session
-        self.session_start = session_start
-        self.last_seq = last_seq
         self.subjects = subjects
         self.entries = entries
         self.needs_full = needs_full
@@ -791,18 +774,15 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
             needs_full = False
             for _ in range(cur.varint()):
                 dflags = cur.u8()
-                if dflags & ~(_D_LEDGER | _D_SESSION):
+                if dflags & ~_D_LEDGER:
                     raise CorruptFrame(f"unknown digest flags {dflags:#x}")
                 subjects[_read_header_str(cur, table, refs)] = None
                 seq = cur.varint()
-                env_session = session
-                if dflags & _D_SESSION:
-                    env_session = _read_header_str(cur, table, refs)
                 if dflags & _D_LEDGER or seq == 0:
                     needs_full = True
-                entries.append((env_session, seq))
-            parse.digest = FrameDigest(kind, session, session_start, last_seq,
-                                       tuple(subjects), entries, needs_full)
+                entries.append((session, seq))
+            parse.digest = FrameDigest(session, tuple(subjects), entries,
+                                       needs_full)
         if table is not None:
             parse.needs = _needs(table, refs, parse.defines)
             missing = [i for i, text in parse.needs.items() if text is None]
@@ -818,7 +798,8 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
             raise CorruptFrame(f"digest lists {len(digest.entries)} "
                                f"envelopes, body carries {count}")
         refs = set()
-        envelopes = [_read_envelope(cur, table, refs) for _ in range(count)]
+        envelopes = [_read_envelope(cur, table, refs, session)
+                     for _ in range(count)]
         if not cur.exhausted:
             raise CorruptFrame(
                 f"{cur.remaining()} trailing bytes after packet")
@@ -865,25 +846,21 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
 
 
 def _read_envelope(cur: Cursor, table: Optional[Dict[int, str]],
-                   refs: Set[int]) -> Envelope:
+                   refs: Set[int], session: str) -> Envelope:
+    """One envelope body of a frame from ``session`` (the frame header's:
+    the body does not repeat it); qos is read off the ledger flag."""
     flags = cur.u8()
     subject = _read_header_str(cur, table, refs)
     sender = _read_header_str(cur, table, refs)
-    session = _read_header_str(cur, table, refs)
     seq = cur.varint()
-    qos_code = cur.u8()
-    qos = _CODE_TO_QOS.get(qos_code)
-    if qos is None:
-        raise CorruptFrame(f"unknown qos code {qos_code}")
     publish_time = cur.f64()
-    envelope_id = cur.varint()
-    ledger_id = None
+    qos, ledger_id = QoS.RELIABLE, None
     if flags & _E_LEDGER:
-        ledger_id = _read_header_str(cur, table, refs)
+        qos, ledger_id = QoS.GUARANTEED, _read_header_str(cur, table, refs)
     via = tuple([_read_header_str(cur, table, refs)
                  for _ in range(cur.varint())])
     return Envelope(subject, sender, session, seq, cur.bytes_(), qos,
-                    ledger_id, publish_time, via, envelope_id)
+                    ledger_id, publish_time, via)
 
 
 def decode_packet(data: bytes, peers=None) -> Packet:

@@ -102,9 +102,6 @@ class Table:
                 f"table {self.name!r}: column {column.name!r} exists")
         self.columns[column.name] = column
 
-    def column_names(self) -> List[str]:
-        return list(self.columns)
-
     def create_index(self, column: str) -> None:
         if column not in self.columns:
             raise DatabaseError(
@@ -116,9 +113,6 @@ class Table:
         for position, row in enumerate(self._rows):
             index.setdefault(row.get(column), []).append(position)
         self._indexes[column] = index
-
-    def indexed_columns(self) -> List[str]:
-        return sorted(self._indexes)
 
     # ------------------------------------------------------------------
     # mutation
@@ -272,9 +266,6 @@ class Database:
 
     def tables(self) -> List[str]:
         return sorted(self._tables)
-
-    def total_rows(self) -> int:
-        return sum(len(t) for t in self._tables.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Database {self.name} tables={len(self._tables)}>"

@@ -84,10 +84,6 @@ class TypeSchema:
                 return mapping
         return None
 
-    def column_for(self, attr_name: str) -> Optional[str]:
-        mapping = self.mapping(attr_name)
-        return mapping.column if mapping else None
-
 
 class SchemaMapper:
     """Computes and materializes :class:`TypeSchema` objects in a database."""

@@ -14,18 +14,15 @@ raises :class:`CorruptFrame` — the caller drops the frame and lets the
 retransmission machinery repair the loss, exactly like a UDP checksum
 failure on a real network.
 
-This module also provides the primitive field encoders (varints, strings,
+This module also provides the primitive field codecs (varints, strings,
 floats) shared by the packet codec (:mod:`repro.core.wire`) and the
-stream-segment codec (:mod:`repro.sim.transport`), in two forms:
-
-* the historical ``read_*(data, pos) -> (value, pos)`` free functions,
-  kept for callers that hold plain ``bytes``;
-* :class:`Cursor`, the allocation-lean decode fast path: one object
-  walks a single :class:`memoryview` of the frame body with precompiled
-  :class:`struct.Struct` unpackers, so field reads never slice new
-  ``bytes`` objects (strings decode straight out of the buffer, and
-  only payload fields pay a copy).  Pair it with :func:`unframe_view`,
-  which CRC-validates a frame and returns the body as a zero-copy view.
+stream-segment codec (:mod:`repro.sim.transport`): the ``write_*``
+functions, and one reader, :class:`Cursor` — one object walks a single
+:class:`memoryview` of the frame body with precompiled
+:class:`struct.Struct` unpackers, so field reads never slice new
+``bytes`` objects (strings decode straight out of the buffer, and only
+payload fields pay a copy).  Pair it with :func:`unframe_view`, which
+CRC-validates a frame and returns the body as a zero-copy view.
 
 It sits at the bottom of the layering: it knows nothing about envelopes,
 packets, or segments.
@@ -36,11 +33,9 @@ from __future__ import annotations
 import struct
 import zlib
 from io import BytesIO
-from typing import Tuple
 
 __all__ = ["CorruptFrame", "Cursor", "FRAME_OVERHEAD", "MAX_VARINT_BYTES",
            "frame", "unframe", "unframe_view", "flip_random_bit",
-           "read_bytes", "read_f64", "read_str", "read_varint",
            "write_bytes", "write_f64", "write_str", "write_varint"]
 
 _MAGIC = b"IB"
@@ -204,7 +199,7 @@ class Cursor:
 
 
 # ----------------------------------------------------------------------
-# primitive field codecs
+# primitive field writers
 # ----------------------------------------------------------------------
 
 #: the one-byte varints, prebuilt: ids, small counts and lengths are
@@ -228,51 +223,14 @@ def write_varint(out: BytesIO, value: int) -> None:
             return
 
 
-def read_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise CorruptFrame("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift >= MAX_VARINT_BYTES * 7:
-            raise CorruptFrame(f"varint longer than {MAX_VARINT_BYTES} bytes")
-
-
 def write_bytes(out: BytesIO, raw: bytes) -> None:
     write_varint(out, len(raw))
     out.write(raw)
-
-
-def read_bytes(data: bytes, pos: int) -> Tuple[bytes, int]:
-    length, pos = read_varint(data, pos)
-    if pos + length > len(data):
-        raise CorruptFrame("truncated bytes field")
-    return bytes(data[pos:pos + length]), pos + length
 
 
 def write_str(out: BytesIO, text: str) -> None:
     write_bytes(out, text.encode("utf-8"))
 
 
-def read_str(data: bytes, pos: int) -> Tuple[str, int]:
-    raw, pos = read_bytes(data, pos)
-    try:
-        return raw.decode("utf-8"), pos
-    except UnicodeDecodeError as error:
-        raise CorruptFrame(f"invalid UTF-8 in string field: {error}") from None
-
-
 def write_f64(out: BytesIO, value: float) -> None:
     out.write(_F64.pack(value))
-
-
-def read_f64(data: bytes, pos: int) -> Tuple[float, int]:
-    if pos + 8 > len(data):
-        raise CorruptFrame("truncated float field")
-    return _F64.unpack_from(data, pos)[0], pos + 8

@@ -19,13 +19,14 @@ from repro.core import (BusConfig, CorruptFrame, Envelope,
                         StringTable, UnresolvedStringId, decode_packet,
                         encode_packet, read_digest)
 from repro.core import wire
-from repro.core.daemon import BusDaemon
+from repro.core.daemon import DAEMON_PORT, BusDaemon
 from repro.core.reliable import ReliableConfig, ReliableReceiver
 from repro.core.typeplane import TypeTable
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator
 from repro.sim.framing import frame, unframe
+from tests.core.test_session_lifetime import evil_socket
 from tests.integration.test_golden_run import pivot_run
 from tests.learned import Learned
 
@@ -47,9 +48,7 @@ def test_digest_roundtrip_plain():
                     session_start=0.25)
     digest = read_digest(encode_packet(packet))
     assert digest is not None
-    assert digest.kind is PacketKind.DATA
     assert digest.session == "node00#0"
-    assert digest.session_start == 0.25
     assert digest.subjects == ("feed.equity.gmc", "feed.fx.eur")
     assert digest.entries == [("node00#0", 4), ("node00#0", 5)]
     assert digest.needs_full is False
@@ -109,16 +108,6 @@ def test_needs_full_for_ledgered_and_unsequenced():
     assert read_digest(encode_packet(mixed)).needs_full is True
 
 
-def test_foreign_session_entries_carry_their_session():
-    """A RETRANS can repair envelopes from a session other than the
-    packet's own (router store-and-forward); the digest says whose."""
-    packet = Packet(PacketKind.RETRANS, "router#0",
-                    [make_envelope(seq=7, session="node05#0")],
-                    session_start=0.0)
-    digest = read_digest(encode_packet(packet))
-    assert digest.entries == [("node05#0", 7)]
-
-
 def test_unresolved_digest_matches_full_decode_failure():
     """A receiver that missed the defining frame fails identically via
     the digest path and the full path: same exception type, same session,
@@ -154,24 +143,32 @@ def test_every_corrupted_copy_raises_from_read_digest():
     assert read_digest(data).entries == [("node00#0", 1)]
 
 
-def test_semantically_bad_digest_is_corrupt_on_both_paths():
-    """A digest entry with unknown flag bits (valid CRC) is rejected by
-    read_digest AND by decode_packet — the frame drops whole either way,
-    so gated and ungated receivers stay in lockstep."""
-    subject = "zq.unique.subject"
-    data = encode_packet(Packet(PacketKind.DATA, "node00#0",
-                                [make_envelope(subject, seq=1)],
+def with_digest_flag(flag, subject="zq.unique.subject", session="node00#0"):
+    """A CRC-valid one-envelope DATA frame (seq 1) whose digest entry
+    has ``flag`` set — what only a hostile encoder writes."""
+    data = encode_packet(Packet(PacketKind.DATA, session,
+                                [make_envelope(subject, 1, session)],
                                 session_start=0.0))
     body = bytearray(unframe(data))
     marker = bytes([len(subject)]) + subject.encode()
     at = body.index(marker)           # first occurrence: the digest entry
     assert body[at - 1] == 0          # its dflags byte
-    body[at - 1] = 0x80               # an undefined digest flag
-    tampered = frame(bytes(body))
-    with pytest.raises(CorruptFrame):
-        read_digest(tampered)
-    with pytest.raises(CorruptFrame):
-        decode_packet(tampered)
+    body[at - 1] = flag
+    return frame(bytes(body))
+
+
+def test_semantically_bad_digest_is_corrupt_on_both_paths():
+    """A digest entry with unknown flag bits (valid CRC) is rejected by
+    read_digest AND by decode_packet — the frame drops whole either way,
+    so gated and ungated receivers stay in lockstep.  0x02 once meant
+    "this envelope is another session's"; a frame is one session's, so
+    it is as undefined as 0x80."""
+    for flag in (0x02, 0x80):
+        tampered = with_digest_flag(flag)
+        for entry_point in (read_digest, decode_packet):
+            with pytest.raises(CorruptFrame) as caught:
+                entry_point(tampered)
+            assert type(caught.value) is CorruptFrame  # nothing to repair
 
 
 @pytest.mark.parametrize("flag", [0x08, 0x10, 0x20],
@@ -481,6 +478,25 @@ def test_exactly_once_under_corruption_with_gating():
     for address, box in inboxes.items():
         assert box == list(range(80)), f"{address} saw {len(box)}"
     assert bus.daemons["node04"].skipped_frames > 0
+
+
+def test_a_digest_naming_another_session_is_a_counted_corrupt_drop():
+    """Digest flag 0x02 through real sockets: every daemon that hears
+    the frame — interested in its subject or not — drops it as corrupt,
+    once, learns nothing of the session, and hears its next frame."""
+    bus = make_bus(advertise_subscriptions=False)
+    bus.client("node01", "mon").subscribe("zq.>", lambda *a: None)
+    socket = evil_socket(bus)
+    socket.broadcast(with_digest_flag(0x02, session="evil#0"), DAEMON_PORT)
+    bus.run_for(1.0)
+    for daemon in bus.daemons.values():
+        assert daemon.corrupt_dropped == 1
+        assert not daemon.peers and daemon.skipped_frames == 0
+    socket.broadcast(with_digest_flag(0, session="evil#0"), DAEMON_PORT)
+    bus.run_for(1.0)
+    for daemon in bus.daemons.values():
+        assert daemon.corrupt_dropped == 1
+        assert daemon.peers["evil#0"].stats.delivered.value == 1
 
 
 def test_guaranteed_frames_take_full_path():

@@ -23,6 +23,17 @@ def test_envelope_size_grows_with_payload_and_subject():
     assert longer_subject.size == small.size + len(".much.longer")
 
 
+def test_envelope_size_counts_only_what_a_receiver_reads():
+    """flags, subject, sender, seq, publish_time, via count, payload.
+    The frame header carries the session, the ledger flag the qos, and
+    nothing read an envelope id: this envelope was 38 bytes when all
+    three rode along, and is smaller by exactly those fields."""
+    e = envelope()
+    assert e.size == 1 + (1 + 3) + (1 + 5) + 1 + 8 + 1 + (1 + 10) == 32
+    session, qos, envelope_id = 1 + len(e.session), 1, 1
+    assert 38 - e.size == session + qos + envelope_id
+
+
 def test_packet_size_is_frame_length():
     envelopes = [envelope(), envelope(subject="c.d", payload=b"y" * 20)]
     packet = Packet(PacketKind.DATA, "h#0", envelopes)
@@ -42,20 +53,6 @@ def test_envelope_defaults():
     assert e.qos is QoS.RELIABLE
     assert e.ledger_id is None
     assert e.via == ()
-    assert e.envelope_id == 0        # unstamped until a daemon sends it
-
-
-def test_envelope_ids_stamped_per_sender():
-    # ids come from the publishing daemon's own counter, not a process
-    # global: a fresh sender always starts at 1, so same-seed runs emit
-    # byte-identical frames no matter what ran earlier in the process
-    from repro.core import BusConfig, ReliableConfig
-    from repro.core.reliable import ReliableSender
-    first = ReliableSender("h#0", BusConfig().reliable)
-    ids = [first.stamp(envelope()).envelope_id for _ in range(3)]
-    assert ids == [1, 2, 3]
-    again = ReliableSender("h#1", ReliableConfig())
-    assert again.stamp(envelope()).envelope_id == 1
 
 
 def test_message_info_latency():

@@ -145,18 +145,26 @@ def test_ghosts_of_a_retired_epoch_are_counted_drops():
     assert inbox[-1][1:] == ("node00#1", 5)
 
 
-def test_a_ghost_envelope_does_not_take_its_frame_down():
-    """Envelopes name their own session, so one frame can mix a dead
-    epoch's with a live one's: the refusal is per envelope."""
-    bus, _tracer, inbox = restart_with_a_gap()
-    live = envelope("node00#1", 2)
-    evil_socket(bus).sendto(
-        encode_packet(Packet(PacketKind.DATA, "node00#1",
-                             [envelope("node00#0", 3), live],
-                             session_start=0.0)), "node01", DAEMON_PORT)
-    bus.run_for(0.1)
-    assert counter(bus.daemons["node01"], "stale_sessions") == 1
-    assert inbox[-1][1:] == ("node00#1", -2)
+@pytest.mark.parametrize("make_table", [lambda: None, StringTable],
+                         ids=["plain", "compressed"])
+def test_a_refused_frame_counts_once_whatever_its_encoding(make_table):
+    """A frame is one session's, so a refusal is the frame's: a ghost
+    frame of three envelopes is one ``stale_sessions`` whether the codec
+    (compressed: it asks for the session's tables) or the receiver
+    (plain: the first envelope) is the first to hear the session."""
+    bus, tracer, inbox = restart_with_a_gap()
+    before, nacks = list(inbox), tracer.count("nack")
+    ghost = Packet(PacketKind.DATA, "node00#0",
+                   [envelope("node00#0", seq) for seq in (4, 5, 6)],
+                   session_start=0.0)
+    evil_socket(bus).sendto(encode_packet(ghost, make_table()),
+                            "node01", DAEMON_PORT)
+    bus.run_for(1.0)
+    daemon = bus.daemons["node01"]
+    assert counter(daemon, "stale_sessions") == 1
+    assert counter(daemon, "corrupt_dropped") == 0
+    assert list(daemon.peers) == ["node00#1"]
+    assert inbox == before and tracer.count("nack") == nacks
 
 
 @pytest.mark.parametrize("qos", [QoS.RELIABLE, QoS.GUARANTEED])

@@ -35,8 +35,7 @@ from tests.learned import Learned, record
 def make_envelope(seq, subject="news.equity.gmc", session="node00#0",
                   **kw):
     return Envelope(subject=subject, sender="node00.pub", session=session,
-                    seq=seq, payload=b"payload", publish_time=0.25,
-                    envelope_id=seq, **kw)
+                    seq=seq, payload=b"payload", publish_time=0.25, **kw)
 
 
 def data_frame(table, seqs, subject="news.equity.gmc", session="node00#0"):
@@ -362,13 +361,13 @@ class TestStagedMemoHonesty:
             decode_packet(first, peers=Learned())
 
     def test_digest_hit_ignores_ids_only_the_bodies_cite(self):
-        """Receiver b knows the digest's ids (subject, session) but not
-        the sender id the bodies use: the digest read serves it, the
+        """Receiver b knows the digest's id (the subject) but not the
+        sender id the bodies use: the digest read serves it, the
         decode fails it — from the memo exactly as from a fresh parse."""
         strings = StringTable()
         first, second = data_frame(strings, [1]), data_frame(strings, [2])
         digest_ids = {strings.ids[text]: text
-                      for text in ("news.equity.gmc", "node00#0")}
+                      for text in ("news.equity.gmc",)}
 
         def receivers():
             a = Learned()
@@ -395,7 +394,7 @@ class TestStagedMemoHonesty:
         warm = Learned({"node00#0": record(enumerate(strings.strings))})
         digest_only = Learned({"node00#0": record({
             strings.ids[text]: text
-            for text in ("news.equity.gmc", "node00#0")})})
+            for text in ("news.equity.gmc",)})})
         read_digest(second, peers=warm)            # entry at stage 4
         for _ in range(3):
             with pytest.raises(UnresolvedStringId):

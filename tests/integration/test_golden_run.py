@@ -19,6 +19,9 @@ Regenerate (only for a deliberate change to what the bus puts on the
 wire or when it does so)::
 
     PYTHONPATH=src python tests/integration/test_golden_run.py
+
+or ``make goldens``, which runs it (and the marshal golden's) under two
+hash seeds and fails if the second run changes a file.
 """
 
 import hashlib
@@ -137,7 +140,9 @@ def test_run_matches_golden(scenario):
         golden = json.load(handle)[scenario]
     run = pivot_run(typed=(scenario == "typed_traffic"))
     for key in golden:          # key by key, so a failure names what moved
-        assert run[key] == golden[key], key
+        assert run[key] == golden[key], (
+            f"{key} moved; if the wire or its timing changed on purpose, "
+            f"regenerate with `make goldens`")
     assert set(run) == set(golden)
     # the scenario still exercises what it exists to pin
     assert run["frames_corrupted"] > 0 and run["corrupt_dropped"] > 0

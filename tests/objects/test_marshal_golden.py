@@ -10,6 +10,9 @@ fast paths (PR 13); the typed encodings share one session
 Regenerate (only for a deliberate, versioned format change)::
 
     PYTHONPATH=src python tests/objects/test_marshal_golden.py
+
+or ``make goldens``, which runs it (and the golden run's) under two
+hash seeds and fails if the second run changes a file.
 """
 
 import json
@@ -124,7 +127,9 @@ def current():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bytes_match_golden(current, name):
-    assert current[name] == GOLDEN[name]
+    assert current[name] == GOLDEN[name], (
+        f"{name} bytes moved: a wire-format break; if deliberate and "
+        f"versioned, regenerate with `make goldens`")
 
 
 def test_golden_covers_every_value(current):

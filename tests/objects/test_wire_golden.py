@@ -4,12 +4,19 @@ A bus deployed "24 by 7" upgrades piecemeal, so new code must decode
 what old code encoded.  These vectors freeze the byte-level format; if
 one of them changes, that is a wire-compatibility break and needs to be
 a deliberate, versioned decision (bump the magic), not an accident.
+
+The second half does the same for whole bus frames (``core/wire.py``):
+one vector per packet shape, spelled field by field, so the grammar
+``docs/PROTOCOLS.md`` prints is pinned by bytes.
 """
 
 import pytest
 
+from repro.core import (Envelope, Packet, PacketKind, QoS, StringTable,
+                        decode_packet, encode_packet)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            decode, encode, standard_registry)
+from tests.learned import Learned
 
 GOLDEN_SCALARS = [
     (None, "4942014e"),
@@ -78,3 +85,107 @@ def test_inline_metadata_block_tag():
     assert wire[3:4] == b"M"        # metadata block marker after magic
     # and a schema-naive process can still decode it
     assert decode(wire, standard_registry()).type_name == "t"
+
+
+# ----------------------------------------------------------------------
+# whole frames
+# ----------------------------------------------------------------------
+
+SESSION = "046e302330"                      # "n0#0"
+STARTED = "3fd0000000000000"                # session_start 0.25
+FEED_GMC = "08666565642e676d63"             # "feed.gmc"
+N0_PUB = "066e302e707562"                   # "n0.pub"
+PUBLISHED = "3fe0000000000000"              # publish_time 0.5
+PAYLOAD = "03010203"
+
+
+def frame_envelope(seq, **fields):
+    return Envelope(subject="feed.gmc", sender="n0.pub", session="n0#0",
+                    seq=seq, payload=b"\x01\x02\x03", publish_time=0.5,
+                    **fields)
+
+
+def golden_frames():
+    """``(packet, encoded hex, expected hex)`` per packet shape.
+    The compressed ones share the session's string table, in send
+    order: the DATA frame defines the ids, the RETRANS redefines every
+    id it references although the table already holds them."""
+    table = StringTable()
+    ledgered = frame_envelope(2, qos=QoS.GUARANTEED, ledger_id="n0/g/1",
+                              via=("wan",))
+    shapes = [
+        ("plain DATA", None,
+         Packet(PacketKind.DATA, "n0#0", [frame_envelope(1)],
+                session_start=0.25),
+         "4942" "0000003c"                  # magic, body length 60
+         "00" "10"                          # DATA, flags DIGEST
+         + SESSION + STARTED + "00"         # last_seq 0
+         + "01" "00" + FEED_GMC + "01"      # digest: 1 entry: dflags subject seq
+         + "01"                             # 1 envelope
+         + "00" + FEED_GMC + N0_PUB         # flags subject sender
+         + "01" + PUBLISHED                 # seq publish_time
+         + "00" + PAYLOAD                   # no via hops, payload
+         + "0c91fb7b"),                     # CRC-32 of the body
+        ("compressed DATA", table,
+         Packet(PacketKind.DATA, "n0#0", [frame_envelope(1), ledgered],
+                session_start=0.25),
+         "4942" "0000005c"
+         "00" "18"                          # DATA, COMPRESSED | DIGEST
+         + SESSION + STARTED + "00"
+         + "04"                             # defs: the 4 ids first used here
+         + "00" + FEED_GMC + "01" + N0_PUB
+         + "02" "066e302f672f31"            # 2 = "n0/g/1"
+         + "03" "0377616e"                  # 3 = "wan"
+         + "02" "000001" "010002"           # digest: (-, id 0, 1) (LEDGER, id 0, 2)
+         + "02"                             # 2 envelopes
+         + "00" "00" "01" "01" + PUBLISHED + "00" + PAYLOAD
+         + "01" "00" "01" "02" + PUBLISHED  # flags LEDGER: guaranteed
+         + "02" "01" "03" + PAYLOAD         # ledger id, 1 via hop: id 3
+         + "23722257"),
+        ("RETRANS", table,
+         Packet(PacketKind.RETRANS, "n0#0", [frame_envelope(1)],
+                session_start=0.25),
+         "4942" "00000039"
+         "01" "18"                          # RETRANS, COMPRESSED | DIGEST
+         + SESSION + STARTED + "00"
+         + "02" "00" + FEED_GMC + "01" + N0_PUB     # every id it cites
+         + "01" "000001"
+         + "01"
+         + "00" "00" "01" "01" + PUBLISHED + "00" + PAYLOAD
+         + "6c08b892"),
+        ("HEARTBEAT", None,
+         Packet(PacketKind.HEARTBEAT, "n0#0", last_seq=300,
+                session_start=0.25),
+         "4942" "00000012"
+         "03" "00" + SESSION + STARTED
+         + "ac02"                           # last_seq 300
+         + "00"                             # no envelopes
+         + "417da0a0"),
+        ("NACK", None,
+         Packet(PacketKind.NACK, "n0#0", nack_range=(3, 5)),
+         "4942" "00000013"
+         "02" "01"                          # NACK, flags NACK_RANGE
+         + SESSION + "0000000000000000" "00"
+         + "03" "05"                        # first, last
+         + "00"
+         + "2ecf7e7d"),
+        ("ACK", None,
+         Packet(PacketKind.ACK, "n0#0", ack_ledger_id="n0/g/1",
+                ack_consumer="n1.mon"),
+         "4942" "0000001f"
+         "04" "06"                          # ACK, ACK_LEDGER | ACK_CONSUMER
+         + SESSION + "0000000000000000" "00"
+         + "066e302f672f31"                 # "n0/g/1"
+         + "066e312e6d6f6e"                 # "n1.mon"
+         + "00"
+         + "8354da65"),
+    ]
+    return [pytest.param(packet, encode_packet(packet, table_).hex(),
+                         expected, id=name)
+            for name, table_, packet, expected in shapes]
+
+
+@pytest.mark.parametrize("packet,encoded,expected", golden_frames())
+def test_frame_golden_vectors(packet, encoded, expected):
+    assert encoded == expected
+    assert decode_packet(bytes.fromhex(expected), Learned()) == packet

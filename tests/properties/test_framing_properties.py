@@ -4,8 +4,9 @@ the allocation-lean :class:`~repro.sim.framing.Cursor` fast path.
 A corrupt frame must never make the varint decoder spin through an
 unbounded run of continuation bytes — the length is capped at
 :data:`~repro.sim.framing.MAX_VARINT_BYTES` and anything longer raises
-:class:`~repro.sim.framing.CorruptFrame`.  The cursor must agree
-byte-for-byte with the historical ``read_*`` free functions.
+:class:`~repro.sim.framing.CorruptFrame`.  The cursor is the one
+reader: it must read back exactly what the ``write_*`` functions wrote,
+from a whole buffer and from a view into a larger one alike.
 """
 
 from io import BytesIO
@@ -15,10 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.framing import (CorruptFrame, Cursor, MAX_VARINT_BYTES,
-                               frame, read_bytes, read_f64, read_str,
-                               read_varint, unframe, unframe_view,
-                               write_bytes, write_f64, write_str,
-                               write_varint)
+                               frame, unframe, unframe_view, write_bytes,
+                               write_f64, write_str, write_varint)
+
+
+def cursors(data):
+    """A :class:`Cursor` over ``data`` as each buffer a caller may hold:
+    the ``bytes`` themselves, and a view into the middle of a larger
+    buffer (what :func:`unframe_view` hands the codec) — whose own end,
+    not the buffer's, is where a read must stop."""
+    return Cursor(data), Cursor(memoryview(b"\x00" + data + b"\x01")[1:-1])
 
 
 @given(st.integers(0, 2**64 - 1))
@@ -28,10 +35,9 @@ def test_varint_round_trip(value):
     write_varint(out, value)
     data = out.getvalue()
     assert len(data) <= MAX_VARINT_BYTES
-    assert read_varint(data, 0) == (value, len(data))
-    cur = Cursor(data)
-    assert cur.varint() == value
-    assert cur.exhausted
+    for cur in cursors(data):
+        assert cur.varint() == value
+        assert cur.pos == len(data) and cur.exhausted
 
 
 @given(st.integers(min_value=-(2**64), max_value=-1))
@@ -44,13 +50,12 @@ def test_write_varint_rejects_negative(value):
 @given(st.integers(MAX_VARINT_BYTES, 64))
 @settings(max_examples=50, deadline=None)
 def test_overlong_varint_is_rejected(length):
-    """``length`` continuation bytes never terminate within the cap: both
-    decoders must raise instead of spinning through the run."""
+    """``length`` continuation bytes never terminate within the cap: the
+    decoder must raise instead of spinning through the run."""
     data = b"\x80" * length + b"\x01"
-    with pytest.raises(CorruptFrame):
-        read_varint(data, 0)
-    with pytest.raises(CorruptFrame):
-        Cursor(data).varint()
+    for cur in cursors(data):
+        with pytest.raises(CorruptFrame):
+            cur.varint()
 
 
 def test_maximal_varint_is_accepted():
@@ -61,8 +66,8 @@ def test_maximal_varint_is_accepted():
     write_varint(out, value)
     data = out.getvalue()
     assert len(data) == MAX_VARINT_BYTES
-    assert read_varint(data, 0)[0] == value
-    assert Cursor(data).varint() == value
+    for cur in cursors(data):
+        assert cur.varint() == value
 
 
 def _reference_varint(value: int) -> bytes:
@@ -84,7 +89,7 @@ def _reference_varint(value: int) -> bytes:
                                    2**63, 2**64 - 1])
 def test_varint_fast_paths_at_the_byte_boundaries(value):
     """Either side of every length boundary the fast paths straddle:
-    the bytes are the reference's, every reader returns the value and
+    the bytes are the reference's, the reader returns the value and
     stops at the right byte, and a following field is not disturbed."""
     encoded = _reference_varint(value)
     assert len(encoded) == max(1, (value.bit_length() + 6) // 7)
@@ -92,12 +97,12 @@ def test_varint_fast_paths_at_the_byte_boundaries(value):
     write_varint(out, value)
     write_varint(out, 5)                       # a field behind it
     assert out.getvalue() == encoded + b"\x05"
-    cur = Cursor(out.getvalue())
-    assert cur.varint() == value and cur.pos == len(encoded)
-    assert cur.varint() == 5 and cur.exhausted
-    assert read_varint(out.getvalue(), 0) == (value, len(encoded))
-    with pytest.raises(CorruptFrame):
-        Cursor(encoded[:-1]).varint()          # truncated, even to nothing
+    for cur in cursors(out.getvalue()):
+        assert cur.varint() == value and cur.pos == len(encoded)
+        assert cur.varint() == 5 and cur.exhausted
+    for cur in cursors(encoded[:-1]):          # truncated, even to nothing
+        with pytest.raises(CorruptFrame):
+            cur.varint()
 
 
 def test_every_one_byte_varint_matches_the_reference():
@@ -119,19 +124,13 @@ def test_cursor_agrees_with_read_functions(raw, text, value, number):
     write_f64(out, value)
     write_varint(out, number)
     data = out.getvalue()
-
-    got_raw, pos = read_bytes(data, 0)
-    got_text, pos = read_str(data, pos)
-    got_value, pos = read_f64(data, pos)
-    got_number, pos = read_varint(data, pos)
-    assert pos == len(data)
-
-    cur = Cursor(data)
-    assert cur.bytes_() == got_raw == raw
-    assert cur.str_() == got_text == text
-    assert cur.f64() == got_value == value
-    assert cur.varint() == got_number == number
-    assert cur.exhausted and cur.remaining() == 0
+    for cur in cursors(data):
+        assert cur.bytes_() == raw
+        assert cur.str_() == text
+        assert cur.f64() == value
+        assert cur.varint() == number
+        assert cur.pos == len(data)
+        assert cur.exhausted and cur.remaining() == 0
 
 
 @given(st.binary(max_size=256))

@@ -4,7 +4,8 @@ The interest gate acts on what :func:`read_digest` says about a frame
 without ever running :func:`decode_packet` on it, so the two must never
 disagree about whether a frame is acceptable.  Seeds are real encoder
 output in every shape the daemons send (plain, compressed, typed,
-RETRANS, reference-only, control); each is hit with 0-3 byte mutations
+RETRANS, reference-only, control) plus one only a hostile encoder sends
+(a digest entry flagged ``0x02``); each is hit with 0-3 byte mutations
 *inside* the frame body and re-framed under a valid CRC — the hostile
 encoder the checksum cannot catch.  For every such frame:
 
@@ -15,8 +16,12 @@ encoder the checksum cannot catch.  For every such frame:
     packet has envelopes — and for unmutated encoder output the entries
     and subjects are the envelopes' own;
 (d) flag-vs-kind validity is judged identically: a HEARTBEAT/NACK/ACK
-    frame claiming a defs, typedef or digest region is rejected by both.
+    frame claiming a defs, typedef or digest region is rejected by both;
+(e) so is digest-flag validity: both reject the ``0x02`` shape as plain
+    :class:`CorruptFrame` — there is nothing to repair.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,19 +39,25 @@ REGION_FLAGS = 0x08 | 0x10 | 0x20       # COMPRESSED | DIGEST | TYPED
 
 SESSION = "node00#0"
 
+# a frame is one session's and qos rides the ledger flag, so the
+# envelopes a frame can carry are SESSION's, guaranteed iff ledgered
 envelopes = st.builds(
     Envelope,
     subject=st.sampled_from(["feed.a", "feed.b", "feed.é", "_bus.stat.x"]),
     sender=st.sampled_from(["node00.pub", "node00.other"]),
-    session=st.sampled_from([SESSION, SESSION, "node05#1"]),
+    session=st.just(SESSION),
     seq=st.integers(0, 300),
     payload=st.binary(max_size=24),
-    qos=st.sampled_from([QoS.RELIABLE, QoS.GUARANTEED]),
     ledger_id=st.one_of(st.none(), st.just("node00/g/7")),
     publish_time=st.just(0.5),
     via=st.sampled_from([(), ("wan-router",)]),
     type_refs=st.sampled_from([(), (0,), (0, 1)]),
-)
+).map(lambda envelope: envelope if envelope.ledger_id is None
+      else replace(envelope, qos=QoS.GUARANTEED))
+
+# body offset of the first digest entry's dflags in a plain SESSION
+# frame: kind flags session:str session_start:f64 last_seq entry_count
+FIRST_DFLAGS = 2 + (1 + len(SESSION)) + 8 + 1 + 1
 
 
 def type_table() -> TypeTable:
@@ -59,9 +70,11 @@ def type_table() -> TypeTable:
 
 @st.composite
 def seed_frames(draw):
-    """One frame of real encoder output, plus the packet it encodes."""
+    """One frame of real encoder output, plus the packet it encodes
+    (``None`` for the hostile shape: no packet encodes to it)."""
     shape = draw(st.sampled_from(
-        ["plain", "compressed", "typed", "retrans", "cold", "control"]))
+        ["plain", "compressed", "typed", "retrans", "cold", "control",
+         "dflag02"]))
     if shape == "control":
         packet = draw(st.sampled_from([
             Packet(PacketKind.HEARTBEAT, SESSION, last_seq=9,
@@ -77,6 +90,11 @@ def seed_frames(draw):
                     session_start=0.25)
     if shape == "plain":
         return encode_packet(packet), packet
+    if shape == "dflag02":
+        body = bytearray(unframe(encode_packet(packet)))
+        assert body[FIRST_DFLAGS] in (0x00, 0x01)
+        body[FIRST_DFLAGS] |= 0x02
+        return frame(bytes(body)), None
     table = StringTable()
     types = type_table() if shape in ("typed", "retrans") else None
     if shape in ("retrans", "cold"):
@@ -128,6 +146,8 @@ def test_digest_and_decode_agree(seed, edits, digest_first):
         assert decode_error is not None and digest_error is not None
     if digest is not None and packet is not None:                   # (c)
         assert len(digest.entries) == len(packet.envelopes)
+    if original is None and not mutated:                            # (e)
+        assert type(digest_error) is type(decode_error) is CorruptFrame
     if not mutated and decode_error is None:
         assert packet == original
         if original.envelopes:

@@ -7,6 +7,7 @@ the checksum rather than decoded into garbage.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,26 +25,40 @@ subjects = st.lists(
             min_size=1, max_size=8),
     min_size=1, max_size=4).map(".".join)
 
-envelopes = st.builds(
-    Envelope,
-    subject=subjects,
-    sender=st.text(min_size=1, max_size=20),
-    session=st.text(min_size=1, max_size=20),
-    seq=st.integers(0, 2**40),
-    payload=st.binary(max_size=512),
-    qos=st.sampled_from([QoS.RELIABLE, QoS.GUARANTEED]),
-    ledger_id=st.one_of(st.none(), st.text(min_size=1, max_size=30)),
-    publish_time=st.floats(allow_nan=False, allow_infinity=False),
-    via=st.lists(st.text(min_size=1, max_size=10), max_size=3).map(tuple),
-)
+sessions = st.text(min_size=1, max_size=20)
+
+
+def envelopes_of(session):
+    """What a frame of ``session`` can say: its envelopes are that
+    session's, and qos rides the ledger flag (guaranteed iff
+    ``ledger_id`` is set)."""
+    return st.builds(
+        Envelope,
+        subject=subjects,
+        sender=st.text(min_size=1, max_size=20),
+        session=st.just(session),
+        seq=st.integers(0, 2**40),
+        payload=st.binary(max_size=512),
+        ledger_id=st.one_of(st.none(), st.text(min_size=1, max_size=30)),
+        publish_time=st.floats(allow_nan=False, allow_infinity=False),
+        via=st.lists(st.text(min_size=1, max_size=10), max_size=3).map(tuple),
+    ).map(lambda envelope: envelope if envelope.ledger_id is None
+          else replace(envelope, qos=QoS.GUARANTEED))
+
+
+envelopes = sessions.flatmap(envelopes_of)
+
+# DATA / RETRANS carry envelope batches (and are the only
+# header-compressible kinds)
+data_packets = sessions.flatmap(lambda session: st.builds(
+    Packet,
+    kind=st.sampled_from([PacketKind.DATA, PacketKind.RETRANS]),
+    session=st.just(session),
+    envelopes=st.lists(envelopes_of(session), max_size=4),
+    session_start=st.floats(0, 1e6)))
 
 packets = st.one_of(
-    # DATA / RETRANS carry envelope batches
-    st.builds(Packet,
-              kind=st.sampled_from([PacketKind.DATA, PacketKind.RETRANS]),
-              session=st.text(min_size=1, max_size=20),
-              envelopes=st.lists(envelopes, max_size=4),
-              session_start=st.floats(0, 1e6)),
+    data_packets,
     # NACK carries a missing-seq range
     st.builds(Packet,
               kind=st.just(PacketKind.NACK),
@@ -78,15 +93,6 @@ def test_packet_round_trip(packet):
 @settings(max_examples=200, deadline=None)
 def test_envelope_size_is_encoding_length(envelope):
     assert envelope.size == len(encode_envelope(envelope))
-
-
-# DATA / RETRANS are the only header-compressible kinds
-data_packets = st.builds(
-    Packet,
-    kind=st.sampled_from([PacketKind.DATA, PacketKind.RETRANS]),
-    session=st.text(min_size=1, max_size=20),
-    envelopes=st.lists(envelopes, max_size=4),
-    session_start=st.floats(0, 1e6))
 
 
 @given(data_packets)
