@@ -40,12 +40,10 @@ def drain(shards: int) -> dict:
     for n in range(MESSAGES):
         publisher.publish_bytes(f"{SHARD_FIRSTS[n & 3]}.tick{n & 7}", payload)
     bus.settle(180.0)
-    daemon = bus.daemon("node00")
-    # one plane is a plain BusDaemon; more are a facade over .shards
-    planes = getattr(daemon, "shards", [daemon])
     return {"sim_seconds": round(done["last"], 4),
             "deliveries": done["count"],
-            "published": [plane.published for plane in planes]}
+            "published": [plane.published
+                          for plane in bus.daemon("node00").planes]}
 
 
 def run_shard_scaling():

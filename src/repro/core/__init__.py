@@ -22,7 +22,7 @@ from .guaranteed import GuaranteedConsumer, GuaranteedPublisher, LedgerEntry
 from .daemon import (ADVERT_SUBJECT, DAEMON_PORT, STAT_PORT,
                      STAT_SUBJECT_PREFIX, BusConfig, BusDaemon,
                      BusDownError)
-from .sharding import ShardMap, ShardedDaemon
+from .sharding import ShardMap
 from .client import BusClient, Subscription
 from .bus import InformationBus
 from .discovery import DiscoveredService, Inquiry, Responder, inquiry_subject
@@ -50,7 +50,7 @@ __all__ = [
     "encode_packet", "envelope_wire_size", "packet_wire_size",
     "ReliableSender", "Responder", "RmiClient", "RmiError", "RmiServer",
     "PeerTypeView", "Router", "RouterLeg", "ServerGroup", "SessionStats",
-    "ShardMap", "ShardedDaemon",
+    "ShardMap",
     "StringTable", "SubjectTrie", "Subscription", "TypeTable",
     "UnresolvedStringId", "UnresolvedTypeId", "WanLink",
     "inquiry_subject", "is_admin_subject",

@@ -29,7 +29,6 @@ from ..sim.node import Host
 from ..sim.trace import NULL_TRACER, Tracer
 from .client import BusClient
 from .daemon import BusConfig, BusDaemon
-from .sharding import ShardedDaemon
 
 __all__ = ["InformationBus"]
 
@@ -54,20 +53,22 @@ class InformationBus:
     # topology
     # ------------------------------------------------------------------
     def add_host(self, address: str) -> Host:
-        """Attach a host and start its bus daemon.
+        """Attach a host and start its bus daemon planes.
 
-        With ``config.subject_shards > 1`` the host gets a
-        :class:`~repro.core.sharding.ShardedDaemon` — one daemon per
-        shard plane behind the same interface.  The default (1) is the
-        classic single daemon, bit-for-bit.
+        A host is always a plane set: ``config.subject_shards`` (at
+        least one) :class:`~repro.core.daemon.BusDaemon` instances, one
+        per shard plane, sharing one ``planes`` list.
+        ``self.daemons[address]`` is plane 0, the host's canonical
+        identity and its single-writer control plane.
         """
         host = self.lan.add_host(address)
-        if self.config.subject_shards > 1:
-            self.daemons[address] = ShardedDaemon(self.sim, host,
-                                                  self.config, self.tracer)
-        else:
-            self.daemons[address] = BusDaemon(self.sim, host, self.config,
-                                              self.tracer)
+        count = max(self.config.subject_shards, 1)
+        planes = [BusDaemon(self.sim, host, self.config, self.tracer,
+                            shard=shard, shard_count=count)
+                  for shard in range(count)]
+        for plane in planes:
+            plane.planes = planes
+        self.daemons[address] = planes[0]
         return host
 
     def add_hosts(self, count: int, prefix: str = "node") -> List[Host]:
@@ -130,8 +131,9 @@ class InformationBus:
     def settle(self, duration: float = 2.0) -> None:
         """Flush batches everywhere and give protocols time to quiesce."""
         for daemon in self.daemons.values():
-            if daemon.up:
-                daemon.flush()
+            for plane in daemon.planes:
+                if plane.up:
+                    plane.flush()
         self.run_for(duration)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

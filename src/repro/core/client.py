@@ -22,6 +22,7 @@ from ..objects import (TypeRegistry, decode, encode, encode_typed,
 from .daemon import BusDaemon
 from .flow import PublishReceipt
 from .message import Envelope, MessageInfo, QoS
+from .sharding import ShardMap
 from .subjects import SubjectTrie, validate_pattern
 
 __all__ = ["BusClient", "Subscription"]
@@ -56,7 +57,14 @@ class BusClient:
     def __init__(self, daemon: BusDaemon, name: str,
                  registry: Optional[TypeRegistry] = None,
                  service_time: float = 0.0):
+        #: plane 0 of the host's daemon planes: the host's identity
+        #: (``host``, ``config``, ``up``) and its control plane
         self.daemon = daemon
+        #: every plane, and the map that places subjects on them: a
+        #: publish goes to the one plane that owns its subject, a
+        #: subscription registers on every plane that could carry a match
+        self._planes: List[BusDaemon] = daemon.planes
+        self._map = ShardMap(len(self._planes))
         self.name = name
         self.registry = registry if registry is not None else standard_registry()
         self.id = f"{daemon.host.address}.{name}"
@@ -76,10 +84,11 @@ class BusClient:
         self.messages_received = 0
         self.decode_errors = 0
         self.last_error: Optional[Exception] = None
-        #: publish-to-callback latency histogram, owned by the daemon's
-        #: registry (``client.<name>.latency``); attach_client wires it
-        self._latency = None
-        daemon.attach_client(self)
+        for plane in self._planes:
+            plane.attach_client(self)
+        #: publish-to-callback latency histogram, in plane 0's registry
+        #: (``client.<name>.latency``) whichever plane delivers
+        self._latency = daemon.metrics.histogram(f"client.{name}.latency")
 
     @property
     def sim(self):
@@ -113,20 +122,21 @@ class BusClient:
         scoped to.  ``via`` is for information routers re-publishing
         forwarded traffic; ordinary applications leave it empty.
         """
+        plane = self._planes[self._map.shard_of(subject)]
         if (inline_types is None and self.daemon.config.inline_types
                 and qos is not QoS.GUARANTEED):
-            # ask by subject: on a sharded daemon each plane owns its
-            # own session type table, and the payload must reference
-            # ids defined on the plane that carries it
+            # each plane owns its own session type table, and the
+            # payload must reference ids defined on the plane that
+            # carries it
             payload, type_refs = encode_typed(
-                obj, self.registry, self.daemon.type_table_for(subject))
+                obj, self.registry, plane.type_table_for(subject))
         else:
             if inline_types is None:
                 inline_types = self.daemon.config.inline_types
             payload = encode(obj, self.registry, inline_types=inline_types)
             type_refs = ()
-        receipt = self.daemon.publish(self.id, subject, payload, qos,
-                                      via=via, type_refs=type_refs)
+        receipt = plane.publish(self.id, subject, payload, qos,
+                                via=via, type_refs=type_refs)
         if receipt.accepted:
             self.messages_published += 1
         return receipt
@@ -134,7 +144,8 @@ class BusClient:
     def publish_bytes(self, subject: str, payload: bytes,
                       qos: QoS = QoS.RELIABLE) -> PublishReceipt:
         """Publish a pre-marshalled payload (benchmark hot path)."""
-        receipt = self.daemon.publish(self.id, subject, payload, qos)
+        receipt = self._planes[self._map.shard_of(subject)].publish(
+            self.id, subject, payload, qos)
         if receipt.accepted:
             self.messages_published += 1
         return receipt
@@ -156,7 +167,8 @@ class BusClient:
         self._dispatch.insert(pattern, subscription)
         key = (pattern, durable)
         if self._registered.get(key, 0) == 0:
-            self.daemon.add_subscription(pattern, self, durable)
+            for plane in self._planes_for(pattern):
+                plane.add_subscription(pattern, self, durable)
         self._registered[key] = self._registered.get(key, 0) + 1
         return subscription
 
@@ -170,13 +182,19 @@ class BusClient:
         remaining = self._registered.get(key, 0) - 1
         if remaining <= 0:
             self._registered.pop(key, None)
-            self.daemon.remove_subscription(subscription.pattern, self,
-                                            subscription.durable)
+            for plane in self._planes_for(subscription.pattern):
+                plane.remove_subscription(subscription.pattern, self,
+                                          subscription.durable)
         else:
             self._registered[key] = remaining
 
     def subscriptions(self) -> List[Subscription]:
         return list(self._subscriptions)
+
+    def _planes_for(self, pattern: str) -> List[BusDaemon]:
+        """Every plane a subscription on ``pattern`` registers on."""
+        return [self._planes[shard]
+                for shard in self._map.shards_for_pattern(pattern)]
 
     # ------------------------------------------------------------------
     # flow control
@@ -184,26 +202,25 @@ class BusClient:
     def on_flow_credit(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` when the daemon's outbound queue drains after
         pushing back — the signal to retry a deferred publish."""
-        self.daemon.on_publish_credit(callback)
+        for plane in self._planes:
+            plane.on_publish_credit(callback)
 
     def close(self) -> None:
         """Unsubscribe everything and detach from the daemon."""
         for subscription in list(self._subscriptions):
             self.unsubscribe(subscription)
-        self.daemon.detach_client(self)
+        for plane in self._planes:
+            plane.detach_client(self)
 
     # ------------------------------------------------------------------
     # delivery (called by the daemon)
     # ------------------------------------------------------------------
     def _deliver(self, envelope: Envelope, retransmitted: bool,
-                 resolver=None) -> None:
+                 resolver) -> None:
         payload = envelope.payload
-        session = envelope.session
-        daemon = self.daemon
         try:
-            # ``resolver``: the one a lane captured when it queued this
-            if resolver is None:
-                resolver = daemon.type_resolver(session)
+            # ``resolver``: the delivering plane's, for the envelope's
+            # session — captured when a lane queued this
             obj = decode(payload, self.registry, type_resolver=resolver)
         except Exception as error:   # unknown type, corrupt payload
             self.decode_errors += 1
@@ -213,8 +230,8 @@ class BusClient:
         seq = envelope.seq
         publish_time = envelope.publish_time
         # one clock read: simulated time cannot advance inside a callback
-        now = daemon.sim.now
-        info = MessageInfo(subject, envelope.sender, session, seq,
+        now = self.daemon.sim.now
+        info = MessageInfo(subject, envelope.sender, envelope.session, seq,
                            envelope.qos, publish_time, now, len(payload),
                            retransmitted, envelope.via)
         matching = self._dispatch.match(subject)
@@ -230,13 +247,14 @@ class BusClient:
             self.messages_received += 1
             # seq-0 envelopes are telemetry-plane self-traffic: they are
             # delivered but never measured (the no-echo invariant)
-            if seq and self._latency is not None:
+            if seq:
                 self._latency.observe(now - publish_time)
 
     def _reattach(self) -> None:
         """Re-register all subscriptions after the host recovered."""
         for (pattern, durable) in self._registered:
-            self.daemon.add_subscription(pattern, self, durable)
+            for plane in self._planes_for(pattern):
+                plane.add_subscription(pattern, self, durable)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<BusClient {self.id} subs={len(self._subscriptions)}>"

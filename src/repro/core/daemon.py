@@ -151,10 +151,10 @@ class BusConfig:
     #: Partition the subject space into this many hash-sharded planes,
     #: each owned by its own daemon instance on its own CPU lane and
     #: port pair (see :mod:`repro.core.sharding` and "Subject-space
-    #: sharding" in docs/PROTOCOLS.md).  The default 1 keeps today's
-    #: single-daemon-per-host behaviour bit-for-bit; values > 1 make
-    #: :class:`~repro.core.bus.InformationBus` build a
-    #: :class:`~repro.core.sharding.ShardedDaemon` facade instead.
+    #: sharding" in docs/PROTOCOLS.md).  A host is always a plane set:
+    #: :class:`~repro.core.bus.InformationBus` builds this many
+    #: :class:`BusDaemon` planes per host, and the default 1 is the
+    #: paper's one daemon per host.
     subject_shards: int = 1
 
 
@@ -178,8 +178,8 @@ class BusDaemon:
     binds that plane's port pair, serializes its CPU work on lane
     ``shard``, and (for shard > 0) marks its session string so peers
     and telemetry can tell the planes apart.  The defaults (0, 1) are
-    the classic unsharded daemon; :class:`~repro.core.sharding.
-    ShardedDaemon` builds one instance per plane.
+    the paper's one daemon per host; :meth:`~repro.core.bus.
+    InformationBus.add_host` builds one instance per plane.
     """
 
     def __init__(self, sim: Simulator, host: Host,
@@ -194,6 +194,9 @@ class BusDaemon:
                              f"{shard_count} shard(s)")
         self.shard = shard
         self.shard_count = max(shard_count, 1)
+        #: every daemon plane on this host in shard order, this one
+        #: included (one list, shared: ``add_host`` hands it to each)
+        self.planes: List["BusDaemon"] = [self]
         self._port = shard_data_port(shard)
         self._stat_port = shard_stat_port(shard)
         # NULL_TRACER fallback, not `or`: a disabled Tracer is falsy, and
@@ -451,10 +454,10 @@ class BusDaemon:
     def _on_recover(self) -> None:
         self._start()
         self._gcon.recover()
-        # on a sharded host the facade re-attaches clients once, after
-        # *every* plane has restarted — a single plane doing it here
-        # would fan subscriptions into planes that are still down
-        if self.config.auto_restart_clients and self.shard_count == 1:
+        # clients re-attach once, after *every* plane has restarted:
+        # the last plane's listener runs last, and an earlier plane
+        # doing it would fan subscriptions into planes still down
+        if self.config.auto_restart_clients and self is self.planes[-1]:
             for client in list(self.clients.values()):
                 client._reattach()
 
@@ -485,10 +488,6 @@ class BusDaemon:
                 tracer=self.tracer, now=lambda: self.sim.now,
                 metrics=self.metrics),
             service_time=getattr(client, "service_time", 0.0))
-        # end-to-end latency (publish stamp -> application callback),
-        # observed by the client itself on each delivery
-        client._latency = self.metrics.histogram(
-            f"client.{client.name}.latency")
 
     def detach_client(self, client: "BusClient") -> None:
         self.clients.pop(client.name, None)
@@ -748,10 +747,10 @@ class BusDaemon:
                 # wire is subject-syntax-agnostic, so a CRC-valid frame
                 # can carry an ill-formed subject: it matches nothing
                 self._bad_subjects.value += 1
-        if not self._receiver.try_skip(digest.entries):
+        if not self._receiver.try_skip(digest.session, digest.seqs):
             return False
         self._skipped_frames.value += 1
-        self._skipped_envelopes.value += len(digest.entries)
+        self._skipped_envelopes.value += len(digest.seqs)
         return True
 
     def _drop_undecodable(self, err: CorruptFrame) -> None:
@@ -850,7 +849,8 @@ class BusDaemon:
                 lane.queue.pass_through()
             if envelope.seq:   # seq-0 = telemetry; never self-counted
                 self._delivered.value += 1
-            client._deliver(envelope, retransmitted)
+            client._deliver(envelope, retransmitted,
+                            self.type_resolver(envelope.session))
             return Admission.ACCEPTED
         # queued with its type resolver: the sender's record may be
         # retired (a newer epoch heard) before a slow consumer gets here
@@ -1055,10 +1055,9 @@ class BusDaemon:
     def type_table_for(self, subject: str) -> TypeTable:
         """The sender-side type table a publish on ``subject`` rides.
 
-        On an unsharded daemon this is the one session table; the
-        :class:`~repro.core.sharding.ShardedDaemon` override routes to
-        the owning shard's table so typed payloads reference ids the
-        carrying plane actually defines.
+        A plane has one session table whatever the subject: the
+        client asks the plane that will carry the publish, so typed
+        payloads reference ids the carrying plane actually defines.
         """
         return self._type_table
 

@@ -367,12 +367,12 @@ class ReliableReceiver:
         del state.buffer[victim]
         return True
 
-    def try_skip(self, entries: List[Tuple[str, int]]) -> bool:
-        """Advance session windows for a frame whose bodies will not be
-        decoded (the interest gate — see
+    def try_skip(self, session: str, seqs: List[int]) -> bool:
+        """Advance ``session``'s window for a frame whose bodies will not
+        be decoded (the interest gate — see
         :meth:`repro.core.daemon.BusDaemon._gate_datagram`).
 
-        ``entries`` is the frame's digest: one ``(session, seq)`` per
+        ``seqs`` is the frame's digest: one sequence number per
         envelope, in frame order.  All-or-nothing: commits and returns
         True only when every entry would have taken the trivial
         duplicate or contiguous in-order path through
@@ -381,42 +381,40 @@ class ReliableReceiver:
         cancelled, or re-aimed — so that for a daemon with no matching
         subscription, skipping is *observably identical* (stats, traces,
         scheduled events) to decoding.  Anything else — first contact
-        with a session, an open sync window, buffered out-of-order data,
-        an armed NACK, a gap before or after the frame — returns False
-        untouched and the caller runs the full decode path.
+        with the session, an open sync window, buffered out-of-order
+        data, an armed NACK, a gap before or after the frame — returns
+        False untouched and the caller runs the full decode path.
         """
-        cursors: Dict[str, List] = {}
-        for session, seq in entries:
-            cur = cursors.get(session)
-            if cur is None:
-                state = self.sessions.get(session)
-                if (state is None or state.expected is None
-                        or state.sync_event is not None
-                        or state.nack_event is not None
-                        or state.buffer or state.has_gap()):
-                    return False
-                # [state, running expected, delivered, duplicates]
-                cur = cursors[session] = [state, state.expected, 0, 0]
-            if seq == cur[1]:
-                cur[1] += 1
-                cur[2] += 1
-            elif 0 < seq < cur[1]:
-                cur[3] += 1
+        if not seqs:
+            return True     # an empty frame advances nothing
+        state = self.sessions.get(session)
+        if (state is None or state.expected is None
+                or state.sync_event is not None
+                or state.nack_event is not None
+                or state.buffer or state.has_gap()):
+            return False
+        expected = state.expected
+        duplicates = 0
+        for seq in seqs:
+            if seq == expected:
+                expected += 1
+            elif 0 < seq < expected:
+                duplicates += 1
             else:
                 return False    # seq 0, or a gap this frame would open
-        for state, expected, delivered, duplicates in cursors.values():
-            if duplicates:
-                state.stats.duplicates.value += duplicates
-            if delivered:
-                state.expected = expected
-                if expected - 1 > state.known_last:
-                    state.known_last = expected - 1
-                state.stats.delivered.value += delivered
-                # mirror _refresh_gap after an in-order delivery: no gap
-                # remains (pre-flight guaranteed none existed and the
-                # frame was contiguous), so only the attempt counter
-                # reset is observable
-                state.nack_attempts = 0
+        if duplicates:
+            state.stats.duplicates.value += duplicates
+        delivered = expected - state.expected
+        if delivered:
+            state.expected = expected
+            if expected - 1 > state.known_last:
+                state.known_last = expected - 1
+            state.stats.delivered.value += delivered
+            # mirror _refresh_gap after an in-order delivery: no gap
+            # remains (pre-flight guaranteed none existed and the
+            # frame was contiguous), so only the attempt counter
+            # reset is observable
+            state.nack_attempts = 0
         return True
 
     def note_undecodable(self, session: str, first_seq: int, last_seq: int,

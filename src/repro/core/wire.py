@@ -575,21 +575,22 @@ def decode_memo_stats() -> Dict[str, int]:
 class FrameDigest:
     """What :func:`read_digest` learns about a frame without decoding it.
 
-    ``entries`` is one ``(session, seq)`` pair per envelope body, in
-    frame order; ``subjects`` the distinct subjects in first-seen order
+    ``seqs`` is one sequence number per envelope body, in frame order
+    (all of ``session``: a frame is one session's); ``subjects`` the
+    distinct subjects in first-seen order
     (what the interest gate matches); ``needs_full`` is True when any
     envelope must take the full decode path regardless of local interest
     (guaranteed/ledgered envelopes, whose ack+dedupe protocol runs even
     with no subscriber, and unsequenced ``seq == 0`` telemetry frames).
     """
 
-    __slots__ = ("session", "subjects", "entries", "needs_full")
+    __slots__ = ("session", "subjects", "seqs", "needs_full")
 
     def __init__(self, session: str, subjects: Tuple[str, ...],
-                 entries: List[Tuple[str, int]], needs_full: bool):
+                 seqs: List[int], needs_full: bool):
         self.session = session
         self.subjects = subjects
-        self.entries = entries
+        self.seqs = seqs
         self.needs_full = needs_full
 
 
@@ -769,7 +770,7 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
         # -- stage 4: digest
         refs: Set[int] = set()
         if flags & _P_DIGEST:
-            entries: List[Tuple[str, int]] = []
+            seqs: List[int] = []
             subjects: Dict[str, None] = {}      # distinct, first-seen order
             needs_full = False
             for _ in range(cur.varint()):
@@ -780,8 +781,8 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
                 seq = cur.varint()
                 if dflags & _D_LEDGER or seq == 0:
                     needs_full = True
-                entries.append((session, seq))
-            parse.digest = FrameDigest(session, tuple(subjects), entries,
+                seqs.append(seq)
+            parse.digest = FrameDigest(session, tuple(subjects), seqs,
                                        needs_full)
         if table is not None:
             parse.needs = _needs(table, refs, parse.defines)
@@ -794,8 +795,8 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
         cur = Cursor(parse.rest)
         count = cur.varint()
         digest = parse.digest
-        if digest is not None and len(digest.entries) != count:
-            raise CorruptFrame(f"digest lists {len(digest.entries)} "
+        if digest is not None and len(digest.seqs) != count:
+            raise CorruptFrame(f"digest lists {len(digest.seqs)} "
                                f"envelopes, body carries {count}")
         refs = set()
         envelopes = [_read_envelope(cur, table, refs, session)
@@ -821,7 +822,7 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
         if bodies:
             seqs = [e.seq for e in envelopes or packet.envelopes]
         else:
-            seqs = [seq for _, seq in parse.digest.entries]
+            seqs = parse.digest.seqs
         # a well-formed frame citing ids has envelopes (the refs come
         # from them), but a hostile encoder's might not: default the span
         seqs = seqs or [0]

@@ -50,7 +50,7 @@ def test_digest_roundtrip_plain():
     assert digest is not None
     assert digest.session == "node00#0"
     assert digest.subjects == ("feed.equity.gmc", "feed.fx.eur")
-    assert digest.entries == [("node00#0", 4), ("node00#0", 5)]
+    assert digest.seqs == [4, 5]
     assert digest.needs_full is False
 
 
@@ -65,12 +65,12 @@ def test_digest_roundtrip_compressed():
     tables = Learned()
     d1 = read_digest(first, peers=tables)
     assert d1.subjects == ("feed.equity.gmc",)
-    assert d1.entries == [("node00#0", 1)]
+    assert d1.seqs == [1]
     # the second frame is reference-only on the wire; the digest resolves
     # through the table the first frame defined
     d2 = read_digest(second, peers=tables)
     assert d2.subjects == ("feed.equity.gmc",)
-    assert d2.entries == [("node00#0", 2)]
+    assert d2.seqs == [2]
 
 
 def test_digest_repeated_subject_listed_once():
@@ -79,7 +79,7 @@ def test_digest_repeated_subject_listed_once():
                     session_start=0.0)
     digest = read_digest(encode_packet(packet))
     assert digest.subjects == ("feed.equity.gmc",)
-    assert [seq for _, seq in digest.entries] == [1, 2, 3]
+    assert digest.seqs == [1, 2, 3]
 
 
 def test_control_frames_have_no_digest():
@@ -140,7 +140,7 @@ def test_every_corrupted_copy_raises_from_read_digest():
         corrupted[bit // 8] ^= 1 << (bit % 8)
         with pytest.raises(CorruptFrame):
             read_digest(bytes(corrupted))
-    assert read_digest(data).entries == [("node00#0", 1)]
+    assert read_digest(data).seqs == [1]
 
 
 def with_digest_flag(flag, subject="zq.unique.subject", session="node00#0"):
@@ -260,7 +260,7 @@ def test_try_skip_contiguous_advances_window():
     sim, receiver, delivered, nacks = make_receiver()
     prime(receiver)
     before = receiver.sessions["node00#0"].stats.delivered.value
-    assert receiver.try_skip([("node00#0", 4), ("node00#0", 5)])
+    assert receiver.try_skip("node00#0", [4, 5])
     stats = receiver.sessions["node00#0"].stats
     assert stats.delivered.value == before + 2
     assert nacks == []
@@ -272,20 +272,20 @@ def test_try_skip_contiguous_advances_window():
 def test_try_skip_counts_duplicates():
     sim, receiver, delivered, nacks = make_receiver()
     prime(receiver)
-    assert receiver.try_skip([("node00#0", 2)])   # a retransmitted dup
+    assert receiver.try_skip("node00#0", [2])   # a retransmitted dup
     assert receiver.sessions["node00#0"].stats.duplicates.value == 1
     assert receiver.sessions["node00#0"].stats.delivered.value == 3
 
 
 def test_try_skip_refuses_unknown_session():
     sim, receiver, delivered, nacks = make_receiver()
-    assert not receiver.try_skip([("stranger#0", 1)])
+    assert not receiver.try_skip("stranger#0", [1])
 
 
 def test_try_skip_refuses_gap():
     sim, receiver, delivered, nacks = make_receiver()
     prime(receiver)
-    assert not receiver.try_skip([("node00#0", 6)])   # would open a gap
+    assert not receiver.try_skip("node00#0", [6])   # would open a gap
     assert receiver.sessions["node00#0"].stats.delivered.value == 3  # untouched
 
 
@@ -293,14 +293,14 @@ def test_try_skip_refuses_while_buffered():
     sim, receiver, delivered, nacks = make_receiver()
     prime(receiver)
     receiver.handle_envelope(make_envelope(seq=6), session_start=0.0)
-    assert not receiver.try_skip([("node00#0", 4)])   # full path must run
+    assert not receiver.try_skip("node00#0", [4])   # full path must run
 
 
 def test_try_skip_all_or_nothing():
     """One bad entry rejects the whole frame with no partial commit."""
     sim, receiver, delivered, nacks = make_receiver()
     prime(receiver)
-    assert not receiver.try_skip([("node00#0", 4), ("node00#0", 9)])
+    assert not receiver.try_skip("node00#0", [4, 9])
     assert receiver.sessions["node00#0"].stats.delivered.value == 3
     receiver.handle_envelope(make_envelope(seq=4), session_start=0.0)
     assert delivered == [1, 2, 3, 4]
@@ -311,7 +311,7 @@ def test_heartbeat_after_skip_sees_no_gap():
     heartbeat would NACK data the daemon chose not to decode."""
     sim, receiver, delivered, nacks = make_receiver()
     prime(receiver)
-    assert receiver.try_skip([("node00#0", 4)])
+    assert receiver.try_skip("node00#0", [4])
     receiver.handle_heartbeat("node00#0", last_seq=4, session_start=0.0)
     sim.run_until(sim.now + 10.0)
     assert nacks == []

@@ -4,7 +4,7 @@ observable drops, and backpressure on the router leg."""
 from repro.adapters import Adapter
 from repro.core import (Admission, BusConfig, InformationBus,
                         MetricsRegistry, POLICY_DROP_NEWEST, Router,
-                        ShardedDaemon, WanLink)
+                        WanLink)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator
@@ -127,7 +127,6 @@ def test_deprecated_stats_aliases_are_gone():
         (leg.client, ("delivery_stats",)),
         (daemon, ("wire_stats", "shard_stats", "publish_stats")),
         (daemon._sender, ("retention_stats",)),
-        (ShardedDaemon, ("wire_stats", "shard_stats")),
         (Adapter, ("stats",)),
     ]
     for owner, names in retired:

@@ -306,8 +306,8 @@ class TestStagedMemoHonesty:
             if isinstance(result, Packet):
                 outcomes.append(result)
             else:
-                outcomes.append((result.subjects, result.entries,
-                                 result.needs_full))
+                outcomes.append((result.session, result.subjects,
+                                 result.seqs, result.needs_full))
         return outcomes
 
     def assert_memo_invisible(self, script, make_receivers):
@@ -382,7 +382,7 @@ class TestStagedMemoHonesty:
                               (decode_packet, second, "b"),
                               (decode_packet, second, "a")]
             seen, _ = self.assert_memo_invisible(script, receivers)
-            assert seen[-3] == (("news.equity.gmc",), [("node00#0", 2)],
+            assert seen[-3] == ("node00#0", ("news.equity.gmc",), [2],
                                 False)
             assert seen[-2] is UnresolvedStringId
             assert seen[-1].envelopes[0].seq == 2

@@ -145,14 +145,14 @@ def test_digest_and_decode_agree(seed, edits, digest_first):
     if body[0] in CONTROL_KIND_CODES and body[1] & REGION_FLAGS:    # (d)
         assert decode_error is not None and digest_error is not None
     if digest is not None and packet is not None:                   # (c)
-        assert len(digest.entries) == len(packet.envelopes)
+        assert len(digest.seqs) == len(packet.envelopes)
     if original is None and not mutated:                            # (e)
         assert type(digest_error) is type(decode_error) is CorruptFrame
     if not mutated and decode_error is None:
         assert packet == original
         if original.envelopes:
-            assert digest.entries == [(e.session, e.seq)
-                                      for e in original.envelopes]
+            assert [(digest.session, seq) for seq in digest.seqs] == \
+                [(e.session, e.seq) for e in original.envelopes]
             assert digest.subjects == tuple(dict.fromkeys(
                 e.subject for e in original.envelopes))
         else:

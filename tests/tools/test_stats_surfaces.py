@@ -3,7 +3,7 @@
 The registry (``src/repro/core/metrics.py``) is where observability
 lands: an instrument gets a hierarchical name, shows up in
 ``snapshot()`` and rides the ``_bus.stat.*`` plane for free
-(docs/OBSERVABILITY.md, "Where to read it").  Three public ``*_stats``
+(docs/OBSERVABILITY.md, "Where to read it").  Two public ``*_stats``
 defs predate it and survive because the frozen ledger harness calls
 them.  Anything else is a failure here: register instruments instead
 (a receiver's view of one sender session is
@@ -20,7 +20,6 @@ EXEMPT = {"repro/core/metrics.py"}
 
 ALLOWED = {
     ("repro/core/daemon.py", "BusDaemon.flow_stats"),
-    ("repro/core/sharding.py", "ShardedDaemon.flow_stats"),
     ("repro/core/wire.py", "decode_memo_stats"),
 }
 
@@ -49,7 +48,7 @@ def stats_surfaces(root: Path) -> set:
     return found
 
 
-def test_the_stats_surfaces_are_exactly_the_three_survivors():
+def test_the_stats_surfaces_are_exactly_the_two_survivors():
     # equality, so a stale allow-list entry fails as a new surface does
     assert stats_surfaces(SRC) == ALLOWED
 
