@@ -391,7 +391,8 @@ class ReliableReceiver:
         if (state is None or state.expected is None
                 or state.sync_event is not None
                 or state.nack_event is not None
-                or state.buffer or state.has_gap()):
+                or state.buffer or state.expected <= state.known_last):
+            # with an empty buffer ``has_gap()`` is ``expected <= known_last``
             return False
         expected = state.expected
         duplicates = 0

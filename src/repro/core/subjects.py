@@ -13,35 +13,48 @@ patterns that are "partially specified or 'wildcarded'":
 The Information Bus itself "enforces no policy on the interpretation of
 subjects" — matching is purely structural.
 
-:class:`SubjectTrie` is the daemon's subscription table: inserting N
-patterns and matching a subject costs O(subject depth), independent of N
-— which is why Figure 8 (ten thousand subjects) shows no throughput
-effect.  On top of that structural bound the trie memoizes concrete
-subjects: dispatch workloads repeat the same subjects thousands of times
-(Figs 5–8 publish on a handful of subjects), so steady-state matching is
-one dict hit.  The memo is generation-stamped — any insert/remove bumps
-the generation and lazily discards every memoized result — so a
-mid-stream subscribe/unsubscribe is visible on the very next match.
+:class:`SubjectTrie` is the daemon's subscription table, in two stores.
+A wildcard-free pattern is a key of one dict, so matching a subject
+against N literal patterns is one probe, independent of N — which is
+why Figure 8 (ten thousand subjects) shows no throughput effect.  Only
+patterns holding ``*`` or ``>`` go in the trie proper, whose walk costs
+O(subject depth × branching on wildcards).  The walk's results are
+memoized per concrete subject: wildcard subscribers see the same
+subjects thousands of times (Figs 5–8 publish on a handful of
+subjects), so steady-state wildcard matching is one dict hit too.  The
+memo is generation-stamped — any insert/remove bumps the generation and
+lazily discards every memoized result — so a mid-stream
+subscribe/unsubscribe is visible on the very next match.  A trie with
+no wildcard registration never touches the memo: its cost does not
+depend on how many distinct subjects it is asked about.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, FrozenSet, Generic, List, Optional, Set, TypeVar
+from typing import Any, Dict, FrozenSet, Generic, List, Optional, Set, TypeVar
 
 __all__ = ["BadSubjectError", "SubjectTrie", "is_admin_subject",
            "is_valid_pattern",
            "is_valid_subject", "split_subject", "subject_matches",
            "validate_pattern", "validate_subject"]
 
-_ELEMENT_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
-
 #: Maximum elements in a subject; a sanity bound, not a protocol limit.
 MAX_DEPTH = 32
 
-#: Default bound on memoized concrete subjects per trie.  0 disables the
-#: memo entirely (the cache-free reference ``tests/core/test_subjects.py``
-#: cross-checks the memo against).
+_ELEMENT = r"[A-Za-z0-9_\-]+"
+_ELEMENT_RE = re.compile(_ELEMENT)
+#: A whole well-formed subject, one to ``MAX_DEPTH`` elements, in one
+#: call (``fullmatch`` only: ``$`` would accept a trailing newline).
+_is_subject = re.compile(
+    rf"{_ELEMENT}(?:\.{_ELEMENT}){{0,{MAX_DEPTH - 1}}}").fullmatch
+
+_EMPTY: FrozenSet[Any] = frozenset()
+
+#: Default bound on memoized concrete subjects per trie (used only while
+#: the trie holds a wildcard registration).  0 disables the memo entirely
+#: (the cache-free reference ``tests/core/test_subjects.py`` cross-checks
+#: the memo against).
 DEFAULT_MEMO_CAPACITY = 1024
 
 
@@ -54,17 +67,19 @@ def split_subject(subject: str) -> List[str]:
 
 
 def validate_subject(subject: str) -> List[str]:
-    """Validate a *concrete* subject (no wildcards); return its elements."""
+    """Validate a *concrete* subject (no wildcards); return its elements.
+
+    One regex call decides; the rest only words the error."""
+    if _is_subject(subject) is not None:
+        return subject.split(".")
     if not subject:
         raise BadSubjectError("empty subject")
     elements = split_subject(subject)
     if len(elements) > MAX_DEPTH:
         raise BadSubjectError(f"subject too deep ({len(elements)} elements)")
-    for element in elements:
-        if not _ELEMENT_RE.match(element):
-            raise BadSubjectError(
-                f"bad subject element {element!r} in {subject!r}")
-    return elements
+    bad = next(element for element in elements
+               if _ELEMENT_RE.fullmatch(element) is None)
+    raise BadSubjectError(f"bad subject element {bad!r} in {subject!r}")
 
 
 def validate_pattern(pattern: str) -> List[str]:
@@ -82,7 +97,7 @@ def validate_pattern(pattern: str) -> List[str]:
                 raise BadSubjectError(
                     f"'>' must be the final element: {pattern!r}")
             continue
-        if not _ELEMENT_RE.match(element):
+        if _ELEMENT_RE.fullmatch(element) is None:
             raise BadSubjectError(
                 f"bad pattern element {element!r} in {pattern!r}")
     return elements
@@ -129,6 +144,12 @@ def subject_matches(pattern: str, subject: str) -> bool:
     return len(p_elements) == len(s_elements)
 
 
+def _is_literal(pattern: str) -> bool:
+    """True for a valid pattern with no wildcard element (those are the
+    only places ``*`` and ``>`` may appear)."""
+    return "*" not in pattern and ">" not in pattern
+
+
 T = TypeVar("T")
 
 
@@ -150,15 +171,26 @@ class SubjectTrie(Generic[T]):
     """Maps subscription patterns to sets of opaque values.
 
     Used by daemons (pattern -> local clients), routers (pattern ->
-    remote buses), and anywhere else subjects fan out.  ``match`` cost is
-    O(depth × branching on wildcards), not O(#subscriptions) — and for a
-    concrete subject seen before (and no interleaving insert/remove), one
-    dict lookup.  ``memo_capacity=0`` disables memoization.
+    remote buses), and anywhere else subjects fan out.  Two stores: a
+    wildcard-free pattern is a key of ``_literals`` (pattern -> frozen
+    value set), and only patterns with ``*`` or ``>`` live in the trie
+    under ``_root``.  While no wildcard is registered, ``match`` and
+    ``matches_anything`` are one dict probe (plus one regex call to
+    validate a miss), whatever the number of registrations or of
+    distinct subjects asked about.  Otherwise ``match`` costs O(depth ×
+    branching on wildcards) — and for a concrete subject seen before
+    (and no interleaving insert/remove), one memo lookup.
+    ``memo_capacity=0`` disables memoization.
     """
 
     def __init__(self, memo_capacity: Optional[int] = None) -> None:
+        #: wildcard-free pattern -> frozen set of its values (never empty)
+        self._literals: Dict[str, FrozenSet[T]] = {}
+        #: the patterns holding ``*`` or ``>``
         self._root: _TrieNode[T] = _TrieNode()
         self._count = 0
+        #: registrations under ``_root``; 0 means no walk and no memo
+        self._wildcards = 0
         if memo_capacity is None:
             memo_capacity = DEFAULT_MEMO_CAPACITY
         self._memo_capacity = memo_capacity
@@ -184,49 +216,66 @@ class SubjectTrie(Generic[T]):
     def insert(self, pattern: str, value: T) -> None:
         """Register ``value`` under ``pattern``.  Duplicate inserts are no-ops."""
         elements = validate_pattern(pattern)
-        node = self._root
-        for element in elements:
-            if element == ">":
-                if value not in node.tail_values:
-                    node.tail_values.add(value)
-                    self._count += 1
-                    self._generation += 1
+        if _is_literal(pattern):
+            values = self._literals.get(pattern, _EMPTY)
+            if value in values:
                 return
-            if element == "*":
-                if node.star is None:
-                    node.star = _TrieNode()
-                node = node.star
-            else:
-                node = node.children.setdefault(element, _TrieNode())
-        if value not in node.values:
-            node.values.add(value)
-            self._count += 1
-            self._generation += 1
+            self._literals[pattern] = values | {value}
+        else:
+            tail = elements[-1] == ">"
+            node = self._root
+            for element in (elements[:-1] if tail else elements):
+                if element == "*":
+                    if node.star is None:
+                        node.star = _TrieNode()
+                    node = node.star
+                else:
+                    node = node.children.setdefault(element, _TrieNode())
+            values = node.tail_values if tail else node.values
+            if value in values:
+                return
+            values.add(value)
+            self._wildcards += 1
+        self._count += 1
+        # a memoized result is a union that includes literal values, so
+        # a literal change is a generation too
+        self._generation += 1
 
     def remove(self, pattern: str, value: T) -> bool:
         """Remove one registration; returns True if it existed.
 
-        Empty trie branches are pruned so long-running daemons with
-        churning subscriptions do not leak.
+        Empty trie branches and emptied literal patterns are pruned so
+        long-running daemons with churning subscriptions do not leak.
         """
         elements = validate_pattern(pattern)
-        removed = self._remove(self._root, elements, 0, value)
-        if removed:
-            self._generation += 1
-        return removed
+        if _is_literal(pattern):
+            values = self._literals.get(pattern, _EMPTY)
+            if value not in values:
+                return False
+            if len(values) == 1:
+                del self._literals[pattern]
+            else:
+                self._literals[pattern] = values - {value}
+        elif self._remove(self._root, elements, 0, value):
+            self._wildcards -= 1
+            if not self._wildcards:
+                self._fresh_memos()   # literal-only from here: no memo
+        else:
+            return False
+        self._count -= 1
+        self._generation += 1
+        return True
 
     def _remove(self, node: _TrieNode[T], elements: List[str], index: int,
                 value: T) -> bool:
         if index < len(elements) and elements[index] == ">":
             if value in node.tail_values:
                 node.tail_values.discard(value)
-                self._count -= 1
                 return True
             return False
         if index == len(elements):
             if value in node.values:
                 node.values.discard(value)
-                self._count -= 1
                 return True
             return False
         element = elements[index]
@@ -255,6 +304,13 @@ class SubjectTrie(Generic[T]):
         object is shared by every repeat of the same subject until the
         trie next changes.
         """
+        if not self._wildcards:
+            found = self._literals.get(subject)
+            if found is not None:
+                return found   # a registered pattern: well-formed
+            if _is_subject(subject) is None:
+                validate_subject(subject)   # raises, saying why
+            return _EMPTY
         memo = self._memo
         if self._memo_capacity:
             if self._memo_generation != self._generation:
@@ -263,8 +319,11 @@ class SubjectTrie(Generic[T]):
             if hit is not None:
                 return hit
         elements = validate_subject(subject)
-        result = frozenset(self._walk(elements,
-                                      elements[0].startswith("_")))
+        found = self._walk(elements, elements[0].startswith("_"))
+        literal = self._literals.get(subject)
+        if literal is not None:
+            found |= literal
+        result = frozenset(found)
         if self._memo_capacity:
             if len(memo) >= self._memo_capacity:
                 # epoch eviction: a steady-state working set refills in
@@ -299,11 +358,18 @@ class SubjectTrie(Generic[T]):
         Short-circuits on the first registration found instead of
         materializing the full match set (routers call this once per
         envelope heard on a bus, and the interest gate once per digest
-        subject).  Results are memoized alongside the full-match memo —
+        subject).  With no wildcard registered it is one dict probe.
+        Otherwise results are memoized alongside the full-match memo —
         steady-state disinterest is one dict hit — and invalidated by
         the same generation stamp, so a mid-stream subscribe is visible
         on the very next frame.
         """
+        if not self._wildcards:
+            if subject in self._literals:
+                return True   # a registered pattern: well-formed
+            if _is_subject(subject) is None:
+                validate_subject(subject)   # raises, saying why
+            return False
         if self._memo_capacity:
             if self._memo_generation != self._generation:
                 self._fresh_memos()
@@ -314,7 +380,8 @@ class SubjectTrie(Generic[T]):
             if bool_hit is not None:
                 return bool_hit
         elements = validate_subject(subject)
-        result = self._walk_any(elements, elements[0].startswith("_"))
+        result = (subject in self._literals
+                  or self._walk_any(elements, elements[0].startswith("_")))
         if self._memo_capacity:
             if len(self._bool_memo) >= self._memo_capacity:
                 self._bool_memo.clear()   # epoch eviction, like _memo
@@ -342,7 +409,8 @@ class SubjectTrie(Generic[T]):
 
     def patterns_for(self, value: T) -> List[str]:
         """Every pattern under which ``value`` is registered (diagnostics)."""
-        out: List[str] = []
+        out = [pattern for pattern, values in self._literals.items()
+               if value in values]
         self._collect(self._root, [], value, out)
         return sorted(out)
 

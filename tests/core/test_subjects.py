@@ -17,7 +17,8 @@ def test_paper_example_subject_is_valid():
 
 
 @pytest.mark.parametrize("bad", ["", ".", "a..b", ".a", "a.", "a b",
-                                 "news.*", "news.>", "a.#.b", "ü.x"])
+                                 "news.*", "news.>", "a.#.b", "ü.x",
+                                 "a.b\n", "a\n.b"])
 def test_invalid_subjects(bad):
     assert not is_valid_subject(bad)
     with pytest.raises(BadSubjectError):
@@ -36,7 +37,8 @@ def test_valid_patterns(good):
     assert is_valid_pattern(good)
 
 
-@pytest.mark.parametrize("bad", ["", ">.a", "a.>.b", "a..b", "a.**"])
+@pytest.mark.parametrize("bad", ["", ">.a", "a.>.b", "a..b", "a.**",
+                                 "a.b\n"])
 def test_invalid_patterns(bad):
     assert not is_valid_pattern(bad)
     with pytest.raises(BadSubjectError):
@@ -47,6 +49,10 @@ def test_too_deep_subject_rejected():
     deep = ".".join(["x"] * 33)
     with pytest.raises(BadSubjectError):
         validate_subject(deep)
+
+
+def test_deepest_subject_accepted():
+    assert len(validate_subject(".".join(["x"] * 32))) == 32
 
 
 # ----------------------------------------------------------------------
@@ -255,3 +261,69 @@ def test_matches_anything_consistent_with_match():
     for subject in ["fab5.cc", "fab5.cc.litho8", "x.cc", "x.dd",
                     "_admin.cmd", "_admin.other", "fab5"]:
         assert trie.matches_anything(subject) == bool(trie.match(subject))
+
+
+# ----------------------------------------------------------------------
+# the two stores: literal patterns in a dict, wildcards in the trie
+# ----------------------------------------------------------------------
+
+def test_literal_patterns_stay_out_of_the_trie():
+    trie = SubjectTrie()
+    trie.insert("a.b.c", "x")
+    trie.insert("_sys.control", "y")
+    assert trie._root.empty()
+    trie.insert("a.*.c", "w")
+    assert trie.match("a.b.c") == {"x", "w"}
+    assert trie.match("_sys.control") == {"y"}
+    assert len(trie) == 3
+
+
+def test_literal_hit_returns_the_stored_frozen_set():
+    trie = SubjectTrie()
+    trie.insert("a.b", "x")
+    first = trie.match("a.b")
+    assert isinstance(first, frozenset)
+    assert trie.match("a.b") is first
+
+
+ILL_FORMED = ["a..b", "a.*", "ü.x", "a.b\n"]
+
+
+@pytest.mark.parametrize("wildcards", [False, True])
+@pytest.mark.parametrize("probe", ILL_FORMED)
+def test_ill_formed_probes_raise_from_either_store(probe, wildcards):
+    trie = SubjectTrie()
+    trie.insert("a.b", "x")
+    if wildcards:
+        trie.insert("a.>", "y")
+    with pytest.raises(BadSubjectError):
+        trie.match(probe)
+    with pytest.raises(BadSubjectError):
+        trie.matches_anything(probe)
+
+
+def test_literal_only_trie_never_memoizes():
+    """Working-set independence: however many distinct subjects a
+    literal-only trie is asked about, it keeps nothing per subject."""
+    trie = SubjectTrie()
+    for i in range(0, 4000, 2):
+        trie.insert(f"mkt.s{i}.tick", i)
+    for i in range(10_000):
+        subject = f"mkt.s{i}.tick"
+        expected = {i} if i < 4000 and i % 2 == 0 else set()
+        assert trie.match(subject) == expected
+        assert trie.matches_anything(subject) is bool(expected)
+    assert trie._memo == {}
+    assert trie._bool_memo == {}
+
+
+def test_last_wildcard_removed_drops_the_memo():
+    trie = SubjectTrie()
+    trie.insert("a.b", "x")
+    trie.insert("a.>", "y")
+    assert trie.match("a.b") == {"x", "y"}
+    assert not trie.matches_anything("c.d")
+    assert trie._memo and trie._bool_memo
+    trie.remove("a.>", "y")
+    assert trie._memo == {} and trie._bool_memo == {}
+    assert trie.match("a.b") == {"x"}

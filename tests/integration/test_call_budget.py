@@ -1,28 +1,35 @@
 """A noise-free tripwire on the steady-state publish→deliver path.
 
 Wall-clock CI cannot see a 10% hot-path regression; a count of Python
-calls can, because for a fixed seed it repeats exactly.  This is the
-ledger's ``fanout_small`` workload in miniature, built with the public
-API only — one publisher host, eight subscriber hosts on
-``feed.equity.>``, default ``BusConfig()`` and ``CostModel()`` — and the
-load runs under ``cProfile``, which counts every Python-level and
-builtin call (``total.py_calls_per_msg`` in the ledger is the same
-count over the full workload).
+calls can, because for a fixed seed it repeats exactly.  Two of the
+ledger's workloads in miniature, built with the public API only — one
+publisher host, eight subscriber hosts, default ``BusConfig()`` and
+``CostModel()`` — each load running under ``cProfile``, which counts
+every Python-level and builtin call (``total.py_calls_per_msg`` in the
+ledger is the same count over the full workload):
 
-The ceiling is what the fast paths described in DESIGN.md ("Wall-clock
-performance") reach, plus ~8%.  It must not depend on set or dict
+* ``fanout_small``: every subscriber on ``feed.equity.>``, so every
+  frame is decoded and delivered eight times;
+* ``sparse_interest``: 2,000 literal subjects, each subscriber wanting
+  one in eight, so seven of eight daemons skip each frame at the
+  interest gate and subject matching is probed against a working set
+  far larger than any memo.
+
+Each ceiling is what the fast paths described in DESIGN.md ("Wall-clock
+performance") reach, plus ~8%.  Neither may depend on set or dict
 order: CI runs this file under ``PYTHONHASHSEED`` 0 and 1.
 
 Re-baselining (only for a deliberate change to the hot path): run
 
     PYTHONPATH=src python tests/integration/test_call_budget.py
 
-which prints the measured calls per message, and set ``CEILING`` to
-that figure plus 8%, rounded up to the next ten.
+which prints the measured calls per message of both scenarios, and set
+each ceiling to that figure plus 8%, rounded up to the next ten.
 """
 
 import cProfile
 import pstats
+import random
 
 from repro.core import BusConfig, InformationBus
 from repro.objects import encode
@@ -30,20 +37,49 @@ from repro.sim import CostModel
 
 SUBSCRIBERS = 8
 MESSAGES = 400
-RATE = 800.0            # msgs/s, paced
 WARMUP = 2.0            # simulated seconds before the first publish
 QUIESCE = 1.0           # simulated seconds after the last one
 
+FANOUT_RATE = 800.0     # msgs/s, paced
 #: Python + builtin calls per published message (8 deliveries each).
-#: Measured 903.7 on CPython 3.11 with the fast paths in place (1,227.1
+#: Measured 862.6 on CPython 3.11 with the fast paths in place (1,227.1
 #: before them); later interpreters inline comprehensions and count
 #: fewer.
 CEILING = 980
 
+SPARSE_SUBJECTS = 2000
+SPARSE_RATE = 600.0     # msgs/s, paced
+#: Python + builtin calls per published message (1 delivery each).
+#: Measured 598.4 on CPython 3.11 with literal patterns matched in one
+#: dict probe (798.8 when every probe validated and walked the trie).
+SPARSE_CEILING = 650
 
-def measure_calls_per_message():
+
+def _calls_per_message(bus, publisher, subjects, rate):
+    """Publish one small payload on each of ``subjects`` at ``rate``
+    after a warm-up; Python calls per message over the load."""
+    payload = encode("0123456789a")
+    assert len(payload) == 16
+    bus.run_for(WARMUP)
+    start = bus.sim.now
+    for n, subject in enumerate(subjects):
+        bus.sim.schedule_at(start + n / rate, publisher.publish_bytes,
+                            subject, payload)
+    profile = cProfile.Profile()
+    profile.enable()
+    bus.run_for(len(subjects) / rate + QUIESCE)
+    profile.disable()
+    return pstats.Stats(profile).prim_calls / len(subjects)
+
+
+def _bus():
     bus = InformationBus(seed=1993, cost=CostModel(), config=BusConfig())
     bus.add_hosts(1 + SUBSCRIBERS)
+    return bus
+
+
+def measure_calls_per_message():
+    bus = _bus()
     received = []
     for k in range(SUBSCRIBERS):
         bus.client(f"node{k + 1:02d}", "mon").subscribe(
@@ -51,20 +87,27 @@ def measure_calls_per_message():
             lambda subject, obj, info: received.append(info.seq))
     publisher = bus.client("node00", "pub")
     subjects = [f"feed.equity.s{i}" for i in range(8)]
-    payload = encode("0123456789a")
-    assert len(payload) == 16
-    bus.run_for(WARMUP)
+    load = [subjects[n & 7] for n in range(MESSAGES)]
+    return (_calls_per_message(bus, publisher, load, FANOUT_RATE),
+            received)
 
-    start = bus.sim.now
-    for n in range(MESSAGES):
-        bus.sim.schedule_at(start + n / RATE, publisher.publish_bytes,
-                            subjects[n & 7], payload)
-    profile = cProfile.Profile()
-    profile.enable()
-    bus.run_for(MESSAGES / RATE + QUIESCE)
-    profile.disable()
-    calls = pstats.Stats(profile).prim_calls
-    return calls / MESSAGES, received
+
+def measure_sparse_calls_per_message():
+    bus = _bus()
+    received = []
+    subjects = [f"mkt.s{i}.tick" for i in range(SPARSE_SUBJECTS)]
+    for k in range(SUBSCRIBERS):
+        client = bus.client(f"node{k + 1:02d}", "mon")
+        for i in range(k, SPARSE_SUBJECTS, SUBSCRIBERS):
+            client.subscribe(
+                subjects[i],
+                lambda subject, obj, info: received.append(info.seq))
+    publisher = bus.client("node00", "pub")
+    rng = random.Random(7)
+    load = [subjects[rng.randrange(SPARSE_SUBJECTS)]
+            for _ in range(MESSAGES)]
+    return (_calls_per_message(bus, publisher, load, SPARSE_RATE),
+            received)
 
 
 def test_calls_per_message_stay_inside_the_budget():
@@ -76,6 +119,19 @@ def test_calls_per_message_stay_inside_the_budget():
         "(or re-baseline as the module docstring says)")
 
 
+def test_sparse_interest_calls_stay_inside_the_budget():
+    per_message, received = measure_sparse_calls_per_message()
+    assert len(received) == MESSAGES     # each subject has one consumer
+    assert per_message <= SPARSE_CEILING, (
+        f"{per_message:.1f} Python calls per message with sparse interest, "
+        f"budget {SPARSE_CEILING} — a gate or subject-matching regression "
+        "(or re-baseline as the module docstring says)")
+
+
 if __name__ == "__main__":
-    per_message, received = measure_calls_per_message()
-    print(f"{per_message:.1f} calls/msg, {len(received)} deliveries")
+    for name, measure in (("fanout_small", measure_calls_per_message),
+                          ("sparse_interest",
+                           measure_sparse_calls_per_message)):
+        per_message, received = measure()
+        print(f"{name}: {per_message:.1f} calls/msg, "
+              f"{len(received)} deliveries")

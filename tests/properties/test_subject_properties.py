@@ -40,6 +40,57 @@ def test_trie_agrees_with_reference_matcher(patterns, probe):
     assert trie.match(probe) == expected
 
 
+admin_subject = st.tuples(element, st.lists(element, max_size=3)).map(
+    lambda parts: ".".join(["_" + parts[0]] + parts[1]))
+
+
+@st.composite
+def admin_pattern(draw):
+    """A pattern naming a reserved first element literally."""
+    rest = draw(st.lists(pattern_element, max_size=3))
+    if draw(st.booleans()):
+        rest.append(">")
+    return ".".join(["_" + draw(element)] + rest)
+
+
+any_pattern = st.one_of(subject, pattern(), admin_pattern())
+any_subject = st.one_of(subject, admin_subject)
+
+
+@given(st.sampled_from([0, 4, None]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_split_store_agrees_with_brute_force(capacity, data):
+    """Interleaved inserts, removes and probes of literal, wildcard and
+    ``_``-first patterns: the two stores (and the wildcard memo, at any
+    capacity) answer exactly as the reference matcher over what is
+    registered at that moment."""
+    trie = SubjectTrie(memo_capacity=capacity)
+    registered = set()
+    for _ in range(data.draw(st.integers(1, 40))):
+        action = data.draw(st.sampled_from(["insert", "remove", "probe"]))
+        if action == "insert":
+            entry = (data.draw(any_pattern), data.draw(st.integers(0, 3)))
+            trie.insert(*entry)
+            registered.add(entry)
+        elif action == "remove":
+            if registered and data.draw(st.booleans()):
+                entry = data.draw(st.sampled_from(sorted(registered)))
+            else:
+                entry = (data.draw(any_pattern), data.draw(st.integers(0, 3)))
+            assert trie.remove(*entry) is (entry in registered)
+            registered.discard(entry)
+        probe = data.draw(any_subject)
+        expected = {v for p, v in registered if subject_matches(p, probe)}
+        assert trie.match(probe) == expected
+        assert trie.matches_anything(probe) is bool(expected)
+        assert len(trie) == len(registered)
+        if not any("*" in p or ">" in p for p, _ in registered):
+            assert not trie._memo and not trie._bool_memo
+    for value in range(4):
+        assert trie.patterns_for(value) == sorted(
+            p for p, v in registered if v == value)
+
+
 @given(st.lists(st.tuples(pattern(), st.integers(0, 5)),
                 min_size=1, max_size=25),
        st.data())

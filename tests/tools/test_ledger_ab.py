@@ -1,7 +1,11 @@
-"""The verdict rule of ``tools/ledger_ab.py`` (choosing-metrics §8)."""
+"""The verdict rule of ``tools/ledger_ab.py`` (choosing-metrics §8) and
+its ``--out`` record, with ``run_ledger`` stubbed (no ledger run here)."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -51,3 +55,69 @@ def test_worse_and_unresolved():
 def test_wall_metrics_come_from_run_py():
     assert "wall_us_per_msg" in load_tool().wall_metrics()
     assert "sim_latency_p50_ms" not in load_tool().wall_metrics()
+
+
+def stub_runs(tool, monkeypatch, drift=0.0):
+    """No export and no ledger run: the change tree's machine metrics
+    are 20% below the parent's, simulated ones equal (plus ``drift`` on
+    the change side's ``sim_msgs_per_s``)."""
+    machine = tool.wall_metrics()
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+    def run_ledger(tree, workload, seed, seconds):
+        change = tree == tool.ROOT
+        metrics = {}
+        for entry in manifest["end_to_end"]:
+            name = entry["name"]
+            if name in machine:
+                value = (100.0 + seed % 3) * (0.8 if change else 1.0)
+            else:
+                value = 7.0 + (drift if change and name == "sim_msgs_per_s"
+                               else 0.0)
+            metrics[name] = {"value": value, "unit": entry["unit"]}
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": metrics}
+
+    monkeypatch.setattr(tool, "export_parent", lambda rev, into: None)
+    monkeypatch.setattr(tool, "run_ledger", run_ledger)
+
+
+def test_out_writes_every_run_quartile_and_verdict(monkeypatch, tmp_path,
+                                                   capsys):
+    tool = load_tool()
+    stub_runs(tool, monkeypatch)
+    out = tmp_path / "ab.json"
+    assert tool.main(["HEAD~1", "--workload", "sparse_interest",
+                      "--pairs", "4", "--first-seed", "7",
+                      "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["parent_rev"] == "HEAD~1" and record["failures"] == 0
+    summary = record["workloads"]["sparse_interest"]
+    assert summary["seeds"] == [7, 8, 9, 10]
+    assert len(summary["runs"]["parent"]) == len(summary["runs"]["change"]) == 4
+    assert summary["incorrect"] == []
+    wall = summary["metrics"]["wall_us_per_msg"]
+    assert wall["verdict"] == "better" and (wall["won"], wall["lost"]) == (4, 0)
+    assert wall["parent"] == [101.0, 102.0, 100.0, 101.0]
+    assert wall["parent_quartiles"] == list(tool.quartiles(wall["parent"]))
+    assert wall["change_quartiles"][1] == pytest.approx(
+        0.8 * wall["parent_quartiles"][1])
+    assert wall["median_delta"] == pytest.approx(-0.2)
+    latency = summary["metrics"]["sim_latency_p50_ms"]
+    assert latency["verdict"] == "identical"
+    assert latency["identical_pairs"] == 4
+    assert "BETTER" in capsys.readouterr().out
+
+
+def test_a_moved_simulated_metric_fails_and_is_recorded(monkeypatch,
+                                                        tmp_path):
+    tool = load_tool()
+    stub_runs(tool, monkeypatch, drift=0.5)
+    out = tmp_path / "ab.json"
+    assert tool.main(["HEAD~1", "--workload", "fanout_small", "--pairs", "2",
+                      "--out", str(out)]) == 1
+    record = json.loads(out.read_text())
+    assert record["failures"] == 1
+    rows = record["workloads"]["fanout_small"]["metrics"]
+    assert rows["sim_msgs_per_s"]["verdict"] == "different"
+    assert rows["sim_msgs_per_s"]["identical_pairs"] == 0

@@ -3,6 +3,7 @@
 
     python3 tools/ledger_ab.py PARENT_REV [--workload W ...]
                                [--pairs 10] [--seconds 10] [--first-seed 101]
+                               [--out FILE]
 
 The parent is ``PARENT_REV`` exported (``git archive``) into a temporary
 directory; the change is the working tree this file sits in.  Each pair
@@ -26,6 +27,11 @@ choosing-metrics guide (section 8):
   (unless every change run beats every parent run); else
   ``within bound``.
 
+``--out FILE`` also writes all of it as JSON — per workload every
+run.py result line, and per metric both sides' values, quartiles, pairs
+won and lost, and the verdict — so a record of the comparison can be
+committed instead of a pasted table (``benchmarks/ab/``).
+
 Exit status is non-zero on a simulated difference or a run that is not
 ``correct``.  Nothing under ``benchmarks/ledger/`` is written or read
 except ``run.py`` itself.
@@ -41,7 +47,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_PY = os.path.join("benchmarks", "ledger", "run.py")
@@ -108,53 +114,75 @@ def verdict(parent: List[float], change: List[float], lower_is_better: bool,
     return "within bound", won, lost
 
 
-def report(workload: str, seeds: List[int], parent: List[dict],
-           change: List[dict], manifest: dict,
-           machine: Tuple[str, ...]) -> int:
-    """Print one workload's table; returns the number of failures."""
-    failures = 0
-    print(f"\n== {workload}: {len(seeds)} pairs, seeds "
-          f"{seeds[0]}..{seeds[-1]} (parent | change)")
-    for side, runs in (("parent", parent), ("change", change)):
-        for seed, run in zip(seeds, runs):
-            if not run["correct"]:
-                print(f"   NOT CORRECT: {side} seed {seed} "
-                      f"({run['failed']} of {run['attempted']} failed)")
-                failures += 1
+def summarize(seeds: List[int], parent: List[dict], change: List[dict],
+              manifest: dict, machine: Tuple[str, ...]) -> dict:
+    """One workload's pairs as data: every run, and per metric both
+    sides' values, quartiles and the verdict (what :func:`report`
+    prints and ``--out`` keeps)."""
+    metrics: Dict[str, dict] = {}
     for entry in manifest["end_to_end"]:
         name = entry["name"]
         p_values = [run["metrics"][name]["value"] for run in parent]
         c_values = [run["metrics"][name]["value"] for run in change]
+        row = {"unit": entry["unit"], "parent": p_values, "change": c_values}
         if name not in machine:
-            same = p_values == c_values
-            failures += not same
+            row["verdict"] = ("identical" if p_values == c_values
+                              else "different")
+            row["identical_pairs"] = sum(
+                p == c for p, c in zip(p_values, c_values))
+        else:
+            what, won, lost = verdict(p_values, c_values,
+                                      entry["better"] == "lower",
+                                      entry["bound"])
+            pq, cq = quartiles(p_values), quartiles(c_values)
+            row.update(verdict=what, won=won, lost=lost,
+                       bound=entry["bound"], parent_quartiles=list(pq),
+                       change_quartiles=list(cq),
+                       median_delta=(cq[1] - pq[1]) / pq[1] if pq[1] else 0.0)
+        metrics[name] = row
+    incorrect = [{"side": side, "seed": seed, "failed": run["failed"],
+                  "attempted": run["attempted"]}
+                 for side, runs in (("parent", parent), ("change", change))
+                 for seed, run in zip(seeds, runs) if not run["correct"]]
+    return {"seeds": seeds, "runs": {"parent": parent, "change": change},
+            "incorrect": incorrect, "metrics": metrics}
+
+
+def report(workload: str, summary: dict) -> None:
+    """Print one workload's table."""
+    seeds = summary["seeds"]
+    print(f"\n== {workload}: {len(seeds)} pairs, seeds "
+          f"{seeds[0]}..{seeds[-1]} (parent | change)")
+    for run in summary["incorrect"]:
+        print(f"   NOT CORRECT: {run['side']} seed {run['seed']} "
+              f"({run['failed']} of {run['attempted']} failed)")
+    for name, row in summary["metrics"].items():
+        p_values, c_values = row["parent"], row["change"]
+        if "identical_pairs" in row:
+            same = row["verdict"] == "identical"
             print(f"   {name:22s} {'identical' if same else 'DIFFERENT'} "
-                  f"in {sum(p == c for p, c in zip(p_values, c_values))}"
-                  f"/{len(seeds)} pairs")
+                  f"in {row['identical_pairs']}/{len(seeds)} pairs")
             if not same:
                 print("      parent " + " ".join(f"{v:.6g}" for v in p_values))
                 print("      change " + " ".join(f"{v:.6g}" for v in c_values))
             continue
-        what, won, lost = verdict(p_values, c_values,
-                                  entry["better"] == "lower", entry["bound"])
-        pq, cq = quartiles(p_values), quartiles(c_values)
-        delta = (cq[1] - pq[1]) / pq[1] * 100 if pq[1] else 0.0
-        print(f"   {name:22s} {what.upper():12s} median {pq[1]:.6g} -> "
-              f"{cq[1]:.6g} {entry['unit']} ({delta:+.1f}%), change won "
-              f"{won} lost {lost} of {len(seeds)}, bound "
-              f"{100 * entry['bound']:.0f}%")
+        pq, cq = row["parent_quartiles"], row["change_quartiles"]
+        print(f"   {name:22s} {row['verdict'].upper():12s} median {pq[1]:.6g}"
+              f" -> {cq[1]:.6g} {row['unit']} "
+              f"({100 * row['median_delta']:+.1f}%), change won "
+              f"{row['won']} lost {row['lost']} of {len(seeds)}, bound "
+              f"{100 * row['bound']:.0f}%")
         print(f"      parent q1/median/q3 {pq[0]:.6g}/{pq[1]:.6g}/{pq[2]:.6g}"
               "   runs " + " ".join(f"{v:.6g}" for v in p_values))
         print(f"      change q1/median/q3 {cq[0]:.6g}/{cq[1]:.6g}/{cq[2]:.6g}"
               "   runs " + " ".join(f"{v:.6g}" for v in c_values))
-    return failures
 
 
 def _wall(run: Dict) -> float:
     return run["metrics"]["wall_us_per_msg"]["value"]
 
 
-def main() -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         manifest = json.load(handle)
     known = [w["name"] for w in manifest["workloads"]]
@@ -168,12 +196,16 @@ def main() -> int:
                         default=float(manifest["run_seconds"]))
     parser.add_argument("--first-seed", type=int, default=101,
                         help="pair k runs seed first-seed + k in both trees")
-    args = parser.parse_args()
+    parser.add_argument("--out", metavar="FILE",
+                        help="also write every run, quartile and verdict "
+                             "here as JSON")
+    args = parser.parse_args(argv)
     workloads = args.workload or known
     seeds = [args.first_seed + k for k in range(args.pairs)]
     machine = wall_metrics()
 
     failures = 0
+    summaries: Dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="ledger_ab_") as parent_tree:
         export_parent(args.parent_rev, parent_tree)
         for workload in workloads:
@@ -189,11 +221,22 @@ def main() -> int:
                 print(f"   {workload} seed {seed}: wall_us_per_msg "
                       f"{_wall(parent_runs[-1]):.1f} | "
                       f"{_wall(change_runs[-1]):.1f}", flush=True)
-            failures += report(workload, seeds, parent_runs, change_runs,
-                               manifest, machine)
+            summary = summarize(seeds, parent_runs, change_runs, manifest,
+                                machine)
+            report(workload, summary)
+            # runs that were not correct, simulated metrics that moved
+            failures += len(summary["incorrect"]) + sum(
+                row["verdict"] == "different"
+                for row in summary["metrics"].values())
+            summaries[workload] = summary
     print("\nledger-ab:", f"{failures} FAILURE(S)" if failures else "ok")
+    if args.out:
+        with open(args.out, "w") as handle:
+            json.dump({"parent_rev": args.parent_rev,
+                       "seconds": args.seconds, "failures": failures,
+                       "workloads": summaries}, handle, indent=1)
+            handle.write("\n")
     return 1 if failures else 0
-
 
 
 if __name__ == "__main__":
