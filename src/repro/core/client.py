@@ -13,7 +13,7 @@ not know who consumes" (P4): nothing in this API names a peer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 import itertools
 
@@ -23,7 +23,7 @@ from .daemon import BusDaemon
 from .flow import PublishReceipt
 from .message import Envelope, MessageInfo, QoS
 from .sharding import ShardMap
-from .subjects import SubjectTrie, validate_pattern
+from .subjects import validate_pattern
 
 __all__ = ["BusClient", "Subscription"]
 
@@ -39,10 +39,13 @@ class Subscription:
 
     Identity semantics (``eq=False``): two subscriptions with the same
     pattern are distinct registrations, and each keeps its callback.
+    It is what registers on each daemon plane: a plane's match yields
+    subscriptions, and ``client`` says whose lane each one feeds.
     """
 
     pattern: str
     callback: MessageHandler
+    client: "BusClient"
     durable: bool = False
     active: bool = True
     seq: int = 0
@@ -72,14 +75,8 @@ class BusClient:
         #: message (read by the daemon when it builds the delivery lane;
         #: 0 = instant, the synchronous fast path)
         self.service_time = max(0.0, service_time)
+        #: live subscriptions in order; the planes' tries match them
         self._subscriptions: List[Subscription] = []
-        # client-side dispatch trie: pattern -> Subscription objects.
-        # Matching a delivery costs O(subject depth), not O(#subs) —
-        # essential when an app subscribes to thousands of subjects
-        # (the Figure 8 workload).
-        self._dispatch: SubjectTrie = SubjectTrie()
-        # refcount of daemon-level registrations per (pattern, durable)
-        self._registered: Dict[tuple, int] = {}
         self.messages_published = 0
         self.messages_received = 0
         self.decode_errors = 0
@@ -162,14 +159,12 @@ class BusClient:
         them, and dedupes redeliveries across crashes.
         """
         validate_pattern(pattern)
-        subscription = Subscription(pattern, callback, durable)
+        subscription = Subscription(pattern, callback, self, durable)
+        # kept only once every plane took it: one refused on a down
+        # host is not reattached when the host recovers
+        for plane in self._planes_for(pattern):
+            plane.add_subscription(subscription)
         self._subscriptions.append(subscription)
-        self._dispatch.insert(pattern, subscription)
-        key = (pattern, durable)
-        if self._registered.get(key, 0) == 0:
-            for plane in self._planes_for(pattern):
-                plane.add_subscription(pattern, self, durable)
-        self._registered[key] = self._registered.get(key, 0) + 1
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
@@ -177,16 +172,8 @@ class BusClient:
             return
         subscription.active = False
         self._subscriptions.remove(subscription)
-        self._dispatch.remove(subscription.pattern, subscription)
-        key = (subscription.pattern, subscription.durable)
-        remaining = self._registered.get(key, 0) - 1
-        if remaining <= 0:
-            self._registered.pop(key, None)
-            for plane in self._planes_for(subscription.pattern):
-                plane.remove_subscription(subscription.pattern, self,
-                                          subscription.durable)
-        else:
-            self._registered[key] = remaining
+        for plane in self._planes_for(subscription.pattern):
+            plane.remove_subscription(subscription)
 
     def subscriptions(self) -> List[Subscription]:
         return list(self._subscriptions)
@@ -216,7 +203,10 @@ class BusClient:
     # delivery (called by the daemon)
     # ------------------------------------------------------------------
     def _deliver(self, envelope: Envelope, retransmitted: bool,
-                 resolver) -> None:
+                 resolver, subscriptions) -> None:
+        """Call the still-active ones of ``subscriptions`` — this
+        client's matches, in subscription order, as the daemon saw them
+        when it dispatched ``envelope``."""
         payload = envelope.payload
         try:
             # ``resolver``: the delivering plane's, for the envelope's
@@ -234,12 +224,8 @@ class BusClient:
         info = MessageInfo(subject, envelope.sender, envelope.session, seq,
                            envelope.qos, publish_time, now, len(payload),
                            retransmitted, envelope.via)
-        matching = self._dispatch.match(subject)
-        if len(matching) > 1:
-            # callbacks run in subscription order, whatever the set's
-            matching = sorted(matching, key=lambda s: s.seq)
         delivered = False
-        for subscription in matching:
+        for subscription in subscriptions:
             if subscription.active:
                 delivered = True
                 subscription.callback(subject, obj, info)
@@ -252,9 +238,9 @@ class BusClient:
 
     def _reattach(self) -> None:
         """Re-register all subscriptions after the host recovered."""
-        for (pattern, durable) in self._registered:
-            for plane in self._planes_for(pattern):
-                plane.add_subscription(pattern, self, durable)
+        for subscription in self._subscriptions:
+            for plane in self._planes_for(subscription.pattern):
+                plane.add_subscription(subscription)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<BusClient {self.id} subs={len(self._subscriptions)}>"

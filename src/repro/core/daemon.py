@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from ..sim.kernel import Event, PeriodicTimer, Simulator
 from ..sim.node import Host
@@ -54,7 +55,7 @@ from .wire import (CorruptFrame, StringTable, UnresolvedIds,
                    read_digest)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .client import BusClient
+    from .client import BusClient, Subscription
 
 __all__ = ["ADVERT_SUBJECT", "BusConfig", "BusDaemon", "BusDownError",
            "DAEMON_PORT", "SHARD_PORT_STRIDE", "STAT_PORT",
@@ -97,6 +98,8 @@ ADVERT_SUBJECT = "_sub.advert"
 #: are invisible to ``>`` wildcards — subscribe ``_bus.stat.>``
 #: explicitly (see :class:`repro.apps.bus_browser.BusBrowser`).
 STAT_SUBJECT_PREFIX = "_bus.stat"
+
+_by_seq = attrgetter("seq")   # subscription order
 
 
 class BusDownError(RuntimeError):
@@ -250,6 +253,7 @@ class BusDaemon:
         self._stale_sessions = scope.counter("wire.stale_sessions")
         # lazily read wire/topology gauges (cost is paid at snapshot)
         scope.gauge("clients", source=lambda: len(self.clients))
+        # (pattern, subscription) registrations on this plane
         scope.gauge("subscriptions",
                     source=lambda: len(self._subscriptions))
         scope.gauge("wire.table_strings",
@@ -364,6 +368,7 @@ class BusDaemon:
         self._receiver = ReliableReceiver(self.sim, self.config.reliable,
                                           self._deliver_remote,
                                           self._send_nack,
+                                          self.session,
                                           tracer=self.tracer,
                                           metrics=self.metrics)
         flow = self.config.flow
@@ -387,8 +392,8 @@ class BusDaemon:
                 capacity=max(self.config.batch.max_messages, 1),
                 tracer=self.tracer, now=lambda: self.sim.now,
                 metrics=self.metrics))
+        #: the plane's one subscription table: pattern -> Subscription
         self._subscriptions: SubjectTrie = SubjectTrie()
-        self._durable: SubjectTrie = SubjectTrie()
         self._heartbeat = PeriodicTimer(
             self.sim, self.config.reliable.heartbeat_interval,
             self._send_heartbeat, name="daemon.heartbeat")
@@ -504,25 +509,21 @@ class BusDaemon:
         for callback in list(self._publish_credit_cbs):
             callback()
 
-    def add_subscription(self, pattern: str, client: "BusClient",
-                         durable: bool) -> None:
+    def add_subscription(self, subscription: "Subscription") -> None:
         self._require_up()
-        self._subscriptions.insert(pattern, client)
-        if durable:
-            self._durable.insert(pattern, client)
+        pattern = subscription.pattern
+        self._subscriptions.insert(pattern, subscription)
         if self._advertisable(pattern):
             count = self._public_patterns.get(pattern, 0)
             self._public_patterns[pattern] = count + 1
             if count == 0:
                 self._advertise("add", [pattern])
 
-    def remove_subscription(self, pattern: str, client: "BusClient",
-                            durable: bool) -> None:
-        if not self._started:
+    def remove_subscription(self, subscription: "Subscription") -> None:
+        pattern = subscription.pattern
+        if not (self._started
+                and self._subscriptions.remove(pattern, subscription)):
             return
-        self._subscriptions.remove(pattern, client)
-        if durable:
-            self._durable.remove(pattern, client)
         if self._advertisable(pattern):
             count = self._public_patterns.get(pattern, 0) - 1
             if count <= 0:
@@ -590,7 +591,7 @@ class BusDaemon:
         if self.tracer:
             self.tracer.emit(self.sim.now, "publish", subject=subject,
                              seq=envelope.seq, size=len(payload))
-        self._deliver_local(envelope)
+        self._dispatch(envelope, False)   # same-host subscribers
         self._pump_outbound()
         return PublishReceipt(Admission.ACCEPTED, len(payload), envelope)
 
@@ -611,7 +612,7 @@ class BusDaemon:
                 is not Admission.ACCEPTED:
             return   # still congested; the ledger timer tries again
         self._sender.stamp(envelope)
-        self._deliver_local(envelope)
+        self._dispatch(envelope, False)
         self._pump_outbound()
 
     # ------------------------------------------------------------------
@@ -814,34 +815,47 @@ class BusDaemon:
     # ------------------------------------------------------------------
     # delivery to applications
     # ------------------------------------------------------------------
-    def _deliver_local(self, envelope: Envelope) -> None:
-        """Same-host subscribers see their host's own publications."""
-        self._dispatch(envelope, retransmitted=False)
-
-    def _deliver_remote(self, envelope: Envelope, retransmitted: bool) -> None:
-        self._dispatch(envelope, retransmitted)
-
     def _dispatch(self, envelope: Envelope, retransmitted: bool) -> None:
+        """Offer ``envelope`` — remote, this host's own or telemetry — to
+        each client with a matching subscription, in subscription order,
+        together with that client's matches."""
         # ``self.up``, minus its two chained property calls per envelope
         if not (self._started and self.host.up):
             return
         try:
-            clients = self._subscriptions.match(envelope.subject)
+            matched = self._subscriptions.match(envelope.subject)
         except BadSubjectError:
             # a peer's body subject (authoritative, and it may differ
             # from the digest's) is ill-formed: it matches nothing.
             # A local publish cannot raise here: publish() validated it.
             self._bad_subjects.value += 1
             return
-        if envelope.ledger_id is not None:
-            self._dispatch_guaranteed(envelope, clients, retransmitted)
+        if not matched:
             return
-        for client in clients:
-            self._lane_offer(client, envelope, retransmitted)
+        if len(matched) == 1:
+            (subscription,) = matched
+            offers = ((subscription.client, matched),)
+        else:
+            by_client: Dict["BusClient", List["Subscription"]] = {}
+            for subscription in sorted(matched, key=_by_seq):
+                by_client.setdefault(subscription.client,
+                                     []).append(subscription)
+            offers = by_client.items()
+        if envelope.ledger_id is not None:
+            self._dispatch_guaranteed(envelope, matched, offers,
+                                      retransmitted)
+            return
+        for client, subscriptions in offers:
+            self._lane_offer(client, envelope, retransmitted, subscriptions)
+
+    #: the reliable receiver's delivery callback (its own name: the bus
+    #: ledger traces it as the remote-delivery entry point)
+    _deliver_remote = _dispatch
 
     def _lane_offer(self, client: "BusClient", envelope: Envelope,
-                    retransmitted: bool) -> Admission:
-        """Hand one envelope to one application through its lane."""
+                    retransmitted: bool, subscriptions) -> None:
+        """Hand one envelope, with the client's subscriptions it matched,
+        to one application through its lane."""
         lane = self._lanes.get(client.name)
         if lane is None or (lane.service_time <= 0.0 and not lane.queue):
             # instant consumer: the historical synchronous fast path
@@ -850,16 +864,17 @@ class BusDaemon:
             if envelope.seq:   # seq-0 = telemetry; never self-counted
                 self._delivered.value += 1
             client._deliver(envelope, retransmitted,
-                            self.type_resolver(envelope.session))
-            return Admission.ACCEPTED
+                            self.type_resolver(envelope.session),
+                            subscriptions)
+            return
         # queued with its type resolver: the sender's record may be
         # retired (a newer epoch heard) before a slow consumer gets here
         admission = lane.queue.offer(
-            (envelope, retransmitted, self.type_resolver(envelope.session)),
+            (envelope, retransmitted, self.type_resolver(envelope.session),
+             subscriptions),
             no_shed=(envelope.ledger_id is not None))
         if admission is Admission.ACCEPTED and lane.drain_event is None:
             self._arm_lane(client.name, lane)
-        return admission
 
     def _arm_lane(self, name: str, lane: _DeliveryLane) -> None:
         lane.drain_event = self.sim.schedule(
@@ -872,17 +887,17 @@ class BusDaemon:
         lane.drain_event = None
         if not self.up or not lane.queue:
             return
-        envelope, retransmitted, resolver = lane.queue.take()
+        envelope, retransmitted, resolver, subscriptions = lane.queue.take()
         client = self.clients.get(name)
         if client is not None:
             if envelope.seq:   # seq-0 = telemetry; never self-counted
                 self._delivered.value += 1
-            client._deliver(envelope, retransmitted, resolver)
+            client._deliver(envelope, retransmitted, resolver, subscriptions)
         if lane.queue and lane.drain_event is None:
             self._arm_lane(name, lane)
 
-    def _lanes_have_room(self, clients: Set) -> bool:
-        for client in clients:
+    def _lanes_have_room(self, offers) -> bool:
+        for client, _ in offers:
             lane = self._lanes.get(client.name)
             if lane is None:
                 continue
@@ -897,7 +912,7 @@ class BusDaemon:
                              ledger_id=envelope.ledger_id,
                              subject=envelope.subject)
 
-    def _dispatch_guaranteed(self, envelope: Envelope, clients: Set,
+    def _dispatch_guaranteed(self, envelope: Envelope, matched, offers,
                              retransmitted: bool) -> None:
         """Guaranteed messages: dedupe by ledger id, ack on durable receipt.
 
@@ -906,28 +921,27 @@ class BusDaemon:
         deferred whole — the publisher's ledger keeps retransmitting until
         every target application has room, so guaranteed QoS is never shed.
         """
-        durable_clients = self._durable.match(envelope.subject)
-        if durable_clients:
-            if not self._lanes_have_room(clients):
+        if any(subscription.durable for subscription in matched):
+            if not self._lanes_have_room(offers):
                 self._defer_guaranteed(envelope)   # withholds the ack too
                 return
             if self._gcon.first_delivery(envelope.ledger_id):
-                for client in clients:
-                    self._lane_offer(client, envelope, retransmitted)
+                for client, subscriptions in offers:
+                    self._lane_offer(client, envelope, retransmitted,
+                                     subscriptions)
             self._send_ack(envelope)   # (re-)ack even on duplicates
             return
         # no durable subscriber here: deliver once to regular subscribers
         if envelope.ledger_id in self._seen_ledgers:
             return
-        if not self._lanes_have_room(clients):
+        if not self._lanes_have_room(offers):
             self._defer_guaranteed(envelope)
             return
-        if clients:
-            self._seen_ledgers[envelope.ledger_id] = None
-            while len(self._seen_ledgers) > self.config.seen_ledger_cap:
-                self._seen_ledgers.popitem(last=False)
-        for client in clients:
-            self._lane_offer(client, envelope, retransmitted)
+        self._seen_ledgers[envelope.ledger_id] = None
+        while len(self._seen_ledgers) > self.config.seen_ledger_cap:
+            self._seen_ledgers.popitem(last=False)
+        for client, subscriptions in offers:
+            self._lane_offer(client, envelope, retransmitted, subscriptions)
 
     def _send_ack(self, envelope: Envelope) -> None:
         origin_host = envelope.ledger_id.split("/", 1)[0]
@@ -986,7 +1000,7 @@ class BusDaemon:
         envelope = Envelope(subject=subject, sender=self.session,
                             session=self.session, seq=0, payload=payload,
                             publish_time=self.sim.now, via=tuple(via))
-        self._dispatch_stat(envelope)          # local subscribers
+        self._dispatch(envelope, False)        # local subscribers
         self._stat_queue.offer(envelope)
         self._pump_stats()
 
@@ -1024,25 +1038,12 @@ class BusDaemon:
             return
         if packet.session == self.session:
             return   # our own broadcast echoed back
+        # unsequenced: the delivery lanes, not the reliable protocol.  A
+        # daemon never sends telemetry guaranteed, so a ledger id here is
+        # forged and must not reach the ledger dedupe or send an ACK
         for envelope in packet.envelopes:
-            self._dispatch_stat(envelope)
-
-    def _dispatch_stat(self, envelope: Envelope) -> None:
-        """Deliver a stat envelope to local ``_bus.*`` subscribers.
-
-        Rides the ordinary delivery lanes (so a slow browser backlogs
-        and sheds like any application) but skips the reliable receive
-        protocol — stat envelopes carry no sequence numbers to order.
-        """
-        if not self.up:
-            return
-        try:
-            clients = self._subscriptions.match(envelope.subject)
-        except BadSubjectError:
-            self._bad_subjects.value += 1    # ill-formed: matches nothing
-            return
-        for client in clients:
-            self._lane_offer(client, envelope, False)
+            if envelope.ledger_id is None:
+                self._dispatch(envelope, False)
 
     # ------------------------------------------------------------------
     # session type plane (see repro.core.typeplane)

@@ -231,7 +231,8 @@ class ReliableReceiver:
 
     ``deliver`` is called exactly once per delivered envelope, in per-
     session sequence order.  ``send_nack(session, first, last)`` must
-    transmit a NACK packet toward the session's daemon.
+    transmit a NACK packet toward the session's daemon.  ``own_session``
+    is the receiving plane's own session name.
 
     ``sessions`` is the plane's one ``session -> PeerSession`` mapping;
     the wire codec, handed this receiver, reads it and calls :meth:`hear`
@@ -242,6 +243,7 @@ class ReliableReceiver:
     def __init__(self, sim: Simulator, config: ReliableConfig,
                  deliver: Callable[[Envelope, bool], None],
                  send_nack: Callable[[str, int, int], None],
+                 own_session: str,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None):
         self.sim = sim
@@ -254,6 +256,11 @@ class ReliableReceiver:
         #: ``<host>[~<plane>]`` -> (highest epoch heard, its session):
         #: outlives the record, so a dead epoch's late frames stay dead
         self._newest: Dict[str, Tuple[int, str]] = {}
+        # ``own_session`` is seeded, never recorded: a plane does not
+        # hear its own broadcasts, so a frame naming its own session or
+        # an earlier epoch of it is a replay, refused as stale
+        name = _SESSION_NAME.fullmatch(own_session)
+        self._newest[name[1] + name[3]] = (int(name[2]), own_session)
         #: when this receiver came up; sessions born after this are fully
         #: recoverable from seq 1 (we must have been within earshot)
         self.started_at = sim.now
@@ -510,7 +517,8 @@ class ReliableReceiver:
         if newest is not None:
             if epoch <= newest[0]:
                 raise RefusedSession(session, stale=True)
-            self._retire(newest[1])
+            if newest[1] in self.sessions:   # not the seeded own session
+                self._retire(newest[1])
         self._newest[sender] = (epoch, session)
         state = self.sessions[session] = PeerSession(session, self._metrics)
         return state

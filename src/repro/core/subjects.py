@@ -170,7 +170,7 @@ class _TrieNode(Generic[T]):
 class SubjectTrie(Generic[T]):
     """Maps subscription patterns to sets of opaque values.
 
-    Used by daemons (pattern -> local clients), routers (pattern ->
+    Used by daemons (pattern -> local subscriptions), routers (pattern ->
     remote buses), and anywhere else subjects fan out.  Two stores: a
     wildcard-free pattern is a key of ``_literals`` (pattern -> frozen
     value set), and only patterns with ``*`` or ``>`` live in the trie

@@ -187,7 +187,7 @@ def test_reorder_overflow_is_counted_and_traced():
     delivered = []
     receiver = ReliableReceiver(sim, config,
                                 lambda env, _r: delivered.append(env.seq),
-                                lambda *_args: None, tracer=tracer)
+                                lambda *_args: None, "me#0", tracer=tracer)
 
     from repro.core import Envelope
     def env(seq):
@@ -215,7 +215,7 @@ def test_reorder_overflow_drop_oldest_prefers_fresh_data():
     config = ReliableConfig(receive_buffer=2,
                             overflow_policy=POLICY_DROP_OLDEST)
     receiver = ReliableReceiver(sim, config, lambda *_: None,
-                                lambda *_: None)
+                                lambda *_: None, "me#0")
     from repro.core import Envelope
     def env(seq):
         return Envelope(subject="a.b", sender="x", session="s#0", seq=seq,

@@ -246,7 +246,8 @@ def make_receiver():
     receiver = ReliableReceiver(
         sim, ReliableConfig(),
         deliver=lambda e, r: delivered.append(e.seq),
-        send_nack=lambda s, f, l: nacks.append((s, f, l)))
+        send_nack=lambda s, f, l: nacks.append((s, f, l)),
+        own_session="me#0")
     return sim, receiver, delivered, nacks
 
 

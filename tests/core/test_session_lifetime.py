@@ -145,6 +145,37 @@ def test_ghosts_of_a_retired_epoch_are_counted_drops():
     assert inbox[-1][1:] == ("node00#1", 5)
 
 
+def test_a_plane_refuses_replays_of_its_own_sessions():
+    """node00 came back as ``node00#1``.  A replayed frame of its dead
+    ``node00#0`` — or one naming its live session — is a stale drop
+    there as on every other receiver: no record, no NACK aimed at
+    itself.  Its own session is a seeded tombstone, never a record."""
+    bus, tracer, inbox = restart_with_a_gap()
+    daemon = bus.daemons["node00"]
+    assert daemon.session == "node00#1" and not daemon.peers
+    nacks = tracer.count("nack")
+    socket = evil_socket(bus)
+    for count, session in enumerate(["node00#0", "node00#1"], start=1):
+        socket.sendto(encode_packet(Packet(PacketKind.DATA, session,
+                                           [envelope(session, 3)],
+                                           session_start=0.0)),
+                      "node00", DAEMON_PORT)
+        bus.run_for(1.0)
+        assert counter(daemon, "stale_sessions") == count
+        assert not daemon.peers and not recv_rows(daemon)
+    assert counter(daemon, "peer_sessions") == 0
+    assert tracer.count("nack") == nacks
+    # a forged *newer* epoch of itself finds no record of its own to
+    # retire: a forged name (ROADMAP item 7(b)), not a crash
+    socket.sendto(encode_packet(Packet(PacketKind.HEARTBEAT, "node00#9",
+                                       last_seq=0, session_start=0.0)),
+                  "node00", DAEMON_PORT)
+    bus.run_for(1.0)
+    bus.client("node00", "pub2").publish("t.tick", {"n": 5})
+    bus.run_for(0.1)
+    assert inbox[-1][1:] == ("node00#1", 5)
+
+
 @pytest.mark.parametrize("make_table", [lambda: None, StringTable],
                          ids=["plain", "compressed"])
 def test_a_refused_frame_counts_once_whatever_its_encoding(make_table):
@@ -279,6 +310,27 @@ def test_the_stat_port_keeps_no_session_state():
     assert seen == [0, 1]
     assert not bus.daemons["node01"].peers
     assert counter(bus.daemons["node01"], "bad_sessions") == 0
+
+
+def test_the_stat_port_never_takes_the_guaranteed_path():
+    """Telemetry is never sent guaranteed: a stat frame carrying a
+    ledger id is dropped, so it neither acks nor consumes the durable
+    dedupe entry of the real guaranteed message with that id."""
+    bus, _tracer, _inbox = make_bus()
+    seen = []
+    bus.client("node01", "browser").subscribe(
+        "_bus.stat.>", lambda subject, obj, info: seen.append(obj),
+        durable=True)
+    socket = evil_socket(bus)
+    for port, seq in ((STAT_PORT, 0), (DAEMON_PORT, 1)):
+        forged = Envelope(subject="_bus.stat.evil.daemon", sender="evil",
+                          session="evil#0", seq=seq, payload=encode(port),
+                          qos=QoS.GUARANTEED, ledger_id="evil/1")
+        socket.broadcast(encode_packet(Packet(
+            PacketKind.DATA, "evil#0", [forged], session_start=0.0)), port)
+        bus.run_for(0.1)
+    assert seen == [DAEMON_PORT]
+    assert bus.daemons["node01"].acks_sent == 1
 
 
 def test_reading_never_makes_a_record():

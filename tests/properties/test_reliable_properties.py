@@ -42,7 +42,7 @@ def test_any_arrival_order_with_repair_is_exactly_once(count, data):
 
     receiver = ReliableReceiver(sim, config,
                                 lambda e, r: delivered.append(e.seq),
-                                send_nack)
+                                send_nack, "me#0")
 
     # the session began while this receiver was already up, so even the
     # first message is recoverable (exactly-once under normal operation)
@@ -79,7 +79,8 @@ def test_without_repair_delivery_is_ordered_subsequence(count, data):
     delivered = []
     receiver = ReliableReceiver(sim, config,
                                 lambda e, r: delivered.append(e.seq),
-                                lambda *args: None)   # NACKs vanish
+                                lambda *args: None,   # NACKs vanish
+                                "me#0")
     order = data.draw(st.permutations(range(count)))
     dropped = data.draw(st.sets(st.sampled_from(range(count)),
                                 max_size=count - 1))
@@ -111,7 +112,7 @@ def test_two_sessions_are_independent(count_a, count_b):
     delivered = []
     receiver = ReliableReceiver(
         sim, config, lambda e, r: delivered.append((e.session, e.seq)),
-        lambda *args: None)
+        lambda *args: None, "me#0")
     # interleave the two streams
     for i in range(max(count_a, count_b)):
         if i < count_a:
@@ -174,7 +175,7 @@ class _Harness:
         self.receiver = ReliableReceiver(
             self.sim, ReliableConfig(nack_delay=0.004, nack_max=3),
             lambda e, r: self.delivered.append((e.session, e.seq, r)),
-            lambda *nack: self.nacks.append((self.sim.now,) + nack))
+            lambda *nack: self.nacks.append((self.sim.now,) + nack), "me#0")
         self.prefix_enabled = prefix_enabled
         if not prefix_enabled:
             self.receiver.sessions = _MissOnce()
