@@ -62,18 +62,6 @@ class Summary:
     minimum: float
     maximum: float
 
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def ci_low(self) -> float:
-        return self.mean - self.ci99
-
-    @property
-    def ci_high(self) -> float:
-        return self.mean + self.ci99
-
 
 def summarize(values: Sequence[float]) -> Summary:
     """Mean, sample variance, and 99% CI half-width of ``values``."""

@@ -116,12 +116,8 @@ class BusConfig:
     #: defaults are non-shedding pass-through (see
     #: :class:`~repro.core.flow.FlowConfig`).
     flow: FlowConfig = field(default_factory=FlowConfig)
-    #: Guaranteed-delivery republish period.
-    retransmit_interval: float = 0.5
     #: Distinct consumers that must ack a guaranteed message.
     ack_quorum: int = 1
-    #: Re-attach client subscriptions when the host recovers.
-    auto_restart_clients: bool = True
     #: Publish type metadata with every message by default, so any
     #: receiver can decode and learn types it has never seen.  Reliable
     #: publishes carry it as dense session type ids whose typedefs ride
@@ -357,7 +353,6 @@ class BusDaemon:
                                           f"[{self.host.address}]"),
                                       lane=self.shard)
         self._sender = ReliableSender(self.session, self.config.reliable,
-                                      now=lambda: self.sim.now,
                                       metrics=self.metrics)
         # wire-compression and type-plane state is volatile by design:
         # ids are scoped to the session name, so a restart (fresh
@@ -400,8 +395,7 @@ class BusDaemon:
         gd_namespace = f"s{self.shard}" if self.shard else ""
         self._gpub = GuaranteedPublisher(
             self.sim, self.host, self.config.ack_quorum,
-            self.config.retransmit_interval, self._republish_guaranteed,
-            namespace=gd_namespace)
+            self._republish_guaranteed, namespace=gd_namespace)
         self._gcon = GuaranteedConsumer(self.host, namespace=gd_namespace)
         #: volatile dedupe of guaranteed deliveries to non-durable clients
         #: (insertion-ordered so the oldest entries can be evicted at the
@@ -462,7 +456,7 @@ class BusDaemon:
         # clients re-attach once, after *every* plane has restarted:
         # the last plane's listener runs last, and an earlier plane
         # doing it would fan subscriptions into planes still down
-        if self.config.auto_restart_clients and self is self.planes[-1]:
+        if self is self.planes[-1]:
             for client in list(self.clients.values()):
                 client._reattach()
 
@@ -483,11 +477,10 @@ class BusDaemon:
                 f"host {self.host.address}: an application named "
                 f"{client.name!r} is already registered")
         self.clients[client.name] = client
-        flow = self.config.flow
         self._lanes[client.name] = _DeliveryLane(
             BoundedQueue(
-                f"deliver[{client.id}]", flow.delivery_queue,
-                flow.delivery_policy,
+                f"deliver[{client.id}]", self.config.flow.delivery_queue,
+                POLICY_DROP_OLDEST,
                 # guaranteed deliveries are deferred, never evicted
                 evict_filter=lambda item: item[0].ledger_id is None,
                 tracer=self.tracer, now=lambda: self.sim.now,

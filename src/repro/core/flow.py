@@ -2,12 +2,9 @@
 credit-style backpressure.
 
 Every place a message can wait — the daemon's outbound publish queue, the
-per-application delivery lanes, the reliable receiver's reorder buffer,
-the sender's retention window, the WAN link's store-and-forward queues —
-is a finite resource.  Before this layer each of those bounds was hand
-rolled (a silent ``return`` here, an ``OrderedDict.popitem`` there), so
-overload behaviour was an accident of whichever list filled first.  Here
-the bounds are one abstraction with one stats surface:
+per-application delivery lanes, the sender's retention window, the WAN
+link's store-and-forward queues — is a finite resource with one stats
+surface:
 
 * :class:`BoundedQueue` — a FIFO with a hard capacity and a configurable
   :data:`overflow policy <OVERFLOW_POLICIES>`:
@@ -19,19 +16,19 @@ the bounds are one abstraction with one stats surface:
   - ``drop-oldest`` — a full queue evicts its oldest (evictable) item to
     make room for the incoming one.
 
-* :class:`BoundedBuffer` — the keyed analogue (seq → envelope) used by
-  reorder and retention buffers, with the same policies and stats.
+* :class:`BoundedBuffer` — the keyed rolling window (seq → envelope) of
+  the sender's retention: a full buffer evicts its oldest entry.
 
 * *Credit* — a queue that has pushed back (deferred or shed) fires its
-  credit callbacks once it drains to ``resume_at``; producers register
-  with :meth:`BoundedQueue.on_credit` and resume publishing.  This is the
-  upstream half of backpressure: pressure propagates producer-ward as
-  admission results, relief propagates as credits.
+  credit callbacks once it drains to half its capacity; producers
+  register with :meth:`BoundedQueue.on_credit` and resume publishing.
+  This is the upstream half of backpressure: pressure propagates
+  producer-ward as admission results, relief propagates as credits.
 
 Every queue counts offers, acceptances, deferrals, sheds (split by which
-end was dropped), drains, and its high watermark, and — when given a
-tracer — emits ``flow.drop`` / ``flow.defer`` / ``flow.credit`` trace
-events so overload is observable, not silent.
+end was dropped), drains, and its high watermark, and a
+:class:`BoundedQueue` given a tracer emits ``flow.drop`` / ``flow.defer``
+/ ``flow.credit`` trace events so overload is observable, not silent.
 """
 
 from __future__ import annotations
@@ -169,32 +166,19 @@ class FlowStats:
         }
 
 
-class _FlowTracing:
-    """Shared trace plumbing for the queue flavours."""
-
-    def __init__(self, name: str, tracer: Optional["Tracer"],
-                 now: Optional[Callable[[], float]]):
-        self.name = name
-        self.tracer = tracer
-        self.now = now or (lambda: 0.0)
-
-    def trace(self, category: str, **fields: Any) -> None:
-        if self.tracer:
-            self.tracer.emit(self.now(), category, queue=self.name, **fields)
-
-
 class BoundedQueue:
     """A FIFO with a hard capacity, an overflow policy, and credit.
 
     ``evict_filter`` (drop-oldest only) restricts which queued items may
     be evicted — e.g. guaranteed-QoS envelopes are never shed.  Evicted
     items are handed to ``on_evict`` so their owner can release
-    per-item state (retention entries, ledger bookkeeping).
+    per-item state (retention entries, ledger bookkeeping).  A queue
+    that pushed back fires its credits once it drains to half its
+    capacity (:attr:`resume_at`).
     """
 
     def __init__(self, name: str, capacity: int,
                  policy: str = POLICY_BLOCK, *,
-                 resume_at: Optional[int] = None,
                  evict_filter: Optional[Callable[[Any], bool]] = None,
                  on_evict: Optional[Callable[[Any], None]] = None,
                  tracer: Optional["Tracer"] = None,
@@ -202,15 +186,16 @@ class BoundedQueue:
                  metrics: Optional[MetricsRegistry] = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1 (got {capacity})")
+        self.name = name
         self.capacity = capacity
         self.policy = _check_policy(policy)
         #: queue depth at which a pressured queue fires its credits
-        self.resume_at = (max(0, capacity // 2) if resume_at is None
-                          else resume_at)
+        self.resume_at = capacity // 2
         self._evict_filter = evict_filter
         self._on_evict = on_evict
         self._items: Deque[Any] = deque()
-        self._tracing = _FlowTracing(name, tracer, now)
+        self._tracer = tracer
+        self._now = now or (lambda: 0.0)
         self._pressured = False
         self._credit_cbs: List[Callable[[], None]] = []
         self.stats = FlowStats(name, capacity, self.policy, metrics)
@@ -218,10 +203,6 @@ class BoundedQueue:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self._tracing.name
-
     def __len__(self) -> int:
         return len(self._items)
 
@@ -260,23 +241,21 @@ class BoundedQueue:
         self._pressured = True
         if no_shed or self.policy == POLICY_BLOCK:
             self.stats._deferred.value += 1
-            self._tracing.trace("flow.defer", depth=len(self._items))
+            self._trace("flow.defer", depth=len(self._items))
             return Admission.DEFERRED
         if self.policy == POLICY_DROP_NEWEST:
             self.stats._dropped_newest.value += 1
-            self._tracing.trace("flow.drop", end="newest",
-                                depth=len(self._items))
+            self._trace("flow.drop", end="newest", depth=len(self._items))
             return Admission.DROPPED
         # drop-oldest: evict the oldest evictable item to make room
         victim = self._evict_oldest()
         if victim is None:
             # nothing evictable (e.g. all queued traffic is guaranteed)
             self.stats._deferred.value += 1
-            self._tracing.trace("flow.defer", depth=len(self._items))
+            self._trace("flow.defer", depth=len(self._items))
             return Admission.DEFERRED
         self.stats._dropped_oldest.value += 1
-        self._tracing.trace("flow.drop", end="oldest",
-                            depth=len(self._items))
+        self._trace("flow.drop", end="oldest", depth=len(self._items))
         if self._on_evict is not None:
             self._on_evict(victim)
         self._items.append(item)
@@ -309,6 +288,11 @@ class BoundedQueue:
         self.stats._depth.value = depth
         if depth > self.stats._high_watermark.value:
             self.stats._high_watermark.value = depth
+
+    def _trace(self, category: str, **fields: Any) -> None:
+        if self._tracer:
+            self._tracer.emit(self._now(), category, queue=self.name,
+                              **fields)
 
     # ------------------------------------------------------------------
     # consumer side
@@ -352,7 +336,7 @@ class BoundedQueue:
         if self._pressured and len(self._items) <= self.resume_at:
             self._pressured = False
             self.stats._credits.value += 1
-            self._tracing.trace("flow.credit", depth=len(self._items))
+            self._trace("flow.credit", depth=len(self._items))
             for callback in list(self._credit_cbs):
                 callback()
 
@@ -362,32 +346,18 @@ class BoundedQueue:
 
 
 class BoundedBuffer:
-    """A keyed, insertion-ordered bounded map (seq → item).
+    """A keyed, insertion-ordered rolling window (seq → item): the
+    sender's retention.  A full buffer evicts its first-inserted entry
+    to admit the new one, counted as ``dropped_oldest``."""
 
-    The reorder and retention buffers are maps, not FIFOs, but they need
-    the same capacity/policy/stats treatment.  ``drop-oldest`` evicts the
-    first-inserted entry; evictions are reported through ``on_evict`` as
-    ``(key, item)`` pairs.
-    """
-
-    def __init__(self, name: str, capacity: int,
-                 policy: str = POLICY_DROP_NEWEST, *,
-                 on_evict: Optional[Callable[[Any, Any], None]] = None,
-                 tracer: Optional["Tracer"] = None,
-                 now: Optional[Callable[[], float]] = None,
+    def __init__(self, name: str, capacity: int, *,
                  metrics: Optional[MetricsRegistry] = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1 (got {capacity})")
+        self.name = name
         self.capacity = capacity
-        self.policy = _check_policy(policy)
-        self._on_evict = on_evict
         self._items: "OrderedDict[Any, Any]" = OrderedDict()
-        self._tracing = _FlowTracing(name, tracer, now)
-        self.stats = FlowStats(name, capacity, self.policy, metrics)
-
-    @property
-    def name(self) -> str:
-        return self._tracing.name
+        self.stats = FlowStats(name, capacity, POLICY_DROP_OLDEST, metrics)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -395,44 +365,19 @@ class BoundedBuffer:
     def __bool__(self) -> bool:
         return bool(self._items)
 
-    def __contains__(self, key: Any) -> bool:
-        return key in self._items
-
-    @property
-    def full(self) -> bool:
-        return len(self._items) >= self.capacity
-
-    def insert(self, key: Any, item: Any) -> Admission:
-        """Insert ``key → item``; a full buffer applies the policy."""
-        self.stats._offered.value += 1
-        if key in self._items:
-            self._items[key] = item
-            self.stats._accepted.value += 1
-            return Admission.ACCEPTED
-        if len(self._items) < self.capacity:
-            self._items[key] = item
-            self._note_depth()
-            self.stats._accepted.value += 1
-            return Admission.ACCEPTED
-        if self.policy == POLICY_BLOCK:
-            self.stats._deferred.value += 1
-            self._tracing.trace("flow.defer", depth=len(self._items), key=key)
-            return Admission.DEFERRED
-        if self.policy == POLICY_DROP_NEWEST:
-            self.stats._dropped_newest.value += 1
-            self._tracing.trace("flow.drop", end="newest",
-                                depth=len(self._items), key=key)
-            return Admission.DROPPED
-        old_key, old_item = self._items.popitem(last=False)
-        self.stats._dropped_oldest.value += 1
-        self._tracing.trace("flow.drop", end="oldest",
-                            depth=len(self._items), key=old_key)
-        if self._on_evict is not None:
-            self._on_evict(old_key, old_item)
+    def insert(self, key: Any, item: Any) -> None:
+        """Insert ``key → item``, evicting the oldest entry when full."""
+        stats = self.stats
+        stats._offered.value += 1
+        if key not in self._items and len(self._items) >= self.capacity:
+            self._items.popitem(last=False)
+            stats._dropped_oldest.value += 1
         self._items[key] = item
-        self._note_depth()
-        self.stats._accepted.value += 1
-        return Admission.ACCEPTED
+        depth = len(self._items)
+        stats._depth.value = depth
+        if depth > stats._high_watermark.value:
+            stats._high_watermark.value = depth
+        stats._accepted.value += 1
 
     def get(self, key: Any, default: Any = None) -> Any:
         return self._items.get(key, default)
@@ -445,34 +390,9 @@ class BoundedBuffer:
             return item
         return default
 
-    def oldest(self) -> Tuple[Any, Any]:
-        """The first-inserted ``(key, item)`` pair (raises when empty)."""
-        return next(iter(self._items.items()))
-
-    def pop_oldest(self) -> Tuple[Any, Any]:
-        pair = self._items.popitem(last=False)
-        self.stats._drained.value += 1
-        self.stats._depth.value = len(self._items)
-        return pair
-
-    def keys(self):
-        return self._items.keys()
-
-    def clear(self) -> int:
-        count = len(self._items)
-        self._items.clear()
-        self.stats._depth.value = 0
-        return count
-
-    def _note_depth(self) -> None:
-        depth = len(self._items)
-        self.stats._depth.value = depth
-        if depth > self.stats._high_watermark.value:
-            self.stats._high_watermark.value = depth
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<BoundedBuffer {self.name} {len(self._items)}/"
-                f"{self.capacity} {self.policy}>")
+                f"{self.capacity}>")
 
 
 @dataclass
@@ -498,16 +418,13 @@ class FlowConfig:
     #: pacing: publishes reach the batcher synchronously, exactly as
     #: before this layer existed.
     max_send_backlog: Optional[float] = None
-    #: Envelopes each application's delivery lane holds.
+    #: Envelopes each application's delivery lane holds.  A full lane
+    #: sheds its oldest reliable envelope: a slow application loses its
+    #: own backlog, and its co-hosted neighbours are unaffected.
     delivery_queue: int = 4096
-    #: Overflow policy of the delivery lanes.  A slow application sheds
-    #: its own (reliable) backlog per this policy; its co-hosted
-    #: neighbours are unaffected.
-    delivery_policy: str = POLICY_DROP_OLDEST
 
     def __post_init__(self) -> None:
         _check_policy(self.publish_policy)
-        _check_policy(self.delivery_policy)
 
 
 @dataclass

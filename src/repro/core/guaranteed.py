@@ -41,6 +41,9 @@ _LEDGER_KEY = "gd.ledger"
 _COUNTER_KEY = "gd.counter"
 _SEEN_KEY = "gd.seen"
 
+#: Seconds between republishes of the unacknowledged ledger entries.
+RETRANSMIT_INTERVAL = 0.5
+
 
 @dataclass
 class LedgerEntry:
@@ -67,13 +70,11 @@ class GuaranteedPublisher:
     """The publish side of guaranteed delivery for one daemon."""
 
     def __init__(self, sim: Simulator, host: Host, ack_quorum: int,
-                 retransmit_interval: float,
                  republish: Callable[[LedgerEntry], None],
                  namespace: str = ""):
         self.sim = sim
         self.host = host
         self.ack_quorum = ack_quorum
-        self.retransmit_interval = retransmit_interval
         self._republish = republish
         self._ledger_key = _LEDGER_KEY + namespace
         self._counter_key = _COUNTER_KEY + namespace
@@ -138,7 +139,7 @@ class GuaranteedPublisher:
     # ------------------------------------------------------------------
     def _ensure_timer(self) -> None:
         if self._timer is None or self._timer.stopped:
-            self._timer = PeriodicTimer(self.sim, self.retransmit_interval,
+            self._timer = PeriodicTimer(self.sim, RETRANSMIT_INTERVAL,
                                         self._tick, name="gd.retransmit")
 
     def _tick(self) -> None:

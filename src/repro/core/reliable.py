@@ -17,8 +17,8 @@ deliver in sequence order per session, buffer out-of-order arrivals, and
 send unicast NACKs to repair gaps from the sender's bounded retention
 buffer.  Idle senders broadcast heartbeats so a lost *final* message is
 still detected.  A gap that cannot be repaired after ``nack_max``
-attempts (sender crashed, retention expired, long partition) is skipped —
-degrading to at-most-once exactly as specified.
+attempts (sender crashed, retention rolled past it, long partition) is
+skipped — degrading to at-most-once exactly as specified.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..sim.framing import CorruptFrame
 from ..sim.kernel import Event, Simulator
 from ..sim.trace import Tracer
-from .flow import BoundedBuffer, POLICY_DROP_NEWEST, POLICY_DROP_OLDEST
+from .flow import BoundedBuffer
 from .message import Envelope
 from .metrics import MetricsRegistry
 from .typeplane import PeerTypeView
@@ -42,6 +42,11 @@ __all__ = ["PeerSession", "RefusedSession", "ReliableConfig",
 #: (digits bounded: ``int()`` of a longer run can raise, not refuse).
 _SESSION_NAME = re.compile(r"([^#]+)#([0-9]{1,18})((?:~[0-9]{1,18})?)")
 
+#: Backoff multiplier between NACK attempts, and the ceiling on the
+#: inter-NACK delay once backoff has grown.
+_NACK_BACKOFF = 2.0
+_NACK_BACKOFF_CAP = 0.5
+
 
 @dataclass
 class ReliableConfig:
@@ -49,10 +54,6 @@ class ReliableConfig:
 
     #: Envelopes a sender retains for NACK repair (count bound).
     retention: int = 4096
-    #: Optional age bound: envelopes older than this are unrepairable
-    #: even if the count bound would keep them (classic 60-second
-    #: reliability windows work this way).  None = count bound only.
-    retention_seconds: Optional[float] = None
     #: Delay before a detected gap triggers the first NACK (lets simple
     #: reordering resolve itself without traffic).
     nack_delay: float = 0.005
@@ -60,50 +61,34 @@ class ReliableConfig:
     #: Generous because a saturated sender serializes the repair behind
     #: its outbound data queue - impatience turns congestion into loss.
     nack_max: int = 20
-    #: Backoff multiplier between NACK attempts.
-    nack_backoff: float = 2.0
-    #: Ceiling on the inter-NACK delay once backoff has grown.
-    nack_backoff_cap: float = 0.5
     #: Idle-sender heartbeat period.
     heartbeat_interval: float = 0.25
-    #: Out-of-order envelopes a receiver buffers per session.
-    receive_buffer: int = 1024
-    #: What a full reorder buffer sheds: ``drop-newest`` sheds whichever
-    #: envelope carries the highest sequence number (incoming or
-    #: buffered — gap-fillers are always admitted), ``drop-oldest``
-    #: evicts the lowest-sequence buffered envelope (preferring fresh
-    #: data; the evictee stays NACK-repairable from sender retention).
-    #: A receiver cannot block a datagram network, so ``block`` is
-    #: treated as ``drop-newest``.  Every shed is counted in
+    #: Out-of-order envelopes a receiver buffers per session.  A full
+    #: reorder buffer sheds whichever envelope carries the highest
+    #: sequence number, incoming or buffered, so gap-fillers are always
+    #: admitted; every shed is counted in
     #: :attr:`SessionStats.overflow_dropped` and traced as ``flow.drop``.
-    overflow_policy: str = POLICY_DROP_NEWEST
+    receive_buffer: int = 1024
 
 
 class ReliableSender:
     """Per-daemon send side: sequence stamping, retention, NACK service.
 
     The retention window is a :class:`~repro.core.flow.BoundedBuffer`
-    stage: stamping inserts, the count bound rolls the oldest entry out
-    (counted under ``flow.reliable.retention[<session>].*``), and the
-    optional age bound expires from the front.  ``now`` is a clock
-    callable used for the time-based bound; pass ``sim.now`` via a
-    lambda (or leave the default for count-only retention).
+    stage: stamping inserts, and the count bound rolls the oldest entry
+    out (counted under ``flow.reliable.retention[<session>].*``).
     """
 
     def __init__(self, session: str, config: ReliableConfig,
-                 now: Callable[[], float] = lambda: 0.0,
                  metrics: Optional[MetricsRegistry] = None):
         self.session = session
-        self.config = config
-        self.now = now
         self.next_seq = 1
-        # seq -> (envelope, stamp time); drop-oldest IS the rolling
-        # repair window, so the buffer's eviction counters double as
-        # "how much repairability the retention bound cost us"
+        # seq -> envelope; drop-oldest IS the rolling repair window, so
+        # the buffer's eviction counters double as "how much
+        # repairability the retention bound cost us"
         self._retention = BoundedBuffer(
             f"reliable.retention[{session}]",
-            capacity=max(config.retention, 1), policy=POLICY_DROP_OLDEST,
-            metrics=metrics)
+            capacity=max(config.retention, 1), metrics=metrics)
         if metrics is None:
             metrics = MetricsRegistry()
         self._retransmissions = metrics.counter(
@@ -124,8 +109,7 @@ class ReliableSender:
         envelope.session = self.session
         envelope.seq = self.next_seq
         self.next_seq += 1
-        self._retention.insert(envelope.seq, (envelope, self.now()))
-        self._expire()
+        self._retention.insert(envelope.seq, envelope)
         return envelope
 
     def forget(self, seq: int) -> None:
@@ -133,30 +117,13 @@ class ReliableSender:
         before ever reaching the wire; NACKs must not resurrect it)."""
         self._retention.pop(seq)
 
-    def _expire(self) -> None:
-        limit = self.config.retention_seconds
-        if limit is None:
-            return
-        horizon = self.now() - limit
-        while self._retention:
-            _seq, (_, stamped) = self._retention.oldest()
-            if stamped >= horizon:
-                break
-            self._retention.pop_oldest()
-
-    def retained(self) -> int:
-        """How many envelopes are currently repairable."""
-        self._expire()
-        return len(self._retention)
-
     def repair(self, first: int, last: int) -> List[Envelope]:
         """Envelopes for a NACKed range still present in retention."""
-        self._expire()
         found = []
         for seq in range(first, last + 1):
-            entry = self._retention.get(seq)
-            if entry is not None:
-                found.append(entry[0])
+            envelope = self._retention.get(seq)
+            if envelope is not None:
+                found.append(envelope)
         self._retransmissions.value += len(found)
         return found
 
@@ -346,29 +313,23 @@ class ReliableReceiver:
         self._arm_nack(state)
 
     def _shed(self, state: PeerSession, incoming: Envelope) -> bool:
-        """Apply the overflow policy to a full reorder buffer.
+        """Make room in a full reorder buffer by shedding the highest
+        sequence number in play, so a gap-filling arrival always
+        displaces younger data.
 
         Returns True when room was made for ``incoming`` (a buffered
         envelope was evicted), False when ``incoming`` was the victim.
         Either way the shed is counted and traced — never silent.
         """
-        if self.config.overflow_policy == POLICY_DROP_OLDEST:
-            victim = min(state.buffer)
-        else:
-            # drop-newest (and ``block``, which a datagram receiver
-            # cannot honour): shed the highest sequence number in play,
-            # so a gap-filling arrival always displaces younger data
-            victim = max(state.buffer)
-            if incoming.seq > victim:
-                victim = incoming.seq
+        victim = max(state.buffer)
+        if incoming.seq > victim:
+            victim = incoming.seq
         state.stats.overflow_dropped.value += 1
         if self._tracer:
             self._tracer.emit(self.sim.now, "flow.drop",
                               queue="reliable.reorder",
                               session=state.session, seq=victim,
-                              end=("oldest" if self.config.overflow_policy
-                                   == POLICY_DROP_OLDEST else "newest"),
-                              depth=len(state.buffer))
+                              end="newest", depth=len(state.buffer))
         if victim == incoming.seq:
             return False
         del state.buffer[victim]
@@ -570,8 +531,8 @@ class ReliableReceiver:
         if state.nack_event is not None:
             return
         delay = min(self.config.nack_delay
-                    * (self.config.nack_backoff ** state.nack_attempts),
-                    self.config.nack_backoff_cap)
+                    * (_NACK_BACKOFF ** state.nack_attempts),
+                    _NACK_BACKOFF_CAP)
         state.nack_event = self.sim.schedule(
             delay, self._fire_nack, state, name="reliable.nack")
 

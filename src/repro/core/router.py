@@ -18,6 +18,17 @@ legs over the WAN; a leg subscribes locally to exactly the patterns the
 :class:`WanLink` to be re-published — creating "the illusion of a single,
 large bus".
 
+Each direction of the :class:`WanLink` is a bounded store-and-forward
+queue that never sheds: a full direction defers the transfer and says so.
+A deferred data forward is counted (``deferred``) and not retried; a
+deferred store-and-forward shipment is re-shipped by its retry timer.
+``shed`` counts only forwards a down link (or a vanished target leg)
+lost.
+
+A leg trusts nothing on ``_sub.advert`` that does not look like a
+daemon's advert (any application may publish on that subject): a
+malformed one is dropped and counted in ``bad_adverts``.
+
 Because a leg is an ordinary client, its forwarding patterns live in its
 host daemon's subscription trie — so the interest gate (the "Receive
 path" in docs/PROTOCOLS.md) consults the forwarding table for free:
@@ -37,10 +48,10 @@ from ..sim.trace import Tracer
 from .bus import InformationBus
 from .client import BusClient, Subscription
 from .daemon import ADVERT_SUBJECT, STAT_SUBJECT_PREFIX
-from .flow import Admission, BoundedQueue, POLICY_BLOCK
+from .flow import Admission, BoundedQueue
 from .message import MessageInfo, QoS
 from .metrics import Counter, MetricsPublisher, MetricsRegistry
-from .subjects import subject_matches
+from .subjects import is_valid_pattern, subject_matches
 
 __all__ = ["Router", "RouterLeg", "WanLink"]
 
@@ -53,6 +64,10 @@ ROUTER_CLIENT_NAME = "_router"
 #: :attr:`~repro.sim.network.CostModel.frame_overhead`.
 _WAN_OVERHEAD = 32
 
+#: What a daemon's advert may ask of a leg (a tuple: ``in`` compares
+#: without hashing, so an unhashable action is refused, not raised on).
+_ADVERT_ACTIONS = ("add", "remove", "snapshot")
+
 
 @dataclass
 class WanLink:
@@ -62,18 +77,14 @@ class WanLink:
     with independent capacity per direction.  Each direction is a bounded
     store-and-forward queue from the shared flow-control layer
     (:mod:`repro.core.flow`): a saturated pipe fills its queue and
-    :meth:`send` starts returning a non-accepted admission — backpressure
-    on the router leg — instead of queueing unboundedly or dropping
-    invisibly.
+    :meth:`send` starts returning ``DEFERRED`` — backpressure on the
+    router leg — instead of queueing unboundedly or dropping invisibly.
     """
 
     latency: float = 0.03                      # 30 ms coast-to-coast
     bandwidth_bytes_per_sec: float = 1_500_000 / 8   # a T1-and-a-bit
     #: per-direction store-and-forward queue bound (messages)
     queue_capacity: int = 512
-    #: what happens to reliable traffic at a full queue; guaranteed and
-    #: control-plane traffic is always ``no_shed`` (deferred, retried)
-    overflow_policy: str = POLICY_BLOCK
 
     def __post_init__(self) -> None:
         self._busy_until: Dict[Tuple[str, str], float] = {}
@@ -85,8 +96,8 @@ class WanLink:
         #: a detached instrument until a router adopts it (attach_metrics)
         self._messages_dropped = Counter("wan.messages_dropped")
         self._metrics: Optional[MetricsRegistry] = None
-        #: set by the router when it learns a bus's tracer, so queue
-        #: sheds surface as ``flow.drop`` events
+        #: set by the router when it learns a bus's tracer, so down-link
+        #: drops and queue deferrals surface as ``flow.*`` events
         self.tracer: Optional[Tracer] = None
 
     @property
@@ -135,22 +146,20 @@ class WanLink:
         if queue is None:
             queue = BoundedQueue(
                 f"wan[{key[0]}->{key[1]}]", self.queue_capacity,
-                self.overflow_policy, tracer=self.tracer,
-                now=lambda: sim.now, metrics=self._metrics)
+                tracer=self.tracer, now=lambda: sim.now,
+                metrics=self._metrics)
             self._queues[key] = queue
         return queue
 
     def send(self, sim: Simulator, from_leg: str, to_leg: str, size: int,
-             deliver: Callable[[], None], *,
-             no_shed: bool = False) -> Admission:
+             deliver: Callable[[], None]) -> Admission:
         """Queue one transfer; ``deliver`` fires after store-and-forward
         queueing + serialization + latency.
 
         A down link drops (counted and traced; callers needing
         reliability retry — see the store-and-forward machinery in
-        :class:`RouterLeg`).  A full direction sheds per
-        :attr:`overflow_policy` — except ``no_shed`` traffic, which is
-        deferred back to the caller to retry.
+        :class:`RouterLeg`).  A full direction defers the transfer back
+        to the caller, who decides whether to retry.
         """
         if self._down:
             self._messages_dropped.value += 1
@@ -160,8 +169,7 @@ class WanLink:
                                  reason="link-down", size=size)
             return Admission.DROPPED
         key = (from_leg, to_leg)
-        admission = self._queue(sim, key).offer((size, deliver),
-                                                no_shed=no_shed)
+        admission = self._queue(sim, key).offer((size, deliver))
         if admission is Admission.ACCEPTED:
             self._pump(sim, key)
         return admission
@@ -196,6 +204,19 @@ class WanLink:
         self._pump(sim, key)
 
 
+def _is_advert(payload: Any) -> bool:
+    """Whether ``payload`` has the shape a daemon's advert has: a host
+    name, a known action and a list of valid subject patterns."""
+    if not isinstance(payload, dict):
+        return False
+    patterns = payload.get("patterns")
+    return (isinstance(payload.get("host"), str)
+            and payload.get("action") in _ADVERT_ACTIONS
+            and isinstance(patterns, list)
+            and all(isinstance(pattern, str) and is_valid_pattern(pattern)
+                    for pattern in patterns))
+
+
 class RouterLeg:
     """One router foot on one bus."""
 
@@ -224,10 +245,12 @@ class RouterLeg:
         scope = router.metrics.scope(f"router.{router.name}.leg.{self.name}")
         self._messages_forwarded = scope.counter("forwarded")
         self._messages_republished = scope.counter("republished")
-        #: forwards pushed back by a full WAN queue (block / no_shed)
+        #: forwards pushed back by a full WAN queue (not retried)
         self._forwards_deferred = scope.counter("deferred")
-        #: forwards shed by the WAN queue's drop policy or a down link
+        #: forwards lost to a down link or a vanished target leg
         self._forwards_shed = scope.counter("shed")
+        #: ``_sub.advert`` payloads that were not a daemon's advert
+        self._bad_adverts = scope.counter("bad_adverts")
         self._sf_timer = None
         #: shipment ids already republished here, mirrored by an
         #: append-only stable log (store-and-forward target side)
@@ -262,13 +285,14 @@ class RouterLeg:
     # learning the local subscription table
     # ------------------------------------------------------------------
     def _on_advert(self, subject: str, payload: Any, _info) -> None:
-        if not isinstance(payload, dict):
+        if not _is_advert(payload):
+            self._bad_adverts.value += 1
             return
-        host = payload.get("host")
+        host = payload["host"]
         if host == self.host.address:
             return   # our own forwarding subscriptions are not local wants
-        action = payload.get("action")
-        patterns = payload.get("patterns", [])
+        action = payload["action"]
+        patterns = payload["patterns"]
         wants = self._local_wants.setdefault(host, set())
         before = self._all_local_wants()
         if action == "snapshot":
@@ -591,10 +615,8 @@ class Router:
         for leg in self.legs.values():
             if leg is origin:
                 continue
-            # control-plane traffic is never shed by a full queue
             self.link.send(self._sim, origin.name, leg.name, len(data),
-                           lambda leg=leg: leg._wants_receive(data),
-                           no_shed=True)
+                           lambda leg=leg: leg._wants_receive(data))
 
     def _ship(self, origin: RouterLeg, target_name: str,
               data: bytes) -> Admission:
@@ -610,11 +632,9 @@ class Router:
         target = self.legs.get(target_name)
         if target is None:
             return
-        # guaranteed traffic: defer at a full queue (the sf retry timer
-        # re-ships), never shed
+        # a full queue defers: the sf retry timer re-ships
         self.link.send(self._sim, origin.name, target_name, len(data),
-                       lambda: target._sf_receive(origin.name, data),
-                       no_shed=True)
+                       lambda: target._sf_receive(origin.name, data))
 
     def _ship_sf_ack(self, origin: RouterLeg, target_name: str,
                      sf_id: str) -> None:
@@ -623,8 +643,7 @@ class Router:
             return
         data = encode({"sf_id": sf_id, "target": origin.name})
         self.link.send(self._sim, origin.name, target_name, len(data),
-                       lambda: target._sf_acked(origin.name, sf_id),
-                       no_shed=True)
+                       lambda: target._sf_acked(origin.name, sf_id))
 
     def _publish_stats(self, snapshot: Dict[str, Any]) -> None:
         """Publish the router's registry on every leg's segment.
@@ -644,7 +663,7 @@ class Router:
     def _ship_stat(self, origin: RouterLeg, subject: str, payload: Any,
                    via: tuple) -> None:
         """Bridge one snapshot to every other leg, droppable like any
-        telemetry: a congested WAN sheds stats, never data."""
+        telemetry: a snapshot a full WAN queue defers is not retried."""
         data = encode({"subject": subject, "payload": encode(payload),
                        "via": list(via)})
         for leg in self.legs.values():

@@ -209,18 +209,6 @@ class ObjectStore:
             out = out[:max(0, limit)]
         return out
 
-    def create_attribute_index(self, type_name: str, attr: str,
-                               include_subtypes: bool = True) -> None:
-        """Hash-index equality queries on ``attr`` for ``type_name`` (and
-        its subtypes' tables)."""
-        type_names = [type_name]
-        if include_subtypes:
-            type_names += self.registry.subtypes_of(type_name)
-        for concrete in type_names:
-            schema = self.mapper.schema_for(concrete)
-            column = self._queryable_column(schema, attr)
-            self.db.table(schema.main_table).create_index(column)
-
     def count(self, type_name: str, include_subtypes: bool = True) -> int:
         self.registry.get(type_name)
         type_names = [type_name]

@@ -95,13 +95,6 @@ class Table:
     # ------------------------------------------------------------------
     # schema
     # ------------------------------------------------------------------
-    def add_column(self, column: Column) -> None:
-        """Online schema extension (dynamic system evolution support)."""
-        if column.name in self.columns:
-            raise DatabaseError(
-                f"table {self.name!r}: column {column.name!r} exists")
-        self.columns[column.name] = column
-
     def create_index(self, column: str) -> None:
         if column not in self.columns:
             raise DatabaseError(
@@ -258,11 +251,6 @@ class Database:
 
     def has_table(self, name: str) -> bool:
         return name in self._tables
-
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise DatabaseError(f"no such table: {name!r}")
-        del self._tables[name]
 
     def tables(self) -> List[str]:
         return sorted(self._tables)

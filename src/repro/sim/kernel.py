@@ -133,11 +133,6 @@ class Simulator:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
         return self.schedule(time - self._now, callback, *args, name=name)
 
-    def call_soon(self, callback: Callable[..., None], *args: Any,
-                  name: str = "") -> Event:
-        """Schedule ``callback`` at the current instant (after pending events)."""
-        return self.schedule(0.0, callback, *args, name=name)
-
     # ------------------------------------------------------------------
     # run loop
     # ------------------------------------------------------------------

@@ -47,17 +47,6 @@ class StableStore:
     def log_length(self, log: str) -> int:
         return len(self._logs.get(log, []))
 
-    def truncate_log(self, log: str, keep_from: int) -> None:
-        """Discard records with index < ``keep_from`` (compaction)."""
-        entries = self._logs.get(log)
-        if entries is None:
-            return
-        del entries[: max(0, keep_from)]
-        self.write_count += 1
-
-    def delete_log(self, log: str) -> None:
-        self._logs.pop(log, None)
-
     def logs(self) -> List[str]:
         return sorted(self._logs)
 

@@ -103,16 +103,6 @@ class Tracer:
     def count(self, category: str, **match: Any) -> int:
         return len(self.select(category, **match))
 
-    def category_counts(self, prefix: str = "") -> Dict[str, int]:
-        """Record counts per category, optionally limited to a prefix
-        (e.g. ``"flow."`` for the flow-control event family)."""
-        out: Dict[str, int] = {}
-        for record in self.records:
-            if prefix and not record.category.startswith(prefix):
-                continue
-            out[record.category] = out.get(record.category, 0) + 1
-        return out
-
     def clear(self) -> None:
         self.records.clear()
         self.dropped_records = 0

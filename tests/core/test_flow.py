@@ -1,5 +1,7 @@
 """Unit tests for the shared flow-control layer (core/flow.py)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.flow import (Admission, BoundedBuffer, BoundedQueue,
@@ -112,7 +114,8 @@ def test_trace_events_emitted():
     q.offer("b")                       # flow.drop
     q.offer("g", no_shed=True)         # flow.defer
     q.take()                           # flow.credit (pressured, drained)
-    counts = tracer.category_counts("flow.")
+    counts = Counter(record.category for record in tracer.records
+                     if record.category.startswith("flow."))
     assert counts == {"flow.drop": 1, "flow.defer": 1, "flow.credit": 1}
     assert tracer.select("flow.drop")[0]["queue"] == "q"
 
@@ -122,7 +125,8 @@ def test_trace_events_emitted():
 # ----------------------------------------------------------------------
 def test_credit_fires_once_when_drained_to_resume_at():
     fired = []
-    q = BoundedQueue("q", capacity=4, policy=POLICY_BLOCK, resume_at=2)
+    q = BoundedQueue("q", capacity=4, policy=POLICY_BLOCK)
+    assert q.resume_at == 2            # half the capacity
     q.on_credit(lambda: fired.append(len(q)))
     for item in range(4):
         q.offer(item)
@@ -154,30 +158,33 @@ def test_clear_does_not_fire_credits():
 # BoundedBuffer (keyed flavour)
 # ----------------------------------------------------------------------
 def test_buffer_insert_get_pop_and_policies():
-    b = BoundedBuffer("b", capacity=2, policy=POLICY_DROP_NEWEST)
-    assert b.insert(1, "a") is Admission.ACCEPTED
-    assert b.insert(2, "b") is Admission.ACCEPTED
-    assert b.insert(3, "c") is Admission.DROPPED
-    assert 3 not in b
+    b = BoundedBuffer("b", capacity=2)
+    b.insert(1, "a")
+    b.insert(2, "b")
     assert b.get(1) == "a"
     assert b.pop(1) == "a"
     assert b.pop(1, "gone") == "gone"
+    assert len(b) == 1
     # replacing an existing key never counts against capacity
-    assert b.insert(2, "b2") is Admission.ACCEPTED
-    assert b.get(2) == "b2"
+    b.insert(2, "b2")
+    b.insert(3, "c")
+    assert b.get(2) == "b2" and b.get(3) == "c"
+    assert b.stats.dropped == 0
 
 
 def test_buffer_drop_oldest_reports_eviction():
-    evicted = []
-    b = BoundedBuffer("b", capacity=2, policy=POLICY_DROP_OLDEST,
-                      on_evict=lambda k, v: evicted.append((k, v)))
+    b = BoundedBuffer("b", capacity=2)
     b.insert(10, "x")
     b.insert(11, "y")
-    assert b.insert(12, "z") is Admission.ACCEPTED
-    assert evicted == [(10, "x")]
-    assert b.oldest() == (11, "y")
-    assert b.pop_oldest() == (11, "y")
-    assert list(b.keys()) == [12]
+    b.insert(12, "z")                  # full: the oldest entry rolls out
+    assert b.get(10) is None
+    assert [b.get(11), b.get(12)] == ["y", "z"]
+    s = b.stats
+    assert s.dropped_oldest == 1 and s.dropped_newest == 0
+    assert (s.offered, s.accepted) == (3, 3)
+    assert (s.depth, s.high_watermark) == (2, 2)
+    assert b.pop(11) == "y"
+    assert (s.drained, s.depth) == (1, 1)
 
 
 def test_publish_receipt_truthiness():

@@ -9,8 +9,10 @@ counts), and every guaranteed message is delivered at least once after
 the pressure subsides.
 """
 
+from collections import Counter
+
 from repro.core import (BusConfig, FlowConfig, InformationBus,
-                        POLICY_DROP_NEWEST, POLICY_DROP_OLDEST, QoS,
+                        POLICY_DROP_NEWEST, QoS,
                         ReliableConfig, ReliableReceiver)
 from repro.objects import encode
 from repro.sim import Simulator
@@ -73,7 +75,8 @@ def run_overload(seed, trace=False):
         "gold_admissions": [r.admission.value for r in gold_receipts],
         "flow": {a: d.flow_stats() for a, d in bus.daemons.items()},
         "pending": len(bus.daemon("node00").guaranteed_pending()),
-        "trace_flow": tracer.category_counts("flow."),
+        "trace_flow": Counter(record.category for record in tracer.records
+                              if record.category.startswith("flow.")),
     }
 
 
@@ -131,8 +134,7 @@ def test_tracing_does_not_change_behavior():
 def test_slow_consumer_sheds_without_stalling_sibling():
     bus = InformationBus(
         seed=3, cost=CostModel(loss_probability=0.0),
-        config=BusConfig(flow=FlowConfig(delivery_queue=32,
-                                         delivery_policy=POLICY_DROP_OLDEST)))
+        config=BusConfig(flow=FlowConfig(delivery_queue=32)))
     bus.add_hosts(2)
     publisher = bus.client("node00", "pub")
     fast_latency = []
@@ -182,8 +184,7 @@ def test_reorder_overflow_is_counted_and_traced():
     # satellite: the silent reorder-buffer drop is now counted + traced
     sim = Simulator(seed=1)
     tracer = Tracer(enabled=True)
-    config = ReliableConfig(receive_buffer=2,
-                            overflow_policy=POLICY_DROP_NEWEST)
+    config = ReliableConfig(receive_buffer=2)
     delivered = []
     receiver = ReliableReceiver(sim, config,
                                 lambda env, _r: delivered.append(env.seq),
@@ -208,22 +209,3 @@ def test_reorder_overflow_is_counted_and_traced():
     # the buffered gap-fillers still deliver once 2 arrives
     receiver.handle_envelope(env(2), session_start=0.0)
     assert delivered == [1, 2, 3, 4]
-
-
-def test_reorder_overflow_drop_oldest_prefers_fresh_data():
-    sim = Simulator(seed=1)
-    config = ReliableConfig(receive_buffer=2,
-                            overflow_policy=POLICY_DROP_OLDEST)
-    receiver = ReliableReceiver(sim, config, lambda *_: None,
-                                lambda *_: None, "me#0")
-    from repro.core import Envelope
-    def env(seq):
-        return Envelope(subject="a.b", sender="x", session="s#0", seq=seq,
-                        payload=b"p", qos=QoS.RELIABLE)
-
-    receiver.handle_envelope(env(1), session_start=0.0)
-    receiver.handle_envelope(env(3), session_start=0.0)
-    receiver.handle_envelope(env(4), session_start=0.0)
-    receiver.handle_envelope(env(6), session_start=0.0)  # evicts seq 3
-    stats = receiver.sessions["s#0"].stats
-    assert stats.overflow_dropped.value == 1

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import BusConfig
+from repro.core import (BatchConfig, BusConfig, FlowConfig, ReliableConfig,
+                        WanLink)
 from repro.core.metrics import (Counter, Gauge, Histogram, MetricsPublisher,
                                 MetricsRegistry, sum_counters)
 from repro.sim import Simulator
@@ -139,14 +140,19 @@ def test_snapshot_renders_every_instrument():
 
 
 def test_every_busconfig_field_is_documented():
-    """OBSERVABILITY.md's knob table has exactly one row per
-    ``BusConfig`` field: a new knob must say why a user would turn it,
-    and a retired one must leave the docs with it."""
-    doc = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
-    table = doc.read_text().split("## BusConfig knobs")[1].split("\n## ")[0]
-    rows = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
-    assert sorted(rows) == sorted(
-        f.name for f in dataclasses.fields(BusConfig))
+    """OBSERVABILITY.md has one knob table per configuration dataclass,
+    with exactly one row per field: a new knob must say why a user would
+    turn it, and a retired one must leave the docs with it."""
+    doc = (Path(__file__).resolve().parents[2] / "docs"
+           / "OBSERVABILITY.md").read_text()
+    for config in (BusConfig, ReliableConfig, FlowConfig, BatchConfig,
+                   WanLink):
+        heading = f"## {config.__name__} knobs"
+        assert heading in doc, heading
+        table = doc.split(heading)[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+        assert sorted(rows) == sorted(
+            f.name for f in dataclasses.fields(config)), config.__name__
 
 
 def test_publisher_fires_on_interval_and_stops():

