@@ -41,7 +41,7 @@ goldens:
 	done
 
 lint:
-	ruff check src tests benchmarks tools
+	ruff check .
 
 examples:
 	$(PYTHON) -m repro all

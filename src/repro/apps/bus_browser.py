@@ -36,6 +36,38 @@ __all__ = ["BusBrowser", "HostTelemetry", "ServiceEntry", "SubjectStats"]
 #: A service is stale after missing this many presence periods.
 _STALE_AFTER = 3.0
 
+#: What an RmiServer's advert may announce (a tuple: ``in`` compares
+#: without hashing, so an unhashable action is refused, not raised on).
+_SERVICE_ACTIONS = ("up", "presence", "down")
+
+
+def _is_service_advert(payload: Any) -> bool:
+    """Whether ``payload`` has the shape an RmiServer's advert has:
+    string service, server and interface name, a list of string
+    operations and a known action."""
+    if not isinstance(payload, dict):
+        return False
+    operations = payload.get("operations")
+    return (all(isinstance(payload.get(key), str)
+                for key in ("service", "server", "interface_name"))
+            and isinstance(operations, list)
+            and all(isinstance(name, str) for name in operations)
+            and payload.get("action") in _SERVICE_ACTIONS)
+
+
+def _is_snapshot(payload: Any) -> bool:
+    """Whether ``payload`` has the shape a stat publisher's snapshot has:
+    instrument name -> snapshot dict, a numeric interval and an optional
+    int shard (``type(...)``, so a bool is neither)."""
+    if not isinstance(payload, dict):
+        return False
+    metrics = payload.get("metrics")
+    return (isinstance(metrics, dict)
+            and all(isinstance(name, str) and isinstance(entry, dict)
+                    for name, entry in metrics.items())
+            and type(payload.get("interval")) in (int, float)
+            and type(payload.get("shard")) in (int, type(None)))
+
 
 @dataclass
 class ServiceEntry:
@@ -103,6 +135,9 @@ class BusBrowser:
         self.subjects: Dict[str, SubjectStats] = {}
         #: telemetry sources keyed by "<host>.<kind>" (subject suffix)
         self.stats: Dict[str, HostTelemetry] = {}
+        #: malformed ``_svc.advert`` / ``_bus.stat.*`` payloads dropped
+        self.bad_adverts = 0
+        self.bad_snapshots = 0
         self._subscriptions = [
             client.subscribe(SERVICE_ADVERT_SUBJECT, self._on_advert),
             # reserved subjects are invisible to plain ">" — the
@@ -118,26 +153,23 @@ class BusBrowser:
     # ------------------------------------------------------------------
     def _on_advert(self, subject: str, payload: Any,
                    info: MessageInfo) -> None:
-        if not isinstance(payload, dict) or "service" not in payload:
+        if not _is_service_advert(payload):
+            self.bad_adverts += 1
             return
-        key = (payload["service"], payload.get("server"))
+        key = (payload["service"], payload["server"])
         now = self.client.sim.now
         entry = self.services.get(key)
         if entry is None:
             entry = ServiceEntry(
                 service_subject=payload["service"],
-                server=payload.get("server", "?"),
-                interface_name=payload.get("interface_name", "?"),
-                operations=list(payload.get("operations", [])),
-                first_seen=now, last_seen=now)
+                server=payload["server"],
+                interface_name=payload["interface_name"],
+                operations=[], first_seen=now, last_seen=now)
             self.services[key] = entry
         entry.last_seen = now
-        entry.operations = list(payload.get("operations",
-                                            entry.operations))
-        if payload.get("action") == "down":
-            entry.down = True
-        elif entry.down:
-            entry.down = False   # the service came back
+        entry.operations = list(payload["operations"])
+        # a "down" marks it; any later advert means it came back
+        entry.down = payload["action"] == "down"
 
     def live_services(self) -> List[ServiceEntry]:
         """Currently alive services, one row per (subject, server)."""
@@ -189,17 +221,17 @@ class BusBrowser:
     # ------------------------------------------------------------------
     def _on_stat(self, subject: str, payload: Any,
                  info: MessageInfo) -> None:
-        if not isinstance(payload, dict) or "metrics" not in payload:
+        if not _is_snapshot(payload):
+            self.bad_snapshots += 1
             return
         source = subject.split(".", 2)[-1]   # "_bus.stat.<host>.<kind>"
         now = self.client.sim.now
         entry = self.stats.get(source)
         if entry is None:
-            entry = HostTelemetry(source=source,
-                                  interval=payload.get("interval", 0.0),
+            entry = HostTelemetry(source=source, interval=payload["interval"],
                                   first_seen=now, last_seen=now)
             self.stats[source] = entry
-        entry.interval = payload.get("interval", entry.interval)
+        entry.interval = payload["interval"]
         entry.metrics = payload["metrics"]
         entry.shard = payload.get("shard", entry.shard)
         entry.last_seen = now

@@ -122,12 +122,7 @@ class AppendixExperiment:
     def _cost(self) -> CostModel:
         if self.cost is not None:
             return self.cost
-        cost = CostModel()   # the calibrated SPARC/Ethernet model
-        if self.unicast_fanout:
-            # ablation: pretend broadcast is unavailable; the publisher
-            # must transmit one copy per consumer
-            pass
-        return cost
+        return CostModel()   # the calibrated SPARC/Ethernet model
 
     def _build(self, batching: bool):
         bus = InformationBus(seed=self.seed, cost=self._cost(),

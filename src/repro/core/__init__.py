@@ -11,8 +11,8 @@ from .wire import (CorruptFrame, FrameDigest, StringTable,
                    envelope_wire_size, packet_wire_size, read_digest)
 from .typeplane import PeerTypeView, TypeTable
 from .flow import (Admission, BoundedBuffer, BoundedQueue, FlowConfig,
-                   FlowStats, OVERFLOW_POLICIES, POLICY_BLOCK,
-                   POLICY_DROP_NEWEST, POLICY_DROP_OLDEST, PublishReceipt)
+                   OVERFLOW_POLICIES, POLICY_BLOCK, POLICY_DROP_NEWEST,
+                   POLICY_DROP_OLDEST, PublishReceipt)
 from .reliable import (PeerSession, RefusedSession, ReliableConfig,
                        ReliableReceiver, ReliableSender, SessionStats)
 from .metrics import (Counter, Gauge, Histogram, MetricsPublisher,
@@ -39,7 +39,7 @@ __all__ = [
     "FrameDigest", "read_digest", "Gauge",
     "Histogram", "MetricsPublisher", "MetricsRegistry", "MetricsScope",
     "STAT_PORT", "STAT_SUBJECT_PREFIX", "sum_counters",
-    "FlowConfig", "FlowStats", "OVERFLOW_POLICIES", "POLICY_BLOCK",
+    "FlowConfig", "OVERFLOW_POLICIES", "POLICY_BLOCK",
     "POLICY_DROP_NEWEST", "POLICY_DROP_OLDEST", "PublishReceipt",
     "GuaranteedConsumer", "GuaranteedPublisher", "InformationBus",
     "Inquiry", "LedgerEntry", "MessageInfo", "Packet",

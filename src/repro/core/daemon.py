@@ -368,12 +368,13 @@ class BusDaemon:
                                           metrics=self.metrics)
         flow = self.config.flow
         # admission queue: publishes enter the outbound pipeline here.
-        # Guaranteed envelopes are never evicted (the evict filter) —
-        # they leave only via the wire or a crash.
+        # Guaranteed envelopes (the ones with a ledger id) are never
+        # shed — deferred to the ledger's retransmission when full, they
+        # leave only via the wire or a crash.
         self._outbound = BoundedQueue(
             f"outbound[{self.host.address}]", flow.publish_queue,
             flow.publish_policy,
-            evict_filter=lambda env: env.qos is not QoS.GUARANTEED,
+            sheddable=lambda env: env.ledger_id is None,
             on_evict=self._outbound_evicted,
             tracer=self.tracer, now=lambda: self.sim.now,
             metrics=self.metrics)
@@ -481,8 +482,8 @@ class BusDaemon:
             BoundedQueue(
                 f"deliver[{client.id}]", self.config.flow.delivery_queue,
                 POLICY_DROP_OLDEST,
-                # guaranteed deliveries are deferred, never evicted
-                evict_filter=lambda item: item[0].ledger_id is None,
+                # guaranteed deliveries are deferred, never shed
+                sheddable=lambda item: item[0].ledger_id is None,
                 tracer=self.tracer, now=lambda: self.sim.now,
                 metrics=self.metrics),
             service_time=getattr(client, "service_time", 0.0))
@@ -575,8 +576,7 @@ class BusDaemon:
             # paper — which is also why a full queue can safely defer
             envelope.ledger_id = self._gpub.record(subject, client_id,
                                                    payload)
-        admission = self._outbound.offer(
-            envelope, no_shed=(qos is QoS.GUARANTEED))
+        admission = self._outbound.offer(envelope)
         if admission is not Admission.ACCEPTED:
             return PublishReceipt(admission, len(payload))
         self._sender.stamp(envelope)
@@ -601,8 +601,7 @@ class BusDaemon:
                             payload=entry.payload, qos=QoS.GUARANTEED,
                             ledger_id=entry.ledger_id,
                             publish_time=self.sim.now)
-        if self._outbound.offer(envelope, no_shed=True) \
-                is not Admission.ACCEPTED:
+        if self._outbound.offer(envelope) is not Admission.ACCEPTED:
             return   # still congested; the ledger timer tries again
         self._sender.stamp(envelope)
         self._dispatch(envelope, False)
@@ -732,7 +731,7 @@ class BusDaemon:
             return True
         if digest is None or digest.needs_full:
             return False
-        matches = self._subscriptions.matches_anything
+        matches = self._subscriptions.match
         for subject in digest.subjects:
             try:
                 if matches(subject):
@@ -864,8 +863,7 @@ class BusDaemon:
         # retired (a newer epoch heard) before a slow consumer gets here
         admission = lane.queue.offer(
             (envelope, retransmitted, self.type_resolver(envelope.session),
-             subscriptions),
-            no_shed=(envelope.ledger_id is not None))
+             subscriptions))
         if admission is Admission.ACCEPTED and lane.drain_event is None:
             self._arm_lane(client.name, lane)
 
@@ -1041,11 +1039,6 @@ class BusDaemon:
     # ------------------------------------------------------------------
     # session type plane (see repro.core.typeplane)
     # ------------------------------------------------------------------
-    @property
-    def type_table(self) -> TypeTable:
-        """This session's sender-side type table."""
-        return self._type_table
-
     def type_table_for(self, subject: str) -> TypeTable:
         """The sender-side type table a publish on ``subject`` rides.
 
@@ -1073,10 +1066,10 @@ class BusDaemon:
     # ------------------------------------------------------------------
     def flow_stats(self) -> Dict[str, Dict[str, Any]]:
         """Snapshot every flow-control queue this daemon owns."""
-        stats = {"outbound": self._outbound.stats.snapshot(),
-                 "batch": self._batcher.queue.stats.snapshot()}
+        stats = {"outbound": self._outbound.snapshot(),
+                 "batch": self._batcher.queue.snapshot()}
         for name, lane in self._lanes.items():
-            stats[f"deliver[{name}]"] = lane.queue.stats.snapshot()
+            stats[f"deliver[{name}]"] = lane.queue.snapshot()
         return stats
 
     def guaranteed_pending(self) -> List[LedgerEntry]:

@@ -87,7 +87,6 @@ class WanLink:
     queue_capacity: int = 512
 
     def __post_init__(self) -> None:
-        self._busy_until: Dict[Tuple[str, str], float] = {}
         self._queues: Dict[Tuple[str, str], BoundedQueue] = {}
         self._transferring: set = set()
         self._sim: Optional[Simulator] = None
@@ -183,11 +182,9 @@ class WanLink:
             return
         size, deliver = queue.take()
         self._transferring.add(key)
-        start = max(sim.now, self._busy_until.get(key, 0.0))
-        done = start + self.transfer_time(size)
-        self._busy_until[key] = done
-        sim.schedule(done - sim.now, self._transfer_done, sim, key, deliver,
-                     name="wan.transfer")
+        sim.schedule_at(sim.now + self.transfer_time(size),
+                        self._transfer_done, sim, key, deliver,
+                        name="wan.transfer")
 
     def _transfer_done(self, sim: Simulator, key: Tuple[str, str],
                        deliver: Callable[[], None]) -> None:

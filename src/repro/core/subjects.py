@@ -21,12 +21,13 @@ patterns holding ``*`` or ``>`` go in the trie proper, whose walk costs
 O(subject depth × branching on wildcards).  The walk's results are
 memoized per concrete subject: wildcard subscribers see the same
 subjects thousands of times (Figs 5–8 publish on a handful of
-subjects), so steady-state wildcard matching is one dict hit too.  The
-memo is generation-stamped — any insert/remove bumps the generation and
-lazily discards every memoized result — so a mid-stream
-subscribe/unsubscribe is visible on the very next match.  A trie with
-no wildcard registration never touches the memo: its cost does not
-depend on how many distinct subjects it is asked about.
+subjects), so steady-state wildcard matching is one dict hit too.  Any
+insert/remove that changes the trie clears the memo on the spot, so a
+mid-stream subscribe/unsubscribe is visible on the very next match.  A
+trie with no wildcard registration never touches the memo: its cost
+does not depend on how many distinct subjects it is asked about.  The
+interest gate asks the same :meth:`SubjectTrie.match`, so a subject no
+one wants is memoized as an empty result beside the wanted ones.
 """
 
 from __future__ import annotations
@@ -174,12 +175,11 @@ class SubjectTrie(Generic[T]):
     remote buses), and anywhere else subjects fan out.  Two stores: a
     wildcard-free pattern is a key of ``_literals`` (pattern -> frozen
     value set), and only patterns with ``*`` or ``>`` live in the trie
-    under ``_root``.  While no wildcard is registered, ``match`` and
-    ``matches_anything`` are one dict probe (plus one regex call to
-    validate a miss), whatever the number of registrations or of
-    distinct subjects asked about.  Otherwise ``match`` costs O(depth ×
-    branching on wildcards) — and for a concrete subject seen before
-    (and no interleaving insert/remove), one memo lookup.
+    under ``_root``.  While no wildcard is registered, ``match`` is one
+    dict probe (plus one regex call to validate a miss), whatever the
+    number of registrations or of distinct subjects asked about.
+    Otherwise it costs O(depth × branching on wildcards) — and for a
+    concrete subject seen since the trie last changed, one memo lookup.
     ``memo_capacity=0`` disables memoization.
     """
 
@@ -194,24 +194,9 @@ class SubjectTrie(Generic[T]):
         if memo_capacity is None:
             memo_capacity = DEFAULT_MEMO_CAPACITY
         self._memo_capacity = memo_capacity
-        #: concrete subject -> frozen match result, valid only while
-        #: ``_memo_generation`` equals ``_generation``
+        #: concrete subject -> frozen match result (empty for a subject
+        #: nothing wants); cleared by every change to the trie
         self._memo: Dict[str, FrozenSet[T]] = {}
-        #: concrete subject -> bool, the :meth:`matches_anything` memo.
-        #: Separate from ``_memo`` because the interest gate asks about
-        #: subjects this daemon will *never* ``match()`` (that is the
-        #: point), so the full-result memo stays cold for them.  Guarded
-        #: by the same generation stamp.
-        self._bool_memo: Dict[str, bool] = {}
-        self._generation = 0
-        self._memo_generation = 0
-
-    def _fresh_memos(self) -> None:
-        """Discard both memos after a subscription change (lazily, on
-        the next lookup that notices the generation moved)."""
-        self._memo.clear()
-        self._bool_memo.clear()
-        self._memo_generation = self._generation
 
     def insert(self, pattern: str, value: T) -> None:
         """Register ``value`` under ``pattern``.  Duplicate inserts are no-ops."""
@@ -238,8 +223,8 @@ class SubjectTrie(Generic[T]):
             self._wildcards += 1
         self._count += 1
         # a memoized result is a union that includes literal values, so
-        # a literal change is a generation too
-        self._generation += 1
+        # a literal change clears it too
+        self._memo.clear()
 
     def remove(self, pattern: str, value: T) -> bool:
         """Remove one registration; returns True if it existed.
@@ -258,12 +243,10 @@ class SubjectTrie(Generic[T]):
                 self._literals[pattern] = values - {value}
         elif self._remove(self._root, elements, 0, value):
             self._wildcards -= 1
-            if not self._wildcards:
-                self._fresh_memos()   # literal-only from here: no memo
         else:
             return False
         self._count -= 1
-        self._generation += 1
+        self._memo.clear()
         return True
 
     def _remove(self, node: _TrieNode[T], elements: List[str], index: int,
@@ -305,16 +288,13 @@ class SubjectTrie(Generic[T]):
         trie next changes.
         """
         if not self._wildcards:
-            found = self._literals.get(subject)
-            if found is not None:
-                return found   # a registered pattern: well-formed
+            if subject in self._literals:
+                return self._literals[subject]   # registered: well-formed
             if _is_subject(subject) is None:
                 validate_subject(subject)   # raises, saying why
             return _EMPTY
         memo = self._memo
         if self._memo_capacity:
-            if self._memo_generation != self._generation:
-                self._fresh_memos()
             hit = memo.get(subject)
             if hit is not None:
                 return hit
@@ -353,59 +333,8 @@ class SubjectTrie(Generic[T]):
         return out
 
     def matches_anything(self, subject: str) -> bool:
-        """Cheaper ``bool(match(subject))`` for forwarding decisions.
-
-        Short-circuits on the first registration found instead of
-        materializing the full match set (routers call this once per
-        envelope heard on a bus, and the interest gate once per digest
-        subject).  With no wildcard registered it is one dict probe.
-        Otherwise results are memoized alongside the full-match memo —
-        steady-state disinterest is one dict hit — and invalidated by
-        the same generation stamp, so a mid-stream subscribe is visible
-        on the very next frame.
-        """
-        if not self._wildcards:
-            if subject in self._literals:
-                return True   # a registered pattern: well-formed
-            if _is_subject(subject) is None:
-                validate_subject(subject)   # raises, saying why
-            return False
-        if self._memo_capacity:
-            if self._memo_generation != self._generation:
-                self._fresh_memos()
-            hit = self._memo.get(subject)
-            if hit is not None:
-                return bool(hit)
-            bool_hit = self._bool_memo.get(subject)
-            if bool_hit is not None:
-                return bool_hit
-        elements = validate_subject(subject)
-        result = (subject in self._literals
-                  or self._walk_any(elements, elements[0].startswith("_")))
-        if self._memo_capacity:
-            if len(self._bool_memo) >= self._memo_capacity:
-                self._bool_memo.clear()   # epoch eviction, like _memo
-            self._bool_memo[subject] = result
-        return result
-
-    def _walk_any(self, elements: List[str], admin: bool) -> bool:
-        depth = len(elements)
-        stack = [(self._root, 0)]
-        while stack:
-            node, index = stack.pop()
-            wildcards_ok = not (admin and index == 0)
-            if index == depth:
-                if node.values:
-                    return True
-                continue
-            if wildcards_ok and node.tail_values:
-                return True
-            child = node.children.get(elements[index])
-            if child is not None:
-                stack.append((child, index + 1))
-            if node.star is not None and wildcards_ok:
-                stack.append((node.star, index + 1))
-        return False
+        """Whether any registration matches ``subject``."""
+        return bool(self.match(subject))
 
     def patterns_for(self, value: T) -> List[str]:
         """Every pattern under which ``value`` is registered (diagnostics)."""

@@ -137,6 +137,36 @@ def test_report_renders(world):
     assert "x.y" in text
 
 
+GOOD_ADVERT = {"action": "up", "service": "svc.good", "server": "node00.pub",
+               "interface_name": "quote_service", "operations": ["last"]}
+
+
+@pytest.mark.parametrize("subject, payload", [
+    ("_svc.advert", {"service": ["x"]}),
+    ("_svc.advert", {"service": "s", "server": {}}),
+    ("_svc.advert", {"service": "s", "operations": 5}),
+    ("_bus.stat.evil.daemon", {"metrics": 5, "interval": "a"}),
+])
+def test_malformed_payloads_are_counted_not_raised(world, subject, payload):
+    """Any application may publish on the reserved subjects the browser
+    reads: a payload of the wrong shape is dropped and counted, and a
+    well-formed advert and snapshot after it still register."""
+    bus, browser = world
+    pub = bus.client("node00", "pub")
+    pub.publish(subject, payload)
+    bus.run_for(1.0)
+    assert browser.live_services() == [] and browser.telemetry() == []
+    advert = subject == "_svc.advert"
+    assert (browser.bad_adverts, browser.bad_snapshots) == \
+        ((1, 0) if advert else (0, 1))
+    pub.publish("_svc.advert", GOOD_ADVERT)
+    pub.publish("_bus.stat.good.daemon", {"metrics": {}, "interval": 1.0})
+    bus.run_for(1.0)
+    assert [e.service_subject for e in browser.live_services()] == \
+        ["svc.good"]
+    assert [t.source for t in browser.telemetry()] == ["good.daemon"]
+
+
 def test_stop_detaches(world):
     bus, browser = world
     browser.stop()

@@ -27,7 +27,7 @@ def test_drop_newest_rejects_incoming():
     q.offer("a")
     assert q.offer("b") is Admission.DROPPED
     assert q.take() == "a"
-    assert q.stats.dropped_newest == 1
+    assert q.dropped_newest.value == 1
 
 
 def test_drop_oldest_evicts_head():
@@ -39,32 +39,33 @@ def test_drop_oldest_evicts_head():
     assert q.offer("c") is Admission.ACCEPTED
     assert list(q.items()) == ["b", "c"]
     assert evicted == ["a"]
-    assert q.stats.dropped_oldest == 1
+    assert q.dropped_oldest.value == 1
 
 
-def test_no_shed_forces_defer_even_on_drop_policies():
-    for policy in (POLICY_DROP_NEWEST, POLICY_DROP_OLDEST):
-        q = BoundedQueue("q", capacity=1, policy=policy)
-        q.offer("a")
-        assert q.offer("g", no_shed=True) is Admission.DEFERRED
-        assert q.stats.dropped == 0
-        assert q.take() == "a"
-
-
-def test_evict_filter_protects_items():
-    # guaranteed-style items (here: ints < 0) may never be evicted
-    q = BoundedQueue("q", capacity=2, policy=POLICY_DROP_OLDEST,
-                     evict_filter=lambda item: item >= 0)
+@pytest.mark.parametrize("policy", [POLICY_BLOCK, POLICY_DROP_NEWEST,
+                                    POLICY_DROP_OLDEST])
+def test_sheddable_predicate_protects_items_under_every_policy(policy):
+    # guaranteed-style items (here: ints < 0) may never be shed
+    q = BoundedQueue("q", capacity=2, policy=policy,
+                     sheddable=lambda item: item >= 0)
     q.offer(-1)
     q.offer(5)
-    # oldest evictable is 5, not -1
-    assert q.offer(7) is Admission.ACCEPTED
-    assert list(q.items()) == [-1, 7]
-    # nothing evictable left beside the protected head -> defer
-    q2 = BoundedQueue("q2", capacity=1, policy=POLICY_DROP_OLDEST,
-                      evict_filter=lambda item: False)
+    # an incoming item the predicate refuses is deferred, never shed
+    assert q.offer(-2) is Admission.DEFERRED
+    assert q.snapshot()["dropped"] == 0
+    # a sheddable one gets the policy; the protected head stays put
+    expected = {POLICY_BLOCK: (Admission.DEFERRED, [-1, 5]),
+                POLICY_DROP_NEWEST: (Admission.DROPPED, [-1, 5]),
+                POLICY_DROP_OLDEST: (Admission.ACCEPTED, [-1, 7])}[policy]
+    assert (q.offer(7), list(q.items())) == expected
+    # nothing queued is sheddable: drop-oldest defers too
+    q2 = BoundedQueue("q2", capacity=1, policy=policy,
+                      sheddable=lambda item: item >= 0)
     q2.offer(-1)
-    assert q2.offer(9) is Admission.DEFERRED
+    assert q2.offer(9) is {POLICY_BLOCK: Admission.DEFERRED,
+                           POLICY_DROP_NEWEST: Admission.DROPPED,
+                           POLICY_DROP_OLDEST: Admission.DEFERRED}[policy]
+    assert q2.items() == (-1,)
 
 
 def test_admission_truthiness():
@@ -92,14 +93,12 @@ def test_stats_counters_and_high_watermark():
     q.offer(99)           # dropped
     q.take()
     q.drain()
-    s = q.stats
-    assert s.offered == 4
-    assert s.accepted == 3
-    assert s.dropped == 1
-    assert s.drained == 3
-    assert s.high_watermark == 3
-    assert s.depth == 0
-    snap = s.snapshot()
+    assert q.offered.value == 4
+    assert q.accepted.value == 3
+    assert q.drained.value == 3
+    assert q.high_watermark.value == 3
+    assert q.depth.value == 0
+    snap = q.snapshot()
     assert snap["name"] == "q"
     assert snap["dropped"] == 1
     assert snap["high_watermark"] == 3
@@ -109,10 +108,11 @@ def test_trace_events_emitted():
     tracer = Tracer(enabled=True)
     clock = [0.0]
     q = BoundedQueue("q", capacity=1, policy=POLICY_DROP_NEWEST,
+                     sheddable=lambda item: item != "g",
                      tracer=tracer, now=lambda: clock[0])
     q.offer("a")
     q.offer("b")                       # flow.drop
-    q.offer("g", no_shed=True)         # flow.defer
+    q.offer("g")                       # flow.defer
     q.take()                           # flow.credit (pressured, drained)
     counts = Counter(record.category for record in tracer.records
                      if record.category.startswith("flow."))
@@ -140,7 +140,7 @@ def test_credit_fires_once_when_drained_to_resume_at():
     assert not q.pressured
     q.take()                           # no further credits until re-pressured
     assert fired == [2]
-    assert q.stats.credits == 1
+    assert q.credits.value == 1
 
 
 def test_clear_does_not_fire_credits():
@@ -169,7 +169,7 @@ def test_buffer_insert_get_pop_and_policies():
     b.insert(2, "b2")
     b.insert(3, "c")
     assert b.get(2) == "b2" and b.get(3) == "c"
-    assert b.stats.dropped == 0
+    assert b.snapshot()["dropped"] == 0
 
 
 def test_buffer_drop_oldest_reports_eviction():
@@ -179,12 +179,11 @@ def test_buffer_drop_oldest_reports_eviction():
     b.insert(12, "z")                  # full: the oldest entry rolls out
     assert b.get(10) is None
     assert [b.get(11), b.get(12)] == ["y", "z"]
-    s = b.stats
-    assert s.dropped_oldest == 1 and s.dropped_newest == 0
-    assert (s.offered, s.accepted) == (3, 3)
-    assert (s.depth, s.high_watermark) == (2, 2)
+    assert b.dropped_oldest.value == 1 and b.dropped_newest.value == 0
+    assert (b.offered.value, b.accepted.value) == (3, 3)
+    assert (b.depth.value, b.high_watermark.value) == (2, 2)
     assert b.pop(11) == "y"
-    assert (s.drained, s.depth) == (1, 1)
+    assert (b.drained.value, b.depth.value) == (1, 1)
 
 
 def test_publish_receipt_truthiness():

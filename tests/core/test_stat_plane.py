@@ -144,10 +144,10 @@ def test_stat_queue_sheds_oldest_under_backpressure():
     bus.add_hosts(1)
     bus.run_for(2.0)
     daemon = bus.daemons["node00"]
-    stats = daemon._stat_queue.stats
-    assert stats.dropped_oldest > 0
-    assert stats.high_watermark <= config.stat_queue
-    assert stats.depth <= config.stat_queue
+    stats = daemon._stat_queue.snapshot()
+    assert stats["dropped_oldest"] > 0
+    assert stats["high_watermark"] <= config.stat_queue
+    assert stats["depth"] <= config.stat_queue
     # the stat queue's own accounting is deliberately NOT a registry
     # instrument: the registry must never describe the telemetry plane
     assert not any("stat[" in name for name in daemon.metrics.names())

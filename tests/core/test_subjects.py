@@ -209,14 +209,16 @@ def test_memo_invalidated_by_remove():
 
 def test_memo_noop_insert_keeps_cache_valid():
     """Duplicate inserts and failed removes change nothing, so they must
-    not count as generations (the memo survives them)."""
+    not clear the memo."""
     trie = SubjectTrie()
     trie.insert("a.b", "x")
-    trie.match("a.b")
-    generation = trie._generation
+    trie.insert("a.>", "y")
+    first = trie.match("a.b")
     trie.insert("a.b", "x")              # duplicate: no-op
+    trie.insert("a.>", "y")              # duplicate: no-op
     trie.remove("a.b", "never-there")    # miss: no-op
-    assert trie._generation == generation
+    trie.remove("a.*", "y")              # miss: no-op
+    assert trie._memo == {"a.b": first}
 
 
 def test_memo_capacity_bound():
@@ -314,7 +316,6 @@ def test_literal_only_trie_never_memoizes():
         assert trie.match(subject) == expected
         assert trie.matches_anything(subject) is bool(expected)
     assert trie._memo == {}
-    assert trie._bool_memo == {}
 
 
 def test_last_wildcard_removed_drops_the_memo():
@@ -323,7 +324,7 @@ def test_last_wildcard_removed_drops_the_memo():
     trie.insert("a.>", "y")
     assert trie.match("a.b") == {"x", "y"}
     assert not trie.matches_anything("c.d")
-    assert trie._memo and trie._bool_memo
+    assert trie._memo == {"a.b": {"x", "y"}, "c.d": set()}
     trie.remove("a.>", "y")
-    assert trie._memo == {} and trie._bool_memo == {}
+    assert trie._memo == {}
     assert trie.match("a.b") == {"x"}

@@ -67,7 +67,7 @@ def test_bare_receiver_learns_types_from_the_wire():
     recv = bus.daemons["node01"]
     assert typedef_metric(recv, "peer_sessions") == 1
     assert typedef_metric(recv, "peer_types") == 3   # root, source, story
-    assert len(bus.daemons["node00"].type_table) == 3
+    assert typedef_metric(bus.daemons["node00"], "table_types") == 3
 
 
 def test_steady_state_payloads_shrink():
@@ -198,7 +198,7 @@ def test_plane_off_reproduces_inline_baseline():
     bus.settle()
     assert [o.get("n") for o in got] == list(range(5))
     assert sub.registry.has("story")       # learned inline, the old way
-    assert len(bus.daemons["node00"].type_table) == 0
+    assert typedef_metric(bus.daemons["node00"], "table_types") == 0
     assert typedef_metric(bus.daemons["node01"], "peer_sessions") == 0
 
 
@@ -212,7 +212,7 @@ def test_explicit_inline_types_bypasses_the_plane():
     pub.publish("news.x", make_story(reg, 0), inline_types=True)
     pub.publish("news.x", make_story(reg, 1), inline_types=True)
     bus.settle()
-    assert len(bus.daemons["node00"].type_table) == 0
+    assert typedef_metric(bus.daemons["node00"], "table_types") == 0
     assert got[0] == got[1]                # both self-contained, same size
 
 

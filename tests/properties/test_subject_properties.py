@@ -85,7 +85,7 @@ def test_split_store_agrees_with_brute_force(capacity, data):
         assert trie.matches_anything(probe) is bool(expected)
         assert len(trie) == len(registered)
         if not any("*" in p or ">" in p for p, _ in registered):
-            assert not trie._memo and not trie._bool_memo
+            assert not trie._memo
     for value in range(4):
         assert trie.patterns_for(value) == sorted(
             p for p, v in registered if v == value)
