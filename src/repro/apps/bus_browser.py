@@ -10,8 +10,9 @@ The :class:`BusBrowser` is such a tool:
 * a **service directory** built from the ``_svc.advert`` announcements
   every :class:`~repro.core.rmi.RmiServer` publishes (up / periodic
   presence / down) — services whose presence lapses are marked stale;
-* a **traffic monitor** counting messages and bytes per subject prefix
-  for everything its wildcard subscriptions can see;
+* a **traffic monitor** counting messages and bytes per subject for
+  every ordinary subject (one ``>`` subscription; reserved ``_``
+  subjects stay invisible to it);
 * a **telemetry console** subscribed to the reserved ``_bus.stat.>``
   space: every daemon (and router) publishing registry snapshots shows
   up in :meth:`telemetry`, and :meth:`bus_top` aggregates the fleet's
@@ -128,8 +129,7 @@ class HostTelemetry:
 class BusBrowser:
     """A monitoring application: service directory + per-subject traffic."""
 
-    def __init__(self, client: BusClient,
-                 watch_patterns: Optional[List[str]] = None):
+    def __init__(self, client: BusClient):
         self.client = client
         self.services: Dict[tuple, ServiceEntry] = {}
         self.subjects: Dict[str, SubjectStats] = {}
@@ -143,10 +143,8 @@ class BusBrowser:
             # reserved subjects are invisible to plain ">" — the
             # telemetry plane must be watched explicitly
             client.subscribe(f"{STAT_SUBJECT_PREFIX}.>", self._on_stat),
+            client.subscribe(">", self._on_traffic),
         ]
-        for pattern in (watch_patterns or [">"]):
-            self._subscriptions.append(
-                client.subscribe(pattern, self._on_traffic))
 
     # ------------------------------------------------------------------
     # service directory

@@ -9,10 +9,10 @@ size per run, batching ON for throughput runs and OFF for latency runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core import BusConfig, InformationBus
-from ..sim import BackgroundTraffic, CostModel
+from ..sim import BackgroundTraffic
 from .payloads import payload_of_size
 from .stats import Summary, summarize
 
@@ -94,7 +94,6 @@ class AppendixExperiment:
     """
 
     def __init__(self, seed: int = 1, nodes: int = 15, consumers: int = 14,
-                 cost: Optional[CostModel] = None,
                  unicast_fanout: bool = False,
                  background_load: float = 0.0):
         if consumers > nodes - 1:
@@ -102,7 +101,6 @@ class AppendixExperiment:
         self.seed = seed
         self.nodes = nodes
         self.consumers = consumers
-        self.cost = cost
         self.unicast_fanout = unicast_fanout
         #: fraction of segment bandwidth consumed by unrelated traffic
         #: ("collisions from unrelated network activity", Appendix)
@@ -119,14 +117,9 @@ class AppendixExperiment:
         config.advertise_subscriptions = False
         return config
 
-    def _cost(self) -> CostModel:
-        if self.cost is not None:
-            return self.cost
-        return CostModel()   # the calibrated SPARC/Ethernet model
-
     def _build(self, batching: bool):
-        bus = InformationBus(seed=self.seed, cost=self._cost(),
-                             config=self._config(batching))
+        # the default cost model: the calibrated SPARC/Ethernet one
+        bus = InformationBus(seed=self.seed, config=self._config(batching))
         bus.add_hosts(self.nodes)
         if self.background_load > 0:
             BackgroundTraffic(bus.sim, bus.lan, load=self.background_load)

@@ -28,7 +28,6 @@ from .bus import InformationBus
 from .discovery import DiscoveredService, Inquiry, Responder, inquiry_subject
 from .rmi import (ExactlyOnceRmiClient, RmiClient, RmiError, RmiServer,
                   ServerGroup)
-from .namespace import FAB_SENSOR_SCHEME, NEWS_SCHEME, SubjectScheme
 from .router import Router, RouterLeg, WanLink
 
 __all__ = [
@@ -43,9 +42,8 @@ __all__ = [
     "POLICY_DROP_NEWEST", "POLICY_DROP_OLDEST", "PublishReceipt",
     "GuaranteedConsumer", "GuaranteedPublisher", "InformationBus",
     "Inquiry", "LedgerEntry", "MessageInfo", "Packet",
-    "ExactlyOnceRmiClient", "FAB_SENSOR_SCHEME", "NEWS_SCHEME",
+    "ExactlyOnceRmiClient",
     "PacketKind", "PeerSession", "QoS", "RefusedSession", "ReliableConfig",
-    "SubjectScheme",
     "ReliableReceiver", "decode_packet", "encode_envelope",
     "encode_packet", "envelope_wire_size", "packet_wire_size",
     "ReliableSender", "Responder", "RmiClient", "RmiError", "RmiServer",

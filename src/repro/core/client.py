@@ -107,30 +107,29 @@ class BusClient:
         the message was admitted, with ``receipt.size`` the payload
         bytes.  A falsy receipt means the outbound pipeline deferred or
         dropped the publish (see :meth:`on_flow_credit` to learn when to
-        retry).  ``inline_types`` defaults to the bus config (normally
-        True, so receivers can learn new types); that default is served
-        by :func:`~repro.objects.marshal.encode_typed` — receivers learn
-        types from typedefs riding the wire frames once per session
-        rather than inline in every payload.  An explicit
-        ``inline_types=`` argument always gets the requested
-        self-contained (or bare) encoding.  Guaranteed publishes stay
-        inline regardless: their ledgered payloads are retransmitted
-        across daemon restarts, outliving the session the type ids are
-        scoped to.  ``via`` is for information routers re-publishing
-        forwarded traffic; ordinary applications leave it empty.
+        retry).  With ``inline_types`` unset, receivers still learn new
+        types: a reliable publish uses
+        :func:`~repro.objects.marshal.encode_typed`, whose typedefs ride
+        the wire frames once per session, and a guaranteed publish
+        carries them inline, because its ledgered payload outlives the
+        session the type ids are scoped to.  An explicit
+        ``inline_types=`` gets the self-contained (True) or bare (False)
+        encoding; bare suits a closed world whose receivers
+        pre-register every type.  ``via`` is for information routers
+        re-publishing forwarded traffic; ordinary applications leave it
+        empty.
         """
         plane = self._planes[self._map.shard_of(subject)]
-        if (inline_types is None and self.daemon.config.inline_types
-                and qos is not QoS.GUARANTEED):
+        if inline_types is None and qos is not QoS.GUARANTEED:
             # each plane owns its own session type table, and the
             # payload must reference ids defined on the plane that
             # carries it
             payload, type_refs = encode_typed(
                 obj, self.registry, plane.type_table_for(subject))
         else:
-            if inline_types is None:
-                inline_types = self.daemon.config.inline_types
-            payload = encode(obj, self.registry, inline_types=inline_types)
+            payload = encode(
+                obj, self.registry,
+                inline_types=True if inline_types is None else inline_types)
             type_refs = ()
         receipt = plane.publish(self.id, subject, payload, qos,
                                 via=via, type_refs=type_refs)

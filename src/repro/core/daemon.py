@@ -118,17 +118,6 @@ class BusConfig:
     flow: FlowConfig = field(default_factory=FlowConfig)
     #: Distinct consumers that must ack a guaranteed message.
     ack_quorum: int = 1
-    #: Publish type metadata with every message by default, so any
-    #: receiver can decode and learn types it has never seen.  Reliable
-    #: publishes carry it as dense session type ids whose typedefs ride
-    #: the wire frames once per session (see
-    #: :mod:`repro.core.typeplane` and "The session type plane" in
-    #: docs/PROTOCOLS.md); guaranteed publishes, and any publish passing
-    #: ``inline_types=True`` explicitly, carry it inline in the payload —
-    #: ledgered bytes must outlive the session.  False publishes bare
-    #: payloads: a closed-world deployment whose receivers pre-register
-    #: every type.
-    inline_types: bool = True
     #: Broadcast subscription-table changes on ADVERT_SUBJECT so routers
     #: can forward across WANs only what somebody actually wants.
     advertise_subscriptions: bool = True
@@ -397,7 +386,7 @@ class BusDaemon:
         self._gpub = GuaranteedPublisher(
             self.sim, self.host, self.config.ack_quorum,
             self._republish_guaranteed, namespace=gd_namespace)
-        self._gcon = GuaranteedConsumer(self.host, namespace=gd_namespace)
+        self._gcon = GuaranteedConsumer(self.host, "gd.seen" + gd_namespace)
         #: volatile dedupe of guaranteed deliveries to non-durable clients
         #: (insertion-ordered so the oldest entries can be evicted at the
         #: configured cap)

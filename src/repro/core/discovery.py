@@ -95,6 +95,11 @@ class Inquiry:
     Collects responses for ``window`` simulated seconds, then invokes
     ``on_complete(list_of_discovered)`` exactly once.  If ``enough`` is
     given, completes early once that many respondents have answered.
+
+    Any application may publish on the discovery subject, and inquiry
+    ids are predictable, so an answer to this inquiry without a string
+    ``responder`` and ``service`` (and a dict ``info``, if it has one)
+    is dropped and counted in ``bad_answers``.
     """
 
     def __init__(self, client: BusClient, service_subject: str,
@@ -108,6 +113,7 @@ class Inquiry:
         self._responses: List[DiscoveredService] = []
         self._seen: set = set()
         self._done = False
+        self.bad_answers = 0
         subject = inquiry_subject(service_subject)
         self._subscription = client.subscribe(subject, self._on_message)
         client.publish(subject, {"kind": "who",
@@ -128,6 +134,11 @@ class Inquiry:
         if payload.get("inquiry_id") != self.inquiry_id:
             return   # an answer to someone else's (or an older) inquiry
         responder = payload.get("responder")
+        if not (isinstance(responder, str)
+                and isinstance(payload.get("service"), str)
+                and isinstance(payload.get("info", {}), dict)):
+            self.bad_answers += 1
+            return
         if responder in self._seen:
             return
         self._seen.add(responder)

@@ -19,12 +19,14 @@ Consumer side (:class:`GuaranteedConsumer`): a daemon with *durable*
 subscribers appends delivered ledger ids to a stable log, so a
 retransmission after a consumer crash is acknowledged but not delivered
 twice — at-least-once to the application, exactly-once when nothing
-fails.
+fails.  An information router's store-and-forward target dedupes its
+shipments with the same class, on its own log.
 
-Both sides take a ``namespace``: shard daemons above plane 0 suffix
-their stable-store keys with it so the shards of one host never share a
-ledger, counter, or seen-set.  The empty default keeps the classic key
-names (and ledger-id format) untouched.
+The publisher takes a ``namespace``: shard daemons above plane 0 suffix
+its stable-store keys with it, and pass the consumer the same suffix on
+its log's name (``gd.seen`` + suffix), so the shards of one host never
+share a ledger, counter, or seen-set.  The empty default keeps the
+classic key names (and ledger-id format) untouched.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = ["GuaranteedPublisher", "GuaranteedConsumer", "LedgerEntry"]
 
 _LEDGER_KEY = "gd.ledger"
 _COUNTER_KEY = "gd.counter"
-_SEEN_KEY = "gd.seen"
 
 #: Seconds between republishes of the unacknowledged ledger entries.
 RETRANSMIT_INTERVAL = 0.5
@@ -163,16 +164,17 @@ class GuaranteedPublisher:
 
 
 class GuaranteedConsumer:
-    """The consume side: stable dedupe of delivered ledger ids.
+    """The consume side: stable dedupe of delivered ids.
 
     The seen-set only grows, so it lives in one of the store's
-    append-only logs: one appended id per first delivery, the in-memory
-    set rebuilt from the log on start and recovery.
+    append-only logs, named ``seen_log``: one appended id per first
+    delivery, the in-memory set rebuilt from the log on start and on
+    :meth:`recover`, which the owner calls when its host comes back.
     """
 
-    def __init__(self, host: Host, namespace: str = ""):
+    def __init__(self, host: Host, seen_log: str):
         self.host = host
-        self._seen_key = _SEEN_KEY + namespace
+        self._seen_key = seen_log
         self.recover()
 
     def first_delivery(self, ledger_id: str) -> bool:

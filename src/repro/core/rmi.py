@@ -52,26 +52,32 @@ class RmiError(Exception):
     """Remote invocation failure (timeout, no servers, remote exception)."""
 
 
+#: Seconds between a server-group member's presence announcements.
+PRESENCE_INTERVAL = 0.2
+
+
 class ServerGroup:
     """Server-side coordination: members elect who answers discovery.
 
     Each member publishes presence on ``_rmi.group.<subject>`` every
-    ``presence_interval``; the live member with the lowest (rank, id)
-    considers itself leader.  Membership expires after three missed
-    presence periods, so leadership fails over when the leader crashes.
+    :data:`PRESENCE_INTERVAL` seconds; the live member with the lowest
+    (rank, id) considers itself leader.  Membership expires after three
+    missed presence periods, so leadership fails over when the leader
+    crashes.  Any application may publish on that subject, so a presence
+    message without a string ``member`` and an int ``rank`` (a missing
+    rank is 0) is dropped and counted in ``bad_presences``.
     """
 
     def __init__(self, client: BusClient, service_subject: str,
-                 member_id: str, rank: int = 0,
-                 presence_interval: float = 0.2):
+                 member_id: str, rank: int = 0):
         self.client = client
         self.member_id = member_id
         self.rank = rank
-        self.presence_interval = presence_interval
+        self.bad_presences = 0
         self._subject = f"_rmi.group.{service_subject}"
         self._peers: Dict[str, Tuple[int, float]] = {}   # id -> (rank, seen)
         self._subscription = client.subscribe(self._subject, self._on_presence)
-        self._timer = PeriodicTimer(client.sim, presence_interval,
+        self._timer = PeriodicTimer(client.sim, PRESENCE_INTERVAL,
                                     self._announce, initial_delay=0.0,
                                     name="rmi.presence")
 
@@ -82,12 +88,16 @@ class ServerGroup:
                             {"member": self.member_id, "rank": self.rank})
 
     def _on_presence(self, subject: str, payload: Any, _info) -> None:
-        if isinstance(payload, dict) and "member" in payload:
-            self._peers[payload["member"]] = (payload.get("rank", 0),
-                                              self.client.sim.now)
+        if isinstance(payload, dict):
+            member, rank = payload.get("member"), payload.get("rank", 0)
+            # type(), not isinstance: a bool is no rank
+            if isinstance(member, str) and type(rank) is int:
+                self._peers[member] = (rank, self.client.sim.now)
+                return
+        self.bad_presences += 1
 
     def is_leader(self) -> bool:
-        horizon = self.client.sim.now - 3 * self.presence_interval
+        horizon = self.client.sim.now - 3 * PRESENCE_INTERVAL
         live = [(rank, member) for member, (rank, seen)
                 in self._peers.items() if seen >= horizon]
         live.append((self.rank, self.member_id))
@@ -245,6 +255,13 @@ def _least_loaded(responses: List[DiscoveredService]) -> DiscoveredService:
                key=lambda r: (r.info.get("load", 0.0), r.responder))
 
 
+def _is_endpoint(endpoint: Any) -> bool:
+    """Whether an answer's ``endpoint`` is the ``[host, port]`` pair a
+    server advertises (any application may answer a discovery)."""
+    return (isinstance(endpoint, list) and len(endpoint) == 2
+            and isinstance(endpoint[0], str) and type(endpoint[1]) is int)
+
+
 @dataclass
 class _PendingCall:
     request_id: str
@@ -357,7 +374,8 @@ class RmiClient:
 
     def _on_discovered(self, responses: List[DiscoveredService]) -> None:
         self._discovering = False
-        candidates = [r for r in responses if "endpoint" in r.info]
+        candidates = [r for r in responses
+                      if _is_endpoint(r.info.get("endpoint"))]
         if not candidates:
             for pending in list(self._queue):
                 self._fail(pending, "no servers discovered")

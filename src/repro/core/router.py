@@ -49,6 +49,7 @@ from .bus import InformationBus
 from .client import BusClient, Subscription
 from .daemon import ADVERT_SUBJECT, STAT_SUBJECT_PREFIX
 from .flow import Admission, BoundedQueue
+from .guaranteed import GuaranteedConsumer
 from .message import MessageInfo, QoS
 from .metrics import Counter, MetricsPublisher, MetricsRegistry
 from .subjects import is_valid_pattern, subject_matches
@@ -67,6 +68,9 @@ _WAN_OVERHEAD = 32
 #: What a daemon's advert may ask of a leg (a tuple: ``in`` compares
 #: without hashing, so an unhashable action is refused, not raised on).
 _ADVERT_ACTIONS = ("add", "remove", "snapshot")
+
+#: Seconds between re-shipments of unconfirmed store-and-forward records.
+SF_RETRY_INTERVAL = 0.5
 
 
 @dataclass
@@ -249,9 +253,9 @@ class RouterLeg:
         #: ``_sub.advert`` payloads that were not a daemon's advert
         self._bad_adverts = scope.counter("bad_adverts")
         self._sf_timer = None
-        #: shipment ids already republished here, mirrored by an
-        #: append-only stable log (store-and-forward target side)
-        self._sf_seen = set(self.host.stable.read_log(self._SF_SEEN))
+        #: shipment ids already republished here, kept durably
+        #: (store-and-forward target side)
+        self._sf_seen = GuaranteedConsumer(self.host, self._SF_SEEN)
         self.host.on_recover(self._on_host_recover)
         self.client.subscribe(ADVERT_SUBJECT, self._on_advert)
         if router.bridge_stats:
@@ -377,7 +381,8 @@ class RouterLeg:
                              size=len(data))
         for leg_name in targets:
             self._messages_forwarded.value += 1
-            admission = self.router._ship(self, leg_name, data)
+            admission = self.router._send(self, leg_name, data,
+                                          RouterLeg._wan_receive)
             if admission is Admission.DEFERRED:
                 self._forwards_deferred.value += 1
             elif admission is Admission.DROPPED:
@@ -421,16 +426,15 @@ class RouterLeg:
                        "subject": record["subject"],
                        "wire": record["wire"], "via": record["via"]})
         for leg_name in record["pending"]:
-            self.router._ship_sf(self, leg_name, data)
+            # a full queue defers: the retry timer re-ships
+            self.router._send(self, leg_name, data, RouterLeg._sf_receive)
 
     def _sf_receive(self, origin_name: str, data: bytes) -> None:
         """Target side: dedupe durably, republish as guaranteed, ack."""
         if not self.client.daemon.up:
             return   # origin keeps retrying until we are back
         record = decode(data, self.router.registry)
-        if record["sf_id"] not in self._sf_seen:
-            self._sf_seen.add(record["sf_id"])
-            self.host.stable.append(self._SF_SEEN, record["sf_id"])
+        if self._sf_seen.first_delivery(record["sf_id"]):
             obj = decode(record["wire"], self.router.registry)
             out_subject = (self.transform(record["subject"])
                            if self.transform else record["subject"])
@@ -438,10 +442,14 @@ class RouterLeg:
             self.client.publish(
                 out_subject, obj, qos=QoS.GUARANTEED,
                 via=tuple(record["via"]) + (self.router.name,))
-        self.router._ship_sf_ack(self, origin_name, record["sf_id"])
+        self.router._send(self, origin_name,
+                          encode({"sf_id": record["sf_id"],
+                                  "target": self.name}),
+                          RouterLeg._sf_ack_receive)
 
-    def _sf_acked(self, target_name: str, sf_id: str) -> None:
+    def _sf_ack_receive(self, target_name: str, data: bytes) -> None:
         """Origin side: a target confirmed stable receipt."""
+        sf_id = decode(data, self.router.registry)["sf_id"]
         pending = self.host.stable.get(self._SF_PENDING, {})
         record = pending.get(sf_id)
         if record is None:
@@ -461,7 +469,7 @@ class RouterLeg:
     def _sf_arm_timer(self) -> None:
         if self._sf_timer is None or self._sf_timer.stopped:
             self._sf_timer = PeriodicTimer(
-                self.bus.sim, self.router.sf_retry_interval,
+                self.bus.sim, SF_RETRY_INTERVAL,
                 self._sf_retry, name="router.sf.retry")
 
     def _sf_retry(self) -> None:
@@ -477,7 +485,7 @@ class RouterLeg:
     def _on_host_recover(self) -> None:
         """Reload the seen log and resume shipping anything the crash
         left pending."""
-        self._sf_seen = set(self.host.stable.read_log(self._SF_SEEN))
+        self._sf_seen.recover()
         if self.host.stable.get(self._SF_PENDING, {}):
             self._sf_arm_timer()
 
@@ -488,7 +496,7 @@ class RouterLeg:
                 out |= legs
         return out
 
-    def _wan_receive(self, data: bytes) -> None:
+    def _wan_receive(self, _origin_name: str, data: bytes) -> None:
         """Final hop: decode the WAN bytes and republish on this bus."""
         msg = decode(data, self.router.registry)
         obj = decode(msg["payload"], self.router.registry)
@@ -503,7 +511,7 @@ class RouterLeg:
             return   # already traversed this router: never loop telemetry
         self.router._ship_stat(self, subject, payload, info.via)
 
-    def _stat_receive(self, data: bytes) -> None:
+    def _stat_receive(self, _origin_name: str, data: bytes) -> None:
         """Target side: re-broadcast a bridged snapshot on this segment.
 
         Stat traffic stays outside the data plane end to end — it leaves
@@ -518,9 +526,9 @@ class RouterLeg:
             msg["subject"], msg["payload"],
             via=tuple(msg["via"]) + (self.router.name,))
 
-    def _wants_receive(self, data: bytes) -> None:
+    def _wants_receive(self, origin_name: str, data: bytes) -> None:
         msg = decode(data, self.router.registry)
-        self.remote_wants(msg["origin"], msg["action"], msg["patterns"])
+        self.remote_wants(origin_name, msg["action"], msg["patterns"])
 
     def republish(self, subject: str, obj: Any,
                   via: tuple = ()) -> None:
@@ -551,13 +559,14 @@ class Router:
 
     All buses must share one :class:`~repro.sim.kernel.Simulator` (pass
     ``sim=`` when constructing them).  Legs are fully meshed over
-    ``link``.
+    ``link``, and everything one leg tells another (forwarded messages,
+    interest changes, store-and-forward records and their acks, bridged
+    snapshots) crosses it through :meth:`_send`.
     """
 
     def __init__(self, name: str = "router",
                  link: Optional[WanLink] = None,
                  store_and_forward: bool = False,
-                 sf_retry_interval: float = 0.5,
                  stat_interval: float = 0.0,
                  bridge_stats: bool = False):
         self.name = name
@@ -566,10 +575,11 @@ class Router:
         #: logged at the ingress leg (whose durable subscription acks the
         #: original publisher) and shipped with retries until the egress
         #: leg durably confirms — guaranteed delivery across the WAN,
-        #: surviving link failures and router crashes.  The paper's
-        #: "logging messages to non-volatile storage" router function.
+        #: surviving link failures and router crashes (unconfirmed
+        #: records are re-shipped every :data:`SF_RETRY_INTERVAL`
+        #: seconds).  The paper's "logging messages to non-volatile
+        #: storage" router function.
         self.store_and_forward = store_and_forward
-        self.sf_retry_interval = sf_retry_interval
         #: seconds between router-registry snapshots published on
         #: ``_bus.stat.<router>.router`` (on every leg); 0 disables
         self.stat_interval = stat_interval
@@ -605,42 +615,25 @@ class Router:
     # ------------------------------------------------------------------
     # inter-leg control and data planes (over the WAN link)
     # ------------------------------------------------------------------
+    def _send(self, origin: RouterLeg, target_name: str, data: bytes,
+              receive: Callable[[RouterLeg, str, bytes], None]) -> Admission:
+        """Ship ``data`` from ``origin`` to the leg named ``target_name``;
+        when it arrives, ``receive(target, origin.name, data)`` runs (a
+        :class:`RouterLeg` receiver method).  Every transfer between
+        legs takes this one path.  A vanished target leg drops it."""
+        target = self.legs.get(target_name)
+        if target is None:
+            return Admission.DROPPED
+        return self.link.send(self._sim, origin.name, target_name, len(data),
+                              lambda: receive(target, origin.name, data))
+
     def _local_wants_changed(self, origin: RouterLeg, action: str,
                              patterns: List[str]) -> None:
         data = encode({"origin": origin.name, "action": action,
                        "patterns": patterns})
-        for leg in self.legs.values():
-            if leg is origin:
-                continue
-            self.link.send(self._sim, origin.name, leg.name, len(data),
-                           lambda leg=leg: leg._wants_receive(data))
-
-    def _ship(self, origin: RouterLeg, target_name: str,
-              data: bytes) -> Admission:
-        target = self.legs.get(target_name)
-        if target is None:
-            return Admission.DROPPED
-        return self.link.send(self._sim, origin.name, target_name,
-                              len(data),
-                              lambda: target._wan_receive(data))
-
-    def _ship_sf(self, origin: RouterLeg, target_name: str,
-                 data: bytes) -> None:
-        target = self.legs.get(target_name)
-        if target is None:
-            return
-        # a full queue defers: the sf retry timer re-ships
-        self.link.send(self._sim, origin.name, target_name, len(data),
-                       lambda: target._sf_receive(origin.name, data))
-
-    def _ship_sf_ack(self, origin: RouterLeg, target_name: str,
-                     sf_id: str) -> None:
-        target = self.legs.get(target_name)
-        if target is None:
-            return
-        data = encode({"sf_id": sf_id, "target": origin.name})
-        self.link.send(self._sim, origin.name, target_name, len(data),
-                       lambda: target._sf_acked(origin.name, sf_id))
+        for name in self.legs:
+            if name != origin.name:
+                self._send(origin, name, data, RouterLeg._wants_receive)
 
     def _publish_stats(self, snapshot: Dict[str, Any]) -> None:
         """Publish the router's registry on every leg's segment.
@@ -663,8 +656,6 @@ class Router:
         telemetry: a snapshot a full WAN queue defers is not retried."""
         data = encode({"subject": subject, "payload": encode(payload),
                        "via": list(via)})
-        for leg in self.legs.values():
-            if leg is origin:
-                continue
-            self.link.send(self._sim, origin.name, leg.name, len(data),
-                           lambda leg=leg: leg._stat_receive(data))
+        for name in self.legs:
+            if name != origin.name:
+                self._send(origin, name, data, RouterLeg._stat_receive)

@@ -5,9 +5,9 @@ TypeDescriptor` known to one process.  New types may be registered at any
 time — by TDL ``defclass`` forms, by the marshalling layer when a message
 arrives carrying inline metadata (or references session type-plane
 typedefs, see :mod:`~repro.core.typeplane`) for a type this process has
-never seen, or directly through the API.  Listeners fire on each
-registration, which is how the Object Repository extends its database
-schema on the fly (Section 5.2).
+never seen, or directly through the API.  The Object Repository extends
+its database schema on the fly (Section 5.2) by making a new type's
+tables the first time it stores an instance.
 
 Idempotent re-registration is decided by descriptor *fingerprint*
 (:meth:`~repro.objects.types.TypeDescriptor.same_shape`): two processes
@@ -39,7 +39,6 @@ class TypeRegistry:
     def __init__(self) -> None:
         self._types: Dict[str, TypeDescriptor] = {}
         self._subtypes: Dict[str, List[str]] = {}
-        self._listeners: List[Callable[[TypeDescriptor], None]] = []
         # derived views, valid for the registry's lifetime (see module doc)
         #: name -> itself and its ancestors, most-derived first
         self._chains: Dict[str, Tuple[str, ...]] = {}
@@ -98,8 +97,6 @@ class TypeRegistry:
         if descriptor.supertype is not None:
             self._subtypes.setdefault(descriptor.supertype, []).append(
                 descriptor.name)
-        for listener in list(self._listeners):
-            listener(descriptor)
         return descriptor
 
     def _check_type_ref(self, owner: str, type_name: str) -> None:
@@ -112,10 +109,6 @@ class TypeRegistry:
         if outer not in self._types:
             raise TypeError_(
                 f"type {owner!r} references unknown type {outer!r}")
-
-    def on_register(self, listener: Callable[[TypeDescriptor], None]) -> None:
-        """Call ``listener(descriptor)`` for every future registration."""
-        self._listeners.append(listener)
 
     # ------------------------------------------------------------------
     # lookup

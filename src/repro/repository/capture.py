@@ -26,10 +26,10 @@ _WAL_LOG = "repo.wal"
 class CaptureServer:
     """Subscribes to subjects and inserts every received object.
 
-    The subscription is *durable* by default, so publishers using
-    guaranteed delivery get their "sending data to a database over an
-    unreliable network" semantics: the capture server acknowledges each
-    message only after it is stored.
+    The subscriptions are *durable*, so publishers using guaranteed
+    delivery get their "sending data to a database over an unreliable
+    network" semantics: the capture server acknowledges each message
+    only after it is stored.
 
     Thanks to P2 and dynamic schema generation, the capture server needs
     no per-type code: "when the repository needs to store an instance of
@@ -38,52 +38,43 @@ class CaptureServer:
 
     Durability: the paper's repository sits on a commercial RDBMS whose
     storage survives crashes; our in-memory relational engine does not.
-    ``persistent=True`` (the default) closes that gap with a write-ahead
-    log in the host's stable storage — each object's wire encoding is
-    logged before the store is updated, and :meth:`recover` (invoked
-    automatically when the host comes back up) replays it.  Without
-    this, acknowledging a guaranteed message and then crashing would
-    lose data the publisher believes is safely in the database.
+    A write-ahead log in the host's stable storage closes that gap, and
+    it is always on: each object's wire encoding is logged before the
+    store is updated, and :meth:`recover` (invoked automatically when
+    the host comes back up) replays it.  Without it, acknowledging a
+    guaranteed message and then crashing would lose data the publisher
+    believes is safely in the database.
     """
 
-    def __init__(self, client: BusClient, subjects: List[str],
-                 db: Optional[Database] = None, durable: bool = True,
-                 store_subject: bool = True, persistent: bool = True):
+    def __init__(self, client: BusClient, subjects: List[str]):
         self.client = client
-        self.db = db or Database(f"{client.id}.capture")
+        self.db = Database(f"{client.id}.capture")
         self.store = ObjectStore(self.db, client.registry)
-        self.store_subject = store_subject
-        self.persistent = persistent
         self.captured = 0
         self.skipped = 0
         self.replayed = 0
         #: subject each oid arrived under (the "under those subjects" part)
         self._subjects_by_oid: Dict[str, str] = {}
         self._subscriptions = [
-            client.subscribe(pattern, self._on_message, durable=durable)
+            client.subscribe(pattern, self._on_message, durable=True)
             for pattern in subjects]
-        if persistent:
-            client.host.on_recover(self.recover)
-            if client.host.stable.log_length(_WAL_LOG):
-                self.recover()   # a previous incarnation left data
+        client.host.on_recover(self.recover)
+        if client.host.stable.log_length(_WAL_LOG):
+            self.recover()   # a previous incarnation left data
 
     def _on_message(self, subject: str, obj: Any, info: MessageInfo) -> None:
         if not isinstance(obj, DataObject):
             self.skipped += 1   # scalar payloads are not repository food
             return
-        if self.persistent:
-            # log before store: the guaranteed-delivery ack (sent by the
-            # daemon after this callback) must imply durability
-            self.client.host.stable.append(_WAL_LOG, {
-                "subject": subject,
-                # self-contained on purpose: WAL entries are decoded
-                # during recovery, long after the publishing session
-                # (and its type-plane ids) are gone
-                "wire": encode(obj, self.client.registry,
-                               inline_types=True)})
-        oid = self.store.store(obj)
-        if self.store_subject:
-            self._subjects_by_oid[oid] = subject
+        # log before store: the guaranteed-delivery ack (sent by the
+        # daemon after this callback) must imply durability
+        self.client.host.stable.append(_WAL_LOG, {
+            "subject": subject,
+            # self-contained on purpose: WAL entries are decoded during
+            # recovery, long after the publishing session (and its
+            # type-plane ids) are gone
+            "wire": encode(obj, self.client.registry, inline_types=True)})
+        self._subjects_by_oid[self.store.store(obj)] = subject
         self.captured += 1
 
     def recover(self) -> None:
@@ -93,17 +84,13 @@ class CaptureServer:
         servers and other holders of the store reference read the
         recovered state, not a stale snapshot.
         """
-        if not self.persistent:
-            return
         self.store.reset(Database(f"{self.client.id}.capture"))
         self.db = self.store.db
         self._subjects_by_oid.clear()
         self.replayed = 0
         for record in self.client.host.stable.iter_log(_WAL_LOG):
             obj = decode(record["wire"], self.client.registry)
-            oid = self.store.store(obj)
-            if self.store_subject:
-                self._subjects_by_oid[oid] = record["subject"]
+            self._subjects_by_oid[self.store.store(obj)] = record["subject"]
             self.replayed += 1
 
     def subject_of(self, oid: str) -> Optional[str]:

@@ -29,16 +29,11 @@ class StoreError(RuntimeError):
 class ObjectStore:
     """Object persistence over :class:`~repro.repository.relational.Database`."""
 
-    def __init__(self, db: Database, registry: TypeRegistry,
-                 eager_schema: bool = False):
+    def __init__(self, db: Database, registry: TypeRegistry):
         self.db = db
         self.registry = registry
         self.mapper = SchemaMapper(db, registry)
         self.objects_stored = 0
-        if eager_schema:
-            # generate schema immediately whenever a new type appears
-            registry.on_register(
-                lambda descriptor: self.mapper.schema_for(descriptor.name))
 
     def reset(self, db: Optional[Database] = None) -> None:
         """Discard all stored data, swapping in a fresh database.

@@ -21,27 +21,30 @@ __all__ = ["BackgroundTraffic"]
 #: Port that no daemon binds: background frames are pure medium load.
 _NOISE_PORT = 9
 
+#: Bounds, in bytes, of the uniformly drawn background frame size.
+MIN_FRAME_SIZE = 64
+MAX_FRAME_SIZE = 1400
+
 
 class BackgroundTraffic:
     """Injects cross-traffic onto a segment at a mean offered load.
 
     ``load`` is the fraction of the segment's bandwidth consumed on
     average (0.05 = 5%).  Inter-frame gaps are exponentially distributed
-    (Poisson arrivals), frame sizes uniform in ``[min_size, max_size]``
-    — bursty enough to collide with measurement traffic at random
-    times, which is exactly what shows up as variance in Figures 6-8.
+    (Poisson arrivals), frame sizes uniform in ``[MIN_FRAME_SIZE,
+    MAX_FRAME_SIZE]`` — bursty enough to collide with measurement
+    traffic at random times, which is exactly what shows up as variance
+    in Figures 6-8.  ``name`` names the phantom stations and the RNG
+    stream, so two injectors on one simulator draw independently.
     """
 
     def __init__(self, sim: Simulator, segment: EthernetSegment,
-                 load: float = 0.05, min_size: int = 64,
-                 max_size: int = 1400, name: str = "bg"):
+                 load: float = 0.05, name: str = "bg"):
         if not 0 <= load < 0.95:
             raise ValueError(f"load must be in [0, 0.95), got {load}")
         self.sim = sim
         self.segment = segment
         self.load = load
-        self.min_size = min_size
-        self.max_size = max_size
         self.name = name
         self.frames_injected = 0
         self.bytes_injected = 0
@@ -70,7 +73,7 @@ class BackgroundTraffic:
         return wire_time / self.load
 
     def _schedule_next(self) -> None:
-        size = self._rng.randint(self.min_size, self.max_size)
+        size = self._rng.randint(MIN_FRAME_SIZE, MAX_FRAME_SIZE)
         gap = self._rng.expovariate(1.0 / self._mean_gap(size))
         self._event = self.sim.schedule(gap, self._inject, size,
                                         name="background.frame")

@@ -8,11 +8,13 @@ fully deterministic for a given seed.
 
 The kernel is deliberately small: an event heap, cancellable timers, named
 RNG streams (so adding a new random consumer never perturbs existing ones),
-and a couple of run-loop variants (`run`, `run_until`, `step`).
+one run loop (`run_until`; `run` is `run_until` without a deadline) and
+`step`, which fires a single event.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -156,28 +158,15 @@ class Simulator:
         ``max_events`` is a runaway guard: protocols with periodic timers
         that never idle would otherwise spin forever.
         """
-        if self._running:
-            raise SimError("simulator is already running")
-        self._running = True
-        self._stopped = False
-        fired = 0
-        try:
-            while fired < max_events and not self._stopped:
-                if not self.step():
-                    break
-                fired += 1
-            else:
-                if fired >= max_events:
-                    raise SimError(f"exceeded max_events={max_events}")
-        finally:
-            self._running = False
-        return fired
+        return self.run_until(math.inf, max_events)
 
     def run_until(self, deadline: float, max_events: int = 10_000_000) -> int:
         """Run events with ``time <= deadline``; leave later events queued.
 
-        After returning, :attr:`now` equals ``deadline`` even if the heap
-        drained earlier, so periodic measurement code can rely on it.
+        After returning, :attr:`now` equals a finite ``deadline`` even if
+        the heap drained earlier, so periodic measurement code can rely
+        on it.  This is the one run loop: the re-entrancy guard, the
+        :meth:`stop` flag and the ``max_events`` runaway guard live here.
         """
         if self._running:
             raise SimError("simulator is already running")
@@ -202,7 +191,7 @@ class Simulator:
                     raise SimError(f"exceeded max_events={max_events}")
         finally:
             self._running = False
-            if self._now < deadline:
+            if self._now < deadline < math.inf:
                 self._now = deadline
         return fired
 

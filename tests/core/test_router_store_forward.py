@@ -125,6 +125,34 @@ def test_retries_do_not_duplicate(world):
     assert capture.store.count("alarm") == 5   # exactly once each
 
 
+def test_egress_crash_before_the_ack_reships_without_republishing(world):
+    """The egress leg republishes a record, then its host crashes and
+    the ack dies on the wire.  After recovery the origin's retry
+    re-ships the record: the egress's durable seen-log acks it without
+    republishing, and holds the record's id exactly once."""
+    (sim, plant, hq, router, plant_leg, hq_leg, publisher, reg,
+     capture) = world
+    publisher.publish("alarms.drill", DataObject(reg, "alarm", n=1),
+                      qos=QoS.GUARANTEED)
+    for _ in range(100_000):
+        if hq_leg.messages_republished:
+            break
+        sim.step()
+    assert hq_leg.messages_republished == 1
+    hq_leg.host.crash()
+    router.link.fail()                      # the ack is lost mid-transfer
+    sim.run_until(sim.now + 1.0)
+    assert plant_leg.sf_pending() == 1      # the origin never heard it
+    hq_leg.host.recover()
+    router.link.restore()
+    sim.run_until(sim.now + 5.0)
+    assert plant_leg.sf_pending() == 0      # re-shipped and acked ...
+    assert hq_leg.messages_republished == 1   # ... not republished
+    assert capture.store.count("alarm") == 1
+    assert hq_leg.host.stable.read_log("router.sf.seen") == \
+        [f"{plant_leg.name}/1"]
+
+
 def test_reliable_messages_skip_the_stable_path(world):
     (sim, plant, hq, router, plant_leg, hq_leg, publisher, reg,
      capture) = world

@@ -208,13 +208,3 @@ def test_operation_override(story_hierarchy):
     assert story_hierarchy.operation("reuters_story", "summarize") is not None
     assert story_hierarchy.attribute("reuters_story", "headline") is not None
     assert story_hierarchy.attribute("reuters_story", "ghost") is None
-
-
-def test_on_register_listener():
-    reg = TypeRegistry()
-    seen = []
-    reg.on_register(lambda d: seen.append(d.name))
-    reg.register(TypeDescriptor("t1"))
-    reg.register(TypeDescriptor("t2"))
-    reg.register(TypeDescriptor("t1"))   # idempotent: no event
-    assert seen == ["t1", "t2"]

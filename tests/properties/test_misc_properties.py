@@ -102,29 +102,3 @@ def test_payload_is_exact_and_decodable(size):
     assert isinstance(value, bytes) or (
         isinstance(value, list) and len(value) == 1
         and isinstance(value[0], bytes))
-
-
-# ----------------------------------------------------------------------
-# subject schemes
-# ----------------------------------------------------------------------
-
-scheme_element = st.text(string.ascii_lowercase + string.digits,
-                         min_size=1, max_size=5)
-
-
-@given(st.lists(scheme_element.filter(lambda f: f != "tail"),   # reserved
-                min_size=1, max_size=4, unique=True),
-       st.data())
-@settings(max_examples=150, deadline=None)
-def test_subject_scheme_roundtrips(fields, data):
-    from repro.core import SubjectScheme
-    template = "root." + ".".join("{" + f + "}" for f in fields)
-    scheme = SubjectScheme(template)
-    bindings = {f: data.draw(scheme_element) for f in fields}
-    subject = scheme.subject(**bindings)
-    assert scheme.parse(subject) == bindings
-    assert scheme.matches(subject)
-    # partial bindings produce patterns that match the full subject
-    partial = dict(list(bindings.items())[:len(bindings) // 2])
-    from repro.core import subject_matches
-    assert subject_matches(scheme.pattern(**partial), subject)

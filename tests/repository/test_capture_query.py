@@ -158,22 +158,6 @@ def test_capture_survives_crash_via_write_ahead_log(world):
     assert capture.store.count("story") == 2
 
 
-def test_non_persistent_capture_loses_data_on_crash(world):
-    bus, reg, pub, repo_client, capture = world
-    capture.stop()
-    volatile_client = bus.client("node02", "volatile_repo")
-    volatile = CaptureServer(volatile_client, ["news.>"], persistent=False)
-    pub.publish("news.x", DataObject(reg, "story", headline="gone"))
-    bus.settle(2.0)
-    assert volatile.captured == 1
-    bus.crash_host("node02")
-    bus.recover_host("node02")
-    assert volatile.store.count("story") == 1   # in-memory object remains,
-    assert volatile.replayed == 0               # but nothing was replayed
-    # (the point: nothing in stable storage backs it)
-    assert bus.host("node02").stable.log_length("repo.wal") == 0
-
-
 def test_find_where_with_serialized_predicate(world):
     from repro.repository import Contains, Or, predicate_to_wire
     bus, reg, pub, repo_client, capture = world

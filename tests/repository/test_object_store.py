@@ -207,13 +207,6 @@ def test_store_non_object_rejected(reg, store):
         store.store({"not": "an object"})
 
 
-def test_eager_schema_on_registration(reg):
-    store = ObjectStore(Database(), reg, eager_schema=True)
-    reg.register(TypeDescriptor(
-        "alert", attributes=[AttributeSpec("text", "string")]))
-    assert store.db.has_table(main_table_name("alert"))
-
-
 def test_unknown_type_query_rejected(reg, store):
     with pytest.raises(Exception):
         store.query("ghost_type")

@@ -5,11 +5,9 @@ import doctest
 import pytest
 
 import repro
-import repro.core.namespace
 
 
-@pytest.mark.parametrize("module", [repro, repro.core.namespace],
-                         ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [repro], ids=lambda m: m.__name__)
 def test_module_doctests(module):
     results = doctest.testmod(module, verbose=False)
     assert results.attempted > 0
