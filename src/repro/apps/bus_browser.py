@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core import BusClient, Inquiry, MessageInfo, STAT_SUBJECT_PREFIX
+from ..core.contracts import admits
 from ..core.metrics import sum_counters
 from ..core.rmi import SERVICE_ADVERT_SUBJECT
 
@@ -36,38 +37,6 @@ __all__ = ["BusBrowser", "HostTelemetry", "ServiceEntry", "SubjectStats"]
 
 #: A service is stale after missing this many presence periods.
 _STALE_AFTER = 3.0
-
-#: What an RmiServer's advert may announce (a tuple: ``in`` compares
-#: without hashing, so an unhashable action is refused, not raised on).
-_SERVICE_ACTIONS = ("up", "presence", "down")
-
-
-def _is_service_advert(payload: Any) -> bool:
-    """Whether ``payload`` has the shape an RmiServer's advert has:
-    string service, server and interface name, a list of string
-    operations and a known action."""
-    if not isinstance(payload, dict):
-        return False
-    operations = payload.get("operations")
-    return (all(isinstance(payload.get(key), str)
-                for key in ("service", "server", "interface_name"))
-            and isinstance(operations, list)
-            and all(isinstance(name, str) for name in operations)
-            and payload.get("action") in _SERVICE_ACTIONS)
-
-
-def _is_snapshot(payload: Any) -> bool:
-    """Whether ``payload`` has the shape a stat publisher's snapshot has:
-    instrument name -> snapshot dict, a numeric interval and an optional
-    int shard (``type(...)``, so a bool is neither)."""
-    if not isinstance(payload, dict):
-        return False
-    metrics = payload.get("metrics")
-    return (isinstance(metrics, dict)
-            and all(isinstance(name, str) and isinstance(entry, dict)
-                    for name, entry in metrics.items())
-            and type(payload.get("interval")) in (int, float)
-            and type(payload.get("shard")) in (int, type(None)))
 
 
 @dataclass
@@ -122,8 +91,7 @@ class HostTelemetry:
     def alive(self, now: float) -> bool:
         """Fresh iff a snapshot arrived within ~3 publisher periods
         (missing that many means the publisher is down or unreachable)."""
-        period = self.interval if self.interval > 0 else 1.0
-        return now - self.last_seen < _STALE_AFTER * period
+        return now - self.last_seen < _STALE_AFTER * self.interval
 
 
 class BusBrowser:
@@ -135,9 +103,6 @@ class BusBrowser:
         self.subjects: Dict[str, SubjectStats] = {}
         #: telemetry sources keyed by "<host>.<kind>" (subject suffix)
         self.stats: Dict[str, HostTelemetry] = {}
-        #: malformed ``_svc.advert`` / ``_bus.stat.*`` payloads dropped
-        self.bad_adverts = 0
-        self.bad_snapshots = 0
         self._subscriptions = [
             client.subscribe(SERVICE_ADVERT_SUBJECT, self._on_advert),
             # reserved subjects are invisible to plain ">" — the
@@ -151,8 +116,7 @@ class BusBrowser:
     # ------------------------------------------------------------------
     def _on_advert(self, subject: str, payload: Any,
                    info: MessageInfo) -> None:
-        if not _is_service_advert(payload):
-            self.bad_adverts += 1
+        if not admits(payload, "svc_advert", self.client.metrics):
             return
         key = (payload["service"], payload["server"])
         now = self.client.sim.now
@@ -219,8 +183,7 @@ class BusBrowser:
     # ------------------------------------------------------------------
     def _on_stat(self, subject: str, payload: Any,
                  info: MessageInfo) -> None:
-        if not _is_snapshot(payload):
-            self.bad_snapshots += 1
+        if not admits(payload, "stat_snapshot", self.client.metrics):
             return
         source = subject.split(".", 2)[-1]   # "_bus.stat.<host>.<kind>"
         now = self.client.sim.now

@@ -83,9 +83,12 @@ class BusClient:
         self.last_error: Optional[Exception] = None
         for plane in self._planes:
             plane.attach_client(self)
-        #: publish-to-callback latency histogram, in plane 0's registry
-        #: (``client.<name>.latency``) whichever plane delivers
-        self._latency = daemon.metrics.histogram(f"client.{name}.latency")
+        #: this application's instruments, in plane 0's registry
+        #: whichever plane delivers: the publish-to-callback ``latency``
+        #: histogram, and the refusal counters of the bus objects it
+        #: runs (:mod:`repro.core.contracts`)
+        self.metrics = daemon.metrics.scope(f"client.{name}")
+        self._latency = self.metrics.histogram("latency")
 
     @property
     def sim(self):

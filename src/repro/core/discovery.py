@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from .client import BusClient, Subscription
+from .contracts import admits, conforms
 
 __all__ = ["DiscoveredService", "Inquiry", "Responder", "inquiry_subject"]
 
@@ -40,11 +41,6 @@ class DiscoveredService:
     service_subject: str
     responder: str          # client id of the respondent
     info: Dict[str, Any]    # service-specific state description
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "DiscoveredService":
-        return cls(payload["service"], payload["responder"],
-                   dict(payload.get("info", {})))
 
 
 class Responder:
@@ -70,14 +66,15 @@ class Responder:
         return dict(info or {})
 
     def _on_inquiry(self, subject: str, payload: Any, _info) -> None:
-        if not isinstance(payload, dict) or payload.get("kind") != "who":
+        if (conforms(payload, "discovery_iam")   # an answer, not a question
+                or not admits(payload, "discovery_who", self.client.metrics)):
             return
         if self._should_answer is not None and not self._should_answer():
             return   # e.g. a standby member of an exclusive server group
         self.answered += 1
         self.client.publish(subject, {
             "kind": "iam",
-            "inquiry_id": payload.get("inquiry_id"),
+            "inquiry_id": payload["inquiry_id"],
             "service": self.service_subject,
             "responder": self.client.id,
             "info": self._current_info(),
@@ -97,9 +94,9 @@ class Inquiry:
     given, completes early once that many respondents have answered.
 
     Any application may publish on the discovery subject, and inquiry
-    ids are predictable, so an answer to this inquiry without a string
-    ``responder`` and ``service`` (and a dict ``info``, if it has one)
-    is dropped and counted in ``bad_answers``.
+    ids are predictable, so a payload there that is not a question is
+    admitted through the ``discovery_iam`` contract
+    (:mod:`repro.core.contracts`) before the inquiry id is compared.
     """
 
     def __init__(self, client: BusClient, service_subject: str,
@@ -113,7 +110,6 @@ class Inquiry:
         self._responses: List[DiscoveredService] = []
         self._seen: set = set()
         self._done = False
-        self.bad_answers = 0
         subject = inquiry_subject(service_subject)
         self._subscription = client.subscribe(subject, self._on_message)
         client.publish(subject, {"kind": "who",
@@ -127,22 +123,17 @@ class Inquiry:
         return list(self._responses)
 
     def _on_message(self, subject: str, payload: Any, _info) -> None:
-        if self._done or not isinstance(payload, dict):
+        if (self._done or conforms(payload, "discovery_who")   # a question
+                or not admits(payload, "discovery_iam", self.client.metrics)):
             return
-        if payload.get("kind") != "iam":
-            return
-        if payload.get("inquiry_id") != self.inquiry_id:
+        if payload["inquiry_id"] != self.inquiry_id:
             return   # an answer to someone else's (or an older) inquiry
-        responder = payload.get("responder")
-        if not (isinstance(responder, str)
-                and isinstance(payload.get("service"), str)
-                and isinstance(payload.get("info", {}), dict)):
-            self.bad_answers += 1
-            return
+        responder = payload["responder"]
         if responder in self._seen:
             return
         self._seen.add(responder)
-        self._responses.append(DiscoveredService.from_payload(payload))
+        self._responses.append(DiscoveredService(
+            payload["service"], responder, dict(payload.get("info", {}))))
         if self._enough is not None and len(self._responses) >= self._enough:
             self._complete()
 

@@ -34,6 +34,7 @@ from ..objects.types import TypeError_
 from ..sim.kernel import Event, PeriodicTimer
 from ..sim.transport import StreamConnection, StreamManager
 from .client import BusClient
+from .contracts import admits, conforms
 from .discovery import DiscoveredService, Inquiry, Responder
 
 __all__ = ["ExactlyOnceRmiClient", "RmiClient", "RmiError",
@@ -63,9 +64,9 @@ class ServerGroup:
     :data:`PRESENCE_INTERVAL` seconds; the live member with the lowest
     (rank, id) considers itself leader.  Membership expires after three
     missed presence periods, so leadership fails over when the leader
-    crashes.  Any application may publish on that subject, so a presence
-    message without a string ``member`` and an int ``rank`` (a missing
-    rank is 0) is dropped and counted in ``bad_presences``.
+    crashes.  Any application may publish on that subject, so presence is
+    admitted through the ``rmi_presence`` contract
+    (:mod:`repro.core.contracts`); a missing rank is 0.
     """
 
     def __init__(self, client: BusClient, service_subject: str,
@@ -73,7 +74,6 @@ class ServerGroup:
         self.client = client
         self.member_id = member_id
         self.rank = rank
-        self.bad_presences = 0
         self._subject = f"_rmi.group.{service_subject}"
         self._peers: Dict[str, Tuple[int, float]] = {}   # id -> (rank, seen)
         self._subscription = client.subscribe(self._subject, self._on_presence)
@@ -88,13 +88,9 @@ class ServerGroup:
                             {"member": self.member_id, "rank": self.rank})
 
     def _on_presence(self, subject: str, payload: Any, _info) -> None:
-        if isinstance(payload, dict):
-            member, rank = payload.get("member"), payload.get("rank", 0)
-            # type(), not isinstance: a bool is no rank
-            if isinstance(member, str) and type(rank) is int:
-                self._peers[member] = (rank, self.client.sim.now)
-                return
-        self.bad_presences += 1
+        if admits(payload, "rmi_presence", self.client.metrics):
+            self._peers[payload["member"]] = (payload.get("rank", 0),
+                                              self.client.sim.now)
 
     def is_leader(self) -> bool:
         horizon = self.client.sim.now - 3 * PRESENCE_INTERVAL
@@ -206,13 +202,9 @@ class RmiServer:
             msg = decode(data, self.service.registry)
         except TypeError_:      # all decode raises, whatever the bytes
             return
-        if not isinstance(msg, dict) or msg.get("kind") != "call":
+        if not admits(msg, "rmi_call", self.client.metrics):
             return
-        request_id, op, args = (msg.get("request_id"), msg.get("op"),
-                                msg.get("args"))
-        if not (isinstance(request_id, str) and isinstance(op, str)
-                and isinstance(args, bytes)):
-            return      # decodes, but is no request: dropped like noise
+        request_id, op = msg["request_id"], msg["op"]
         cached = self._reply_cache.get(request_id)
         if cached is not None:
             # duplicate request: at-most-once execution, answer from cache
@@ -220,7 +212,7 @@ class RmiServer:
             return
         try:
             result = self.service.invoke(
-                op, decode(args, self.service.registry))
+                op, decode(msg["args"], self.service.registry))
             # self-contained on purpose: replies are cached and replayed
             # to duplicate requests from *later* sessions, so they must
             # not reference session-scoped type-plane ids
@@ -253,16 +245,6 @@ Chooser = Callable[[List[DiscoveredService]], DiscoveredService]
 def _least_loaded(responses: List[DiscoveredService]) -> DiscoveredService:
     return min(responses,
                key=lambda r: (r.info.get("load", 0.0), r.responder))
-
-
-def _is_candidate(info: Dict[str, Any]) -> bool:
-    """Whether an answer's ``info`` is what a server advertises: an
-    ``endpoint`` that is a ``[host, port]`` pair and a ``load``, if any,
-    that is a number (any application may answer a discovery)."""
-    endpoint = info.get("endpoint")
-    return (isinstance(endpoint, list) and len(endpoint) == 2
-            and isinstance(endpoint[0], str) and type(endpoint[1]) is int
-            and type(info.get("load", 0.0)) in (int, float))
 
 
 @dataclass
@@ -377,7 +359,9 @@ class RmiClient:
 
     def _on_discovered(self, responses: List[DiscoveredService]) -> None:
         self._discovering = False
-        candidates = [r for r in responses if _is_candidate(r.info)]
+        # any application may answer a discovery
+        candidates = [r for r in responses if admits(
+            r.info, "rmi_server_info", self.client.metrics)]
         if not candidates:
             for pending in list(self._queue):
                 self._fail(pending, "no servers discovered")
@@ -418,12 +402,9 @@ class RmiClient:
             msg = decode(data, self.client.registry)
         except TypeError_:
             return
-        if not isinstance(msg, dict) or msg.get("kind") != "reply":
+        if not admits(msg, "rmi_reply", self.client.metrics):
             return
-        request_id = msg.get("request_id")
-        if not isinstance(request_id, str):
-            return
-        pending = self._pending.pop(request_id, None)
+        pending = self._pending.pop(msg["request_id"], None)
         if pending is None or pending.done:
             return
         pending.done = True
@@ -433,13 +414,13 @@ class RmiClient:
         # caller must hear exactly one result: a reply that names a
         # pending call but is otherwise ill-shaped fails it
         value, error = None, "malformed reply"
-        if msg.get("ok") is True and isinstance(msg.get("value"), bytes):
+        if conforms(msg, "rmi_result"):
             try:
                 value = decode(msg["value"], self.client.registry)
                 error = None
             except TypeError_ as err:
                 error = f"malformed reply: {err}"
-        elif msg.get("ok") is False and isinstance(msg.get("error"), str):
+        elif conforms(msg, "rmi_error"):
             error = msg["error"]
         tracer = self.client.daemon.tracer
         if tracer:

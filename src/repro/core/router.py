@@ -25,9 +25,10 @@ deferred store-and-forward shipment is re-shipped by its retry timer.
 ``shed`` counts only forwards a down link (or a vanished target leg)
 lost.
 
-A leg trusts nothing on ``_sub.advert`` that does not look like a
-daemon's advert (any application may publish on that subject): a
-malformed one is dropped and counted in ``bad_adverts``.
+A leg admits an ``_sub.advert`` payload through the ``sub_advert``
+contract (:mod:`repro.core.contracts`): any application may publish on
+that subject, so one that is not a daemon's advert is dropped and
+counted in the leg's ``contract.sub_advert.refused``.
 
 Because a leg is an ordinary client, its forwarding patterns live in its
 host daemon's subscription trie — so the interest gate (the "Receive
@@ -47,12 +48,13 @@ from ..sim.kernel import PeriodicTimer, Simulator
 from ..sim.trace import Tracer
 from .bus import InformationBus
 from .client import BusClient, Subscription
+from .contracts import admits
 from .daemon import ADVERT_SUBJECT, STAT_SUBJECT_PREFIX
 from .flow import Admission, BoundedQueue
 from .guaranteed import GuaranteedConsumer
 from .message import MessageInfo, QoS
 from .metrics import Counter, MetricsPublisher, MetricsRegistry
-from .subjects import is_valid_pattern, subject_matches
+from .subjects import subject_matches
 
 __all__ = ["Router", "RouterLeg", "WanLink"]
 
@@ -64,10 +66,6 @@ ROUTER_CLIENT_NAME = "_router"
 #: on top of the measured payload bytes — the wide-area analogue of
 #: :attr:`~repro.sim.network.CostModel.frame_overhead`.
 _WAN_OVERHEAD = 32
-
-#: What a daemon's advert may ask of a leg (a tuple: ``in`` compares
-#: without hashing, so an unhashable action is refused, not raised on).
-_ADVERT_ACTIONS = ("add", "remove", "snapshot")
 
 #: Seconds between re-shipments of unconfirmed store-and-forward records.
 SF_RETRY_INTERVAL = 0.5
@@ -102,10 +100,6 @@ class WanLink:
         #: set by the router when it learns a bus's tracer, so down-link
         #: drops and queue deferrals surface as ``flow.*`` events
         self.tracer: Optional[Tracer] = None
-
-    @property
-    def messages_dropped(self) -> int:
-        return self._messages_dropped.value
 
     def attach_metrics(self, registry) -> None:
         """Adopt this link's instruments into ``registry`` (a
@@ -205,19 +199,6 @@ class WanLink:
         self._pump(sim, key)
 
 
-def _is_advert(payload: Any) -> bool:
-    """Whether ``payload`` has the shape a daemon's advert has: a host
-    name, a known action and a list of valid subject patterns."""
-    if not isinstance(payload, dict):
-        return False
-    patterns = payload.get("patterns")
-    return (isinstance(payload.get("host"), str)
-            and payload.get("action") in _ADVERT_ACTIONS
-            and isinstance(patterns, list)
-            and all(isinstance(pattern, str) and is_valid_pattern(pattern)
-                    for pattern in patterns))
-
-
 class RouterLeg:
     """One router foot on one bus."""
 
@@ -244,14 +225,13 @@ class RouterLeg:
         # dedupe of forwarded messages (a message can match two patterns)
         self._recent: "OrderedDict[Tuple[str, int], None]" = OrderedDict()
         scope = router.metrics.scope(f"router.{router.name}.leg.{self.name}")
+        self._metrics = scope
         self._messages_forwarded = scope.counter("forwarded")
         self._messages_republished = scope.counter("republished")
         #: forwards pushed back by a full WAN queue (not retried)
         self._forwards_deferred = scope.counter("deferred")
         #: forwards lost to a down link or a vanished target leg
         self._forwards_shed = scope.counter("shed")
-        #: ``_sub.advert`` payloads that were not a daemon's advert
-        self._bad_adverts = scope.counter("bad_adverts")
         self._sf_timer = None
         #: shipment ids already republished here, kept durably
         #: (store-and-forward target side)
@@ -263,31 +243,16 @@ class RouterLeg:
             # segment become visible to browsers on the other
             self.client.subscribe(f"{STAT_SUBJECT_PREFIX}.>", self._on_stat)
 
-    # ------------------------------------------------------------------
-    # counter views (ints, the historical attribute surface)
-    # ------------------------------------------------------------------
     @property
     def messages_forwarded(self) -> int:
+        """The leg's ``forwarded`` counter, as an int."""
         return self._messages_forwarded.value
-
-    @property
-    def messages_republished(self) -> int:
-        return self._messages_republished.value
-
-    @property
-    def forwards_deferred(self) -> int:
-        return self._forwards_deferred.value
-
-    @property
-    def forwards_shed(self) -> int:
-        return self._forwards_shed.value
 
     # ------------------------------------------------------------------
     # learning the local subscription table
     # ------------------------------------------------------------------
     def _on_advert(self, subject: str, payload: Any, _info) -> None:
-        if not _is_advert(payload):
-            self._bad_adverts.value += 1
+        if not admits(payload, "sub_advert", self._metrics):
             return
         host = payload["host"]
         if host == self.host.address:

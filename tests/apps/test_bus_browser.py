@@ -141,12 +141,33 @@ GOOD_ADVERT = {"action": "up", "service": "svc.good", "server": "node00.pub",
                "interface_name": "quote_service", "operations": ["last"]}
 
 
-@pytest.mark.parametrize("subject, payload", [
+def counter_snapshot(value):
+    """A snapshot whose one counter reads ``value``."""
+    return {"metrics": {"daemon.evil.published":
+                        {"type": "counter", "value": value}},
+            "interval": 1.0}
+
+
+#: hostile payloads on the reserved subjects the browser reads
+HOSTILE = [
     ("_svc.advert", {"service": ["x"]}),
     ("_svc.advert", {"service": "s", "server": {}}),
     ("_svc.advert", {"service": "s", "operations": 5}),
     ("_bus.stat.evil.daemon", {"metrics": 5, "interval": "a"}),
-])
+    # a counter bus_top() cannot sum
+    ("_bus.stat.evil.daemon", counter_snapshot("a")),
+    ("_bus.stat.evil.daemon", counter_snapshot(None)),
+    ("_bus.stat.evil.daemon", counter_snapshot([1])),
+    ("_bus.stat.evil.daemon", counter_snapshot({"x": 1})),
+    ("_bus.stat.evil.daemon", counter_snapshot(True)),
+    # an interval that would keep the source fresh forever, or never
+    ("_bus.stat.evil.daemon", {"metrics": {}, "interval": float("inf")}),
+    ("_bus.stat.evil.daemon", {"metrics": {}, "interval": float("nan")}),
+    ("_bus.stat.evil.daemon", {"metrics": {}, "interval": 0}),
+]
+
+
+@pytest.mark.parametrize("subject, payload", HOSTILE)
 def test_malformed_payloads_are_counted_not_raised(world, subject, payload):
     """Any application may publish on the reserved subjects the browser
     reads: a payload of the wrong shape is dropped and counted, and a
@@ -157,7 +178,11 @@ def test_malformed_payloads_are_counted_not_raised(world, subject, payload):
     bus.run_for(1.0)
     assert browser.live_services() == [] and browser.telemetry() == []
     advert = subject == "_svc.advert"
-    assert (browser.bad_adverts, browser.bad_snapshots) == \
+    registry = bus.daemons["node03"].metrics.snapshot()
+    assert tuple(
+        registry.get(f"client.browser.contract.{name}.refused",
+                     {"value": 0})["value"]
+        for name in ("svc_advert", "stat_snapshot")) == \
         ((1, 0) if advert else (0, 1))
     pub.publish("_svc.advert", GOOD_ADVERT)
     pub.publish("_bus.stat.good.daemon", {"metrics": {}, "interval": 1.0})
@@ -165,6 +190,7 @@ def test_malformed_payloads_are_counted_not_raised(world, subject, payload):
     assert [e.service_subject for e in browser.live_services()] == \
         ["svc.good"]
     assert [t.source for t in browser.telemetry()] == ["good.daemon"]
+    assert browser.bus_top()["hosts"] == 1
 
 
 def test_stop_detaches(world):

@@ -22,6 +22,12 @@ def make_bus():
     return bus
 
 
+def refused(bus, host, client, contract):
+    """How many payloads ``client`` on ``host`` refused by ``contract``."""
+    name = f"client.{client}.contract.{contract}.refused"
+    return bus.daemons[host].metrics.snapshot()[name]["value"]
+
+
 def hostile(base, change):
     payload = dict(base)
     for key, value in change.items():
@@ -48,7 +54,7 @@ def inquiry_answer(change):
     [discovered] = results
     assert [(d.responder, d.info) for d in discovered] == \
         [("node01.server", {"shard": 1})]
-    assert inquiry.bad_answers == 1
+    assert refused(bus, "node00", "client", "discovery_iam") == 1
 
 
 def group_presence(change):
@@ -62,7 +68,7 @@ def group_presence(change):
     evil.publish("_rmi.group.svc.q", {"member": "node02.rival", "rank": -1})
     bus.run_for(0.3)
     assert not group.is_leader()
-    assert group.bad_presences == 1
+    assert refused(bus, "node01", "server", "rmi_presence") == 1
 
 
 def rmi_answer(change):

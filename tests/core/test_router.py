@@ -173,7 +173,7 @@ def test_malformed_advert_is_dropped_and_counted(payload):
     sim.run_until(2.0)
     west_leg = router.legs["west:router-west"]
     assert west_leg._forwarding == {}
-    counter = "router.router.leg.east:router-east.bad_adverts"
+    counter = "router.router.leg.east:router-east.contract.sub_advert.refused"
     assert router.metrics.snapshot()[counter]["value"] == 1
     rogue.publish(ADVERT_SUBJECT,
                   {"host": "x", "action": "add", "patterns": ["news.>"]})

@@ -51,12 +51,14 @@ def test_down_link_drops_are_counted_and_traced():
         pub.publish(f"news.n{i}", DataObject(reg, "story", headline="X"))
     sim.run_until(4.0)
     assert received == []
-    assert router.link.messages_dropped >= 4
+    counts = router.metrics.snapshot()
+    assert counts["router.router.wan.messages_dropped"]["value"] >= 4
     drops = tracer.select("flow.drop", reason="link-down")
     assert len(drops) >= 4
     assert drops[0]["queue"].startswith("wan[")
     # the leg noticed its forwards were shed
-    assert any(leg.forwards_shed >= 4 for leg in router.legs.values())
+    assert any(counts[f"router.router.leg.{leg}.shed"]["value"] >= 4
+               for leg in router.legs)
 
 
 def test_saturated_link_queues_within_bounds_then_defers():
@@ -74,9 +76,12 @@ def test_saturated_link_queues_within_bounds_then_defers():
     for i in range(6):
         pub.publish(f"news.n{i}", DataObject(reg, "story", headline="X"))
     sim.run_until(20.0)
-    deferred = sum(leg.forwards_deferred for leg in router.legs.values())
+    counts = router.metrics.snapshot()
+    deferred = sum(counts[f"router.router.leg.{leg}.deferred"]["value"]
+                   for leg in router.legs)
     assert deferred > 0
-    assert sum(leg.forwards_shed for leg in router.legs.values()) == 0
+    assert sum(counts[f"router.router.leg.{leg}.shed"]["value"]
+               for leg in router.legs) == 0
     assert 0 < len(received) < 6
     # per-direction queue instruments live in the router's registry
     flow = {name: row["value"]
@@ -125,7 +130,9 @@ def test_deprecated_stats_aliases_are_gone():
     daemon = leg.client.daemon
     retired = [
         (router, ("stats", "leg_stats", "flow_stats")),
-        (router.link, ("stats", "link_stats")),
+        (router.link, ("stats", "link_stats", "messages_dropped")),
+        (leg, ("messages_republished", "forwards_deferred",
+               "forwards_shed")),
         (east, ("flow_stats",)),
         (leg.client, ("delivery_stats",)),
         (daemon, ("wire_stats", "shard_stats", "publish_stats")),
@@ -136,4 +143,5 @@ def test_deprecated_stats_aliases_are_gone():
         for name in names:
             assert not hasattr(owner, name), (owner, name)
     assert len(router.legs) == 2
-    assert router.link.messages_dropped == 0
+    assert router.metrics.snapshot()[
+        "router.router.wan.messages_dropped"]["value"] == 0
