@@ -7,7 +7,8 @@ Covers the model of computation from Figure 1 of the paper:
 2. self-describing objects — the subscriber learns a type it has never
    seen off the wire and introspects it (P2);
 3. the generic print utility that renders any object from metadata;
-4. request/reply: a service discovered by subject and invoked over RMI.
+4. request/reply: a service discovered by subject and invoked over RMI,
+   with two replicas of the server sharing the load.
 
 Run:  python examples/quickstart.py
 """
@@ -80,19 +81,28 @@ def main() -> None:
     service = ServiceObject(registry, "position_service")
     book = {"GMC": 1200, "IBM": -300}
     service.implement("position", lambda symbol: book.get(symbol, 0))
-    RmiServer(bus.client("node02", "position_server"), "svc.positions",
-              service)
+    servers = [RmiServer(bus.client(host, "position_server"),
+                         "svc.positions", service)
+               for host in ("node02", "node01")]
 
-    rmi = RmiClient(bus.client("node03", "trader"), "svc.positions")
+    # policy="all": hear every server for the discovery window, then bind
+    # to the least loaded one ("several server objects can be used to
+    # provide load balancing", Section 3.3)
     answers = []
-    rmi.call("position", {"symbol": "GMC"},
-             lambda value, error: answers.append((value, error)))
-    bus.run_for(2.0)
+    for trader in ("trader", "trader2"):
+        rmi = RmiClient(bus.client("node03", trader), "svc.positions",
+                        policy="all")
+        rmi.call("position", {"symbol": "GMC"},
+                 lambda value, error: answers.append((value, error)))
+        bus.run_for(2.0)
 
     print("\n== RMI (discovered by subject, no name service) ==")
     value, error = answers[0]
     print(f"  position(GMC) -> {value} (error={error})")
-    assert value == 1200
+    served = [server.calls_served for server in servers]
+    print(f"  calls served per replica: {served}")
+    assert value == 1200 and answers[1] == answers[0]
+    assert served == [1, 1]
 
     print("\nquickstart OK")
 

@@ -7,7 +7,10 @@ Cast, exactly as in Section 5:
 * two news adapters parsing them into vendor-specific subtypes of a
   common Story supertype, published under ``news.<category>.<topic>``;
 * the News Monitor showing a headline summary list and full stories;
-* the Object Repository capturing every story into relational tables;
+* the Object Repository capturing every story into relational tables,
+  replicated on two hosts: both replicas capture, and the backup answers
+  queries once the primary fails ("several server objects can be used
+  to provide ... fault-tolerance", Section 3.3);
 * and then — with everything running — the Keyword Generator is brought
   on-line (Figure 4): the monitor immediately starts receiving Property
   objects on the same subjects, with zero reconfiguration anywhere.
@@ -24,7 +27,7 @@ from repro.repository import CaptureServer, QueryServer
 
 def main() -> None:
     bus = InformationBus(seed=7)
-    bus.add_hosts(7)
+    bus.add_hosts(8)
 
     # ------------------------------------------------------------------
     # feeds and adapters (Figure 3, left side)
@@ -38,9 +41,15 @@ def main() -> None:
     # consumers (Figure 3, right side)
     # ------------------------------------------------------------------
     monitor = NewsMonitor(bus.client("node02", "news_monitor"))
-    repository = bus.client("node03", "repository")
-    capture = CaptureServer(repository, ["news.>"])
-    QueryServer(repository, capture.store, "svc.repository")
+    # two replicas in an exclusive group: only the leader (rank 0 while
+    # it lives) answers discovery
+    replicas = []
+    for rank, host in enumerate(("node03", "node07")):
+        repository = bus.client(host, "repository")
+        replicas.append(CaptureServer(repository, ["news.>"]))
+        QueryServer(repository, replicas[-1].store, "svc.repository",
+                    rank=rank, exclusive=True)
+    capture = replicas[0]
 
     print("== phase 1: feeds flowing, monitor + repository consuming ==")
     bus.run_for(6.0)
@@ -111,6 +120,19 @@ def main() -> None:
     bus.run_for(2.0)
     print(f"  reuters_story instances: {len(out['reuters'])}")
     assert out["tally"] >= len(out["reuters"]) > 0
+
+    # ------------------------------------------------------------------
+    # the primary repository fails; the backup already holds every story
+    # ------------------------------------------------------------------
+    print("\n== phase 5: the primary repository host fails ==")
+    bus.crash_host("node03")
+    bus.run_for(2.0)    # its presence lapses; the backup leads
+    analyst = RmiClient(bus.client("node06", "analyst2"), "svc.repository")
+    analyst.call("tally", {"type_name": "story"},
+                 lambda v, e: out.update(failover=v))
+    bus.run_for(2.0)
+    print(f"  stories stored, answered by the backup: {out['failover']}")
+    assert out["failover"] == out["tally"]
 
     print("\ntrading floor OK")
 

@@ -57,6 +57,3 @@ class Adapter:
             self.client.unsubscribe(subscription)
         self._subscriptions = []
 
-    @property
-    def running(self) -> bool:
-        return self._running

@@ -75,9 +75,6 @@ class WipTerminal:
     def seed_lot(self, record: WipLotRecord) -> None:
         self._lots[record.lot_id.upper()] = record
 
-    def lot_count(self) -> int:
-        return len(self._lots)
-
     # ------------------------------------------------------------------
     # screens
     # ------------------------------------------------------------------

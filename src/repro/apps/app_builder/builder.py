@@ -48,8 +48,8 @@ def _parse_field(value: str, type_name: str) -> Any:
 class ApplicationBuilder:
     """Builds interactive applications from metadata and TDL scripts."""
 
-    def __init__(self, tdl: Optional[Interpreter] = None):
-        self.tdl = tdl if tdl is not None else Interpreter()
+    def __init__(self):
+        self.tdl = Interpreter()
         self.forms: Dict[str, Form] = {}
         self._install_tdl_builtins()
 
@@ -138,13 +138,6 @@ class ApplicationBuilder:
             form.add(field)
         self.forms[form.name] = form
         return form
-
-    # ------------------------------------------------------------------
-    # TDL scripting surface
-    # ------------------------------------------------------------------
-    def run_script(self, source: str) -> Any:
-        """Run a TDL script with the widget builtins available."""
-        return self.tdl.eval_text(source)
 
     def _install_tdl_builtins(self) -> None:
         tdl = self.tdl

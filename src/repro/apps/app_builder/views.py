@@ -19,14 +19,10 @@ __all__ = ["View", "ViewColumn"]
 
 @dataclass(frozen=True)
 class ViewColumn:
-    """One column: which attribute, how wide, optional header override."""
+    """One column: which attribute, and how wide."""
 
     attribute: str
     width: int = 16
-    header: str = ""
-
-    def title(self) -> str:
-        return self.header or self.attribute
 
 
 class View:
@@ -44,7 +40,7 @@ class View:
         return cls(name, [ViewColumn(attr, width) for attr, width in specs])
 
     def header(self) -> str:
-        return " | ".join(c.title()[: c.width].ljust(c.width)
+        return " | ".join(c.attribute[: c.width].ljust(c.width)
                           for c in self.columns)
 
     def row(self, obj: DataObject) -> str:

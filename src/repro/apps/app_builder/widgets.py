@@ -152,9 +152,6 @@ class Form(Widget):
             raise WidgetError(f"form {self.name!r} has no widget "
                               f"{name!r}") from None
 
-    def widgets(self) -> List[Widget]:
-        return [self._widgets[n] for n in self._order]
-
     def set_field(self, name: str, value: Any) -> None:
         widget = self.widget(name)
         if not isinstance(widget, TextField):

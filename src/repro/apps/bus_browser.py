@@ -62,7 +62,7 @@ class SubjectStats:
     subject: str
     messages: int = 0
     bytes: int = 0
-    senders: set = field(default_factory=set)
+    senders: set = field(default_factory=set, init=False)
     first_seen: float = 0.0
     last_seen: float = 0.0
 
@@ -139,10 +139,6 @@ class BusBrowser:
         return sorted((e for e in self.services.values() if e.alive(now)),
                       key=lambda e: (e.service_subject, e.server))
 
-    def service_subjects(self) -> List[str]:
-        """Distinct subjects with at least one live server."""
-        return sorted({e.service_subject for e in self.live_services()})
-
     def inspect(self, service_subject: str,
                 on_result: Callable[[List[dict]], None],
                 window: float = 0.3) -> None:
@@ -174,9 +170,6 @@ class BusBrowser:
 
     def top_subjects(self, n: int = 10) -> List[SubjectStats]:
         return sorted(self.subjects.values(), key=lambda s: -s.messages)[:n]
-
-    def total_messages(self) -> int:
-        return sum(s.messages for s in self.subjects.values())
 
     # ------------------------------------------------------------------
     # telemetry (the reserved ``_bus.stat.*`` space)

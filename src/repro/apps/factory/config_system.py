@@ -63,13 +63,11 @@ def register_config_types(registry: TypeRegistry) -> None:
 class FactoryConfigSystem:
     """Stores equipment configs; serves them over RMI; publishes changes."""
 
-    def __init__(self, client: BusClient, plant: str,
-                 db: Optional[Database] = None,
-                 service_subject: Optional[str] = None):
+    def __init__(self, client: BusClient, plant: str):
         self.client = client
         self.plant = plant
         register_config_types(client.registry)
-        self.store = ObjectStore(db or Database(f"{plant}.config"),
+        self.store = ObjectStore(Database(f"{plant}.config"),
                                  client.registry)
         service = ServiceObject(client.registry,
                                 FACTORY_CONFIG_SERVICE_TYPE)
@@ -77,9 +75,7 @@ class FactoryConfigSystem:
         service.implement("set_config", self._set_config)
         service.implement("stations", self._stations)
         service.implement("take_offline", self._take_offline)
-        self.rmi = RmiServer(client,
-                             service_subject or f"svc.{plant}.config",
-                             service)
+        self.rmi = RmiServer(client, f"svc.{plant}.config", service)
         self.changes_published = 0
 
     # ------------------------------------------------------------------

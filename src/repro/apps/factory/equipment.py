@@ -66,7 +66,7 @@ class Equipment:
 
     def __init__(self, client: BusClient, plant: str, station: str,
                  metrics: Dict[str, Tuple[float, float, str]],
-                 interval: float = 1.0, follow_config: bool = False):
+                 interval: float = 1.0):
         self.client = client
         self.plant = plant
         self.station = station
@@ -77,13 +77,11 @@ class Equipment:
         self.config_updates = 0
         register_factory_types(client.registry)
         self._rng = client.sim.rng(f"equipment.{plant}.{station}")
-        self._config_subscription = None
-        if follow_config:
-            # live recipe distribution: the Factory Configuration System
-            # publishes changes on <plant>.config.<station>; equipment
-            # applies them without restarting (R2 on the factory floor)
-            self._config_subscription = client.subscribe(
-                f"{plant}.config.{station}", self._on_config)
+        # live recipe distribution: the Factory Configuration System
+        # publishes changes on <plant>.config.<station>; equipment applies
+        # them without restarting (R2 on the factory floor)
+        self._config_subscription = client.subscribe(
+            f"{plant}.config.{station}", self._on_config)
         self._timer: Optional[PeriodicTimer] = PeriodicTimer(
             client.sim, interval, self._sample,
             name=f"equipment.{station}")

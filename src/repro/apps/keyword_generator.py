@@ -58,27 +58,21 @@ def _register_service_type(registry) -> None:
 class KeywordGenerator:
     """Annotates stories with keyword properties; serves its config."""
 
-    def __init__(self, client: BusClient,
-                 categories: Optional[Dict[str, List[str]]] = None,
-                 subjects: Optional[List[str]] = None,
-                 service_subject: str = "svc.keywords"):
+    def __init__(self, client: BusClient):
         self.client = client
         self.categories: Dict[str, List[str]] = {
             category: list(words)
-            for category, words in (categories
-                                    or DEFAULT_CATEGORIES).items()}
+            for category, words in DEFAULT_CATEGORIES.items()}
         self.stories_scanned = 0
         self.properties_published = 0
-        self._subscriptions = [
-            client.subscribe(pattern, self._on_story)
-            for pattern in (subjects or ["news.>"])]
+        self._subscriptions = [client.subscribe("news.>", self._on_story)]
         # the interactive interface, exposed over RMI
         _register_service_type(client.registry)
         service = ServiceObject(client.registry, KEYWORD_SERVICE_TYPE)
         service.implement("categories", lambda: sorted(self.categories))
         service.implement("keywords_in", self._keywords_in)
         service.implement("add_keyword", self._add_keyword)
-        self.rmi = RmiServer(client, service_subject, service)
+        self.rmi = RmiServer(client, "svc.keywords", service)
 
     # ------------------------------------------------------------------
     # annotation

@@ -30,6 +30,13 @@ __all__ = ["LVC_SERVICE_TYPE", "LastValueCache", "snapshot_then_subscribe"]
 
 LVC_SERVICE_TYPE = "last_value_cache_service"
 
+#: The subject a cache serves its snapshots on.
+LVC_SUBJECT = "svc.lvc"
+
+#: Subjects one cache holds: past it, new subjects are refused (cached
+#: ones keep updating) rather than the cache growing without bound.
+MAX_SUBJECTS = 100_000
+
 
 def _register_service_type(registry) -> None:
     if registry.has(LVC_SERVICE_TYPE):
@@ -55,11 +62,8 @@ def _register_service_type(registry) -> None:
 class LastValueCache:
     """Caches the latest object per subject; serves snapshots over RMI."""
 
-    def __init__(self, client: BusClient, patterns: List[str],
-                 service_subject: str = "svc.lvc",
-                 max_subjects: int = 100_000):
+    def __init__(self, client: BusClient, patterns: List[str]):
         self.client = client
-        self.max_subjects = max_subjects
         self.updates_seen = 0
         self._latest: Dict[str, Any] = {}
         self._subscriptions = [client.subscribe(p, self._on_message)
@@ -70,12 +74,12 @@ class LastValueCache:
         service.implement("snapshot", self._snapshot)
         service.implement("cached_subjects",
                           lambda: sorted(self._latest))
-        self.rmi = RmiServer(client, service_subject, service)
+        self.rmi = RmiServer(client, LVC_SUBJECT, service)
 
     def _on_message(self, subject: str, obj: Any,
                     info: MessageInfo) -> None:
         if subject not in self._latest and \
-                len(self._latest) >= self.max_subjects:
+                len(self._latest) >= MAX_SUBJECTS:
             return   # bounded: refuse new subjects rather than grow
         self._latest[subject] = obj
         self.updates_seen += 1
@@ -101,7 +105,7 @@ class LastValueCache:
 def snapshot_then_subscribe(
         client: BusClient, pattern: str,
         on_value: Callable[[str, Any, bool], None],
-        lvc_subject: str = "svc.lvc",
+        lvc_subject: str = LVC_SUBJECT,
         on_ready: Optional[Callable[[], None]] = None) -> None:
     """The late-joiner pattern: live subscribe, fetch a snapshot, replay.
 

@@ -29,15 +29,16 @@ DEFAULT_HEADLINE_VIEW = View.of("headlines",
                                 ("topic", 8), ("headline", 48),
                                 ("sources", 14))
 
+#: Stories a monitor keeps: past it, the oldest falls off the list.
+MAX_STORIES = 500
+
 
 class NewsMonitor:
     """Subscribes to story subjects and maintains the summary list."""
 
-    def __init__(self, client: BusClient, subjects: Optional[List[str]] = None,
-                 view: Optional[View] = None, max_stories: int = 500):
+    def __init__(self, client: BusClient, subjects: Optional[List[str]] = None):
         self.client = client
-        self.view = view or DEFAULT_HEADLINE_VIEW
-        self.max_stories = max_stories
+        self.view = DEFAULT_HEADLINE_VIEW
         self.stories: List[DataObject] = []
         self.properties = PropertyIndex()
         self.stories_received = 0
@@ -61,7 +62,7 @@ class NewsMonitor:
             return
         self.stories.append(obj)
         self.stories_received += 1
-        if len(self.stories) > self.max_stories:
+        if len(self.stories) > MAX_STORIES:
             self.stories.pop(0)
 
     # ------------------------------------------------------------------

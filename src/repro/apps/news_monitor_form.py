@@ -10,11 +10,8 @@ tree, so TDL scripts can drive it like anything else the builder makes.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .app_builder.views import View
 from .app_builder.widgets import Button, Form, Label, ListView
-from .news_monitor import DEFAULT_HEADLINE_VIEW, NewsMonitor
+from .news_monitor import NewsMonitor
 
 __all__ = ["NewsMonitorForm"]
 
@@ -22,14 +19,13 @@ __all__ = ["NewsMonitorForm"]
 class NewsMonitorForm:
     """A live form over a :class:`~repro.apps.news_monitor.NewsMonitor`."""
 
-    def __init__(self, monitor: NewsMonitor,
-                 view: Optional[View] = None, max_rows: int = 50):
+    def __init__(self, monitor: NewsMonitor, max_rows: int = 50):
         self.monitor = monitor
-        self.view = view or monitor.view or DEFAULT_HEADLINE_VIEW
+        self.view = monitor.view
         self.form = Form("news_monitor", title="News Monitor")
         self._summary = ListView(
             "headlines",
-            columns=[c.title() for c in self.view.columns],
+            columns=[c.attribute for c in self.view.columns],
             widths=[c.width for c in self.view.columns],
             max_rows=max_rows)
         self._summary.on_select(self._on_select)

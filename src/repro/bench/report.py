@@ -7,9 +7,16 @@ Each figure bench prints the series it regenerates (and appends it to
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 __all__ = ["Report", "format_table"]
+
+#: Where :meth:`Report.emit` writes: ``benchmarks/results/`` of the
+#: checkout this module sits in.
+RESULTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))),
+    "benchmarks", "results")
 
 
 def format_table(title: str, headers: Sequence[str],
@@ -47,12 +54,8 @@ def _fmt(cell: object) -> str:
 class Report:
     """Collects lines, prints them, and persists them per bench target."""
 
-    def __init__(self, name: str, results_dir: Optional[str] = None):
+    def __init__(self, name: str):
         self.name = name
-        self.results_dir = results_dir or os.path.join(
-            os.path.dirname(os.path.dirname(os.path.dirname(
-                os.path.dirname(os.path.abspath(__file__))))),
-            "benchmarks", "results")
         self.lines: List[str] = []
 
     def add(self, text: str) -> None:
@@ -67,13 +70,13 @@ class Report:
         self.add(text)
 
     def emit(self) -> str:
-        """Print to stdout and write ``<results_dir>/<name>.txt``."""
+        """Print to stdout and write ``<RESULTS_DIR>/<name>.txt``."""
         text = "\n".join(self.lines)
         print()
         print(text)
         try:
-            os.makedirs(self.results_dir, exist_ok=True)
-            path = os.path.join(self.results_dir, f"{self.name}.txt")
+            os.makedirs(RESULTS_DIR, exist_ok=True)
+            path = os.path.join(RESULTS_DIR, f"{self.name}.txt")
             with open(path, "w") as handle:
                 handle.write(text + "\n")
         except OSError:

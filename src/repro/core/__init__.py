@@ -1,9 +1,9 @@
 """The Information Bus core: subject-based pub/sub, QoS, discovery, RMI,
 and WAN routers."""
 
-from .subjects import (BadSubjectError, SubjectTrie, is_admin_subject,
-                       is_valid_pattern, is_valid_subject, split_subject,
-                       subject_matches, validate_pattern, validate_subject)
+from .subjects import (BadSubjectError, SubjectTrie, is_valid_pattern,
+                       split_subject, subject_matches, validate_pattern,
+                       validate_subject)
 from .message import Envelope, MessageInfo, Packet, PacketKind, QoS
 from .wire import (CorruptFrame, FrameDigest, StringTable,
                    UnresolvedStringId, UnresolvedTypeId,
@@ -26,7 +26,7 @@ from .sharding import ShardMap
 from .client import BusClient, Subscription
 from .bus import InformationBus
 from .discovery import DiscoveredService, Inquiry, Responder, inquiry_subject
-from .rmi import (ExactlyOnceRmiClient, RmiClient, RmiError, RmiServer,
+from .rmi import (ExactlyOnceRmiClient, RmiClient, RmiServer,
                   ServerGroup)
 from .router import Router, RouterLeg, WanLink
 
@@ -46,12 +46,11 @@ __all__ = [
     "PacketKind", "PeerSession", "QoS", "RefusedSession", "ReliableConfig",
     "ReliableReceiver", "decode_packet", "encode_envelope",
     "encode_packet", "envelope_wire_size", "packet_wire_size",
-    "ReliableSender", "Responder", "RmiClient", "RmiError", "RmiServer",
+    "ReliableSender", "Responder", "RmiClient", "RmiServer",
     "PeerTypeView", "Router", "RouterLeg", "ServerGroup", "SessionStats",
     "ShardMap",
     "StringTable", "SubjectTrie", "Subscription", "TypeTable",
     "UnresolvedStringId", "UnresolvedTypeId", "WanLink",
-    "inquiry_subject", "is_admin_subject",
-    "is_valid_pattern", "is_valid_subject", "split_subject",
+    "inquiry_subject", "is_valid_pattern", "split_subject",
     "subject_matches", "validate_pattern", "validate_subject",
 ]

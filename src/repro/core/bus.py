@@ -123,11 +123,6 @@ class InformationBus:
         """Advance simulated time by ``duration`` seconds."""
         self.sim.run_until(self.sim.now + duration, max_events=max_events)
 
-    def run_until_idle(self, max_events: int = 50_000_000) -> None:
-        """Run until no events remain (periodic timers keep buses alive;
-        prefer :meth:`run_for` unless every daemon has been stopped)."""
-        self.sim.run(max_events=max_events)
-
     def settle(self, duration: float = 2.0) -> None:
         """Flush batches everywhere and give protocols time to quiesce."""
         for daemon in self.daemons.values():

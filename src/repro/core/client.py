@@ -109,9 +109,10 @@ class BusClient:
         Returns a :class:`~repro.core.flow.PublishReceipt` — truthy when
         the message was admitted, with ``receipt.size`` the payload
         bytes.  A falsy receipt means the outbound pipeline deferred or
-        dropped the publish (see :meth:`on_flow_credit` to learn when to
-        retry).  With ``inline_types`` unset, receivers still learn new
-        types: a reliable publish uses
+        dropped the publish; a deferred publish is the caller's to retry
+        (the plane's outbound queue counts its relief in
+        ``flow.<q>.credits``).  With ``inline_types`` unset, receivers
+        still learn new types: a reliable publish uses
         :func:`~repro.objects.marshal.encode_typed`, whose typedefs ride
         the wire frames once per session, and a guaranteed publish
         carries them inline, because its ledgered payload outlives the
@@ -177,22 +178,10 @@ class BusClient:
         for plane in self._planes_for(subscription.pattern):
             plane.remove_subscription(subscription)
 
-    def subscriptions(self) -> List[Subscription]:
-        return list(self._subscriptions)
-
     def _planes_for(self, pattern: str) -> List[BusDaemon]:
         """Every plane a subscription on ``pattern`` registers on."""
         return [self._planes[shard]
                 for shard in self._map.shards_for_pattern(pattern)]
-
-    # ------------------------------------------------------------------
-    # flow control
-    # ------------------------------------------------------------------
-    def on_flow_credit(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` when the daemon's outbound queue drains after
-        pushing back — the signal to retry a deferred publish."""
-        for plane in self._planes:
-            plane.on_publish_credit(callback)
 
     def close(self) -> None:
         """Unsubscribe everything and detach from the daemon."""

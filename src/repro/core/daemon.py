@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING, Union
 
 from ..sim.kernel import Event, PeriodicTimer, Simulator
 from ..sim.node import Host
@@ -49,7 +49,7 @@ from .metrics import MetricsPublisher, MetricsRegistry
 from .reliable import (PeerSession, RefusedSession, ReliableConfig,
                        ReliableReceiver, ReliableSender)
 from .subjects import BadSubjectError, SubjectTrie, validate_subject
-from .typeplane import TypeTable
+from .typeplane import PeerTypeView, TypeTable
 from .wire import (CorruptFrame, StringTable, UnresolvedIds,
                    UnresolvedTypeId, decode_packet, encode_packet,
                    read_digest)
@@ -194,9 +194,6 @@ class BusDaemon:
         #: per-application delivery lanes (outlive crashes like clients
         #: do; their queues are volatile and cleared on crash)
         self._lanes: Dict[str, _DeliveryLane] = {}
-        #: upstream credit listeners (publishers waiting to resume);
-        #: persistent across restarts, re-wired to each new queue
-        self._publish_credit_cbs: List[Any] = []
         #: every counter/gauge/histogram this daemon owns, one registry
         #: (the object that gets snapshotted onto ``_bus.stat.*``).  The
         #: registry itself survives restarts; per-incarnation instrument
@@ -281,10 +278,6 @@ class BusDaemon:
         return self._acks_sent.value
 
     @property
-    def guaranteed_deferred(self) -> int:
-        return self._guaranteed_deferred.value
-
-    @property
     def corrupt_dropped(self) -> int:
         return self._corrupt_dropped.value
 
@@ -299,14 +292,6 @@ class BusDaemon:
     @property
     def skipped_frames(self) -> int:
         return self._skipped_frames.value
-
-    @property
-    def skipped_envelopes(self) -> int:
-        return self._skipped_envelopes.value
-
-    @property
-    def bad_subjects(self) -> int:
-        return self._bad_subjects.value
 
     @property
     def peers(self) -> Dict[str, PeerSession]:
@@ -367,7 +352,6 @@ class BusDaemon:
             on_evict=self._outbound_evicted,
             tracer=self.tracer, now=lambda: self.sim.now,
             metrics=self.metrics)
-        self._outbound.on_credit(self._fire_publish_credits)
         self._pump_event: Optional[Event] = None
         self._pumping = False
         self._batcher = Batcher(
@@ -482,15 +466,6 @@ class BusDaemon:
         lane = self._lanes.pop(client.name, None)
         if lane is not None and lane.drain_event is not None:
             lane.drain_event.cancel()
-
-    def on_publish_credit(self, callback) -> None:
-        """Run ``callback`` when the outbound queue drains after having
-        pushed back — the upstream half of publish backpressure."""
-        self._publish_credit_cbs.append(callback)
-
-    def _fire_publish_credits(self) -> None:
-        for callback in list(self._publish_credit_cbs):
-            callback()
 
     def add_subscription(self, subscription: "Subscription") -> None:
         self._require_up()
@@ -1033,7 +1008,8 @@ class BusDaemon:
         """
         return self._type_table
 
-    def type_resolver(self, session: str):
+    def type_resolver(self, session: str
+                      ) -> Optional[Union[TypeTable, PeerTypeView]]:
         """The resolver clients use to decode ``O``-tagged payloads from
         ``session``: this daemon's own :class:`TypeTable` for loop-back
         deliveries, or the peer session's :class:`PeerTypeView` over

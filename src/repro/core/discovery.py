@@ -118,10 +118,6 @@ class Inquiry:
         self._timeout = client.sim.schedule(window, self._complete,
                                             name="discovery.window")
 
-    @property
-    def responses(self) -> List[DiscoveredService]:
-        return list(self._responses)
-
     def _on_message(self, subject: str, payload: Any, _info) -> None:
         if (self._done or conforms(payload, "discovery_who")   # a question
                 or not admits(payload, "discovery_iam", self.client.metrics)):

@@ -24,11 +24,11 @@ itself the same way:
 * :class:`BoundedBuffer` — the keyed rolling window (seq → envelope) of
   the sender's retention: a full buffer evicts its oldest entry.
 
-* *Credit* — a queue that has pushed back (deferred or shed) fires its
-  credit callbacks once it drains to half its capacity; producers
-  register with :meth:`BoundedQueue.on_credit` and resume publishing.
-  This is the upstream half of backpressure: pressure propagates
-  producer-ward as admission results, relief propagates as credits.
+* *Credit* — a queue that has pushed back (deferred or shed) counts one
+  credit in ``flow.<name>.credits`` and emits a ``flow.credit`` trace
+  event once it drains to half its capacity.  Pressure reaches the
+  producer as admission results (a ``DEFERRED`` publish is the
+  producer's to retry); relief is observable as credits.
 
 Every queue holds nine ``flow.<name>.*`` instruments — offers,
 acceptances, deferrals, sheds (split by which end was dropped), drains,
@@ -144,7 +144,7 @@ class BoundedQueue(_Bounded):
     may drop — e.g. guaranteed-QoS envelopes are never shed.  Evicted
     items are handed to ``on_evict`` so their owner can release
     per-item state (retention entries, ledger bookkeeping).  A queue
-    that pushed back fires its credits once it drains to half its
+    that pushed back counts a credit once it drains to half its
     capacity (:attr:`resume_at`).
     """
 
@@ -156,7 +156,7 @@ class BoundedQueue(_Bounded):
                  now: Optional[Callable[[], float]] = None,
                  metrics: Optional[MetricsRegistry] = None):
         super().__init__(name, capacity, policy, metrics)
-        #: queue depth at which a pressured queue fires its credits
+        #: queue depth at which a pressured queue counts a credit
         self.resume_at = capacity // 2
         self._sheddable = sheddable
         self._on_evict = on_evict
@@ -164,7 +164,6 @@ class BoundedQueue(_Bounded):
         self._tracer = tracer
         self._now = now or (lambda: 0.0)
         self._pressured = False
-        self._credit_cbs: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # introspection
@@ -172,15 +171,6 @@ class BoundedQueue(_Bounded):
     @property
     def full(self) -> bool:
         return len(self._items) >= self.capacity
-
-    @property
-    def pressured(self) -> bool:
-        """True between a defer/shed and the credit that relieves it."""
-        return self._pressured
-
-    def on_credit(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` whenever a pressured queue drains enough."""
-        self._credit_cbs.append(callback)
 
     # ------------------------------------------------------------------
     # producer side
@@ -253,7 +243,7 @@ class BoundedQueue(_Bounded):
     # consumer side
     # ------------------------------------------------------------------
     def take(self) -> Any:
-        """Dequeue the head; fires credits when pressure is relieved."""
+        """Dequeue the head; counts a credit when pressure is relieved."""
         item = self._items.popleft()
         self.drained.value += 1
         self.depth.value = len(self._items)
@@ -279,7 +269,7 @@ class BoundedQueue(_Bounded):
     def clear(self) -> int:
         """Discard everything queued (crash/shutdown); returns the count.
 
-        Deliberately does *not* fire credits: the owner is going away.
+        Deliberately counts no credit: the owner is going away.
         """
         count = len(self._items)
         self._items.clear()
@@ -292,8 +282,6 @@ class BoundedQueue(_Bounded):
             self._pressured = False
             self.credits.value += 1
             self._trace("flow.credit", depth=len(self._items))
-            for callback in list(self._credit_cbs):
-                callback()
 
 
 class BoundedBuffer(_Bounded):
@@ -369,9 +357,10 @@ class PublishReceipt:
 
     ``accepted`` publishes are on their way.  ``deferred`` means the
     outbound queue pushed back — guaranteed-QoS messages are already in
-    the stable ledger and will be retransmitted automatically; reliable
-    publishers should wait for credit (:meth:`BusClient.on_flow_credit`)
-    and retry.  ``dropped`` means the admission policy shed the message.
+    the stable ledger and will be retransmitted automatically; a reliable
+    publisher retries it itself (relief shows as the outbound queue's
+    ``flow.<q>.credits`` counter).  ``dropped`` means the admission
+    policy shed the message.
     """
 
     admission: Admission

@@ -97,9 +97,6 @@ class Gauge:
         self.value: Union[int, float] = 0
         self.source = source
 
-    def set(self, value: Union[int, float]) -> None:
-        self.value = value
-
     def read(self) -> Union[int, float]:
         return self.source() if self.source is not None else self.value
 
@@ -142,11 +139,6 @@ class Histogram:
         self.count += 1
         self.sum += value
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
-
-    def reset(self) -> None:
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
 
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "histogram", "bounds": list(self.bounds),
@@ -279,10 +271,6 @@ class MetricsScope:
     def __init__(self, registry: MetricsRegistry, prefix: str):
         self._registry = registry
         self._prefix = prefix
-
-    @property
-    def prefix(self) -> str:
-        return self._prefix
 
     def counter(self, name: str) -> Counter:
         return self._registry.counter(f"{self._prefix}.{name}")

@@ -11,8 +11,7 @@ subjects; "more than one server can respond to requests on a subject":
 
 * ``policy="first"`` — use the first responder (lowest latency wins);
 * ``policy="all"`` — "the client can receive every response from all of
-  the servers and then decide" via a chooser function (default: least
-  loaded);
+  the servers and then decide": the client calls the least loaded;
 * exclusive server groups — "the servers can decide among themselves
   which one will respond": group members exchange presence on a bus
   subject and only the current leader answers discovery.
@@ -37,7 +36,7 @@ from .client import BusClient
 from .contracts import admits, conforms
 from .discovery import DiscoveredService, Inquiry, Responder
 
-__all__ = ["ExactlyOnceRmiClient", "RmiClient", "RmiError",
+__all__ = ["ExactlyOnceRmiClient", "RmiClient",
            "RmiServer", "ServerGroup"]
 
 _ports = itertools.count(20000)
@@ -47,10 +46,6 @@ _request_ids = itertools.count(1)
 #: directory tools can "examine the list of available services on the
 #: Information Bus" (Section 5.1) without probing every subject.
 SERVICE_ADVERT_SUBJECT = "_svc.advert"
-
-
-class RmiError(Exception):
-    """Remote invocation failure (timeout, no servers, remote exception)."""
 
 
 #: Seconds between a server-group member's presence announcements.
@@ -238,10 +233,6 @@ class RmiServer:
         conn.send(encoded)
 
 
-#: chooser signature: List[DiscoveredService] -> DiscoveredService
-Chooser = Callable[[List[DiscoveredService]], DiscoveredService]
-
-
 def _least_loaded(responses: List[DiscoveredService]) -> DiscoveredService:
     return min(responses,
                key=lambda r: (r.info.get("load", 0.0), r.responder))
@@ -263,20 +254,21 @@ class RmiClient:
     ``policy``:
 
     * ``"first"`` — complete discovery on the first "I am" (fastest);
-    * ``"all"`` — wait the full discovery window, then apply ``chooser``
-      (default: least reported load).
+    * ``"all"`` — wait the full discovery window, then bind to the
+      server reporting the least load.
     """
 
+    #: seconds a discovery waits for "I am" answers (all of it under
+    #: ``policy="all"``; at most this long under ``"first"``)
+    DISCOVERY_WINDOW = 0.25
+
     def __init__(self, client: BusClient, service_subject: str,
-                 policy: str = "first", chooser: Optional[Chooser] = None,
-                 discovery_window: float = 0.25, call_timeout: float = 5.0):
+                 policy: str = "first", call_timeout: float = 5.0):
         if policy not in ("first", "all"):
             raise ValueError(f"unknown policy {policy!r}")
         self.client = client
         self.service_subject = service_subject
         self.policy = policy
-        self.chooser = chooser or _least_loaded
-        self.discovery_window = discovery_window
         self.call_timeout = call_timeout
         self.port = next(_ports)
         self._streams = StreamManager(client.sim, client.host, self.port)
@@ -355,7 +347,7 @@ class RmiClient:
         self._discovering = True
         enough = 1 if self.policy == "first" else None
         Inquiry(self.client, self.service_subject, self._on_discovered,
-                window=self.discovery_window, enough=enough)
+                window=self.DISCOVERY_WINDOW, enough=enough)
 
     def _on_discovered(self, responses: List[DiscoveredService]) -> None:
         self._discovering = False
@@ -368,7 +360,7 @@ class RmiClient:
             self._queue.clear()
             return
         chosen = candidates[0] if self.policy == "first" \
-            else self.chooser(candidates)
+            else _least_loaded(candidates)
         self._server = chosen
         self.server_interface = chosen.info.get("interface")
         host, port = chosen.info["endpoint"]
@@ -455,21 +447,21 @@ class ExactlyOnceRmiClient:
 
     RETRYABLE = ("timeout", "no servers discovered", "connection lost",
                  "client closed")
+    #: transmissions of one logical call before its error is reported
+    ATTEMPTS = 8
 
     def __init__(self, client: BusClient, service_subject: str,
-                 attempts: int = 8, retry_delay: float = 0.5,
-                 call_timeout: float = 2.0, **rmi_kwargs):
+                 retry_delay: float = 0.5, call_timeout: float = 2.0):
         self.client = client
-        self.attempts = attempts
         self.retry_delay = retry_delay
         self.rmi = RmiClient(client, service_subject,
-                             call_timeout=call_timeout, **rmi_kwargs)
+                             call_timeout=call_timeout)
         self.retries = 0
 
     def call(self, op: str, args: Dict[str, Any],
              on_result: Callable[[Any, Optional[str]], None]) -> str:
         request_id = f"{self.client.id}!eo{next(_request_ids)}"
-        self._attempt(request_id, op, args, on_result, remaining=self.attempts)
+        self._attempt(request_id, op, args, on_result, remaining=self.ATTEMPTS)
         return request_id
 
     def _attempt(self, request_id: str, op: str, args: Dict[str, Any],

@@ -113,10 +113,6 @@ class WanLink:
         registry.register("wan.messages_dropped", self._messages_dropped)
         self._metrics = registry
 
-    @property
-    def down(self) -> bool:
-        return self._down
-
     def fail(self) -> None:
         """Take the link down: traffic handed to it is lost (it is a
         datagram pipe — durability is the store-and-forward layer's job).
@@ -426,10 +422,6 @@ class RouterLeg:
         else:
             del pending[sf_id]
         self.host.stable.put(self._SF_PENDING, pending)
-
-    def sf_pending(self) -> int:
-        """Shipments not yet confirmed by every target (tests/benches)."""
-        return len(self.host.stable.get(self._SF_PENDING, {}))
 
     def _sf_arm_timer(self) -> None:
         if self._sf_timer is None or self._sf_timer.stopped:

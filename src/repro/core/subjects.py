@@ -35,10 +35,9 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, FrozenSet, Generic, List, Optional, Set, TypeVar
 
-__all__ = ["BadSubjectError", "SubjectTrie", "is_admin_subject",
-           "is_valid_pattern",
-           "is_valid_subject", "split_subject", "subject_matches",
-           "validate_pattern", "validate_subject"]
+__all__ = ["BadSubjectError", "SubjectTrie", "is_valid_pattern",
+           "split_subject", "subject_matches", "validate_pattern",
+           "validate_subject"]
 
 #: Maximum elements in a subject; a sanity bound, not a protocol limit.
 MAX_DEPTH = 32
@@ -52,11 +51,11 @@ _is_subject = re.compile(
 
 _EMPTY: FrozenSet[Any] = frozenset()
 
-#: Default bound on memoized concrete subjects per trie (used only while
-#: the trie holds a wildcard registration).  0 disables the memo entirely
-#: (the cache-free reference ``tests/core/test_subjects.py`` cross-checks
-#: the memo against).
-DEFAULT_MEMO_CAPACITY = 1024
+#: Bound on memoized concrete subjects per trie (used only while the trie
+#: holds a wildcard registration), read when a trie is built.  0 disables
+#: the memo entirely: the cache-free reference the tests cross-check the
+#: memo against.
+MEMO_CAPACITY = 1024
 
 
 class BadSubjectError(ValueError):
@@ -104,29 +103,12 @@ def validate_pattern(pattern: str) -> List[str]:
     return elements
 
 
-def is_valid_subject(subject: str) -> bool:
-    try:
-        validate_subject(subject)
-        return True
-    except BadSubjectError:
-        return False
-
-
 def is_valid_pattern(pattern: str) -> bool:
     try:
         validate_pattern(pattern)
         return True
     except BadSubjectError:
         return False
-
-
-def is_admin_subject(subject: str) -> bool:
-    """True for reserved/administrative subjects (first element starts
-    with ``_``): bus-internal traffic such as ``_discovery.*`` and
-    ``_sub.advert``.  Wildcards never match these — a ``>`` subscriber
-    should see application data, not protocol chatter — so the first
-    pattern element must name them literally."""
-    return subject.split(".", 1)[0].startswith("_")
 
 
 def subject_matches(pattern: str, subject: str) -> bool:
@@ -179,11 +161,11 @@ class SubjectTrie(Generic[T]):
     dict probe (plus one regex call to validate a miss), whatever the
     number of registrations or of distinct subjects asked about.
     Otherwise it costs O(depth × branching on wildcards) — and for a
-    concrete subject seen since the trie last changed, one memo lookup.
-    ``memo_capacity=0`` disables memoization.
+    concrete subject seen since the trie last changed, one memo lookup
+    (bounded by :data:`MEMO_CAPACITY`).
     """
 
-    def __init__(self, memo_capacity: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         #: wildcard-free pattern -> frozen set of its values (never empty)
         self._literals: Dict[str, FrozenSet[T]] = {}
         #: the patterns holding ``*`` or ``>``
@@ -191,9 +173,7 @@ class SubjectTrie(Generic[T]):
         self._count = 0
         #: registrations under ``_root``; 0 means no walk and no memo
         self._wildcards = 0
-        if memo_capacity is None:
-            memo_capacity = DEFAULT_MEMO_CAPACITY
-        self._memo_capacity = memo_capacity
+        self._memo_capacity = MEMO_CAPACITY
         #: concrete subject -> frozen match result (empty for a subject
         #: nothing wants); cleared by every change to the trie
         self._memo: Dict[str, FrozenSet[T]] = {}
@@ -281,9 +261,11 @@ class SubjectTrie(Generic[T]):
     def match(self, subject: str) -> FrozenSet[T]:
         """Every value whose pattern matches the concrete ``subject``.
 
-        Reserved subjects (leading ``_`` element) are only reached by
-        patterns that name the first element literally — see
-        :func:`is_admin_subject`.  The returned set is frozen: one result
+        Reserved subjects (leading ``_`` element: bus-internal traffic
+        such as ``_discovery.*`` and ``_sub.advert``) are only reached by
+        patterns that name the first element literally — a ``>``
+        subscriber sees application data, not protocol chatter.  The
+        returned set is frozen: one result
         object is shared by every repeat of the same subject until the
         trie next changes.
         """
@@ -335,24 +317,6 @@ class SubjectTrie(Generic[T]):
     def matches_anything(self, subject: str) -> bool:
         """Whether any registration matches ``subject``."""
         return bool(self.match(subject))
-
-    def patterns_for(self, value: T) -> List[str]:
-        """Every pattern under which ``value`` is registered (diagnostics)."""
-        out = [pattern for pattern, values in self._literals.items()
-               if value in values]
-        self._collect(self._root, [], value, out)
-        return sorted(out)
-
-    def _collect(self, node: _TrieNode[T], prefix: List[str], value: T,
-                 out: List[str]) -> None:
-        if value in node.values and prefix:
-            out.append(".".join(prefix))
-        if value in node.tail_values:
-            out.append(".".join(prefix + [">"]))
-        for element, child in node.children.items():
-            self._collect(child, prefix + [element], value, out)
-        if node.star is not None:
-            self._collect(node.star, prefix + ["*"], value, out)
 
     def __len__(self) -> int:
         """Number of (pattern, value) registrations."""

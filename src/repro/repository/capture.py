@@ -10,7 +10,7 @@ replies."  This module is the capture configuration; see
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List
 
 from ..core import BusClient, MessageInfo
 from ..objects import DataObject, decode, encode
@@ -53,8 +53,6 @@ class CaptureServer:
         self.captured = 0
         self.skipped = 0
         self.replayed = 0
-        #: subject each oid arrived under (the "under those subjects" part)
-        self._subjects_by_oid: Dict[str, str] = {}
         self._subscriptions = [
             client.subscribe(pattern, self._on_message, durable=True)
             for pattern in subjects]
@@ -67,14 +65,15 @@ class CaptureServer:
             self.skipped += 1   # scalar payloads are not repository food
             return
         # log before store: the guaranteed-delivery ack (sent by the
-        # daemon after this callback) must imply durability
+        # daemon after this callback) must imply durability; the record
+        # keeps the subject the object arrived under
         self.client.host.stable.append(_WAL_LOG, {
             "subject": subject,
             # self-contained on purpose: WAL entries are decoded during
             # recovery, long after the publishing session (and its
             # type-plane ids) are gone
             "wire": encode(obj, self.client.registry, inline_types=True)})
-        self._subjects_by_oid[self.store.store(obj)] = subject
+        self.store.store(obj)
         self.captured += 1
 
     def recover(self) -> None:
@@ -86,15 +85,10 @@ class CaptureServer:
         """
         self.store.reset(Database(f"{self.client.id}.capture"))
         self.db = self.store.db
-        self._subjects_by_oid.clear()
         self.replayed = 0
         for record in self.client.host.stable.iter_log(_WAL_LOG):
-            obj = decode(record["wire"], self.client.registry)
-            self._subjects_by_oid[self.store.store(obj)] = record["subject"]
+            self.store.store(decode(record["wire"], self.client.registry))
             self.replayed += 1
-
-    def subject_of(self, oid: str) -> Optional[str]:
-        return self._subjects_by_oid.get(oid)
 
     def stop(self) -> None:
         for subscription in self._subscriptions:

@@ -77,19 +77,11 @@ class EthernetSegment:
         """Create a host with this segment's cost model and attach it."""
         return self.attach(Host(self.sim, address, self.cost))
 
-    def detach(self, address: Address) -> None:
-        host = self._hosts.pop(address, None)
-        if host is not None:
-            host.segment = None
-
     def host(self, address: Address) -> Host:
         return self._hosts[address]
 
     def hosts(self) -> List[Host]:
         return list(self._hosts.values())
-
-    def addresses(self) -> List[Address]:
-        return list(self._hosts)
 
     # ------------------------------------------------------------------
     # partitions

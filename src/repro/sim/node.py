@@ -125,9 +125,6 @@ class Host:
         self._ports.pop(port, None)
         self._port_lanes.pop(port, None)
 
-    def port_bound(self, port: int) -> bool:
-        return port in self._ports
-
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------

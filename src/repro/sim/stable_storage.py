@@ -47,9 +47,6 @@ class StableStore:
     def log_length(self, log: str) -> int:
         return len(self._logs.get(log, []))
 
-    def logs(self) -> List[str]:
-        return sorted(self._logs)
-
     # ------------------------------------------------------------------
     # key-value area
     # ------------------------------------------------------------------
@@ -61,12 +58,6 @@ class StableStore:
         if key in self._kv:
             return copy.deepcopy(self._kv[key])
         return default
-
-    def delete(self, key: str) -> None:
-        self._kv.pop(key, None)
-
-    def keys(self) -> List[str]:
-        return sorted(self._kv)
 
     def __contains__(self, key: str) -> bool:
         return key in self._kv

@@ -31,14 +31,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List
 
-__all__ = ["DEFAULT_MAX_RECORDS", "NULL_TRACER", "TraceRecord", "Tracer"]
+__all__ = ["MAX_RECORDS", "NULL_TRACER", "TraceRecord", "Tracer"]
 
-#: Default ring-buffer capacity for :attr:`Tracer.records`.  Long sims
-#: with tracing left on used to grow memory without bound; past the cap
-#: the oldest records are discarded and counted in ``dropped_records``.
-DEFAULT_MAX_RECORDS = 100_000
+#: Ring-buffer capacity of :attr:`Tracer.records`, read when a tracer is
+#: built (``None`` is unbounded).  Long sims with tracing left on used to
+#: grow memory without bound; past the cap the oldest records are
+#: discarded and counted in ``dropped_records``.
+MAX_RECORDS = 100_000
 
 
 @dataclass
@@ -55,17 +56,13 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` objects, optionally filtered."""
+    """Collects :class:`TraceRecord` objects."""
 
-    def __init__(self, enabled: bool = False,
-                 categories: Optional[List[str]] = None,
-                 max_records: Optional[int] = DEFAULT_MAX_RECORDS):
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        self._categories = set(categories) if categories else None
-        #: a bounded ring: at ``max_records`` the oldest record falls off
-        #: (and is tallied below).  ``max_records=None`` is unbounded —
-        #: the historical behavior, for tests that replay everything.
-        self.records: Deque[TraceRecord] = deque(maxlen=max_records)
+        #: a bounded ring: at :data:`MAX_RECORDS` the oldest record falls
+        #: off (and is tallied below)
+        self.records: Deque[TraceRecord] = deque(maxlen=MAX_RECORDS)
         #: records discarded off the front of the full ring
         self.dropped_records = 0
         self._listeners: List[Callable[[TraceRecord], None]] = []
@@ -76,8 +73,6 @@ class Tracer:
 
     def emit(self, time: float, category: str, **fields: Any) -> None:
         if not self.enabled:
-            return
-        if self._categories is not None and category not in self._categories:
             return
         record = TraceRecord(time, category, fields)
         ring = self.records

@@ -387,10 +387,6 @@ class StreamManager:
         #: segments dropped because their frame failed validation
         self.corrupt_dropped = 0
 
-    @property
-    def endpoint(self) -> Endpoint:
-        return (self.host.address, self.port)
-
     def listen(self, on_accept: Callable[[StreamConnection], None]) -> None:
         self._on_accept = on_accept
 

@@ -8,12 +8,12 @@ dispatch on the bus type hierarchy.
 
 from .errors import (TdlArityError, TdlDispatchError, TdlError, TdlNameError,
                      TdlSyntaxError)
-from .reader import Keyword, Symbol, read, read_all, to_source
+from .reader import Keyword, Symbol, read_all, to_source
 from .evaluator import (Environment, GenericFunction, Interpreter, Method,
                         TdlFunction)
 
 __all__ = [
     "Environment", "GenericFunction", "Interpreter", "Keyword", "Method",
     "Symbol", "TdlArityError", "TdlDispatchError", "TdlError", "TdlFunction",
-    "TdlNameError", "TdlSyntaxError", "read", "read_all", "to_source",
+    "TdlNameError", "TdlSyntaxError", "read_all", "to_source",
 ]

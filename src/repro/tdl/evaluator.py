@@ -48,9 +48,8 @@ class Environment:
 
     __slots__ = ("bindings", "parent")
 
-    def __init__(self, parent: Optional["Environment"] = None,
-                 bindings: Optional[Dict[str, Any]] = None):
-        self.bindings: Dict[str, Any] = bindings or {}
+    def __init__(self, parent: Optional["Environment"] = None):
+        self.bindings: Dict[str, Any] = {}
         self.parent = parent
 
     def lookup(self, name: str) -> Any:

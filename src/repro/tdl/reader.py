@@ -17,7 +17,7 @@ from typing import Any, List, Tuple
 
 from .errors import TdlSyntaxError
 
-__all__ = ["Symbol", "Keyword", "read", "read_all", "to_source"]
+__all__ = ["Symbol", "Keyword", "read_all", "to_source"]
 
 
 class Symbol(str):
@@ -144,14 +144,6 @@ def read_all(text: str) -> List[Any]:
         form, pos = _parse(tokens, pos)
         forms.append(form)
     return forms
-
-
-def read(text: str) -> Any:
-    """Read exactly one form; raise if there are zero or several."""
-    forms = read_all(text)
-    if len(forms) != 1:
-        raise TdlSyntaxError(f"expected exactly one form, got {len(forms)}")
-    return forms[0]
 
 
 def to_source(form: Any) -> str:

@@ -149,7 +149,9 @@ def test_full_lifecycle_via_bus(world):
     assert statuses == ["QUEUED", "PROC", "QUEUED"]
     steps = [o.get("step") for _, o in status]
     assert steps == ["LITHO", "LITHO", "ETCH"]
-    assert terminal.lot_count() == 2
+    terminal.send("6")                      # the terminal's own report
+    assert "TOTAL LOTS: 2" in screen_text(terminal)
+    terminal.send("")
 
 
 def test_error_screen_becomes_error_message(world):

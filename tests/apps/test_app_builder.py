@@ -169,7 +169,7 @@ def test_form_for_object():
 
 def test_tdl_script_builds_and_drives_a_form():
     builder = ApplicationBuilder()
-    result = builder.run_script("""
+    result = builder.tdl.eval_text("""
         (define f (make-form "hello" "Hello Form"))
         (add-field! f "who")
         (add-label! f "greeting" "")
@@ -190,7 +190,7 @@ def test_tdl_views():
     builder.tdl.eval_text("""
         (defclass note (object) ((title :type string)))
     """)
-    row = builder.run_script("""
+    row = builder.tdl.eval_text("""
         (define v (make-view "notes" (list "title" 10)))
         (view-row v (make-instance 'note :title "remember"))
     """)

@@ -168,8 +168,7 @@ def test_equipment_follows_published_config(bus):
     station with no restart."""
     system = FactoryConfigSystem(bus.client("node01", "config"), "fab5")
     equipment = Equipment(bus.client("node00", "litho8"), "fab5", "litho8",
-                          {"thick": (9.0, 0.01, "um")}, interval=0.25,
-                          follow_config=True)
+                          {"thick": (9.0, 0.01, "um")}, interval=0.25)
     readings = []
     bus.client("node03", "probe").subscribe(
         "fab5.cc.litho8.thick", lambda s, o, i: readings.append(
@@ -201,8 +200,7 @@ def test_equipment_follows_published_config(bus):
 def test_take_offline_stops_publication(bus):
     FactoryConfigSystem(bus.client("node01", "config"), "fab5")
     equipment = Equipment(bus.client("node00", "litho8"), "fab5", "litho8",
-                          {"thick": (9.0, 0.01, "um")}, interval=0.25,
-                          follow_config=True)
+                          {"thick": (9.0, 0.01, "um")}, interval=0.25)
     operator = bus.client("node02", "operator")
     register_config_types(operator.registry)
     rmi = RmiClient(operator, "svc.fab5.config")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import LastValueCache, snapshot_then_subscribe
+from repro.apps import LastValueCache, last_value_cache, snapshot_then_subscribe
 from repro.core import InformationBus, RmiClient
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
@@ -122,12 +122,13 @@ def test_updates_during_snapshot_are_buffered_not_lost(world):
     assert flags == sorted(flags, reverse=True)   # snaps before lives
 
 
-def test_cache_bound(world):
+def test_cache_bound(world, monkeypatch):
     bus, reg, feed, lvc = world
-    lvc.max_subjects = 2
+    monkeypatch.setattr(last_value_cache, "MAX_SUBJECTS", 2)
     publish_quotes(bus, reg, feed,
                    [("a", 1.0), ("b", 2.0), ("c", 3.0)])
     assert len(lvc) == 2               # refused the third subject
+    assert lvc._current("quotes.equity.c") is None
     # but updates to cached subjects still apply
     publish_quotes(bus, reg, feed, [("a", 9.0)])
     assert lvc._current("quotes.equity.a").get("price") == 9.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.adapters import register_news_types
-from repro.apps import NewsMonitor, View
+from repro.apps import NewsMonitor, View, news_monitor
 from repro.apps.app_builder.views import ViewColumn
 from repro.core import InformationBus
 from repro.objects import DataObject, make_property
@@ -85,9 +85,9 @@ def test_monitor_handles_unknown_types_via_view(world):
     assert "X" in row
 
 
-def test_bounded_story_list(world):
+def test_bounded_story_list(world, monkeypatch):
     bus, feed, monitor = world
-    monitor.max_stories = 5
+    monkeypatch.setattr(news_monitor, "MAX_STORIES", 5)
     for i in range(8):
         feed.publish("news.equity.gmc", story(feed, f"h{i}"))
     bus.settle()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench import (MIN_PAYLOAD_SIZE, format_table, mean,
                          payload_of_size, summarize, variance)
+from repro.bench import report as report_module
 from repro.bench.report import Report
 from repro.objects import decode, standard_registry
 
@@ -84,8 +85,9 @@ def test_format_table_alignment():
     assert "0.0010" in text          # small floats keep precision
 
 
-def test_report_emits_and_persists(tmp_path):
-    report = Report("unit_test_report", results_dir=str(tmp_path))
+def test_report_emits_and_persists(tmp_path, monkeypatch):
+    monkeypatch.setattr(report_module, "RESULTS_DIR", str(tmp_path))
+    report = Report("unit_test_report")
     report.table("T", ["x"], [[1]])
     report.note("done")
     text = report.emit()

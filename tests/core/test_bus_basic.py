@@ -243,12 +243,12 @@ def test_bus_facade_helpers():
 
 
 def test_run_until_idle_after_shutdown():
-    """run_until_idle drains once every periodic source is stopped."""
+    """The simulator drains once every periodic source is stopped."""
     bus = make_bus(1)
     daemon = bus.daemon("node00")
     daemon._heartbeat.stop()
     if daemon._advert_timer is not None:
         daemon._advert_timer.stop()
     daemon._gpub.shutdown()
-    bus.run_until_idle()
+    bus.sim.run()
     assert bus.sim.pending() == 0

@@ -57,8 +57,7 @@ def test_retries_until_server_appears():
     reg = standard_registry()
     svc, state = counting_service(reg)
     eo = ExactlyOnceRmiClient(bus.client("node00", "app"), "svc.counter",
-                              retry_delay=0.3,
-                              discovery_window=0.1)
+                              retry_delay=0.3)
     out = []
     eo.call("bump", {"by": 1}, lambda v, e: out.append((v, e)))
     bus.sim.schedule(1.0, lambda: RmiServer(
@@ -103,8 +102,7 @@ def test_exactly_once_across_partition():
     call times out and retries after healing without double execution."""
     bus, server, state = setup(seed=4, durable_replies=True)
     eo = ExactlyOnceRmiClient(bus.client("node00", "app"), "svc.counter",
-                              retry_delay=0.5, call_timeout=1.0,
-                              discovery_window=0.2)
+                              retry_delay=0.5, call_timeout=1.0)
     # warm up the connection so the partition hits an established path
     warm = []
     eo.call("bump", {"by": 1}, lambda v, e: warm.append(v))
@@ -125,12 +123,12 @@ def test_exactly_once_across_partition():
     assert state["executions"] == 2    # warm-up + the partitioned call
 
 
-def test_gives_up_after_attempts_exhausted():
+def test_gives_up_after_attempts_exhausted(monkeypatch):
+    monkeypatch.setattr(ExactlyOnceRmiClient, "ATTEMPTS", 3)
     bus = InformationBus(seed=5, cost=CostModel.ideal())
     bus.add_hosts(2)
     eo = ExactlyOnceRmiClient(bus.client("node00", "app"), "svc.ghost",
-                              attempts=3, retry_delay=0.2,
-                              discovery_window=0.1)
+                              retry_delay=0.2)
     out = []
     eo.call("bump", {"by": 1}, lambda v, e: out.append((v, e)))
     bus.run_for(5.0)

@@ -124,34 +124,41 @@ def test_trace_events_emitted():
 # credits (backpressure relief)
 # ----------------------------------------------------------------------
 def test_credit_fires_once_when_drained_to_resume_at():
-    fired = []
-    q = BoundedQueue("q", capacity=4, policy=POLICY_BLOCK)
+    tracer = Tracer(enabled=True)
+    q = BoundedQueue("q", capacity=4, policy=POLICY_BLOCK, tracer=tracer)
     assert q.resume_at == 2            # half the capacity
-    q.on_credit(lambda: fired.append(len(q)))
+
+    def credits():
+        return [r["depth"] for r in tracer.select("flow.credit")]
+
     for item in range(4):
         q.offer(item)
-    assert not fired                   # full but nobody pushed back yet
+    assert credits() == []             # full but nobody pushed back yet
     assert q.offer(99) is Admission.DEFERRED
-    assert q.pressured
     q.take()                           # depth 3 > resume_at
-    assert not fired
+    assert credits() == []
     q.take()                           # depth 2 == resume_at -> credit
-    assert fired == [2]
-    assert not q.pressured
+    assert credits() == [2]
     q.take()                           # no further credits until re-pressured
-    assert fired == [2]
+    assert credits() == [2]
+    assert q.credits.value == 1
+    q.offer("a")
+    q.offer("b")
+    q.offer("c")                       # full again, nobody pushed back
+    q.take()
     assert q.credits.value == 1
 
 
 def test_clear_does_not_fire_credits():
-    fired = []
-    q = BoundedQueue("q", capacity=1)
-    q.on_credit(lambda: fired.append(1))
+    tracer = Tracer(enabled=True)
+    q = BoundedQueue("q", capacity=1, tracer=tracer)
     q.offer("a")
     q.offer("b")       # deferred -> pressured
     assert q.clear() == 1
-    assert not fired
-    assert not q.pressured
+    q.offer("c")
+    q.take()           # clear() relieved the pressure without a credit
+    assert q.credits.value == 0
+    assert tracer.select("flow.credit") == []
 
 
 # ----------------------------------------------------------------------

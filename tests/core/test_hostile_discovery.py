@@ -89,7 +89,7 @@ def rmi_answer(change):
 
     evil.subscribe(inquiry_subject("svc.quotes"), answer)
     rmi = RmiClient(bus.client("node00", "trader"), "svc.quotes",
-                    policy="all", discovery_window=0.3)
+                    policy="all")
     out = []
     rmi.call("symbols", {}, lambda value, error: out.append((value, error)))
     bus.run_for(2.0)

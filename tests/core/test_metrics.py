@@ -25,7 +25,7 @@ def test_counter_hot_path_and_snapshot():
 
 def test_gauge_direct_and_lazy_source():
     g = Gauge("depth")
-    g.set(7)
+    g.value = 7
     assert g.read() == 7
     backing = {"n": 3}
     lazy = Gauge("size", source=lambda: backing["n"])
@@ -131,7 +131,7 @@ def test_drop_prefix_forgets_volatile_families():
 def test_snapshot_renders_every_instrument():
     reg = MetricsRegistry()
     reg.counter("c").value += 2
-    reg.gauge("g").set(1.5)
+    reg.gauge("g").value = 1.5
     reg.histogram("h").observe(0.5)
     snap = reg.snapshot()
     assert snap["c"] == {"type": "counter", "value": 2}

@@ -93,8 +93,7 @@ def test_bad_arguments_reported():
 def test_no_servers_error():
     bus = InformationBus(seed=2, cost=CostModel.ideal())
     bus.add_hosts(2)
-    rmi = RmiClient(bus.client("node00", "trader"), "svc.ghost",
-                    discovery_window=0.2)
+    rmi = RmiClient(bus.client("node00", "trader"), "svc.ghost")
     value, error = call_sync(bus, rmi, "last", {"symbol": "GM"})
     assert error == "no servers discovered"
 
@@ -180,7 +179,7 @@ def test_all_policy_least_loaded_chooser():
     idle = RmiServer(bus.client("node02", "qsvc"), "svc.quotes",
                      make_service(reg), load=lambda: 1.0)
     rmi = RmiClient(bus.client("node00", "trader"), "svc.quotes",
-                    policy="all", discovery_window=0.3)
+                    policy="all")
     value, error = call_sync(bus, rmi, "symbols", {})
     assert error is None
     assert idle.calls_served == 1
@@ -198,7 +197,7 @@ def test_exclusive_group_only_leader_answers():
                        make_service(reg), rank=1, exclusive=True)
     bus.run_for(1.0)   # let presence converge
     rmi = RmiClient(bus.client("node00", "trader"), "svc.quotes",
-                    policy="all", discovery_window=0.3)
+                    policy="all")
     value, error = call_sync(bus, rmi, "symbols", {})
     assert error is None
     assert primary.calls_served == 1

@@ -135,7 +135,10 @@ def test_deprecated_stats_aliases_are_gone():
                "forwards_shed")),
         (east, ("flow_stats",)),
         (leg.client, ("delivery_stats",)),
-        (daemon, ("wire_stats", "shard_stats", "publish_stats")),
+        (daemon, ("wire_stats", "shard_stats", "publish_stats",
+                  "guaranteed_deferred", "skipped_envelopes",
+                  "bad_subjects", "on_publish_credit")),
+        (leg.client, ("on_flow_credit",)),
         (daemon._sender, ("retention_stats",)),
         (Adapter, ("stats",)),
     ]

@@ -21,6 +21,12 @@ from repro.repository import CaptureServer
 from repro.sim import CostModel, Simulator
 
 
+def sf_pending(leg):
+    """Shipments the leg's stable store holds until every target
+    confirms them."""
+    return len(leg.host.stable.get("router.sf.pending", {}))
+
+
 def story_registry():
     reg = standard_registry()
     reg.register(TypeDescriptor(
@@ -74,7 +80,7 @@ def test_guaranteed_crosses_the_wan(world):
     assert sorted(o.get("n") for o in capture.store.query("alarm")) == \
         [0, 1, 2]
     # and the router's own pending log is clear
-    assert plant_leg.sf_pending() == 0
+    assert sf_pending(plant_leg) == 0
 
 
 def test_wan_link_failure_is_ridden_out(world):
@@ -85,12 +91,12 @@ def test_wan_link_failure_is_ridden_out(world):
     # the publisher is already acked (logged at the router) ...
     assert plant.daemon("p00").guaranteed_pending() == []
     # ... but the shipment is parked, surviving in stable storage
-    assert plant_leg.sf_pending() == 1
+    assert sf_pending(plant_leg) == 1
     assert capture.captured == 0
     assert counter(router, "wan.messages_dropped") > 0
     router.link.restore()
     sim.run_until(sim.now + 3.0)
-    assert plant_leg.sf_pending() == 0
+    assert sf_pending(plant_leg) == 0
     assert capture.store.count("alarm") == 1
 
 
@@ -99,14 +105,14 @@ def test_router_crash_resumes_from_pending_log(world):
      capture) = world
     router.link.fail()
     publish(sim, publisher, reg, [1, 2])
-    assert plant_leg.sf_pending() == 2
+    assert sf_pending(plant_leg) == 2
     plant_leg.host.crash()
     router.link.restore()
     sim.run_until(sim.now + 2.0)
     assert capture.captured == 0               # router was down
     plant_leg.host.recover()
     sim.run_until(sim.now + 5.0)
-    assert plant_leg.sf_pending() == 0
+    assert sf_pending(plant_leg) == 0
     assert sorted(o.get("n") for o in capture.store.query("alarm")) == \
         [1, 2]
 
@@ -124,7 +130,7 @@ def test_retries_do_not_duplicate(world):
     publish(sim, publisher, reg, range(5))
     router.link.restore()
     sim.run_until(sim.now + 6.0)
-    assert plant_leg.sf_pending() == 0
+    assert sf_pending(plant_leg) == 0
     assert sorted(o.get("n") for o in capture.store.query("alarm")) == \
         [0, 1, 2, 3, 4]
     assert capture.store.count("alarm") == 5   # exactly once each
@@ -147,11 +153,11 @@ def test_egress_crash_before_the_ack_reships_without_republishing(world):
     hq_leg.host.crash()
     router.link.fail()                      # the ack is lost mid-transfer
     sim.run_until(sim.now + 1.0)
-    assert plant_leg.sf_pending() == 1      # the origin never heard it
+    assert sf_pending(plant_leg) == 1      # the origin never heard it
     hq_leg.host.recover()
     router.link.restore()
     sim.run_until(sim.now + 5.0)
-    assert plant_leg.sf_pending() == 0      # re-shipped and acked ...
+    assert sf_pending(plant_leg) == 0      # re-shipped and acked ...
     assert counter(router, f"leg.{hq_leg.name}.republished") == 1   # ... not republished
     assert capture.store.count("alarm") == 1
     assert hq_leg.host.stable.read_log("router.sf.seen") == \
@@ -166,4 +172,4 @@ def test_reliable_messages_skip_the_stable_path(world):
     sim.run_until(sim.now + 3.0)
     assert capture.store.count("alarm") == 1   # forwarded and stored
     # no store-and-forward records were written for reliable traffic
-    assert plant_leg.sf_pending() == 0
+    assert sf_pending(plant_leg) == 0

@@ -18,7 +18,7 @@ from repro.core.daemon import (DAEMON_PORT, SHARD_PORT_STRIDE, STAT_PORT,
                                shard_data_port, shard_stat_port)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            encode, standard_registry)
-from repro.sim import CostModel, Simulator, Tracer
+from repro.sim import CostModel, PortInUseError, Simulator, Tracer
 
 
 def sharded_config(shards=4, **overrides):
@@ -113,8 +113,10 @@ def test_sharded_bus_builds_planes_with_per_plane_ports():
     assert [shard_stat_port(k) for k in range(4)] == \
         [STAT_PORT + SHARD_PORT_STRIDE * k for k in range(4)]
     host = bus.host("node00")
-    assert all(host.port_bound(shard_data_port(k))
-               and host.port_bound(shard_stat_port(k)) for k in range(4))
+    for k in range(4):
+        for port in (shard_data_port(k), shard_stat_port(k)):
+            with pytest.raises(PortInUseError):
+                host.bind(port, lambda frame: None)
     assert shard_data_port(0) == DAEMON_PORT
     assert shard_stat_port(0) == STAT_PORT
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import (BadSubjectError, SubjectTrie, is_valid_pattern,
-                        is_valid_subject, subject_matches, validate_pattern,
-                        validate_subject)
+                        subject_matches, validate_pattern, validate_subject)
+from repro.core import subjects as subjects_module
 
 
 # ----------------------------------------------------------------------
@@ -20,7 +20,6 @@ def test_paper_example_subject_is_valid():
                                  "news.*", "news.>", "a.#.b", "ü.x",
                                  "a.b\n", "a\n.b"])
 def test_invalid_subjects(bad):
-    assert not is_valid_subject(bad)
     with pytest.raises(BadSubjectError):
         validate_subject(bad)
 
@@ -28,7 +27,7 @@ def test_invalid_subjects(bad):
 @pytest.mark.parametrize("good", ["a", "a.b", "news.equity.gmc",
                                   "x_1.y-2.Z3"])
 def test_valid_subjects(good):
-    assert is_valid_subject(good)
+    assert validate_subject(good) == good.split(".")
 
 
 @pytest.mark.parametrize("good", ["*", ">", "a.*", "a.>", "*.b", "a.*.c",
@@ -148,16 +147,6 @@ def test_trie_star_only_matches_one_level():
     assert trie.match("a.b.c") == set()
 
 
-def test_trie_patterns_for():
-    trie = SubjectTrie()
-    trie.insert("a.*", "x")
-    trie.insert("a.>", "x")
-    trie.insert("b.c", "x")
-    trie.insert("b.c", "y")
-    assert trie.patterns_for("x") == ["a.*", "a.>", "b.c"]
-    assert trie.patterns_for("y") == ["b.c"]
-
-
 def test_trie_rejects_bad_patterns():
     trie = SubjectTrie()
     with pytest.raises(BadSubjectError):
@@ -221,23 +210,25 @@ def test_memo_noop_insert_keeps_cache_valid():
     assert trie._memo == {"a.b": first}
 
 
-def test_memo_capacity_bound():
-    trie = SubjectTrie(memo_capacity=4)
+def test_memo_capacity_bound(monkeypatch):
+    monkeypatch.setattr(subjects_module, "MEMO_CAPACITY", 4)
+    trie = SubjectTrie()
     trie.insert("s.>", "x")
     for i in range(100):
         trie.match(f"s.{i}")
     assert len(trie._memo) <= 4
 
 
-def test_memo_capacity_zero_disables():
-    trie = SubjectTrie(memo_capacity=0)
+def test_memo_capacity_zero_disables(monkeypatch):
+    monkeypatch.setattr(subjects_module, "MEMO_CAPACITY", 0)
+    trie = SubjectTrie()
     trie.insert("a.>", "x")
     assert trie.match("a.b") == {"x"}
     assert trie.match("a.b") == {"x"}
     assert trie._memo == {}
 
 
-def test_memo_and_uncached_agree():
+def test_memo_and_uncached_agree(monkeypatch):
     """Property check: cached and cache-free tries give identical answers
     across a mixed pattern set, including admin subjects."""
     patterns = ["a.>", "a.*", "a.b", "a.*.c", "*.b", ">", "_sys.control",
@@ -245,7 +236,8 @@ def test_memo_and_uncached_agree():
     subjects = ["a.b", "a.c", "a.b.c", "x.b", "news.equity.gmc",
                 "news.bond.us", "_sys.control", "_sys.other", "zzz"]
     cached = SubjectTrie()
-    plain = SubjectTrie(memo_capacity=0)
+    monkeypatch.setattr(subjects_module, "MEMO_CAPACITY", 0)
+    plain = SubjectTrie()
     for i, pattern in enumerate(patterns):
         cached.insert(pattern, i)
         plain.insert(pattern, i)

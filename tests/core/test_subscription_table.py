@@ -93,7 +93,7 @@ def test_a_subscribe_refused_on_a_down_host_stays_refused():
     bus.client("node00", "pub").publish("t.x", 1)
     bus.run_for(0.5)
     assert got == [("before", 1)]
-    assert len(mon.subscriptions()) == 1
+    assert len(mon._subscriptions) == 1
     assert bus.daemons["node01"].subscription_count() == 1
 
 

@@ -2,7 +2,10 @@
 
 Each example asserts its own scenario internally; here we just execute
 them (with stdout captured) so a regression anywhere in the stack fails
-the suite, not just the demo.
+the suite, not just the demo.  The list is ``python -m repro``'s, and it
+names every script in ``examples/``: examples count as callers of the
+library (``tests/tools/test_public_names_have_callers.py``), so one that
+nothing runs would be false evidence.
 """
 
 import importlib.util
@@ -12,12 +15,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from repro.__main__ import EXAMPLES
+
 EXAMPLES_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "examples")
-
-EXAMPLES = ["quickstart", "trading_floor", "fab_floor",
-            "dynamic_evolution", "operations_console", "wan_trading",
-            "market_data"]
 
 
 def run_example(name):
@@ -29,6 +30,12 @@ def run_example(name):
     with redirect_stdout(buffer):
         module.main()
     return buffer.getvalue()
+
+
+def test_every_example_script_is_listed():
+    scripts = {name[:-len(".py")] for name in os.listdir(EXAMPLES_DIR)
+               if name.endswith(".py")}
+    assert scripts == set(EXAMPLES)
 
 
 @pytest.mark.parametrize("name", EXAMPLES)

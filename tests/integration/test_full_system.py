@@ -115,11 +115,11 @@ def test_lvc_tracks_everything(world):
 
 def test_browser_sees_services_and_traffic(world):
     browser = world["browser"]
-    subjects = browser.service_subjects()
+    subjects = {e.service_subject for e in browser.live_services()}
     assert "svc.repository" in subjects
     assert "svc.keywords" in subjects
     assert "svc.lvc" in subjects
-    assert browser.total_messages() > 50
+    assert sum(s.messages for s in browser.subjects.values()) > 50
     top = {s.subject for s in browser.top_subjects(20)}
     assert any(s.startswith("news.") for s in top)
     assert any(s.startswith("fab5.cc.") for s in top)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.bench import MIN_PAYLOAD_SIZE, payload_of_size, summarize
 from repro.objects import decode, standard_registry
-from repro.tdl import Keyword, Symbol, read, read_all, to_source
+from repro.tdl import Keyword, Symbol, read_all, to_source
 
 # ----------------------------------------------------------------------
 # TDL reader round-trip
@@ -37,7 +37,7 @@ def test_reader_roundtrips_canonical_source(form):
     # ints that reparse as floats (none here) and symbol/keyword edge
     # cases are filtered by construction
     source = to_source(form)
-    assert read(source) == form
+    assert read_all(source) == [form]
 
 
 @given(st.lists(forms, min_size=0, max_size=5))

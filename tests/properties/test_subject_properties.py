@@ -6,11 +6,13 @@ that equivalence is what makes Figure 8's flat curve trustworthy.
 """
 
 import string
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SubjectTrie, subject_matches
+from repro.core import subjects as subjects_module
 
 _ELEMENT_ALPHABET = string.ascii_lowercase[:6] + "01"
 
@@ -57,14 +59,15 @@ any_pattern = st.one_of(subject, pattern(), admin_pattern())
 any_subject = st.one_of(subject, admin_subject)
 
 
-@given(st.sampled_from([0, 4, None]), st.data())
+@given(st.sampled_from([0, 4, subjects_module.MEMO_CAPACITY]), st.data())
 @settings(max_examples=200, deadline=None)
 def test_split_store_agrees_with_brute_force(capacity, data):
     """Interleaved inserts, removes and probes of literal, wildcard and
     ``_``-first patterns: the two stores (and the wildcard memo, at any
     capacity) answer exactly as the reference matcher over what is
     registered at that moment."""
-    trie = SubjectTrie(memo_capacity=capacity)
+    with mock.patch.object(subjects_module, "MEMO_CAPACITY", capacity):
+        trie = SubjectTrie()
     registered = set()
     for _ in range(data.draw(st.integers(1, 40))):
         action = data.draw(st.sampled_from(["insert", "remove", "probe"]))
@@ -86,9 +89,10 @@ def test_split_store_agrees_with_brute_force(capacity, data):
         assert len(trie) == len(registered)
         if not any("*" in p or ">" in p for p, _ in registered):
             assert not trie._memo
-    for value in range(4):
-        assert trie.patterns_for(value) == sorted(
-            p for p, v in registered if v == value)
+    # every registration is stored once, and nothing else is
+    for entry in sorted(registered):
+        assert trie.remove(*entry)
+    assert len(trie) == 0
 
 
 @given(st.lists(st.tuples(pattern(), st.integers(0, 5)),

@@ -2,34 +2,30 @@
 
 import pytest
 
-from repro.tdl import Keyword, Symbol, TdlSyntaxError, read, read_all, to_source
+from repro.tdl import Keyword, Symbol, TdlSyntaxError, read_all, to_source
 
 
 def test_read_atoms():
-    assert read("42") == 42
-    assert read("-17") == -17
-    assert read("3.5") == 3.5
-    assert read("t") is True
-    assert read("nil") is None
-    assert read('"hello"') == "hello"
-    assert read("foo") == Symbol("foo")
-    assert isinstance(read("foo"), Symbol)
-    assert read(":type") == Keyword("type")
-    assert isinstance(read(":type"), Keyword)
+    forms = read_all('42 -17 3.5 t nil "hello" foo :type')
+    assert forms == [42, -17, 3.5, True, None, "hello", Symbol("foo"),
+                     Keyword("type")]
+    assert forms[3] is True and forms[4] is None
+    assert isinstance(forms[6], Symbol)
+    assert isinstance(forms[7], Keyword)
 
 
 def test_read_list():
-    form = read("(+ 1 (a b) 2)")
-    assert form == [Symbol("+"), 1, [Symbol("a"), Symbol("b")], 2]
+    assert read_all("(+ 1 (a b) 2)") == [
+        [Symbol("+"), 1, [Symbol("a"), Symbol("b")], 2]]
 
 
 def test_read_quote_sugar():
-    assert read("'x") == [Symbol("quote"), Symbol("x")]
-    assert read("'(1 2)") == [Symbol("quote"), [1, 2]]
+    assert read_all("'x '(1 2)") == [[Symbol("quote"), Symbol("x")],
+                                     [Symbol("quote"), [1, 2]]]
 
 
 def test_string_escapes():
-    assert read(r'"a\"b\n\t\\"') == 'a"b\n\t\\'
+    assert read_all(r'"a\"b\n\t\\"') == ['a"b\n\t\\']
 
 
 def test_comments_skipped():
@@ -38,16 +34,11 @@ def test_comments_skipped():
 
 
 def test_multiline_string_tracks_lines():
-    assert read('"line1\nline2"') == "line1\nline2"
+    assert read_all('"line1\nline2"') == ["line1\nline2"]
 
 
 def test_read_all_multiple_forms():
     assert read_all("1 2 3") == [1, 2, 3]
-
-
-def test_read_rejects_multiple_forms():
-    with pytest.raises(TdlSyntaxError):
-        read("1 2")
 
 
 @pytest.mark.parametrize("bad", ["(", ")", "(a (b)", '"unterminated',
@@ -58,20 +49,19 @@ def test_malformed_input(bad):
 
 
 def test_symbols_with_special_chars():
-    assert read("slot-value") == Symbol("slot-value")
-    assert read("string-upcase") == Symbol("string-upcase")
-    assert read("/=") == Symbol("/=")
-    assert read("&rest") == Symbol("&rest")
+    names = ["slot-value", "string-upcase", "/=", "&rest"]
+    assert read_all(" ".join(names)) == [Symbol(name) for name in names]
 
 
 def test_colon_alone_is_a_symbol():
-    assert isinstance(read(":"), Symbol)
+    [form] = read_all(":")
+    assert isinstance(form, Symbol)
 
 
 def test_to_source_roundtrip():
     source = '(defclass story (object) ((headline :type string)) :doc "a\\nb")'
-    form = read(source)
-    assert read(to_source(form)) == form
+    forms = read_all(source)
+    assert read_all(to_source(forms[0])) == forms
 
 
 def test_to_source_scalars():
