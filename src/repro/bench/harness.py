@@ -67,9 +67,16 @@ class LatencyResult:
     samples: int
     consumers: int
     latencies: List[float] = field(repr=False, default_factory=list)
+    #: frames the publisher's host sent over the run (heartbeats and
+    #: repairs included)
+    frames_sent: int = 0
 
     def summary(self) -> Summary:
         return summarize(self.latencies)
+
+    @property
+    def frames_per_msg(self) -> float:
+        return self.frames_sent / self.samples if self.samples else 0.0
 
     @property
     def mean_ms(self) -> float:
@@ -200,9 +207,11 @@ class AppendixExperiment:
 
     # ------------------------------------------------------------------
     def run_latency(self, size: int, samples: int = 60,
-                    interval: float = 0.1) -> LatencyResult:
-        """Paced publishing with batching OFF (the Figure 5 setup)."""
-        bus, publisher = self._build(batching=False)
+                    interval: float = 0.1,
+                    batching: bool = False) -> LatencyResult:
+        """Paced publishing, batching OFF by default (the Figure 5
+        setup); pass ``batching=True`` for the ablation."""
+        bus, publisher = self._build(batching=batching)
         latencies: List[float] = []
         for index in range(self.consumers):
             client = bus.client(f"node{index + 1:02d}", "consumer")
@@ -210,9 +219,12 @@ class AppendixExperiment:
                              lambda s, o, info: latencies.append(
                                  info.latency))
         payload = payload_of_size(size)
+        host = bus.daemon("node00").host
+        frames_before = host.frames_sent
         for i in range(samples):
             bus.sim.schedule(i * interval, publisher.publish_bytes,
                              "bench.data", payload)
         bus.run_for(samples * interval + 5.0)
         return LatencyResult(size=size, samples=samples,
-                             consumers=self.consumers, latencies=latencies)
+                             consumers=self.consumers, latencies=latencies,
+                             frames_sent=host.frames_sent - frames_before)

@@ -360,7 +360,8 @@ class BusDaemon:
                 f"batch[{self.host.address}]",
                 capacity=max(self.config.batch.max_messages, 1),
                 tracer=self.tracer, now=lambda: self.sim.now,
-                metrics=self.metrics))
+                metrics=self.metrics),
+            host=self.host, lane=self.shard)
         #: the plane's one subscription table: pattern -> Subscription
         self._subscriptions: SubjectTrie = SubjectTrie()
         self._heartbeat = PeriodicTimer(
@@ -598,10 +599,14 @@ class BusDaemon:
             while self._outbound:
                 if backlog_cap is not None:
                     backlog = self.host.send_backlog_for(self.shard)
-                    if backlog >= backlog_cap:
+                    # a gathered group waiting for the lane is backlog
+                    # too: resume once the batcher has released it
+                    waiting = self._batcher.waiting
+                    if waiting or backlog >= backlog_cap:
                         if self._pump_event is None:
                             self._pump_event = self.sim.schedule(
-                                backlog - backlog_cap + 1e-9,
+                                (backlog if waiting
+                                 else backlog - backlog_cap) + 1e-9,
                                 self._pump_fire, name="flow.pump")
                         return
                 self._batcher.add(self._outbound.take())
@@ -627,10 +632,16 @@ class BusDaemon:
             self._port)
 
     def _send_heartbeat(self) -> None:
-        if not self.up or self._sender.last_seq == 0:
+        if not self.up:
+            return
+        # seqs a disabled batcher still holds for the lane are not
+        # announced: a receiver would NACK them while they wait
+        held = self._batcher.first_held
+        last_seq = self._sender.last_seq if held is None else held.seq - 1
+        if last_seq == 0:
             return
         packet = Packet(PacketKind.HEARTBEAT, self.session,
-                        last_seq=self._sender.last_seq,
+                        last_seq=last_seq,
                         session_start=self.session_started)
         self._socket.broadcast(encode_packet(packet), self._port)
 

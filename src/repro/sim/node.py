@@ -144,6 +144,12 @@ class Host:
         """Seconds of queued work in one CPU send lane (shard pacing)."""
         return max(0.0, self._send_ready_at.get(lane, 0.0) - self.sim.now)
 
+    def send_free_at(self, lane: int) -> float:
+        """Simulated time at which one *bound* CPU send lane falls idle
+        (at or before ``sim.now`` when it already is).  One dict read:
+        the batcher asks it once per publish."""
+        return self._send_ready_at[lane]
+
     def _jitter(self) -> float:
         """Per-packet CPU-cost noise factor (scheduler/cache effects)."""
         jitter = self.cost.cpu_jitter

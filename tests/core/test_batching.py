@@ -1,7 +1,9 @@
 """Unit tests for the outbound batcher."""
 
-from repro.core import BatchConfig, Batcher, Envelope, QoS
-from repro.sim import Simulator
+from repro.core import (BatchConfig, Batcher, BusConfig, Envelope,
+                        FlowConfig, InformationBus, POLICY_DROP_NEWEST, QoS,
+                        ShardMap)
+from repro.sim import CostModel, EthernetSegment, Frame, Simulator
 
 
 def envelope(size_payload=50, subject="a.b"):
@@ -100,3 +102,263 @@ def test_counters():
     batcher.flush()
     assert batcher.messages_batched == 4
     assert batcher.batches_flushed == len(batches)
+
+
+# ----------------------------------------------------------------------
+# a disabled batcher on a real send lane: gather only while it is busy
+# ----------------------------------------------------------------------
+
+def lane_batcher(batch_bytes=1400, max_messages=64):
+    """A disabled batcher whose flushes each leave ``node0``'s send lane
+    as one frame; ``sent`` records (flush time, envelopes, bytes)."""
+    sim = Simulator(seed=0)
+    lan = EthernetSegment(sim, cost=CostModel(cpu_jitter=0.0))
+    host = lan.add_host("node0")
+    lan.add_host("node1")
+    sent = []
+
+    def send(batch):
+        size = sum(envelope.size for envelope in batch)
+        sent.append((sim.now, len(batch), size))
+        host.send_frame(Frame("node0", "node1", 7, 7, batch, size))
+
+    config = BatchConfig(batch_bytes=batch_bytes, max_messages=max_messages)
+    return sim, host, Batcher(sim, config, send, host=host), sent
+
+
+def test_idle_lane_passes_each_envelope_through():
+    sim, host, batcher, sent = lane_batcher()
+    batcher.add(envelope())
+    assert batcher.pending == 0
+    sim.run()                                 # the lane drains
+    assert host.send_free_at(0) <= sim.now
+    batcher.add(envelope())
+    assert [(n, batcher.pending) for _, n, _ in sent] == [(1, 0), (1, 0)]
+
+
+def test_busy_lane_gathers_until_the_instant_it_frees():
+    sim, host, batcher, sent = lane_batcher()
+    for _ in range(4):
+        batcher.add(envelope())
+    free_at = host.send_free_at(0)
+    assert free_at > sim.now
+    assert [n for _, n, _ in sent] == [1]     # the first found it idle
+    assert batcher.pending == 3
+    sim.run_until(free_at - 1e-9)
+    assert batcher.pending == 3               # nothing delayed on purpose ...
+    sim.run_until(free_at)
+    assert sent[1:] == [(free_at, 3, 3 * envelope().size)]   # ... or late
+    assert batcher.pending == 0
+
+
+def test_held_group_is_cut_before_it_passes_batch_bytes():
+    one = envelope().size
+    sim, host, batcher, sent = lane_batcher(batch_bytes=int(one * 2.5))
+    for _ in range(4):
+        batcher.add(envelope())
+    # 1 passes; 2 are held; the 4th would make 3 > 2.5: the 2 are cut
+    # and wait for the lane in the batcher, not on it
+    assert [n for _, n, _ in sent] == [1]
+    assert batcher.pending == 3
+    sim.run()
+    assert [n for _, n, _ in sent] == [1, 2, 1]
+    assert all(size <= int(one * 2.5) for _, _, size in sent)
+
+
+def test_held_group_is_cut_at_max_messages():
+    sim, host, batcher, sent = lane_batcher(max_messages=3)
+    for _ in range(5):
+        batcher.add(envelope(size_payload=1))
+    assert [n for _, n, _ in sent] == [1]
+    assert batcher.pending == 4
+    sim.run()
+    assert [n for _, n, _ in sent] == [1, 3, 1]
+
+
+def test_cut_groups_leave_one_per_lane_free_instant():
+    """A burst never queues on the lane: each cut group leaves the
+    instant the datagram before it is sent, so a frame the daemon sends
+    meanwhile (a repair, a heartbeat) waits for one datagram only."""
+    sim, host, batcher, sent = lane_batcher()
+    for _ in range(100):
+        batcher.add(envelope())
+    assert [n for _, n, _ in sent] == [1]
+    first_done = host.send_free_at(0)
+    repair = host.send_frame(Frame("node0", "node1", 7, 7, "repair", 60))
+    assert repair == first_done + host.cost.send_cpu_time(60)
+    sim.run()
+    assert sum(n for _, n, _ in sent) == 100
+    assert all(size <= 1400 for _, _, size in sent)
+    # each group leaves when the datagram before it is done: the first
+    # group at the first datagram's, and it is sent after the repair
+    cost = host.cost.send_cpu_time
+    assert sent[1][0] == first_done
+    done = repair + cost(sent[1][2])
+    for at, _, size in sent[2:]:
+        assert at == done
+        done = at + cost(size)
+
+
+def test_envelope_no_follower_could_join_is_never_held():
+    sim, host, batcher, sent = lane_batcher(batch_bytes=200)
+    batcher.add(envelope())
+    batcher.add(envelope(size_payload=300))   # lane busy; payload >= cap
+    batcher.add(envelope(size_payload=100))   # half the cap: no second fits
+    assert [n for _, n, _ in sent] == [1, 1, 1]
+    assert batcher.pending == 0
+
+
+def test_large_envelope_behind_a_held_group_keeps_its_order():
+    sim, host, batcher, sent = lane_batcher(batch_bytes=200)
+    batcher.add(envelope(size_payload=10))
+    batcher.add(envelope(size_payload=10))    # held
+    batcher.add(envelope(size_payload=300))   # held too: seqs stay in order
+    assert batcher.pending == 2
+    sim.run()
+    assert [n for _, n, _ in sent] == [1, 1, 1]
+    assert sent[2][2] > 300
+
+
+def test_crash_drops_the_held_group_and_the_new_session_replays_none():
+    bus = InformationBus(seed=5)
+    bus.add_hosts(2)
+    inbox = []
+    bus.client("node01", "mon").subscribe(
+        "t.>", lambda subject, obj, info: inbox.append(obj))
+    publisher = bus.client("node00", "pub")
+    publisher.publish("t.x", "before")
+    bus.run_for(0.9)                          # clear of a heartbeat instant
+    for n in range(5):
+        publisher.publish("t.x", f"held{n}")
+    plane = bus.daemons["node00"]
+    assert plane._batcher.pending == 4
+    bus.crash_host("node00")                  # before the lane frees
+    assert plane._batcher.pending == 0
+    bus.run_for(0.5)
+    bus.recover_host("node00")
+    publisher.publish("t.x", "after")         # re-attached client
+    bus.run_for(2.0)
+    assert inbox == ["before", "after"]
+    assert list(bus.daemons["node01"].peers) == [plane.session]
+
+
+def test_each_plane_gathers_on_its_own_lane():
+    bus = InformationBus(seed=5, config=BusConfig(subject_shards=2))
+    bus.add_hosts(2)
+    inbox = []
+    bus.client("node01", "mon").subscribe(
+        ">", lambda subject, obj, info: inbox.append(subject))
+    publisher = bus.client("node00", "pub")
+    shard_of = ShardMap(2).shard_of
+    subjects = ("feed.a", "news.a", "feed.b", "quote.a")
+    assert [shard_of(subject) for subject in subjects] == [1, 0, 1, 0]
+    planes = bus.daemons["node00"].planes
+    host = planes[0].host
+    bus.run_for(1.0)
+    flushed = [plane._batcher.batches_flushed for plane in planes]
+    for n in range(8):
+        publisher.publish(subjects[n % 4], n)
+    # on each plane the first publish found its own lane idle, although
+    # the other plane's lane was already busy; its other three wait
+    assert [plane._batcher.batches_flushed - before
+            for plane, before in zip(planes, flushed)] == [1, 1]
+    assert [plane._batcher.pending for plane in planes] == [3, 3]
+    frees = [host.send_free_at(plane.shard) for plane in planes]
+    first = frees.index(min(frees))
+    bus.sim.run_until(frees[first])
+    assert [plane._batcher.pending for plane in planes] == [
+        0 if k == first else 3 for k in range(2)]
+    bus.run_for(1.0)
+    assert sorted(inbox) == sorted(subjects * 2)
+
+
+def test_heartbeat_while_held_causes_no_nack():
+    """A heartbeat announces the seqs the lane has carried, not those a
+    group still held for the lane will carry, so on the default
+    ``CostModel`` no subscriber waits ``nack_delay`` for the group and
+    NACKs it."""
+    bus = InformationBus(seed=3)
+    bus.add_hosts(2)
+    inbox = []
+    bus.client("node01", "mon").subscribe(
+        "t.>", lambda subject, obj, info: inbox.append(obj))
+    publisher = bus.client("node00", "pub")
+    plane = bus.daemons["node00"]
+    beat = 5 * plane.config.reliable.heartbeat_interval   # a beat instant
+    bus.run_for(beat - 1e-4)
+    for _ in range(20):                       # 1 sent, 19 (one MTU) held
+        publisher.publish("t.x", b"x" * 40)
+    assert plane._batcher.pending == 19
+    assert plane.host.send_free_at(0) > beat
+    bus.run_for(2.0)
+    assert len(inbox) == 20
+    stats = bus.daemons["node01"].peers.get(plane.session).stats
+    assert stats.nacks_sent.value == 0
+
+
+def test_frame_lost_in_a_burst_is_repaired_while_the_burst_is_sent():
+    """The NACK repair of a datagram lost early in a burst waits for the
+    datagram on the lane, not for the rest of the burst: the lost
+    messages reach the subscriber before the burst's last datagram has
+    even been handed to the lane."""
+    bus = InformationBus(seed=4, cost=CostModel(loss_probability=0.0))
+    bus.add_hosts(2)
+    arrivals = {}
+    bus.client("node01", "mon").subscribe(
+        "t.>", lambda subject, obj, info: arrivals.setdefault(
+            info.seq, bus.sim.now))
+    publisher = bus.client("node00", "pub")
+    bus.run_for(1.0)
+    batcher = bus.daemons["node00"]._batcher
+    groups = []                       # (handed to the lane at, first seq)
+    emit = batcher._flush_cb
+    batcher._flush_cb = lambda batch: (
+        groups.append((bus.sim.now, batch[0].seq)), emit(batch))
+    receiver = bus.host("node01")
+    deliver = receiver.deliver_frame
+    full = []
+
+    def lose_second_full_datagram(frame):
+        if frame.size > 1000:
+            full.append(frame)
+            if len(full) == 2:
+                return
+        deliver(frame)
+
+    receiver.deliver_frame = lose_second_full_datagram
+    for n in range(400):
+        publisher.publish("t.x", n)
+    bus.run_for(2.0)
+    assert sorted(arrivals) == list(range(1, 401))
+    plane = bus.daemons["node00"]
+    stats = bus.daemons["node01"].peers.get(plane.session).stats
+    assert stats.nacks_sent.value == 1
+    assert len(groups) > 6
+    lost = groups[2][1]               # after the lone first and one full
+    assert arrivals[lost] < groups[-1][0]
+
+
+def test_paced_pump_stops_while_a_gathered_group_waits():
+    """With wire pacing on, a cut group waiting for the lane is backlog
+    too: the pump stops feeding the batcher, so the admission queue
+    fills and sheds instead of the batcher holding the whole burst."""
+    config = BusConfig(flow=FlowConfig(publish_queue=64,
+                                       publish_policy=POLICY_DROP_NEWEST,
+                                       max_send_backlog=0.01))
+    bus = InformationBus(seed=4, cost=CostModel(loss_probability=0.0),
+                         config=config)
+    bus.add_hosts(2)
+    inbox = []
+    bus.client("node01", "mon").subscribe(
+        "t.>", lambda subject, obj, info: inbox.append(obj))
+    publisher = bus.client("node00", "pub")
+    bus.run_for(1.0)
+    receipts = [publisher.publish("t.x", n).admission.value
+                for n in range(500)]
+    plane = bus.daemons["node00"]
+    assert plane._batcher.pending <= 2 * config.batch.max_messages
+    outbound = plane.flow_stats()["outbound"]
+    assert outbound["high_watermark"] == 64
+    assert receipts.count("dropped") == outbound["dropped"] > 300
+    bus.run_for(2.0)
+    assert len(inbox) == receipts.count("accepted")

@@ -258,8 +258,8 @@ def test_four_planes_are_observably_one_daemon():
 
 
 @pytest.mark.parametrize("shards, last, wire_bytes, frames, published", [
-    (1, 0.34641718601803495, 190_519, 4_557, [600]),
-    (4, 0.08734318275014456, 658_127, 16_422, [150, 150, 150, 150]),
+    (1, 0.07010139556227013, 171_544, 3_982, [600]),
+    (4, 0.02336729816615823, 638_554, 15_852, [150, 150, 150, 150]),
 ])
 def test_fan_out_drain_is_pinned(shards, last, wire_bytes, frames,
                                  published):

@@ -121,3 +121,23 @@ def test_a_moved_simulated_metric_fails_and_is_recorded(monkeypatch,
     rows = record["workloads"]["fanout_small"]["metrics"]
     assert rows["sim_msgs_per_s"]["verdict"] == "different"
     assert rows["sim_msgs_per_s"]["identical_pairs"] == 0
+
+
+def test_a_moved_simulated_metric_says_which_way_per_pair(monkeypatch,
+                                                          tmp_path, capsys):
+    tool = load_tool()
+    # sim_msgs_per_s is higher-is-better with a 3% bound
+    assert tool.moved(7.0, 7.5, False, 0.03) == "better"
+    assert tool.moved(7.0, 6.9, False, 0.03) == "worse"
+    assert tool.moved(7.0, 6.5, False, 0.03) == "worse beyond bound"
+    assert tool.moved(7.0, 7.5, True, 0.03) == "worse beyond bound"
+    assert tool.moved(7.0, 7.0, True, 0.03) == "identical"
+    stub_runs(tool, monkeypatch, drift=-0.5)
+    out = tmp_path / "ab.json"
+    assert tool.main(["HEAD~1", "--workload", "fanout_small", "--pairs", "2",
+                      "--out", str(out)]) == 1         # exit status as before
+    rows = json.loads(out.read_text())["workloads"]["fanout_small"]["metrics"]
+    assert rows["sim_msgs_per_s"]["moved"] == ["worse beyond bound"] * 2
+    assert "moved" not in rows["sim_latency_p50_ms"]   # identical: no list
+    assert "moved  worse beyond bound, worse beyond bound" in \
+        capsys.readouterr().out

@@ -18,7 +18,9 @@ For every workload and metric it prints every run, both medians and
 quartiles, the pairs won, and a verdict by the rule of the
 choosing-metrics guide (section 8):
 
-* a simulated metric is ``identical`` or ``DIFFERENT``;
+* a simulated metric is ``identical`` or ``DIFFERENT``; a different one
+  also says, per pair, which way it moved: ``better``, ``worse``, or
+  ``worse beyond bound`` (by more than its ``BENCHMARK.json`` bound);
 * a machine metric is ``better`` when the change wins at least nine
   tenths of the pairs (ties count for neither) and the medians differ
   by more than the distance between the parent's quartiles; ``worse``
@@ -114,6 +116,17 @@ def verdict(parent: List[float], change: List[float], lower_is_better: bool,
     return "within bound", won, lost
 
 
+def moved(parent: float, change: float, lower_is_better: bool,
+          bound: float) -> str:
+    """Which way one pair of a simulated metric moved."""
+    if change == parent:
+        return "identical"
+    gap = (change - parent) if lower_is_better else (parent - change)
+    if gap < 0:
+        return "better"
+    return "worse beyond bound" if gap > bound * abs(parent) else "worse"
+
+
 def summarize(seeds: List[int], parent: List[dict], change: List[dict],
               manifest: dict, machine: Tuple[str, ...]) -> dict:
     """One workload's pairs as data: every run, and per metric both
@@ -130,6 +143,10 @@ def summarize(seeds: List[int], parent: List[dict], change: List[dict],
                               else "different")
             row["identical_pairs"] = sum(
                 p == c for p, c in zip(p_values, c_values))
+            if row["verdict"] == "different":
+                row["moved"] = [moved(p, c, entry["better"] == "lower",
+                                      entry["bound"])
+                                for p, c in zip(p_values, c_values)]
         else:
             what, won, lost = verdict(p_values, c_values,
                                       entry["better"] == "lower",
@@ -165,6 +182,7 @@ def report(workload: str, summary: dict) -> None:
             if not same:
                 print("      parent " + " ".join(f"{v:.6g}" for v in p_values))
                 print("      change " + " ".join(f"{v:.6g}" for v in c_values))
+                print("      moved  " + ", ".join(row["moved"]))
             continue
         pq, cq = row["parent_quartiles"], row["change_quartiles"]
         print(f"   {name:22s} {row['verdict'].upper():12s} median {pq[1]:.6g}"
