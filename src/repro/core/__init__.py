@@ -7,7 +7,7 @@ from .subjects import (BadSubjectError, SubjectTrie, is_valid_pattern,
 from .message import Envelope, MessageInfo, Packet, PacketKind, QoS
 from .wire import (CorruptFrame, FrameDigest, StringTable,
                    UnresolvedStringId, UnresolvedTypeId,
-                   decode_packet, encode_envelope, encode_packet,
+                   decode_packet, encode_packet,
                    envelope_wire_size, packet_wire_size, read_digest)
 from .typeplane import PeerTypeView, TypeTable
 from .flow import (Admission, BoundedBuffer, BoundedQueue, FlowConfig,
@@ -44,8 +44,7 @@ __all__ = [
     "Inquiry", "LedgerEntry", "MessageInfo", "Packet",
     "ExactlyOnceRmiClient",
     "PacketKind", "PeerSession", "QoS", "RefusedSession", "ReliableConfig",
-    "ReliableReceiver", "decode_packet", "encode_envelope",
-    "encode_packet", "envelope_wire_size", "packet_wire_size",
+    "ReliableReceiver", "decode_packet", "encode_packet", "envelope_wire_size", "packet_wire_size",
     "ReliableSender", "Responder", "RmiClient", "RmiServer",
     "PeerTypeView", "Router", "RouterLeg", "ServerGroup", "SessionStats",
     "ShardMap",

@@ -20,8 +20,13 @@ when a batch leaves:
   still busy would only have queued behind that frame anyway, so it is
   held instead, and the oldest held group leaves as one datagram at
   each instant the lane frees.  A group is cut at ``max_messages`` and
-  *before* an envelope that would take its bytes past ``batch_bytes``
-  (so it never outgrows one datagram); a cut group waits its turn in
+  *before* an envelope that would take its bytes past ``batch_bytes``.
+  Its bytes are the envelopes' :attr:`~repro.core.message.Envelope.size`
+  — each one's plain digest entry plus its standalone plain body, an
+  upper bound on its share of a compressed frame once the session's
+  table holds its strings (the frame writes ids, and drops a sender or
+  publish time the envelope before it gave) — so a group never
+  outgrows one datagram.  A cut group waits its turn in
   the batcher, not on the lane, so a NACK repair or a heartbeat the
   daemon sends meanwhile waits for one datagram, not for a whole
   burst.  An envelope of half ``batch_bytes`` or more is never held

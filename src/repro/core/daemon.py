@@ -790,9 +790,11 @@ class BusDaemon:
         try:
             matched = self._subscriptions.match(envelope.subject)
         except BadSubjectError:
-            # a peer's body subject (authoritative, and it may differ
-            # from the digest's) is ill-formed: it matches nothing.
-            # A local publish cannot raise here: publish() validated it.
+            # a peer's subject (written once, in its frame's digest) is
+            # ill-formed and reached here on the full path — a
+            # guaranteed entry, or a frame another subject made
+            # interesting: it matches nothing.  A local publish cannot
+            # raise here: publish() validated it.
             self._bad_subjects.value += 1
             return
         if not matched:

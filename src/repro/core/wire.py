@@ -11,9 +11,10 @@ crosses hosts by reference, sizes on the wire are the sizes of the bytes
 actually sent, and corruption is detectable.
 
 Envelope encodings are cached on the envelope (keyed by its stamped
-``(session, seq)`` identity), so the broadcast path encodes each
-published message exactly once no matter how many consumers hear it, and
-NACK repairs re-send the retained bytes instead of re-marshalling.
+``(session, seq)`` identity and the string table), so the broadcast path
+encodes each published message exactly once no matter how many
+consumers hear it, and NACK repairs re-send the retained bytes instead
+of re-marshalling.
 
 Wire header compression
 -----------------------
@@ -100,13 +101,14 @@ Subject digests and the interest gate
 
 On a broadcast bus most daemons are uninterested in most frames, yet
 every daemon hears every DATA frame.  So DATA and RETRANS frames lead
-with a **subject digest**: one tiny entry per envelope — subject,
-seq, and a guaranteed-delivery marker — placed *before* the envelope
-bodies.  :func:`read_digest` parses just the frame header,
-the defs section, and the digest in O(header) time, letting a receiving
-daemon ask "does anything here match my subscriptions?" without ever
-materializing the bodies.  When nothing matches, the daemon advances
-its reliable session window straight from the digest's seq spans
+with a **subject digest**: one tiny entry per envelope — its flags,
+subject and seq — placed *before* the envelope bodies, and the only
+place a frame writes those three.  :func:`read_digest` parses just the
+frame header, the defs section, and the digest in O(header) time,
+letting a receiving daemon ask "does anything here match my
+subscriptions?" without ever materializing the bodies.  When nothing
+matches, the daemon advances its reliable session window straight from
+the digest's seq spans
 (:meth:`repro.core.reliable.ReliableReceiver.try_skip`) and drops the
 frame unparsed — O(header) instead of O(frame) per uninteresting frame.
 Crucially a skipped frame still replays the table definitions it
@@ -117,47 +119,49 @@ picks it up there and only walks the bodies.
 
 Frame body layout (all integers varint unless noted)::
 
-    packet     := kind:u8 flags:u8 session:str session_start:f64
-                  last_seq [first last] [ack_ledger_id:str]
-                  [ack_consumer:str] [defs] [tdefs] [digest] count envelope*
-    defs       := def_count (id string:str)*          # iff flags COMPRESSED
-    tdefs      := tdef_count (tid desc:bytes)*
-                  tref_count tid*                     # iff flags TYPED
-    digest     := entry_count entry*                  # iff flags DIGEST
-    entry      := dflags:u8 subject seq
-    envelope   := flags:u8 subject:str sender:str seq publish_time:f64
-                  [ledger_id:str] via_count via:str* payload:bytes
-    envelope'  := flags:u8 subject_id sender_id seq publish_time:f64
-                  [ledger_id_id] via_count via_id* payload:bytes
-                                                      # iff flags COMPRESSED
+    packet   := kind:u8 flags:u8 session:str session_start:f64
+                last_seq [first last] [ack_ledger_id:str]
+                [ack_consumer:str] [defs] [tdefs] [digest body*]
+    defs     := def_count (id string:str)*            # iff flags COMPRESSED
+    tdefs    := tdef_count (tid desc:bytes)*
+                tref_count tid*                       # iff flags TYPED
+    digest   := entry_count entry*                    # DATA/RETRANS only
+    entry    := eflags:u8 subject:hstr seq
+    body     := [sender:hstr] [publish_time:f64] [ledger_id:hstr]
+                [via_count via:hstr*] payload:bytes   # one per entry
+    hstr     := string:str | id                       # id iff COMPRESSED
+
+Each field is written once per frame.  An entry's ``eflags`` say which
+body fields follow: ``0x01`` a ``ledger_id`` (a guaranteed envelope —
+receivers must decode it fully), ``0x40`` one or more ``via`` hops;
+``0x10`` omits the sender and ``0x20`` the publish time, which are
+then the previous envelope's in the frame (a burst published in one
+instant by one client pays for them once).  The first entry has no
+predecessor, so ``0x10``/``0x20`` on it — or any bit not named here —
+make the frame a :class:`CorruptFrame`; so does ``0x40`` with no hop.
+There is one envelope count, ``entry_count``: bodies follow the digest
+one per entry and must end the frame exactly.  HEARTBEAT, NACK and ACK
+frames end after their header.
 
 One frame, one session: every envelope and digest entry in a frame
 belongs to the session its header names (a daemon only ever sends its
 own), so the session is written once per frame and a frame mixing
-sessions cannot be written down.  QoS rides the ledger flag: envelope
-flag ``0x01`` says a ``ledger_id`` follows, which is exactly what makes
-an envelope guaranteed, so no separate qos field is sent.
+sessions cannot be written down.  QoS rides the ledger flag, which is
+exactly what makes an envelope guaranteed, so no separate qos field is
+sent.
 
 ``flags`` marks which optional fields follow (packet bit ``0x08`` =
-COMPRESSED, ``0x10`` = DIGEST, set on every DATA/RETRANS frame,
-``0x20`` = TYPED, set when any envelope references session type ids).
-``tdefs`` carries ``(type id, definition bytes)`` pairs followed by the
-frame's full type-reference list (``tref_count tid*``) — definitions
-are applied, references validated, on both decode paths.
-A digest ``subject`` is a table id iff the frame is COMPRESSED, else an
-inline string.  ``dflags`` bit ``0x01`` marks a guaranteed (ledgered)
-envelope — those always take the full decode path; any other bit is a
-:class:`CorruptFrame`.  ``entry_count``
-must equal the body ``count``; a digest lists exactly the envelopes
-behind it, and the encoder derives it from the same envelope objects,
-so a CRC-valid frame's digest can only disagree with its bodies if the
-*encoder* was hostile (the CRC protects both regions against channel
-corruption).  Strings are UTF-8 with a varint length prefix; ``f64`` is
-a big-endian IEEE double.  Decoded header strings are ``sys.intern``\\ ed
-so the subject-match memo and per-app lanes key on identical objects,
-and the parse itself runs on a single :class:`~repro.sim.framing.Cursor`
-over a zero-copy view of the frame — in the compressed steady state a
-header string is a table lookup, not an allocation.
+COMPRESSED, ``0x10`` = DIGEST, set on every DATA/RETRANS frame and on
+no other, ``0x20`` = TYPED, set when any envelope references session
+type ids).  ``tdefs`` carries ``(type id, definition bytes)`` pairs
+followed by the frame's full type-reference list (``tref_count tid*``)
+— definitions are applied, references validated, on both decode paths.
+Strings are UTF-8 with a varint length prefix; ``f64`` is a big-endian
+IEEE double.  Decoded header strings are ``sys.intern``\\ ed so the
+subject-match memo and per-app lanes key on identical objects, and the
+parse itself runs on a single :class:`~repro.sim.framing.Cursor` over a
+zero-copy view of the frame — in the compressed steady state a header
+string is a table lookup, not an allocation.
 """
 
 from __future__ import annotations
@@ -176,10 +180,9 @@ __all__ = ["CorruptFrame", "DEFAULT_DECODE_MEMO_CAPACITY",
            "FrameDigest", "StringTable",
            "UnresolvedStringId", "UnresolvedTypeId",
            "configure_decode_memo",
-           "decode_memo_stats", "decode_packet", "encode_envelope",
-           "read_digest", "wire_metrics",
-           "encode_envelope_compressed", "encode_packet",
-           "envelope_wire_size", "packet_wire_size"]
+           "decode_memo_stats", "decode_packet", "read_digest",
+           "wire_metrics", "encode_packet", "envelope_wire_size",
+           "packet_wire_size"]
 
 _KIND_TO_CODE = {
     PacketKind.DATA: 0,
@@ -202,11 +205,14 @@ _P_TYPED = 0x20
 _P_REGIONS = _P_COMPRESSED | _P_DIGEST | _P_TYPED
 _ENVELOPE_KINDS = (PacketKind.DATA, PacketKind.RETRANS)
 
-# envelope flag bits
-_E_LEDGER = 0x01
-
-# digest entry flag bits
-_D_LEDGER = 0x01     # guaranteed envelope: receivers must decode fully
+# digest entry flag bits: what the envelope's body carries
+_E_LEDGER = 0x01        # a ledger id: guaranteed, receivers decode fully
+_E_SAME_SENDER = 0x10   # no sender: the previous envelope's
+_E_SAME_TIME = 0x20     # no publish time: the previous envelope's
+_E_VIA = 0x40           # via hops
+_E_DEFINED = _E_LEDGER | _E_SAME_SENDER | _E_SAME_TIME | _E_VIA
+#: the bits a frame's first entry may carry: it has no predecessor
+_E_FIRST = _E_DEFINED & ~(_E_SAME_SENDER | _E_SAME_TIME)
 
 _intern = sys.intern
 
@@ -289,8 +295,8 @@ class StringTable:
 
 def _write_header_str(out: BytesIO, text: str,
                       table: Optional[StringTable],
-                      refs: Optional[List[int]],
-                      own_defs: Optional[List[Tuple[int, str]]]) -> None:
+                      refs: List[int],
+                      own_defs: List[Tuple[int, str]]) -> None:
     """One header string: inline, or (``table`` given: a compressed
     frame) its session string-table id, noted in ``refs`` — and in
     ``own_defs`` when this call assigned it."""
@@ -304,108 +310,119 @@ def _write_header_str(out: BytesIO, text: str,
     write_varint(out, idx)
 
 
-def _write_envelope_body(envelope: Envelope,
-                         table: Optional[StringTable] = None,
-                         refs: Optional[List[int]] = None,
-                         own_defs: Optional[List[Tuple[int, str]]] = None
-                         ) -> bytes:
-    """The one envelope body writer; header strings go out through
-    :func:`_write_header_str`."""
-    out = BytesIO()
-    flags = _E_LEDGER if envelope.ledger_id is not None else 0
-    out.write(bytes((flags,)))
-    _write_header_str(out, envelope.subject, table, refs, own_defs)
-    _write_header_str(out, envelope.sender, table, refs, own_defs)
-    write_varint(out, envelope.seq)
-    write_f64(out, envelope.publish_time)
-    if envelope.ledger_id is not None:
-        _write_header_str(out, envelope.ledger_id, table, refs, own_defs)
-    write_varint(out, len(envelope.via))
-    for hop in envelope.via:
-        _write_header_str(out, hop, table, refs, own_defs)
-    write_bytes(out, envelope.payload)
-    return out.getvalue()
+def _encoded(envelope: Envelope, table: Optional[StringTable]) -> tuple:
+    """The envelope's standalone encoding against ``table`` (``None``:
+    plain strings); the compressed one is cached on the envelope.
 
+    Returns ``(key, table, eflags, entry, body, sender_len, refs,
+    own_defs)``: ``entry`` is its digest entry after the flags byte
+    (subject, seq) and ``eflags`` the entry bits the envelope decides on
+    its own (ledger, via); ``body`` is its body with every field present
+    and ``sender_len`` the length of the leading sender field, so a
+    frame that elides the sender and the publish time slices them off
+    (:func:`_write_envelopes`).  ``refs`` are the table ids it cites
+    and ``own_defs`` the definitions this encoding assigned — replayed
+    on a hit, so the frame that carries an envelope always carries the
+    definitions it was responsible for, and encoding the same packet
+    twice gives identical bytes (a redundant re-definition is idempotent
+    at the receiver).
 
-def encode_envelope(envelope: Envelope) -> bytes:
-    """Encoded body bytes for one envelope (cached on the envelope).
-
-    The cache key is the stamped ``(session, seq)`` identity: stamping by
-    the reliable sender changes both, invalidating any pre-stamp entry,
-    and after stamping envelopes are immutable on the send path — so the
-    broadcast fan-out and every NACK repair reuse one encoding.
+    The cache key is the stamped ``(session, seq)`` identity and the
+    table: stamping by the reliable sender changes both, invalidating a
+    pre-stamp entry, and after stamping envelopes are immutable on the
+    send path — so the broadcast fan-out and every NACK repair reuse one
+    encoding.  Daemons compress every DATA/RETRANS frame, so a plain
+    encoding is only ever measured (:func:`envelope_wire_size`) or sent
+    once (a stat frame), and is not kept.
     """
-    cached = getattr(envelope, "_wire_cache", None)
     key = (envelope.session, envelope.seq)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    body = _write_envelope_body(envelope)
-    envelope._wire_cache = (key, body)
-    return body
-
-
-def encode_envelope_compressed(
-        envelope: Envelope, table: StringTable,
-        new_defs: List[Tuple[int, str]]) -> Tuple[bytes, Tuple[int, ...]]:
-    """Compressed body + referenced ids for one envelope.
-
-    Header strings are replaced by ids from ``table``; any id assigned
-    during this call is appended to ``new_defs`` so the enclosing DATA
-    frame can carry its definition.  Cached on the envelope alongside the
-    plain encoding, keyed by ``(session, seq)`` *and* the table identity.
-    The defs this envelope introduced are cached too and replayed on a
-    hit — so encoding the same packet twice yields identical bytes, and
-    the frame that carries an envelope always carries the definitions it
-    was responsible for (redundant re-definitions are idempotent at the
-    receiver).
-    """
-    cached = getattr(envelope, "_wire_cache_z", None)
-    key = (envelope.session, envelope.seq)
-    if cached is not None and cached[0] == key and cached[1] is table:
-        new_defs.extend(cached[4])
-        return cached[2], cached[3]
+    if table is not None:
+        cached = getattr(envelope, "_wire_cache_z", None)
+        if cached is not None and cached[0] == key and cached[1] is table:
+            return cached
     refs: List[int] = []
     own_defs: List[Tuple[int, str]] = []
-    body = _write_envelope_body(envelope, table, refs, own_defs)
-    new_defs.extend(own_defs)
-    envelope._wire_cache_z = (key, table, body, tuple(refs),
-                              tuple(own_defs))
-    return body, tuple(refs)
+    out = BytesIO()
+    _write_header_str(out, envelope.subject, table, refs, own_defs)
+    write_varint(out, envelope.seq)
+    entry = out.getvalue()
+    out = BytesIO()
+    _write_header_str(out, envelope.sender, table, refs, own_defs)
+    sender_len = out.tell()
+    write_f64(out, envelope.publish_time)
+    eflags = 0
+    if envelope.ledger_id is not None:
+        eflags = _E_LEDGER
+        _write_header_str(out, envelope.ledger_id, table, refs, own_defs)
+    if envelope.via:
+        eflags |= _E_VIA
+        write_varint(out, len(envelope.via))
+        for hop in envelope.via:
+            _write_header_str(out, hop, table, refs, own_defs)
+    write_bytes(out, envelope.payload)
+    encoded = (key, table, eflags, entry, out.getvalue(), sender_len,
+               tuple(refs), tuple(own_defs))
+    if table is not None:
+        envelope._wire_cache_z = encoded
+    return encoded
 
 
 def envelope_wire_size(envelope: Envelope) -> int:
-    """Bytes this envelope contributes to an *uncompressed* packet body.
+    """The most bytes this envelope adds to a frame: its plain digest
+    entry plus its standalone plain body (cached on the envelope under
+    the same ``(session, seq)`` key as its encoding).
 
-    Deliberately mode-independent: batching thresholds and tests measure
-    against the canonical encoding, so turning compression on or off
-    never changes batching decisions.
+    What the batcher cuts a group on.  In a compressed frame whose
+    strings the table already holds, each id is no longer than the
+    string it replaces and an elided sender or publish time only
+    shortens the body, so a group cut on these sizes never outgrows one
+    datagram.  Deliberately mode-independent: turning compression on or
+    off never changes batching decisions.
     """
-    return len(encode_envelope(envelope))
+    cached = getattr(envelope, "_wire_size", None)
+    key = (envelope.session, envelope.seq)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    _, _, _, entry, body, _, _, _ = _encoded(envelope, None)
+    size = 1 + len(entry) + len(body)
+    envelope._wire_size = (key, size)
+    return size
 
 
 # ----------------------------------------------------------------------
 # packets
 # ----------------------------------------------------------------------
 
-def _write_digest(out: BytesIO, packet: Packet,
-                  table: Optional[StringTable]) -> None:
-    """Write the subject-digest region: one entry per envelope body.
+def _write_envelopes(out: BytesIO, envelopes: List[Envelope],
+                     encoded: List[tuple]) -> None:
+    """Write the digest, then the bodies: each field once per frame.
 
-    With ``table`` (compressed frames) subjects are written as table
-    ids; every id is already interned — the envelope bodies were encoded
-    first (their defs precede the digest on the wire), and a body always
-    references its subject.
+    An entry carries the envelope's flags, subject and seq; its body
+    drops the sender and the publish time when they equal the previous
+    envelope's (entry bits ``0x10`` / ``0x20``), sliced off the cached
+    standalone body.  With a table (compressed frames) every id is
+    already interned: :func:`_encoded` ran for every envelope first, and
+    the defs it assigned precede the digest on the wire.
     """
-    ids = None if table is None else table.ids
-    write_varint(out, len(packet.envelopes))
-    for envelope in packet.envelopes:
-        out.write(bytes((_D_LEDGER if envelope.ledger_id is not None
-                         else 0,)))
-        if ids is None:
-            write_str(out, envelope.subject)
-        else:
-            write_varint(out, ids[envelope.subject])
-        write_varint(out, envelope.seq)
+    write_varint(out, len(envelopes))
+    digest = bytearray()
+    bodies = bytearray()
+    sender = publish_time = None
+    for envelope, cached in zip(envelopes, encoded):
+        _, _, eflags, entry, body, sender_len, _, _ = cached
+        if envelope.sender == sender:
+            eflags |= _E_SAME_SENDER
+            body = body[sender_len:]
+            sender_len = 0
+        if envelope.publish_time == publish_time:
+            eflags |= _E_SAME_TIME
+            body = body[:sender_len] + body[sender_len + 8:]
+        sender, publish_time = envelope.sender, envelope.publish_time
+        digest.append(eflags)
+        digest += entry
+        bodies += body
+    out.write(digest)
+    out.write(bodies)
 
 
 def _write_typedefs(out: BytesIO, packet: Packet, type_table,
@@ -447,19 +464,15 @@ def encode_packet(packet: Packet, table: Optional[StringTable] = None,
     define-on-DATA / redefine-all-on-RETRANS rules.  DATA and RETRANS
     frames always carry a subject digest ahead of the envelope bodies
     (see the module docstring) so receivers can interest-gate without
-    decoding them.
+    decoding them; HEARTBEAT, NACK and ACK frames end after their
+    header.
     """
-    digest = packet.kind in _ENVELOPE_KINDS
-    compress = table is not None and digest
-    trefs: Set[int] = set()
-    if type_table is not None and digest:
-        for envelope in packet.envelopes:
-            trefs.update(getattr(envelope, "type_refs", ()))
-    out = BytesIO()
+    kind = packet.kind
     try:
-        out.write(bytes((_KIND_TO_CODE[packet.kind],)))
+        code = _KIND_TO_CODE[kind]
     except KeyError:
-        raise ValueError(f"unknown packet kind {packet.kind!r}") from None
+        raise ValueError(f"unknown packet kind {kind!r}") from None
+    envelopes = packet.envelopes if kind in _ENVELOPE_KINDS else None
     flags = 0
     if packet.nack_range is not None:
         flags |= _P_NACK_RANGE
@@ -467,13 +480,18 @@ def encode_packet(packet: Packet, table: Optional[StringTable] = None,
         flags |= _P_ACK_LEDGER
     if packet.ack_consumer is not None:
         flags |= _P_ACK_CONSUMER
-    if compress:
-        flags |= _P_COMPRESSED
-    if digest:
+    trefs: Set[int] = set()
+    if envelopes is not None:
         flags |= _P_DIGEST
-    if trefs:
-        flags |= _P_TYPED
-    out.write(bytes((flags,)))
+        if table is not None:
+            flags |= _P_COMPRESSED
+        if type_table is not None:
+            for envelope in envelopes:
+                trefs.update(envelope.type_refs)
+            if trefs:
+                flags |= _P_TYPED
+    out = BytesIO()
+    out.write(bytes((code, flags)))
     write_str(out, packet.session)
     write_f64(out, packet.session_start)
     write_varint(out, packet.last_seq)
@@ -484,31 +502,24 @@ def encode_packet(packet: Packet, table: Optional[StringTable] = None,
         write_str(out, packet.ack_ledger_id)
     if packet.ack_consumer is not None:
         write_str(out, packet.ack_consumer)
-    if compress:
-        new_defs: List[Tuple[int, str]] = []
-        bodies: List[bytes] = []
-        all_refs: Set[int] = set()
-        for envelope in packet.envelopes:
-            body, refs = encode_envelope_compressed(envelope, table, new_defs)
-            bodies.append(body)
-            all_refs.update(refs)
-        if packet.kind is PacketKind.RETRANS:
-            def_pairs = [(idx, table.strings[idx]) for idx in sorted(all_refs)]
+    if envelopes is None:
+        return frame(out.getvalue())
+    encoded = [_encoded(envelope, table) for envelope in envelopes]
+    if table is not None:
+        if kind is PacketKind.RETRANS:
+            refs: Set[int] = set()
+            for cached in encoded:
+                refs.update(cached[6])
+            def_pairs = [(idx, table.strings[idx]) for idx in sorted(refs)]
         else:
-            def_pairs = new_defs
+            def_pairs = [pair for cached in encoded for pair in cached[7]]
         write_varint(out, len(def_pairs))
         for idx, text in def_pairs:
             write_varint(out, idx)
             write_str(out, text)
-    else:
-        bodies = [encode_envelope(envelope) for envelope in packet.envelopes]
     if trefs:
         _write_typedefs(out, packet, type_table, trefs)
-    if digest:
-        _write_digest(out, packet, table if compress else None)
-    write_varint(out, len(bodies))
-    for body in bodies:
-        out.write(body)
+    _write_envelopes(out, envelopes, encoded)
     return frame(out.getvalue())
 
 
@@ -599,9 +610,11 @@ class _Parse:
 
     Stages 1-4 (header, string defs, typedefs, digest) fill everything
     but the bodies: ``packet`` has its header fields and no envelopes,
-    ``digest`` is the :class:`FrameDigest` (``None`` for a frame without
-    one), ``rest`` is the unparsed remainder of the frame body — the
-    envelope region.  Stage 5 fills ``packet.envelopes`` and clears
+    ``digest`` is the :class:`FrameDigest` (``None`` for a control
+    frame, complete after stage 1), ``entries`` the digest's
+    ``(eflags, subject, seq)`` per envelope — what stage 5 reads each
+    body against — and ``rest`` the unparsed remainder of the frame
+    body, the bodies.  Stage 5 fills ``packet.envelopes`` and clears
     ``rest``: a parse with nothing left is complete.
 
     ``defines`` / ``tdefines`` are the frame's in-frame string / type
@@ -613,12 +626,13 @@ class _Parse:
     which both stages share.
     """
 
-    __slots__ = ("packet", "digest", "rest", "defines", "needs",
-                 "body_needs", "tdefines", "tneeds")
+    __slots__ = ("packet", "digest", "entries", "rest", "defines",
+                 "needs", "body_needs", "tdefines", "tneeds")
 
     def __init__(self, packet: Packet) -> None:
         self.packet = packet
         self.digest: Optional[FrameDigest] = None
+        self.entries: List[Tuple[int, str, int]] = []
         self.rest: Optional[memoryview] = None
         self.defines = self.needs = self.body_needs = None
         self.tdefines = self.tneeds = None
@@ -722,7 +736,9 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
             _memo.move_to_end(key)
             hit = complete or not bodies
     if parse is None:
-        # -- stage 1: header; the one place flags are judged against kind
+        # -- stage 1: header; the one place flags are judged against
+        # kind.  A control frame ends here; a DATA/RETRANS frame always
+        # has a digest.
         cur = Cursor(unframe_view(data))
         kind = _CODE_TO_KIND.get(cur.u8())
         if kind is None:
@@ -744,6 +760,12 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
             ack_consumer = _intern(cur.str_())
         parse = _Parse(Packet(kind, session, [], nack_range, last_seq,
                               session_start, ack_ledger_id, ack_consumer))
+        if kind not in _ENVELOPE_KINDS:
+            if not cur.exhausted:
+                raise CorruptFrame(f"{cur.remaining()} trailing bytes "
+                                   f"after {kind.value} header")
+        elif not flags & _P_DIGEST:
+            raise CorruptFrame(f"{kind.value} frame without a digest")
         # -- stage 2: string defs.  The frame passed its CRC, so they
         # are intact: apply them even if resolution fails below or the
         # caller goes on to skip the frame — later frames reference them
@@ -767,40 +789,46 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
             trefs = [cur.varint() for _ in range(cur.varint())]
             parse.tneeds = _needs(ttable, trefs, tdefines)
             tmissing = [t for t, blob in parse.tneeds.items() if blob is None]
-        # -- stage 4: digest
+        # -- stage 4: digest, the one place subject, seq and flags are
+        # written.  Bits no writer sets, and an elision on the first
+        # entry (it has no predecessor), are a hostile encoder's.
         refs: Set[int] = set()
         if flags & _P_DIGEST:
+            entries = parse.entries
             seqs: List[int] = []
             subjects: Dict[str, None] = {}      # distinct, first-seen order
             needs_full = False
+            allowed = _E_FIRST
             for _ in range(cur.varint()):
-                dflags = cur.u8()
-                if dflags & ~_D_LEDGER:
-                    raise CorruptFrame(f"unknown digest flags {dflags:#x}")
-                subjects[_read_header_str(cur, table, refs)] = None
+                eflags = cur.u8()
+                if eflags & ~allowed:
+                    raise CorruptFrame(f"bad digest entry flags {eflags:#x}"
+                                       f" (entry {len(seqs)})")
+                allowed = _E_DEFINED
+                subject = _read_header_str(cur, table, refs)
+                subjects[subject] = None
                 seq = cur.varint()
-                if dflags & _D_LEDGER or seq == 0:
+                if eflags & _E_LEDGER or seq == 0:
                     needs_full = True
                 seqs.append(seq)
+                entries.append((eflags, subject, seq))
             parse.digest = FrameDigest(session, tuple(subjects), seqs,
                                        needs_full)
+            parse.rest = cur.buf[cur.pos:]
         if table is not None:
             parse.needs = _needs(table, refs, parse.defines)
             missing = [i for i, text in parse.needs.items() if text is None]
-        parse.rest = cur.buf[cur.pos:]
     envelopes = body_needs = None
     if bodies and parse.rest is not None:
-        # -- stage 5: bodies.  They are authoritative; the digest only
-        # has to list as many envelopes as follow it.
+        # -- stage 5: bodies, one per digest entry, read against it
         cur = Cursor(parse.rest)
-        count = cur.varint()
-        digest = parse.digest
-        if digest is not None and len(digest.seqs) != count:
-            raise CorruptFrame(f"digest lists {len(digest.seqs)} "
-                               f"envelopes, body carries {count}")
         refs = set()
-        envelopes = [_read_envelope(cur, table, refs, session)
-                     for _ in range(count)]
+        envelopes = []
+        envelope = None
+        for entry in parse.entries:
+            envelope = _read_envelope(cur, table, refs, session, entry,
+                                      envelope)
+            envelopes.append(envelope)
         if not cur.exhausted:
             raise CorruptFrame(
                 f"{cur.remaining()} trailing bytes after packet")
@@ -809,30 +837,25 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
             missing = set(missing).union(
                 i for i, text in body_needs.items() if text is None)
             body_needs.update(parse.needs)
-    # a frame without a digest gives read_digest nothing to act on — it
-    # returns None, the caller decodes fully, and any error surfaces
-    # there — so it neither counts in the digest memo nor raises here
+    # a control frame gives read_digest nothing to act on — it returns
+    # None and the caller decodes fully — so it does not count in the
+    # digest memo (it cites no ids, so it cannot be unresolved either)
     acts = bodies or parse.digest is not None
     if hit and acts:
         (_decode_memo_hits if bodies else _digest_memo_hits).value += 1
     if missing or tmissing:
-        if not acts:
-            return parse
         packet = parse.packet
-        if bodies:
-            seqs = [e.seq for e in envelopes or packet.envelopes]
-        else:
-            seqs = parse.digest.seqs
-        # a well-formed frame citing ids has envelopes (the refs come
-        # from them), but a hostile encoder's might not: default the span
-        seqs = seqs or [0]
+        # a frame citing ids is a DATA/RETRANS frame, so it has a digest;
+        # a well-formed one has envelopes (the refs come from them), but
+        # a hostile encoder's might not: default the span
+        seqs = parse.digest.seqs or [0]
         error = UnresolvedStringId if missing else UnresolvedTypeId
         raise error(packet.session, missing or tmissing, min(seqs),
                     max(seqs), packet.session_start)
     if envelopes is not None:
         parse.packet.envelopes = envelopes
         parse.body_needs = body_needs
-        parse.rest = None
+        parse.rest = parse.entries = None
     if not hit and key is not None:
         if acts:
             (_decode_memo_misses if bodies
@@ -847,19 +870,30 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
 
 
 def _read_envelope(cur: Cursor, table: Optional[Dict[int, str]],
-                   refs: Set[int], session: str) -> Envelope:
+                   refs: Set[int], session: str,
+                   entry: Tuple[int, str, int],
+                   prev: Optional[Envelope]) -> Envelope:
     """One envelope body of a frame from ``session`` (the frame header's:
-    the body does not repeat it); qos is read off the ledger flag."""
-    flags = cur.u8()
-    subject = _read_header_str(cur, table, refs)
-    sender = _read_header_str(cur, table, refs)
-    seq = cur.varint()
-    publish_time = cur.f64()
+    the body does not repeat it), read against its digest ``entry`` —
+    which gives its subject and seq, and whose flags say which body
+    fields follow — and the frame's ``prev`` envelope, whose sender and
+    publish time an elided field repeats.  Qos is read off the ledger
+    flag."""
+    eflags, subject, seq = entry
+    sender = (prev.sender if eflags & _E_SAME_SENDER
+              else _read_header_str(cur, table, refs))
+    publish_time = (prev.publish_time if eflags & _E_SAME_TIME
+                    else cur.f64())
     qos, ledger_id = QoS.RELIABLE, None
-    if flags & _E_LEDGER:
+    if eflags & _E_LEDGER:
         qos, ledger_id = QoS.GUARANTEED, _read_header_str(cur, table, refs)
-    via = tuple([_read_header_str(cur, table, refs)
-                 for _ in range(cur.varint())])
+    via = ()
+    if eflags & _E_VIA:
+        hops = cur.varint()
+        if not hops:
+            raise CorruptFrame("via flag with no hops")
+        via = tuple([_read_header_str(cur, table, refs)
+                     for _ in range(hops)])
     return Envelope(subject, sender, session, seq, cur.bytes_(), qos,
                     ledger_id, publish_time, via)
 
@@ -897,15 +931,15 @@ def read_digest(data: bytes, peers=None) -> Optional[FrameDigest]:
     The interest gate's entry point — :func:`decode_packet` stopped
     after stage 4: O(header) work (the CRC check is still O(frame), but
     at C speed), never touching envelope bodies.  Returns ``None`` for
-    frames without a digest (HEARTBEAT/NACK/ACK, or pre-digest
-    encodings) — the caller must decode fully.  Like
+    HEARTBEAT/NACK/ACK frames, which have no digest — the caller must
+    decode fully.  Like
     :func:`decode_packet` it applies the frame's table and typedef
     definitions to the session's record in ``peers`` *even when the
     caller goes on to skip the frame* — a skipped frame must still
     replay what it carries — and raises :class:`UnresolvedStringId` /
     :class:`UnresolvedTypeId` when the digest or the typedef reference
-    list cites ids this receiver has not learned (the bodies reference
-    at least those same ids, so the full path would fail identically).
+    list cites ids this receiver has not learned (a full decode reads the
+    same digest first, so the full path would fail identically).
     Successful reads are memoized in the same per-frame entry a full
     decode completes, with the same per-receiver ``defines`` replay and
     by-value ``needs`` check.

@@ -1,8 +1,12 @@
 """Unit tests for the outbound batcher."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core import (BatchConfig, Batcher, BusConfig, Envelope,
-                        FlowConfig, InformationBus, POLICY_DROP_NEWEST, QoS,
-                        ShardMap)
+                        FlowConfig, InformationBus, POLICY_DROP_NEWEST,
+                        Packet, PacketKind, QoS, ShardMap, StringTable,
+                        encode_packet)
 from repro.sim import CostModel, EthernetSegment, Frame, Simulator
 
 
@@ -199,6 +203,53 @@ def test_cut_groups_leave_one_per_lane_free_instant():
         done = at + cost(size)
 
 
+SUBJECTS = ("t.x", "feed.equity.gmc")
+SENDERS = ("p", "node0.publisher")
+
+
+@given(st.lists(st.tuples(st.sampled_from(SUBJECTS),
+                          st.sampled_from(SENDERS),
+                          st.integers(0, 120),
+                          st.sampled_from([0.0, None])),
+                min_size=3, max_size=150))
+@settings(max_examples=60, deadline=None)
+def test_gathered_group_never_outgrows_one_datagram(specs):
+    """What a group is cut on, :attr:`Envelope.size`, bounds its share
+    of a compressed frame: once the session's strings are in its table
+    (ids no longer than the strings; an elided sender or publish time
+    only shortens a body), no DATA datagram a disabled batcher emits
+    behind a busy lane is larger than one MTU, whatever the payloads
+    and whether the envelopes share a publish instant (``0.0``) or
+    each has its own (``None``)."""
+    sim = Simulator(seed=0)
+    lan = EthernetSegment(sim, cost=CostModel(cpu_jitter=0.0))
+    host = lan.add_host("node0")
+    lan.add_host("node1")
+    table = StringTable()
+    for text in SUBJECTS + SENDERS:
+        table.intern(text)
+    datagrams = []
+    header = len(encode_packet(Packet(PacketKind.DATA, "node0#0", [],
+                                      session_start=0.0), table))
+
+    def send(batch):
+        data = encode_packet(Packet(PacketKind.DATA, "node0#0", batch,
+                                    session_start=0.0), table)
+        datagrams.append((len(batch), len(data)))
+        assert len(data) <= header + sum(e.size for e in batch)
+        host.send_frame(Frame("node0", "node1", 7, 7, data, len(data)))
+
+    batcher = Batcher(sim, BatchConfig(), send, host=host)
+    for seq, (subject, sender, payload, at) in enumerate(specs, 1):
+        batcher.add(Envelope(subject, sender, "node0#0", seq,
+                             b"\x00" * payload,
+                             publish_time=float(seq) if at is None else at))
+    sim.run()
+    assert sum(n for n, _ in datagrams) == len(specs)
+    assert max(n for n, _ in datagrams) > 1
+    assert max(size for _, size in datagrams) <= host.cost.mtu
+
+
 def test_envelope_no_follower_could_join_is_never_held():
     sim, host, batcher, sent = lane_batcher(batch_bytes=200)
     batcher.add(envelope())
@@ -311,18 +362,28 @@ def test_frame_lost_in_a_burst_is_repaired_while_the_burst_is_sent():
     bus.run_for(1.0)
     batcher = bus.daemons["node00"]._batcher
     groups = []                       # (handed to the lane at, first seq)
+    multi = []                        # each multi-envelope group's frames
     emit = batcher._flush_cb
-    batcher._flush_cb = lambda batch: (
-        groups.append((bus.sim.now, batch[0].seq)), emit(batch))
+    sender = bus.host("node00")
+    send_frame = sender.send_frame
+    sent = []
+    sender.send_frame = lambda frame, lane=0: (
+        sent.append(frame), send_frame(frame, lane))[1]
+
+    def record(batch):
+        groups.append((bus.sim.now, batch[0].seq))
+        sent.clear()
+        emit(batch)
+        if len(batch) > 1:
+            multi.append(list(sent))
+
+    batcher._flush_cb = record
     receiver = bus.host("node01")
     deliver = receiver.deliver_frame
-    full = []
 
     def lose_second_full_datagram(frame):
-        if frame.size > 1000:
-            full.append(frame)
-            if len(full) == 2:
-                return
+        if len(multi) > 1 and any(frame is lost for lost in multi[1]):
+            return
         deliver(frame)
 
     receiver.deliver_frame = lose_second_full_datagram

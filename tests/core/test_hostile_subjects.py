@@ -4,8 +4,8 @@ is not a well-formed subject.
 ``wire`` is subject-syntax-agnostic (it round-trips any string), so a
 peer can put ``""`` or ``"feed..x"`` in a frame that passes its CRC.
 The daemon validates subjects when it matches them — in the interest
-gate (digest subjects), in dispatch and on the stat port (body subjects,
-which are authoritative and may differ from the digest's) — and that
+gate and in dispatch (a subject is written once, in the frame's digest)
+and on the stat port — and that
 validation used to raise ``BadSubjectError`` out of a simulator callback
 and through ``run_until``.  On the receive path an ill-formed subject
 now *matches nothing*: never delivered, nothing raised, counted in
@@ -17,7 +17,7 @@ well-formed frame is delivered in order.
 import pytest
 
 from repro.core import (BusConfig, Envelope, InformationBus, Packet,
-                        PacketKind, encode_envelope, encode_packet)
+                        PacketKind, QoS, encode_packet)
 from repro.core.daemon import DAEMON_PORT, STAT_PORT
 from repro.core.subjects import BadSubjectError
 from repro.objects import encode
@@ -39,16 +39,13 @@ def make_bus():
     return bus, socket
 
 
-def data_frame(subject, seq, body_subject=None):
-    """A plain-encoded one-envelope DATA frame from the hostile session.
-    With ``body_subject`` the digest says ``subject`` and the body
-    something else: the encoder reuses an envelope's cached body for its
-    ``(session, seq)``, so encode the body first, then rename."""
-    envelope = Envelope(subject=body_subject or subject, sender="evil.app",
-                        session=SESSION, seq=seq, payload=encode(seq))
-    if body_subject is not None:
-        encode_envelope(envelope)
-        envelope.subject = subject
+def data_frame(subject, seq, ledger_id=None):
+    """A plain-encoded one-envelope DATA frame from the hostile session,
+    guaranteed when ``ledger_id`` is given."""
+    envelope = Envelope(subject=subject, sender="evil.app", session=SESSION,
+                        seq=seq, payload=encode(seq),
+                        qos=QoS.RELIABLE if ledger_id is None
+                        else QoS.GUARANTEED, ledger_id=ledger_id)
     return encode_packet(Packet(PacketKind.DATA, SESSION, [envelope],
                                 session_start=0.0))
 
@@ -90,18 +87,19 @@ def test_ill_formed_digest_subject_matches_nothing(subject):
     assert bus.daemons["node01"].skipped_frames == 2   # seq 1: first contact
 
 
-def test_ill_formed_body_subject_behind_a_valid_digest_matches_nothing():
-    bus, inbox = deliver_around(
-        data_frame("feed.a", 2, body_subject="feed..x"))
+def test_ill_formed_digest_subject_on_the_full_path_matches_nothing():
+    """A guaranteed entry takes the full decode on every daemon, so the
+    gate never matches its subject: dispatch meets it, counts it once,
+    and offers it to no one."""
+    bus, inbox = deliver_around(data_frame("feed..x", 2, ledger_id="evil/1"))
     assert inbox == [(1, 1), (3, 3)]
-    interested, idle = bus.daemons["node00"], bus.daemons["node01"]
-    # node00's gate saw "feed.a", decoded, and dispatch met the real one
-    assert bad_subjects(interested) == 1 and interested.skipped_frames == 0
-    # node01 skipped on the digest and never saw the body
-    assert bad_subjects(idle) == 0 and idle.skipped_frames == 2
-    for daemon in (interested, idle):
+    for daemon in bus.daemons.values():
+        assert bad_subjects(daemon) == 1
+        assert daemon.corrupt_dropped == 0
         stats = daemon.peers[SESSION].stats
         assert stats.delivered.value == 3 and stats.nacks_sent.value == 0
+    # the interested daemon decoded every frame
+    assert bus.daemons["node00"].skipped_frames == 0
 
 
 def test_ill_formed_subject_on_the_stat_port_matches_nothing():

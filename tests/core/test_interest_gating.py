@@ -193,6 +193,65 @@ def test_region_flag_on_control_frame_is_corrupt_on_both_paths(packet, flag):
         read_digest(tampered)
 
 
+# ----------------------------------------------------------------------
+# the grammar fails closed: each shape is a plain CorruptFrame on both
+# entry points, and one counted corrupt drop at every daemon
+# ----------------------------------------------------------------------
+
+def assert_fails_closed(tampered):
+    for entry_point in (read_digest, decode_packet):
+        with pytest.raises(CorruptFrame) as caught:
+            entry_point(tampered, peers=Learned())
+        assert type(caught.value) is CorruptFrame  # nothing to repair
+    bus = make_bus(advertise_subscriptions=False)
+    bus.client("node01", "mon").subscribe("zq.>", lambda *a: None)
+    evil_socket(bus).broadcast(tampered, DAEMON_PORT)
+    bus.run_for(1.0)
+    for daemon in bus.daemons.values():
+        assert daemon.corrupt_dropped == 1
+        assert not daemon.peers and daemon.skipped_frames == 0
+
+
+@pytest.mark.parametrize("kind", [PacketKind.DATA, PacketKind.RETRANS],
+                         ids=lambda kind: kind.value)
+def test_envelope_frame_without_a_digest_fails_closed(kind):
+    """Every DATA/RETRANS frame carries the digest: its entries are the
+    only place subjects and seqs are written."""
+    packet = Packet(kind, "evil#0", [make_envelope("zq.a", 1, "evil#0")],
+                    session_start=0.0)
+    body = bytearray(unframe(encode_packet(packet)))
+    assert body[1] & 0x10
+    body[1] &= ~0x10
+    assert_fails_closed(frame(bytes(body)))
+
+
+@pytest.mark.parametrize("packet", [
+    Packet(PacketKind.HEARTBEAT, "evil#0", last_seq=9, session_start=0.5),
+    Packet(PacketKind.NACK, "evil#0", nack_range=(1, 4)),
+    Packet(PacketKind.ACK, "evil#0", ack_ledger_id="x/1",
+           ack_consumer="node01"),
+], ids=lambda packet: packet.kind.value)
+def test_control_frame_with_bytes_after_its_header_fails_closed(packet):
+    """A control frame ends after its header: a trailing byte is never
+    read as envelopes (or skipped as nothing)."""
+    body = unframe(encode_packet(packet))
+    assert decode_packet(frame(body)) == packet
+    assert_fails_closed(frame(body + b"\x00"))
+
+
+@pytest.mark.parametrize("flag", [0x10, 0x20],
+                         ids=["same-sender", "same-time"])
+def test_first_entry_repeating_a_predecessor_fails_closed(flag):
+    """The first entry has no previous envelope whose sender or publish
+    time its body could leave out."""
+    assert_fails_closed(with_digest_flag(flag, "zq.a", session="evil#0"))
+
+
+@pytest.mark.parametrize("flag", [0x02, 0x04, 0x08, 0x80])
+def test_undefined_entry_bit_fails_closed(flag):
+    assert_fails_closed(with_digest_flag(flag, "zq.a", session="evil#0"))
+
+
 def test_digest_memo_shares_parses():
     wire.configure_decode_memo()
     data = encode_packet(Packet(PacketKind.DATA, "node00#0",

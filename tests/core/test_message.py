@@ -1,7 +1,6 @@
 """Unit tests for envelopes, packets, and measured size accounting."""
 
-from repro.core import (Envelope, Packet, PacketKind, QoS, encode_envelope,
-                        encode_packet)
+from repro.core import Envelope, Packet, PacketKind, QoS, encode_packet
 from repro.sim.framing import FRAME_OVERHEAD
 
 
@@ -11,8 +10,12 @@ def envelope(subject="a.b", payload=b"x" * 10):
 
 
 def test_envelope_size_is_encoded_length():
+    """Its digest entry plus its standalone body: what it adds to an
+    empty plain frame on its own."""
     e = envelope(subject="news.equity.gmc", payload=b"x" * 100)
-    assert e.size == len(encode_envelope(e))
+    empty = Packet(PacketKind.DATA, "h#0", [])
+    assert e.size == (len(encode_packet(Packet(PacketKind.DATA, "h#0", [e])))
+                      - len(encode_packet(empty)))
 
 
 def test_envelope_size_grows_with_payload_and_subject():
@@ -24,14 +27,16 @@ def test_envelope_size_grows_with_payload_and_subject():
 
 
 def test_envelope_size_counts_only_what_a_receiver_reads():
-    """flags, subject, sender, seq, publish_time, via count, payload.
-    The frame header carries the session, the ledger flag the qos, and
-    nothing read an envelope id: this envelope was 38 bytes when all
-    three rode along, and is smaller by exactly those fields."""
+    """Digest entry (flags, subject, seq), then the body (sender,
+    publish_time, payload).  The frame header carries the session, the
+    ledger flag the qos, nothing read an envelope id, and a body without
+    via hops has no via count: this envelope was 38 bytes when all four
+    rode along (and the flags, subject and seq rode twice, in the
+    digest too), and is smaller by exactly those fields."""
     e = envelope()
-    assert e.size == 1 + (1 + 3) + (1 + 5) + 1 + 8 + 1 + (1 + 10) == 32
-    session, qos, envelope_id = 1 + len(e.session), 1, 1
-    assert 38 - e.size == session + qos + envelope_id
+    assert e.size == 1 + (1 + 3) + 1 + (1 + 5) + 8 + (1 + 10) == 31
+    session, qos, envelope_id, via_count = 1 + len(e.session), 1, 1, 1
+    assert 38 - e.size == session + qos + envelope_id + via_count
 
 
 def test_packet_size_is_frame_length():

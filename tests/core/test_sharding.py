@@ -258,8 +258,8 @@ def test_four_planes_are_observably_one_daemon():
 
 
 @pytest.mark.parametrize("shards, last, wire_bytes, frames, published", [
-    (1, 0.07010139556227013, 171_544, 3_982, [600]),
-    (4, 0.02336729816615823, 638_554, 15_852, [150, 150, 150, 150]),
+    (1, 0.04959684537393724, 158_070, 3_982, [600]),
+    (4, 0.016301049337054355, 609_294, 15_852, [150, 150, 150, 150]),
 ])
 def test_fan_out_drain_is_pinned(shards, last, wire_bytes, frames,
                                  published):

@@ -117,68 +117,62 @@ def golden_frames():
         ("plain DATA", None,
          Packet(PacketKind.DATA, "n0#0", [frame_envelope(1)],
                 session_start=0.25),
-         "4942" "0000003c"                  # magic, body length 60
+         "4942" "0000002f"                  # magic, body length 47
          "00" "10"                          # DATA, flags DIGEST
          + SESSION + STARTED + "00"         # last_seq 0
-         + "01" "00" + FEED_GMC + "01"      # digest: 1 entry: dflags subject seq
-         + "01"                             # 1 envelope
-         + "00" + FEED_GMC + N0_PUB         # flags subject sender
-         + "01" + PUBLISHED                 # seq publish_time
-         + "00" + PAYLOAD                   # no via hops, payload
-         + "0c91fb7b"),                     # CRC-32 of the body
+         + "01" "00" + FEED_GMC + "01"      # digest: 1 entry: eflags subject seq
+         + N0_PUB + PUBLISHED               # body: sender publish_time
+         + PAYLOAD                          # (no ledger id, no via hops)
+         + "2c96ad6e"),                     # CRC-32 of the body
         ("compressed DATA", table,
          Packet(PacketKind.DATA, "n0#0", [frame_envelope(1), ledgered],
                 session_start=0.25),
-         "4942" "0000005c"
+         "4942" "0000004b"
          "00" "18"                          # DATA, COMPRESSED | DIGEST
          + SESSION + STARTED + "00"
          + "04"                             # defs: the 4 ids first used here
          + "00" + FEED_GMC + "01" + N0_PUB
          + "02" "066e302f672f31"            # 2 = "n0/g/1"
          + "03" "0377616e"                  # 3 = "wan"
-         + "02" "000001" "010002"           # digest: (-, id 0, 1) (LEDGER, id 0, 2)
-         + "02"                             # 2 envelopes
-         + "00" "00" "01" "01" + PUBLISHED + "00" + PAYLOAD
-         + "01" "00" "01" "02" + PUBLISHED  # flags LEDGER: guaranteed
+         + "02" "000001"                    # digest: (-, id 0, 1)
+         + "710002"                         # (LEDGER | SAME_SENDER |
+                                            #  SAME_TIME | VIA, id 0, 2)
+         + "01" + PUBLISHED + PAYLOAD       # sender id 1, publish_time
          + "02" "01" "03" + PAYLOAD         # ledger id, 1 via hop: id 3
-         + "23722257"),
+         + "eac0eec3"),
         ("RETRANS", table,
          Packet(PacketKind.RETRANS, "n0#0", [frame_envelope(1)],
                 session_start=0.25),
-         "4942" "00000039"
+         "4942" "00000034"
          "01" "18"                          # RETRANS, COMPRESSED | DIGEST
          + SESSION + STARTED + "00"
          + "02" "00" + FEED_GMC + "01" + N0_PUB     # every id it cites
          + "01" "000001"
-         + "01"
-         + "00" "00" "01" "01" + PUBLISHED + "00" + PAYLOAD
-         + "6c08b892"),
+         + "01" + PUBLISHED + PAYLOAD
+         + "35fffc55"),
         ("HEARTBEAT", None,
          Packet(PacketKind.HEARTBEAT, "n0#0", last_seq=300,
                 session_start=0.25),
-         "4942" "00000012"
+         "4942" "00000011"
          "03" "00" + SESSION + STARTED
-         + "ac02"                           # last_seq 300
-         + "00"                             # no envelopes
-         + "417da0a0"),
+         + "ac02"                           # last_seq 300: the frame ends
+         + "76b0b08d"),
         ("NACK", None,
          Packet(PacketKind.NACK, "n0#0", nack_range=(3, 5)),
-         "4942" "00000013"
+         "4942" "00000012"
          "02" "01"                          # NACK, flags NACK_RANGE
          + SESSION + "0000000000000000" "00"
          + "03" "05"                        # first, last
-         + "00"
-         + "2ecf7e7d"),
+         + "74198c5b"),
         ("ACK", None,
          Packet(PacketKind.ACK, "n0#0", ack_ledger_id="n0/g/1",
                 ack_consumer="n1.mon"),
-         "4942" "0000001f"
+         "4942" "0000001e"
          "04" "06"                          # ACK, ACK_LEDGER | ACK_CONSUMER
          + SESSION + "0000000000000000" "00"
          + "066e302f672f31"                 # "n0/g/1"
          + "066e312e6d6f6e"                 # "n1.mon"
-         + "00"
-         + "8354da65"),
+         + "8835d231"),
     ]
     return [pytest.param(packet, encode_packet(packet, table_).hex(),
                          expected, id=name)

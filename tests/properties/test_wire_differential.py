@@ -4,8 +4,10 @@ The interest gate acts on what :func:`read_digest` says about a frame
 without ever running :func:`decode_packet` on it, so the two must never
 disagree about whether a frame is acceptable.  Seeds are real encoder
 output in every shape the daemons send (plain, compressed, typed,
-RETRANS, reference-only, control) plus one only a hostile encoder sends
-(a digest entry flagged ``0x02``); each is hit with 0-3 byte mutations
+RETRANS, reference-only, control) plus two only a hostile encoder sends
+(a digest entry flagged ``0x02``, and a first entry that repeats the
+sender or publish time of a predecessor it does not have); each is hit
+with 0-3 byte mutations
 *inside* the frame body and re-framed under a valid CRC — the hostile
 encoder the checksum cannot catch.  For every such frame:
 
@@ -17,8 +19,8 @@ encoder the checksum cannot catch.  For every such frame:
     and subjects are the envelopes' own;
 (d) flag-vs-kind validity is judged identically: a HEARTBEAT/NACK/ACK
     frame claiming a defs, typedef or digest region is rejected by both;
-(e) so is digest-flag validity: both reject the ``0x02`` shape as plain
-    :class:`CorruptFrame` — there is nothing to repair.
+(e) so is digest-flag validity: both reject the two hostile shapes as
+    plain :class:`CorruptFrame` — there is nothing to repair.
 """
 
 from dataclasses import replace
@@ -44,18 +46,20 @@ SESSION = "node00#0"
 envelopes = st.builds(
     Envelope,
     subject=st.sampled_from(["feed.a", "feed.b", "feed.é", "_bus.stat.x"]),
-    sender=st.sampled_from(["node00.pub", "node00.other"]),
+    sender=st.sampled_from(["node00.pub", "node00.other", "node00.é"]),
     session=st.just(SESSION),
     seq=st.integers(0, 300),
     payload=st.binary(max_size=24),
     ledger_id=st.one_of(st.none(), st.just("node00/g/7")),
-    publish_time=st.just(0.5),
+    # equal neighbours share one sender / publish time on the wire
+    publish_time=st.one_of(st.just(0.5),
+                           st.floats(allow_nan=False, allow_infinity=False)),
     via=st.sampled_from([(), ("wan-router",)]),
     type_refs=st.sampled_from([(), (0,), (0, 1)]),
 ).map(lambda envelope: envelope if envelope.ledger_id is None
       else replace(envelope, qos=QoS.GUARANTEED))
 
-# body offset of the first digest entry's dflags in a plain SESSION
+# body offset of the first digest entry's eflags in a plain SESSION
 # frame: kind flags session:str session_start:f64 last_seq entry_count
 FIRST_DFLAGS = 2 + (1 + len(SESSION)) + 8 + 1 + 1
 
@@ -74,7 +78,7 @@ def seed_frames(draw):
     (``None`` for the hostile shape: no packet encodes to it)."""
     shape = draw(st.sampled_from(
         ["plain", "compressed", "typed", "retrans", "cold", "control",
-         "dflag02"]))
+         "dflag02", "first"]))
     if shape == "control":
         packet = draw(st.sampled_from([
             Packet(PacketKind.HEARTBEAT, SESSION, last_seq=9,
@@ -90,10 +94,11 @@ def seed_frames(draw):
                     session_start=0.25)
     if shape == "plain":
         return encode_packet(packet), packet
-    if shape == "dflag02":
+    if shape in ("dflag02", "first"):
         body = bytearray(unframe(encode_packet(packet)))
-        assert body[FIRST_DFLAGS] in (0x00, 0x01)
-        body[FIRST_DFLAGS] |= 0x02
+        assert not body[FIRST_DFLAGS] & 0x02
+        body[FIRST_DFLAGS] |= (0x02 if shape == "dflag02"
+                               else draw(st.sampled_from([0x10, 0x20])))
         return frame(bytes(body)), None
     table = StringTable()
     types = type_table() if shape in ("typed", "retrans") else None

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import Envelope, Packet, PacketKind, QoS
 from repro.core.wire import (CorruptFrame, StringTable, decode_packet,
-                             encode_envelope, encode_packet)
+                             encode_packet)
 from repro.sim.framing import FRAME_OVERHEAD, flip_random_bit, frame, unframe
 from tests.learned import Learned
 
@@ -92,7 +92,12 @@ def test_packet_round_trip(packet):
 @given(envelopes)
 @settings(max_examples=200, deadline=None)
 def test_envelope_size_is_encoding_length(envelope):
-    assert envelope.size == len(encode_envelope(envelope))
+    """The size is the envelope's digest entry plus its standalone body:
+    exactly what it adds to an empty plain frame of its session."""
+    def plain(envelopes):
+        return encode_packet(Packet(PacketKind.DATA, envelope.session,
+                                    envelopes))
+    assert envelope.size == len(plain([envelope])) - len(plain([]))
 
 
 @given(data_packets)
@@ -154,10 +159,15 @@ def test_encode_once_cache_reuses_bytes():
     """Fan-out and NACK repair reuse one encoding per stamped envelope."""
     e = Envelope(subject="a.b", sender="x", session="h#0", seq=3,
                  payload=b"payload")
-    first = encode_envelope(e)
-    assert encode_envelope(e) is first          # cached, not re-marshalled
+    table = StringTable()
+    packet = Packet(PacketKind.DATA, "h#0", [e])
+    encode_packet(packet, table)
+    first = e._wire_cache_z
+    encode_packet(packet, table)
+    assert e._wire_cache_z is first             # cached, not re-marshalled
     e.seq = 4                                   # re-stamped: cache invalid
-    assert encode_envelope(e) is not first
+    encode_packet(packet, table)
+    assert e._wire_cache_z is not first
 
 
 def test_garbage_is_rejected():
