@@ -117,7 +117,6 @@ class AppendixExperiment:
     def _config(self, batching: bool) -> BusConfig:
         config = BusConfig()
         config.batch.enabled = batching
-        config.batch.batch_bytes = 1200     # stay inside one MTU
         config.reliable.retention = 65536   # retain the whole run
         # measurement runs carry no routers; skip advert chatter (with
         # 10,000 subjects the snapshots would be enormous)

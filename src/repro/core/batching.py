@@ -6,37 +6,43 @@ Figures 6-8 were measured with batching ON; Figure 5 (latency) with it
 OFF, "to avoid intentionally delaying the publications".
 
 The :class:`Batcher` is a pipeline stage over a shared
-:class:`~repro.core.flow.BoundedQueue`; every flush hands the callback
-one batch, which the daemon packs into one datagram.  Two rules decide
-when a batch leaves:
+:class:`~repro.core.flow.BoundedQueue`; every release hands the
+callback one group, which the daemon packs into one datagram.  One rule
+decides when a group leaves, and the batch parameter only lengthens its
+first wait:
 
-* **enabled** (the paper's batch parameter): envelopes accumulate until
-  the payload reaches ``batch_bytes``, the count reaches
-  ``max_messages``, or ``batch_delay`` elapses since the first queued
-  envelope — a deliberate delay that buys throughput;
-* **disabled** (the default): nothing is ever delayed on purpose.  An
-  envelope that finds its plane's CPU send lane idle, with nothing
-  held, goes straight out as its own datagram.  One that finds the lane
-  still busy would only have queued behind that frame anyway, so it is
-  held instead, and the oldest held group leaves as one datagram at
-  each instant the lane frees.  A group is cut at ``max_messages`` and
-  *before* an envelope that would take its bytes past ``batch_bytes``.
-  Its bytes are the envelopes' :attr:`~repro.core.message.Envelope.size`
-  — each one's plain digest entry plus its standalone plain body, an
-  upper bound on its share of a compressed frame once the session's
-  table holds its strings (the frame writes ids, and drops a sender or
-  publish time the envelope before it gave) — so a group never
-  outgrows one datagram.  A cut group waits its turn in
-  the batcher, not on the lane, so a NACK repair or a heartbeat the
-  daemon sends meanwhile waits for one datagram, not for a whole
-  burst.  An envelope of half ``batch_bytes`` or more is never held
-  while nothing else is: no second one like it fits its datagram, so
-  it queues on the lane as it always did.  The trade-off is
-  deliberate: the first envelope of a held group pays the per-byte
-  send cost of the followers riding with it, and each follower saves
-  at least one per-packet cost — to send, and again at every
-  receiver.  Without a lane (standalone use) a disabled batcher is a
-  pure pass-through.
+* **hold.**  An envelope that finds nothing held waits for its plane's
+  CPU send lane to fall idle — a frame queued behind the one being sent
+  would wait that long anyway — and, with batching on, for
+  ``batch_delay`` too: ``max(lane_free_at - now, batch_delay if enabled
+  else 0)``.  With no wait left it goes straight out as its own
+  datagram (batching off on an idle lane).  So does an envelope of half
+  ``batch_bytes`` or more: no second one like it fits its datagram, so
+  it queues on the lane as it always did.
+* **cut.**  Envelopes arriving while a group is held join it.  A group
+  is cut at ``max_messages`` and *before* an envelope that would take
+  its bytes past ``batch_bytes``.  Its bytes are the envelopes'
+  :attr:`~repro.core.message.Envelope.size` — each one's plain digest
+  entry plus its standalone plain body, an upper bound on its share of
+  a compressed frame once the session's table holds its strings (the
+  frame writes ids, and drops a sender or publish time the envelope
+  before it gave) — so a group never outgrows one datagram.  A full
+  group does not wait out the delay: cut while the lane is idle, it
+  leaves at once.
+* **release.**  When the wait is over the oldest held group leaves as
+  one datagram, and whatever is still held leaves at the next instant
+  the lane is free.  A cut group waits its turn in the batcher, not on
+  the lane, so a NACK repair or a heartbeat the daemon sends meanwhile
+  waits for one datagram, not for a whole burst.
+
+So batching off never delays an envelope on purpose, and a burst is
+still a few full datagrams; batching on trades ``batch_delay`` of
+latency for fewer frames when the lane would otherwise be idle (paced
+publishing).  The trade-off of gathering is deliberate: the first
+envelope of a held group pays the per-byte send cost of the followers
+riding with it, and each follower saves at least one per-packet cost —
+to send, and again at every receiver.  Without a lane (standalone use)
+the lane is always idle: batching off is a pure pass-through.
 """
 
 from __future__ import annotations
@@ -55,18 +61,18 @@ __all__ = ["Batcher", "BatchConfig"]
 
 @dataclass
 class BatchConfig:
-    """Batching tunables.  ``enabled=False`` never delays an envelope;
-    it only gathers those queued behind a busy send lane."""
+    """Batching tunables.  Either way envelopes queued behind a busy
+    send lane are gathered; ``enabled`` adds the deliberate wait."""
 
     enabled: bool = False
-    #: Flush once the queued payload bytes reach this threshold (chosen to
-    #: fill one MTU-sized datagram); a disabled batcher cuts a held group
-    #: before it would pass it.
+    #: A held group is cut before an envelope that would take its bytes
+    #: past this (chosen so a group fills, and never outgrows, one
+    #: MTU-sized datagram).
     batch_bytes: int = 1400
-    #: Flush this long after the first envelope was queued, even if small
-    #: (enabled only).
+    #: With batching on, the first envelope held while the lane is idle
+    #: waits this long for followers (a full group leaves sooner).
     batch_delay: float = 0.002
-    #: Never hold more than this many envelopes regardless of size.
+    #: A held group is cut at this many envelopes regardless of size.
     max_messages: int = 64
 
 
@@ -76,15 +82,13 @@ class Batcher:
     ``queue`` is the stage buffer; the daemon hands in a queue wired to
     its tracer so gather depth shares the ``flow.*`` stats surface.  When
     none is given (unit tests, standalone use) the batcher makes its own.
-    The queue never sheds: :meth:`add` flushes at the thresholds, so
-    depth stays below ``max_messages`` by construction.
+    The queue never sheds: a group is cut at ``max_messages``, so depth
+    stays at or below it by construction.
 
-    ``host`` and ``lane`` name the CPU send lane the flushed datagrams
-    leave by; a disabled batcher holds envelopes only while that lane is
-    busy.  What it holds is ``_ready`` (cut groups, oldest first) and
-    then ``queue`` (the group still gathering); ``_timer`` is the
-    release at the next lane-free instant, so ``_timer is None`` is its
-    "nothing held" test.
+    ``host`` and ``lane`` name the CPU send lane the released datagrams
+    leave by.  What the batcher holds is ``_ready`` (cut groups, oldest
+    first) and then ``queue`` (the group still gathering); ``_timer`` is
+    the next release, so ``_timer is None`` is its "nothing held" test.
     """
 
     def __init__(self, sim: Simulator, config: BatchConfig,
@@ -97,102 +101,77 @@ class Batcher:
         self.queue = queue if queue is not None else BoundedQueue(
             "batch.gather", capacity=max(config.max_messages, 1),
             policy=POLICY_BLOCK)
-        self._free_at = host.send_free_at if host is not None else None
+        self._free_at = (host.send_free_at if host is not None
+                         else lambda lane: sim.now)
         self._lane = lane
         self._queued_bytes = 0
         self._timer: Optional[Event] = None
         self._ready: Deque[List[Envelope]] = deque()
-        self.batches_flushed = 0
-        self.messages_batched = 0
 
     def add(self, envelope: Envelope) -> None:
-        """Queue ``envelope``; may flush synchronously on threshold."""
+        """Hold ``envelope`` for the lane (and the batch delay), or send
+        it at once; a group it cuts may leave at once."""
         config = self.config
-        if config.enabled:
-            self.queue.offer(envelope)
-            self._queued_bytes += envelope.size
-            if (len(self.queue) >= config.max_messages
-                    or self._queued_bytes >= config.batch_bytes):
-                self.flush()
-            elif self._timer is None:
-                self._timer = self.sim.schedule(config.batch_delay,
-                                                self.flush,
-                                                name="batch.delay")
-            return
         if self._timer is None:
             now = self.sim.now
-            idle_at = (self._free_at(self._lane)
-                       if self._free_at is not None else now)
+            wait = max(self._free_at(self._lane) - now,
+                       config.batch_delay if config.enabled else 0.0)
             # an envelope no follower of its size could join goes out
             # as it is
-            if (idle_at <= now
-                    or 2 * len(envelope.payload) >= config.batch_bytes):
-                self.batches_flushed += 1
-                self.messages_batched += 1
+            if wait <= 0 or 2 * len(envelope.payload) >= config.batch_bytes:
                 self._flush_cb([envelope])
                 return
-            # the lane is still sending: gather until it frees
-            self._timer = self.sim.schedule(idle_at - now, self._release,
-                                            name="batch.lane")
+            self._timer = self.sim.schedule(wait, self._release,
+                                            name="batch.release")
         size = envelope.size      # measured (by encoding) only when held
         queue = self.queue
-        if queue and (len(queue) >= config.max_messages
-                      or self._queued_bytes + size > config.batch_bytes):
-            # cut the group before it passes one datagram; it waits
-            # for the lane behind the groups cut before it
+        full = bool(queue) and (
+            len(queue) >= config.max_messages
+            or self._queued_bytes + size > config.batch_bytes)
+        if full:
+            # cut the group before it passes one datagram
             self._ready.append(queue.drain())
             self._queued_bytes = 0
         queue.offer(envelope)
         self._queued_bytes += size
+        if full and self._free_at(self._lane) <= self.sim.now:
+            # a full group does not wait out the delay
+            self._timer.cancel()
+            self._release()
 
     def _release(self) -> None:
-        """The lane has freed: the oldest held group leaves as one
-        datagram, and what is still held waits for the next instant."""
+        """The oldest held group leaves as one datagram; what is still
+        held waits for the next instant the lane is free."""
         self._timer = None
         if self._ready:
             batch = self._ready.popleft()
         else:
             batch = self.queue.drain()
             self._queued_bytes = 0
-        self._emit(batch)
-        if self._ready or self.queue:
+        self._flush_cb(batch)
+        if self._timer is None and (self._ready or self.queue):
             self._timer = self.sim.schedule(
                 self._free_at(self._lane) - self.sim.now, self._release,
-                name="batch.lane")
-
-    def _emit(self, batch: List[Envelope]) -> None:
-        self.batches_flushed += 1
-        self.messages_batched += len(batch)
-        self._flush_cb(batch)
+                name="batch.release")
 
     def flush(self) -> None:
-        """Emit everything queued, oldest group first.  Safe to call
-        when empty.
+        """Emit every held group now, oldest first.  Safe to call when
+        empty.
 
-        The queue is drained *before* the callback runs, so a re-entrant
-        publish from inside a flush callback lands in the next batch
-        rather than the one being emitted.
+        Everything held is taken *before* the callback runs, so a
+        re-entrant publish from inside a flush callback is held afresh
+        rather than folded into a group being emitted.
         """
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        while self._ready:
-            self._emit(self._ready.popleft())
-        if not self.queue:
-            return
-        batch = self.queue.drain(self.config.max_messages)
-        # running counter: subtract what left rather than re-summing the
-        # remaining queue (that re-walk was O(backlog) per flush).  The
-        # queue never sheds, so drains and :meth:`shutdown` are the only
-        # exits and the counter cannot drift.
-        for envelope in batch:
-            self._queued_bytes -= envelope.size
-        self._emit(batch)
-        if self.queue and self._timer is None:
-            # a re-entrant add (or an oversized drain remainder) left
-            # envelopes behind; they get their own delay window
-            self._timer = self.sim.schedule(self.config.batch_delay,
-                                            self.flush, name="batch.delay")
+        groups = list(self._ready)
+        self._ready.clear()
+        if self.queue:
+            groups.append(self.queue.drain())
+            self._queued_bytes = 0
+        for batch in groups:
+            self._flush_cb(batch)
 
     def shutdown(self) -> None:
         """Drop queued envelopes and cancel the timer (host crash)."""
@@ -210,14 +189,15 @@ class Batcher:
 
     @property
     def waiting(self) -> bool:
-        """A cut group is waiting for the lane (the flow pump's cue to
-        stop feeding)."""
-        return bool(self._ready)
+        """A cut group is waiting for the busy lane (the flow pump's cue
+        to stop feeding)."""
+        return bool(self._ready) and self._free_at(self._lane) > self.sim.now
 
     @property
     def first_held(self) -> Optional[Envelope]:
-        """The oldest envelope a disabled batcher holds for the lane
-        (``None`` when it holds none, and always when enabled)."""
-        if self._timer is None or self.config.enabled:
+        """The oldest envelope the batcher holds (``None`` when it holds
+        none): its seq and later ones have not reached the lane, so a
+        heartbeat must not announce them yet."""
+        if self._timer is None:
             return None
         return self._ready[0][0] if self._ready else self.queue.items()[0]

@@ -12,7 +12,9 @@ One :class:`BusDaemon` per :class:`~repro.sim.node.Host`:
 * outbound — a flow-controlled pipeline: publishes pass *admission* at a
   bounded outbound queue (:mod:`repro.core.flow`), are stamped by the
   reliable protocol, pumped — optionally paced to the wire — through the
-  batching stage, and broadcast as UDP datagrams on the daemon port;
+  batching stage (which gathers what queues behind the busy send lane,
+  and with the batch parameter on also waits ``batch_delay``), and
+  broadcast as UDP datagrams on the daemon port;
 * inbound — every daemon hears every broadcast (it is an Ethernet), runs
   the reliable receive protocol, matches the subject against its local
   subscription trie, and forwards to subscribed local applications
@@ -554,7 +556,8 @@ class BusDaemon:
         return PublishReceipt(Admission.ACCEPTED, len(payload), envelope)
 
     def flush(self) -> None:
-        """Force out any batched messages (respects wire pacing)."""
+        """Force out every group the batcher holds, oldest first, without
+        waiting for the lane or the batch delay (respects wire pacing)."""
         self._pump_outbound()
         self._batcher.flush()
 
@@ -590,6 +593,9 @@ class BusDaemon:
         send pipeline is ``max_send_backlog`` seconds ahead of simulated
         time and reschedules itself for when the backlog clears, which
         is what lets the queue fill and admission push back upstream.
+        It stops too while a group the batcher has cut waits for the
+        busy lane, so an overload backs up in the admission queue, not
+        in the batcher.
         """
         if self._pumping:
             return   # re-entrant publish from a delivery callback
@@ -599,8 +605,9 @@ class BusDaemon:
             while self._outbound:
                 if backlog_cap is not None:
                     backlog = self.host.send_backlog_for(self.shard)
-                    # a gathered group waiting for the lane is backlog
-                    # too: resume once the batcher has released it
+                    # a cut group waiting for the busy lane is backlog
+                    # too: resume once the lane frees and the batcher
+                    # has released it
                     waiting = self._batcher.waiting
                     if waiting or backlog >= backlog_cap:
                         if self._pump_event is None:
@@ -634,8 +641,9 @@ class BusDaemon:
     def _send_heartbeat(self) -> None:
         if not self.up:
             return
-        # seqs a disabled batcher still holds for the lane are not
-        # announced: a receiver would NACK them while they wait
+        # seqs the batcher still holds (for the lane or the batch
+        # delay) are not announced: a receiver would NACK them while
+        # they wait
         held = self._batcher.first_held
         last_seq = self._sender.last_seq if held is None else held.seq - 1
         if last_seq == 0:

@@ -30,10 +30,13 @@ def test_disabled_batcher_passes_through():
     batcher.add(envelope())
     batcher.add(envelope())
     assert [len(b) for b in batches] == [1, 1]
-    assert batcher.messages_batched == 2
+    assert batcher.pending == 0
 
 
 def test_size_threshold_flushes_synchronously():
+    """A group is cut *before* the envelope that would take it past
+    ``batch_bytes``, and a full group does not wait out the delay: with
+    the lane idle it leaves inside that envelope's ``add``."""
     sim = Simulator()
     # pick a threshold two envelopes stay under and three cross
     # (sizes are measured from the wire encoding)
@@ -42,10 +45,12 @@ def test_size_threshold_flushes_synchronously():
     batcher.add(envelope())
     batcher.add(envelope())
     assert batches == []              # still under threshold
-    batcher.add(envelope())           # crosses the accumulated-bytes cap
-    assert len(batches) == 1
-    assert len(batches[0]) == 3
-    assert batcher.pending == 0
+    batcher.add(envelope())           # would cross it: the two leave now
+    assert [len(b) for b in batches] == [2]
+    assert batcher.pending == 1
+    sim.run()                         # the third, once the lane is free
+    assert [len(b) for b in batches] == [2, 1]
+    assert all(sum(e.size for e in b) <= threshold for b in batches)
 
 
 def test_delay_flushes_small_batches():
@@ -99,22 +104,28 @@ def test_shutdown_drops_queued():
 
 
 def test_counters():
+    """Every envelope added leaves in exactly one callback batch."""
     sim = Simulator()
     batcher, batches = make_batcher(sim, batch_bytes=150)
     for _ in range(4):
         batcher.add(envelope())
     batcher.flush()
-    assert batcher.messages_batched == 4
-    assert batcher.batches_flushed == len(batches)
+    assert sum(map(len, batches)) == 4
+    assert batcher.pending == 0
 
 
 # ----------------------------------------------------------------------
-# a disabled batcher on a real send lane: gather only while it is busy
+# a batcher on a real send lane: gather while it is busy, and (enabled)
+# wait batch_delay before sending into an idle one
 # ----------------------------------------------------------------------
 
-def lane_batcher(batch_bytes=1400, max_messages=64):
-    """A disabled batcher whose flushes each leave ``node0``'s send lane
-    as one frame; ``sent`` records (flush time, envelopes, bytes)."""
+#: both modes: behind a lane busier than ``batch_delay`` they must agree
+MODES = (False, True)
+
+
+def lane_batcher(enabled=False, batch_bytes=1400, max_messages=64):
+    """A batcher whose releases each leave ``node0``'s send lane as one
+    frame; ``sent`` records (release time, envelopes, bytes)."""
     sim = Simulator(seed=0)
     lan = EthernetSegment(sim, cost=CostModel(cpu_jitter=0.0))
     host = lan.add_host("node0")
@@ -126,8 +137,17 @@ def lane_batcher(batch_bytes=1400, max_messages=64):
         sent.append((sim.now, len(batch), size))
         host.send_frame(Frame("node0", "node1", 7, 7, batch, size))
 
-    config = BatchConfig(batch_bytes=batch_bytes, max_messages=max_messages)
+    config = BatchConfig(enabled=enabled, batch_bytes=batch_bytes,
+                         max_messages=max_messages)
     return sim, host, Batcher(sim, config, send, host=host), sent
+
+
+def occupy(host):
+    """Put a frame on ``host``'s lane that keeps it busy for longer than
+    the default ``batch_delay``; returns the instant the lane frees."""
+    free_at = host.send_frame(Frame("node0", "node1", 7, 7, "lead", 1400))
+    assert free_at - host.sim.now > BatchConfig().batch_delay
+    return free_at
 
 
 def test_idle_lane_passes_each_envelope_through():
@@ -141,86 +161,148 @@ def test_idle_lane_passes_each_envelope_through():
 
 
 def test_busy_lane_gathers_until_the_instant_it_frees():
-    sim, host, batcher, sent = lane_batcher()
-    for _ in range(4):
-        batcher.add(envelope())
-    free_at = host.send_free_at(0)
-    assert free_at > sim.now
-    assert [n for _, n, _ in sent] == [1]     # the first found it idle
-    assert batcher.pending == 3
-    sim.run_until(free_at - 1e-9)
-    assert batcher.pending == 3               # nothing delayed on purpose ...
-    sim.run_until(free_at)
-    assert sent[1:] == [(free_at, 3, 3 * envelope().size)]   # ... or late
-    assert batcher.pending == 0
+    for enabled in MODES:
+        sim, host, batcher, sent = lane_batcher(enabled)
+        free_at = occupy(host)
+        for _ in range(4):
+            batcher.add(envelope())
+        assert sent == []
+        assert batcher.pending == 4
+        sim.run_until(free_at - 1e-9)
+        assert batcher.pending == 4           # nothing delayed further ...
+        sim.run_until(free_at)
+        assert sent == [(free_at, 4, 4 * envelope().size)]   # ... or late
+        assert batcher.pending == 0
 
 
 def test_held_group_is_cut_before_it_passes_batch_bytes():
     one = envelope().size
-    sim, host, batcher, sent = lane_batcher(batch_bytes=int(one * 2.5))
-    for _ in range(4):
-        batcher.add(envelope())
-    # 1 passes; 2 are held; the 4th would make 3 > 2.5: the 2 are cut
-    # and wait for the lane in the batcher, not on it
-    assert [n for _, n, _ in sent] == [1]
-    assert batcher.pending == 3
-    sim.run()
-    assert [n for _, n, _ in sent] == [1, 2, 1]
-    assert all(size <= int(one * 2.5) for _, _, size in sent)
+    for enabled in MODES:
+        sim, host, batcher, sent = lane_batcher(enabled,
+                                                batch_bytes=int(one * 2.5))
+        occupy(host)
+        for _ in range(4):
+            batcher.add(envelope())
+        # the 3rd would make 3 > 2.5: the first 2 are cut and wait for
+        # the lane in the batcher, not on it
+        assert sent == []
+        assert batcher.pending == 4
+        sim.run()
+        assert [n for _, n, _ in sent] == [2, 2]
+        assert all(size <= int(one * 2.5) for _, _, size in sent)
 
 
 def test_held_group_is_cut_at_max_messages():
-    sim, host, batcher, sent = lane_batcher(max_messages=3)
-    for _ in range(5):
-        batcher.add(envelope(size_payload=1))
-    assert [n for _, n, _ in sent] == [1]
-    assert batcher.pending == 4
-    sim.run()
-    assert [n for _, n, _ in sent] == [1, 3, 1]
+    for enabled in MODES:
+        sim, host, batcher, sent = lane_batcher(enabled, max_messages=3)
+        occupy(host)
+        for _ in range(5):
+            batcher.add(envelope(size_payload=1))
+        assert batcher.pending == 5
+        sim.run()
+        assert [n for _, n, _ in sent] == [3, 2]
 
 
 def test_cut_groups_leave_one_per_lane_free_instant():
     """A burst never queues on the lane: each cut group leaves the
     instant the datagram before it is sent, so a frame the daemon sends
     meanwhile (a repair, a heartbeat) waits for one datagram only."""
-    sim, host, batcher, sent = lane_batcher()
-    for _ in range(100):
+    for enabled in MODES:
+        sim, host, batcher, sent = lane_batcher(enabled)
+        first_done = occupy(host)
+        for _ in range(100):
+            batcher.add(envelope())
+        assert sent == []
+        repair = host.send_frame(Frame("node0", "node1", 7, 7, "repair", 60))
+        assert repair == first_done + host.cost.send_cpu_time(60)
+        sim.run()
+        assert sum(n for _, n, _ in sent) == 100
+        assert all(size <= 1400 for _, _, size in sent)
+        # each group leaves when the datagram before it is done: the
+        # first at the lead frame's, and it is sent after the repair
+        cost = host.cost.send_cpu_time
+        assert sent[0][0] == first_done
+        done = repair + cost(sent[0][2])
+        for at, _, size in sent[1:]:
+            assert at == done
+            done = at + cost(size)
+
+
+def test_enabled_first_envelope_on_an_idle_lane_waits_batch_delay():
+    sim, host, batcher, sent = lane_batcher(enabled=True)
+    delay = batcher.config.batch_delay
+    batcher.add(envelope())
+    sim.run_until(delay / 2)
+    batcher.add(envelope())                   # joins the waiting one
+    assert host.send_free_at(0) <= sim.now    # the lane stayed idle
+    sim.run_until(delay - 1e-9)
+    assert sent == []
+    sim.run_until(delay)
+    assert sent == [(delay, 2, 2 * envelope().size)]
+
+
+def test_enabled_full_group_leaves_at_once():
+    """A group cut on an idle lane does not wait out ``batch_delay``;
+    what it cut off waits only for the lane, not for a new window."""
+    one = envelope().size
+    sim, host, batcher, sent = lane_batcher(enabled=True,
+                                            batch_bytes=int(one * 2.5))
+    for _ in range(3):
+        batcher.add(envelope())
+    assert sent == [(0.0, 2, 2 * one)]
+    lane_free = host.send_free_at(0)
+    assert 0.0 < lane_free < batcher.config.batch_delay
+    sim.run()
+    assert sent[1:] == [(lane_free, 1, one)]
+
+
+def test_enabled_follower_on_a_briefly_busy_lane_waits_for_the_window():
+    """An envelope that finds the lane busy for less than ``batch_delay``
+    (here: with the group just released) waits the whole window, so the
+    envelopes paced in behind it ride with it instead of each going out
+    nearly alone once the lane frees."""
+    sim, host, batcher, sent = lane_batcher(enabled=True)
+    delay = batcher.config.batch_delay
+    batcher.add(envelope())
+    sim.run_until(delay)
+    assert [n for _, n, _ in sent] == [1]
+    lane_free = host.send_free_at(0)
+    assert delay < lane_free < 2 * delay      # busy, briefly
+    batcher.add(envelope())
+    for step in (1, 2, 3):
+        sim.run_until(lane_free + step * (2 * delay - lane_free) / 4)
         batcher.add(envelope())
     assert [n for _, n, _ in sent] == [1]
-    first_done = host.send_free_at(0)
-    repair = host.send_frame(Frame("node0", "node1", 7, 7, "repair", 60))
-    assert repair == first_done + host.cost.send_cpu_time(60)
     sim.run()
-    assert sum(n for _, n, _ in sent) == 100
-    assert all(size <= 1400 for _, _, size in sent)
-    # each group leaves when the datagram before it is done: the first
-    # group at the first datagram's, and it is sent after the repair
-    cost = host.cost.send_cpu_time
-    assert sent[1][0] == first_done
-    done = repair + cost(sent[1][2])
-    for at, _, size in sent[2:]:
-        assert at == done
-        done = at + cost(size)
+    assert sent[1:] == [(2 * delay, 4, 4 * envelope().size)]
 
 
 SUBJECTS = ("t.x", "feed.equity.gmc")
 SENDERS = ("p", "node0.publisher")
 
 
-@given(st.lists(st.tuples(st.sampled_from(SUBJECTS),
-                          st.sampled_from(SENDERS),
-                          st.integers(0, 120),
-                          st.sampled_from([0.0, None])),
-                min_size=3, max_size=150))
-@settings(max_examples=60, deadline=None)
-def test_gathered_group_never_outgrows_one_datagram(specs):
+SPEC = st.tuples(st.sampled_from(SUBJECTS), st.sampled_from(SENDERS),
+                st.integers(0, 700), st.sampled_from([0.0, None]))
+SMALL = st.tuples(st.sampled_from(SUBJECTS), st.sampled_from(SENDERS),
+                  st.integers(0, 120), st.sampled_from([0.0, None]))
+
+
+@given(st.booleans(), st.sampled_from([1200, 1400]),
+       st.lists(SMALL, min_size=3, max_size=3),
+       st.lists(SPEC, max_size=150))
+@settings(max_examples=80, deadline=None)
+def test_gathered_group_never_outgrows_one_datagram(enabled, batch_bytes,
+                                                   lead, specs):
     """What a group is cut on, :attr:`Envelope.size`, bounds its share
     of a compressed frame: once the session's strings are in its table
     (ids no longer than the strings; an elided sender or publish time
-    only shortens a body), no DATA datagram a disabled batcher emits
-    behind a busy lane is larger than one MTU, whatever the payloads
-    and whether the envelopes share a publish instant (``0.0``) or
-    each has its own (``None``)."""
+    only shortens a body), no DATA datagram the batcher emits is larger
+    than one MTU, and no group passes ``batch_bytes`` unless it is one
+    envelope — with batching on or off, whatever the payloads and
+    whether the envelopes share a publish instant (``0.0``) or each has
+    its own (``None``).  Three small envelopes lead, so every example
+    gathers a group."""
+    specs = lead + specs
     sim = Simulator(seed=0)
     lan = EthernetSegment(sim, cost=CostModel(cpu_jitter=0.0))
     host = lan.add_host("node0")
@@ -228,46 +310,53 @@ def test_gathered_group_never_outgrows_one_datagram(specs):
     table = StringTable()
     for text in SUBJECTS + SENDERS:
         table.intern(text)
-    datagrams = []
+    groups = []
     header = len(encode_packet(Packet(PacketKind.DATA, "node0#0", [],
                                       session_start=0.0), table))
 
     def send(batch):
         data = encode_packet(Packet(PacketKind.DATA, "node0#0", batch,
                                     session_start=0.0), table)
-        datagrams.append((len(batch), len(data)))
-        assert len(data) <= header + sum(e.size for e in batch)
+        size = sum(e.size for e in batch)
+        groups.append((len(batch), size, len(data)))
+        assert len(data) <= header + size
         host.send_frame(Frame("node0", "node1", 7, 7, data, len(data)))
 
-    batcher = Batcher(sim, BatchConfig(), send, host=host)
+    batcher = Batcher(sim, BatchConfig(enabled=enabled,
+                                       batch_bytes=batch_bytes),
+                      send, host=host)
     for seq, (subject, sender, payload, at) in enumerate(specs, 1):
         batcher.add(Envelope(subject, sender, "node0#0", seq,
                              b"\x00" * payload,
                              publish_time=float(seq) if at is None else at))
     sim.run()
-    assert sum(n for n, _ in datagrams) == len(specs)
-    assert max(n for n, _ in datagrams) > 1
-    assert max(size for _, size in datagrams) <= host.cost.mtu
+    assert sum(n for n, _, _ in groups) == len(specs)
+    assert max(n for n, _, _ in groups) > 1
+    assert all(n == 1 or size <= batch_bytes for n, size, _ in groups)
+    assert max(data for _, _, data in groups) <= host.cost.mtu
 
 
 def test_envelope_no_follower_could_join_is_never_held():
-    sim, host, batcher, sent = lane_batcher(batch_bytes=200)
-    batcher.add(envelope())
-    batcher.add(envelope(size_payload=300))   # lane busy; payload >= cap
-    batcher.add(envelope(size_payload=100))   # half the cap: no second fits
-    assert [n for _, n, _ in sent] == [1, 1, 1]
-    assert batcher.pending == 0
+    for enabled in MODES:
+        sim, host, batcher, sent = lane_batcher(enabled, batch_bytes=200)
+        occupy(host)
+        batcher.add(envelope(size_payload=300))   # payload >= cap
+        batcher.add(envelope(size_payload=100))   # half: no second fits
+        assert [n for _, n, _ in sent] == [1, 1]
+        assert batcher.pending == 0
 
 
 def test_large_envelope_behind_a_held_group_keeps_its_order():
-    sim, host, batcher, sent = lane_batcher(batch_bytes=200)
-    batcher.add(envelope(size_payload=10))
-    batcher.add(envelope(size_payload=10))    # held
-    batcher.add(envelope(size_payload=300))   # held too: seqs stay in order
-    assert batcher.pending == 2
-    sim.run()
-    assert [n for _, n, _ in sent] == [1, 1, 1]
-    assert sent[2][2] > 300
+    for enabled in MODES:
+        sim, host, batcher, sent = lane_batcher(enabled, batch_bytes=200)
+        occupy(host)
+        batcher.add(envelope(size_payload=10))
+        batcher.add(envelope(size_payload=10))    # held
+        batcher.add(envelope(size_payload=300))   # held too: seqs in order
+        assert batcher.pending == 3
+        sim.run()
+        assert [n for _, n, _ in sent] == [2, 1]
+        assert sent[1][2] > 300
 
 
 def test_crash_drops_the_held_group_and_the_new_session_replays_none():
@@ -306,13 +395,17 @@ def test_each_plane_gathers_on_its_own_lane():
     planes = bus.daemons["node00"].planes
     host = planes[0].host
     bus.run_for(1.0)
-    flushed = [plane._batcher.batches_flushed for plane in planes]
+    released = [[] for _ in planes]
+    for plane, log in zip(planes, released):
+        emit = plane._batcher._flush_cb
+        plane._batcher._flush_cb = (
+            lambda batch, emit=emit, log=log: (log.append(batch),
+                                               emit(batch)))
     for n in range(8):
         publisher.publish(subjects[n % 4], n)
     # on each plane the first publish found its own lane idle, although
     # the other plane's lane was already busy; its other three wait
-    assert [plane._batcher.batches_flushed - before
-            for plane, before in zip(planes, flushed)] == [1, 1]
+    assert [len(log) for log in released] == [1, 1]
     assert [plane._batcher.pending for plane in planes] == [3, 3]
     frees = [host.send_free_at(plane.shard) for plane in planes]
     first = frees.index(min(frees))
@@ -324,27 +417,34 @@ def test_each_plane_gathers_on_its_own_lane():
 
 
 def test_heartbeat_while_held_causes_no_nack():
-    """A heartbeat announces the seqs the lane has carried, not those a
-    group still held for the lane will carry, so on the default
-    ``CostModel`` no subscriber waits ``nack_delay`` for the group and
-    NACKs it."""
-    bus = InformationBus(seed=3)
-    bus.add_hosts(2)
-    inbox = []
-    bus.client("node01", "mon").subscribe(
-        "t.>", lambda subject, obj, info: inbox.append(obj))
-    publisher = bus.client("node00", "pub")
-    plane = bus.daemons["node00"]
-    beat = 5 * plane.config.reliable.heartbeat_interval   # a beat instant
-    bus.run_for(beat - 1e-4)
-    for _ in range(20):                       # 1 sent, 19 (one MTU) held
-        publisher.publish("t.x", b"x" * 40)
-    assert plane._batcher.pending == 19
-    assert plane.host.send_free_at(0) > beat
-    bus.run_for(2.0)
-    assert len(inbox) == 20
-    stats = bus.daemons["node01"].peers.get(plane.session).stats
-    assert stats.nacks_sent.value == 0
+    """A heartbeat announces the seqs the lane has carried, not those
+    the batcher still holds — for the lane (batching off) or for a
+    ``batch_delay`` longer than a receiver's NACK delay (batching on) —
+    so on the default ``CostModel`` no subscriber waits ``nack_delay``
+    for them and NACKs."""
+    for enabled in MODES:
+        config = BusConfig()
+        config.batch.enabled = enabled
+        config.batch.batch_delay = 2 * config.reliable.nack_delay
+        bus = InformationBus(seed=3, config=config)
+        bus.add_hosts(2)
+        inbox = []
+        bus.client("node01", "mon").subscribe(
+            "t.>", lambda subject, obj, info: inbox.append(obj))
+        publisher = bus.client("node00", "pub")
+        plane = bus.daemons["node00"]
+        beat = 5 * plane.config.reliable.heartbeat_interval  # a beat instant
+        bus.run_for(beat - 1e-4)
+        for _ in range(10):           # off: 1 sent, 9 held; on: 10 held
+            publisher.publish("t.x", b"x" * 40)
+        assert plane._batcher.pending == (10 if enabled else 9)
+        held_until = (bus.sim.now + config.batch.batch_delay if enabled
+                      else plane.host.send_free_at(0))
+        assert held_until > beat
+        bus.run_for(2.0)
+        assert len(inbox) == 10
+        stats = bus.daemons["node01"].peers.get(plane.session).stats
+        assert stats.nacks_sent.value == 0
 
 
 def test_frame_lost_in_a_burst_is_repaired_while_the_burst_is_sent():
@@ -423,3 +523,35 @@ def test_paced_pump_stops_while_a_gathered_group_waits():
     assert receipts.count("dropped") == outbound["dropped"] > 300
     bus.run_for(2.0)
     assert len(inbox) == receipts.count("accepted")
+
+
+def test_paced_pump_does_not_spin_while_a_cut_group_waits_out_the_delay():
+    """With batching on, a group can be cut while a frame the daemon
+    sent itself keeps the lane busy for less than ``batch_delay``.  Once
+    that frame is sent the group waits for the delay, not for the lane:
+    the pump must feed on (the next cut releases it) rather than poll an
+    idle lane every nanosecond until the delay is over."""
+    config = BusConfig(flow=FlowConfig(publish_queue=64,
+                                       max_send_backlog=0.01))
+    config.batch.enabled = True
+    config.batch.batch_delay = 0.01
+    bus = InformationBus(seed=4, cost=CostModel(loss_probability=0.0),
+                         config=config)
+    bus.add_hosts(2)
+    inbox = []
+    bus.client("node01", "mon").subscribe(
+        "t.>", lambda subject, obj, info: inbox.append(obj))
+    publisher = bus.client("node00", "pub")
+    bus.run_for(1.0)
+    plane = bus.daemons["node00"]
+    publisher.publish("t.x", 0)               # held for the delay
+    plane.host.send_frame(Frame("node00", "node01", 9, 9, "other", 200))
+    for n in range(1, 40):                    # fill and cut a group
+        publisher.publish("t.x", n)
+    assert plane._batcher.waiting
+    assert plane.host.send_free_at(0) - bus.sim.now < config.batch.batch_delay
+    fired = bus.sim.run_until(bus.sim.now + 2 * config.batch.batch_delay,
+                              max_events=10_000)
+    assert fired < 100
+    bus.run_for(2.0)
+    assert inbox == list(range(40))

@@ -1,5 +1,6 @@
-"""Edge cases of the outbound batcher: threshold interactions, timer
-races, and re-entrant publishes from inside a flush callback."""
+"""Edge cases of the outbound batcher with batching on: a cut racing
+the delay timer, and re-entrant publishes and flushes from inside a
+release callback."""
 
 from repro.core import BatchConfig, Batcher, Envelope, QoS
 from repro.sim import Simulator
@@ -19,33 +20,42 @@ def make_batcher(sim, flush=None, batch_bytes=300, batch_delay=0.01,
 
 
 def test_max_messages_triggers_flush_exactly_at_cap():
+    """A group holds at most ``max_messages``: the envelope after the
+    cap cuts it, and the full group leaves at once instead of waiting
+    out the delay."""
     sim = Simulator()
     batcher, batches = make_batcher(sim, batch_bytes=10**9, max_messages=3)
-    batcher.add(envelope(size_payload=1))
-    batcher.add(envelope(size_payload=1))
-    assert batches == []                    # 2 < cap: still gathering
-    batcher.add(envelope(size_payload=1))   # hits the cap -> flush now
+    for _ in range(3):
+        batcher.add(envelope(size_payload=1))
+    assert batches == []                    # at the cap: still gathering
+    batcher.add(envelope(size_payload=1))   # past it -> cut, leaves now
     assert [len(b) for b in batches] == [3]
-    assert batcher.pending == 0
-    # and the delay timer was cancelled with the flush
+    assert batcher.pending == 1
+    # the delay timer went with the cut: the 4th follows when the lane
+    # is free (always, standalone), not a batch_delay later
+    sim.run_until(0.0)
+    assert [len(b) for b in batches] == [3, 1]
     sim.run_until(1.0)
-    assert len(batches) == 1
+    assert len(batches) == 2
 
 
 def test_bytes_threshold_beats_pending_delay_timer():
     sim = Simulator()
     one = envelope().size
-    batcher, batches = make_batcher(sim, batch_bytes=int(one * 2.5),
-                                    batch_delay=0.01)
+    released = []                           # (time, envelopes)
+    batcher, _ = make_batcher(
+        sim, flush=lambda batch: released.append((sim.now, len(batch))),
+        batch_bytes=int(one * 2.5), batch_delay=0.01)
     batcher.add(envelope())                 # arms the delay timer
     sim.run_until(0.005)
     batcher.add(envelope())
-    batcher.add(envelope())                 # crosses bytes mid-window
-    assert [len(b) for b in batches] == [3]
-    flushed_at = sim.now
-    sim.run_until(0.02)                     # delay timer must NOT refire
-    assert len(batches) == 1
-    assert flushed_at < 0.01                # bytes won the race
+    batcher.add(envelope())                 # would cross bytes mid-window
+    assert released == [(0.005, 2)]         # bytes won the race ...
+    sim.run_until(0.02)
+    # ... and the delay timer went with it: the 3rd left when the lane
+    # was free (at once, standalone), and nothing fired at 0.01
+    assert released == [(0.005, 2), (0.005, 1)]
+    assert batcher.pending == 0
 
 
 def test_delay_fires_when_bytes_never_reached():
@@ -70,14 +80,14 @@ def test_reentrant_add_from_flush_callback_lands_in_next_batch():
             # an application reacting to its own flush by publishing
             holder["batcher"].add(envelope(subject="re.entrant"))
 
-    batcher, _ = make_batcher(sim, flush=flush, batch_bytes=10**9,
-                              max_messages=2)
+    batcher, _ = make_batcher(sim, flush=flush, batch_bytes=10**9)
     holder["batcher"] = batcher
     batcher.add(envelope())
-    batcher.add(envelope())                 # cap -> flush -> re-entrant add
+    batcher.add(envelope())
+    batcher.flush()                         # -> re-entrant add
     assert [len(b) for b in batches] == [2]
     assert batcher.pending == 1             # not folded into batch 1
-    sim.run_until(1.0)                      # its own delay window flushes it
+    sim.run_until(1.0)                      # its own delay window
     assert [len(b) for b in batches] == [2, 1]
     assert batches[1][0].subject == "re.entrant"
 
@@ -95,38 +105,33 @@ def test_reentrant_flush_does_not_recurse_forever():
     batcher, _ = make_batcher(sim, flush=flush, batch_bytes=10**9,
                               max_messages=2)
     holder["batcher"] = batcher
-    batcher.add(envelope())
-    batcher.add(envelope())
-    assert [len(b) for b in batches] == [2]
+    for _ in range(3):
+        batcher.add(envelope())             # the 3rd cuts -> release
+    assert [len(b) for b in batches] == [2, 1]
     assert batcher.pending == 0
+    sim.run_until(1.0)                      # and no release is left armed
+    assert len(batches) == 2
 
 
 def test_queued_bytes_is_a_running_counter_across_partial_drains():
-    """``flush`` drains at most ``max_messages``; the byte counter must
-    subtract exactly what left, so the remainder still crosses the bytes
-    threshold on its own (a re-summed counter would agree here — this
-    pins the running-counter bookkeeping against drift)."""
-    from repro.core import BoundedQueue
-    from repro.core.flow import POLICY_BLOCK
-
+    """The byte counter is the gathering group's bytes: it restarts at
+    each cut, and a release, :meth:`~Batcher.flush` or
+    :meth:`~Batcher.shutdown` that takes the group zeroes it, so the
+    next group is cut on its own bytes."""
     sim = Simulator()
-    batches = []
-    config = BatchConfig(enabled=True, batch_bytes=10**9,
-                         batch_delay=0.01, max_messages=4)
-    batcher = Batcher(sim, config, batches.append,
-                      queue=BoundedQueue("test.gather", capacity=16,
-                                         policy=POLICY_BLOCK))
     one = envelope().size
-    for _ in range(6):
-        batcher.queue.offer(envelope())       # bypass add(): build backlog
-        batcher._queued_bytes += one
-    batcher.flush()                           # drains 4, leaves 2
-    assert [len(b) for b in batches] == [4]
-    assert batcher.pending == 2
-    assert batcher._queued_bytes == 2 * one   # exactly the remainder
-    sim.run_until(1.0)                        # remainder's delay window
-    assert [len(b) for b in batches] == [4, 2]
+    batcher, batches = make_batcher(sim, batch_bytes=3 * one)
+    for _ in range(4):
+        batcher.add(envelope())             # the 4th cuts the first 3
+    assert [len(b) for b in batches] == [3]
+    assert batcher._queued_bytes == one     # exactly the new group
+    for _ in range(3):
+        batcher.add(envelope())             # the 7th cuts again
+    assert [len(b) for b in batches] == [3, 3]
+    assert batcher._queued_bytes == one
+    batcher.flush()
+    assert [len(b) for b in batches] == [3, 3, 1]
     assert batcher._queued_bytes == 0
     batcher.add(envelope())
     batcher.shutdown()
-    assert batcher._queued_bytes == 0         # shutdown resets cleanly
+    assert batcher._queued_bytes == 0       # shutdown resets cleanly

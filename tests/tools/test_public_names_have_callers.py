@@ -85,6 +85,7 @@ TEST_ONLY = {
     "ReliableConfig(heartbeat_interval=)": _SHRINK,
     "ReliableConfig(receive_buffer=)": _SHRINK,
     "FlowConfig(delivery_queue=)": _SHRINK,
+    "BatchConfig(batch_bytes=)": _SHRINK,
     "BatchConfig(batch_delay=)": _SHRINK,
     "BatchConfig(max_messages=)": _SHRINK,
     "WanLink(queue_capacity=)": _SHRINK,
