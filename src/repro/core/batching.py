@@ -5,35 +5,38 @@ throughput by delaying small messages, and gathering them together."
 Figures 6-8 were measured with batching ON; Figure 5 (latency) with it
 OFF, "to avoid intentionally delaying the publications".
 
-The :class:`Batcher` is a pipeline stage over a shared
-:class:`~repro.core.flow.BoundedQueue`; every release hands the
-callback one group, which the daemon packs into one datagram.  One rule
-decides when a group leaves, and the batch parameter only lengthens its
-first wait:
+The :class:`Batcher` releases a daemon's one outbound queue — the
+admission :class:`~repro.core.flow.BoundedQueue`, which holds every
+envelope admitted and not yet handed to the plane's CPU send lane —
+one group at a time; the callback packs each group into one datagram.
+One rule decides when a group leaves, and the batch parameter only
+lengthens its first wait:
 
-* **hold.**  An envelope that finds nothing held waits for its plane's
-  CPU send lane to fall idle — a frame queued behind the one being sent
-  would wait that long anyway — and, with batching on, for
-  ``batch_delay`` too: ``max(lane_free_at - now, batch_delay if enabled
-  else 0)``.  With no wait left it goes straight out as its own
-  datagram (batching off on an idle lane).  So does an envelope of half
-  ``batch_bytes`` or more: no second one like it fits its datagram, so
-  it queues on the lane as it always did.
-* **cut.**  Envelopes arriving while a group is held join it.  A group
-  is cut at ``max_messages`` and *before* an envelope that would take
-  its bytes past ``batch_bytes``.  Its bytes are the envelopes'
+* **hold.**  An envelope that finds nothing held waits for the send
+  lane to fall idle — a frame queued behind the one being sent would
+  wait that long anyway — and, with batching on, for ``batch_delay``
+  too: ``max(lane_free_at - now, batch_delay if enabled else 0)``.  With
+  no wait left it goes straight out as its own datagram (batching off
+  on an idle lane).  An envelope of half ``batch_bytes`` or more never
+  waits ``batch_delay`` (no second one like it fits its datagram), but
+  it waits for a busy lane like any other.
+* **release.**  When the wait is over the head group leaves as one
+  datagram, and whatever is still queued leaves at the next instant the
+  lane is free.  So no datagram of the batcher's goes onto the lane
+  while an earlier one is still on it: a NACK repair or a heartbeat the
+  daemon sends meanwhile waits for one datagram, not for a whole burst,
+  and an overload backs up in the admission queue, where its policy
+  decides what is deferred or shed.
+* **cut.**  A group is cut when it is released: at ``max_messages``,
+  and *before* the envelope that would take its bytes past
+  ``batch_bytes``.  Its bytes are the envelopes'
   :attr:`~repro.core.message.Envelope.size` — each one's plain digest
   entry plus its standalone plain body, an upper bound on its share of
   a compressed frame once the session's table holds its strings (the
   frame writes ids, and drops a sender or publish time the envelope
-  before it gave) — so a group never outgrows one datagram.  A full
-  group does not wait out the delay: cut while the lane is idle, it
-  leaves at once.
-* **release.**  When the wait is over the oldest held group leaves as
-  one datagram, and whatever is still held leaves at the next instant
-  the lane is free.  A cut group waits its turn in the batcher, not on
-  the lane, so a NACK repair or a heartbeat the daemon sends meanwhile
-  waits for one datagram, not for a whole burst.
+  before it gave) — so a group never outgrows one datagram.  A group
+  that is full does not wait out the delay: on an idle lane it leaves
+  at once.
 
 So batching off never delays an envelope on purpose, and a burst is
 still a few full datagrams; batching on trades ``batch_delay`` of
@@ -47,13 +50,12 @@ the lane is always idle: batching off is a pure pass-through.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
+from typing import Callable, List, Optional
 
 from ..sim.kernel import Event, Simulator
 from ..sim.node import Host
-from .flow import BoundedQueue, POLICY_BLOCK
+from .flow import BoundedQueue, FlowConfig
 from .message import Envelope
 
 __all__ = ["Batcher", "BatchConfig"]
@@ -65,30 +67,28 @@ class BatchConfig:
     send lane are gathered; ``enabled`` adds the deliberate wait."""
 
     enabled: bool = False
-    #: A held group is cut before an envelope that would take its bytes
-    #: past this (chosen so a group fills, and never outgrows, one
-    #: MTU-sized datagram).
+    #: A group is cut before an envelope that would take its bytes past
+    #: this (chosen so a group fills, and never outgrows, one MTU-sized
+    #: datagram).
     batch_bytes: int = 1400
     #: With batching on, the first envelope held while the lane is idle
     #: waits this long for followers (a full group leaves sooner).
     batch_delay: float = 0.002
-    #: A held group is cut at this many envelopes regardless of size.
+    #: A group is cut at this many envelopes regardless of size.
     max_messages: int = 64
 
 
 class Batcher:
-    """The gather stage of one daemon's outbound pipeline.
+    """The release stage of one daemon's outbound pipeline.
 
-    ``queue`` is the stage buffer; the daemon hands in a queue wired to
-    its tracer so gather depth shares the ``flow.*`` stats surface.  When
-    none is given (unit tests, standalone use) the batcher makes its own.
-    The queue never sheds: a group is cut at ``max_messages``, so depth
-    stays at or below it by construction.
+    ``queue`` is the daemon's admission queue: the daemon offers each
+    envelope to it and then calls :meth:`add`.  When none is given
+    (unit tests, standalone use) the batcher makes its own, as large as
+    a default admission queue, and :meth:`add` offers to it too.
 
     ``host`` and ``lane`` name the CPU send lane the released datagrams
-    leave by.  What the batcher holds is ``_ready`` (cut groups, oldest
-    first) and then ``queue`` (the group still gathering); ``_timer`` is
-    the next release, so ``_timer is None`` is its "nothing held" test.
+    leave by.  ``_timer`` is the next release, so ``_timer is None`` is
+    the "nothing held" test.
     """
 
     def __init__(self, sim: Simulator, config: BatchConfig,
@@ -98,65 +98,77 @@ class Batcher:
         self.sim = sim
         self.config = config
         self._flush_cb = flush
-        self.queue = queue if queue is not None else BoundedQueue(
-            "batch.gather", capacity=max(config.max_messages, 1),
-            policy=POLICY_BLOCK)
+        self._admit = None
+        if queue is None:
+            queue = BoundedQueue("batch.gather", FlowConfig.publish_queue)
+            self._admit = queue.offer
+        self.queue = queue
         self._free_at = (host.send_free_at if host is not None
                          else lambda lane: sim.now)
         self._lane = lane
-        self._queued_bytes = 0
         self._timer: Optional[Event] = None
-        self._ready: Deque[List[Envelope]] = deque()
 
     def add(self, envelope: Envelope) -> None:
-        """Hold ``envelope`` for the lane (and the batch delay), or send
-        it at once; a group it cuts may leave at once."""
-        config = self.config
+        """``envelope`` has joined the queue: send it at once, or hold it
+        for the lane (and the batch delay); a group that is full leaves
+        at once while the lane is idle."""
+        if self._admit is not None:
+            self._admit(envelope)
         if self._timer is None:
-            now = self.sim.now
-            wait = max(self._free_at(self._lane) - now,
-                       config.batch_delay if config.enabled else 0.0)
-            # an envelope no follower of its size could join goes out
-            # as it is
-            if wait <= 0 or 2 * len(envelope.payload) >= config.batch_bytes:
-                self._flush_cb([envelope])
+            config = self.config
+            wait = self._free_at(self._lane) - self.sim.now
+            # an envelope no follower of its size could join does not
+            # wait for any
+            if (config.enabled
+                    and 2 * len(envelope.payload) < config.batch_bytes):
+                wait = max(wait, config.batch_delay)
+            if wait > 0:
+                self._timer = self.sim.schedule(wait, self._release,
+                                                name="batch.release")
                 return
-            self._timer = self.sim.schedule(wait, self._release,
-                                            name="batch.release")
-        size = envelope.size      # measured (by encoding) only when held
-        queue = self.queue
-        full = bool(queue) and (
-            len(queue) >= config.max_messages
-            or self._queued_bytes + size > config.batch_bytes)
-        if full:
-            # cut the group before it passes one datagram
-            self._ready.append(queue.drain())
-            self._queued_bytes = 0
-        queue.offer(envelope)
-        self._queued_bytes += size
-        if full and self._free_at(self._lane) <= self.sim.now:
-            # a full group does not wait out the delay
+            # the head: this envelope, or the one whose local delivery
+            # published it (that one's add, still to come, holds this
+            # one) — unless a re-entrant flush already sent it
+            try:
+                head = self.queue.take()
+            except IndexError:
+                return
+            self._flush_cb([head])
+        elif (self._free_at(self._lane) <= self.sim.now
+              and self._cut() < len(self.queue)):
             self._timer.cancel()
             self._release()
 
+    def _cut(self) -> int:
+        """How many head envelopes the next datagram takes: at most
+        ``max_messages``, cut before the one that would take its bytes
+        past ``batch_bytes`` (always one, when any is queued)."""
+        config = self.config
+        room = config.batch_bytes
+        count = 0
+        for envelope in self.queue:
+            room -= envelope.size
+            if count and (room < 0 or count >= config.max_messages):
+                break
+            count += 1
+        return count
+
     def _release(self) -> None:
-        """The oldest held group leaves as one datagram; what is still
-        held waits for the next instant the lane is free."""
+        """The head group leaves as one datagram; what is still queued
+        waits for the next instant the lane is free."""
         self._timer = None
-        if self._ready:
-            batch = self._ready.popleft()
-        else:
-            batch = self.queue.drain()
-            self._queued_bytes = 0
-        self._flush_cb(batch)
-        if self._timer is None and (self._ready or self.queue):
+        queue = self.queue
+        group = queue.drain(self._cut())
+        if group:
+            self._flush_cb(group)
+        if self._timer is None and queue:
             self._timer = self.sim.schedule(
                 self._free_at(self._lane) - self.sim.now, self._release,
                 name="batch.release")
 
     def flush(self) -> None:
-        """Emit every held group now, oldest first.  Safe to call when
-        empty.
+        """Emit everything held now, in groups, oldest first.  Safe to
+        call when empty.
 
         Everything held is taken *before* the callback runs, so a
         re-entrant publish from inside a flush callback is held afresh
@@ -165,13 +177,12 @@ class Batcher:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        groups = list(self._ready)
-        self._ready.clear()
-        if self.queue:
-            groups.append(self.queue.drain())
-            self._queued_bytes = 0
-        for batch in groups:
-            self._flush_cb(batch)
+        queue = self.queue
+        groups = []
+        while queue:
+            groups.append(queue.drain(self._cut()))
+        for group in groups:
+            self._flush_cb(group)
 
     def shutdown(self) -> None:
         """Drop queued envelopes and cancel the timer (host crash)."""
@@ -179,25 +190,15 @@ class Batcher:
             self._timer.cancel()
             self._timer = None
         self.queue.clear()
-        self._ready.clear()
-        self._queued_bytes = 0
 
     @property
     def pending(self) -> int:
-        """Envelopes held, in cut groups and the gathering one."""
-        return len(self.queue) + sum(map(len, self._ready))
-
-    @property
-    def waiting(self) -> bool:
-        """A cut group is waiting for the busy lane (the flow pump's cue
-        to stop feeding)."""
-        return bool(self._ready) and self._free_at(self._lane) > self.sim.now
+        """Envelopes held: admitted and not yet on the lane."""
+        return len(self.queue)
 
     @property
     def first_held(self) -> Optional[Envelope]:
-        """The oldest envelope the batcher holds (``None`` when it holds
-        none): its seq and later ones have not reached the lane, so a
-        heartbeat must not announce them yet."""
-        if self._timer is None:
-            return None
-        return self._ready[0][0] if self._ready else self.queue.items()[0]
+        """The oldest envelope held (``None`` when none is): its seq and
+        later ones have not reached the lane, so a heartbeat must not
+        announce them yet."""
+        return next(iter(self.queue), None)

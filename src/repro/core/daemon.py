@@ -9,12 +9,12 @@ which message."
 
 One :class:`BusDaemon` per :class:`~repro.sim.node.Host`:
 
-* outbound — a flow-controlled pipeline: publishes pass *admission* at a
-  bounded outbound queue (:mod:`repro.core.flow`), are stamped by the
-  reliable protocol, pumped — optionally paced to the wire — through the
-  batching stage (which gathers what queues behind the busy send lane,
-  and with the batch parameter on also waits ``batch_delay``), and
-  broadcast as UDP datagrams on the daemon port;
+* outbound — one queue: publishes pass *admission* at the bounded
+  outbound queue (:mod:`repro.core.flow`), are stamped by the reliable
+  protocol, and wait in that queue until the batching stage releases
+  them, one datagram each time the CPU send lane is free (with the
+  batch parameter on, a group's first envelope also waits
+  ``batch_delay``); each datagram is broadcast on the daemon port;
 * inbound — every daemon hears every broadcast (it is an Ethernet), runs
   the reliable receive protocol, matches the subject against its local
   subscription trie, and forwards to subscribed local applications
@@ -114,9 +114,8 @@ class BusConfig:
 
     reliable: ReliableConfig = field(default_factory=ReliableConfig)
     batch: BatchConfig = field(default_factory=BatchConfig)
-    #: Flow control: queue bounds, overflow policies, wire pacing.  The
-    #: defaults are non-shedding pass-through (see
-    #: :class:`~repro.core.flow.FlowConfig`).
+    #: Flow control: queue bounds and overflow policies.  The defaults
+    #: never shed (see :class:`~repro.core.flow.FlowConfig`).
     flow: FlowConfig = field(default_factory=FlowConfig)
     #: Distinct consumers that must ack a guaranteed message.
     ack_quorum: int = 1
@@ -318,7 +317,6 @@ class BusDaemon:
         # daemon-lifetime counters above are untouched
         for prefix in ("reliable.", "flow.reliable.retention[",
                        f"flow.outbound[{self.host.address}]",
-                       f"flow.batch[{self.host.address}]",
                        f"transport.daemon[{self.host.address}]"):
             self.metrics.drop_prefix(prefix)
         self._socket = DatagramSocket(self.sim, self.host, self._port,
@@ -343,7 +341,8 @@ class BusDaemon:
                                           tracer=self.tracer,
                                           metrics=self.metrics)
         flow = self.config.flow
-        # admission queue: publishes enter the outbound pipeline here.
+        # the one outbound queue: publishes are admitted here and wait
+        # here until the batcher hands them to the send lane.
         # Guaranteed envelopes (the ones with a ledger id) are never
         # shed — deferred to the ledger's retransmission when full, they
         # leave only via the wire or a crash.
@@ -354,16 +353,9 @@ class BusDaemon:
             on_evict=self._outbound_evicted,
             tracer=self.tracer, now=lambda: self.sim.now,
             metrics=self.metrics)
-        self._pump_event: Optional[Event] = None
-        self._pumping = False
-        self._batcher = Batcher(
-            self.sim, self.config.batch, self._send_batch,
-            queue=BoundedQueue(
-                f"batch[{self.host.address}]",
-                capacity=max(self.config.batch.max_messages, 1),
-                tracer=self.tracer, now=lambda: self.sim.now,
-                metrics=self.metrics),
-            host=self.host, lane=self.shard)
+        self._batcher = Batcher(self.sim, self.config.batch,
+                                self._send_batch, queue=self._outbound,
+                                host=self.host, lane=self.shard)
         #: the plane's one subscription table: pattern -> Subscription
         self._subscriptions: SubjectTrie = SubjectTrie()
         self._heartbeat = PeriodicTimer(
@@ -414,10 +406,6 @@ class BusDaemon:
             self._stat_pump_event = None
         self._stat_queue.clear()
         self._heartbeat.stop()
-        if self._pump_event is not None:
-            self._pump_event.cancel()
-            self._pump_event = None
-        self._outbound.clear()
         for lane in self._lanes.values():
             if lane.drain_event is not None:
                 lane.drain_event.cancel()
@@ -552,13 +540,12 @@ class BusDaemon:
             self.tracer.emit(self.sim.now, "publish", subject=subject,
                              seq=envelope.seq, size=len(payload))
         self._dispatch(envelope, False)   # same-host subscribers
-        self._pump_outbound()
+        self._batcher.add(envelope)
         return PublishReceipt(Admission.ACCEPTED, len(payload), envelope)
 
     def flush(self) -> None:
-        """Force out every group the batcher holds, oldest first, without
-        waiting for the lane or the batch delay (respects wire pacing)."""
-        self._pump_outbound()
+        """Send everything the outbound queue holds now, in groups,
+        oldest first, without waiting for the lane or the batch delay."""
         self._batcher.flush()
 
     def _republish_guaranteed(self, entry: LedgerEntry) -> None:
@@ -573,57 +560,16 @@ class BusDaemon:
             return   # still congested; the ledger timer tries again
         self._sender.stamp(envelope)
         self._dispatch(envelope, False)
-        self._pump_outbound()
+        self._batcher.add(envelope)
 
     # ------------------------------------------------------------------
-    # outbound pump (admission queue -> batcher -> wire)
+    # outbound (admission queue -> batcher -> wire)
     # ------------------------------------------------------------------
     def _outbound_evicted(self, envelope: Envelope) -> None:
         """A stamped envelope was shed from the outbound queue
         (drop-oldest): purge it from retention so NACKs cannot
         resurrect what flow control decided to drop."""
         self._sender.forget(envelope.seq)
-
-    def _pump_outbound(self) -> None:
-        """Move admitted envelopes into the batching stage.
-
-        Without pacing (``flow.max_send_backlog is None``) this drains
-        synchronously — publish behaves exactly as it did before the
-        flow-control layer.  With pacing, the pump stops once the host's
-        send pipeline is ``max_send_backlog`` seconds ahead of simulated
-        time and reschedules itself for when the backlog clears, which
-        is what lets the queue fill and admission push back upstream.
-        It stops too while a group the batcher has cut waits for the
-        busy lane, so an overload backs up in the admission queue, not
-        in the batcher.
-        """
-        if self._pumping:
-            return   # re-entrant publish from a delivery callback
-        backlog_cap = self.config.flow.max_send_backlog
-        self._pumping = True
-        try:
-            while self._outbound:
-                if backlog_cap is not None:
-                    backlog = self.host.send_backlog_for(self.shard)
-                    # a cut group waiting for the busy lane is backlog
-                    # too: resume once the lane frees and the batcher
-                    # has released it
-                    waiting = self._batcher.waiting
-                    if waiting or backlog >= backlog_cap:
-                        if self._pump_event is None:
-                            self._pump_event = self.sim.schedule(
-                                (backlog if waiting
-                                 else backlog - backlog_cap) + 1e-9,
-                                self._pump_fire, name="flow.pump")
-                        return
-                self._batcher.add(self._outbound.take())
-        finally:
-            self._pumping = False
-
-    def _pump_fire(self) -> None:
-        self._pump_event = None
-        if self.up:
-            self._pump_outbound()
 
     def _send_batch(self, envelopes: List[Envelope]) -> None:
         if not self.up:
@@ -641,9 +587,9 @@ class BusDaemon:
     def _send_heartbeat(self) -> None:
         if not self.up:
             return
-        # seqs the batcher still holds (for the lane or the batch
-        # delay) are not announced: a receiver would NACK them while
-        # they wait
+        # seqs still in the outbound queue (waiting for the lane or the
+        # batch delay) are not announced: a receiver would NACK them
+        # while they wait
         held = self._batcher.first_held
         last_seq = self._sender.last_seq if held is None else held.seq - 1
         if last_seq == 0:
@@ -977,25 +923,24 @@ class BusDaemon:
         self._pump_stats()
 
     def _pump_stats(self) -> None:
-        """Drain the stat queue to the wire, paced like the data pump."""
-        backlog_cap = self.config.flow.max_send_backlog
-        while self._stat_queue:
-            if backlog_cap is not None:
-                backlog = self.host.send_backlog_for(self.shard)
-                if backlog >= backlog_cap:
-                    if self._stat_pump_event is None:
-                        self._stat_pump_event = self.sim.schedule(
-                            backlog - backlog_cap + 1e-9,
-                            self._stat_pump_fire, name="stat.pump")
-                    return
-            envelope = self._stat_queue.take()
+        """Send queued snapshots while the send lane is idle; otherwise
+        wait for the instant it frees (the batcher's release rule)."""
+        queue = self._stat_queue
+        while queue and self._stat_pump_event is None:
+            wait = self.host.send_free_at(self.shard) - self.sim.now
+            if wait > 0:
+                self._stat_pump_event = self.sim.schedule(
+                    wait, self._pump_fire, name="stat.pump")
+                return
+            envelope = queue.take()
             packet = Packet(PacketKind.DATA, self.session, [envelope],
                             session_start=self.session_started)
             # plain encoding: stat frames never touch the string table
             self._stat_socket.broadcast(encode_packet(packet),
                                         self._stat_port)
 
-    def _stat_pump_fire(self) -> None:
+    def _pump_fire(self) -> None:
+        """The lane-free instant a queued snapshot waited for."""
         self._stat_pump_event = None
         if self.up:
             self._pump_stats()
@@ -1048,8 +993,7 @@ class BusDaemon:
     # ------------------------------------------------------------------
     def flow_stats(self) -> Dict[str, Dict[str, Any]]:
         """Snapshot every flow-control queue this daemon owns."""
-        stats = {"outbound": self._outbound.snapshot(),
-                 "batch": self._batcher.queue.snapshot()}
+        stats = {"outbound": self._outbound.snapshot()}
         for name, lane in self._lanes.items():
             stats[f"deliver[{name}]"] = lane.queue.snapshot()
         return stats

@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, List, Optional, Tuple,
+from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
                     TYPE_CHECKING)
 
 from .metrics import MetricsRegistry
@@ -250,9 +250,10 @@ class BoundedQueue(_Bounded):
         self._maybe_credit()
         return item
 
-    def items(self) -> Tuple[Any, ...]:
-        """The queued items, head first (read-only snapshot)."""
-        return tuple(self._items)
+    def __iter__(self) -> Iterator[Any]:
+        """The queued items, head first (no copy: do not mutate the
+        queue while iterating)."""
+        return iter(self._items)
 
     def drain(self, max_items: Optional[int] = None) -> List[Any]:
         """Dequeue up to ``max_items`` (all, when None) as a list."""
@@ -323,25 +324,25 @@ class BoundedBuffer(_Bounded):
 class FlowConfig:
     """Flow-control tunables for one daemon (see ``BusConfig.flow``).
 
-    The defaults are deliberately non-shedding: a generous admission
-    queue, no wire pacing, and synchronous delivery lanes reproduce the
-    pre-flow-control behaviour bit for bit (the Appendix figures are
-    regenerated under these defaults).  Overload experiments turn the
-    knobs.
+    The admission queue is the daemon's one outbound queue: it holds
+    every published envelope that has not yet reached the host's CPU
+    send lane, and the batcher takes them out one datagram at a time,
+    each when the lane is free (:mod:`repro.core.batching`).  So an
+    overload backs up here, never on the lane.  The defaults never
+    shed: up to ``publish_queue`` envelopes wait, and past that a
+    publish is deferred.  Delivery lanes are synchronous until an
+    application declares a ``service_time``.  Overload experiments
+    shrink the queue and choose a drop policy.
     """
 
-    #: Envelopes the daemon's outbound admission queue holds.
+    #: Envelopes the daemon's outbound admission queue holds: admitted
+    #: and not yet on the send lane.
     publish_queue: int = 4096
     #: Overflow policy of the admission queue.  ``block`` surfaces
     #: pressure as a DEFERRED publish receipt; the drop policies shed
     #: reliable-QoS envelopes (guaranteed is always deferred to the
     #: stable ledger's retransmission, never shed).
     publish_policy: str = POLICY_BLOCK
-    #: How far ahead of simulated time (seconds) the host's send pipeline
-    #: may run before the outbound pump pauses.  ``None`` disables
-    #: pacing: publishes reach the batcher synchronously, exactly as
-    #: before this layer existed.
-    max_send_backlog: Optional[float] = None
     #: Envelopes each application's delivery lane holds.  A full lane
     #: sheds its oldest reliable envelope: a slow application loses its
     #: own backlog, and its co-hosted neighbours are unaffected.

@@ -132,17 +132,14 @@ class Host:
     def send_backlog(self) -> float:
         """Seconds of queued work in the busiest CPU send lane.
 
-        0.0 means the next :meth:`send_frame` starts immediately; the
-        daemon's flow-control pump reads this to pace admission to the
-        wire instead of queueing unboundedly inside the pipeline.  With
-        a single lane (the default) this is exactly the old scalar.
+        0.0 means the next :meth:`send_frame` starts immediately.  The
+        bus itself never reads it (its batcher asks
+        :meth:`send_free_at`, and waits for an idle lane); the
+        flow-control ablation reports it as the work already on the
+        lane.
         """
         now = self.sim.now
         return max(0.0, max(self._send_ready_at.values()) - now)
-
-    def send_backlog_for(self, lane: int) -> float:
-        """Seconds of queued work in one CPU send lane (shard pacing)."""
-        return max(0.0, self._send_ready_at.get(lane, 0.0) - self.sim.now)
 
     def send_free_at(self, lane: int) -> float:
         """Simulated time at which one *bound* CPU send lane falls idle

@@ -336,14 +336,78 @@ def test_gathered_group_never_outgrows_one_datagram(enabled, batch_bytes,
     assert max(data for _, _, data in groups) <= host.cost.mtu
 
 
-def test_envelope_no_follower_could_join_is_never_held():
+def test_envelope_no_follower_could_join_never_waits_the_delay():
+    """An envelope of half ``batch_bytes`` or more leaves alone: on an
+    idle lane at once (batching on too), and behind a busy lane at the
+    instant it frees, like any other — never onto the busy lane."""
     for enabled in MODES:
         sim, host, batcher, sent = lane_batcher(enabled, batch_bytes=200)
-        occupy(host)
-        batcher.add(envelope(size_payload=300))   # payload >= cap
         batcher.add(envelope(size_payload=100))   # half: no second fits
-        assert [n for _, n, _ in sent] == [1, 1]
+        assert [(at, n) for at, n, _ in sent] == [(0.0, 1)]
+        free_at = host.send_free_at(0)
+        assert free_at > 0.0
+        batcher.add(envelope(size_payload=300))   # payload >= cap
+        batcher.add(envelope(size_payload=100))
+        assert batcher.pending == 2               # held for the lane
+        sim.run()
+        assert [(at, n) for at, n, _ in sent[1:]] == [
+            (free_at, 1), (free_at + host.cost.send_cpu_time(sent[1][2]),
+                           1)]
         assert batcher.pending == 0
+
+
+@given(st.booleans(),
+       st.lists(st.tuples(st.integers(0, 2000),
+                          st.sampled_from([0.0, 0.0005, 0.003])),
+                min_size=1, max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_no_datagram_goes_onto_the_lane_while_an_earlier_one_is_on_it(
+        enabled, specs):
+    """Outside :meth:`~Batcher.flush`, the batcher hands the lane a
+    datagram only once the one before it is sent: starting behind a
+    busy lane, in either mode, whatever the payload sizes (large ones
+    included) and however the adds are spaced."""
+    sim, host, batcher, sent = lane_batcher(enabled)
+    on_lane = [occupy(host)]          # when the last datagram is sent
+    send = batcher._flush_cb
+
+    def handed(batch):
+        assert sim.now >= on_lane[-1] - 1e-12
+        send(batch)
+        on_lane.append(host.send_free_at(0))
+
+    batcher._flush_cb = handed
+    for payload, gap in specs:
+        sim.run_until(sim.now + gap)
+        batcher.add(envelope(size_payload=payload))
+    sim.run()
+    assert sum(n for _, n, _ in sent) == len(specs)
+    assert batcher.pending == 0
+
+
+def test_a_burst_behind_a_busy_lane_waits_in_the_admission_queue():
+    """Everything admitted and not yet on the lane is in the admission
+    queue: with room for N, a burst of 3N small publishes behind a busy
+    lane admits N and defers the other 2N (block policy), and the N
+    leave once the lane frees."""
+    room = 16
+    bus = InformationBus(seed=4, cost=CostModel(loss_probability=0.0),
+                         config=BusConfig(flow=FlowConfig(
+                             publish_queue=room)))
+    bus.add_hosts(2)
+    inbox = []
+    bus.client("node01", "mon").subscribe(
+        "t.>", lambda subject, obj, info: inbox.append(obj))
+    publisher = bus.client("node00", "pub")
+    bus.run_for(1.0)
+    plane = bus.daemons["node00"]
+    plane.host.send_frame(Frame("node00", "node01", 9, 9, "other", 200))
+    receipts = [publisher.publish("t.x", n).admission.value
+                for n in range(3 * room)]
+    assert receipts == ["accepted"] * room + ["deferred"] * (2 * room)
+    assert plane._batcher.pending == room
+    bus.run_for(2.0)
+    assert inbox == list(range(room))
 
 
 def test_large_envelope_behind_a_held_group_keeps_its_order():
@@ -380,6 +444,30 @@ def test_crash_drops_the_held_group_and_the_new_session_replays_none():
     bus.run_for(2.0)
     assert inbox == ["before", "after"]
     assert list(bus.daemons["node01"].peers) == [plane.session]
+
+
+def test_flush_from_a_local_subscriber_on_a_free_lane():
+    """A same-host subscriber that flushes from its callback sends the
+    envelope it is being handed before that envelope's own release
+    runs; on a lane that costs nothing to send on, the release then
+    finds the queue empty and sends nothing twice."""
+    cost = CostModel.ideal()
+    cost.cpu_send_per_packet = 0.0
+    bus = InformationBus(seed=1, cost=cost)
+    bus.add_hosts(2)
+    plane = bus.daemons["node00"]
+    local, remote = [], []
+    bus.client("node00", "local").subscribe(
+        "t.>", lambda subject, obj, info: (local.append(obj),
+                                           plane.flush()))
+    bus.client("node01", "mon").subscribe(
+        "t.>", lambda subject, obj, info: remote.append(obj))
+    bus.run_for(1.0)
+    publisher = bus.client("node00", "pub")
+    for n in range(3):
+        publisher.publish("t.x", n)
+    bus.run_for(1.0)
+    assert local == remote == [0, 1, 2]
 
 
 def test_each_plane_gathers_on_its_own_lane():
@@ -500,12 +588,11 @@ def test_frame_lost_in_a_burst_is_repaired_while_the_burst_is_sent():
 
 
 def test_paced_pump_stops_while_a_gathered_group_waits():
-    """With wire pacing on, a cut group waiting for the lane is backlog
-    too: the pump stops feeding the batcher, so the admission queue
-    fills and sheds instead of the batcher holding the whole burst."""
+    """What waits for the busy lane waits in the admission queue: a
+    burst fills it and the policy sheds the rest, so the batcher never
+    holds more than the queue's capacity."""
     config = BusConfig(flow=FlowConfig(publish_queue=64,
-                                       publish_policy=POLICY_DROP_NEWEST,
-                                       max_send_backlog=0.01))
+                                       publish_policy=POLICY_DROP_NEWEST))
     bus = InformationBus(seed=4, cost=CostModel(loss_probability=0.0),
                          config=config)
     bus.add_hosts(2)
@@ -526,13 +613,11 @@ def test_paced_pump_stops_while_a_gathered_group_waits():
 
 
 def test_paced_pump_does_not_spin_while_a_cut_group_waits_out_the_delay():
-    """With batching on, a group can be cut while a frame the daemon
-    sent itself keeps the lane busy for less than ``batch_delay``.  Once
-    that frame is sent the group waits for the delay, not for the lane:
-    the pump must feed on (the next cut releases it) rather than poll an
-    idle lane every nanosecond until the delay is over."""
-    config = BusConfig(flow=FlowConfig(publish_queue=64,
-                                       max_send_backlog=0.01))
+    """With batching on, a group can fill while a frame the daemon sent
+    itself keeps the lane busy for less than ``batch_delay``.  Once that
+    frame is sent the held envelopes wait for the delay's release on an
+    idle lane, and nothing polls the lane meanwhile."""
+    config = BusConfig(flow=FlowConfig(publish_queue=64))
     config.batch.enabled = True
     config.batch.batch_delay = 0.01
     bus = InformationBus(seed=4, cost=CostModel(loss_probability=0.0),
@@ -546,9 +631,9 @@ def test_paced_pump_does_not_spin_while_a_cut_group_waits_out_the_delay():
     plane = bus.daemons["node00"]
     publisher.publish("t.x", 0)               # held for the delay
     plane.host.send_frame(Frame("node00", "node01", 9, 9, "other", 200))
-    for n in range(1, 40):                    # fill and cut a group
+    for n in range(1, 40):                    # fill a group and more
         publisher.publish("t.x", n)
-    assert plane._batcher.waiting
+    assert plane._batcher.pending == 40
     assert plane.host.send_free_at(0) - bus.sim.now < config.batch.batch_delay
     fired = bus.sim.run_until(bus.sim.now + 2 * config.batch.batch_delay,
                               max_events=10_000)

@@ -113,25 +113,25 @@ def test_reentrant_flush_does_not_recurse_forever():
     assert len(batches) == 2
 
 
-def test_queued_bytes_is_a_running_counter_across_partial_drains():
-    """The byte counter is the gathering group's bytes: it restarts at
-    each cut, and a release, :meth:`~Batcher.flush` or
-    :meth:`~Batcher.shutdown` that takes the group zeroes it, so the
-    next group is cut on its own bytes."""
+def test_each_group_is_cut_on_its_own_bytes_when_it_leaves():
+    """A group is counted from the queue's head when it is released, so
+    after a partial drain the next group is cut on its own bytes, an
+    envelope bigger than a group leaves alone, and
+    :meth:`~Batcher.shutdown` leaves nothing to release."""
     sim = Simulator()
     one = envelope().size
     batcher, batches = make_batcher(sim, batch_bytes=3 * one)
     for _ in range(4):
-        batcher.add(envelope())             # the 4th cuts the first 3
+        batcher.add(envelope())             # the 4th: the first 3 leave
     assert [len(b) for b in batches] == [3]
-    assert batcher._queued_bytes == one     # exactly the new group
     for _ in range(3):
-        batcher.add(envelope())             # the 7th cuts again
+        batcher.add(envelope())             # the 7th: the next 3 leave
     assert [len(b) for b in batches] == [3, 3]
-    assert batcher._queued_bytes == one
+    batcher.add(envelope(size_payload=3 * one))
     batcher.flush()
-    assert [len(b) for b in batches] == [3, 3, 1]
-    assert batcher._queued_bytes == 0
+    assert [len(b) for b in batches] == [3, 3, 1, 1]
     batcher.add(envelope())
     batcher.shutdown()
-    assert batcher._queued_bytes == 0       # shutdown resets cleanly
+    sim.run_until(1.0)
+    assert len(batches) == 4
+    assert batcher.pending == 0

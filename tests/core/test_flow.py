@@ -19,7 +19,7 @@ def test_accept_until_full_then_policy_applies():
     assert q.offer("b") is Admission.ACCEPTED
     assert q.full
     assert q.offer("c") is Admission.DEFERRED
-    assert list(q.items()) == ["a", "b"]
+    assert list(q) == ["a", "b"]
 
 
 def test_drop_newest_rejects_incoming():
@@ -37,7 +37,7 @@ def test_drop_oldest_evicts_head():
     q.offer("a")
     q.offer("b")
     assert q.offer("c") is Admission.ACCEPTED
-    assert list(q.items()) == ["b", "c"]
+    assert list(q) == ["b", "c"]
     assert evicted == ["a"]
     assert q.dropped_oldest.value == 1
 
@@ -57,7 +57,7 @@ def test_sheddable_predicate_protects_items_under_every_policy(policy):
     expected = {POLICY_BLOCK: (Admission.DEFERRED, [-1, 5]),
                 POLICY_DROP_NEWEST: (Admission.DROPPED, [-1, 5]),
                 POLICY_DROP_OLDEST: (Admission.ACCEPTED, [-1, 7])}[policy]
-    assert (q.offer(7), list(q.items())) == expected
+    assert (q.offer(7), list(q)) == expected
     # nothing queued is sheddable: drop-oldest defers too
     q2 = BoundedQueue("q2", capacity=1, policy=policy,
                       sheddable=lambda item: item >= 0)
@@ -65,7 +65,7 @@ def test_sheddable_predicate_protects_items_under_every_policy(policy):
     assert q2.offer(9) is {POLICY_BLOCK: Admission.DEFERRED,
                            POLICY_DROP_NEWEST: Admission.DROPPED,
                            POLICY_DROP_OLDEST: Admission.DEFERRED}[policy]
-    assert q2.items() == (-1,)
+    assert list(q2) == [-1]
 
 
 def test_admission_truthiness():

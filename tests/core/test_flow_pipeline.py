@@ -29,8 +29,7 @@ GUARANTEED_COUNT = 5
 
 def _overload_config():
     return BusConfig(flow=FlowConfig(
-        publish_queue=64, publish_policy=POLICY_DROP_NEWEST,
-        max_send_backlog=0.01))
+        publish_queue=64, publish_policy=POLICY_DROP_NEWEST))
 
 
 def run_overload(seed, trace=False):

@@ -11,7 +11,7 @@
    snapshot.
 """
 
-from repro.core import BusConfig, FlowConfig, InformationBus, QoS
+from repro.core import BusConfig, InformationBus, QoS
 from repro.sim import Simulator  # noqa: F401  (re-exported fixture surface)
 from repro.sim.network import CostModel
 from repro.sim.trace import Tracer
@@ -133,13 +133,13 @@ def test_stat_self_traffic_is_not_measured_but_is_flow_controlled():
 
 
 def test_stat_queue_sheds_oldest_under_backpressure():
-    """A paced wire + a fast publisher: the private stat queue fills,
-    drops stale snapshots oldest-first, and never exceeds its bound."""
+    """A busy send lane + a fast publisher: the private stat queue
+    fills, drops stale snapshots oldest-first, and never exceeds its
+    bound."""
     cost = CostModel.ideal()
     cost.cpu_send_per_packet = 0.01      # each broadcast costs 10 ms
     config = BusConfig(stat_interval=0.005, stat_queue=4,
-                       advertise_subscriptions=False,
-                       flow=FlowConfig(max_send_backlog=0.005))
+                       advertise_subscriptions=False)
     bus = InformationBus(seed=9, cost=cost, config=config)
     bus.add_hosts(1)
     bus.run_for(2.0)
