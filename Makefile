@@ -23,9 +23,11 @@ pytest-bench:
 # regenerate the golden files (only for a deliberate wire/format change),
 # under two hash seeds: a file the second run changes is not a golden
 GOLDEN_TESTS = tests/integration/test_golden_run.py \
-               tests/objects/test_marshal_golden.py
+               tests/objects/test_marshal_golden.py \
+               tests/objects/test_wire_golden.py
 GOLDEN_FILES = tests/integration/golden_run.json \
-               tests/objects/golden_marshal.json
+               tests/objects/golden_marshal.json \
+               tests/objects/golden_wire.json
 
 goldens:
 	@set -e; for seed in 0 1; do \

@@ -143,7 +143,10 @@ class BusConfig:
     #: sharding" in docs/PROTOCOLS.md).  A host is always a plane set:
     #: :class:`~repro.core.bus.InformationBus` builds this many
     #: :class:`BusDaemon` planes per host, and the default 1 is the
-    #: paper's one daemon per host.
+    #: paper's one daemon per host.  Each plane is a sender of its own,
+    #: so above 1 a client's FIFO holds per (client, plane): a message
+    #: may overtake an earlier one the client published on a subject
+    #: another plane carries.
     subject_shards: int = 1
 
 

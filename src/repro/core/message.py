@@ -93,9 +93,9 @@ class Envelope:
         """The most bytes this envelope adds to a wire frame: its plain
         digest entry plus its standalone plain body — what the batcher
         cuts a group on (see :func:`repro.core.wire.envelope_wire_size`).
-        Inside a frame it shares its sender and publish time with the
-        envelope before it, and a compressed frame writes ids, so its
-        actual share is at most this."""
+        Inside a frame it may follow the seq, and share the sender and
+        publish time, of the envelope before it, and a compressed frame
+        writes ids, so its actual share is at most this."""
         return _wire_codec().envelope_wire_size(self)
 
 

@@ -5,10 +5,10 @@ combination with a retransmission protocol" (Section 3.1).  This module
 is that marshalling for the daemon-to-daemon protocol: it encodes every
 :class:`~repro.core.message.Packet` kind (DATA, RETRANS, NACK, HEARTBEAT,
 ACK) and the :class:`~repro.core.message.Envelope`\\ s inside it to a
-length-prefixed, checksummed frame (:mod:`repro.sim.framing`), and
-decodes frames back at the receiving socket boundary — so no object ever
-crosses hosts by reference, sizes on the wire are the sizes of the bytes
-actually sent, and corruption is detectable.
+checksummed frame (:mod:`repro.sim.framing`: the body, then its
+CRC-32), and decodes frames back at the receiving socket boundary — so
+no object ever crosses hosts by reference, sizes on the wire are the
+sizes of the bytes actually sent, and corruption is detectable.
 
 Envelope encodings are cached on the envelope (keyed by its stamped
 ``(session, seq)`` identity and the string table), so the broadcast path
@@ -126,19 +126,24 @@ Frame body layout (all integers varint unless noted)::
     tdefs    := tdef_count (tid desc:bytes)*
                 tref_count tid*                       # iff flags TYPED
     digest   := entry_count entry*                    # DATA/RETRANS only
-    entry    := eflags:u8 subject:hstr seq
+    entry    := eflags:u8 subject:hstr [seq]
     body     := [sender:hstr] [publish_time:f64] [ledger_id:hstr]
                 [via_count via:hstr*] payload:bytes   # one per entry
     hstr     := string:str | id                       # id iff COMPRESSED
 
-Each field is written once per frame.  An entry's ``eflags`` say which
-body fields follow: ``0x01`` a ``ledger_id`` (a guaranteed envelope —
-receivers must decode it fully), ``0x40`` one or more ``via`` hops;
-``0x10`` omits the sender and ``0x20`` the publish time, which are
-then the previous envelope's in the frame (a burst published in one
-instant by one client pays for them once).  The first entry has no
-predecessor, so ``0x10``/``0x20`` on it — or any bit not named here —
-make the frame a :class:`CorruptFrame`; so does ``0x40`` with no hop.
+Each field is written once per frame, and none the frame already gives.
+An entry's ``eflags`` say which fields follow: ``0x01`` a ``ledger_id``
+(a guaranteed envelope — receivers must decode it fully), ``0x40`` one
+or more ``via`` hops; ``0x04`` says the payload starts with the marshal
+magic ``IB\\x01``, which the body leaves out and the reader puts back
+(a payload without it is sent whole, without the bit); ``0x08`` omits
+the seq, which is then the previous entry's seq + 1, ``0x10`` the
+sender and ``0x20`` the publish time, which are then the previous
+envelope's in the frame (a burst published in one instant by one client
+pays for them once).  The first entry has no predecessor, so
+``0x08``/``0x10``/``0x20`` on it — or any bit not named here (``0x02``,
+retired, and ``0x80``) — make the frame a :class:`CorruptFrame`; so
+does ``0x40`` with no hop.
 There is one envelope count, ``entry_count``: bodies follow the digest
 one per entry and must end the frame exactly.  HEARTBEAT, NACK and ACK
 frames end after their header.
@@ -171,6 +176,7 @@ from collections import OrderedDict
 from io import BytesIO
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..objects.marshal import MAGIC as _PAYLOAD_MAGIC
 from ..sim.framing import (CorruptFrame, Cursor, frame, unframe_view,
                            write_bytes, write_f64, write_str, write_varint)
 from .message import Envelope, Packet, PacketKind, QoS
@@ -207,12 +213,15 @@ _ENVELOPE_KINDS = (PacketKind.DATA, PacketKind.RETRANS)
 
 # digest entry flag bits: what the envelope's body carries
 _E_LEDGER = 0x01        # a ledger id: guaranteed, receivers decode fully
+_E_MAGIC = 0x04         # the payload's marshal magic is left out
+_E_NEXT_SEQ = 0x08      # no seq: the previous entry's seq + 1
 _E_SAME_SENDER = 0x10   # no sender: the previous envelope's
 _E_SAME_TIME = 0x20     # no publish time: the previous envelope's
 _E_VIA = 0x40           # via hops
-_E_DEFINED = _E_LEDGER | _E_SAME_SENDER | _E_SAME_TIME | _E_VIA
+_E_DEFINED = (_E_LEDGER | _E_MAGIC | _E_NEXT_SEQ | _E_SAME_SENDER
+              | _E_SAME_TIME | _E_VIA)
 #: the bits a frame's first entry may carry: it has no predecessor
-_E_FIRST = _E_DEFINED & ~(_E_SAME_SENDER | _E_SAME_TIME)
+_E_FIRST = _E_DEFINED & ~(_E_NEXT_SEQ | _E_SAME_SENDER | _E_SAME_TIME)
 
 _intern = sys.intern
 
@@ -314,12 +323,13 @@ def _encoded(envelope: Envelope, table: Optional[StringTable]) -> tuple:
     """The envelope's standalone encoding against ``table`` (``None``:
     plain strings); the compressed one is cached on the envelope.
 
-    Returns ``(key, table, eflags, entry, body, sender_len, refs,
-    own_defs)``: ``entry`` is its digest entry after the flags byte
-    (subject, seq) and ``eflags`` the entry bits the envelope decides on
-    its own (ledger, via); ``body`` is its body with every field present
-    and ``sender_len`` the length of the leading sender field, so a
-    frame that elides the sender and the publish time slices them off
+    Returns ``(key, table, eflags, subject, seq, body, sender_len, refs,
+    own_defs)``: ``subject`` and ``seq`` are its digest entry after the
+    flags byte, and ``eflags`` the entry bits the envelope decides on
+    its own (ledger, magic, via); ``body`` is its body with every field
+    present but the payload's marshal magic, and ``sender_len`` the
+    length of the leading sender field, so a frame that elides the
+    sender and the publish time slices them off
     (:func:`_write_envelopes`).  ``refs`` are the table ids it cites
     and ``own_defs`` the definitions this encoding assigned — replayed
     on a hit, so the frame that carries an envelope always carries the
@@ -344,8 +354,10 @@ def _encoded(envelope: Envelope, table: Optional[StringTable]) -> tuple:
     own_defs: List[Tuple[int, str]] = []
     out = BytesIO()
     _write_header_str(out, envelope.subject, table, refs, own_defs)
+    subject = out.getvalue()
+    out = BytesIO()
     write_varint(out, envelope.seq)
-    entry = out.getvalue()
+    seq = out.getvalue()
     out = BytesIO()
     _write_header_str(out, envelope.sender, table, refs, own_defs)
     sender_len = out.tell()
@@ -359,8 +371,12 @@ def _encoded(envelope: Envelope, table: Optional[StringTable]) -> tuple:
         write_varint(out, len(envelope.via))
         for hop in envelope.via:
             _write_header_str(out, hop, table, refs, own_defs)
-    write_bytes(out, envelope.payload)
-    encoded = (key, table, eflags, entry, out.getvalue(), sender_len,
+    payload = envelope.payload
+    if payload.startswith(_PAYLOAD_MAGIC):
+        eflags |= _E_MAGIC
+        payload = payload[len(_PAYLOAD_MAGIC):]
+    write_bytes(out, payload)
+    encoded = (key, table, eflags, subject, seq, out.getvalue(), sender_len,
                tuple(refs), tuple(own_defs))
     if table is not None:
         envelope._wire_cache_z = encoded
@@ -374,17 +390,17 @@ def envelope_wire_size(envelope: Envelope) -> int:
 
     What the batcher cuts a group on.  In a compressed frame whose
     strings the table already holds, each id is no longer than the
-    string it replaces and an elided sender or publish time only
-    shortens the body, so a group cut on these sizes never outgrows one
-    datagram.  Deliberately mode-independent: turning compression on or
-    off never changes batching decisions.
+    string it replaces, an elided seq only shortens the entry and an
+    elided sender or publish time the body, so a group cut on these
+    sizes never outgrows one datagram.  Deliberately mode-independent:
+    turning compression on or off never changes batching decisions.
     """
     cached = getattr(envelope, "_wire_size", None)
     key = (envelope.session, envelope.seq)
     if cached is not None and cached[0] == key:
         return cached[1]
-    _, _, _, entry, body, _, _, _ = _encoded(envelope, None)
-    size = 1 + len(entry) + len(body)
+    _, _, _, subject, seq, body, _, _, _ = _encoded(envelope, None)
+    size = 1 + len(subject) + len(seq) + len(body)
     envelope._wire_size = (key, size)
     return size
 
@@ -397,9 +413,10 @@ def _write_envelopes(out: BytesIO, envelopes: List[Envelope],
                      encoded: List[tuple]) -> None:
     """Write the digest, then the bodies: each field once per frame.
 
-    An entry carries the envelope's flags, subject and seq; its body
-    drops the sender and the publish time when they equal the previous
-    envelope's (entry bits ``0x10`` / ``0x20``), sliced off the cached
+    An entry carries the envelope's flags, subject and seq, and drops
+    the seq when it follows the previous entry's (entry bit ``0x08``);
+    its body drops the sender and the publish time when they equal the
+    previous envelope's (``0x10`` / ``0x20``), sliced off the cached
     standalone body.  With a table (compressed frames) every id is
     already interned: :func:`_encoded` ran for every envelope first, and
     the defs it assigned precede the digest on the wire.
@@ -407,9 +424,13 @@ def _write_envelopes(out: BytesIO, envelopes: List[Envelope],
     write_varint(out, len(envelopes))
     digest = bytearray()
     bodies = bytearray()
-    sender = publish_time = None
+    sender = publish_time = next_seq = None
     for envelope, cached in zip(envelopes, encoded):
-        _, _, eflags, entry, body, sender_len, _, _ = cached
+        _, _, eflags, subject, seq, body, sender_len, _, _ = cached
+        if envelope.seq == next_seq:
+            eflags |= _E_NEXT_SEQ
+            seq = b""
+        next_seq = envelope.seq + 1
         if envelope.sender == sender:
             eflags |= _E_SAME_SENDER
             body = body[sender_len:]
@@ -419,7 +440,8 @@ def _write_envelopes(out: BytesIO, envelopes: List[Envelope],
             body = body[:sender_len] + body[sender_len + 8:]
         sender, publish_time = envelope.sender, envelope.publish_time
         digest.append(eflags)
-        digest += entry
+        digest += subject
+        digest += seq
         bodies += body
     out.write(digest)
     out.write(bodies)
@@ -509,10 +531,10 @@ def encode_packet(packet: Packet, table: Optional[StringTable] = None,
         if kind is PacketKind.RETRANS:
             refs: Set[int] = set()
             for cached in encoded:
-                refs.update(cached[6])
+                refs.update(cached[7])
             def_pairs = [(idx, table.strings[idx]) for idx in sorted(refs)]
         else:
-            def_pairs = [pair for cached in encoded for pair in cached[7]]
+            def_pairs = [pair for cached in encoded for pair in cached[8]]
         write_varint(out, len(def_pairs))
         for idx, text in def_pairs:
             write_varint(out, idx)
@@ -791,7 +813,9 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
             tmissing = [t for t, blob in parse.tneeds.items() if blob is None]
         # -- stage 4: digest, the one place subject, seq and flags are
         # written.  Bits no writer sets, and an elision on the first
-        # entry (it has no predecessor), are a hostile encoder's.
+        # entry (it has no predecessor), are a hostile encoder's.  A
+        # successor's seq is derived here, so the gate and the bodies
+        # see every seq.
         refs: Set[int] = set()
         if flags & _P_DIGEST:
             entries = parse.entries
@@ -799,6 +823,7 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
             subjects: Dict[str, None] = {}      # distinct, first-seen order
             needs_full = False
             allowed = _E_FIRST
+            seq = None
             for _ in range(cur.varint()):
                 eflags = cur.u8()
                 if eflags & ~allowed:
@@ -807,7 +832,7 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
                 allowed = _E_DEFINED
                 subject = _read_header_str(cur, table, refs)
                 subjects[subject] = None
-                seq = cur.varint()
+                seq = seq + 1 if eflags & _E_NEXT_SEQ else cur.varint()
                 if eflags & _E_LEDGER or seq == 0:
                     needs_full = True
                 seqs.append(seq)
@@ -894,7 +919,10 @@ def _read_envelope(cur: Cursor, table: Optional[Dict[int, str]],
             raise CorruptFrame("via flag with no hops")
         via = tuple([_read_header_str(cur, table, refs)
                      for _ in range(hops)])
-    return Envelope(subject, sender, session, seq, cur.bytes_(), qos,
+    payload = cur.bytes_()
+    if eflags & _E_MAGIC:
+        payload = _PAYLOAD_MAGIC + payload
+    return Envelope(subject, sender, session, seq, payload, qos,
                     ledger_id, publish_time, via)
 
 

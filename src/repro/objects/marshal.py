@@ -56,7 +56,9 @@ from .types import FUNDAMENTAL_TYPES, TypeDescriptor, TypeError_, parse_type_nam
 __all__ = ["encode", "encode_typed", "decode", "encoded_size",
            "MarshalError", "UnknownTypeError", "type_closure"]
 
-_MAGIC = b"IB\x01"
+#: What every encoding starts with: the format and its version.  The bus
+#: wire codec leaves it out of envelope bodies and puts it back on read.
+MAGIC = b"IB\x01"
 
 #: Containers (list, map, object) may nest at most this deep, on both
 #: the encode and the decode side.  A constant of the format, not a knob:
@@ -263,7 +265,7 @@ def _closure(registry: TypeRegistry, value: Any) -> Tuple[TypeDescriptor, ...]:
 
 def _encode_payload(write: Callable[[bytes], Any], value: Any,
                     registry: TypeRegistry, inline_types: bool) -> None:
-    write(_MAGIC)
+    write(MAGIC)
     if inline_types:
         if registry is None:
             raise MarshalError("inline_types requires a registry")
@@ -315,7 +317,7 @@ def encode_typed(value: Any, registry: TypeRegistry,
         type_ids = {descriptor.name: intern(descriptor)
                     for descriptor in closure}
     out = BytesIO()
-    out.write(_MAGIC)
+    out.write(MAGIC)
     _encode_value(out.write, value, type_ids, 0)
     return out.getvalue(), tuple(type_ids.values()) if type_ids else ()
 
@@ -490,7 +492,7 @@ def decode(data: bytes, registry: TypeRegistry, type_resolver=None) -> Any:
     """
     if not isinstance(data, bytes):
         data = bytes(data)      # one copy; indexing bytes beats a view
-    if not data.startswith(_MAGIC):
+    if not data.startswith(MAGIC):
         raise MarshalError("bad magic: not an Information Bus encoding")
     pos = 3
     if data[3:4] == b"M":

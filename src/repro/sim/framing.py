@@ -1,14 +1,15 @@
-"""Byte-level wire framing: length-prefixed frames with a CRC trailer.
+"""Byte-level wire framing: a body with a CRC trailer.
 
 Everything that crosses a simulated socket is real ``bytes``.  A frame is
 
-    +-------+----------------+----------+-----------------+
-    | magic | body length u32|   body   | CRC-32 of body  |
-    |  "IB" |   big-endian   |          |   big-endian    |
-    +-------+----------------+----------+-----------------+
+    +----------+-----------------+
+    |   body   | CRC-32 of body  |
+    |          |   big-endian    |
+    +----------+-----------------+
 
-The length prefix lets a receiver reject truncated buffers; the trailing
-checksum lets it reject corrupted ones (see the ``corrupt_rate`` knob on
+and nothing else: the datagram (or stream segment) that carries the
+frame already gives its length, and the checksum rejects a truncated
+buffer as surely as a corrupted one (see the ``corrupt_rate`` knob on
 :class:`~repro.sim.ethernet.EthernetSegment`).  Any validation failure
 raises :class:`CorruptFrame` — the caller drops the frame and lets the
 retransmission machinery repair the loss, exactly like a UDP checksum
@@ -38,13 +39,11 @@ __all__ = ["CorruptFrame", "Cursor", "FRAME_OVERHEAD", "MAX_VARINT_BYTES",
            "frame", "unframe", "unframe_view", "flip_random_bit",
            "write_bytes", "write_f64", "write_str", "write_varint"]
 
-_MAGIC = b"IB"
-_LEN = struct.Struct(">I")
 _CRC = struct.Struct(">I")
 _F64 = struct.Struct(">d")
 
-#: Framing bytes added around every body: magic + length + checksum.
-FRAME_OVERHEAD = len(_MAGIC) + _LEN.size + _CRC.size
+#: Framing bytes added to every body: the checksum.
+FRAME_OVERHEAD = _CRC.size
 
 #: Hard cap on encoded varint length.  Ten 7-bit groups cover every value
 #: a 64-bit field can carry; anything longer is a corrupt or hostile
@@ -54,13 +53,13 @@ MAX_VARINT_BYTES = 10
 
 
 class CorruptFrame(ValueError):
-    """A frame failed validation (bad magic, length, or checksum)."""
+    """A frame failed validation (too short, or a checksum mismatch),
+    or a field inside it did."""
 
 
 def frame(body: bytes) -> bytes:
-    """Wrap ``body`` in the magic / length / checksum framing."""
-    return b"".join((_MAGIC, _LEN.pack(len(body)), body,
-                     _CRC.pack(zlib.crc32(body))))
+    """``body`` followed by its checksum."""
+    return body + _CRC.pack(zlib.crc32(body))
 
 
 def unframe_view(data: bytes) -> memoryview:
@@ -70,16 +69,11 @@ def unframe_view(data: bytes) -> memoryview:
     :class:`Cursor` then reads fields straight out of the original
     buffer.  Raises :class:`CorruptFrame` on any validation failure.
     """
-    if len(data) < FRAME_OVERHEAD:
+    length = len(data) - FRAME_OVERHEAD
+    if length < 0:
         raise CorruptFrame(f"frame too short ({len(data)} bytes)")
-    if bytes(data[:2]) != _MAGIC:
-        raise CorruptFrame("bad magic")
-    (length,) = _LEN.unpack_from(data, 2)
-    if length != len(data) - FRAME_OVERHEAD:
-        raise CorruptFrame(
-            f"length prefix {length} != {len(data) - FRAME_OVERHEAD} body bytes")
-    body = memoryview(data)[6:6 + length]
-    (crc,) = _CRC.unpack_from(data, 6 + length)
+    body = memoryview(data)[:length]
+    (crc,) = _CRC.unpack_from(data, length)
     if crc != zlib.crc32(body):
         raise CorruptFrame("checksum mismatch")
     return body

@@ -239,17 +239,53 @@ def test_control_frame_with_bytes_after_its_header_fails_closed(packet):
     assert_fails_closed(frame(body + b"\x00"))
 
 
-@pytest.mark.parametrize("flag", [0x10, 0x20],
-                         ids=["same-sender", "same-time"])
+@pytest.mark.parametrize("flag", [0x08, 0x10, 0x20],
+                         ids=["next-seq", "same-sender", "same-time"])
 def test_first_entry_repeating_a_predecessor_fails_closed(flag):
-    """The first entry has no previous envelope whose sender or publish
-    time its body could leave out."""
+    """The first entry has no previous entry whose seq it could follow,
+    nor a previous envelope whose sender or publish time its body could
+    leave out."""
     assert_fails_closed(with_digest_flag(flag, "zq.a", session="evil#0"))
 
 
-@pytest.mark.parametrize("flag", [0x02, 0x04, 0x08, 0x80])
+@pytest.mark.parametrize("flag", [0x02, 0x80])
 def test_undefined_entry_bit_fails_closed(flag):
+    """0x02 is retired and 0x80 was never defined."""
     assert_fails_closed(with_digest_flag(flag, "zq.a", session="evil#0"))
+
+
+def test_magic_bit_restores_the_payload_a_marshaller_wrote():
+    """Entry bit 0x04: a payload that starts with the marshal magic goes
+    on the wire without it, and comes back byte-identical; any other
+    payload is sent whole, without the bit."""
+    marshalled = Envelope(subject="zq.a", sender="node00.pub",
+                          session="node00#0", seq=1, payload=b"IB\x01N",
+                          publish_time=0.5)
+    raw = make_envelope("zq.a", 2)
+    for table in (None, StringTable()):
+        data = encode_packet(Packet(PacketKind.DATA, "node00#0",
+                                    [marshalled, raw], session_start=0.0),
+                             table)
+        assert data.count(b"IB\x01") == 0
+        assert decode_packet(data).envelopes == [marshalled, raw]
+    # the size the batcher cuts on counts the one byte left after it
+    assert marshalled.size == raw.size - len(b"payload-bytes") + 1
+
+
+def test_flagged_payload_that_does_not_unmarshal_is_a_decode_error():
+    """A hostile frame may set 0x04 on any payload: the receiver puts
+    the magic back, the client's unmarshal refuses the bytes, and the
+    refusal is counted — nothing raises, nothing is delivered."""
+    bus = make_bus(advertise_subscriptions=False)
+    got = []
+    mon = bus.client("node01", "mon")
+    mon.subscribe("zq.>", lambda subject, obj, info: got.append(obj))
+    evil_socket(bus).broadcast(
+        with_digest_flag(0x04, "zq.a", session="evil#0"), DAEMON_PORT)
+    bus.run_for(1.0)
+    assert got == [] and mon.decode_errors == 1
+    assert all(daemon.corrupt_dropped == 0
+               for daemon in bus.daemons.values())
 
 
 def test_digest_memo_shares_parses():

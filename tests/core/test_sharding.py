@@ -258,8 +258,8 @@ def test_four_planes_are_observably_one_daemon():
 
 
 @pytest.mark.parametrize("shards, last, wire_bytes, frames, published", [
-    (1, 0.04959684537393724, 158_070, 3_982, [600]),
-    (4, 0.016301049337054355, 609_294, 15_852, [150, 150, 150, 150]),
+    (1, 0.04125934752024374, 130_052, 3_978, [600]),
+    (4, 0.013783119865973392, 507_396, 15_852, [150, 150, 150, 150]),
 ])
 def test_fan_out_drain_is_pinned(shards, last, wire_bytes, frames,
                                  published):
@@ -290,6 +290,26 @@ def test_fan_out_drain_is_pinned(shards, last, wire_bytes, frames,
     assert bus.lan.frames_transmitted == frames
     assert [plane.published
             for plane in bus.daemon("node00").planes] == published
+
+
+@pytest.mark.parametrize("shards, beta_at", [(1, 20), (2, 0)])
+def test_fifo_holds_per_sender_and_plane(shards, beta_at):
+    """What a sharded host owes P1: FIFO per (sender, plane).  At two
+    planes ``alpha.x`` and ``beta.x`` hash apart, so a small message on
+    ``beta.x`` overtakes twenty 1 KB ones the same client published
+    before it on ``alpha.x``; at one plane it arrives last."""
+    assert ShardMap(2).shard_of("alpha.x") != ShardMap(2).shard_of("beta.x")
+    bus = InformationBus(seed=1, config=BusConfig(subject_shards=shards))
+    bus.add_hosts(2)
+    got = []
+    bus.client("node01", "mon").subscribe(
+        ">", lambda subject, obj, info: got.append(subject))
+    pub = bus.client("node00", "pub")
+    for _ in range(20):
+        pub.publish("alpha.x", "a" * 1024)
+    pub.publish("beta.x", "b")
+    bus.settle()
+    assert len(got) == 21 and got.index("beta.x") == beta_at
 
 
 # ----------------------------------------------------------------------

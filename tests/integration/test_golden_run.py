@@ -20,7 +20,7 @@ wire or when it does so)::
 
     PYTHONPATH=src python tests/integration/test_golden_run.py
 
-or ``make goldens``, which runs it (and the marshal golden's) under two
+or ``make goldens``, which runs it (and the other goldens) under two
 hash seeds and fails if the second run changes a file.
 """
 

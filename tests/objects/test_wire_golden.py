@@ -6,9 +6,18 @@ one of them changes, that is a wire-compatibility break and needs to be
 a deliberate, versioned decision (bump the magic), not an accident.
 
 The second half does the same for whole bus frames (``core/wire.py``):
-one vector per packet shape, spelled field by field, so the grammar
-``docs/PROTOCOLS.md`` prints is pinned by bytes.
+one vector per packet shape, so the grammar ``docs/PROTOCOLS.md``
+prints is pinned by bytes.  Those vectors live in ``golden_wire.json``.
+Regenerate them (only for a deliberate wire-format change)::
+
+    PYTHONPATH=src python tests/objects/test_wire_golden.py
+
+or ``make goldens``, which runs it (and the other goldens) under two
+hash seeds and fails if the second run changes a file.
 """
+
+import json
+import os
 
 import pytest
 
@@ -16,7 +25,6 @@ from repro.core import (Envelope, Packet, PacketKind, QoS, StringTable,
                         decode_packet, encode_packet)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            decode, encode, standard_registry)
-from tests.learned import Learned
 
 GOLDEN_SCALARS = [
     (None, "4942014e"),
@@ -91,95 +99,72 @@ def test_inline_metadata_block_tag():
 # whole frames
 # ----------------------------------------------------------------------
 
-SESSION = "046e302330"                      # "n0#0"
-STARTED = "3fd0000000000000"                # session_start 0.25
-FEED_GMC = "08666565642e676d63"             # "feed.gmc"
-N0_PUB = "066e302e707562"                   # "n0.pub"
-PUBLISHED = "3fe0000000000000"              # publish_time 0.5
-PAYLOAD = "03010203"
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_wire.json")
 
 
-def frame_envelope(seq, **fields):
+def frame_envelope(seq, payload=b"\x01\x02\x03", **fields):
     return Envelope(subject="feed.gmc", sender="n0.pub", session="n0#0",
-                    seq=seq, payload=b"\x01\x02\x03", publish_time=0.5,
-                    **fields)
+                    seq=seq, payload=payload, publish_time=0.5, **fields)
 
 
-def golden_frames():
-    """``(packet, encoded hex, expected hex)`` per packet shape.
-    The compressed ones share the session's string table, in send
-    order: the DATA frame defines the ids, the RETRANS redefines every
-    id it references although the table already holds them."""
+def golden_packets():
+    """``(name, string table, packet)`` per packet shape.  The compressed
+    ones share the session's string table, in send order: the DATA frame
+    defines the ids, the RETRANS redefines every id it references
+    although the table already holds them.  The compressed DATA frame's
+    second envelope sets every entry bit a successor may: ledger, magic
+    left out, next seq, same sender, same publish time, via hops."""
     table = StringTable()
-    ledgered = frame_envelope(2, qos=QoS.GUARANTEED, ledger_id="n0/g/1",
-                              via=("wan",))
-    shapes = [
+    ledgered = frame_envelope(2, payload=encode(None), qos=QoS.GUARANTEED,
+                              ledger_id="n0/g/1", via=("wan",))
+    return [
         ("plain DATA", None,
          Packet(PacketKind.DATA, "n0#0", [frame_envelope(1)],
-                session_start=0.25),
-         "4942" "0000002f"                  # magic, body length 47
-         "00" "10"                          # DATA, flags DIGEST
-         + SESSION + STARTED + "00"         # last_seq 0
-         + "01" "00" + FEED_GMC + "01"      # digest: 1 entry: eflags subject seq
-         + N0_PUB + PUBLISHED               # body: sender publish_time
-         + PAYLOAD                          # (no ledger id, no via hops)
-         + "2c96ad6e"),                     # CRC-32 of the body
+                session_start=0.25)),
         ("compressed DATA", table,
          Packet(PacketKind.DATA, "n0#0", [frame_envelope(1), ledgered],
-                session_start=0.25),
-         "4942" "0000004b"
-         "00" "18"                          # DATA, COMPRESSED | DIGEST
-         + SESSION + STARTED + "00"
-         + "04"                             # defs: the 4 ids first used here
-         + "00" + FEED_GMC + "01" + N0_PUB
-         + "02" "066e302f672f31"            # 2 = "n0/g/1"
-         + "03" "0377616e"                  # 3 = "wan"
-         + "02" "000001"                    # digest: (-, id 0, 1)
-         + "710002"                         # (LEDGER | SAME_SENDER |
-                                            #  SAME_TIME | VIA, id 0, 2)
-         + "01" + PUBLISHED + PAYLOAD       # sender id 1, publish_time
-         + "02" "01" "03" + PAYLOAD         # ledger id, 1 via hop: id 3
-         + "eac0eec3"),
+                session_start=0.25)),
         ("RETRANS", table,
          Packet(PacketKind.RETRANS, "n0#0", [frame_envelope(1)],
-                session_start=0.25),
-         "4942" "00000034"
-         "01" "18"                          # RETRANS, COMPRESSED | DIGEST
-         + SESSION + STARTED + "00"
-         + "02" "00" + FEED_GMC + "01" + N0_PUB     # every id it cites
-         + "01" "000001"
-         + "01" + PUBLISHED + PAYLOAD
-         + "35fffc55"),
+                session_start=0.25)),
         ("HEARTBEAT", None,
          Packet(PacketKind.HEARTBEAT, "n0#0", last_seq=300,
-                session_start=0.25),
-         "4942" "00000011"
-         "03" "00" + SESSION + STARTED
-         + "ac02"                           # last_seq 300: the frame ends
-         + "76b0b08d"),
-        ("NACK", None,
-         Packet(PacketKind.NACK, "n0#0", nack_range=(3, 5)),
-         "4942" "00000012"
-         "02" "01"                          # NACK, flags NACK_RANGE
-         + SESSION + "0000000000000000" "00"
-         + "03" "05"                        # first, last
-         + "74198c5b"),
+                session_start=0.25)),
+        ("NACK", None, Packet(PacketKind.NACK, "n0#0", nack_range=(3, 5))),
         ("ACK", None,
          Packet(PacketKind.ACK, "n0#0", ack_ledger_id="n0/g/1",
-                ack_consumer="n1.mon"),
-         "4942" "0000001e"
-         "04" "06"                          # ACK, ACK_LEDGER | ACK_CONSUMER
-         + SESSION + "0000000000000000" "00"
-         + "066e302f672f31"                 # "n0/g/1"
-         + "066e312e6d6f6e"                 # "n1.mon"
-         + "8835d231"),
+                ack_consumer="n1.mon")),
     ]
-    return [pytest.param(packet, encode_packet(packet, table_).hex(),
-                         expected, id=name)
-            for name, table_, packet, expected in shapes]
 
 
-@pytest.mark.parametrize("packet,encoded,expected", golden_frames())
-def test_frame_golden_vectors(packet, encoded, expected):
-    assert encoded == expected
-    assert decode_packet(bytes.fromhex(expected), Learned()) == packet
+def frame_encodings():
+    return {name: encode_packet(packet, table).hex()
+            for name, table, packet in golden_packets()}
+
+
+GOLDEN_FRAMES = {}
+if os.path.exists(GOLDEN_PATH):     # absent only while regenerating
+    with open(GOLDEN_PATH) as handle:
+        GOLDEN_FRAMES = json.load(handle)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+def test_frame_golden_vectors(name):
+    packets = {name_: packet for name_, _, packet in golden_packets()}
+    assert frame_encodings()[name] == GOLDEN_FRAMES[name], (
+        f"{name} frame bytes moved: a wire-format break; if deliberate, "
+        f"regenerate with `make goldens`")
+    # every frame is self-contained: a receiver with no tables decodes it
+    assert decode_packet(bytes.fromhex(GOLDEN_FRAMES[name])) == \
+        packets[name]
+
+
+def test_golden_covers_every_frame_shape():
+    assert sorted(frame_encodings()) == sorted(GOLDEN_FRAMES)
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(frame_encodings(), handle, indent=0, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {GOLDEN_PATH}")

@@ -5,9 +5,11 @@ without ever running :func:`decode_packet` on it, so the two must never
 disagree about whether a frame is acceptable.  Seeds are real encoder
 output in every shape the daemons send (plain, compressed, typed,
 RETRANS, reference-only, control) plus two only a hostile encoder sends
-(a digest entry flagged ``0x02``, and a first entry that repeats the
-sender or publish time of a predecessor it does not have); each is hit
-with 0-3 byte mutations
+(a digest entry flagged ``0x02``, and a first entry that follows the
+seq, or repeats the sender or publish time, of a predecessor it does
+not have).  Encoder output sets the other entry bits too: payloads
+that start with the marshal magic (``0x04``) and runs of successive
+seqs (``0x08``).  Each seed is hit with 0-3 byte mutations
 *inside* the frame body and re-framed under a valid CRC — the hostile
 encoder the checksum cannot catch.  For every such frame:
 
@@ -49,7 +51,8 @@ envelopes = st.builds(
     sender=st.sampled_from(["node00.pub", "node00.other", "node00.é"]),
     session=st.just(SESSION),
     seq=st.integers(0, 300),
-    payload=st.binary(max_size=24),
+    payload=st.one_of(st.binary(max_size=24),
+                      st.binary(max_size=21).map(b"IB\x01".__add__)),
     ledger_id=st.one_of(st.none(), st.just("node00/g/7")),
     # equal neighbours share one sender / publish time on the wire
     publish_time=st.one_of(st.just(0.5),
@@ -89,16 +92,19 @@ def seed_frames(draw):
         ]))
         return encode_packet(packet), packet
     kind = PacketKind.RETRANS if shape == "retrans" else PacketKind.DATA
-    packet = Packet(kind, SESSION,
-                    draw(st.lists(envelopes, min_size=1, max_size=3)),
-                    session_start=0.25)
+    batch = draw(st.lists(envelopes, min_size=1, max_size=3))
+    if draw(st.booleans()):             # a run: each seq follows the last
+        batch = [replace(envelope, seq=batch[0].seq + index)
+                 for index, envelope in enumerate(batch)]
+    packet = Packet(kind, SESSION, batch, session_start=0.25)
     if shape == "plain":
         return encode_packet(packet), packet
     if shape in ("dflag02", "first"):
         body = bytearray(unframe(encode_packet(packet)))
         assert not body[FIRST_DFLAGS] & 0x02
         body[FIRST_DFLAGS] |= (0x02 if shape == "dflag02"
-                               else draw(st.sampled_from([0x10, 0x20])))
+                               else draw(st.sampled_from([0x08, 0x10,
+                                                          0x20])))
         return frame(bytes(body)), None
     table = StringTable()
     types = type_table() if shape in ("typed", "retrans") else None

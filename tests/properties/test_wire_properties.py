@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Envelope, Packet, PacketKind, QoS
+from repro.core import Envelope, Packet, PacketKind, QoS, wire
 from repro.core.wire import (CorruptFrame, StringTable, decode_packet,
-                             encode_packet)
+                             encode_packet, read_digest)
 from repro.sim.framing import FRAME_OVERHEAD, flip_random_bit, frame, unframe
 from tests.learned import Learned
 
@@ -129,14 +129,56 @@ def test_compressed_bit_flip_never_decodes(packet, seed):
 def test_bit_flip_never_decodes(packet, seed):
     """Any single flipped bit is rejected, never silently mis-decoded.
 
-    A flip in the body trips the CRC; a flip in the framing trips the
-    magic/length checks; either way the frame must raise, not return.
+    A flip in the body or in the CRC trailer makes the two disagree;
+    either way the frame must raise, not return.
     """
     data = encode_packet(packet)
     flipped = flip_random_bit(data, random.Random(seed))
     assert flipped != data
     with pytest.raises(CorruptFrame):
         decode_packet(flipped)
+
+
+@st.composite
+def seq_runs(draw):
+    """The seqs of one frame's envelopes: runs of successors (entry bit
+    0x08) broken by gaps, repeats and returns to 0 (unsequenced
+    telemetry), starting on either side of the step from a one-byte to
+    a two-byte varint."""
+    seqs = [draw(st.sampled_from([0, 1, 126, 127, 128, 2**14 - 1]))]
+    for step in draw(st.lists(st.sampled_from(["next", "next", "repeat",
+                                               "gap", "zero"]),
+                              max_size=8)):
+        last = seqs[-1]
+        seqs.append({"next": last + 1, "repeat": last, "gap": last + 129,
+                     "zero": 0}[step])
+    return seqs
+
+
+# payloads with and without the marshal magic (entry bit 0x04), and
+# ones that only start like it
+payloads = st.one_of(st.binary(max_size=16),
+                     st.binary(max_size=16).map(b"IB\x01".__add__),
+                     st.sampled_from([b"IB", b"IB\x01", b"IB\x02N"]))
+
+
+@given(seq_runs(), st.data(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_elided_seqs_and_magic_round_trip(seqs, data, compressed):
+    """What the digest derives and the reader puts back is what was
+    sent: the envelopes decode equal, and the digest the gate reads
+    lists their seqs."""
+    envelopes = [Envelope(subject="a.b", sender="s", session="h#0",
+                          seq=seq, payload=data.draw(payloads),
+                          publish_time=0.5)
+                 for seq in seqs]
+    packet = Packet(PacketKind.DATA, "h#0", envelopes, session_start=0.25)
+    frame_bytes = encode_packet(packet, StringTable() if compressed else None)
+    wire.configure_decode_memo()        # a fresh digest walk, then a decode
+    assert read_digest(frame_bytes).seqs == seqs    # resuming at the bodies
+    assert decode_packet(frame_bytes).envelopes == envelopes
+    wire.configure_decode_memo(0)       # and a decode from scratch
+    assert decode_packet(frame_bytes).envelopes == envelopes
 
 
 @given(st.binary(max_size=256))
