@@ -34,9 +34,12 @@ lengthens its first wait:
   entry plus its standalone plain body, an upper bound on its share of
   a compressed frame once the session's table holds its strings (the
   frame writes ids, and drops a sender or publish time the envelope
-  before it gave) — so a group never outgrows one datagram.  A group
-  that is full does not wait out the delay: on an idle lane it leaves
-  at once.
+  before it gave) — so a group outgrows one datagram only in one case:
+  a compressed frame also carries the inline definitions of strings
+  its envelopes use for the first time, and ``Envelope.size`` does not
+  count them (``sparse_interest`` at seed 1 sends 67 such oversize
+  datagrams of 7,022, fragmented).  A group that is full does not
+  wait out the delay: on an idle lane it leaves at once.
 
 So batching off never delays an envelope on purpose, and a burst is
 still a few full datagrams; batching on trades ``batch_delay`` of
@@ -68,8 +71,9 @@ class BatchConfig:
 
     enabled: bool = False
     #: A group is cut before an envelope that would take its bytes past
-    #: this (chosen so a group fills, and never outgrows, one MTU-sized
-    #: datagram).
+    #: this (chosen so a group fills one MTU-sized datagram, and outgrows
+    #: it only by the first-use string definitions a compressed frame
+    #: carries inline, which ``Envelope.size`` does not count).
     batch_bytes: int = 1400
     #: With batching on, the first envelope held while the lane is idle
     #: waits this long for followers (a full group leaves sooner).

@@ -130,13 +130,11 @@ class BusConfig:
     seen_ledger_cap: int = 4096
     #: Seconds between telemetry snapshots published on
     #: ``_bus.stat.<host>.daemon``.  0 (the default) disables the
-    #: publisher entirely; runs with it on are bit-identical to runs
-    #: with it off (a tested invariant — see docs/OBSERVABILITY.md).
+    #: publisher entirely; with sends that cost no time, runs with it
+    #: on are bit-identical to runs with it off (a tested invariant —
+    #: see docs/OBSERVABILITY.md); otherwise a snapshot holds the send
+    #: lane like any frame.
     stat_interval: float = 0.0
-    #: Envelopes the bounded stat-publish queue holds (drop-oldest:
-    #: under backpressure stale snapshots are shed first — the newest
-    #: snapshot supersedes them anyway).
-    stat_queue: int = 8
     #: Partition the subject space into this many hash-sharded planes,
     #: each owned by its own daemon instance on its own CPU lane and
     #: port pair (see :mod:`repro.core.sharding` and "Subject-space
@@ -380,17 +378,16 @@ class BusDaemon:
             self._advert_timer = PeriodicTimer(
                 self.sim, self.config.advert_interval,
                 self._advertise_snapshot, name="daemon.advert")
-        # telemetry plane: own socket, own bounded queue, and NO
-        # registry instruments of its own — the publisher must never
-        # publish stats about its own stat traffic (no echo)
+        # telemetry plane: own socket and NO registry instruments of
+        # its own — the publisher must never publish stats about its
+        # own stat traffic (no echo)
         self._stat_socket = DatagramSocket(self.sim, self.host,
                                            self._stat_port,
                                            self._on_stat_datagram,
                                            lane=self.shard)
-        self._stat_queue = BoundedQueue(
-            f"stat[{self.host.address}]", max(self.config.stat_queue, 1),
-            POLICY_DROP_OLDEST)
-        self._stat_pump_event: Optional[Event] = None
+        #: stat subject -> when the send lane is done with its last
+        #: snapshot (``send_free_at`` read right after the broadcast)
+        self._stat_on_lane: Dict[str, float] = {}
         self._stat_publisher: Optional[MetricsPublisher] = None
         if self.config.stat_interval > 0:
             self._stat_publisher = MetricsPublisher(
@@ -404,10 +401,6 @@ class BusDaemon:
             self._advert_timer.stop()
         if self._stat_publisher is not None:
             self._stat_publisher.stop()
-        if self._stat_pump_event is not None:
-            self._stat_pump_event.cancel()
-            self._stat_pump_event = None
-        self._stat_queue.clear()
         self._heartbeat.stop()
         for lane in self._lanes.values():
             if lane.drain_event is not None:
@@ -912,9 +905,11 @@ class BusDaemon:
         sequence numbers, never trigger NACKs, and are trivially
         identifiable for exclusion from the counters they would perturb.
         They are plain-encoded (no string table) so the data plane's
-        wire-compression state is untouched, and they queue in a private
-        drop-oldest buffer so a congested wire sheds stale snapshots
-        instead of amplifying load — the no-echo invariant.
+        wire-compression state is untouched.  Like a heartbeat, a
+        snapshot goes straight onto the send lane, so a saturated host
+        stays visible; it is skipped only while its subject's previous
+        snapshot is still on the lane, so a busy lane never backs up
+        stale snapshots of one source.
         """
         if not self.up:
             return
@@ -922,31 +917,19 @@ class BusDaemon:
                             session=self.session, seq=0, payload=payload,
                             publish_time=self.sim.now, via=tuple(via))
         self._dispatch(envelope, False)        # local subscribers
-        self._stat_queue.offer(envelope)
-        self._pump_stats()
+        self._pump_fire(envelope)
 
-    def _pump_stats(self) -> None:
-        """Send queued snapshots while the send lane is idle; otherwise
-        wait for the instant it frees (the batcher's release rule)."""
-        queue = self._stat_queue
-        while queue and self._stat_pump_event is None:
-            wait = self.host.send_free_at(self.shard) - self.sim.now
-            if wait > 0:
-                self._stat_pump_event = self.sim.schedule(
-                    wait, self._pump_fire, name="stat.pump")
-                return
-            envelope = queue.take()
-            packet = Packet(PacketKind.DATA, self.session, [envelope],
-                            session_start=self.session_started)
-            # plain encoding: stat frames never touch the string table
-            self._stat_socket.broadcast(encode_packet(packet),
-                                        self._stat_port)
-
-    def _pump_fire(self) -> None:
-        """The lane-free instant a queued snapshot waited for."""
-        self._stat_pump_event = None
-        if self.up:
-            self._pump_stats()
+    def _pump_fire(self, envelope: Envelope) -> None:
+        """Put one snapshot on the stat socket, unless the lane still
+        holds its subject's previous one (the newest supersedes it)."""
+        subject = envelope.subject
+        if self.sim.now < self._stat_on_lane.get(subject, 0.0):
+            return
+        packet = Packet(PacketKind.DATA, self.session, [envelope],
+                        session_start=self.session_started)
+        # plain encoding: stat frames never touch the string table
+        self._stat_socket.broadcast(encode_packet(packet), self._stat_port)
+        self._stat_on_lane[subject] = self.host.send_free_at(self.shard)
 
     def _on_stat_datagram(self, data: bytes, size: int,
                           src: Endpoint) -> None:

@@ -36,7 +36,7 @@ Two properties the telemetry plane guarantees, both test-asserted:
    counters) to the same seed with it off.
 2. **Stat traffic never echo-amplifies.**  Stat envelopes are stamped
    ``seq == 0`` and excluded from the counters they would perturb; the
-   publisher's own stat queue and stat socket are deliberately *not*
+   publisher's skip rule and stat socket are deliberately *not*
    registry instruments (see ``docs/OBSERVABILITY.md``).
 """
 
@@ -297,8 +297,9 @@ class MetricsPublisher:
     The sink (``publish``) is typically
     ``BusDaemon._publish_stats`` — which wraps the
     snapshot in a self-describing payload and broadcasts it on the
-    reserved ``_bus.stat.<host>.*`` subject space, flow-controlled by
-    the daemon's bounded stat queue.  The publisher itself only owns the
+    reserved ``_bus.stat.<host>.*`` subject space, straight onto the
+    send lane unless that subject's previous snapshot is still on it.
+    The publisher itself only owns the
     timer; what "publish" means (and how its self-traffic is kept out of
     the counters) is the sink's contract.
     """

@@ -258,8 +258,8 @@ def test_four_planes_are_observably_one_daemon():
 
 
 @pytest.mark.parametrize("shards, last, wire_bytes, frames, published", [
-    (1, 0.04125934752024374, 130_052, 3_978, [600]),
-    (4, 0.013783119865973392, 507_396, 15_852, [150, 150, 150, 150]),
+    (1, 0.04121083430501331, 130_052, 3_978, [600]),
+    (4, 0.013766406846240902, 507_396, 15_852, [150, 150, 150, 150]),
 ])
 def test_fan_out_drain_is_pinned(shards, last, wire_bytes, frames,
                                  published):

@@ -5,12 +5,16 @@
    publisher on is bit-identical (deliveries, traces, registry
    counters) to the same run with it off.
 2. **No echo amplification** — stat traffic is unsequenced (seq 0),
-   flow-controlled through a private bounded queue, and excluded from
-   the counters it would otherwise perturb: an idle bus that only
-   publishes telemetry reports zeros forever, one wire frame per
-   snapshot.
+   never holds the send lane with two snapshots of one source, and is
+   excluded from the counters it would otherwise perturb: an idle bus
+   that only publishes telemetry reports zeros forever, one wire frame
+   per snapshot.
+
+And the property a console needs: a snapshot goes straight onto the
+send lane like a heartbeat, so a saturated host stays visible.
 """
 
+from repro.apps.bus_browser import BusBrowser
 from repro.core import BusConfig, InformationBus, QoS
 from repro.sim import Simulator  # noqa: F401  (re-exported fixture surface)
 from repro.sim.network import CostModel
@@ -132,26 +136,82 @@ def test_stat_self_traffic_is_not_measured_but_is_flow_controlled():
     assert daemon.flow_stats()["deliver[browser]"]["offered"] >= len(got)
 
 
-def test_stat_queue_sheds_oldest_under_backpressure():
-    """A busy send lane + a fast publisher: the private stat queue
-    fills, drops stale snapshots oldest-first, and never exceeds its
-    bound."""
+def _record_stat_sends(daemon):
+    """Wrap ``daemon``'s stat socket: one ``(time, lane busy until
+    before, lane busy until after)`` row per snapshot broadcast."""
+    socket, host, sim = daemon._stat_socket, daemon.host, daemon.sim
+    sends = []
+    broadcast = socket.broadcast
+
+    def recorded(data, port):
+        before = max(host.send_free_at(daemon.shard), sim.now)
+        broadcast(data, port)
+        sends.append((sim.now, before, host.send_free_at(daemon.shard)))
+
+    socket.broadcast = recorded
+    return sends
+
+
+def test_stat_skips_a_snapshot_while_its_predecessor_is_on_the_lane():
+    """A busy send lane + a fast publisher: a snapshot whose subject's
+    previous one is still on the lane is skipped, so the lane never
+    holds two snapshots of one source, and the skip is no registry
+    instrument."""
     cost = CostModel.ideal()
     cost.cpu_send_per_packet = 0.01      # each broadcast costs 10 ms
-    config = BusConfig(stat_interval=0.005, stat_queue=4,
-                       advertise_subscriptions=False)
+    config = BusConfig(stat_interval=0.005, advertise_subscriptions=False)
     bus = InformationBus(seed=9, cost=cost, config=config)
     bus.add_hosts(1)
-    bus.run_for(2.0)
     daemon = bus.daemons["node00"]
-    stats = daemon._stat_queue.snapshot()
-    assert stats["dropped_oldest"] > 0
-    assert stats["high_watermark"] <= config.stat_queue
-    assert stats["depth"] <= config.stat_queue
-    # the stat queue's own accounting is deliberately NOT a registry
-    # instrument: the registry must never describe the telemetry plane
+    sends = _record_stat_sends(daemon)
+    bus.run_for(2.0)
+    published = daemon._stat_publisher.snapshots_published
+    assert len(sends) == daemon._stat_socket.datagrams_sent
+    assert 10 < len(sends) < published                # some are skipped
+    for (_, _, done), (sent, _, _) in zip(sends, sends[1:]):
+        assert sent >= done      # the previous snapshot left the lane
+    # the skip rule keeps no registry instrument: the registry must
+    # never describe the telemetry plane
     assert not any("stat[" in name for name in daemon.metrics.names())
     assert daemon.published == 0
+
+
+def test_a_saturated_host_stays_visible():
+    """3,000 publishes at t = 1.0 keep node00's send lane busy for
+    ~0.2 s: a browser on node02 still lists node00 at every 10 ms check,
+    and its snapshots arrive at most one interval plus one snapshot's
+    send time apart."""
+    interval = 0.05
+    bus = InformationBus(seed=1, config=BusConfig(stat_interval=interval))
+    bus.add_hosts(3)
+    browser = BusBrowser(bus.client("node02", "browser"))
+    arrivals = []
+    browser.client.subscribe("_bus.stat.node00.>",
+                             lambda s, o, i: arrivals.append(bus.sim.now))
+    sends = _record_stat_sends(bus.daemons["node00"])
+    pub = bus.client("node00", "pub")
+    delivered = []
+    bus.client("node01", "sink").subscribe(
+        "burst.>", lambda s, o, i: delivered.append(bus.sim.now))
+
+    def burst():
+        for n in range(3000):
+            pub.publish("burst.x", n)
+
+    bus.sim.schedule(1.0, burst)
+    bus.run_for(0.9)
+    listed = []
+    for _ in range(61):                       # 0.90, 0.91, ... 1.50 s
+        listed.append("node00.daemon"
+                      in {t.source for t in browser.telemetry()})
+        bus.run_for(0.01)
+    bus.run_for(0.5)
+    assert len(delivered) == 3000 and max(delivered) > 1.1   # saturated
+    assert all(listed)
+    send_time = max(done - before for _, before, done in sends)
+    window = [t for t in arrivals if 0.9 <= t <= 1.5]
+    gaps = [b - a for a, b in zip(window, window[1:])]
+    assert max(gaps) <= interval + send_time
 
 
 def test_stat_plane_survives_crash_and_recovery():

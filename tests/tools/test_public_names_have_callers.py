@@ -79,7 +79,6 @@ TEST_ONLY = {
     "Router(bridge_stats=)": _TELEMETRY,
     "BusConfig(ack_quorum=)": _SHRINK,
     "BusConfig(seen_ledger_cap=)": _SHRINK,
-    "BusConfig(stat_queue=)": _SHRINK,
     "ReliableConfig(nack_delay=)": _SHRINK,
     "ReliableConfig(nack_max=)": _SHRINK,
     "ReliableConfig(heartbeat_interval=)": _SHRINK,
