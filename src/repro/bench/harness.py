@@ -118,8 +118,11 @@ class AppendixExperiment:
         config = BusConfig()
         config.batch.enabled = batching
         config.reliable.retention = 65536   # retain the whole run
-        # measurement runs carry no routers; skip advert chatter (with
-        # 10,000 subjects the snapshots would be enormous)
+        # measurement runs carry no routers; skip advert chatter (the
+        # periodic advert is a table digest, ~90 B however many
+        # subjects, but every subscribe still broadcasts an add, and
+        # 10,000 of them per consumer would share the measured burst's
+        # wire: subscribing is not followed by a warm-up)
         config.advertise_subscriptions = False
         return config
 

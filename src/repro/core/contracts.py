@@ -79,11 +79,21 @@ def _instrument(entry: Any) -> bool:
 #: name -> {key: rule}: each control message, with the subject (or
 #: stream) it travels on and who admits it
 CONTRACTS: Dict[str, Dict[str, Rule]] = {
-    # ``_sub.advert``: a daemon's subscription change, to router legs
+    # ``_sub.advert``: a daemon plane's table change (``add``,
+    # ``remove``), whole table (``snapshot``) or table digest
+    # (``summary``), to router legs.  A change or a table reads a missing
+    # ``patterns`` as none, a summary a missing ``digest`` as matching
+    # no view (it only solicits the table)
     "sub_advert": {"host": of(str),
-                   "action": one_of("add", "remove", "snapshot"),
-                   "patterns": list_of(lambda pattern: type(pattern) is str
-                                       and is_valid_pattern(pattern))},
+                   "action": one_of("add", "remove", "snapshot", "summary"),
+                   "patterns": optional(list_of(
+                       lambda pattern: type(pattern) is str
+                       and is_valid_pattern(pattern))),
+                   "digest": optional(lambda digest: type(digest) is bytes
+                                      and len(digest) == 8)},
+    # ``_sub.solicit.<host>``: a router leg asking that host's plane 0
+    # for every plane's snapshot
+    "sub_solicit": {"host": of(str)},
     # ``_svc.advert``: an RmiServer's announcement, to browsers
     "svc_advert": {"action": one_of("up", "presence", "down"),
                    "service": of(str), "server": of(str),

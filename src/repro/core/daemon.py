@@ -32,17 +32,19 @@ One :class:`BusDaemon` per :class:`~repro.sim.node.Host`:
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, TYPE_CHECKING, Union
+from typing import Any, Dict, Iterable, List, Optional, TYPE_CHECKING, Union
 
 from ..sim.kernel import Event, PeriodicTimer, Simulator
 from ..sim.node import Host
 from ..sim.trace import NULL_TRACER, Tracer
-from ..objects import encode
+from ..objects import TypeError_, decode, encode
 from ..sim.transport import DatagramSocket, Endpoint
 from .batching import BatchConfig, Batcher
+from .contracts import admits
 from .flow import (Admission, BoundedQueue, FlowConfig, POLICY_DROP_OLDEST,
                    PublishReceipt)
 from .guaranteed import GuaranteedConsumer, GuaranteedPublisher, LedgerEntry
@@ -60,8 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .client import BusClient, Subscription
 
 __all__ = ["ADVERT_SUBJECT", "BusConfig", "BusDaemon", "BusDownError",
-           "DAEMON_PORT", "SHARD_PORT_STRIDE", "STAT_PORT",
-           "STAT_SUBJECT_PREFIX", "shard_data_port", "shard_stat_port"]
+           "DAEMON_PORT", "SHARD_PORT_STRIDE", "SOLICIT_SUBJECT_PREFIX",
+           "STAT_PORT", "STAT_SUBJECT_PREFIX", "advert_digest",
+           "shard_data_port", "shard_stat_port"]
 
 #: The well-known UDP port every daemon binds.
 DAEMON_PORT = 7
@@ -94,6 +97,21 @@ def shard_stat_port(shard: int) -> int:
 #: (consumed by information routers; see repro.core.router).
 ADVERT_SUBJECT = "_sub.advert"
 
+#: Reserved subject prefix on which a router asks one host for its
+#: planes' whole tables: ``_sub.solicit.<host>``, heard by that host's
+#: plane 0 alone (reserved subjects travel on shard 0).
+SOLICIT_SUBJECT_PREFIX = "_sub.solicit"
+
+
+def advert_digest(patterns: Iterable[str]) -> bytes:
+    """The 8-byte digest a ``summary`` advert carries: a hash of the
+    sorted patterns, the same in every process whatever
+    ``PYTHONHASHSEED`` (a daemon summarizes its table with it, a router
+    checks its view of that table with it)."""
+    return hashlib.blake2b("\n".join(sorted(patterns)).encode("utf-8"),
+                           digest_size=8).digest()
+
+
 #: Reserved subject space for telemetry snapshots: a daemon publishes
 #: its registry on ``_bus.stat.<host>.daemon``, a router on
 #: ``_bus.stat.<router>.router``.  Reserved (``_``-prefixed) subjects
@@ -122,7 +140,9 @@ class BusConfig:
     #: Broadcast subscription-table changes on ADVERT_SUBJECT so routers
     #: can forward across WANs only what somebody actually wants.
     advertise_subscriptions: bool = True
-    #: Period of the full subscription-snapshot re-advertisement.
+    #: Period of each plane's table advert: a digest of its public
+    #: subscription table, or the table itself when that encodes
+    #: smaller; a router whose view disagrees solicits the table.
     advert_interval: float = 2.0
     #: Most guaranteed-delivery ledger ids remembered for deduping
     #: deliveries to non-durable subscribers; oldest are evicted past
@@ -159,6 +179,38 @@ class _DeliveryLane:
         #: message; 0 keeps the historical synchronous fast path
         self.service_time = service_time
         self.drain_event: Optional[Event] = None
+
+
+class _SolicitListener:
+    """Plane 0's own registration on ``_sub.solicit.<host>``: both the
+    subscription its match yields and the client that one feeds (no
+    delivery lane, so it is called synchronously, and counted in the
+    plane's ``delivered`` like any delivery).  A router whose view of
+    one of this host's planes disagrees with that plane's summary asks
+    here, and every plane answers with its whole table."""
+
+    __slots__ = ("client", "daemon", "seq", "durable")
+
+    #: what the daemon looks up a delivery lane by: no client has this
+    name = None
+
+    def __init__(self, daemon: "BusDaemon"):
+        self.client = self
+        self.daemon = daemon
+        self.seq = 0           # ahead of every application's, if both match
+        self.durable = False
+
+    def _deliver(self, envelope: Envelope, retransmitted: bool,
+                 resolver, subscriptions) -> None:
+        daemon = self.daemon
+        try:
+            payload = decode(envelope.payload, None)
+        except TypeError_:
+            payload = None     # refused below like any other misfit
+        if (admits(payload, "sub_solicit", daemon._scope)
+                and payload["host"] == daemon.host.address):
+            for plane in daemon.planes:
+                plane._answer_solicit()
 
 
 class BusDaemon:
@@ -203,7 +255,7 @@ class BusDaemon:
         self.metrics = MetricsRegistry()
         # daemon-lifetime counters (survive restarts; they describe the
         # daemon object) — int views exposed as properties below
-        scope = self.metrics.scope(f"daemon.{host.address}")
+        scope = self._scope = self.metrics.scope(f"daemon.{host.address}")
         self._published = scope.counter("published")
         self._delivered = scope.counter("delivered")
         self._acks_sent = scope.counter("acks_sent")
@@ -238,8 +290,7 @@ class BusDaemon:
         # lazily read wire/topology gauges (cost is paid at snapshot)
         scope.gauge("clients", source=lambda: len(self.clients))
         # (pattern, subscription) registrations on this plane
-        scope.gauge("subscriptions",
-                    source=lambda: len(self._subscriptions))
+        scope.gauge("subscriptions", source=self.subscription_count)
         scope.gauge("wire.table_strings",
                     source=lambda: len(self._wire_table))
         scope.gauge("wire.peer_sessions", source=lambda: len(self.peers))
@@ -259,6 +310,10 @@ class BusDaemon:
             # unsharded snapshots are byte-identical to the pre-shard era
             scope.gauge("shard.id", source=lambda: self.shard)
             scope.gauge("shard.count", source=lambda: self.shard_count)
+        #: whether this plane ever advertised a public pattern: from
+        #: then on it adverts even an empty table, so a router's view of
+        #: what it (or an earlier incarnation) wanted stays checked
+        self._advertised = False
         self._started = False
         host.on_crash(self._on_crash)
         host.on_recover(self._on_recover)
@@ -373,11 +428,22 @@ class BusDaemon:
         self._seen_ledgers: "OrderedDict[str, None]" = OrderedDict()
         #: refcounts of advertisable (non-reserved) patterns on this host
         self._public_patterns: Dict[str, int] = {}
+        #: the periodic advert of the current table, encoded; dropped by
+        #: every change to the table
+        self._advert_payload: Optional[bytes] = None
+        #: whether a solicit was answered since the last periodic advert
+        self._solicit_answered = False
+        self._solicit_listener: Optional[_SolicitListener] = None
         self._advert_timer: Optional[PeriodicTimer] = None
         if self.config.advertise_subscriptions:
             self._advert_timer = PeriodicTimer(
                 self.sim, self.config.advert_interval,
                 self._advertise_snapshot, name="daemon.advert")
+            if self.shard == 0:
+                self._solicit_listener = _SolicitListener(self)
+                self._subscriptions.insert(
+                    f"{SOLICIT_SUBJECT_PREFIX}.{self.host.address}",
+                    self._solicit_listener)
         # telemetry plane: own socket and NO registry instruments of
         # its own — the publisher must never publish stats about its
         # own stat traffic (no echo)
@@ -485,17 +551,47 @@ class BusDaemon:
                 and not pattern.split(".", 1)[0].startswith("_"))
 
     def _advertise(self, action: str, patterns: List[str]) -> None:
-        payload = encode({"action": action, "patterns": patterns,
-                          "host": self.host.address})
+        """Broadcast one change (``add``/``remove``) to the public table."""
+        self._advertised = True
+        self._advert_payload = None
+        self._publish_advert(self._advert_bytes(action, patterns=patterns))
+
+    def _advert_bytes(self, action: str, **fields: Any) -> bytes:
+        return encode({"action": action, **fields, "host": self.host.address})
+
+    def _publish_advert(self, payload: bytes) -> None:
         self.publish(f"{self.host.address}._daemon", ADVERT_SUBJECT, payload)
 
     def _advertise_snapshot(self) -> None:
-        if not self.up or not self._public_patterns:
+        """The periodic advert: a ``summary`` carrying the table's
+        :func:`advert_digest`, or the whole ``snapshot`` when that
+        encodes smaller (a ``>``-only table), so no plane sends more
+        than the table; both are encoded once per change to it."""
+        self._solicit_answered = False
+        if not self.up or not (self._public_patterns or self._advertised):
             return
-        self._advertise("snapshot", sorted(self._public_patterns))
+        if self._advert_payload is None:
+            patterns = sorted(self._public_patterns)
+            self._advert_payload = min(
+                self._advert_bytes("snapshot", patterns=patterns),
+                self._advert_bytes("summary", digest=advert_digest(patterns)),
+                key=len)
+        self._publish_advert(self._advert_payload)
+
+    def _answer_solicit(self) -> None:
+        """A router asked for this host's tables: send the whole one
+        now, at most once between two periodic adverts."""
+        if not self.up or self._solicit_answered:
+            return
+        self._solicit_answered = True
+        self._publish_advert(self._advert_bytes(
+            "snapshot", patterns=sorted(self._public_patterns)))
 
     def subscription_count(self) -> int:
-        return len(self._subscriptions)
+        """The (pattern, subscription) registrations of applications on
+        this plane (plane 0's solicit listener is not one)."""
+        return len(self._subscriptions) - (
+            self._solicit_listener is not None)
 
     # ------------------------------------------------------------------
     # publish path

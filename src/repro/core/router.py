@@ -25,6 +25,12 @@ deferred store-and-forward shipment is re-shipped by its retry timer.
 ``shed`` counts only forwards a down link (or a vanished target leg)
 lost.
 
+A leg keeps one view of each advertising daemon plane's table.  Each
+interval a plane adverts a digest of its table (or the table, when
+that is smaller); a leg whose view disagrees asks that host for its
+tables on ``_sub.solicit.<host>``, so a late or deaf leg catches up
+within one interval plus a round trip.
+
 A leg admits an ``_sub.advert`` payload through the ``sub_advert``
 contract (:mod:`repro.core.contracts`): any application may publish on
 that subject, so one that is not a daemon's advert is dropped and
@@ -49,7 +55,8 @@ from ..sim.trace import Tracer
 from .bus import InformationBus
 from .client import BusClient, Subscription
 from .contracts import admits
-from .daemon import ADVERT_SUBJECT, STAT_SUBJECT_PREFIX
+from .daemon import (ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX,
+                     STAT_SUBJECT_PREFIX, advert_digest)
 from .flow import Admission, BoundedQueue
 from .guaranteed import GuaranteedConsumer
 from .message import MessageInfo, QoS
@@ -213,8 +220,16 @@ class RouterLeg:
         # metadata on one bus is known when re-publishing on another
         self.client: BusClient = bus.client(host_address, ROUTER_CLIENT_NAME,
                                             registry=router.registry)
-        # what each local daemon currently wants, per host
-        self._local_wants: Dict[str, Set[str]] = {}
+        # what each advertising plane of this bus wants, keyed by its
+        # session without the epoch (``e01``, ``e01~1``): each plane
+        # adverts its own table, and a new incarnation's replaces the
+        # old one's
+        self._views: Dict[str, Set[str]] = {}
+        # pattern -> how many views want it (the bus's demand)
+        self._want_counts: Dict[str, int] = {}
+        # host -> when its tables were last solicited (cleared by a
+        # snapshot from it): at most one solicit out per interval
+        self._solicited: Dict[str, float] = {}
         # forwarding subscriptions installed for remote legs' wants:
         # pattern -> (subscription, set of interested remote leg names)
         self._forwarding: Dict[str, Tuple[Subscription, Set[str]]] = {}
@@ -247,36 +262,58 @@ class RouterLeg:
     # ------------------------------------------------------------------
     # learning the local subscription table
     # ------------------------------------------------------------------
-    def _on_advert(self, subject: str, payload: Any, _info) -> None:
+    def _on_advert(self, subject: str, payload: Any,
+                   info: MessageInfo) -> None:
         if not admits(payload, "sub_advert", self._metrics):
             return
-        host = payload["host"]
-        if host == self.host.address:
+        if payload["host"] == self.host.address:
             return   # our own forwarding subscriptions are not local wants
+        host, _, rest = info.session.partition("#")
+        _epoch, tilde, shard = rest.partition("~")
+        key = host + tilde + shard
+        view = self._views.setdefault(key, set())
         action = payload["action"]
-        patterns = payload["patterns"]
-        wants = self._local_wants.setdefault(host, set())
-        before = self._all_local_wants()
+        if action == "summary":
+            if payload.get("digest") != advert_digest(view):
+                self._solicit(host)
+            return
+        patterns = set(payload.get("patterns", ()))
         if action == "snapshot":
-            wants.clear()
-            wants.update(patterns)
+            self._solicited.pop(host, None)
+            new, gone = patterns - view, view - patterns
         elif action == "add":
-            wants.update(patterns)
-        elif action == "remove":
-            wants.difference_update(patterns)
-        after = self._all_local_wants()
-        added = after - before
-        removed = before - after
+            new, gone = patterns - view, set()
+        else:
+            new, gone = set(), patterns & view
+        if not (new or gone):
+            return
+        view |= new
+        view -= gone
+        counts = self._want_counts
+        added, removed = [], []
+        for pattern in new:
+            counts[pattern] = counts.get(pattern, 0) + 1
+            if counts[pattern] == 1:
+                added.append(pattern)
+        for pattern in gone:
+            counts[pattern] -= 1
+            if not counts[pattern]:
+                del counts[pattern]
+                removed.append(pattern)
         if added:
             self.router._local_wants_changed(self, "add", sorted(added))
         if removed:
             self.router._local_wants_changed(self, "remove", sorted(removed))
 
-    def _all_local_wants(self) -> Set[str]:
-        out: Set[str] = set()
-        for wants in self._local_wants.values():
-            out |= wants
-        return out
+    def _solicit(self, host: str) -> None:
+        """Ask ``host`` for every plane's whole table: a summary from one
+        of them disagreed with this leg's view of it."""
+        now = self.bus.sim.now
+        last = self._solicited.get(host)
+        if last is not None and now - last < self.bus.config.advert_interval:
+            return
+        self._solicited[host] = now
+        self.client.publish(f"{SOLICIT_SUBJECT_PREFIX}.{host}", {"host": host})
 
     # ------------------------------------------------------------------
     # forwarding subscriptions for remote legs

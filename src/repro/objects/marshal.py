@@ -494,6 +494,16 @@ def decode(data: bytes, registry: TypeRegistry, type_resolver=None) -> Any:
         data = bytes(data)      # one copy; indexing bytes beats a view
     if not data.startswith(MAGIC):
         raise MarshalError("bad magic: not an Information Bus encoding")
+    end = len(data)
+    if end > 4 and data[3] == 0x73 and data[4] < 0x80 and data[4] + 5 == end:
+        # a top-level string whose one-byte length ends the payload, in
+        # one step; any other shape, or a malformed one, takes the
+        # general path below and raises what it always did
+        try:
+            return str(data[5:], "utf-8")
+        except UnicodeDecodeError as error:
+            raise MarshalError(
+                f"string is not valid UTF-8: {error}") from None
     pos = 3
     if data[3:4] == b"M":
         if registry is None:
@@ -503,6 +513,6 @@ def decode(data: bytes, registry: TypeRegistry, type_resolver=None) -> Any:
             desc, pos = _decode_value(data, pos, registry, None, 0)
             registry.register(TypeDescriptor.from_description(desc))
     value, pos = _decode_value(data, pos, registry, type_resolver, 0)
-    if pos != len(data):
-        raise MarshalError(f"{len(data) - pos} trailing bytes after value")
+    if pos != end:
+        raise MarshalError(f"{end - pos} trailing bytes after value")
     return value

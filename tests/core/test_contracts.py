@@ -12,6 +12,7 @@ from repro.apps import BusBrowser
 from repro.core import (ADVERT_SUBJECT, BusConfig, InformationBus,
                         MetricsRegistry, RmiClient, RmiServer, Router)
 from repro.core.contracts import CONTRACTS, conforms, of, one_of
+from repro.core.daemon import SOLICIT_SUBJECT_PREFIX
 from repro.core.rmi import SERVICE_ADVERT_SUBJECT
 from repro.objects import decode, encode, standard_registry
 from repro.sim import CostModel, Simulator
@@ -45,6 +46,7 @@ def _snapshot():
 PRODUCED = {
     "sub_advert": {"action": "add", "patterns": ["news.>", "q.*"],
                    "host": "node00"},
+    "sub_solicit": {"host": "node00"},
     "svc_advert": {"action": "up", "service": "svc.q",
                    "server": "node01.qsvc", "interface_name": "quote_service",
                    "operations": ["last", "symbols"]},
@@ -82,6 +84,9 @@ def hostile_cases():
     for payload in rows(
             test_router.test_malformed_advert_is_dropped_and_counted):
         yield "sub_advert", payload
+    for payload in rows(
+            test_router.test_malformed_solicit_is_dropped_and_counted):
+        yield "sub_solicit", payload
     for subject, payload in HOSTILE:
         yield ("svc_advert" if subject == SERVICE_ADVERT_SUBJECT
                else "stat_snapshot"), payload
@@ -94,7 +99,7 @@ def hostile_cases():
 
 def test_every_hostile_payload_is_refused_by_its_contract():
     cases = list(hostile_cases())
-    assert len(cases) == 6 + 12 + 11
+    assert len(cases) == 9 + 4 + 12 + 11
     for name, payload in cases:
         assert not conforms(wire(payload), name), (name, payload)
 
@@ -114,6 +119,7 @@ def test_types_are_compared_exactly():
 #: map lives here: nothing in the bus needs it)
 SUBJECT_CONTRACTS = {
     ADVERT_SUBJECT: ("sub_advert",),
+    f"{SOLICIT_SUBJECT_PREFIX}.": ("sub_solicit",),
     SERVICE_ADVERT_SUBJECT: ("svc_advert",),
     "_bus.stat.": ("stat_snapshot",),
     "_discovery.": ("discovery_who", "discovery_iam"),
@@ -151,6 +157,9 @@ def test_a_clean_federation_refuses_nothing():
                           tracer=tracer)
     east.add_hosts(3, prefix="e")
     west.add_hosts(2, prefix="w")
+    # a table the router joins too late to hear: it learns it by solicit
+    west.client("w00", "sub").subscribe("feed.>", lambda *a: None)
+    sim.run_until(0.1)
     router = Router(bridge_stats=True, stat_interval=0.25)
     router.add_leg(east)
     router.add_leg(west)
@@ -158,7 +167,8 @@ def test_a_clean_federation_refuses_nothing():
     for bus, host in ((east, "e00"), (west, "w00")):
         tap = bus.client(host, "tap")
         for pattern in (ADVERT_SUBJECT, SERVICE_ADVERT_SUBJECT, "_bus.stat.>",
-                        "_discovery.>", "_rmi.group.>"):
+                        "_discovery.>", "_rmi.group.>",
+                        f"{SOLICIT_SUBJECT_PREFIX}.>"):
             tap.subscribe(pattern, lambda s, payload, i: taps.append(
                 (s, payload)))
     reg = quote_registry()
@@ -167,7 +177,6 @@ def test_a_clean_federation_refuses_nothing():
                   make_service(reg), rank=rank, exclusive=True)
     browsers = [BusBrowser(east.client("e00", "browser")),
                 BusBrowser(west.client("w01", "browser"))]
-    west.client("w00", "sub").subscribe("feed.>", lambda *a: None)
     rmi = RmiClient(east.client("e00", "trader"), "svc.quotes",
                     policy="all")
     sim.run_until(1.0)

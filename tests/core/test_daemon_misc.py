@@ -2,6 +2,7 @@
 
 from repro.core import (ADVERT_SUBJECT, BusConfig, InformationBus, QoS,
                         validate_subject)
+from repro.core.daemon import SOLICIT_SUBJECT_PREFIX, advert_digest
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Tracer
@@ -93,19 +94,31 @@ def test_reserved_patterns_not_advertised():
                for a in adverts)
 
 
-def test_snapshot_advertisement_repeats():
+def test_summary_advertisement_repeats_and_a_solicit_gets_the_table():
+    """Each interval a plane sends its table's digest (smaller than the
+    table); a solicit on ``_sub.solicit.<host>`` gets the whole table
+    at once, and a second one before the next interval gets nothing."""
     config = BusConfig()
     config.advert_interval = 0.5
     bus = InformationBus(seed=6, cost=CostModel.ideal(), config=config)
     bus.add_hosts(2)
     adverts = []
     bus.client("node00", "watcher").subscribe(
-        ADVERT_SUBJECT, lambda s, o, i: adverts.append(o))
-    bus.client("node01", "mon").subscribe("snap.>", lambda *a: None)
+        ADVERT_SUBJECT, lambda s, o, i: adverts.append((i.deliver_time, o)))
+    bus.client("node01", "mon").subscribe("snap.equity.>", lambda *a: None)
     bus.run_for(2.2)
-    snapshots = [a for a in adverts if a["action"] == "snapshot"]
-    assert len(snapshots) >= 3
-    assert all(a["patterns"] == ["snap.>"] for a in snapshots)
+    summaries = [a for _, a in adverts if a["action"] == "summary"]
+    assert len(summaries) >= 3
+    assert all(a["digest"] == advert_digest(["snap.equity.>"])
+               for a in summaries)
+    assert not [a for _, a in adverts if a["action"] == "snapshot"]
+    asker = bus.client("node00", "asker")
+    for _ in range(2):
+        asker.publish(f"{SOLICIT_SUBJECT_PREFIX}.node01", {"host": "node01"})
+    bus.run_for(0.1)
+    snapshots = [(t, a) for t, a in adverts if a["action"] == "snapshot"]
+    assert [a["patterns"] for _, a in snapshots] == [["snap.equity.>"]]
+    assert snapshots[0][0] < 2.3
 
 
 def test_flush_forces_batched_messages_out():

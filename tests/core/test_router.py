@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import BusConfig, InformationBus, Router, WanLink
-from repro.core.daemon import ADVERT_SUBJECT
+from repro.core.daemon import ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator
@@ -160,8 +160,12 @@ def test_unsubscribe_withdraws_remote_interest():
     {"host": "x", "action": "add", "patterns": ["a..b"]},
     {"host": "x", "action": "add", "patterns": "abc"},
     {"host": "x", "action": ["add"], "patterns": ["a"]},
+    {"host": "x", "action": "summary", "digest": "01234567"},
+    {"host": "x", "action": "summary", "digest": b"\x00" * 7},
+    {"host": "x", "action": "solicit", "patterns": ["a"]},
 ], ids=["int-patterns", "list-host", "int-pattern", "bad-pattern",
-        "string-patterns", "list-action"])
+        "string-patterns", "list-action", "string-digest", "short-digest",
+        "solicit-action"])
 def test_malformed_advert_is_dropped_and_counted(payload):
     """Any application may publish on the advert subject: a payload that
     is not a daemon's advert neither crashes the simulation nor installs
@@ -180,6 +184,120 @@ def test_malformed_advert_is_dropped_and_counted(payload):
     sim.run_until(3.0)
     assert list(west_leg._forwarding) == ["news.>"]
     assert router.metrics.snapshot()[counter]["value"] == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"host": 5},
+    {"host": ["e01"]},
+    {"hosts": "e01"},
+    "e01",
+], ids=["int-host", "list-host", "no-host", "not-a-dict"])
+def test_malformed_solicit_is_dropped_and_counted(payload):
+    """Any application may publish on a host's solicit subject: a payload
+    that is not a router's solicit is counted in that host's registry and
+    sends nothing, and a well-formed one after it gets the table."""
+    bus = InformationBus(seed=3, cost=CostModel.ideal(), config=fast_config())
+    bus.add_hosts(2, prefix="e")
+    snapshots = []
+    bus.client("e00", "watcher").subscribe(
+        ADVERT_SUBJECT, lambda s, o, i: snapshots.extend(
+            [o["patterns"]] if o["action"] == "snapshot" else []))
+    bus.client("e01", "mon").subscribe("news.equity.>", lambda *a: None)
+    rogue = bus.client("e00", "rogue")
+    bus.run_for(0.3)
+    rogue.publish(f"{SOLICIT_SUBJECT_PREFIX}.e01", payload)
+    bus.run_for(0.1)
+    counter = "daemon.e01.contract.sub_solicit.refused"
+    assert bus.daemon("e01").metrics.snapshot()[counter]["value"] == 1
+    assert snapshots == []
+    rogue.publish(f"{SOLICIT_SUBJECT_PREFIX}.e01", {"host": "e01"})
+    bus.run_for(0.1)
+    assert snapshots == [["news.equity.>"]]
+
+
+def late_router(east, west, at):
+    """A router joining ``east`` and ``west`` at simulated time ``at``."""
+    east.sim.run_until(at)
+    router = Router()
+    router.add_leg(east)
+    router.add_leg(west)
+    return router
+
+
+def test_late_router_learns_a_large_table_within_one_interval():
+    """A router attached after a host holds 500 patterns never heard
+    their adds: the next summary disagrees with its empty view, and the
+    solicited snapshot teaches it all of them within one advert interval
+    plus a round trip."""
+    sim = Simulator(seed=4)
+    east = InformationBus(cost=CostModel.ideal(), name="east", sim=sim,
+                          config=fast_config())
+    west = InformationBus(cost=CostModel.ideal(), name="west", sim=sim,
+                          config=fast_config())
+    east.add_hosts(2, prefix="e")
+    west.add_hosts(2, prefix="w")
+    patterns = [f"mkt.s{i}.tick" for i in range(500)]
+    mon = east.client("e01", "mon")
+    for pattern in patterns:
+        mon.subscribe(pattern, lambda *a: None)
+    router = late_router(east, west, 1.3)
+    east_leg = router.legs["east:router-east"]
+    assert east_leg._want_counts == {}
+    sim.run_until(1.3 + fast_config().advert_interval + 0.05)
+    assert sorted(east_leg._want_counts) == sorted(patterns)
+    sim.run_until(sim.now + 0.5)   # the wants cross the WAN
+    assert sorted(router.legs["west:router-west"]._forwarding) == \
+        sorted(patterns)
+
+
+@pytest.mark.parametrize("kept", [["keep.>"], []], ids=["one-left", "none-left"])
+def test_a_missed_remove_is_corrected_by_the_next_summary(kept):
+    """The router's host is down while a remove goes by: the next
+    summary disagrees with the stale view, and the solicited snapshot
+    withdraws the pattern from the other bus.  A plane whose table the
+    remove emptied keeps advertising it, and its periodic advert is the
+    empty snapshot itself (smaller than a summary): no solicit needed."""
+    sim, east, west, router = two_buses()
+    solicits = []
+    east.client("e00", "tap").subscribe(
+        f"{SOLICIT_SUBJECT_PREFIX}.>", lambda s, o, i: solicits.append(s))
+    mon = east.client("e01", "mon")
+    for pattern in kept:
+        mon.subscribe(pattern, lambda *a: None)
+    gone = mon.subscribe("gone.>", lambda *a: None)
+    sim.run_until(1.0)
+    west_leg = router.legs["west:router-west"]
+    assert sorted(west_leg._forwarding) == sorted(kept + ["gone.>"])
+    east.crash_host("router-east")
+    mon.unsubscribe(gone)
+    sim.run_until(2.0)
+    east.recover_host("router-east")
+    assert solicits == []
+    sim.run_until(2.0 + fast_config().advert_interval + 0.1)
+    assert solicits == ([f"{SOLICIT_SUBJECT_PREFIX}.e01"] if kept else [])
+    assert list(west_leg._forwarding) == kept
+
+
+def test_advert_bytes_do_not_grow_with_the_table():
+    """On a bus with no router, a plane's advert costs the same each
+    interval whether its table holds 1 pattern or 500."""
+    bus = InformationBus(seed=5, cost=CostModel.ideal(), config=fast_config())
+    bus.add_hosts(3)
+    sizes = {"node01": [], "node02": []}
+    bus.client("node00", "watcher").subscribe(
+        ADVERT_SUBJECT, lambda s, o, i: sizes[o["host"]].append(
+            (o["action"], i.size)))
+    bus.client("node01", "one").subscribe("mkt.s0.tick", lambda *a: None)
+    many = bus.client("node02", "many")
+    for i in range(500):
+        many.subscribe(f"mkt.s{i}.tick", lambda *a: None)
+    bus.run_for(0.2)
+    for adverts in sizes.values():
+        adverts.clear()
+    bus.run_for(2.0)
+    assert len(sizes["node01"]) == 4
+    assert sizes["node01"] == sizes["node02"]
+    assert {action for action, _ in sizes["node02"]} == {"summary"}
 
 
 def test_router_logs_traffic_to_stable_storage():

@@ -488,3 +488,31 @@ def test_router_bridges_two_sharded_buses():
     assert received == list(range(5))
     # the leg forwarded across planes with its usual counters
     assert any(leg.messages_forwarded >= 5 for leg in router.legs.values())
+
+
+def test_router_keeps_one_view_per_plane_of_a_sharded_host():
+    """Each plane of a sharded host adverts its own table: a router that
+    kept one view per host let each plane's snapshot replace the other's,
+    flapping remove/add every interval and losing half the traffic."""
+    sim = Simulator(seed=8)
+    east = InformationBus(cost=CostModel.ideal(), name="east", sim=sim,
+                          config=BusConfig(advert_interval=0.5))
+    west = InformationBus(cost=CostModel.ideal(), name="west", sim=sim,
+                          config=sharded_config(2, advert_interval=0.5))
+    east.add_hosts(2, prefix="e")
+    west.add_hosts(2, prefix="w")
+    router = Router()
+    router.add_leg(east)
+    router.add_leg(west)
+    received = []
+    sub = west.client("w00", "sub")
+    for pattern in ("feed4.>", "feed0.>"):   # plane 0 and plane 1
+        sub.subscribe(pattern, lambda s, o, i: received.append(s))
+    sim.run_until(2.0)
+    pub = east.client("e00", "pub")
+    for n in range(20):
+        pub.publish(f"feed{4 * (n % 2)}.x", {"n": n})
+        sim.run_until(sim.now + 0.25)   # across several advert intervals
+    sim.run_until(sim.now + 1.0)
+    assert len(received) == 20
+    assert received.count("feed4.x") == 10

@@ -52,12 +52,15 @@ CEILING = 900
 SPARSE_SUBJECTS = 2000
 SPARSE_RATE = 600.0     # msgs/s, paced
 #: Python + builtin calls per published message (1 delivery each).
-#: Measured 590.4 on CPython 3.11 with literal patterns matched in one
-#: dict probe, once per delivery, and retention that only inserts
-#: (594.4 with the age-bound check on every stamp; 598.4 while the
+#: Measured 549.2 on CPython 3.11 with each plane's periodic advert a
+#: digest of its table and a top-level string payload decoded in one
+#: step (563.2 while every plane re-sent its 250-pattern table and the
+#: string decode took four calls; 590.4 with literal patterns matched in
+#: one dict probe, once per delivery, and retention that only inserts;
+#: 594.4 with the age-bound check on every stamp; 598.4 while the
 #: client matched again; 798.8 when every probe validated and walked
 #: the trie).
-SPARSE_CEILING = 640
+SPARSE_CEILING = 600
 
 
 def _calls_per_message(bus, publisher, subjects, rate):
