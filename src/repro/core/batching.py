@@ -27,8 +27,8 @@ lengthens its first wait:
   daemon sends meanwhile waits for one datagram, not for a whole burst,
   and an overload backs up in the admission queue, where its policy
   decides what is deferred or shed.
-* **cut.**  A group is cut when it is released: at ``max_messages``,
-  and *before* the envelope that would take its bytes past
+* **cut.**  A group is cut when it is released, on bytes alone:
+  *before* the envelope that would take its bytes past
   ``batch_bytes``.  Its bytes are the envelopes'
   :attr:`~repro.core.message.Envelope.size` — each one's plain digest
   entry plus its standalone plain body, an upper bound on its share of
@@ -47,7 +47,7 @@ latency for fewer frames when the lane would otherwise be idle (paced
 publishing).  The trade-off of gathering is deliberate: the first
 envelope of a held group pays the per-byte send cost of the followers
 riding with it, and each follower saves at least one per-packet cost —
-to send, and again at every receiver.  Without a lane (standalone use)
+to send, and again at every receiver.  Without a host (unit tests)
 the lane is always idle: batching off is a pure pass-through.
 """
 
@@ -58,7 +58,7 @@ from typing import Callable, List, Optional
 
 from ..sim.kernel import Event, Simulator
 from ..sim.node import Host
-from .flow import BoundedQueue, FlowConfig
+from .flow import BoundedQueue
 from .message import Envelope
 
 __all__ = ["Batcher", "BatchConfig"]
@@ -78,34 +78,26 @@ class BatchConfig:
     #: With batching on, the first envelope held while the lane is idle
     #: waits this long for followers (a full group leaves sooner).
     batch_delay: float = 0.002
-    #: A group is cut at this many envelopes regardless of size.
-    max_messages: int = 64
 
 
 class Batcher:
     """The release stage of one daemon's outbound pipeline.
 
     ``queue`` is the daemon's admission queue: the daemon offers each
-    envelope to it and then calls :meth:`add`.  When none is given
-    (unit tests, standalone use) the batcher makes its own, as large as
-    a default admission queue, and :meth:`add` offers to it too.
+    envelope to it and then calls :meth:`add`.
 
     ``host`` and ``lane`` name the CPU send lane the released datagrams
-    leave by.  ``_timer`` is the next release, so ``_timer is None`` is
-    the "nothing held" test.
+    leave by (no host: a lane that is always idle).  ``_timer`` is the
+    next release, so ``_timer is None`` is the "nothing held" test.
     """
 
     def __init__(self, sim: Simulator, config: BatchConfig,
                  flush: Callable[[List[Envelope]], None],
-                 queue: Optional[BoundedQueue] = None,
+                 queue: BoundedQueue,
                  host: Optional[Host] = None, lane: int = 0):
         self.sim = sim
         self.config = config
         self._flush_cb = flush
-        self._admit = None
-        if queue is None:
-            queue = BoundedQueue("batch.gather", FlowConfig.publish_queue)
-            self._admit = queue.offer
         self.queue = queue
         self._free_at = (host.send_free_at if host is not None
                          else lambda lane: sim.now)
@@ -116,8 +108,6 @@ class Batcher:
         """``envelope`` has joined the queue: send it at once, or hold it
         for the lane (and the batch delay); a group that is full leaves
         at once while the lane is idle."""
-        if self._admit is not None:
-            self._admit(envelope)
         if self._timer is None:
             config = self.config
             wait = self._free_at(self._lane) - self.sim.now
@@ -144,15 +134,14 @@ class Batcher:
             self._release()
 
     def _cut(self) -> int:
-        """How many head envelopes the next datagram takes: at most
-        ``max_messages``, cut before the one that would take its bytes
-        past ``batch_bytes`` (always one, when any is queued)."""
-        config = self.config
-        room = config.batch_bytes
+        """How many head envelopes the next datagram takes: cut before
+        the one that would take its bytes past ``batch_bytes`` (always
+        one, when any is queued)."""
+        room = self.config.batch_bytes
         count = 0
         for envelope in self.queue:
             room -= envelope.size
-            if count and (room < 0 or count >= config.max_messages):
+            if count and room < 0:
                 break
             count += 1
         return count
@@ -194,11 +183,6 @@ class Batcher:
             self._timer.cancel()
             self._timer = None
         self.queue.clear()
-
-    @property
-    def pending(self) -> int:
-        """Envelopes held: admitted and not yet on the lane."""
-        return len(self.queue)
 
     @property
     def first_held(self) -> Optional[Envelope]:

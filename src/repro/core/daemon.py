@@ -398,15 +398,17 @@ class BusDaemon:
                                           metrics=self.metrics)
         flow = self.config.flow
         # the one outbound queue: publishes are admitted here and wait
-        # here until the batcher hands them to the send lane.
-        # Guaranteed envelopes (the ones with a ledger id) are never
-        # shed — deferred to the ledger's retransmission when full, they
-        # leave only via the wire or a crash.
+        # here until the batcher hands them to the send lane.  A full
+        # queue sheds (drop-newest) or defers only the incoming
+        # envelope, before it is stamped, so every seq reaches the wire
+        # or dies with the session.  Guaranteed envelopes (the ones with
+        # a ledger id) are never shed — deferred to the ledger's
+        # retransmission when full, they leave only via the wire or a
+        # crash.
         self._outbound = BoundedQueue(
             f"outbound[{self.host.address}]", flow.publish_queue,
             flow.publish_policy,
             sheddable=lambda env: env.ledger_id is None,
-            on_evict=self._outbound_evicted,
             tracer=self.tracer, now=lambda: self.sim.now,
             metrics=self.metrics)
         self._batcher = Batcher(self.sim, self.config.batch,
@@ -657,12 +659,6 @@ class BusDaemon:
     # ------------------------------------------------------------------
     # outbound (admission queue -> batcher -> wire)
     # ------------------------------------------------------------------
-    def _outbound_evicted(self, envelope: Envelope) -> None:
-        """A stamped envelope was shed from the outbound queue
-        (drop-oldest): purge it from retention so NACKs cannot
-        resurrect what flow control decided to drop."""
-        self._sender.forget(envelope.seq)
-
     def _send_batch(self, envelopes: List[Envelope]) -> None:
         if not self.up:
             return

@@ -14,7 +14,9 @@ itself the same way:
     layer above does it for free).
   - ``drop-newest`` — a full queue rejects the incoming item.
   - ``drop-oldest`` — a full queue evicts its oldest sheddable item to
-    make room for the incoming one.
+    make room for the incoming one (the delivery lanes' policy; the
+    daemon's admission queue refuses it, because what it holds is
+    already stamped with a seq, see :class:`FlowConfig`).
 
   One ``sheddable`` predicate says what a policy may drop: a full queue
   defers an incoming item the predicate refuses, under every policy, and
@@ -141,9 +143,7 @@ class BoundedQueue(_Bounded):
     """A FIFO with a hard capacity, an overflow policy, and credit.
 
     ``sheddable`` (every item, when None) says which items the policy
-    may drop — e.g. guaranteed-QoS envelopes are never shed.  Evicted
-    items are handed to ``on_evict`` so their owner can release
-    per-item state (retention entries, ledger bookkeeping).  A queue
+    may drop — e.g. guaranteed-QoS envelopes are never shed.  A queue
     that pushed back counts a credit once it drains to half its
     capacity (:attr:`resume_at`).
     """
@@ -151,7 +151,6 @@ class BoundedQueue(_Bounded):
     def __init__(self, name: str, capacity: int,
                  policy: str = POLICY_BLOCK, *,
                  sheddable: Optional[Callable[[Any], bool]] = None,
-                 on_evict: Optional[Callable[[Any], None]] = None,
                  tracer: Optional["Tracer"] = None,
                  now: Optional[Callable[[], float]] = None,
                  metrics: Optional[MetricsRegistry] = None):
@@ -159,7 +158,6 @@ class BoundedQueue(_Bounded):
         #: queue depth at which a pressured queue counts a credit
         self.resume_at = capacity // 2
         self._sheddable = sheddable
-        self._on_evict = on_evict
         self._items: Deque[Any] = deque()
         self._tracer = tracer
         self._now = now or (lambda: 0.0)
@@ -193,13 +191,10 @@ class BoundedQueue(_Bounded):
                             depth=len(self._items))
                 return Admission.DROPPED
             # drop-oldest: evict the oldest sheddable item to make room
-            victim = self._evict_oldest()
-            if victim is not None:
+            if self._evict_oldest():
                 self.dropped_oldest.value += 1
                 self._trace("flow.drop", end="oldest",
                             depth=len(self._items))
-                if self._on_evict is not None:
-                    self._on_evict(victim)
                 self._items.append(item)
                 self._note_depth()
                 self.accepted.value += 1
@@ -217,16 +212,17 @@ class BoundedQueue(_Bounded):
         if self.high_watermark.value == 0:
             self.high_watermark.value = 1
 
-    def _evict_oldest(self) -> Optional[Any]:
-        """Remove and return the oldest sheddable item of a full queue,
-        or None when nothing queued may be shed."""
+    def _evict_oldest(self) -> bool:
+        """Remove the oldest sheddable item of a full queue; False when
+        nothing queued may be shed."""
         if self._sheddable is None:
-            return self._items.popleft()
+            self._items.popleft()
+            return True
         for index, item in enumerate(self._items):
             if self._sheddable(item):
                 del self._items[index]
-                return item
-        return None
+                return True
+        return False
 
     def _note_depth(self) -> None:
         depth = len(self._items)
@@ -320,9 +316,10 @@ class BoundedBuffer(_Bounded):
         return default
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
-    """Flow-control tunables for one daemon (see ``BusConfig.flow``).
+    """Flow-control tunables for one daemon (see ``BusConfig.flow``);
+    frozen, so a policy is checked once, when the config is built.
 
     The admission queue is the daemon's one outbound queue: it holds
     every published envelope that has not yet reached the host's CPU
@@ -332,16 +329,19 @@ class FlowConfig:
     shed: up to ``publish_queue`` envelopes wait, and past that a
     publish is deferred.  Delivery lanes are synchronous until an
     application declares a ``service_time``.  Overload experiments
-    shrink the queue and choose a drop policy.
+    shrink the queue and choose ``drop-newest``.
     """
 
     #: Envelopes the daemon's outbound admission queue holds: admitted
     #: and not yet on the send lane.
     publish_queue: int = 4096
-    #: Overflow policy of the admission queue.  ``block`` surfaces
-    #: pressure as a DEFERRED publish receipt; the drop policies shed
-    #: reliable-QoS envelopes (guaranteed is always deferred to the
-    #: stable ledger's retransmission, never shed).
+    #: Overflow policy of the admission queue, ``block`` or
+    #: ``drop-newest``: a full queue defers (a DEFERRED publish receipt)
+    #: or sheds the incoming reliable-QoS envelope, before it has a seq
+    #: (guaranteed is always deferred to the stable ledger's
+    #: retransmission, never shed).  ``drop-oldest`` is refused: what
+    #: the queue holds is stamped, and evicting it would open a seq gap
+    #: that no NACK can repair.
     publish_policy: str = POLICY_BLOCK
     #: Envelopes each application's delivery lane holds.  A full lane
     #: sheds its oldest reliable envelope: a slow application loses its
@@ -349,7 +349,11 @@ class FlowConfig:
     delivery_queue: int = 4096
 
     def __post_init__(self) -> None:
-        _check_policy(self.publish_policy)
+        if _check_policy(self.publish_policy) == POLICY_DROP_OLDEST:
+            raise ValueError(
+                "the admission queue cannot drop oldest: what it holds is "
+                "stamped with a seq, and an evicted one would leave a gap "
+                "no NACK can repair; use 'block' or 'drop-newest'")
 
 
 @dataclass

@@ -13,7 +13,8 @@ recorded in the host's stable ledger *before* transmission and republished
 on a timer until ``ack_quorum`` distinct consumers have acknowledged it,
 at which point it leaves the ledger: the ledger is the *unacknowledged*
 set.  It (and the acks collected so far) survives crashes; on recovery
-the publisher resumes retransmitting what is in it.
+the daemon builds a fresh publisher, which loads it and resumes
+retransmitting what is in it.
 
 Consumer side (:class:`GuaranteedConsumer`): a daemon with *durable*
 subscribers appends delivered ledger ids to a stable log, so a
@@ -130,12 +131,6 @@ class GuaranteedPublisher:
         if self._timer is not None:
             self._timer.stop()
             self._timer = None
-
-    def recover(self) -> None:
-        """Reload the ledger after a crash and resume retransmission."""
-        self._entries.clear()
-        self._load()
-        self._ensure_timer()
 
     # ------------------------------------------------------------------
     def _ensure_timer(self) -> None:

@@ -113,8 +113,13 @@ class ReliableSender:
         return envelope
 
     def forget(self, seq: int) -> None:
-        """Drop ``seq`` from retention (its envelope was shed upstream
-        before ever reaching the wire; NACKs must not resurrect it)."""
+        """Drop ``seq`` from retention, so a NACK cannot resurrect it.
+
+        Nothing in the bus calls it: the admission queue sheds only
+        envelopes that were never stamped.  It stays because the bus
+        ledger's tracer (``benchmarks/ledger/trace.py::TARGETS``) binds
+        it by name on this class, and a missing name fails a traced
+        run."""
         self._retention.pop(seq)
 
     def repair(self, first: int, last: int) -> List[Envelope]:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..objects import decode, encode, standard_registry
 from ..sim.kernel import PeriodicTimer, Simulator
@@ -61,7 +61,7 @@ from .flow import Admission, BoundedQueue
 from .guaranteed import GuaranteedConsumer
 from .message import MessageInfo, QoS
 from .metrics import Counter, MetricsPublisher, MetricsRegistry
-from .subjects import subject_matches
+from .subjects import SubjectTrie
 
 __all__ = ["Router", "RouterLeg", "WanLink"]
 
@@ -233,6 +233,9 @@ class RouterLeg:
         # forwarding subscriptions installed for remote legs' wants:
         # pattern -> (subscription, set of interested remote leg names)
         self._forwarding: Dict[str, Tuple[Subscription, Set[str]]] = {}
+        # the same wants as a trie, pattern -> remote leg names: which
+        # legs a subject goes to is one match, however many patterns
+        self._wanted: SubjectTrie[str] = SubjectTrie()
         # dedupe of forwarded messages (a message can match two patterns)
         self._recent: "OrderedDict[Tuple[str, int], None]" = OrderedDict()
         scope = router.metrics.scope(f"router.{router.name}.leg.{self.name}")
@@ -324,6 +327,7 @@ class RouterLeg:
         for pattern in patterns:
             entry = self._forwarding.get(pattern)
             if action == "add":
+                self._wanted.insert(pattern, leg_name)
                 if entry is None:
                     # with store-and-forward on, the subscription is
                     # durable: the local daemon's guaranteed-delivery ack
@@ -336,6 +340,7 @@ class RouterLeg:
                 else:
                     entry[1].add(leg_name)
             elif entry is not None:
+                self._wanted.remove(pattern, leg_name)
                 entry[1].discard(leg_name)
                 if not entry[1]:
                     self.client.unsubscribe(entry[0])
@@ -355,7 +360,7 @@ class RouterLeg:
         self._recent[key] = None
         while len(self._recent) > 4096:
             self._recent.popitem(last=False)
-        targets = self._interested_legs(subject)
+        targets = self._wanted.match(subject)
         if self.log_traffic:
             self.host.stable.append("router.log", {
                 "time": self.bus.sim.now, "subject": subject,
@@ -394,7 +399,7 @@ class RouterLeg:
     _SF_COUNTER = "router.sf.counter"
 
     def _sf_enqueue(self, subject: str, obj: Any, info: MessageInfo,
-                    targets: Set[str]) -> None:
+                    targets: FrozenSet[str]) -> None:
         """Stably log a guaranteed message, then ship with retry.
 
         Runs inside the daemon's durable-delivery callback, so the ack
@@ -482,13 +487,6 @@ class RouterLeg:
         self._sf_seen.recover()
         if self.host.stable.get(self._SF_PENDING, {}):
             self._sf_arm_timer()
-
-    def _interested_legs(self, subject: str) -> Set[str]:
-        out: Set[str] = set()
-        for pattern, (_sub, legs) in self._forwarding.items():
-            if subject_matches(pattern, subject):
-                out |= legs
-        return out
 
     def _wan_receive(self, _origin_name: str, data: bytes) -> None:
         """Final hop: decode the WAN bytes and republish on this bus."""

@@ -3,10 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (BatchConfig, Batcher, BusConfig, Envelope,
-                        FlowConfig, InformationBus, POLICY_DROP_NEWEST,
-                        Packet, PacketKind, QoS, ShardMap, StringTable,
-                        encode_packet)
+from repro.core import (BatchConfig, Batcher, BoundedQueue, BusConfig,
+                        Envelope, FlowConfig, InformationBus,
+                        POLICY_DROP_NEWEST, Packet, PacketKind, QoS,
+                        ShardMap, StringTable, encode_packet)
 from repro.sim import CostModel, EthernetSegment, Frame, Simulator
 
 
@@ -15,22 +15,31 @@ def envelope(size_payload=50, subject="a.b"):
                     payload=b"\x00" * size_payload, qos=QoS.RELIABLE)
 
 
-def make_batcher(sim, enabled=True, batch_bytes=300, batch_delay=0.01,
-                 max_messages=64):
+def admission_queue():
+    return BoundedQueue("outbound", FlowConfig.publish_queue)
+
+
+def add(batcher, envelope):
+    """Admit ``envelope`` as the daemon does: offer it to the batcher's
+    queue, then tell the batcher."""
+    batcher.queue.offer(envelope)
+    batcher.add(envelope)
+
+
+def make_batcher(sim, enabled=True, batch_bytes=300, batch_delay=0.01):
     batches = []
     config = BatchConfig(enabled=enabled, batch_bytes=batch_bytes,
-                         batch_delay=batch_delay,
-                         max_messages=max_messages)
-    return Batcher(sim, config, batches.append), batches
+                         batch_delay=batch_delay)
+    return Batcher(sim, config, batches.append, admission_queue()), batches
 
 
 def test_disabled_batcher_passes_through():
     sim = Simulator()
     batcher, batches = make_batcher(sim, enabled=False)
-    batcher.add(envelope())
-    batcher.add(envelope())
+    add(batcher, envelope())
+    add(batcher, envelope())
     assert [len(b) for b in batches] == [1, 1]
-    assert batcher.pending == 0
+    assert len(batcher.queue) == 0
 
 
 def test_size_threshold_flushes_synchronously():
@@ -42,12 +51,12 @@ def test_size_threshold_flushes_synchronously():
     # (sizes are measured from the wire encoding)
     threshold = int(envelope().size * 2.5)
     batcher, batches = make_batcher(sim, batch_bytes=threshold)
-    batcher.add(envelope())
-    batcher.add(envelope())
+    add(batcher, envelope())
+    add(batcher, envelope())
     assert batches == []              # still under threshold
-    batcher.add(envelope())           # would cross it: the two leave now
+    add(batcher, envelope())           # would cross it: the two leave now
     assert [len(b) for b in batches] == [2]
-    assert batcher.pending == 1
+    assert len(batcher.queue) == 1
     sim.run()                         # the third, once the lane is free
     assert [len(b) for b in batches] == [2, 1]
     assert all(sum(e.size for e in b) <= threshold for b in batches)
@@ -56,7 +65,7 @@ def test_size_threshold_flushes_synchronously():
 def test_delay_flushes_small_batches():
     sim = Simulator()
     batcher, batches = make_batcher(sim, batch_delay=0.01)
-    batcher.add(envelope())
+    add(batcher, envelope())
     assert batches == []
     sim.run_until(0.02)
     assert [len(b) for b in batches] == [1]
@@ -65,20 +74,11 @@ def test_delay_flushes_small_batches():
 def test_timer_measured_from_first_message():
     sim = Simulator()
     batcher, batches = make_batcher(sim, batch_delay=0.01)
-    batcher.add(envelope())
+    add(batcher, envelope())
     sim.run_until(0.005)
-    batcher.add(envelope())           # does NOT restart the clock
+    add(batcher, envelope())           # does NOT restart the clock
     sim.run_until(0.011)
     assert [len(b) for b in batches] == [2]
-
-
-def test_max_messages_cap():
-    sim = Simulator()
-    batcher, batches = make_batcher(sim, batch_bytes=10**9, max_messages=4)
-    for _ in range(9):
-        batcher.add(envelope(size_payload=1))
-    assert [len(b) for b in batches] == [4, 4]
-    assert batcher.pending == 1
 
 
 def test_manual_flush_and_empty_flush():
@@ -86,7 +86,7 @@ def test_manual_flush_and_empty_flush():
     batcher, batches = make_batcher(sim)
     batcher.flush()                   # empty: no callback
     assert batches == []
-    batcher.add(envelope())
+    add(batcher, envelope())
     batcher.flush()
     assert [len(b) for b in batches] == [1]
     sim.run_until(1.0)                # the pending timer was cancelled
@@ -96,11 +96,11 @@ def test_manual_flush_and_empty_flush():
 def test_shutdown_drops_queued():
     sim = Simulator()
     batcher, batches = make_batcher(sim)
-    batcher.add(envelope())
+    add(batcher, envelope())
     batcher.shutdown()
     sim.run_until(1.0)
     assert batches == []
-    assert batcher.pending == 0
+    assert len(batcher.queue) == 0
 
 
 def test_counters():
@@ -108,10 +108,10 @@ def test_counters():
     sim = Simulator()
     batcher, batches = make_batcher(sim, batch_bytes=150)
     for _ in range(4):
-        batcher.add(envelope())
+        add(batcher, envelope())
     batcher.flush()
     assert sum(map(len, batches)) == 4
-    assert batcher.pending == 0
+    assert len(batcher.queue) == 0
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_counters():
 MODES = (False, True)
 
 
-def lane_batcher(enabled=False, batch_bytes=1400, max_messages=64):
+def lane_batcher(enabled=False, batch_bytes=1400):
     """A batcher whose releases each leave ``node0``'s send lane as one
     frame; ``sent`` records (release time, envelopes, bytes)."""
     sim = Simulator(seed=0)
@@ -137,9 +137,9 @@ def lane_batcher(enabled=False, batch_bytes=1400, max_messages=64):
         sent.append((sim.now, len(batch), size))
         host.send_frame(Frame("node0", "node1", 7, 7, batch, size))
 
-    config = BatchConfig(enabled=enabled, batch_bytes=batch_bytes,
-                         max_messages=max_messages)
-    return sim, host, Batcher(sim, config, send, host=host), sent
+    config = BatchConfig(enabled=enabled, batch_bytes=batch_bytes)
+    return (sim, host,
+            Batcher(sim, config, send, admission_queue(), host=host), sent)
 
 
 def occupy(host):
@@ -152,12 +152,12 @@ def occupy(host):
 
 def test_idle_lane_passes_each_envelope_through():
     sim, host, batcher, sent = lane_batcher()
-    batcher.add(envelope())
-    assert batcher.pending == 0
+    add(batcher, envelope())
+    assert len(batcher.queue) == 0
     sim.run()                                 # the lane drains
     assert host.send_free_at(0) <= sim.now
-    batcher.add(envelope())
-    assert [(n, batcher.pending) for _, n, _ in sent] == [(1, 0), (1, 0)]
+    add(batcher, envelope())
+    assert [(n, len(batcher.queue)) for _, n, _ in sent] == [(1, 0), (1, 0)]
 
 
 def test_busy_lane_gathers_until_the_instant_it_frees():
@@ -165,14 +165,14 @@ def test_busy_lane_gathers_until_the_instant_it_frees():
         sim, host, batcher, sent = lane_batcher(enabled)
         free_at = occupy(host)
         for _ in range(4):
-            batcher.add(envelope())
+            add(batcher, envelope())
         assert sent == []
-        assert batcher.pending == 4
+        assert len(batcher.queue) == 4
         sim.run_until(free_at - 1e-9)
-        assert batcher.pending == 4           # nothing delayed further ...
+        assert len(batcher.queue) == 4           # nothing delayed further ...
         sim.run_until(free_at)
         assert sent == [(free_at, 4, 4 * envelope().size)]   # ... or late
-        assert batcher.pending == 0
+        assert len(batcher.queue) == 0
 
 
 def test_held_group_is_cut_before_it_passes_batch_bytes():
@@ -182,25 +182,14 @@ def test_held_group_is_cut_before_it_passes_batch_bytes():
                                                 batch_bytes=int(one * 2.5))
         occupy(host)
         for _ in range(4):
-            batcher.add(envelope())
+            add(batcher, envelope())
         # the 3rd would make 3 > 2.5: the first 2 are cut and wait for
         # the lane in the batcher, not on it
         assert sent == []
-        assert batcher.pending == 4
+        assert len(batcher.queue) == 4
         sim.run()
         assert [n for _, n, _ in sent] == [2, 2]
         assert all(size <= int(one * 2.5) for _, _, size in sent)
-
-
-def test_held_group_is_cut_at_max_messages():
-    for enabled in MODES:
-        sim, host, batcher, sent = lane_batcher(enabled, max_messages=3)
-        occupy(host)
-        for _ in range(5):
-            batcher.add(envelope(size_payload=1))
-        assert batcher.pending == 5
-        sim.run()
-        assert [n for _, n, _ in sent] == [3, 2]
 
 
 def test_cut_groups_leave_one_per_lane_free_instant():
@@ -211,7 +200,7 @@ def test_cut_groups_leave_one_per_lane_free_instant():
         sim, host, batcher, sent = lane_batcher(enabled)
         first_done = occupy(host)
         for _ in range(100):
-            batcher.add(envelope())
+            add(batcher, envelope())
         assert sent == []
         repair = host.send_frame(Frame("node0", "node1", 7, 7, "repair", 60))
         assert repair == first_done + host.cost.send_cpu_time(60)
@@ -231,9 +220,9 @@ def test_cut_groups_leave_one_per_lane_free_instant():
 def test_enabled_first_envelope_on_an_idle_lane_waits_batch_delay():
     sim, host, batcher, sent = lane_batcher(enabled=True)
     delay = batcher.config.batch_delay
-    batcher.add(envelope())
+    add(batcher, envelope())
     sim.run_until(delay / 2)
-    batcher.add(envelope())                   # joins the waiting one
+    add(batcher, envelope())                   # joins the waiting one
     assert host.send_free_at(0) <= sim.now    # the lane stayed idle
     sim.run_until(delay - 1e-9)
     assert sent == []
@@ -248,7 +237,7 @@ def test_enabled_full_group_leaves_at_once():
     sim, host, batcher, sent = lane_batcher(enabled=True,
                                             batch_bytes=int(one * 2.5))
     for _ in range(3):
-        batcher.add(envelope())
+        add(batcher, envelope())
     assert sent == [(0.0, 2, 2 * one)]
     lane_free = host.send_free_at(0)
     assert 0.0 < lane_free < batcher.config.batch_delay
@@ -263,15 +252,15 @@ def test_enabled_follower_on_a_briefly_busy_lane_waits_for_the_window():
     nearly alone once the lane frees."""
     sim, host, batcher, sent = lane_batcher(enabled=True)
     delay = batcher.config.batch_delay
-    batcher.add(envelope())
+    add(batcher, envelope())
     sim.run_until(delay)
     assert [n for _, n, _ in sent] == [1]
     lane_free = host.send_free_at(0)
     assert delay < lane_free < 2 * delay      # busy, briefly
-    batcher.add(envelope())
+    add(batcher, envelope())
     for step in (1, 2, 3):
         sim.run_until(lane_free + step * (2 * delay - lane_free) / 4)
-        batcher.add(envelope())
+        add(batcher, envelope())
     assert [n for _, n, _ in sent] == [1]
     sim.run()
     assert sent[1:] == [(2 * delay, 4, 4 * envelope().size)]
@@ -324,11 +313,11 @@ def test_gathered_group_never_outgrows_one_datagram(enabled, batch_bytes,
 
     batcher = Batcher(sim, BatchConfig(enabled=enabled,
                                        batch_bytes=batch_bytes),
-                      send, host=host)
+                      send, admission_queue(), host=host)
     for seq, (subject, sender, payload, at) in enumerate(specs, 1):
-        batcher.add(Envelope(subject, sender, "node0#0", seq,
-                             b"\x00" * payload,
-                             publish_time=float(seq) if at is None else at))
+        add(batcher, Envelope(subject, sender, "node0#0", seq,
+                              b"\x00" * payload,
+                              publish_time=float(seq) if at is None else at))
     sim.run()
     assert sum(n for n, _, _ in groups) == len(specs)
     assert max(n for n, _, _ in groups) > 1
@@ -342,18 +331,18 @@ def test_envelope_no_follower_could_join_never_waits_the_delay():
     instant it frees, like any other — never onto the busy lane."""
     for enabled in MODES:
         sim, host, batcher, sent = lane_batcher(enabled, batch_bytes=200)
-        batcher.add(envelope(size_payload=100))   # half: no second fits
+        add(batcher, envelope(size_payload=100))   # half: no second fits
         assert [(at, n) for at, n, _ in sent] == [(0.0, 1)]
         free_at = host.send_free_at(0)
         assert free_at > 0.0
-        batcher.add(envelope(size_payload=300))   # payload >= cap
-        batcher.add(envelope(size_payload=100))
-        assert batcher.pending == 2               # held for the lane
+        add(batcher, envelope(size_payload=300))   # payload >= cap
+        add(batcher, envelope(size_payload=100))
+        assert len(batcher.queue) == 2               # held for the lane
         sim.run()
         assert [(at, n) for at, n, _ in sent[1:]] == [
             (free_at, 1), (free_at + host.cost.send_cpu_time(sent[1][2]),
                            1)]
-        assert batcher.pending == 0
+        assert len(batcher.queue) == 0
 
 
 @given(st.booleans(),
@@ -379,10 +368,10 @@ def test_no_datagram_goes_onto_the_lane_while_an_earlier_one_is_on_it(
     batcher._flush_cb = handed
     for payload, gap in specs:
         sim.run_until(sim.now + gap)
-        batcher.add(envelope(size_payload=payload))
+        add(batcher, envelope(size_payload=payload))
     sim.run()
     assert sum(n for _, n, _ in sent) == len(specs)
-    assert batcher.pending == 0
+    assert len(batcher.queue) == 0
 
 
 def test_a_burst_behind_a_busy_lane_waits_in_the_admission_queue():
@@ -405,7 +394,7 @@ def test_a_burst_behind_a_busy_lane_waits_in_the_admission_queue():
     receipts = [publisher.publish("t.x", n).admission.value
                 for n in range(3 * room)]
     assert receipts == ["accepted"] * room + ["deferred"] * (2 * room)
-    assert plane._batcher.pending == room
+    assert len(plane._batcher.queue) == room
     bus.run_for(2.0)
     assert inbox == list(range(room))
 
@@ -414,10 +403,10 @@ def test_large_envelope_behind_a_held_group_keeps_its_order():
     for enabled in MODES:
         sim, host, batcher, sent = lane_batcher(enabled, batch_bytes=200)
         occupy(host)
-        batcher.add(envelope(size_payload=10))
-        batcher.add(envelope(size_payload=10))    # held
-        batcher.add(envelope(size_payload=300))   # held too: seqs in order
-        assert batcher.pending == 3
+        add(batcher, envelope(size_payload=10))
+        add(batcher, envelope(size_payload=10))    # held
+        add(batcher, envelope(size_payload=300))   # held too: seqs in order
+        assert len(batcher.queue) == 3
         sim.run()
         assert [n for _, n, _ in sent] == [2, 1]
         assert sent[1][2] > 300
@@ -435,9 +424,9 @@ def test_crash_drops_the_held_group_and_the_new_session_replays_none():
     for n in range(5):
         publisher.publish("t.x", f"held{n}")
     plane = bus.daemons["node00"]
-    assert plane._batcher.pending == 4
+    assert len(plane._batcher.queue) == 4
     bus.crash_host("node00")                  # before the lane frees
-    assert plane._batcher.pending == 0
+    assert len(plane._batcher.queue) == 0
     bus.run_for(0.5)
     bus.recover_host("node00")
     publisher.publish("t.x", "after")         # re-attached client
@@ -494,11 +483,11 @@ def test_each_plane_gathers_on_its_own_lane():
     # on each plane the first publish found its own lane idle, although
     # the other plane's lane was already busy; its other three wait
     assert [len(log) for log in released] == [1, 1]
-    assert [plane._batcher.pending for plane in planes] == [3, 3]
+    assert [len(plane._batcher.queue) for plane in planes] == [3, 3]
     frees = [host.send_free_at(plane.shard) for plane in planes]
     first = frees.index(min(frees))
     bus.sim.run_until(frees[first])
-    assert [plane._batcher.pending for plane in planes] == [
+    assert [len(plane._batcher.queue) for plane in planes] == [
         0 if k == first else 3 for k in range(2)]
     bus.run_for(1.0)
     assert sorted(inbox) == sorted(subjects * 2)
@@ -525,7 +514,7 @@ def test_heartbeat_while_held_causes_no_nack():
         bus.run_for(beat - 1e-4)
         for _ in range(10):           # off: 1 sent, 9 held; on: 10 held
             publisher.publish("t.x", b"x" * 40)
-        assert plane._batcher.pending == (10 if enabled else 9)
+        assert len(plane._batcher.queue) == (10 if enabled else 9)
         held_until = (bus.sim.now + config.batch.batch_delay if enabled
                       else plane.host.send_free_at(0))
         assert held_until > beat
@@ -604,7 +593,7 @@ def test_paced_pump_stops_while_a_gathered_group_waits():
     receipts = [publisher.publish("t.x", n).admission.value
                 for n in range(500)]
     plane = bus.daemons["node00"]
-    assert plane._batcher.pending <= 2 * config.batch.max_messages
+    assert len(plane._batcher.queue) <= config.flow.publish_queue
     outbound = plane.flow_stats()["outbound"]
     assert outbound["high_watermark"] == 64
     assert receipts.count("dropped") == outbound["dropped"] > 300
@@ -633,7 +622,7 @@ def test_paced_pump_does_not_spin_while_a_cut_group_waits_out_the_delay():
     plane.host.send_frame(Frame("node00", "node01", 9, 9, "other", 200))
     for n in range(1, 40):                    # fill a group and more
         publisher.publish("t.x", n)
-    assert plane._batcher.pending == 40
+    assert len(plane._batcher.queue) == 40
     assert plane.host.send_free_at(0) - bus.sim.now < config.batch.batch_delay
     fired = bus.sim.run_until(bus.sim.now + 2 * config.batch.batch_delay,
                               max_events=10_000)

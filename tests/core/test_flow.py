@@ -1,5 +1,6 @@
 """Unit tests for the shared flow-control layer (core/flow.py)."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -31,14 +32,11 @@ def test_drop_newest_rejects_incoming():
 
 
 def test_drop_oldest_evicts_head():
-    evicted = []
-    q = BoundedQueue("q", capacity=2, policy=POLICY_DROP_OLDEST,
-                     on_evict=evicted.append)
+    q = BoundedQueue("q", capacity=2, policy=POLICY_DROP_OLDEST)
     q.offer("a")
     q.offer("b")
     assert q.offer("c") is Admission.ACCEPTED
     assert list(q) == ["b", "c"]
-    assert evicted == ["a"]
     assert q.dropped_oldest.value == 1
 
 
@@ -81,6 +79,18 @@ def test_invalid_policy_and_capacity_rejected():
         BoundedQueue("q", capacity=1, policy="banana")
     with pytest.raises(ValueError):
         FlowConfig(publish_policy="banana")
+
+
+def test_admission_queue_refuses_drop_oldest():
+    """The admission queue holds stamped envelopes, so evicting one
+    would open a seq gap no NACK repairs: only the incoming envelope,
+    not yet stamped, may be shed there."""
+    with pytest.raises(ValueError, match="stamped"):
+        FlowConfig(publish_policy=POLICY_DROP_OLDEST)
+    for policy in (POLICY_BLOCK, POLICY_DROP_NEWEST):
+        assert FlowConfig(publish_policy=policy).publish_policy == policy
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        FlowConfig().publish_policy = POLICY_DROP_OLDEST
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ publisher feeding a durable consumer (the Object Repository pattern).
 
 import pytest
 
-from repro.core import (BusConfig, DAEMON_PORT, InformationBus, Packet,
-                        PacketKind, QoS, encode_packet)
+from repro.core import (BusConfig, DAEMON_PORT, FlowConfig, InformationBus,
+                        Packet, PacketKind, QoS, encode_packet)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel
@@ -310,3 +310,29 @@ def test_malformed_ack_leaves_the_entry_pending(fields):
     send_ack(**well_formed)
     assert publisher.guaranteed_pending() == []
     assert stable.get("gd.ledger") == []
+
+
+def test_a_full_delivery_lane_defers_guaranteed_and_sheds_none():
+    """Guaranteed QoS is never shed: a durable subscriber slower than
+    the publisher fills its delivery lane, each guaranteed envelope that
+    finds it full is deferred whole (no dedupe consumed, no ack), and the
+    publisher's ledger retransmits until every one is delivered once."""
+    bus = InformationBus(seed=1, cost=CostModel.ideal(),
+                         config=BusConfig(flow=FlowConfig(delivery_queue=4)))
+    bus.add_hosts(2)
+    reg = story_registry()
+    pub = bus.client("node00", "feed", registry=reg)
+    received = []
+    bus.client("node01", "db", service_time=0.01).subscribe(
+        "gd.>", lambda s, o, i: received.append(o.get("n")), durable=True)
+    bus.run_for(1.0)
+    for n in range(40):
+        pub.publish("gd.data", DataObject(reg, "record", n=n),
+                    qos=QoS.GUARANTEED)
+    bus.run_for(30.0)
+    consumer = bus.daemon("node01")
+    snapshot = consumer.metrics.snapshot()
+    assert snapshot["daemon.node01.guaranteed_deferred"]["value"] > 0
+    assert sorted(received) == list(range(40))
+    assert consumer.flow_stats()["deliver[db]"]["dropped"] == 0
+    assert bus.daemon("node00").guaranteed_pending() == []

@@ -1,8 +1,12 @@
 """Tests for information routers bridging buses over WAN links."""
 
+import cProfile
+import pstats
+
 import pytest
 
-from repro.core import BusConfig, InformationBus, Router, WanLink
+from repro.core import (BusConfig, InformationBus, MessageInfo, QoS, Router,
+                        WanLink)
 from repro.core.daemon import ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
@@ -110,6 +114,59 @@ def test_overlapping_patterns_forward_once():
     assert len(received) == 2
     east_leg = router.legs["east:router-east"]
     assert east_leg.messages_forwarded == 1
+
+
+def test_literal_and_wildcard_match_cross_once_per_interested_leg():
+    """A message two of one leg's wanted patterns match (one literal,
+    one wildcard) crosses once to that leg, once to a leg wanting only
+    the wildcard, and not at all to a leg wanting neither."""
+    sim = Simulator(seed=5)
+    buses = [InformationBus(cost=CostModel.ideal(), name=f"bus{i}", sim=sim,
+                            config=fast_config()) for i in range(4)]
+    for i, bus in enumerate(buses):
+        bus.add_hosts(2, prefix=f"b{i}n")
+    router = Router()
+    legs = [router.add_leg(bus) for bus in buses]
+    reg = story_registry()
+    boxes = [[] for _ in buses]
+    wants = {1: ("news.equity.gmc", "news.>"), 2: ("news.>",),
+             3: ("sports.>",)}
+    for i, patterns in wants.items():
+        mon = buses[i].client(f"b{i}n00", "mon")
+        for pattern in patterns:
+            mon.subscribe(pattern,
+                          lambda s, o, i_, box=boxes[i]: box.append(s))
+    sim.run_until(2.0)
+    buses[0].client("b0n00", "feed", registry=reg).publish(
+        "news.equity.gmc", DataObject(reg, "story", headline="X"))
+    sim.run_until(5.0)
+    assert legs[0]._wanted.match("news.equity.gmc") == {
+        legs[1].name, legs[2].name}
+    assert legs[0].messages_forwarded == 2
+    # bus1's two local subscriptions each see the one crossing
+    assert boxes[1:] == [["news.equity.gmc"] * 2, ["news.equity.gmc"], []]
+
+
+def forward_calls(wanted):
+    """Python calls one ``_forward`` makes on a leg whose remote leg
+    wants ``wanted`` literal patterns, one of which the subject hits."""
+    sim, east, west, router = two_buses()
+    east_leg = router.legs["east:router-east"]
+    west_leg = router.legs["west:router-west"]
+    east_leg.remote_wants(west_leg.name, "add",
+                          [f"feed.s{n}" for n in range(wanted)])
+    info = MessageInfo("feed.s0", "pub", "e00#1", 1, QoS.RELIABLE, 0.0, 0.0,
+                       10)
+    profile = cProfile.Profile()
+    profile.runcall(east_leg._forward, "feed.s0", {"n": 1}, info)
+    return pstats.Stats(profile).total_calls
+
+
+def test_forwarding_cost_does_not_grow_with_the_remote_table():
+    """Which legs a subject goes to is one trie match: forwarding a
+    message costs the same with 500 remote-wanted patterns as with 1."""
+    one, many = forward_calls(1), forward_calls(500)
+    assert abs(many - one) <= 5, (one, many)
 
 
 def test_subject_transform_at_egress():

@@ -36,6 +36,10 @@ def story_registry():
 
 @pytest.fixture
 def world():
+    return build_world(WanLink(latency=0.02))
+
+
+def build_world(link):
     sim = Simulator(seed=1)
     config = BusConfig()
     config.advert_interval = 0.4
@@ -45,7 +49,7 @@ def world():
                         config=config)
     plant.add_hosts(3, prefix="p")
     hq.add_hosts(3, prefix="h")
-    router = Router(store_and_forward=True, link=WanLink(latency=0.02))
+    router = Router(store_and_forward=True, link=link)
     plant_leg = router.add_leg(plant)
     hq_leg = router.add_leg(hq)
     reg = story_registry()
@@ -172,4 +176,32 @@ def test_reliable_messages_skip_the_stable_path(world):
     sim.run_until(sim.now + 3.0)
     assert capture.store.count("alarm") == 1   # forwarded and stored
     # no store-and-forward records were written for reliable traffic
+    assert sf_pending(plant_leg) == 0
+
+
+def test_a_failed_link_drops_its_queued_transfers_and_the_retry_reships():
+    """A slow link holds a backlog of shipments when it fails: every
+    queued transfer is lost with it, counted in ``wan.messages_dropped``,
+    and once the link is back the retry timer ships each record again,
+    so the far side stores every message exactly once."""
+    (sim, plant, hq, router, plant_leg, hq_leg, publisher, reg,
+     capture) = build_world(WanLink(latency=0.02,
+                                    bandwidth_bytes_per_sec=20_000))
+    link = router.link
+    for n in range(30):
+        publisher.publish("alarms.drill", DataObject(reg, "alarm", n=n),
+                          qos=QoS.GUARANTEED)
+    start = sim.now
+    sim.run_until(start + 0.05)
+    queued = sum(len(queue) for queue in link._queues.values())
+    assert queued > 0
+    before = counter(router, "wan.messages_dropped")
+    link.fail()
+    assert counter(router, "wan.messages_dropped") - before == queued
+    assert not any(link._queues.values())
+    sim.run_until(start + 3.0)
+    link.restore()
+    sim.run_until(sim.now + 10.0)
+    assert sorted(o.get("n") for o in capture.store.query("alarm")) == \
+        list(range(30))
     assert sf_pending(plant_leg) == 0

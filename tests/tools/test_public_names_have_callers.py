@@ -86,7 +86,6 @@ TEST_ONLY = {
     "FlowConfig(delivery_queue=)": _SHRINK,
     "BatchConfig(batch_bytes=)": _SHRINK,
     "BatchConfig(batch_delay=)": _SHRINK,
-    "BatchConfig(max_messages=)": _SHRINK,
     "WanLink(queue_capacity=)": _SHRINK,
     "CostModel(mtu=)": _SHRINK,
     "NewsMonitorForm(max_rows=)": _SHRINK,
