@@ -6,8 +6,11 @@ Shows the operational tooling the paper gestures at in Section 5.1
 Information Bus ... users can inspect the interface description for
 each service"), built entirely from bus metadata:
 
-1. the BusBrowser's live service directory and per-subject traffic
-   monitor;
+1. the BusBrowser's live service directory, per-subject traffic
+   monitor, and telemetry console: every daemon publishes its metrics
+   registry on ``_bus.stat.<host>.daemon`` once a second
+   (``BusConfig(stat_interval=1.0)``), so the console learns the state
+   of every host over the bus itself;
 2. interface inspection over the discovery protocol;
 3. an exactly-once invocation surviving a server crash mid-flight.
 
@@ -16,13 +19,13 @@ Run:  python examples/operations_console.py
 
 from repro import InformationBus, RmiServer, ServiceObject
 from repro.apps import BusBrowser, Equipment
-from repro.core import ExactlyOnceRmiClient
+from repro.core import BusConfig, ExactlyOnceRmiClient
 from repro.objects import OperationSpec, ParamSpec, TypeDescriptor, standard_registry
 
 
 def main() -> None:
-    bus = InformationBus(seed=21)
-    bus.add_hosts(6)
+    bus = InformationBus(seed=21, config=BusConfig(stat_interval=1.0))
+    hosts = bus.add_hosts(6)
 
     # ------------------------------------------------------------------
     # a floor with some traffic and two services
@@ -61,6 +64,13 @@ def main() -> None:
     bus.run_for(4.0)
     print("== operator console snapshot ==")
     print(console.report())
+    # every host is a live telemetry source, and the fleet totals are
+    # snapshots: they may lag the daemons' own counters, never lead them
+    sources = {t.source for t in console.telemetry()}
+    assert sources == {f"{host.address}.daemon" for host in hosts}, sources
+    top = console.bus_top()
+    published = sum(d.published for d in bus.daemons.values())
+    assert 0 < top["published"] <= published, (top, published)
 
     # ------------------------------------------------------------------
     # 2. inspect a service interface through discovery

@@ -14,9 +14,10 @@ The :class:`BusBrowser` is such a tool:
   every ordinary subject (one ``>`` subscription; reserved ``_``
   subjects stay invisible to it);
 * a **telemetry console** subscribed to the reserved ``_bus.stat.>``
-  space: every daemon (and router) publishing registry snapshots shows
-  up in :meth:`telemetry`, and :meth:`bus_top` aggregates the fleet's
-  headline counters — the bus monitored through the bus itself;
+  space: every daemon plane publishing registry snapshots (a bus built
+  with ``BusConfig(stat_interval=...)``) shows up in :meth:`telemetry`,
+  and :meth:`bus_top` aggregates the fleet's headline counters — the
+  bus monitored through the bus itself;
 * :meth:`inspect` fetches a live service's full interface description
   through the ordinary discovery protocol, so a user can go from "what
   exists?" to "what operations does it have?" to driving it via the
@@ -101,7 +102,7 @@ class BusBrowser:
         self.client = client
         self.services: Dict[tuple, ServiceEntry] = {}
         self.subjects: Dict[str, SubjectStats] = {}
-        #: telemetry sources keyed by "<host>.<kind>" (subject suffix)
+        #: telemetry sources keyed by "<host>.daemon[.s<k>]" (subject suffix)
         self.stats: Dict[str, HostTelemetry] = {}
         self._subscriptions = [
             client.subscribe(SERVICE_ADVERT_SUBJECT, self._on_advert),
@@ -178,7 +179,7 @@ class BusBrowser:
                  info: MessageInfo) -> None:
         if not admits(payload, "stat_snapshot", self.client.metrics):
             return
-        source = subject.split(".", 2)[-1]   # "_bus.stat.<host>.<kind>"
+        source = subject.split(".", 2)[-1]   # "_bus.stat.<host>.daemon"
         now = self.client.sim.now
         entry = self.stats.get(source)
         if entry is None:
@@ -205,18 +206,18 @@ class BusBrowser:
     def bus_top(self) -> Dict[str, int]:
         """A ``top``-style fleet aggregate over every fresh snapshot.
 
-        Sums the headline counters of all live telemetry sources —
-        daemons and routers alike, across router-bridged segments when
-        stat bridging is on — so one browser shows the whole bus.
+        Sums the headline counters of every live daemon plane on this
+        browser's bus, so one browser shows the whole bus.  Each
+        snapshot is as old as its publisher's last interval, so a total
+        can lag the daemons' live counters but never lead them.
         """
         totals = {"hosts": 0, "published": 0, "delivered": 0,
                   "dropped": 0, "deferred": 0, "retransmissions": 0}
         for entry in self.telemetry():
             totals["hosts"] += 1
             metrics = entry.metrics
-            # the reliable layer re-counts deliveries per session and
-            # router legs mirror their WAN queue's counters, so sums are
-            # scoped by family to count each event exactly once
+            # the reliable layer re-counts deliveries per session, so
+            # sums are scoped by family to count each event exactly once
             daemon = {n: e for n, e in metrics.items()
                       if n.startswith("daemon.")}
             flow = {n: e for n, e in metrics.items()
@@ -226,8 +227,7 @@ class BusBrowser:
             totals["dropped"] += sum_counters(
                 flow, [".dropped_newest", ".dropped_oldest"])
             totals["dropped"] += sum_counters(
-                metrics, [".corrupt_dropped", ".unresolved_dropped",
-                          ".messages_dropped"])
+                metrics, [".corrupt_dropped", ".unresolved_dropped"])
             totals["deferred"] += sum_counters(flow, [".deferred"])
             totals["deferred"] += sum_counters(daemon,
                                                [".guaranteed_deferred"])

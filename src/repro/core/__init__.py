@@ -15,8 +15,8 @@ from .flow import (Admission, BoundedBuffer, BoundedQueue, FlowConfig,
                    POLICY_DROP_OLDEST, PublishReceipt)
 from .reliable import (PeerSession, RefusedSession, ReliableConfig,
                        ReliableReceiver, ReliableSender, SessionStats)
-from .metrics import (Counter, Gauge, Histogram, MetricsPublisher,
-                      MetricsRegistry, MetricsScope, sum_counters)
+from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
+                      MetricsScope, sum_counters)
 from .batching import BatchConfig, Batcher
 from .guaranteed import GuaranteedConsumer, GuaranteedPublisher, LedgerEntry
 from .daemon import (ADVERT_SUBJECT, DAEMON_PORT, STAT_PORT,
@@ -36,7 +36,7 @@ __all__ = [
     "BusClient", "BusConfig", "BusDaemon", "BusDownError", "CorruptFrame",
     "Counter", "DAEMON_PORT", "DiscoveredService", "Envelope",
     "FrameDigest", "read_digest", "Gauge",
-    "Histogram", "MetricsPublisher", "MetricsRegistry", "MetricsScope",
+    "Histogram", "MetricsRegistry", "MetricsScope",
     "STAT_PORT", "STAT_SUBJECT_PREFIX", "sum_counters",
     "FlowConfig", "OVERFLOW_POLICIES", "POLICY_BLOCK",
     "POLICY_DROP_NEWEST", "POLICY_DROP_OLDEST", "PublishReceipt",

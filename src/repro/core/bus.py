@@ -14,7 +14,7 @@ can say::
 
 Multiple instances can share one :class:`~repro.sim.kernel.Simulator`
 (pass it in) — that is how WAN topologies with
-:class:`~repro.core.router.InformationRouter` bridges are built.
+:class:`~repro.core.router.Router` bridges are built.
 """
 
 from __future__ import annotations

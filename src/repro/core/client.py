@@ -109,9 +109,8 @@ class BusClient:
         Returns a :class:`~repro.core.flow.PublishReceipt` — truthy when
         the message was admitted, with ``receipt.size`` the payload
         bytes.  A falsy receipt means the outbound pipeline deferred or
-        dropped the publish; a deferred publish is the caller's to retry
-        (the plane's outbound queue counts its relief in
-        ``flow.<q>.credits``).  With ``inline_types`` unset, receivers
+        dropped the publish; a deferred publish is the caller's to
+        retry.  With ``inline_types`` unset, receivers
         still learn new types: a reliable publish uses
         :func:`~repro.objects.marshal.encode_typed`, whose typedefs ride
         the wire frames once per session, and a guaranteed publish

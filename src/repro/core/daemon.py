@@ -49,7 +49,7 @@ from .flow import (Admission, BoundedQueue, FlowConfig, POLICY_DROP_OLDEST,
                    PublishReceipt)
 from .guaranteed import GuaranteedConsumer, GuaranteedPublisher, LedgerEntry
 from .message import Envelope, Packet, PacketKind, QoS
-from .metrics import MetricsPublisher, MetricsRegistry
+from .metrics import MetricsRegistry
 from .reliable import (PeerSession, RefusedSession, ReliableConfig,
                        ReliableReceiver, ReliableSender)
 from .subjects import BadSubjectError, SubjectTrie, validate_subject
@@ -113,10 +113,10 @@ def advert_digest(patterns: Iterable[str]) -> bytes:
 
 
 #: Reserved subject space for telemetry snapshots: a daemon publishes
-#: its registry on ``_bus.stat.<host>.daemon``, a router on
-#: ``_bus.stat.<router>.router``.  Reserved (``_``-prefixed) subjects
-#: are invisible to ``>`` wildcards — subscribe ``_bus.stat.>``
-#: explicitly (see :class:`repro.apps.bus_browser.BusBrowser`).
+#: its registry on ``_bus.stat.<host>.daemon``.  Reserved
+#: (``_``-prefixed) subjects are invisible to ``>`` wildcards —
+#: subscribe ``_bus.stat.>`` explicitly (see
+#: :class:`repro.apps.bus_browser.BusBrowser`).
 STAT_SUBJECT_PREFIX = "_bus.stat"
 
 _by_seq = attrgetter("seq")   # subscription order
@@ -456,19 +456,19 @@ class BusDaemon:
         #: stat subject -> when the send lane is done with its last
         #: snapshot (``send_free_at`` read right after the broadcast)
         self._stat_on_lane: Dict[str, float] = {}
-        self._stat_publisher: Optional[MetricsPublisher] = None
+        self._stat_timer: Optional[PeriodicTimer] = None
         if self.config.stat_interval > 0:
-            self._stat_publisher = MetricsPublisher(
-                self.sim, self.metrics, self._publish_stats,
-                self.config.stat_interval, name="daemon.stat")
+            self._stat_timer = PeriodicTimer(
+                self.sim, self.config.stat_interval, self._publish_stats,
+                name="daemon.stat")
         self._started = True
 
     def _on_crash(self) -> None:
         self._started = False
         if self._advert_timer is not None:
             self._advert_timer.stop()
-        if self._stat_publisher is not None:
-            self._stat_publisher.stop()
+        if self._stat_timer is not None:
+            self._stat_timer.stop()
         self._heartbeat.stop()
         for lane in self._lanes.values():
             if lane.drain_event is not None:
@@ -481,7 +481,6 @@ class BusDaemon:
 
     def _on_recover(self) -> None:
         self._start()
-        self._gcon.recover()
         # clients re-attach once, after *every* plane has restarted:
         # the last plane's listener runs last, and an earlier plane
         # doing it would fan subscriptions into planes still down
@@ -964,7 +963,7 @@ class BusDaemon:
     # ------------------------------------------------------------------
     # telemetry plane (reserved ``_bus.stat.*`` subjects)
     # ------------------------------------------------------------------
-    def _publish_stats(self, snapshot: Dict[str, Any]) -> None:
+    def _publish_stats(self) -> None:
         """Publish one registry snapshot on ``_bus.stat.<host>.daemon``.
 
         Snapshots are self-describing data objects (the
@@ -977,7 +976,7 @@ class BusDaemon:
         record = {"host": self.host.address,
                   "time": self.sim.now,
                   "interval": self.config.stat_interval,
-                  "metrics": snapshot}
+                  "metrics": self.metrics.snapshot()}
         subject = f"{STAT_SUBJECT_PREFIX}.{self.host.address}.daemon"
         if self.shard_count > 1:
             # shard planes are separate snapshot sources: an extra
@@ -988,8 +987,7 @@ class BusDaemon:
         payload = encode(record)
         self.publish_stat_bytes(subject, payload)
 
-    def publish_stat_bytes(self, subject: str, payload: bytes,
-                           via: tuple = ()) -> None:
+    def publish_stat_bytes(self, subject: str, payload: bytes) -> None:
         """Broadcast a telemetry envelope outside the data plane.
 
         Stat envelopes are *unsequenced* (``seq == 0``): they bypass the
@@ -1007,7 +1005,7 @@ class BusDaemon:
             return
         envelope = Envelope(subject=subject, sender=self.session,
                             session=self.session, seq=0, payload=payload,
-                            publish_time=self.sim.now, via=tuple(via))
+                            publish_time=self.sim.now)
         self._dispatch(envelope, False)        # local subscribers
         self._pump_fire(envelope)
 

@@ -1,5 +1,5 @@
 """The shared flow-control layer: bounded queues, overflow policies, and
-credit-style backpressure.
+backpressure.
 
 Every place a message can wait — the daemon's outbound publish queue, the
 per-application delivery lanes, the sender's retention window, the WAN
@@ -26,19 +26,15 @@ itself the same way:
 * :class:`BoundedBuffer` — the keyed rolling window (seq → envelope) of
   the sender's retention: a full buffer evicts its oldest entry.
 
-* *Credit* — a queue that has pushed back (deferred or shed) counts one
-  credit in ``flow.<name>.credits`` and emits a ``flow.credit`` trace
-  event once it drains to half its capacity.  Pressure reaches the
-  producer as admission results (a ``DEFERRED`` publish is the
-  producer's to retry); relief is observable as credits.
+Pressure reaches the producer as admission results: a ``DEFERRED``
+publish is the producer's to retry.
 
-Every queue holds nine ``flow.<name>.*`` instruments — offers,
+Every queue holds eight ``flow.<name>.*`` instruments — offers,
 acceptances, deferrals, sheds (split by which end was dropped), drains,
-credits, depth and high watermark — in its owner's metrics registry, or
-a private one when none is given; ``snapshot()`` reads them as one dict.
+depth and high watermark — in its owner's metrics registry, or a
+private one when none is given; ``snapshot()`` reads them as one dict.
 A :class:`BoundedQueue` given a tracer emits ``flow.drop`` /
-``flow.defer`` / ``flow.credit`` trace events so overload is observable,
-not silent.
+``flow.defer`` trace events so overload is observable, not silent.
 """
 
 from __future__ import annotations
@@ -112,7 +108,6 @@ class _Bounded:
         self.dropped_newest = scope.counter("dropped_newest")
         self.dropped_oldest = scope.counter("dropped_oldest")
         self.drained = scope.counter("drained")
-        self.credits = scope.counter("credits")
 
     def __len__(self) -> int:
         return len(self._items)
@@ -131,7 +126,7 @@ class _Bounded:
             "dropped_newest": self.dropped_newest.value,
             "dropped_oldest": self.dropped_oldest.value,
             "dropped": self.dropped_newest.value + self.dropped_oldest.value,
-            "drained": self.drained.value, "credits": self.credits.value,
+            "drained": self.drained.value,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -140,12 +135,10 @@ class _Bounded:
 
 
 class BoundedQueue(_Bounded):
-    """A FIFO with a hard capacity, an overflow policy, and credit.
+    """A FIFO with a hard capacity and an overflow policy.
 
     ``sheddable`` (every item, when None) says which items the policy
-    may drop — e.g. guaranteed-QoS envelopes are never shed.  A queue
-    that pushed back counts a credit once it drains to half its
-    capacity (:attr:`resume_at`).
+    may drop — e.g. guaranteed-QoS envelopes are never shed.
     """
 
     def __init__(self, name: str, capacity: int,
@@ -155,13 +148,10 @@ class BoundedQueue(_Bounded):
                  now: Optional[Callable[[], float]] = None,
                  metrics: Optional[MetricsRegistry] = None):
         super().__init__(name, capacity, policy, metrics)
-        #: queue depth at which a pressured queue counts a credit
-        self.resume_at = capacity // 2
         self._sheddable = sheddable
         self._items: Deque[Any] = deque()
         self._tracer = tracer
         self._now = now or (lambda: 0.0)
-        self._pressured = False
 
     # ------------------------------------------------------------------
     # introspection
@@ -181,7 +171,6 @@ class BoundedQueue(_Bounded):
             self._note_depth()
             self.accepted.value += 1
             return Admission.ACCEPTED
-        self._pressured = True
         sheddable = self._sheddable
         if self.policy != POLICY_BLOCK and (sheddable is None
                                             or sheddable(item)):
@@ -239,11 +228,10 @@ class BoundedQueue(_Bounded):
     # consumer side
     # ------------------------------------------------------------------
     def take(self) -> Any:
-        """Dequeue the head; counts a credit when pressure is relieved."""
+        """Dequeue the head."""
         item = self._items.popleft()
         self.drained.value += 1
         self.depth.value = len(self._items)
-        self._maybe_credit()
         return item
 
     def __iter__(self) -> Iterator[Any]:
@@ -259,26 +247,14 @@ class BoundedQueue(_Bounded):
             out.append(self._items.popleft())
         self.drained.value += len(out)
         self.depth.value = len(self._items)
-        if out:
-            self._maybe_credit()
         return out
 
     def clear(self) -> int:
-        """Discard everything queued (crash/shutdown); returns the count.
-
-        Deliberately counts no credit: the owner is going away.
-        """
+        """Discard everything queued (crash/shutdown); returns the count."""
         count = len(self._items)
         self._items.clear()
         self.depth.value = 0
-        self._pressured = False
         return count
-
-    def _maybe_credit(self) -> None:
-        if self._pressured and len(self._items) <= self.resume_at:
-            self._pressured = False
-            self.credits.value += 1
-            self._trace("flow.credit", depth=len(self._items))
 
 
 class BoundedBuffer(_Bounded):
@@ -363,9 +339,8 @@ class PublishReceipt:
     ``accepted`` publishes are on their way.  ``deferred`` means the
     outbound queue pushed back — guaranteed-QoS messages are already in
     the stable ledger and will be retransmitted automatically; a reliable
-    publisher retries it itself (relief shows as the outbound queue's
-    ``flow.<q>.credits`` counter).  ``dropped`` means the admission
-    policy shed the message.
+    publisher retries it itself.  ``dropped`` means the admission policy
+    shed the message.
     """
 
     admission: Admission

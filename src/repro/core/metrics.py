@@ -25,8 +25,8 @@ A :class:`MetricsRegistry` names instruments hierarchically
 renders the whole family as plain self-describing dicts via
 :meth:`~MetricsRegistry.snapshot` — ready to marshal with
 :mod:`repro.objects` and publish on the reserved ``_bus.stat.*``
-subjects (see :class:`MetricsPublisher` and
-:meth:`repro.core.daemon.BusDaemon.publish_stat_bytes`).
+subjects (a daemon does, every ``BusConfig.stat_interval`` seconds:
+see :meth:`repro.core.daemon.BusDaemon.publish_stat_bytes`).
 
 Two properties the telemetry plane guarantees, both test-asserted:
 
@@ -36,8 +36,8 @@ Two properties the telemetry plane guarantees, both test-asserted:
    counters) to the same seed with it off.
 2. **Stat traffic never echo-amplifies.**  Stat envelopes are stamped
    ``seq == 0`` and excluded from the counters they would perturb; the
-   publisher's skip rule and stat socket are deliberately *not*
-   registry instruments (see ``docs/OBSERVABILITY.md``).
+   daemon's stat timer, skip rule and stat socket are deliberately
+   *not* registry instruments (see ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -46,10 +46,8 @@ from bisect import bisect_left
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
-from ..sim.kernel import PeriodicTimer, Simulator
-
 __all__ = ["Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram",
-           "MetricsPublisher", "MetricsRegistry", "MetricsScope"]
+           "MetricsRegistry", "MetricsScope"]
 
 
 class Counter:
@@ -289,45 +287,6 @@ class MetricsScope:
 
     def scope(self, prefix: str) -> "MetricsScope":
         return MetricsScope(self._registry, f"{self._prefix}.{prefix}")
-
-
-class MetricsPublisher:
-    """Periodically renders a registry and hands the snapshot to a sink.
-
-    The sink (``publish``) is typically
-    ``BusDaemon._publish_stats`` — which wraps the
-    snapshot in a self-describing payload and broadcasts it on the
-    reserved ``_bus.stat.<host>.*`` subject space, straight onto the
-    send lane unless that subject's previous snapshot is still on it.
-    The publisher itself only owns the
-    timer; what "publish" means (and how its self-traffic is kept out of
-    the counters) is the sink's contract.
-    """
-
-    def __init__(self, sim: Simulator, registry: MetricsRegistry,
-                 publish: Callable[[Dict[str, Dict[str, Any]]], None],
-                 interval: float, name: str = "metrics.publish"):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive (got {interval})")
-        self.registry = registry
-        self.interval = interval
-        self._publish = publish
-        #: snapshots taken so far — a plain attribute, deliberately NOT a
-        #: registry instrument: the publisher must not publish stats
-        #: about its own publishing (the echo-amplification guard)
-        self.snapshots_published = 0
-        self._timer = PeriodicTimer(sim, interval, self._fire, name=name)
-
-    def _fire(self) -> None:
-        self.snapshots_published += 1
-        self._publish(self.registry.snapshot())
-
-    def stop(self) -> None:
-        self._timer.stop()
-
-    @property
-    def stopped(self) -> bool:
-        return self._timer.stopped
 
 
 def sum_counters(snapshot: Dict[str, Dict[str, Any]],

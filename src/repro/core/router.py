@@ -55,12 +55,11 @@ from ..sim.trace import Tracer
 from .bus import InformationBus
 from .client import BusClient, Subscription
 from .contracts import admits
-from .daemon import (ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX,
-                     STAT_SUBJECT_PREFIX, advert_digest)
+from .daemon import ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX, advert_digest
 from .flow import Admission, BoundedQueue
 from .guaranteed import GuaranteedConsumer
 from .message import MessageInfo, QoS
-from .metrics import Counter, MetricsPublisher, MetricsRegistry
+from .metrics import Counter, MetricsRegistry
 from .subjects import SubjectTrie
 
 __all__ = ["Router", "RouterLeg", "WanLink"]
@@ -252,10 +251,6 @@ class RouterLeg:
         self._sf_seen = GuaranteedConsumer(self.host, self._SF_SEEN)
         self.host.on_recover(self._on_host_recover)
         self.client.subscribe(ADVERT_SUBJECT, self._on_advert)
-        if router.bridge_stats:
-            # bridge the telemetry plane too: snapshots published on one
-            # segment become visible to browsers on the other
-            self.client.subscribe(f"{STAT_SUBJECT_PREFIX}.>", self._on_stat)
 
     @property
     def messages_forwarded(self) -> int:
@@ -494,30 +489,6 @@ class RouterLeg:
         obj = decode(msg["payload"], self.router.registry)
         self.republish(msg["subject"], obj, tuple(msg["via"]))
 
-    # ------------------------------------------------------------------
-    # telemetry bridging (``bridge_stats=True``)
-    # ------------------------------------------------------------------
-    def _on_stat(self, subject: str, payload: Any, info: MessageInfo) -> None:
-        """A ``_bus.stat.*`` snapshot surfaced on this leg's segment."""
-        if self.router.name in info.via:
-            return   # already traversed this router: never loop telemetry
-        self.router._ship_stat(self, subject, payload, info.via)
-
-    def _stat_receive(self, _origin_name: str, data: bytes) -> None:
-        """Target side: re-broadcast a bridged snapshot on this segment.
-
-        Stat traffic stays outside the data plane end to end — it leaves
-        through the daemon's unsequenced stat path, not an ordinary
-        publish, so bridged telemetry is droppable and uncounted exactly
-        like locally produced telemetry.
-        """
-        if not self.client.daemon.up:
-            return
-        msg = decode(data, self.router.registry)
-        self.client.daemon.publish_stat_bytes(
-            msg["subject"], msg["payload"],
-            via=tuple(msg["via"]) + (self.router.name,))
-
     def _wants_receive(self, origin_name: str, data: bytes) -> None:
         msg = decode(data, self.router.registry)
         self.remote_wants(origin_name, msg["action"], msg["patterns"])
@@ -552,15 +523,13 @@ class Router:
     All buses must share one :class:`~repro.sim.kernel.Simulator` (pass
     ``sim=`` when constructing them).  Legs are fully meshed over
     ``link``, and everything one leg tells another (forwarded messages,
-    interest changes, store-and-forward records and their acks, bridged
-    snapshots) crosses it through :meth:`_send`.
+    interest changes, store-and-forward records and their acks) crosses
+    it through :meth:`_send`.
     """
 
     def __init__(self, name: str = "router",
                  link: Optional[WanLink] = None,
-                 store_and_forward: bool = False,
-                 stat_interval: float = 0.0,
-                 bridge_stats: bool = False):
+                 store_and_forward: bool = False):
         self.name = name
         self.link = link or WanLink()
         #: with store-and-forward, guaranteed-QoS messages are stably
@@ -572,18 +541,11 @@ class Router:
         #: seconds).  The paper's "logging messages to non-volatile
         #: storage" router function.
         self.store_and_forward = store_and_forward
-        #: seconds between router-registry snapshots published on
-        #: ``_bus.stat.<router>.router`` (on every leg); 0 disables
-        self.stat_interval = stat_interval
-        #: forward ``_bus.stat.*`` snapshots between segments so a
-        #: browser on one bus aggregates the whole federation
-        self.bridge_stats = bridge_stats
         self.legs: Dict[str, RouterLeg] = {}
         self.registry = standard_registry()
         #: per-leg forwarding counters and the WAN link's instruments
         self.metrics = MetricsRegistry()
         self.link.attach_metrics(self.metrics.scope(f"router.{self.name}"))
-        self._stat_publisher: Optional[MetricsPublisher] = None
         self._sim: Optional[Simulator] = None
 
     def add_leg(self, bus: InformationBus, host_address: Optional[str] = None,
@@ -598,10 +560,6 @@ class Router:
         address = host_address or f"{self.name}-{bus.name}"
         leg = RouterLeg(self, bus, address, transform, log_traffic)
         self.legs[leg.name] = leg
-        if self.stat_interval > 0 and self._stat_publisher is None:
-            self._stat_publisher = MetricsPublisher(
-                self._sim, self.metrics, self._publish_stats,
-                self.stat_interval, name="router.stat")
         return leg
 
     # ------------------------------------------------------------------
@@ -626,28 +584,3 @@ class Router:
         for name in self.legs:
             if name != origin.name:
                 self._send(origin, name, data, RouterLeg._wants_receive)
-
-    def _publish_stats(self, snapshot: Dict[str, Any]) -> None:
-        """Publish the router's registry on every leg's segment.
-
-        Stamped ``via=(self.name,)`` so stat-bridging legs recognize it
-        as already-traversed and never re-ship it over the WAN (every
-        leg got it directly — bridging would only duplicate).
-        """
-        payload = encode({"host": self.name, "time": self._sim.now,
-                          "interval": self.stat_interval,
-                          "metrics": snapshot})
-        subject = f"{STAT_SUBJECT_PREFIX}.{self.name}.router"
-        for leg in self.legs.values():
-            leg.client.daemon.publish_stat_bytes(subject, payload,
-                                                 via=(self.name,))
-
-    def _ship_stat(self, origin: RouterLeg, subject: str, payload: Any,
-                   via: tuple) -> None:
-        """Bridge one snapshot to every other leg, droppable like any
-        telemetry: a snapshot a full WAN queue defers is not retried."""
-        data = encode({"subject": subject, "payload": encode(payload),
-                       "via": list(via)})
-        for name in self.legs:
-            if name != origin.name:
-                self._send(origin, name, data, RouterLeg._stat_receive)

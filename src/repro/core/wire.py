@@ -568,7 +568,6 @@ _wire_metrics.gauge("wire.decode_memo.capacity",
 _wire_metrics.gauge("wire.decode_memo.size", source=lambda: len(_memo))
 _digest_memo_hits = _wire_metrics.counter("wire.digest_memo.hits")
 _digest_memo_misses = _wire_metrics.counter("wire.digest_memo.misses")
-_wire_metrics.gauge("wire.digest_memo.size", source=lambda: len(_memo))
 #: typedef-region accounting: definitions written by encoders vs
 #: definitions learned by fresh (non-memoized) walks of a typedef region
 _typedef_defined = _wire_metrics.counter("wire.typedef.defined")

@@ -18,9 +18,6 @@ Flow-control events (:mod:`repro.core.flow`) share the ``flow.`` prefix:
 ``flow.defer``
     A full queue pushed back instead of shedding — always the fate of
     guaranteed-QoS traffic (``queue``, ``depth``).
-``flow.credit``
-    A queue that had pushed back drained below its resume threshold;
-    upstream may resume (``queue``, ``depth``).
 
 Tracing must never change behavior — emitters may not branch on what
 was recorded, so a traced run and an untraced run of the same seed are

@@ -134,8 +134,8 @@ def contracts_for(subject):
 
 
 def test_a_clean_federation_refuses_nothing():
-    """Two buses (one sharded) with stat publishing, a stat-bridging
-    router, an exclusive server group, a browser on each side and an
+    """Two buses (one sharded) with stat publishing, a router, an
+    exclusive server group, a browser on each side and an
     ``RmiClient(policy="all")``: every real producer conforms."""
     sim = Simulator(seed=7)
     tracer = Tracer(enabled=True)
@@ -160,7 +160,7 @@ def test_a_clean_federation_refuses_nothing():
     # a table the router joins too late to hear: it learns it by solicit
     west.client("w00", "sub").subscribe("feed.>", lambda *a: None)
     sim.run_until(0.1)
-    router = Router(bridge_stats=True, stat_interval=0.25)
+    router = Router()
     router.add_leg(east)
     router.add_leg(west)
     taps = []

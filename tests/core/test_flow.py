@@ -123,52 +123,11 @@ def test_trace_events_emitted():
     q.offer("a")
     q.offer("b")                       # flow.drop
     q.offer("g")                       # flow.defer
-    q.take()                           # flow.credit (pressured, drained)
+    q.take()                           # draining emits nothing
     counts = Counter(record.category for record in tracer.records
                      if record.category.startswith("flow."))
-    assert counts == {"flow.drop": 1, "flow.defer": 1, "flow.credit": 1}
+    assert counts == {"flow.drop": 1, "flow.defer": 1}
     assert tracer.select("flow.drop")[0]["queue"] == "q"
-
-
-# ----------------------------------------------------------------------
-# credits (backpressure relief)
-# ----------------------------------------------------------------------
-def test_credit_fires_once_when_drained_to_resume_at():
-    tracer = Tracer(enabled=True)
-    q = BoundedQueue("q", capacity=4, policy=POLICY_BLOCK, tracer=tracer)
-    assert q.resume_at == 2            # half the capacity
-
-    def credits():
-        return [r["depth"] for r in tracer.select("flow.credit")]
-
-    for item in range(4):
-        q.offer(item)
-    assert credits() == []             # full but nobody pushed back yet
-    assert q.offer(99) is Admission.DEFERRED
-    q.take()                           # depth 3 > resume_at
-    assert credits() == []
-    q.take()                           # depth 2 == resume_at -> credit
-    assert credits() == [2]
-    q.take()                           # no further credits until re-pressured
-    assert credits() == [2]
-    assert q.credits.value == 1
-    q.offer("a")
-    q.offer("b")
-    q.offer("c")                       # full again, nobody pushed back
-    q.take()
-    assert q.credits.value == 1
-
-
-def test_clear_does_not_fire_credits():
-    tracer = Tracer(enabled=True)
-    q = BoundedQueue("q", capacity=1, tracer=tracer)
-    q.offer("a")
-    q.offer("b")       # deferred -> pressured
-    assert q.clear() == 1
-    q.offer("c")
-    q.take()           # clear() relieved the pressure without a credit
-    assert q.credits.value == 0
-    assert tracer.select("flow.credit") == []
 
 
 # ----------------------------------------------------------------------

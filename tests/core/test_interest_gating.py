@@ -254,6 +254,35 @@ def test_undefined_entry_bit_fails_closed(flag):
     assert_fails_closed(with_digest_flag(flag, "zq.a", session="evil#0"))
 
 
+def test_via_flag_with_no_hops_fails_closed():
+    """Entry bit 0x40 promises at least one ``via`` hop: a CRC-valid
+    frame whose body writes a hop count of 0 is refused by the full
+    decode (the digest, which holds no bodies, still reads), counted
+    once at the daemon that wanted its subject, and the bus carries on."""
+    hostile = make_envelope("zq.a", 1, "evil#0", via=("hopzz",))
+    body = unframe(encode_packet(Packet(PacketKind.DATA, "evil#0",
+                                        [hostile], session_start=0.0)))
+    hop = b"\x01\x05hopzz"              # hop count 1, then the hop
+    assert body.count(hop) == 1
+    tampered = frame(body.replace(hop, b"\x00"))
+    assert read_digest(tampered, peers=Learned()).subjects == ("zq.a",)
+    with pytest.raises(CorruptFrame, match="via flag with no hops") as caught:
+        decode_packet(tampered, peers=Learned())
+    assert type(caught.value) is CorruptFrame  # nothing to repair
+    bus = make_bus(advertise_subscriptions=False)
+    got = []
+    bus.client("node01", "mon").subscribe(
+        "zq.>", lambda subject, obj, info: got.append((subject, obj)))
+    evil_socket(bus).broadcast(tampered, DAEMON_PORT)
+    bus.run_for(1.0)
+    assert got == []
+    assert bus.daemons["node01"].corrupt_dropped == 1
+    bus.client("node00", "pub").publish("zq.b", {"n": 1})
+    bus.run_for(1.0)
+    assert got == [("zq.b", {"n": 1})]
+    assert bus.daemons["node01"].corrupt_dropped == 1
+
+
 def test_magic_bit_restores_the_payload_a_marshaller_wrote():
     """Entry bit 0x04: a payload that starts with the marshal magic goes
     on the wire without it, and comes back byte-identical; any other

@@ -8,9 +8,8 @@ import pytest
 
 from repro.core import (BatchConfig, BusConfig, FlowConfig, ReliableConfig,
                         WanLink)
-from repro.core.metrics import (Counter, Gauge, Histogram, MetricsPublisher,
-                                MetricsRegistry, sum_counters)
-from repro.sim import Simulator
+from repro.core.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
+                                sum_counters)
 
 
 def test_counter_hot_path_and_snapshot():
@@ -153,28 +152,6 @@ def test_every_busconfig_field_is_documented():
         rows = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
         assert sorted(rows) == sorted(
             f.name for f in dataclasses.fields(config)), config.__name__
-
-
-def test_publisher_fires_on_interval_and_stops():
-    sim = Simulator(seed=1)
-    reg = MetricsRegistry()
-    reg.counter("ticks")
-    seen = []
-    pub = MetricsPublisher(sim, reg, seen.append, interval=0.5)
-    sim.run_until(1.8)
-    assert pub.snapshots_published == 3
-    assert len(seen) == 3
-    assert "ticks" in seen[0]
-    pub.stop()
-    sim.run_until(5.0)
-    assert pub.snapshots_published == 3
-    assert pub.stopped
-
-
-def test_publisher_rejects_nonpositive_interval():
-    sim = Simulator(seed=1)
-    with pytest.raises(ValueError):
-        MetricsPublisher(sim, MetricsRegistry(), lambda s: None, interval=0)
 
 
 def test_sum_counters_matches_suffixes_only():

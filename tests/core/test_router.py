@@ -272,6 +272,31 @@ def test_malformed_solicit_is_dropped_and_counted(payload):
     assert snapshots == [["news.equity.>"]]
 
 
+def test_undecodable_solicit_is_dropped_and_counted():
+    """A solicit payload that does not even unmarshal is refused like a
+    misshapen one: nothing raises, it is counted once in that host's
+    registry, no table goes out, and a well-formed solicit after it is
+    answered."""
+    bus = InformationBus(seed=3, cost=CostModel.ideal(), config=fast_config())
+    bus.add_hosts(2, prefix="e")
+    snapshots = []
+    bus.client("e00", "watcher").subscribe(
+        ADVERT_SUBJECT, lambda s, o, i: snapshots.extend(
+            [o["patterns"]] if o["action"] == "snapshot" else []))
+    bus.client("e01", "mon").subscribe("news.equity.>", lambda *a: None)
+    rogue = bus.client("e00", "rogue")
+    bus.run_for(0.3)
+    rogue.publish_bytes(f"{SOLICIT_SUBJECT_PREFIX}.e01", b"garbage")
+    bus.run_for(0.1)
+    counter = "daemon.e01.contract.sub_solicit.refused"
+    assert bus.daemon("e01").metrics.snapshot()[counter]["value"] == 1
+    assert snapshots == []
+    rogue.publish(f"{SOLICIT_SUBJECT_PREFIX}.e01", {"host": "e01"})
+    bus.run_for(0.1)
+    assert snapshots == [["news.equity.>"]]
+    assert bus.daemon("e01").metrics.snapshot()[counter]["value"] == 1
+
+
 def late_router(east, west, at):
     """A router joining ``east`` and ``west`` at simulated time ``at``."""
     east.sim.run_until(at)

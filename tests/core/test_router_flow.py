@@ -141,6 +141,12 @@ def test_deprecated_stats_aliases_are_gone():
         (leg.client, ("on_flow_credit",)),
         (daemon._sender, ("retention_stats",)),
         (Adapter, ("stats",)),
+        # the router's telemetry publisher and stat bridge, and the
+        # flow credits nothing waited on
+        (router, ("stat_interval", "bridge_stats", "_publish_stats",
+                  "_ship_stat")),
+        (leg, ("_on_stat", "_stat_receive")),
+        (daemon._outbound, ("credits", "resume_at")),
     ]
     for owner, names in retired:
         for name in names:

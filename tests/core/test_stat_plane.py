@@ -14,8 +14,10 @@ And the property a console needs: a snapshot goes straight onto the
 send lane like a heartbeat, so a saturated host stays visible.
 """
 
+from collections import Counter
+
 from repro.apps.bus_browser import BusBrowser
-from repro.core import BusConfig, InformationBus, QoS
+from repro.core import BusConfig, BusDaemon, InformationBus, QoS
 from repro.sim import Simulator  # noqa: F401  (re-exported fixture surface)
 from repro.sim.network import CostModel
 from repro.sim.trace import Tracer
@@ -88,9 +90,25 @@ def test_stat_publishing_is_behavior_neutral():
     assert off["inbox"]   # and the workload actually delivered something
 
 
-def test_stat_traffic_never_echo_amplifies():
+def _count_stat_fires(monkeypatch):
+    """Wrap ``BusDaemon._publish_stats`` (before the bus is built, so
+    each stat timer binds the wrapper): host address -> how many times
+    that host's stat timer fired."""
+    fires = Counter()
+    publish = BusDaemon._publish_stats
+
+    def counted(daemon):
+        fires[daemon.host.address] += 1
+        publish(daemon)
+
+    monkeypatch.setattr(BusDaemon, "_publish_stats", counted)
+    return fires
+
+
+def test_stat_traffic_never_echo_amplifies(monkeypatch):
     """An idle bus publishing only telemetry: data-plane counters stay
     zero, snapshots stay bit-stable, one wire frame per snapshot."""
+    fires = _count_stat_fires(monkeypatch)
     config = BusConfig(stat_interval=0.05, advertise_subscriptions=False)
     bus = InformationBus(seed=3, config=config)
     bus.add_hosts(2)
@@ -104,13 +122,13 @@ def test_stat_traffic_never_echo_amplifies():
 
     assert len(snapshots) > 20          # telemetry flows...
     assert leaked == []                 # ...but never into ">" wildcards
-    for daemon in bus.daemons.values():
+    for address, daemon in bus.daemons.items():
         # seq-0 traffic is excluded from every data-plane counter
         assert daemon.published == 0
         assert daemon.delivered == 0
         # exactly one broadcast per snapshot: no stat-triggered stats
-        assert (daemon._stat_socket.datagrams_sent
-                == daemon._stat_publisher.snapshots_published)
+        assert fires[address] > 20
+        assert daemon._stat_socket.datagrams_sent == fires[address]
     # a daemon with no local stat subscriber reports bit-identical
     # metrics forever: its own publishing perturbs nothing it counts
     node00 = [o["metrics"] for s, o in snapshots
@@ -152,11 +170,13 @@ def _record_stat_sends(daemon):
     return sends
 
 
-def test_stat_skips_a_snapshot_while_its_predecessor_is_on_the_lane():
+def test_stat_skips_a_snapshot_while_its_predecessor_is_on_the_lane(
+        monkeypatch):
     """A busy send lane + a fast publisher: a snapshot whose subject's
     previous one is still on the lane is skipped, so the lane never
     holds two snapshots of one source, and the skip is no registry
     instrument."""
+    fires = _count_stat_fires(monkeypatch)
     cost = CostModel.ideal()
     cost.cpu_send_per_packet = 0.01      # each broadcast costs 10 ms
     config = BusConfig(stat_interval=0.005, advertise_subscriptions=False)
@@ -165,9 +185,8 @@ def test_stat_skips_a_snapshot_while_its_predecessor_is_on_the_lane():
     daemon = bus.daemons["node00"]
     sends = _record_stat_sends(daemon)
     bus.run_for(2.0)
-    published = daemon._stat_publisher.snapshots_published
     assert len(sends) == daemon._stat_socket.datagrams_sent
-    assert 10 < len(sends) < published                # some are skipped
+    assert 10 < len(sends) < fires["node00"]          # some are skipped
     for (_, _, done), (sent, _, _) in zip(sends, sends[1:]):
         assert sent >= done      # the previous snapshot left the lane
     # the skip rule keeps no registry instrument: the registry must

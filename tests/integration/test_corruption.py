@@ -10,9 +10,10 @@ duplicates and no reordering.
 
 import pytest
 
-from repro.core import InformationBus, QoS
+from repro.core import InformationBus, QoS, RmiClient, RmiServer
 from repro.core import wire
 from repro.sim import CostModel
+from tests.core.test_rmi import make_service, quote_registry
 
 
 @pytest.fixture(autouse=True)
@@ -95,6 +96,32 @@ def test_guaranteed_delivery_survives_corruption():
     assert sorted(got) == list(range(20))
     assert len(got) == len(set(got))   # exactly once
     assert bus.daemons["node00"].guaranteed_pending() == []
+
+
+def test_rmi_calls_survive_corrupted_stream_segments():
+    """RMI rides a point-to-point stream: a bit-flipped segment fails
+    its CRC, is counted in the stream manager's ``corrupt_dropped`` like
+    loss, and the stream's retransmission repairs it, so every call
+    completes once and executes once.  Discovery and connect run on a
+    clean wire first: what is under test is the stream."""
+    bus = make_bus(corrupt_rate=0.0, hosts=3, seed=1)
+    server = RmiServer(bus.client("node01", "qsvc"), "svc.quotes",
+                       make_service(quote_registry()))
+    rmi = RmiClient(bus.client("node00", "trader"), "svc.quotes")
+    results = []
+    rmi.call("symbols", {}, lambda value, error: results.append(error))
+    bus.run_for(1.0)
+    assert results == [None]
+    bus.lan.corrupt_rate = 0.3
+    for _ in range(5):
+        rmi.call("last", {"symbol": "GM"},
+                 lambda value, error: results.append(
+                     error or value.get("price")))
+    bus.run_for(30.0)
+    assert results == [None] + [41.5] * 5
+    assert server.calls_served == 6
+    assert server._streams.corrupt_dropped > 0
+    assert rmi._streams.corrupt_dropped > 0
 
 
 def test_decode_memo_never_masks_corruption():

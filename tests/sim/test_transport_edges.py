@@ -5,7 +5,9 @@ import pytest
 
 from repro.sim import (CostModel, DatagramSocket, EthernetSegment,
                        Simulator, StreamManager)
-from repro.sim.transport import FRAGMENT_HEADER
+from repro.sim.framing import CorruptFrame, frame, unframe
+from repro.sim.transport import (FRAGMENT_HEADER, _DATA, _StreamSeg,
+                                 _decode_seg, _encode_seg)
 
 
 def make_lan(cost=None, seed=0, n=2):
@@ -104,6 +106,39 @@ def test_stream_close_midstream_drops_queue():
     assert got == sorted(got)  # whatever arrived is prefix-ordered
     with pytest.raises(RuntimeError):
         conn.send(b"99")
+
+
+def test_malformed_segments_are_counted_and_the_stream_carries_on():
+    """A CRC-valid segment with an unknown kind code, or with bytes after
+    its payload, is refused by the segment codec and counted in the
+    manager's ``corrupt_dropped``: nothing raises, and an open
+    connection still carries data."""
+    sim, lan, (a, b, c) = make_lan(n=3)
+    server = StreamManager(sim, b, 50)
+    got = []
+    server.listen(lambda conn: setattr(conn, "on_message",
+                                       lambda m, s: got.append(m)))
+    client = StreamManager(sim, a, 51)
+    conn = client.connect("node1", 50)
+    conn.send(b"before")
+    sim.run_until(1.0)
+    assert got == [b"before"]
+    body = unframe(_encode_seg(_StreamSeg(_DATA, conn.conn_id, 99, b"x")))
+    unknown_kind = frame(bytes([9]) + body[1:])
+    trailing = frame(body + b"\x00")
+    with pytest.raises(CorruptFrame, match="unknown segment kind"):
+        _decode_seg(unknown_kind)
+    with pytest.raises(CorruptFrame, match="1 trailing bytes"):
+        _decode_seg(trailing)
+    rogue = DatagramSocket(sim, c, 60, lambda *x: None)
+    rogue.sendto(unknown_kind, "node1", 50)
+    rogue.sendto(trailing, "node1", 50)
+    sim.run_until(2.0)
+    assert server.corrupt_dropped == 2
+    conn.send(b"after")
+    sim.run_until(3.0)
+    assert got == [b"before", b"after"]
+    assert server.corrupt_dropped == 2 and client.corrupt_dropped == 0
 
 
 def test_two_connections_between_same_hosts_are_independent():

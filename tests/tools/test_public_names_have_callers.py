@@ -52,11 +52,10 @@ _META = "P2 meta-object surface"
 _LIFECYCLE = "lifecycle"
 _FAULT = "fault injection a test drives"
 _WIRE_HALF = "client half of a wire format whose server half parses outside input"
-_TELEMETRY = "the telemetry plane, which no run outside the tests turns on"
 _SHRINK = "tests shrink it to provoke a behaviour"
 
 #: the only reasons a name may stay with no caller outside the tests
-REASONS = {_META, _LIFECYCLE, _FAULT, _WIRE_HALF, _TELEMETRY, _SHRINK}
+REASONS = {_META, _LIFECYCLE, _FAULT, _WIRE_HALF, _SHRINK}
 
 #: names that stay although only tests reach them: name -> reason.
 #: ``C.m`` is a method, ``C(p=)`` a constructor parameter or dataclass
@@ -74,9 +73,6 @@ TEST_ONLY = {
     "EthernetSegment.partitioned": _FAULT,
     # the other half is predicate_from_wire in QueryServer._find_where
     "repository.query.predicate_to_wire": _WIRE_HALF,
-    "BusConfig(stat_interval=)": _TELEMETRY,
-    "Router(stat_interval=)": _TELEMETRY,
-    "Router(bridge_stats=)": _TELEMETRY,
     "BusConfig(ack_quorum=)": _SHRINK,
     "BusConfig(seen_ledger_cap=)": _SHRINK,
     "ReliableConfig(nack_delay=)": _SHRINK,
