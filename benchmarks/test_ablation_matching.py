@@ -8,11 +8,18 @@ behind the paper's "subject-based addressing scales more easily ... than
 attribute qualification" argument.
 """
 
+import statistics
+import time
+
 from repro.bench import Report
 from repro.core import SubjectTrie, subject_matches
 
 PATTERN_COUNTS = [100, 1000, 10000]
 PROBES = 200
+#: timed passes per point; the table reports their median, after one
+#: untimed warm-up pass (a single cold pass read 20x the committed
+#: figure on one machine)
+REPEATS = 5
 
 
 def build_patterns(count):
@@ -47,8 +54,22 @@ def linear_match_all(patterns, subjects):
     return total
 
 
-def test_trie_matching_scales(benchmark):
-    import time
+def timed(match_all, table, subjects):
+    """``(hits, median seconds per pass)`` of ``match_all`` over
+    ``subjects``: one warm-up pass, then :data:`REPEATS` timed ones."""
+    hits = match_all(table, subjects)
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        assert match_all(table, subjects) == hits
+        times.append(time.perf_counter() - t0)
+    return hits, statistics.median(times)
+
+
+def test_trie_matching_scales(benchmark, monkeypatch):
+    # the trie walks every probe: with its match memo on, every pass
+    # after the first would time a dict lookup, not the walk
+    monkeypatch.setattr("repro.core.subjects.MEMO_CAPACITY", 0)
     rows = []
     for count in PATTERN_COUNTS:
         patterns = build_patterns(count)
@@ -56,15 +77,9 @@ def test_trie_matching_scales(benchmark):
         for index, pattern in enumerate(patterns):
             trie.insert(pattern, index)
         subjects = probe_subjects(count)
-
-        t0 = time.perf_counter()
-        trie_hits = trie_match_all(trie, subjects)
-        trie_time = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        linear_hits = linear_match_all(patterns, subjects)
-        linear_time = time.perf_counter() - t0
-
+        trie_hits, trie_time = timed(trie_match_all, trie, subjects)
+        linear_hits, linear_time = timed(linear_match_all, patterns,
+                                         subjects)
         assert trie_hits == linear_hits   # same semantics
         rows.append([count, trie_time * 1e6 / len(subjects),
                      linear_time * 1e6 / len(subjects),

@@ -30,16 +30,17 @@ lengthens its first wait:
 * **cut.**  A group is cut when it is released, on bytes alone:
   *before* the envelope that would take its bytes past
   ``batch_bytes``.  Its bytes are the envelopes'
-  :attr:`~repro.core.message.Envelope.size` — each one's plain digest
-  entry plus its standalone plain body, an upper bound on its share of
-  a compressed frame once the session's table holds its strings (the
-  frame writes ids, and drops a sender or publish time the envelope
-  before it gave) — so a group outgrows one datagram only in one case:
-  a compressed frame also carries the inline definitions of strings
-  its envelopes use for the first time, and ``Envelope.size`` does not
-  count them (``sparse_interest`` at seed 1 sends 67 such oversize
-  datagrams of 7,022, fragmented).  A group that is full does not
-  wait out the delay: on an idle lane it leaves at once.
+  :attr:`~repro.core.message.Envelope.size` — each one's digest entry
+  and standalone body with its header strings counted inline, an upper
+  bound on its share of a frame once the session's table holds its
+  strings (the frame writes ids, and drops a sender or publish time the
+  envelope before it gave).  So a frame outgrows its group's total in
+  one case only, and by at most two ids (a definition's and a
+  reference's) per string its envelopes use for the first time: the
+  frame defines that string inline.  No ledger workload meets it (at
+  seed 1 ``sparse_interest`` sends no datagram above the MTU; its
+  largest is 892 B).  A group that is full does not wait out the
+  delay: on an idle lane it leaves at once.
 
 So batching off never delays an envelope on purpose, and a burst is
 still a few full datagrams; batching on trades ``batch_delay`` of
@@ -71,9 +72,9 @@ class BatchConfig:
 
     enabled: bool = False
     #: A group is cut before an envelope that would take its bytes past
-    #: this (chosen so a group fills one MTU-sized datagram, and outgrows
-    #: it only by the first-use string definitions a compressed frame
-    #: carries inline, which ``Envelope.size`` does not count).
+    #: this (chosen so a group fills one MTU-sized datagram; its frame
+    #: exceeds that total by at most two ids per string it uses for the
+    #: first time, whose definition it carries inline).
     batch_bytes: int = 1400
     #: With batching on, the first envelope held while the lane is idle
     #: waits this long for followers (a full group leaves sooner).

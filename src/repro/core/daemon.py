@@ -264,8 +264,8 @@ class BusDaemon:
         self._guaranteed_deferred = scope.counter("guaranteed_deferred")
         #: datagrams dropped because their frame failed wire validation
         self._corrupt_dropped = scope.counter("wire.corrupt_dropped")
-        #: CRC-valid compressed frames dropped because they referenced
-        #: string-table ids this daemon never learned (repaired via NACK)
+        #: CRC-valid frames dropped because they referenced string-table
+        #: ids this daemon never learned (repaired via NACK)
         self._unresolved_dropped = scope.counter("wire.unresolved_dropped")
         #: CRC-valid typed frames dropped because they referenced
         #: session type ids this daemon never learned (repaired via NACK;
@@ -711,16 +711,12 @@ class BusDaemon:
             elif kind is PacketKind.NACK:
                 self._serve_nack(packet, src)
             elif kind is PacketKind.ACK:
-                # both fields are optional on the wire; an ACK that does
-                # not say what was received, or by whom, confirms nothing
-                ledger_id, consumer = packet.ack_ledger_id, packet.ack_consumer
-                if isinstance(ledger_id, str) and isinstance(consumer, str):
-                    self._gpub.handle_ack(ledger_id, consumer)
+                self._gpub.handle_ack(packet.ack_ledger_id,
+                                      packet.ack_consumer)
         except RefusedSession as err:
-            # an uncompressed DATA, RETRANS or HEARTBEAT frame: the codec
-            # never asked, so the receiver is the first to hear (and
-            # refuse) its session — the whole frame's, so the frame is
-            # dropped, once
+            # a HEARTBEAT: the codec hears a DATA/RETRANS frame's
+            # session first, so only a heartbeat's reaches the receiver
+            # first, to be refused there — and dropped, once
             self._drop_undecodable(err)
 
     def _gate_datagram(self, data: bytes) -> bool:
@@ -789,7 +785,7 @@ class BusDaemon:
             session_start=err.session_start)
 
     def _serve_nack(self, packet: Packet, src: Endpoint) -> None:
-        if packet.session != self.session or packet.nack_range is None:
+        if packet.session != self.session:
             return
         first, last = packet.nack_range
         repairs = self._sender.repair(first, last)
@@ -994,8 +990,9 @@ class BusDaemon:
         reliable protocol entirely, so they never consume data-plane
         sequence numbers, never trigger NACKs, and are trivially
         identifiable for exclusion from the counters they would perturb.
-        They are plain-encoded (no string table) so the data plane's
-        wire-compression state is untouched.  Like a heartbeat, a
+        Each frame is encoded against its own one-frame string table, so
+        it decodes with no session state and the data plane's table is
+        untouched.  Like a heartbeat, a
         snapshot goes straight onto the send lane, so a saturated host
         stays visible; it is skipped only while its subject's previous
         snapshot is still on the lane, so a busy lane never backs up
@@ -1017,7 +1014,7 @@ class BusDaemon:
             return
         packet = Packet(PacketKind.DATA, self.session, [envelope],
                         session_start=self.session_started)
-        # plain encoding: stat frames never touch the string table
+        # a one-frame string table: the session's is the data plane's
         self._stat_socket.broadcast(encode_packet(packet), self._stat_port)
         self._stat_on_lane[subject] = self.host.send_free_at(self.shard)
 

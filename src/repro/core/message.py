@@ -90,12 +90,14 @@ class Envelope:
 
     @property
     def size(self) -> int:
-        """The most bytes this envelope adds to a wire frame: its plain
-        digest entry plus its standalone plain body — what the batcher
-        cuts a group on (see :func:`repro.core.wire.envelope_wire_size`).
-        Inside a frame it may follow the seq, and share the sender and
-        publish time, of the envelope before it, and a compressed frame
-        writes ids, so its actual share is at most this."""
+        """The most bytes this envelope adds to a wire frame whose
+        session table holds its strings: its digest entry plus its
+        standalone body, each header string counted inline — what the
+        batcher cuts a group on (see
+        :func:`repro.core.wire.envelope_wire_size`).  Inside a frame it
+        may follow the seq, and share the sender and publish time, of
+        the envelope before it, and the frame writes ids, so its actual
+        share is at most this."""
         return _wire_codec().envelope_wire_size(self)
 
 
@@ -120,8 +122,9 @@ class Packet:
 
     @property
     def size(self) -> int:
-        """Bytes this packet occupies on the wire uncompressed, framing
-        included (mode-independent: see :func:`repro.core.wire.packet_wire_size`)."""
+        """Bytes this packet occupies on the wire as a self-contained
+        frame (no session table: it defines every string id it cites),
+        framing included (see :func:`repro.core.wire.packet_wire_size`)."""
         return _wire_codec().packet_wire_size(self)
 
 

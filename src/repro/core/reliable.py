@@ -123,9 +123,14 @@ class ReliableSender:
         self._retention.pop(seq)
 
     def repair(self, first: int, last: int) -> List[Envelope]:
-        """Envelopes for a NACKed range still present in retention."""
+        """Envelopes for a NACKed range still present in retention.
+
+        Only the retained window — the last ``capacity`` seqs stamped —
+        is walked, however wide the range a (possibly forged) NACK
+        names, so serving one costs at most the retention bound."""
         found = []
-        for seq in range(first, last + 1):
+        low = max(first, self.next_seq - self._retention.capacity)
+        for seq in range(low, min(last, self.next_seq - 1) + 1):
             envelope = self._retention.get(seq)
             if envelope is not None:
                 found.append(envelope)

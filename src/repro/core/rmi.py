@@ -259,7 +259,9 @@ class RmiClient:
     """
 
     #: seconds a discovery waits for "I am" answers (all of it under
-    #: ``policy="all"``; at most this long under ``"first"``)
+    #: ``policy="all"``; at most this long under ``"first"``); a round
+    #: asked again after an empty one also waits out the reliable
+    #: layer's repair of a lost question or answer
     DISCOVERY_WINDOW = 0.25
 
     def __init__(self, client: BusClient, service_subject: str,
@@ -341,13 +343,13 @@ class RmiClient:
     # ------------------------------------------------------------------
     # connection management
     # ------------------------------------------------------------------
-    def _ensure_connection(self) -> None:
+    def _ensure_connection(self, window: Optional[float] = None) -> None:
         if self._discovering or (self._conn is not None):
             return
         self._discovering = True
         enough = 1 if self.policy == "first" else None
         Inquiry(self.client, self.service_subject, self._on_discovered,
-                window=self.DISCOVERY_WINDOW, enough=enough)
+                window=window or self.DISCOVERY_WINDOW, enough=enough)
 
     def _on_discovered(self, responses: List[DiscoveredService]) -> None:
         self._discovering = False
@@ -355,9 +357,20 @@ class RmiClient:
         candidates = [r for r in responses if admits(
             r.info, "rmi_server_info", self.client.metrics)]
         if not candidates:
+            # The question or its answer may have been lost and repaired
+            # after the window closed (a heartbeat reveals the gap, a
+            # NACK follows): ask again, waiting out that repair too, for
+            # each call whose timeout leaves room for the round and then
+            # for the call itself.  The others have met no server.
+            reliable = self.client.daemon.config.reliable
+            window = (self.DISCOVERY_WINDOW + reliable.heartbeat_interval
+                      + reliable.nack_delay)
+            latest = self.client.sim.now + 2 * window
             for pending in list(self._queue):
-                self._fail(pending, "no servers discovered")
-            self._queue.clear()
+                if pending.timeout_event.time < latest:
+                    self._fail(pending, "no servers discovered")
+            if self._queue:
+                self._ensure_connection(window)
             return
         chosen = candidates[0] if self.policy == "first" \
             else _least_loaded(candidates)

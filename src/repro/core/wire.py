@@ -16,16 +16,15 @@ encodes each published message exactly once no matter how many
 consumers hear it, and NACK repairs re-send the retained bytes instead
 of re-marshalling.
 
-Wire header compression
------------------------
+Header strings are session-table ids
+------------------------------------
 
-Small payloads are dwarfed by their headers: ``subject``, ``sender``,
-``ledger_id``, and ``via`` hops repeat on every envelope a session
-publishes.  A publishing daemon may therefore hold a
-:class:`StringTable` that assigns dense varint ids to header strings in
-first-use order (HPACK-style; ids are never reassigned for the life of
-the session), and encode DATA/RETRANS frames with ids in place of
-strings.  Each frame stays *self-contained*:
+Small payloads are dwarfed by their headers: ``subject``, ``sender`` and
+``via`` hops repeat on every envelope a session publishes.  So every
+header string on the wire is a varint id into the sending session's
+:class:`StringTable`, which assigns dense ids in first-use order
+(HPACK-style; ids are never reassigned for the life of the session).
+Each frame stays *self-contained*:
 
 * a DATA frame carries inline ``(id, string)`` definitions for every id
   *first used* in that frame;
@@ -33,16 +32,16 @@ strings.  Each frame stays *self-contained*:
   NACK repairs and late joiners decode without having seen the original
   defining DATA frame.
 
+A frame encoded with no table (telemetry) gets a fresh one-frame table,
+so it too defines every id it cites.
+
 Receivers learn ``id -> string`` mappings per sender session (the
-session name rides every frame in the clear) from those definition
-sections.  A frame that references an id the receiver has not learned is
-a *decodable-but-unresolvable* condition — structurally parseable (ids
-never change field widths), but semantically incomplete.  The decoder
-applies the frame's definitions (the frame passed its CRC, so they are
-intact), then raises :class:`UnresolvedStringId` carrying the envelope
-seq range; the daemon treats it exactly like a gap: drop the frame and
-NACK, never crash.  HEARTBEAT/NACK/ACK packets are never compressed —
-they are rare, small, and must be readable with zero session state.
+session name rides every frame in the clear) from those definitions.  A
+frame citing an id the receiver has not learned still parses (ids never
+change field widths): the decoder applies the frame's definitions (it
+passed its CRC), then raises :class:`UnresolvedStringId` carrying the
+envelope seq range, which the daemon treats like a gap: drop the frame
+and NACK.  HEARTBEAT, NACK and ACK packets cite no header strings.
 
 Decoding is one staged walk with one memo.  A frame is parsed by a
 single private walker in five stages — (1) header, (2) string defs,
@@ -93,8 +92,8 @@ record (``PeerSession.types``).  A frame referencing an unlearned type
 id raises :class:`UnresolvedTypeId` — same drop + NACK arming as
 :class:`UnresolvedStringId` (which takes precedence when both are
 missing, keeping the two decode paths deterministic).  The typedef
-region is independent of header compression and absent when no envelope
-in the frame carries typed payloads, so untyped traffic pays nothing.
+region is absent when no envelope in the frame carries typed payloads,
+so untyped traffic pays nothing.
 
 Subject digests and the interest gate
 -------------------------------------
@@ -119,28 +118,36 @@ picks it up there and only walks the bodies.
 
 Frame body layout (all integers varint unless noted)::
 
-    packet   := kind:u8 flags:u8 session:str session_start:f64
-                last_seq [first last] [ack_ledger_id:str]
-                [ack_consumer:str] [defs] [tdefs] [digest body*]
-    defs     := def_count (id string:str)*            # iff flags COMPRESSED
+    packet   := kind:u8 flags:u8 session:str session_start:f64 last_seq
+                ( first last                          # NACK
+                | ack_ledger_id:str ack_consumer:str  # ACK
+                | defs [tdefs] digest body*           # DATA, RETRANS
+                | )                                   # HEARTBEAT
+    defs     := def_count (id string:str)*
     tdefs    := tdef_count (tid desc:bytes)*
                 tref_count tid*                       # iff flags TYPED
-    digest   := entry_count entry*                    # DATA/RETRANS only
+    digest   := entry_count entry*
     entry    := eflags:u8 subject:hstr [seq]
-    body     := [sender:hstr] [publish_time:f64] [ledger_id:hstr]
+    body     := [sender:hstr] [publish_time:f64] [ledger_id:str]
                 [via_count via:hstr*] payload:bytes   # one per entry
-    hstr     := string:str | id                       # id iff COMPRESSED
+    hstr     := id                                    # in the session table
+
+The kind decides which fields follow; ``flags`` holds one bit, ``0x20``
+TYPED (a DATA/RETRANS frame whose envelopes cite session type ids).  Any
+other bit, or TYPED on another kind, makes the frame a
+:class:`CorruptFrame`.
 
 Each field is written once per frame, and none the frame already gives.
 An entry's ``eflags`` say which fields follow: ``0x01`` a ``ledger_id``
-(a guaranteed envelope — receivers must decode it fully), ``0x40`` one
-or more ``via`` hops; ``0x04`` says the payload starts with the marshal
-magic ``IB\\x01``, which the body leaves out and the reader puts back
-(a payload without it is sent whole, without the bit); ``0x08`` omits
-the seq, which is then the previous entry's seq + 1, ``0x10`` the
-sender and ``0x20`` the publish time, which are then the previous
-envelope's in the frame (a burst published in one instant by one client
-pays for them once).  The first entry has no predecessor, so
+(a guaranteed envelope — receivers must decode it fully; written as a
+plain string, since each is used once and would only grow the session
+table), ``0x40`` one or more ``via`` hops; ``0x04`` says the payload
+starts with the marshal magic ``IB\\x01``, which the body leaves out and
+the reader puts back (a payload without it is sent whole, without the
+bit); ``0x08`` omits the seq, which is then the previous entry's seq +
+1, ``0x10`` the sender and ``0x20`` the publish time, which are then the
+previous envelope's in the frame (a burst published in one instant by
+one client pays for them once).  The first entry has no predecessor, so
 ``0x08``/``0x10``/``0x20`` on it — or any bit not named here (``0x02``,
 retired, and ``0x80``) — make the frame a :class:`CorruptFrame`; so
 does ``0x40`` with no hop.
@@ -148,25 +155,14 @@ There is one envelope count, ``entry_count``: bodies follow the digest
 one per entry and must end the frame exactly.  HEARTBEAT, NACK and ACK
 frames end after their header.
 
-One frame, one session: every envelope and digest entry in a frame
-belongs to the session its header names (a daemon only ever sends its
-own), so the session is written once per frame and a frame mixing
-sessions cannot be written down.  QoS rides the ledger flag, which is
-exactly what makes an envelope guaranteed, so no separate qos field is
-sent.
-
-``flags`` marks which optional fields follow (packet bit ``0x08`` =
-COMPRESSED, ``0x10`` = DIGEST, set on every DATA/RETRANS frame and on
-no other, ``0x20`` = TYPED, set when any envelope references session
-type ids).  ``tdefs`` carries ``(type id, definition bytes)`` pairs
-followed by the frame's full type-reference list (``tref_count tid*``)
-— definitions are applied, references validated, on both decode paths.
-Strings are UTF-8 with a varint length prefix; ``f64`` is a big-endian
-IEEE double.  Decoded header strings are ``sys.intern``\\ ed so the
-subject-match memo and per-app lanes key on identical objects, and the
-parse itself runs on a single :class:`~repro.sim.framing.Cursor` over a
-zero-copy view of the frame — in the compressed steady state a header
-string is a table lookup, not an allocation.
+One frame, one session: every envelope in a frame is the session's its
+header names, so the session is written once.  QoS rides the ledger
+flag, so no qos field is sent.  Strings are UTF-8 with a varint length
+prefix; ``f64`` is a big-endian IEEE double.  Decoded header strings are
+``sys.intern``\\ ed so the subject-match memo and per-app lanes key on
+identical objects, and the parse runs on one
+:class:`~repro.sim.framing.Cursor` over a zero-copy view of the frame —
+in the steady state a header string is a table lookup.
 """
 
 from __future__ import annotations
@@ -199,17 +195,13 @@ _KIND_TO_CODE = {
 }
 _CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
 
-# packet flag bits
-_P_NACK_RANGE = 0x01
-_P_ACK_LEDGER = 0x02
-_P_ACK_CONSUMER = 0x04
-_P_COMPRESSED = 0x08
-_P_DIGEST = 0x10
+#: the one packet flag bit: a DATA/RETRANS frame carries a typedef region
 _P_TYPED = 0x20
-
-#: region flags: valid only on the kinds that carry envelopes
-_P_REGIONS = _P_COMPRESSED | _P_DIGEST | _P_TYPED
 _ENVELOPE_KINDS = (PacketKind.DATA, PacketKind.RETRANS)
+#: kind code -> the flag bits that kind may carry; the kind fixes every
+#: other field
+_P_ALLOWED = {code: _P_TYPED if kind in _ENVELOPE_KINDS else 0
+              for kind, code in _KIND_TO_CODE.items()}
 
 # digest entry flag bits: what the envelope's body carries
 _E_LEDGER = 0x01        # a ledger id: guaranteed, receivers decode fully
@@ -250,8 +242,8 @@ class UnresolvedIds(CorruptFrame):
 
 
 class UnresolvedStringId(UnresolvedIds):
-    """A compressed frame referenced string ids this receiver has not
-    learned (see "Wire header compression" above)."""
+    """A frame referenced string ids this receiver has not learned (see
+    "Header strings are session-table ids" above)."""
 
     _what = "string ids"
 
@@ -302,16 +294,11 @@ class StringTable:
 # envelopes
 # ----------------------------------------------------------------------
 
-def _write_header_str(out: BytesIO, text: str,
-                      table: Optional[StringTable],
+def _write_header_str(out: BytesIO, text: str, table: StringTable,
                       refs: List[int],
                       own_defs: List[Tuple[int, str]]) -> None:
-    """One header string: inline, or (``table`` given: a compressed
-    frame) its session string-table id, noted in ``refs`` — and in
-    ``own_defs`` when this call assigned it."""
-    if table is None:
-        write_str(out, text)
-        return
+    """One header string: its session string-table id, noted in
+    ``refs`` — and in ``own_defs`` when this call assigned it."""
     idx, is_new = table.intern(text)
     if is_new:
         own_defs.append((idx, table.strings[idx]))
@@ -319,37 +306,32 @@ def _write_header_str(out: BytesIO, text: str,
     write_varint(out, idx)
 
 
-def _encoded(envelope: Envelope, table: Optional[StringTable]) -> tuple:
-    """The envelope's standalone encoding against ``table`` (``None``:
-    plain strings); the compressed one is cached on the envelope.
+def _encoded(envelope: Envelope, table: StringTable) -> tuple:
+    """The envelope's standalone encoding against ``table``, cached on
+    the envelope.
 
     Returns ``(key, table, eflags, subject, seq, body, sender_len, refs,
     own_defs)``: ``subject`` and ``seq`` are its digest entry after the
-    flags byte, and ``eflags`` the entry bits the envelope decides on
-    its own (ledger, magic, via); ``body`` is its body with every field
-    present but the payload's marshal magic, and ``sender_len`` the
-    length of the leading sender field, so a frame that elides the
-    sender and the publish time slices them off
-    (:func:`_write_envelopes`).  ``refs`` are the table ids it cites
+    flags byte, ``eflags`` the entry bits the envelope decides on its
+    own (ledger, magic, via), ``body`` its body with every field but the
+    marshal magic, and ``sender_len`` the length of its leading sender
+    field, so a frame that elides the sender and the publish time slices
+    them off (:func:`_write_envelopes`).  ``refs`` are the ids it cites
     and ``own_defs`` the definitions this encoding assigned — replayed
-    on a hit, so the frame that carries an envelope always carries the
-    definitions it was responsible for, and encoding the same packet
-    twice gives identical bytes (a redundant re-definition is idempotent
-    at the receiver).
+    on a hit, so the frame that carries an envelope carries them, and
+    encoding a packet twice gives identical bytes.
 
     The cache key is the stamped ``(session, seq)`` identity and the
-    table: stamping by the reliable sender changes both, invalidating a
-    pre-stamp entry, and after stamping envelopes are immutable on the
-    send path — so the broadcast fan-out and every NACK repair reuse one
-    encoding.  Daemons compress every DATA/RETRANS frame, so a plain
-    encoding is only ever measured (:func:`envelope_wire_size`) or sent
-    once (a stat frame), and is not kept.
+    table: stamping changes both, and after it envelopes are immutable
+    on the send path, so the fan-out and every NACK repair reuse one
+    encoding.  The first table a stamped envelope meets keeps the entry:
+    a one-frame table never displaces the session table's encoding.
     """
     key = (envelope.session, envelope.seq)
-    if table is not None:
-        cached = getattr(envelope, "_wire_cache_z", None)
-        if cached is not None and cached[0] == key and cached[1] is table:
-            return cached
+    cached = getattr(envelope, "_wire_cache_z", None)
+    keep = cached is None or cached[0] != key
+    if not keep and cached[1] is table:
+        return cached
     refs: List[int] = []
     own_defs: List[Tuple[int, str]] = []
     out = BytesIO()
@@ -365,7 +347,7 @@ def _encoded(envelope: Envelope, table: Optional[StringTable]) -> tuple:
     eflags = 0
     if envelope.ledger_id is not None:
         eflags = _E_LEDGER
-        _write_header_str(out, envelope.ledger_id, table, refs, own_defs)
+        write_str(out, envelope.ledger_id)
     if envelope.via:
         eflags |= _E_VIA
         write_varint(out, len(envelope.via))
@@ -378,29 +360,46 @@ def _encoded(envelope: Envelope, table: Optional[StringTable]) -> tuple:
     write_bytes(out, payload)
     encoded = (key, table, eflags, subject, seq, out.getvalue(), sender_len,
                tuple(refs), tuple(own_defs))
-    if table is not None:
+    if keep:
         envelope._wire_cache_z = encoded
     return encoded
 
 
-def envelope_wire_size(envelope: Envelope) -> int:
-    """The most bytes this envelope adds to a frame: its plain digest
-    entry plus its standalone plain body (cached on the envelope under
-    the same ``(session, seq)`` key as its encoding).
+def _varint_size(value: int) -> int:
+    return (value.bit_length() + 6) // 7 or 1
 
-    What the batcher cuts a group on.  In a compressed frame whose
-    strings the table already holds, each id is no longer than the
-    string it replaces, an elided seq only shortens the entry and an
-    elided sender or publish time the body, so a group cut on these
-    sizes never outgrows one datagram.  Deliberately mode-independent:
-    turning compression on or off never changes batching decisions.
+
+def _str_size(text: str) -> int:
+    """Bytes ``text`` takes written inline (``write_str``)."""
+    length = len(text.encode())
+    return length + _varint_size(length)
+
+
+def envelope_wire_size(envelope: Envelope) -> int:
+    """The most bytes this envelope adds to a frame once the session
+    table holds its strings: its digest entry and standalone body, each
+    header string counted inline (cached on the envelope under the same
+    ``(session, seq)`` key as its encoding).  What the batcher cuts a
+    group on: an id is no longer than its string, and an elided seq,
+    sender or publish time only shortens the frame, which exceeds the
+    group's total by at most two ids per string it defines.
     """
     cached = getattr(envelope, "_wire_size", None)
     key = (envelope.session, envelope.seq)
     if cached is not None and cached[0] == key:
         return cached[1]
-    _, _, _, subject, seq, body, _, _, _ = _encoded(envelope, None)
-    size = 1 + len(subject) + len(seq) + len(body)
+    payload = len(envelope.payload)
+    if envelope.payload.startswith(_PAYLOAD_MAGIC):
+        payload -= len(_PAYLOAD_MAGIC)
+    # eflags, the publish time, the seq, then length-prefixed fields
+    size = (9 + _varint_size(envelope.seq) + payload + _varint_size(payload)
+            + _str_size(envelope.subject) + _str_size(envelope.sender))
+    if envelope.ledger_id is not None:
+        size += _str_size(envelope.ledger_id)
+    if envelope.via:
+        size += _varint_size(len(envelope.via))
+        for hop in envelope.via:
+            size += _str_size(hop)
     envelope._wire_size = (key, size)
     return size
 
@@ -417,9 +416,9 @@ def _write_envelopes(out: BytesIO, envelopes: List[Envelope],
     the seq when it follows the previous entry's (entry bit ``0x08``);
     its body drops the sender and the publish time when they equal the
     previous envelope's (``0x10`` / ``0x20``), sliced off the cached
-    standalone body.  With a table (compressed frames) every id is
-    already interned: :func:`_encoded` ran for every envelope first, and
-    the defs it assigned precede the digest on the wire.
+    standalone body.  Every id is already interned: :func:`_encoded`
+    ran for every envelope first, and the defs it assigned precede the
+    digest on the wire.
     """
     write_varint(out, len(envelopes))
     digest = bytearray()
@@ -476,18 +475,17 @@ def encode_packet(packet: Packet, table: Optional[StringTable] = None,
                   type_table=None) -> bytes:
     """Encode ``packet`` to one checksummed wire frame.
 
-    With ``table`` (the sending daemon's :class:`StringTable`), DATA and
-    RETRANS frames are header-compressed: DATA defines ids first used in
-    this frame, RETRANS defines every id it references (self-contained
-    repair).  Other kinds — and any packet when ``table`` is ``None`` —
-    use the plain encoding.  With ``type_table`` (the daemon's
+    DATA and RETRANS frames write every header string as an id into
+    ``table``, the sending daemon's :class:`StringTable`: DATA defines
+    the ids first used in this frame, RETRANS every id it references
+    (self-contained repair).  Without ``table`` the frame is encoded
+    against a fresh one-frame table, so it defines every id it cites (a
+    telemetry frame).  With ``type_table`` (the daemon's
     :class:`~repro.core.typeplane.TypeTable`), frames whose envelopes
-    carry ``type_refs`` get a typedef region under the same
-    define-on-DATA / redefine-all-on-RETRANS rules.  DATA and RETRANS
-    frames always carry a subject digest ahead of the envelope bodies
-    (see the module docstring) so receivers can interest-gate without
-    decoding them; HEARTBEAT, NACK and ACK frames end after their
-    header.
+    carry ``type_refs`` get a typedef region under the same rules.
+    HEARTBEAT, NACK and ACK frames end after their header; a NACK
+    without its range or an ACK missing a field raises
+    :class:`ValueError`, since the kind requires them.
     """
     kind = packet.kind
     try:
@@ -495,50 +493,42 @@ def encode_packet(packet: Packet, table: Optional[StringTable] = None,
     except KeyError:
         raise ValueError(f"unknown packet kind {kind!r}") from None
     envelopes = packet.envelopes if kind in _ENVELOPE_KINDS else None
-    flags = 0
-    if packet.nack_range is not None:
-        flags |= _P_NACK_RANGE
-    if packet.ack_ledger_id is not None:
-        flags |= _P_ACK_LEDGER
-    if packet.ack_consumer is not None:
-        flags |= _P_ACK_CONSUMER
     trefs: Set[int] = set()
-    if envelopes is not None:
-        flags |= _P_DIGEST
-        if table is not None:
-            flags |= _P_COMPRESSED
-        if type_table is not None:
-            for envelope in envelopes:
-                trefs.update(envelope.type_refs)
-            if trefs:
-                flags |= _P_TYPED
+    if envelopes is not None and type_table is not None:
+        for envelope in envelopes:
+            trefs.update(envelope.type_refs)
     out = BytesIO()
-    out.write(bytes((code, flags)))
+    out.write(bytes((code, _P_TYPED if trefs else 0)))
     write_str(out, packet.session)
     write_f64(out, packet.session_start)
     write_varint(out, packet.last_seq)
-    if packet.nack_range is not None:
+    if kind is PacketKind.NACK:
+        if packet.nack_range is None:
+            raise ValueError("a NACK packet needs its nack_range")
         write_varint(out, packet.nack_range[0])
         write_varint(out, packet.nack_range[1])
-    if packet.ack_ledger_id is not None:
+    elif kind is PacketKind.ACK:
+        if packet.ack_ledger_id is None or packet.ack_consumer is None:
+            raise ValueError(
+                "an ACK packet needs its ack_ledger_id and ack_consumer")
         write_str(out, packet.ack_ledger_id)
-    if packet.ack_consumer is not None:
         write_str(out, packet.ack_consumer)
     if envelopes is None:
         return frame(out.getvalue())
+    if table is None:
+        table = StringTable()   # one frame's: it defines every id it cites
     encoded = [_encoded(envelope, table) for envelope in envelopes]
-    if table is not None:
-        if kind is PacketKind.RETRANS:
-            refs: Set[int] = set()
-            for cached in encoded:
-                refs.update(cached[7])
-            def_pairs = [(idx, table.strings[idx]) for idx in sorted(refs)]
-        else:
-            def_pairs = [pair for cached in encoded for pair in cached[8]]
-        write_varint(out, len(def_pairs))
-        for idx, text in def_pairs:
-            write_varint(out, idx)
-            write_str(out, text)
+    if kind is PacketKind.RETRANS:
+        refs: Set[int] = set()
+        for cached in encoded:
+            refs.update(cached[7])
+        def_pairs = [(idx, table.strings[idx]) for idx in sorted(refs)]
+    else:
+        def_pairs = [pair for cached in encoded for pair in cached[8]]
+    write_varint(out, len(def_pairs))
+    for idx, text in def_pairs:
+        write_varint(out, idx)
+        write_str(out, text)
     if trefs:
         _write_typedefs(out, packet, type_table, trefs)
     _write_envelopes(out, envelopes, encoded)
@@ -639,7 +629,8 @@ class _Parse:
     ``rest``: a parse with nothing left is complete.
 
     ``defines`` / ``tdefines`` are the frame's in-frame string / type
-    definitions (``None`` when it lacks the region).  ``needs`` maps
+    definitions (``None`` on a control frame / a frame without a typedef
+    region).  ``needs`` maps
     every other string id the *digest* cites to its value at parse time,
     ``body_needs`` every other id the digest *or the bodies* cite — kept
     apart so a digest hit never fails a receiver for an id only the
@@ -704,13 +695,11 @@ def _needs(table: Dict[int, object], refs: Iterable[int],
     return {idx: table.get(idx) for idx in refs if idx not in defines}
 
 
-def _read_header_str(cur: Cursor, table: Optional[Dict[int, str]],
+def _read_header_str(cur: Cursor, table: Dict[int, str],
                      refs: Set[int]) -> str:
-    """One header string: inline, or (``table`` given: a compressed
-    frame) a session-table id, noted in ``refs``.  An unlearned id reads
-    as ``""``; the walk reports it once the stage is structurally done."""
-    if table is None:
-        return _intern(cur.str_())
+    """One header string: a session-table id, noted in ``refs``.  An
+    unlearned id reads as ``""``; the walk reports it once the stage is
+    structurally done."""
     idx = cur.varint()
     refs.add(idx)
     return table.get(idx, "")
@@ -741,13 +730,11 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
         # is not ours: walk fresh and leave the memo alone
         session = parse.packet.session
         complete = parse.rest is None
-        if parse.defines is not None or parse.tdefines is not None:
-            strings, types = _learned(peers, session)
-            if parse.defines is not None:
-                table = strings
-                missing = _replay(
-                    table, parse.defines,
-                    parse.body_needs if bodies and complete else parse.needs)
+        if parse.digest is not None:
+            table, types = _learned(peers, session)
+            missing = _replay(
+                table, parse.defines,
+                parse.body_needs if bodies and complete else parse.needs)
             if missing is not None and parse.tdefines is not None:
                 tmissing = _replay(types, parse.tdefines, parse.tneeds)
         if missing is None or tmissing is None:
@@ -757,27 +744,27 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
             _memo.move_to_end(key)
             hit = complete or not bodies
     if parse is None:
-        # -- stage 1: header; the one place flags are judged against
-        # kind.  A control frame ends here; a DATA/RETRANS frame always
-        # has a digest.
+        # -- stage 1: header; the one place flags are judged, against
+        # what the kind allows.  The kind fixes the fields that follow:
+        # a control frame ends here, a DATA/RETRANS frame goes on to its
+        # defs and digest.
         cur = Cursor(unframe_view(data))
-        kind = _CODE_TO_KIND.get(cur.u8())
+        code = cur.u8()
+        kind = _CODE_TO_KIND.get(code)
         if kind is None:
             raise CorruptFrame("unknown packet kind code")
         flags = cur.u8()
-        if flags & _P_REGIONS and kind not in _ENVELOPE_KINDS:
-            raise CorruptFrame(
-                f"region flags {flags & _P_REGIONS:#x} on {kind.value} packet")
+        if flags & ~_P_ALLOWED[code]:
+            raise CorruptFrame(f"flags {flags:#x} on {kind.value} packet")
         session = _intern(cur.str_())
         session_start = cur.f64()
         last_seq = cur.varint()
         nack_range = ack_ledger_id = ack_consumer = None
-        if flags & _P_NACK_RANGE:
+        if kind is PacketKind.NACK:
             first = cur.varint()
             nack_range = (first, cur.varint())
-        if flags & _P_ACK_LEDGER:
+        elif kind is PacketKind.ACK:
             ack_ledger_id = _intern(cur.str_())
-        if flags & _P_ACK_CONSUMER:
             ack_consumer = _intern(cur.str_())
         parse = _Parse(Packet(kind, session, [], nack_range, last_seq,
                               session_start, ack_ledger_id, ack_consumer))
@@ -785,62 +772,68 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
             if not cur.exhausted:
                 raise CorruptFrame(f"{cur.remaining()} trailing bytes "
                                    f"after {kind.value} header")
-        elif not flags & _P_DIGEST:
-            raise CorruptFrame(f"{kind.value} frame without a digest")
-        # -- stage 2: string defs.  The frame passed its CRC, so they
-        # are intact: apply them even if resolution fails below or the
-        # caller goes on to skip the frame — later frames reference them
-        # without redefining, and they make a later repair decodable.
-        if flags & (_P_COMPRESSED | _P_TYPED):
-            strings, ttable = _learned(peers, session)
-        if flags & _P_COMPRESSED:
-            table = strings
+        else:
+            # -- stage 2: string defs, then 3: typedefs and the frame's
+            # full type-reference list
             defines = parse.defines = {}
             for _ in range(cur.varint()):
                 idx = cur.varint()
-                table[idx] = defines[idx] = _intern(cur.str_())
-        # -- stage 3: typedefs (applied for the same reason), then the
-        # frame's full type-reference list
-        if flags & _P_TYPED:
-            tdefines = parse.tdefines = {}
-            for _ in range(cur.varint()):
-                tid = cur.varint()
-                ttable[tid] = tdefines[tid] = cur.bytes_()
-            _typedef_learned.value += len(tdefines)
-            trefs = [cur.varint() for _ in range(cur.varint())]
-            parse.tneeds = _needs(ttable, trefs, tdefines)
-            tmissing = [t for t, blob in parse.tneeds.items() if blob is None]
-        # -- stage 4: digest, the one place subject, seq and flags are
-        # written.  Bits no writer sets, and an elision on the first
-        # entry (it has no predecessor), are a hostile encoder's.  A
-        # successor's seq is derived here, so the gate and the bodies
-        # see every seq.
-        refs: Set[int] = set()
-        if flags & _P_DIGEST:
-            entries = parse.entries
-            seqs: List[int] = []
-            subjects: Dict[str, None] = {}      # distinct, first-seen order
-            needs_full = False
+                defines[idx] = _intern(cur.str_())
+            if flags & _P_TYPED:
+                tdefines = parse.tdefines = {}
+                for _ in range(cur.varint()):
+                    tid = cur.varint()
+                    tdefines[tid] = cur.bytes_()
+                trefs = [cur.varint() for _ in range(cur.varint())]
+            # -- stage 4: digest, the one place subject, seq and flags
+            # are written.  Bits no writer sets, and an elision on the
+            # first entry (it has no predecessor), are a hostile
+            # encoder's.  A successor's seq is derived here, so the gate
+            # and the bodies see every seq.
+            cited = []
             allowed = _E_FIRST
             seq = None
             for _ in range(cur.varint()):
                 eflags = cur.u8()
                 if eflags & ~allowed:
                     raise CorruptFrame(f"bad digest entry flags {eflags:#x}"
-                                       f" (entry {len(seqs)})")
+                                       f" (entry {len(cited)})")
                 allowed = _E_DEFINED
-                subject = _read_header_str(cur, table, refs)
-                subjects[subject] = None
+                idx = cur.varint()
                 seq = seq + 1 if eflags & _E_NEXT_SEQ else cur.varint()
+                cited.append((eflags, idx, seq))
+            parse.rest = cur.buf[cur.pos:]
+            # The prefix is sound, so only now does the frame reach the
+            # receiver's session record (a frame that fails above makes
+            # none).  It passed its CRC, so its definitions are intact:
+            # apply them even if resolution fails below or the caller
+            # goes on to skip the frame — later frames reference them
+            # without redefining, and they make a later repair decodable.
+            table, ttable = _learned(peers, session)
+            for idx in defines:     # not update(): no call on the hot path
+                table[idx] = defines[idx]
+            if flags & _P_TYPED:
+                ttable.update(tdefines)
+                _typedef_learned.value += len(tdefines)
+                parse.tneeds = _needs(ttable, trefs, tdefines)
+                tmissing = [t for t, blob in parse.tneeds.items()
+                            if blob is None]
+            refs: Set[int] = set()
+            entries = parse.entries
+            seqs: List[int] = []
+            subjects: Dict[str, None] = {}      # distinct, first-seen order
+            needs_full = False
+            for eflags, idx, seq in cited:
+                refs.add(idx)
+                subject = table.get(idx, "")    # unlearned: reported below
+                subjects[subject] = None
                 if eflags & _E_LEDGER or seq == 0:
                     needs_full = True
                 seqs.append(seq)
                 entries.append((eflags, subject, seq))
             parse.digest = FrameDigest(session, tuple(subjects), seqs,
                                        needs_full)
-            parse.rest = cur.buf[cur.pos:]
-        if table is not None:
-            parse.needs = _needs(table, refs, parse.defines)
+            parse.needs = _needs(table, refs, defines)
             missing = [i for i, text in parse.needs.items() if text is None]
     envelopes = body_needs = None
     if bodies and parse.rest is not None:
@@ -856,11 +849,10 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
         if not cur.exhausted:
             raise CorruptFrame(
                 f"{cur.remaining()} trailing bytes after packet")
-        if table is not None:
-            body_needs = _needs(table, refs, parse.defines)
-            missing = set(missing).union(
-                i for i, text in body_needs.items() if text is None)
-            body_needs.update(parse.needs)
+        body_needs = _needs(table, refs, parse.defines)
+        missing = set(missing).union(
+            i for i, text in body_needs.items() if text is None)
+        body_needs.update(parse.needs)
     # a control frame gives read_digest nothing to act on — it returns
     # None and the caller decodes fully — so it does not count in the
     # digest memo (it cites no ids, so it cannot be unresolved either)
@@ -893,7 +885,7 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
     return parse
 
 
-def _read_envelope(cur: Cursor, table: Optional[Dict[int, str]],
+def _read_envelope(cur: Cursor, table: Dict[int, str],
                    refs: Set[int], session: str,
                    entry: Tuple[int, str, int],
                    prev: Optional[Envelope]) -> Envelope:
@@ -910,7 +902,7 @@ def _read_envelope(cur: Cursor, table: Optional[Dict[int, str]],
                     else cur.f64())
     qos, ledger_id = QoS.RELIABLE, None
     if eflags & _E_LEDGER:
-        qos, ledger_id = QoS.GUARANTEED, _read_header_str(cur, table, refs)
+        qos, ledger_id = QoS.GUARANTEED, cur.str_()
     via = ()
     if eflags & _E_VIA:
         hops = cur.varint()
@@ -931,7 +923,7 @@ def decode_packet(data: bytes, peers=None) -> Packet:
     ``peers`` is the receiving plane's
     :class:`~repro.core.reliable.ReliableReceiver`, owner of its one
     mapping ``sessions`` (``session ->``
-    :class:`~repro.core.reliable.PeerSession`): compressed frames read
+    :class:`~repro.core.reliable.PeerSession`): DATA/RETRANS frames read
     and update a record's ``strings`` (``{id: string}``), typed frames
     its ``types`` (``{type id: definition bytes}``), and a session not
     in the mapping gets its record from ``peers.hear(session)``.
@@ -975,5 +967,6 @@ def read_digest(data: bytes, peers=None) -> Optional[FrameDigest]:
 
 
 def packet_wire_size(packet: Packet) -> int:
-    """Bytes ``packet`` occupies on the wire uncompressed, framing included."""
+    """Bytes ``packet`` occupies on the wire as a self-contained frame
+    (encoded against a one-frame string table), framing included."""
     return len(encode_packet(packet))

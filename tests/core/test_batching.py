@@ -8,6 +8,7 @@ from repro.core import (BatchConfig, Batcher, BoundedQueue, BusConfig,
                         POLICY_DROP_NEWEST, Packet, PacketKind, QoS,
                         ShardMap, StringTable, encode_packet)
 from repro.sim import CostModel, EthernetSegment, Frame, Simulator
+from tests.properties.test_wire_properties import varint_length
 
 
 def envelope(size_payload=50, subject="a.b"):
@@ -276,39 +277,25 @@ SMALL = st.tuples(st.sampled_from(SUBJECTS), st.sampled_from(SENDERS),
                   st.integers(0, 120), st.sampled_from([0.0, None]))
 
 
-@given(st.booleans(), st.sampled_from([1200, 1400]),
-       st.lists(SMALL, min_size=3, max_size=3),
-       st.lists(SPEC, max_size=150))
-@settings(max_examples=80, deadline=None)
-def test_gathered_group_never_outgrows_one_datagram(enabled, batch_bytes,
-                                                   lead, specs):
-    """What a group is cut on, :attr:`Envelope.size`, bounds its share
-    of a compressed frame: once the session's strings are in its table
-    (ids no longer than the strings; an elided sender or publish time
-    only shortens a body), no DATA datagram the batcher emits is larger
-    than one MTU, and no group passes ``batch_bytes`` unless it is one
-    envelope — with batching on or off, whatever the payloads and
-    whether the envelopes share a publish instant (``0.0``) or each has
-    its own (``None``).  Three small envelopes lead, so every example
-    gathers a group."""
-    specs = lead + specs
+def gathered_groups(enabled, batch_bytes, specs, table):
+    """Batch ``specs`` onto one host's lane, each group encoded as a
+    DATA frame against ``table``: per group, its envelope count, its
+    bytes as cut (the sum of ``Envelope.size``), its frame's length past
+    an empty frame's, and the ids the frame used for the first time."""
     sim = Simulator(seed=0)
     lan = EthernetSegment(sim, cost=CostModel(cpu_jitter=0.0))
     host = lan.add_host("node0")
     lan.add_host("node1")
-    table = StringTable()
-    for text in SUBJECTS + SENDERS:
-        table.intern(text)
     groups = []
     header = len(encode_packet(Packet(PacketKind.DATA, "node0#0", [],
-                                      session_start=0.0), table))
+                                      session_start=0.0), StringTable()))
 
     def send(batch):
+        known = len(table)
         data = encode_packet(Packet(PacketKind.DATA, "node0#0", batch,
                                     session_start=0.0), table)
-        size = sum(e.size for e in batch)
-        groups.append((len(batch), size, len(data)))
-        assert len(data) <= header + size
+        groups.append((len(batch), sum(e.size for e in batch),
+                       len(data) - header, range(known, len(table))))
         host.send_frame(Frame("node0", "node1", 7, 7, data, len(data)))
 
     batcher = Batcher(sim, BatchConfig(enabled=enabled,
@@ -319,10 +306,51 @@ def test_gathered_group_never_outgrows_one_datagram(enabled, batch_bytes,
                               b"\x00" * payload,
                               publish_time=float(seq) if at is None else at))
     sim.run()
-    assert sum(n for n, _, _ in groups) == len(specs)
-    assert max(n for n, _, _ in groups) > 1
-    assert all(n == 1 or size <= batch_bytes for n, size, _ in groups)
-    assert max(data for _, _, data in groups) <= host.cost.mtu
+    assert sum(n for n, _, _, _ in groups) == len(specs)
+    assert max(n for n, _, _, _ in groups) > 1
+    assert all(n == 1 or size <= batch_bytes for n, size, _, _ in groups)
+    return groups, header, host.cost.mtu
+
+
+@given(st.booleans(), st.sampled_from([1200, 1400]),
+       st.lists(SMALL, min_size=3, max_size=3),
+       st.lists(SPEC, max_size=150))
+@settings(max_examples=80, deadline=None)
+def test_gathered_group_never_outgrows_one_datagram(enabled, batch_bytes,
+                                                   lead, specs):
+    """What a group is cut on, :attr:`Envelope.size`, bounds its share
+    of a frame: once the session's strings are in its table (ids no
+    longer than the strings; an elided sender or publish time only
+    shortens a body), no DATA datagram the batcher emits is larger than
+    one MTU, and no group passes ``batch_bytes`` unless it is one
+    envelope — with batching on or off, whatever the payloads and
+    whether the envelopes share a publish instant (``0.0``) or each has
+    its own (``None``).  Three small envelopes lead, so every example
+    gathers a group."""
+    table = StringTable()
+    for text in SUBJECTS + SENDERS:
+        table.intern(text)
+    groups, header, mtu = gathered_groups(enabled, batch_bytes,
+                                          lead + specs, table)
+    assert all(length <= size for _, size, length, _ in groups)
+    assert max(header + length for _, _, length, _ in groups) <= mtu
+
+
+@given(st.booleans(), st.sampled_from([1200, 1400]),
+       st.lists(SMALL, min_size=3, max_size=3),
+       st.lists(SPEC, max_size=150))
+@settings(max_examples=80, deadline=None)
+def test_gathered_group_outgrows_its_bytes_only_by_first_use_ids(
+        enabled, batch_bytes, lead, specs):
+    """The one gap in the cut, bounded: from a cold table, a frame
+    exceeds its group's ``Envelope.size`` total by at most two ids
+    (the definition's and the first reference's) per string it uses
+    for the first time — the string itself is in the total already."""
+    groups, _, _ = gathered_groups(enabled, batch_bytes, lead + specs,
+                                   StringTable())
+    for _, size, length, new_ids in groups:
+        assert length <= size + sum(2 * varint_length(idx)
+                                    for idx in new_ids)
 
 
 def test_envelope_no_follower_could_join_never_waits_the_delay():

@@ -5,6 +5,8 @@ database over an unreliable network" — so these scenarios model a
 publisher feeding a durable consumer (the Object Repository pattern).
 """
 
+from io import BytesIO
+
 import pytest
 
 from repro.core import (BusConfig, DAEMON_PORT, FlowConfig, InformationBus,
@@ -12,6 +14,7 @@ from repro.core import (BusConfig, DAEMON_PORT, FlowConfig, InformationBus,
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel
+from repro.sim.framing import frame, write_f64, write_str, write_varint
 from repro.sim.transport import DatagramSocket
 
 
@@ -43,6 +46,24 @@ def test_guaranteed_exactly_once_without_failures():
     bus.settle(3.0)
     assert received == list(range(20))
     assert bus.daemon("node00").guaranteed_pending() == []
+
+
+def test_ledger_ids_stay_out_of_the_string_table():
+    """Each guaranteed publish has a ledger id of its own.  It rides its
+    envelope as a plain string, so neither the sender's session table
+    nor what a receiver learns of it grows with the publishes: both
+    hold the distinct subjects, senders and hops, here one of each."""
+    bus, reg, pub, consumer, received = setup()
+    for n in range(300):
+        pub.publish("gd.data", DataObject(reg, "record", n=n),
+                    qos=QoS.GUARANTEED)
+    bus.settle(5.0)
+    assert received == list(range(300))
+    sent = ["gd.data", "node00.feed"]
+    assert bus.daemon("node00")._wire_table.strings == sent
+    for address in ("node01", "node02"):
+        learned = bus.daemon(address).peers.get("node00#0").strings
+        assert sorted(learned.values()) == sent
 
 
 def test_message_logged_before_send():
@@ -283,9 +304,10 @@ def test_seen_log_survives_consumer_crash():
 @pytest.mark.parametrize("fields", [("ack_ledger_id",), ("ack_consumer",), ()],
                          ids=["no-consumer", "no-ledger-id", "neither"])
 def test_malformed_ack_leaves_the_entry_pending(fields):
-    """Both ACK fields are optional on the wire; an ACK lacking either
-    must not complete (or touch) the entry it names — and a well-formed
-    one afterwards still does."""
+    """An ACK carries both its fields: one lacking either cannot be
+    encoded, and a CRC-valid frame that leaves one out is a truncated
+    frame, a counted corrupt drop that does not complete (or touch) the
+    entry it names — and a well-formed one afterwards still does."""
     bus = InformationBus(seed=12, cost=CostModel.ideal())
     bus.add_hosts(2)
     reg = story_registry()
@@ -296,18 +318,28 @@ def test_malformed_ack_leaves_the_entry_pending(fields):
     stable = bus.host("node00").stable
     (entry,) = publisher.guaranteed_pending()
     well_formed = {"ack_ledger_id": entry.ledger_id, "ack_consumer": "node01"}
+    partial = {name: well_formed[name] for name in fields}
+    with pytest.raises(ValueError):
+        encode_packet(Packet(PacketKind.ACK, "node01#0", **partial))
     rogue = DatagramSocket(bus.sim, bus.host("node01"), 99,
                            lambda *args: None)
 
-    def send_ack(**ack):
-        rogue.sendto(encode_packet(Packet(PacketKind.ACK, "node01#0", **ack)),
-                     "node00", DAEMON_PORT)
+    def send(data):
+        rogue.sendto(data, "node00", DAEMON_PORT)
         bus.run_for(0.1)
 
-    send_ack(**{name: well_formed[name] for name in fields})
+    body = BytesIO()
+    body.write(bytes((4, 0)))           # ACK, no flags
+    write_str(body, "node01#0")
+    write_f64(body, 0.0)
+    write_varint(body, 0)
+    for name in fields:
+        write_str(body, partial[name])
+    send(frame(body.getvalue()))
+    assert publisher.corrupt_dropped == 1
     assert [e.acks for e in publisher.guaranteed_pending()] == [[]]
     assert [r["acks"] for r in stable.get("gd.ledger")] == [[]]
-    send_ack(**well_formed)
+    send(encode_packet(Packet(PacketKind.ACK, "node01#0", **well_formed)))
     assert publisher.guaranteed_pending() == []
     assert stable.get("gd.ledger") == []
 

@@ -40,8 +40,8 @@ def make_bus():
 
 
 def data_frame(subject, seq, ledger_id=None):
-    """A plain-encoded one-envelope DATA frame from the hostile session,
-    guaranteed when ``ledger_id`` is given."""
+    """A self-contained one-envelope DATA frame (no session table) from
+    the hostile session, guaranteed when ``ledger_id`` is given."""
     envelope = Envelope(subject=subject, sender="evil.app", session=SESSION,
                         seq=seq, payload=encode(seq),
                         qos=QoS.RELIABLE if ledger_id is None

@@ -25,7 +25,7 @@ from repro.core.typeplane import TypeTable
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator
-from repro.sim.framing import frame, unframe
+from repro.sim.framing import Cursor, frame, unframe
 from tests.core.test_session_lifetime import evil_socket
 from tests.integration.test_golden_run import pivot_run
 from tests.learned import Learned
@@ -143,6 +143,18 @@ def test_every_corrupted_copy_raises_from_read_digest():
     assert read_digest(data).seqs == [1]
 
 
+def first_entry_at(body):
+    """Offset of the first digest entry (its flags byte) in the body of
+    a DATA/RETRANS frame without a typedef region: past the header, the
+    defs and the entry count."""
+    cur = Cursor(body)
+    cur.u8(), cur.u8(), cur.str_(), cur.f64(), cur.varint()
+    for _ in range(cur.varint()):
+        cur.varint(), cur.str_()
+    cur.varint()
+    return cur.pos
+
+
 def with_digest_flag(flag, subject="zq.unique.subject", session="node00#0"):
     """A CRC-valid one-envelope DATA frame (seq 1) whose digest entry
     has ``flag`` set — what only a hostile encoder writes."""
@@ -150,10 +162,9 @@ def with_digest_flag(flag, subject="zq.unique.subject", session="node00#0"):
                                 [make_envelope(subject, 1, session)],
                                 session_start=0.0))
     body = bytearray(unframe(data))
-    marker = bytes([len(subject)]) + subject.encode()
-    at = body.index(marker)           # first occurrence: the digest entry
-    assert body[at - 1] == 0          # its dflags byte
-    body[at - 1] = flag
+    at = first_entry_at(body)
+    assert body[at] == 0              # its dflags byte
+    body[at] = flag
     return frame(bytes(body))
 
 
@@ -181,9 +192,11 @@ def test_semantically_bad_digest_is_corrupt_on_both_paths():
 ], ids=lambda packet: packet.kind.value)
 def test_region_flag_on_control_frame_is_corrupt_on_both_paths(packet, flag):
     """HEARTBEAT/NACK/ACK never carry defs, typedefs or a digest.  A
-    CRC-valid control frame claiming one is rejected by read_digest as
-    it is by decode_packet — the gate must never hand try_skip a
-    "digest" read out of a heartbeat's trailing bytes."""
+    CRC-valid control frame with the TYPED bit, or with 0x08 / 0x10
+    (which once marked the defs and the digest, and are retired), is
+    rejected by read_digest as it is by decode_packet — the gate must
+    never hand try_skip a "digest" read out of a heartbeat's trailing
+    bytes."""
     body = bytearray(unframe(encode_packet(packet)))
     body[1] |= flag                   # byte 0 is the kind, byte 1 the flags
     tampered = frame(bytes(body))
@@ -212,17 +225,47 @@ def assert_fails_closed(tampered):
         assert not daemon.peers and daemon.skipped_frames == 0
 
 
+#: one frame of each kind, as a hostile host would send it
+EVIL_PACKETS = [
+    Packet(PacketKind.DATA, "evil#0", [make_envelope("zq.a", 1, "evil#0")],
+           session_start=0.0),
+    Packet(PacketKind.RETRANS, "evil#0",
+           [make_envelope("zq.a", 1, "evil#0")], session_start=0.0),
+    Packet(PacketKind.HEARTBEAT, "evil#0", last_seq=9, session_start=0.5),
+    Packet(PacketKind.NACK, "evil#0", nack_range=(1, 4)),
+    Packet(PacketKind.ACK, "evil#0", ack_ledger_id="x/1",
+           ack_consumer="node01"),
+]
+
+
+@pytest.mark.parametrize("packet, bit", [
+    (packet, bit) for packet in EVIL_PACKETS for bit in
+    (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80)
+    if not (bit == 0x20 and packet.kind in (PacketKind.DATA,
+                                            PacketKind.RETRANS))],
+    ids=lambda value: value.kind.value if isinstance(value, Packet)
+    else f"{value:#04x}")
+def test_a_flag_bit_its_kind_does_not_allow_fails_closed(packet, bit):
+    """The kind fixes a frame's fields, and the flags byte holds one
+    bit, TYPED, which only DATA/RETRANS may set: any other (kind, bit)
+    pair — bits no writer sets included — is a plain CorruptFrame on
+    both entry points, counted once at every daemon."""
+    body = bytearray(unframe(encode_packet(packet)))
+    assert body[1] == 0
+    body[1] = bit
+    assert_fails_closed(frame(bytes(body)))
+
+
 @pytest.mark.parametrize("kind", [PacketKind.DATA, PacketKind.RETRANS],
                          ids=lambda kind: kind.value)
 def test_envelope_frame_without_a_digest_fails_closed(kind):
-    """Every DATA/RETRANS frame carries the digest: its entries are the
-    only place subjects and seqs are written."""
+    """Every DATA/RETRANS frame carries the digest after its defs: its
+    entries are the only place subjects and seqs are written, so a
+    frame that ends after its defs is truncated."""
     packet = Packet(kind, "evil#0", [make_envelope("zq.a", 1, "evil#0")],
                     session_start=0.0)
-    body = bytearray(unframe(encode_packet(packet)))
-    assert body[1] & 0x10
-    body[1] &= ~0x10
-    assert_fails_closed(frame(bytes(body)))
+    body = unframe(encode_packet(packet))
+    assert_fails_closed(frame(body[:first_entry_at(body) - 1]))
 
 
 @pytest.mark.parametrize("packet", [
@@ -262,9 +305,9 @@ def test_via_flag_with_no_hops_fails_closed():
     hostile = make_envelope("zq.a", 1, "evil#0", via=("hopzz",))
     body = unframe(encode_packet(Packet(PacketKind.DATA, "evil#0",
                                         [hostile], session_start=0.0)))
-    hop = b"\x01\x05hopzz"              # hop count 1, then the hop
-    assert body.count(hop) == 1
-    tampered = frame(body.replace(hop, b"\x00"))
+    hops = b"\x01\x02\rpayload-bytes"  # 1 hop, its id, then the payload
+    assert body.count(hops) == 1
+    tampered = frame(body.replace(hops, b"\x00\rpayload-bytes"))
     assert read_digest(tampered, peers=Learned()).subjects == ("zq.a",)
     with pytest.raises(CorruptFrame, match="via flag with no hops") as caught:
         decode_packet(tampered, peers=Learned())

@@ -10,12 +10,14 @@ def envelope(subject="a.b", payload=b"x" * 10):
 
 
 def test_envelope_size_is_encoded_length():
-    """Its digest entry plus its standalone body: what it adds to an
-    empty plain frame on its own."""
+    """Its digest entry plus its standalone body, each header string
+    written inline: what it adds to an empty self-contained frame, less
+    the two id bytes (a reference and a definition) that frame spends on
+    each of its two header strings."""
     e = envelope(subject="news.equity.gmc", payload=b"x" * 100)
     empty = Packet(PacketKind.DATA, "h#0", [])
     assert e.size == (len(encode_packet(Packet(PacketKind.DATA, "h#0", [e])))
-                      - len(encode_packet(empty)))
+                      - len(encode_packet(empty)) - 2 * 2)
 
 
 def test_envelope_size_grows_with_payload_and_subject():

@@ -6,10 +6,14 @@ eventually recover.  Section 3.1 defines what reliable delivery must do
 in each case.
 """
 
-from repro.core import BusConfig, InformationBus
+import time
+
+from repro.core import (DAEMON_PORT, BusConfig, InformationBus, Packet,
+                        PacketKind, decode_packet, encode_packet)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel
+from repro.sim.transport import DatagramSocket
 
 
 def lossy_cost(loss=0.05, dup=0.0, jitter=0.0):
@@ -285,3 +289,33 @@ def test_time_retention_turns_old_gaps_into_loss():
     assert received == [0, 2]     # 2 rolled 1 out of retention
     lost = bus.daemon("node01").peers["node00#0"].stats.messages_lost
     assert lost.value == 1
+
+
+def test_a_forged_nack_for_a_vast_range_is_served_from_retention_only():
+    """A NACK's range comes off the wire.  One naming ``(1, 2**62)``,
+    sent from a host with no daemon, costs the sender its retained
+    window and no more: it is served at once, and re-sends only the
+    seqs retention still holds."""
+    config = BusConfig()
+    config.reliable.retention = 4
+    bus = InformationBus(seed=3, cost=CostModel.ideal(), config=config)
+    bus.add_hosts(2)
+    pub = bus.client("node00", "feed")
+    for n in range(10):
+        pub.publish("rel.x", {"n": n})
+    bus.settle(1.0)
+    sender = bus.daemon("node00")
+    before = sender.sender_retransmissions()
+    repairs = []
+    forger = DatagramSocket(
+        bus.sim, bus.lan.add_host("evil"), DAEMON_PORT,
+        lambda data, size, src: repairs.append(decode_packet(data)))
+    nack = Packet(PacketKind.NACK, sender.session, nack_range=(1, 2**62))
+    forger.sendto(encode_packet(nack), "node00", DAEMON_PORT)
+    started = time.perf_counter()
+    bus.run_for(0.1)
+    assert time.perf_counter() - started < 1.0
+    assert sender.sender_retransmissions() - before == 4
+    (repair,) = [packet for packet in repairs
+                 if packet.kind is PacketKind.RETRANS]
+    assert [envelope.seq for envelope in repair.envelopes] == [7, 8, 9, 10]

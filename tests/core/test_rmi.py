@@ -1,5 +1,7 @@
 """Tests for remote method invocation (Section 3.3, Figure 2)."""
 
+import pytest
+
 from repro.core import InformationBus, RmiClient, RmiServer
 from repro.objects import (AttributeSpec, DataObject, OperationSpec,
                            ParamSpec, ServiceObject, TypeDescriptor,
@@ -91,10 +93,13 @@ def test_bad_arguments_reported():
 
 
 def test_no_servers_error():
+    """Discovery asks again while the call's timeout leaves room for a
+    round and for the call, then reports that no server answered."""
     bus = InformationBus(seed=2, cost=CostModel.ideal())
     bus.add_hosts(2)
     rmi = RmiClient(bus.client("node00", "trader"), "svc.ghost")
-    value, error = call_sync(bus, rmi, "last", {"symbol": "GM"})
+    value, error = call_sync(bus, rmi, "last", {"symbol": "GM"},
+                             run=rmi.call_timeout)
     assert error == "no servers discovered"
 
 
@@ -333,3 +338,32 @@ def test_ill_shaped_reply_completes_the_call_with_an_error():
         assert len(out) == 1 and out[0][0] is None, (body, out)
         assert out[0][1].startswith("malformed reply"), (body, out)
     assert rmi._pending == {}
+
+
+def faulty_call(seed, corrupt_rate=0.0, loss_probability=0.0):
+    """One call from node00 to the server on node01 of a three-host bus
+    whose segment corrupts or loses frames from t = 0, after 1 s of
+    warm-up; what the call reported."""
+    cost = CostModel.ideal()
+    cost.loss_probability = loss_probability
+    bus = InformationBus(seed=seed, cost=cost)
+    bus.add_hosts(3)
+    bus.lan.corrupt_rate = corrupt_rate
+    reg = quote_registry()
+    RmiServer(bus.client("node01", "qsvc"), "svc.quotes", make_service(reg))
+    bus.run_for(1.0)
+    rmi = RmiClient(bus.client("node00", "trader"), "svc.quotes")
+    return call_sync(bus, rmi, "symbols", {}, run=rmi.call_timeout)
+
+
+@pytest.mark.parametrize("fault", [{"corrupt_rate": 0.1},
+                                   {"loss_probability": 0.05}],
+                         ids=["corrupt", "loss"])
+def test_discovery_survives_the_faults_the_bus_repairs(fault):
+    """A corrupted or lost question or answer is repaired by NACK only
+    after a heartbeat reveals the gap, usually after the discovery
+    window closed; discovery asks again, and every call completes (a
+    single window failed 4 of these 20 seeds under corruption, and 2
+    under loss)."""
+    for seed in range(1, 21):
+        assert faulty_call(seed, **fault) == (["GM", "IBM"], None), seed

@@ -180,9 +180,10 @@ def test_a_plane_refuses_replays_of_its_own_sessions():
                          ids=["plain", "compressed"])
 def test_a_refused_frame_counts_once_whatever_its_encoding(make_table):
     """A frame is one session's, so a refusal is the frame's: a ghost
-    frame of three envelopes is one ``stale_sessions`` whether the codec
-    (compressed: it asks for the session's tables) or the receiver
-    (plain: the first envelope) is the first to hear the session."""
+    frame of three envelopes is one ``stale_sessions``, whether it was
+    encoded against a one-frame table ("plain": no table given, as
+    telemetry is) or a session's table.  Either way the codec is the
+    first to hear the session, when it asks for the session's tables."""
     bus, tracer, inbox = restart_with_a_gap()
     before, nacks = list(inbox), tracer.count("nack")
     ghost = Packet(PacketKind.DATA, "node00#0",
@@ -268,8 +269,9 @@ ILL_SHAPED = ["", "evil", "evil#", "#0", "evil#x", "evil#-1", "evil#0~",
                          ids=lambda session: repr(session[:12]))
 def test_an_ill_shaped_session_name_is_a_counted_drop(session):
     """CRC-valid frames whose session is not ``<host>#<epoch>[~<plane>]``:
-    a plain DATA frame (first heard by the reliable receiver), a
-    compressed one (first heard by the codec) and a HEARTBEAT."""
+    a DATA frame encoded with no table and one encoded against a
+    session table (both first heard by the codec), and a HEARTBEAT
+    (first heard by the reliable receiver)."""
     bus, tracer, inbox = make_bus()
     socket = evil_socket(bus)
     frames = [

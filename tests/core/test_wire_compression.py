@@ -1,9 +1,10 @@
-"""Wire header compression end-to-end: fewer bytes, same behaviour.
+"""Header strings as session-table ids, end-to-end: fewer bytes, same
+behaviour.
 
 The daemon-level contract: DATA/RETRANS frames ride the wire with
 string-table ids in place of repeated header strings — measurably fewer
-bytes than the plain encoding control frames still use — while every
-delivery guarantee holds: exactly-once in-order delivery under
+bytes than a frame that must define them all — while every delivery
+guarantee holds: exactly-once in-order delivery under
 corruption, NACK repair, and late joiners who never saw the defining
 frames (the unresolvable-id path: drop + NACK + self-contained RETRANS,
 never an exception).
@@ -41,9 +42,11 @@ def fanout_run(messages=300, seed=3):
 
 
 def test_compression_reduces_bytes_on_wire():
-    """The steady-state DATA frame of the fan-out below, table-compressed
-    as the daemon sends it vs plain: repeated headers dwarf the small
-    payload, so compression must save at least 25%."""
+    """The steady-state DATA frame of the fan-out below, citing the ids
+    its session's table holds, as the daemon sends it, vs the
+    self-contained frame that defines them (no table given): repeated
+    headers dwarf the small payload, so the ids must save at least
+    25%."""
     def frame(seq, table):
         envelope = Envelope(subject=WIRE_SUBJECT, sender="node00.pub",
                             session="node00#0", seq=seq,

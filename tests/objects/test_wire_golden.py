@@ -108,19 +108,23 @@ def frame_envelope(seq, payload=b"\x01\x02\x03", **fields):
 
 
 def golden_packets():
-    """``(name, string table, packet)`` per packet shape.  The compressed
-    ones share the session's string table, in send order: the DATA frame
-    defines the ids, the RETRANS redefines every id it references
-    although the table already holds them.  The compressed DATA frame's
-    second envelope sets every entry bit a successor may: ledger, magic
-    left out, next seq, same sender, same publish time, via hops."""
+    """``(name, string table, packet)`` per packet shape.  The stat DATA
+    frame is encoded without a table, as a daemon sends telemetry: it
+    defines every id it cites.  The compressed ones share the session's
+    string table, in send order: the DATA frame defines the ids, the
+    RETRANS redefines every id it references although the table already
+    holds them.  The compressed DATA frame's second envelope sets every
+    entry bit a successor may: ledger, magic left out, next seq, same
+    sender, same publish time, via hops."""
     table = StringTable()
     ledgered = frame_envelope(2, payload=encode(None), qos=QoS.GUARANTEED,
                               ledger_id="n0/g/1", via=("wan",))
+    stat = Envelope(subject="_bus.stat.n0.daemon", sender="n0#0",
+                    session="n0#0", seq=0, payload=encode({"n": 1}),
+                    publish_time=0.5)
     return [
-        ("plain DATA", None,
-         Packet(PacketKind.DATA, "n0#0", [frame_envelope(1)],
-                session_start=0.25)),
+        ("stat DATA", None,
+         Packet(PacketKind.DATA, "n0#0", [stat], session_start=0.25)),
         ("compressed DATA", table,
          Packet(PacketKind.DATA, "n0#0", [frame_envelope(1), ledgered],
                 session_start=0.25)),

@@ -3,8 +3,8 @@
 The interest gate acts on what :func:`read_digest` says about a frame
 without ever running :func:`decode_packet` on it, so the two must never
 disagree about whether a frame is acceptable.  Seeds are real encoder
-output in every shape the daemons send (plain, compressed, typed,
-RETRANS, reference-only, control) plus two only a hostile encoder sends
+output in every shape the daemons send (self-contained, typed, RETRANS,
+reference-only, control) plus two only a hostile encoder sends
 (a digest entry flagged ``0x02``, and a first entry that follows the
 seq, or repeats the sender or publish time, of a predecessor it does
 not have).  Encoder output sets the other entry bits too: payloads
@@ -19,8 +19,9 @@ encoder the checksum cannot catch.  For every such frame:
 (c) when both accept, the digest lists exactly as many entries as the
     packet has envelopes — and for unmutated encoder output the entries
     and subjects are the envelopes' own;
-(d) flag-vs-kind validity is judged identically: a HEARTBEAT/NACK/ACK
-    frame claiming a defs, typedef or digest region is rejected by both;
+(d) flag-vs-kind validity is judged identically: a frame with a flag
+    bit its kind does not allow (any bit but TYPED, and TYPED on a
+    HEARTBEAT/NACK/ACK frame) is rejected by both;
 (e) so is digest-flag validity: both reject the two hostile shapes as
     plain :class:`CorruptFrame` — there is nothing to repair.
 """
@@ -36,10 +37,11 @@ from repro.core.wire import (CorruptFrame, StringTable, decode_packet,
                              encode_packet, read_digest)
 from repro.objects import AttributeSpec, TypeDescriptor
 from repro.sim.framing import frame, unframe
+from tests.core.test_interest_gating import first_entry_at
 from tests.learned import Learned
 
-CONTROL_KIND_CODES = (2, 3, 4)          # NACK, HEARTBEAT, ACK
-REGION_FLAGS = 0x08 | 0x10 | 0x20       # COMPRESSED | DIGEST | TYPED
+#: kind code -> the flag bits it may carry: TYPED on DATA and RETRANS
+ALLOWED_FLAGS = {0: 0x20, 1: 0x20, 2: 0, 3: 0, 4: 0}
 
 SESSION = "node00#0"
 
@@ -62,9 +64,6 @@ envelopes = st.builds(
 ).map(lambda envelope: envelope if envelope.ledger_id is None
       else replace(envelope, qos=QoS.GUARANTEED))
 
-# body offset of the first digest entry's eflags in a plain SESSION
-# frame: kind flags session:str session_start:f64 last_seq entry_count
-FIRST_DFLAGS = 2 + (1 + len(SESSION)) + 8 + 1 + 1
 
 
 def type_table() -> TypeTable:
@@ -80,7 +79,7 @@ def seed_frames(draw):
     """One frame of real encoder output, plus the packet it encodes
     (``None`` for the hostile shape: no packet encodes to it)."""
     shape = draw(st.sampled_from(
-        ["plain", "compressed", "typed", "retrans", "cold", "control",
+        ["self-contained", "typed", "retrans", "cold", "control",
          "dflag02", "first"]))
     if shape == "control":
         packet = draw(st.sampled_from([
@@ -97,14 +96,14 @@ def seed_frames(draw):
         batch = [replace(envelope, seq=batch[0].seq + index)
                  for index, envelope in enumerate(batch)]
     packet = Packet(kind, SESSION, batch, session_start=0.25)
-    if shape == "plain":
+    if shape == "self-contained":
         return encode_packet(packet), packet
     if shape in ("dflag02", "first"):
         body = bytearray(unframe(encode_packet(packet)))
-        assert not body[FIRST_DFLAGS] & 0x02
-        body[FIRST_DFLAGS] |= (0x02 if shape == "dflag02"
-                               else draw(st.sampled_from([0x08, 0x10,
-                                                          0x20])))
+        at = first_entry_at(body)
+        assert not body[at] & 0x02
+        body[at] |= (0x02 if shape == "dflag02"
+                     else draw(st.sampled_from([0x08, 0x10, 0x20])))
         return frame(bytes(body)), None
     table = StringTable()
     types = type_table() if shape in ("typed", "retrans") else None
@@ -153,7 +152,7 @@ def test_digest_and_decode_agree(seed, edits, digest_first):
 
     if digest_error is not None:                                    # (b)
         assert decode_error is not None
-    if body[0] in CONTROL_KIND_CODES and body[1] & REGION_FLAGS:    # (d)
+    if body[0] in ALLOWED_FLAGS and body[1] & ~ALLOWED_FLAGS[body[0]]:  # (d)
         assert decode_error is not None and digest_error is not None
     if digest is not None and packet is not None:                   # (c)
         assert len(digest.seqs) == len(packet.envelopes)

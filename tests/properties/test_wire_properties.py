@@ -8,6 +8,7 @@ the checksum rather than decoded into garbage.
 
 import random
 from dataclasses import replace
+from io import BytesIO
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from repro.core import Envelope, Packet, PacketKind, QoS, wire
 from repro.core.wire import (CorruptFrame, StringTable, decode_packet,
                              encode_packet, read_digest)
-from repro.sim.framing import FRAME_OVERHEAD, flip_random_bit, frame, unframe
+from repro.sim.framing import (FRAME_OVERHEAD, flip_random_bit, frame,
+                               unframe, write_varint)
 from tests.learned import Learned
 
 # subjects mix plain ASCII labels with non-ASCII ones (UTF-8 on the wire)
@@ -48,8 +50,8 @@ def envelopes_of(session):
 
 envelopes = sessions.flatmap(envelopes_of)
 
-# DATA / RETRANS carry envelope batches (and are the only
-# header-compressible kinds)
+# DATA / RETRANS carry envelope batches (and are the only kinds that
+# cite header strings)
 data_packets = sessions.flatmap(lambda session: st.builds(
     Packet,
     kind=st.sampled_from([PacketKind.DATA, PacketKind.RETRANS]),
@@ -89,26 +91,44 @@ def test_packet_round_trip(packet):
     assert encode_packet(decoded) == encode_packet(packet)
 
 
+def varint_length(value):
+    out = BytesIO()
+    write_varint(out, value)
+    return len(out.getvalue())
+
+
 @given(envelopes)
 @settings(max_examples=200, deadline=None)
 def test_envelope_size_is_encoding_length(envelope):
-    """The size is the envelope's digest entry plus its standalone body:
-    exactly what it adds to an empty plain frame of its session."""
-    def plain(envelopes):
-        return encode_packet(Packet(PacketKind.DATA, envelope.session,
-                                    envelopes))
-    assert envelope.size == len(plain([envelope])) - len(plain([]))
+    """The size is the envelope's digest entry plus its standalone body,
+    each header string written inline: what it adds to an empty frame of
+    its session whose table already holds its strings, with each id
+    swapped for the string it stands for."""
+    table = StringTable()
+
+    def frame_length(envelopes):
+        return len(encode_packet(Packet(PacketKind.DATA, envelope.session,
+                                        envelopes), table))
+    frame_length([envelope])            # defines its strings
+    again = replace(envelope)           # uncached: cites, defines nothing
+    swap = 0
+    for text in (envelope.subject, envelope.sender) + envelope.via:
+        length = len(text.encode())
+        swap += length + varint_length(length) - varint_length(
+            table.ids[text])
+    assert envelope.size == frame_length([again]) - frame_length([]) + swap
 
 
 @given(data_packets)
 @settings(max_examples=200, deadline=None)
 def test_compressed_packet_round_trip(packet):
-    """A session's first compressed frame is self-contained: every id it
-    uses it also defines, so it decodes with zero receiver state — and
-    to exactly the packet the plain codec would produce."""
+    """A session's first frame is self-contained: every id it uses it
+    also defines, so it decodes with zero receiver state — and it is the
+    frame encode_packet writes against a one-frame table."""
     table = StringTable()
     compressed = encode_packet(packet, table)
     assert decode_packet(compressed) == packet
+    assert encode_packet(packet) == compressed
     # re-encoding against the same table is deterministic
     assert encode_packet(packet, table) == compressed
 
@@ -162,9 +182,9 @@ payloads = st.one_of(st.binary(max_size=16),
                      st.sampled_from([b"IB", b"IB\x01", b"IB\x02N"]))
 
 
-@given(seq_runs(), st.data(), st.booleans())
+@given(seq_runs(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_elided_seqs_and_magic_round_trip(seqs, data, compressed):
+def test_elided_seqs_and_magic_round_trip(seqs, data):
     """What the digest derives and the reader puts back is what was
     sent: the envelopes decode equal, and the digest the gate reads
     lists their seqs."""
@@ -173,7 +193,7 @@ def test_elided_seqs_and_magic_round_trip(seqs, data, compressed):
                           publish_time=0.5)
                  for seq in seqs]
     packet = Packet(PacketKind.DATA, "h#0", envelopes, session_start=0.25)
-    frame_bytes = encode_packet(packet, StringTable() if compressed else None)
+    frame_bytes = encode_packet(packet)
     wire.configure_decode_memo()        # a fresh digest walk, then a decode
     assert read_digest(frame_bytes).seqs == seqs    # resuming at the bodies
     assert decode_packet(frame_bytes).envelopes == envelopes
