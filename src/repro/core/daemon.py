@@ -453,9 +453,9 @@ class BusDaemon:
                                            self._stat_port,
                                            self._on_stat_datagram,
                                            lane=self.shard)
-        #: stat subject -> when the send lane is done with its last
-        #: snapshot (``send_free_at`` read right after the broadcast)
-        self._stat_on_lane: Dict[str, float] = {}
+        #: when the send lane is done with this plane's last snapshot
+        #: (``send_free_at`` read right after the broadcast)
+        self._stat_on_lane = 0.0
         self._stat_timer: Optional[PeriodicTimer] = None
         if self.config.stat_interval > 0:
             self._stat_timer = PeriodicTimer(
@@ -705,6 +705,9 @@ class BusDaemon:
                 session_start = packet.session_start
                 for envelope in packet.envelopes:
                     handle(envelope, retransmitted, session_start)
+                if retransmitted and packet.last_seq:
+                    self._receiver.handle_gone(packet.session,
+                                               packet.last_seq)
             elif kind is PacketKind.HEARTBEAT:
                 self._receiver.handle_heartbeat(
                     packet.session, packet.last_seq, packet.session_start)
@@ -720,17 +723,19 @@ class BusDaemon:
             self._drop_undecodable(err)
 
     def _gate_datagram(self, data: bytes) -> bool:
-        """The interest gate: True when the frame is fully handled in
-        O(header) — nothing local wanted it and the reliable window
-        advanced from its subject digest alone (or it was corrupt /
-        unresolvable, handled exactly as the full path would).
+        """The interest gate: True when the frame is fully handled from
+        its digest — O(header) once the frame memo holds its parse —
+        because nothing local wanted it and the reliable window advanced
+        from its subject digest alone (or it was corrupt / unresolvable,
+        handled exactly as the full path would).
 
         Falls back to the full decode path (returns False) whenever
         skipping could be observable: a digest subject matches a local
         subscription (including the router leg's forwarding patterns,
         which live in this same trie), the frame carries guaranteed or
         unsequenced envelopes, or the reliable receiver is in any state
-        other than trivial in-order/duplicate accounting.
+        other than trivial in-order/duplicate accounting, or the frame
+        is a repair saying seqs are gone.
         """
         try:
             digest = read_digest(data, self._receiver)
@@ -789,7 +794,10 @@ class BusDaemon:
             return
         first, last = packet.nack_range
         repairs = self._sender.repair(first, last)
-        if not repairs:
+        # a NACK reaching below retention is answered even with nothing
+        # to re-send: the reply's last_seq says every seq up to it is gone
+        gone = self._sender.gone if first <= self._sender.gone else 0
+        if not repairs and not gone:
             return
         if self.tracer:
             self.tracer.emit(self.sim.now, "retransmit", first=first,
@@ -798,7 +806,7 @@ class BusDaemon:
         # references, so the requester decodes it even if it missed the
         # defining DATA frame
         reply = Packet(PacketKind.RETRANS, self.session, repairs,
-                       session_start=self.session_started)
+                       last_seq=gone, session_start=self.session_started)
         self._socket.sendto(
             encode_packet(reply, self._wire_table,
                           type_table=self._type_table),
@@ -960,12 +968,22 @@ class BusDaemon:
     # telemetry plane (reserved ``_bus.stat.*`` subjects)
     # ------------------------------------------------------------------
     def _publish_stats(self) -> None:
-        """Publish one registry snapshot on ``_bus.stat.<host>.daemon``.
+        """Publish one registry snapshot on ``_bus.stat.<host>.daemon``
+        (``.s<k>`` on plane k of a sharded host): the plane's one stat
+        subject.
 
         Snapshots are self-describing data objects (the
         :mod:`repro.objects` marshalling), exactly as the paper's
         system-management tools expect: any subscriber can decode them
-        with no out-of-band schema.
+        with no out-of-band schema.  They are broadcast outside the
+        data plane, *unsequenced* (``seq == 0``): they bypass the
+        reliable protocol entirely, so they never consume data-plane
+        sequence numbers, never trigger NACKs, and are trivially
+        identifiable for exclusion from the counters they would perturb.
+        Each frame is encoded against its own one-frame string table, so
+        it decodes with no session state and the data plane's table is
+        untouched.  Like a heartbeat, a snapshot goes straight onto the
+        send lane, so a saturated host stays visible (:meth:`_pump_fire`).
         """
         if not self.up:
             return
@@ -980,43 +998,24 @@ class BusDaemon:
             # the payload says which plane this is
             record["shard"] = self.shard
             subject = f"{subject}.s{self.shard}"
-        payload = encode(record)
-        self.publish_stat_bytes(subject, payload)
-
-    def publish_stat_bytes(self, subject: str, payload: bytes) -> None:
-        """Broadcast a telemetry envelope outside the data plane.
-
-        Stat envelopes are *unsequenced* (``seq == 0``): they bypass the
-        reliable protocol entirely, so they never consume data-plane
-        sequence numbers, never trigger NACKs, and are trivially
-        identifiable for exclusion from the counters they would perturb.
-        Each frame is encoded against its own one-frame string table, so
-        it decodes with no session state and the data plane's table is
-        untouched.  Like a heartbeat, a
-        snapshot goes straight onto the send lane, so a saturated host
-        stays visible; it is skipped only while its subject's previous
-        snapshot is still on the lane, so a busy lane never backs up
-        stale snapshots of one source.
-        """
-        if not self.up:
-            return
         envelope = Envelope(subject=subject, sender=self.session,
-                            session=self.session, seq=0, payload=payload,
+                            session=self.session, seq=0,
+                            payload=encode(record),
                             publish_time=self.sim.now)
         self._dispatch(envelope, False)        # local subscribers
         self._pump_fire(envelope)
 
     def _pump_fire(self, envelope: Envelope) -> None:
         """Put one snapshot on the stat socket, unless the lane still
-        holds its subject's previous one (the newest supersedes it)."""
-        subject = envelope.subject
-        if self.sim.now < self._stat_on_lane.get(subject, 0.0):
+        holds the plane's previous one (the newest supersedes it), so a
+        busy lane never backs up stale snapshots."""
+        if self.sim.now < self._stat_on_lane:
             return
         packet = Packet(PacketKind.DATA, self.session, [envelope],
                         session_start=self.session_started)
         # a one-frame string table: the session's is the data plane's
         self._stat_socket.broadcast(encode_packet(packet), self._stat_port)
-        self._stat_on_lane[subject] = self.host.send_free_at(self.shard)
+        self._stat_on_lane = self.host.send_free_at(self.shard)
 
     def _on_stat_datagram(self, data: bytes, size: int,
                           src: Endpoint) -> None:

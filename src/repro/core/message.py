@@ -110,7 +110,8 @@ class Packet:
     envelopes: List[Envelope] = field(default_factory=list)
     #: NACK: the (first, last) missing seq range being requested.
     nack_range: Optional[Tuple[int, int]] = None
-    #: HEARTBEAT: highest seq published in this session.
+    #: HEARTBEAT: highest seq published in this session.  RETRANS: every
+    #: seq up to this has left the sender's retention (0: none has).
     last_seq: int = 0
     #: DATA/RETRANS/HEARTBEAT: simulated time this session began.  Lets
     #: a receiver distinguish "I joined late" (baseline at what it

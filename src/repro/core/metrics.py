@@ -26,7 +26,7 @@ renders the whole family as plain self-describing dicts via
 :meth:`~MetricsRegistry.snapshot` — ready to marshal with
 :mod:`repro.objects` and publish on the reserved ``_bus.stat.*``
 subjects (a daemon does, every ``BusConfig.stat_interval`` seconds:
-see :meth:`repro.core.daemon.BusDaemon.publish_stat_bytes`).
+see :meth:`repro.core.daemon.BusDaemon._publish_stats`).
 
 Two properties the telemetry plane guarantees, both test-asserted:
 

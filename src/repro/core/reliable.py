@@ -17,8 +17,11 @@ deliver in sequence order per session, buffer out-of-order arrivals, and
 send unicast NACKs to repair gaps from the sender's bounded retention
 buffer.  Idle senders broadcast heartbeats so a lost *final* message is
 still detected.  A gap that cannot be repaired after ``nack_max``
-attempts (sender crashed, retention rolled past it, long partition) is
-skipped — degrading to at-most-once exactly as specified.
+attempts (sender crashed, long partition) is skipped — degrading to
+at-most-once exactly as specified.  A NACK for seqs the sender's
+retention has already rolled past is answered at once: the repair says
+every seq up to some edge is gone, and the receiver skips those seqs
+and counts them as ``unrecoverable``, not as ``messages_lost``.
 """
 
 from __future__ import annotations
@@ -99,6 +102,12 @@ class ReliableSender:
         return self.next_seq - 1
 
     @property
+    def gone(self) -> int:
+        """The highest seq retention has rolled past (0: none): every
+        seq up to it is beyond repair."""
+        return max(self.next_seq - 1 - self._retention.capacity, 0)
+
+    @property
     def retransmissions(self) -> int:
         """Envelopes re-sent to serve NACK repairs (an int view over
         the ``reliable.send[<session>].retransmissions`` counter)."""
@@ -129,8 +138,8 @@ class ReliableSender:
         is walked, however wide the range a (possibly forged) NACK
         names, so serving one costs at most the retention bound."""
         found = []
-        low = max(first, self.next_seq - self._retention.capacity)
-        for seq in range(low, min(last, self.next_seq - 1) + 1):
+        for seq in range(max(first, self.gone + 1),
+                         min(last, self.next_seq - 1) + 1):
             envelope = self._retention.get(seq)
             if envelope is not None:
                 found.append(envelope)
@@ -143,10 +152,14 @@ class SessionStats:
     counters in the receiving daemon's registry (a private one for a
     standalone receiver); read ``stats.delivered.value``.
     ``overflow_dropped`` is pressure, not necessarily loss: an envelope
-    shed from a full reorder buffer may still be NACK-repaired."""
+    shed from a full reorder buffer may still be NACK-repaired.
+    ``messages_lost`` counts the seqs given up after ``nack_max``
+    unanswered NACKs, ``unrecoverable`` those the sender answered were
+    no longer retained."""
 
     _FIELDS = ("delivered", "duplicates", "buffered", "nacks_sent",
-               "gaps_skipped", "messages_lost", "overflow_dropped")
+               "gaps_skipped", "messages_lost", "unrecoverable",
+               "overflow_dropped")
 
     __slots__ = _FIELDS
 
@@ -417,6 +430,27 @@ class ReliableReceiver:
             return
         if state.has_gap():
             self._arm_nack(state)
+
+    def handle_gone(self, session: str, gone: int) -> None:
+        """``session``'s sender answered a NACK: every seq up to ``gone``
+        has left its retention.
+
+        Honoured only while this receiver is NACKing the session, and
+        only across the first missing run: those seqs are skipped and
+        counted in ``unrecoverable``, and what was buffered behind them
+        is delivered.  An answer nobody asked for (forged, or late after
+        the gap closed) changes nothing.
+        """
+        state = self.sessions.get(session)
+        if state is None or not state.nack_attempts:
+            return
+        end = min(gone, state.last_missing())
+        if end < state.expected:
+            return
+        state.stats.unrecoverable.value += end - state.expected + 1
+        state.expected = end + 1
+        self._drain(state)
+        self._refresh_gap(state)
 
     def handle_heartbeat(self, session: str, last_seq: int,
                          session_start: Optional[float] = None) -> None:

@@ -43,18 +43,17 @@ passed its CRC), then raises :class:`UnresolvedStringId` carrying the
 envelope seq range, which the daemon treats like a gap: drop the frame
 and NACK.  HEARTBEAT, NACK and ACK packets cite no header strings.
 
-Decoding is one staged walk with one memo.  A frame is parsed by a
-single private walker in five stages — (1) header, (2) string defs,
-(3) typedefs, (4) subject digest, (5) envelope bodies —
-:func:`read_digest` is that walk stopped after stage 4 and
-:func:`decode_packet` is all five, so flag validity, table effects and
-unresolved-id rules are judged once, identically, for both.  A
-broadcast is the *same* byte buffer at every receiving daemon, so the
-walker keeps a small LRU keyed by the exact frame bytes whose entry
-records *how far that frame has been parsed*: each unique buffer is
-CRC-checked and its prefix parsed once per fan-out instead of once per
-receiver, and a full decode that finds a digest-stage entry resumes at
-the bodies.  This is safe because parsing is a pure function of the
+Decoding is one parse per frame with one memo.  A frame is parsed
+whole — header, string defs, typedefs, subject digest, envelope bodies
+— by a single private walker; :func:`read_digest` and
+:func:`decode_packet` are two views of that one parse, so flag
+validity, table effects and unresolved-id rules are judged once,
+identically, for both.  A broadcast is the *same* byte buffer at every
+receiving daemon, so the walker keeps a small LRU keyed by the exact
+frame bytes whose entry is that frame's whole parse: each unique buffer
+is CRC-checked and parsed once per fan-out instead of once per
+receiver, whichever entry point meets it first.  This is safe because
+parsing is a pure function of the
 bytes *and the receiver's session tables*: an entry records which ids
 the frame defined (``defines``) and which it relied on (``needs`` — the
 digest's apart from the bodies', so a digest hit never fails a receiver
@@ -67,7 +66,8 @@ conflicting table bypasses the memo entirely.  It is fault-honest
 because a receiver-side bit flip (``corrupt_rate``) produces a
 *different* buffer that misses the memo and fails its own CRC check —
 every afflicted receiver still rejects its own corrupted copy.
-Failures are never cached.  :func:`configure_decode_memo` resizes or
+Failures are never cached, nor is a parse that did not resolve for the
+receiver that walked it.  :func:`configure_decode_memo` resizes or
 disables the memo (capacity 0 is the reference the differential
 decoder fuzz compares against).
 
@@ -84,8 +84,8 @@ definitions ride in a **typedef region** on the frames (flag ``0x20``),
 under exactly the string-table rules: a DATA frame defines ids on their
 first wire appearance, a RETRANS frame re-defines *all* ids its
 envelopes reference, and the region additionally lists the frame's full
-reference set so :func:`read_digest` validates resolvability in
-O(header) — gated and ungated receivers fail identically.  Definitions
+reference set so :func:`read_digest` validates resolvability without
+the bodies — gated and ungated receivers fail identically.  Definitions
 are opaque byte strings (marshalled ``describe()`` dicts) the wire
 layer never parses; receivers accumulate them in the session's
 record (``PeerSession.types``).  A frame referencing an unlearned type
@@ -102,19 +102,18 @@ On a broadcast bus most daemons are uninterested in most frames, yet
 every daemon hears every DATA frame.  So DATA and RETRANS frames lead
 with a **subject digest**: one tiny entry per envelope — its flags,
 subject and seq — placed *before* the envelope bodies, and the only
-place a frame writes those three.  :func:`read_digest` parses just the
-frame header, the defs section, and the digest in O(header) time,
-letting a receiving daemon ask "does anything here match my
-subscriptions?" without ever materializing the bodies.  When nothing
+place a frame writes those three.  :func:`read_digest` hands a
+receiving daemon just that digest, letting it ask "does anything here
+match my subscriptions?" without touching the envelopes.  When nothing
 matches, the daemon advances its reliable session window straight from
 the digest's seq spans
 (:meth:`repro.core.reliable.ReliableReceiver.try_skip`) and drops the
-frame unparsed — O(header) instead of O(frame) per uninteresting frame.
-Crucially a skipped frame still replays the table definitions it
-carries (the defs section precedes the digest), so skipping never
-starves the receiver's string table.  A digest read leaves its parse
-in the frame memo at stage 4; whichever receiver does want the frame
-picks it up there and only walks the bodies.
+frame.  The frame memo makes that O(header) for every receiver of a
+broadcast but the first, which parses it whole: a frame no receiver
+wants is walked once, bodies included (a few percent of the ledger's
+frames).  Crucially a skipped frame still replays the table
+definitions it carries, so skipping never starves the receiver's
+string table.
 
 Frame body layout (all integers varint unless noted)::
 
@@ -153,7 +152,9 @@ retired, and ``0x80``) — make the frame a :class:`CorruptFrame`; so
 does ``0x40`` with no hop.
 There is one envelope count, ``entry_count``: bodies follow the digest
 one per entry and must end the frame exactly.  HEARTBEAT, NACK and ACK
-frames end after their header.
+frames end after their header.  ``last_seq`` is a HEARTBEAT's highest
+seq published, and on a RETRANS the highest seq the sender no longer
+retains when the NACK it answers reached below its retention (else 0).
 
 One frame, one session: every envelope in a frame is the session's its
 header names, so the session is written once.  QoS rides the ledger
@@ -540,7 +541,7 @@ def encode_packet(packet: Packet, table: Optional[StringTable] = None,
 #: few hundred entries cover even deep outbound queues.
 DEFAULT_DECODE_MEMO_CAPACITY = 256
 
-# frame bytes -> how far that frame has been parsed (a _Parse).  The
+# frame bytes -> that frame's whole parse (a _Parse).  The
 # memo is process-global (deliberately: the N receivers of one broadcast
 # share a single parse), so its counters live in a module-level registry
 # rather than any one daemon's — and are therefore NOT part of
@@ -556,8 +557,6 @@ _decode_memo_misses = _wire_metrics.counter("wire.decode_memo.misses")
 _wire_metrics.gauge("wire.decode_memo.capacity",
                     source=lambda: _memo_capacity)
 _wire_metrics.gauge("wire.decode_memo.size", source=lambda: len(_memo))
-_digest_memo_hits = _wire_metrics.counter("wire.digest_memo.hits")
-_digest_memo_misses = _wire_metrics.counter("wire.digest_memo.misses")
 #: typedef-region accounting: definitions written by encoders vs
 #: definitions learned by fresh (non-memoized) walks of a typedef region
 _typedef_defined = _wire_metrics.counter("wire.typedef.defined")
@@ -565,8 +564,9 @@ _typedef_learned = _wire_metrics.counter("wire.typedef.learned")
 
 
 def wire_metrics() -> MetricsRegistry:
-    """The module-level registry holding the decode-memo, digest-memo
-    and typedef (``wire.typedef.*``) instruments."""
+    """The module-level registry holding the frame-memo
+    (``wire.decode_memo.*``) and typedef (``wire.typedef.*``)
+    instruments."""
     return _wire_metrics
 
 
@@ -581,14 +581,16 @@ def configure_decode_memo(capacity: int = DEFAULT_DECODE_MEMO_CAPACITY
     _memo_capacity = capacity
     _memo.clear()
     for counter in (_decode_memo_hits, _decode_memo_misses,
-                    _digest_memo_hits, _digest_memo_misses,
                     _typedef_defined, _typedef_learned):
         counter.reset()
 
 
 def decode_memo_stats() -> Dict[str, int]:
     """Hit/miss/size counters for benches and cache-honesty tests (a
-    dict view over the :func:`wire_metrics` registry instruments)."""
+    dict view over the :func:`wire_metrics` registry instruments).  One
+    lookup per :func:`read_digest` or :func:`decode_packet` call while
+    the memo is on: a hit when a stored parse served this receiver, a
+    miss otherwise."""
     return {"capacity": _memo_capacity, "size": len(_memo),
             "hits": _decode_memo_hits.value,
             "misses": _decode_memo_misses.value}
@@ -603,7 +605,8 @@ class FrameDigest:
     (what the interest gate matches); ``needs_full`` is True when any
     envelope must take the full decode path regardless of local interest
     (guaranteed/ledgered envelopes, whose ack+dedupe protocol runs even
-    with no subscriber, and unsequenced ``seq == 0`` telemetry frames).
+    with no subscriber, and unsequenced ``seq == 0`` telemetry frames),
+    and for a RETRANS frame that says seqs are gone (``last_seq > 0``).
     """
 
     __slots__ = ("session", "subjects", "seqs", "needs_full")
@@ -617,35 +620,25 @@ class FrameDigest:
 
 
 class _Parse:
-    """One frame's parse, as far as it has got — what the memo holds.
+    """One frame's whole parse — what the memo holds.
 
-    Stages 1-4 (header, string defs, typedefs, digest) fill everything
-    but the bodies: ``packet`` has its header fields and no envelopes,
-    ``digest`` is the :class:`FrameDigest` (``None`` for a control
-    frame, complete after stage 1), ``entries`` the digest's
-    ``(eflags, subject, seq)`` per envelope — what stage 5 reads each
-    body against — and ``rest`` the unparsed remainder of the frame
-    body, the bodies.  Stage 5 fills ``packet.envelopes`` and clears
-    ``rest``: a parse with nothing left is complete.
-
+    ``packet`` is the decoded :class:`Packet`, envelopes and all, and
+    ``digest`` its :class:`FrameDigest` (``None`` for a control frame).
     ``defines`` / ``tdefines`` are the frame's in-frame string / type
     definitions (``None`` on a control frame / a frame without a typedef
-    region).  ``needs`` maps
-    every other string id the *digest* cites to its value at parse time,
-    ``body_needs`` every other id the digest *or the bodies* cite — kept
-    apart so a digest hit never fails a receiver for an id only the
-    bodies use; ``tneeds`` is the same for the typedef reference list,
-    which both stages share.
+    region).  ``needs`` maps every other string id the *digest* cites to
+    its value at parse time, ``body_needs`` every other id the digest
+    *or the bodies* cite — kept apart so a digest read never fails a
+    receiver for an id only the bodies use; ``tneeds`` is the same for
+    the typedef reference list, which both entry points check.
     """
 
-    __slots__ = ("packet", "digest", "entries", "rest", "defines",
-                 "needs", "body_needs", "tdefines", "tneeds")
+    __slots__ = ("packet", "digest", "defines", "needs", "body_needs",
+                 "tdefines", "tneeds")
 
     def __init__(self, packet: Packet) -> None:
         self.packet = packet
         self.digest: Optional[FrameDigest] = None
-        self.entries: List[Tuple[int, str, int]] = []
-        self.rest: Optional[memoryview] = None
         self.defines = self.needs = self.body_needs = None
         self.tdefines = self.tneeds = None
 
@@ -698,7 +691,7 @@ def _needs(table: Dict[int, object], refs: Iterable[int],
 def _read_header_str(cur: Cursor, table: Dict[int, str],
                      refs: Set[int]) -> str:
     """One header string: a session-table id, noted in ``refs``.  An
-    unlearned id reads as ``""``; the walk reports it once the stage is
+    unlearned id reads as ``""``; the walk reports it once the frame is
     structurally done."""
     idx = cur.varint()
     refs.add(idx)
@@ -706,176 +699,149 @@ def _read_header_str(cur: Cursor, table: Dict[int, str],
 
 
 def _walk(data: bytes, peers, bodies: bool) -> _Parse:
-    """The one frame parser: header → string defs → typedefs → digest
-    [→ bodies], for one receiver, through the memo.
+    """The one frame parser: header → string defs → typedefs → digest →
+    bodies, for one receiver, through the memo.
 
-    :func:`read_digest` stops after stage 4 (``bodies`` false);
-    :func:`decode_packet` runs all five.  A memoized parse is replayed
-    for this receiver (:func:`_replay`) and picked up where it stopped,
-    so a decode after a digest read resumes at the bodies.  Structural
-    errors raise :class:`CorruptFrame` where they are met; unlearned ids
-    raise only once the last requested stage is structurally sound
-    (string ids before type ids), so both entry points — memoized or
-    not — agree on which error a frame earns.  Failures are never
-    stored.
+    A memoized parse is replayed for this receiver (:func:`_replay`);
+    otherwise the frame is walked whole, and kept only when it resolved
+    for this receiver, so every entry serves both entry points.
+    :func:`read_digest` (``bodies`` false) checks the ids the digest
+    cites, :func:`decode_packet` the bodies' as well.  Structural errors
+    raise :class:`CorruptFrame` where they are met; unlearned ids raise
+    only once the frame is structurally sound (string ids before type
+    ids), so both entry points — memoized or not — earn the same error
+    for every frame but one whose only unlearned ids are the bodies'.
+    Failures are never stored.
     """
-    key = parse = table = None
-    hit = False
-    missing = tmissing = ()     # string / type ids this receiver lacks
+    key = None
     if _memo_capacity:
         key = bytes(data)
         parse = _memo.get(key)
-    if parse is not None:
-        # replay for this receiver; on colliding table state the parse
-        # is not ours: walk fresh and leave the memo alone
-        session = parse.packet.session
-        complete = parse.rest is None
-        if parse.digest is not None:
-            table, types = _learned(peers, session)
-            missing = _replay(
-                table, parse.defines,
-                parse.body_needs if bodies and complete else parse.needs)
-            if missing is not None and parse.tdefines is not None:
-                tmissing = _replay(types, parse.tdefines, parse.tneeds)
-        if missing is None or tmissing is None:
-            key = parse = table = None
-            missing = tmissing = ()
-        else:
-            _memo.move_to_end(key)
-            hit = complete or not bodies
-    if parse is None:
-        # -- stage 1: header; the one place flags are judged, against
-        # what the kind allows.  The kind fixes the fields that follow:
-        # a control frame ends here, a DATA/RETRANS frame goes on to its
-        # defs and digest.
-        cur = Cursor(unframe_view(data))
-        code = cur.u8()
-        kind = _CODE_TO_KIND.get(code)
-        if kind is None:
-            raise CorruptFrame("unknown packet kind code")
-        flags = cur.u8()
-        if flags & ~_P_ALLOWED[code]:
-            raise CorruptFrame(f"flags {flags:#x} on {kind.value} packet")
-        session = _intern(cur.str_())
-        session_start = cur.f64()
-        last_seq = cur.varint()
-        nack_range = ack_ledger_id = ack_consumer = None
-        if kind is PacketKind.NACK:
-            first = cur.varint()
-            nack_range = (first, cur.varint())
-        elif kind is PacketKind.ACK:
-            ack_ledger_id = _intern(cur.str_())
-            ack_consumer = _intern(cur.str_())
-        parse = _Parse(Packet(kind, session, [], nack_range, last_seq,
-                              session_start, ack_ledger_id, ack_consumer))
-        if kind not in _ENVELOPE_KINDS:
-            if not cur.exhausted:
-                raise CorruptFrame(f"{cur.remaining()} trailing bytes "
-                                   f"after {kind.value} header")
-        else:
-            # -- stage 2: string defs, then 3: typedefs and the frame's
-            # full type-reference list
-            defines = parse.defines = {}
+        if parse is not None:
+            missing = tmissing = ()     # string / type ids this receiver lacks
+            if parse.digest is not None:
+                table, types = _learned(peers, parse.packet.session)
+                missing = _replay(table, parse.defines,
+                                  parse.body_needs if bodies else parse.needs)
+                if missing is not None and parse.tdefines is not None:
+                    tmissing = _replay(types, parse.tdefines, parse.tneeds)
+            if missing is not None and tmissing is not None:
+                _memo.move_to_end(key)
+                _decode_memo_hits.value += 1
+                if missing or tmissing:
+                    raise _unresolved(parse, missing, tmissing)
+                return parse
+            # colliding table state: the parse is not this receiver's,
+            # so walk fresh and leave the memo alone
+            key = None
+        _decode_memo_misses.value += 1
+    # -- header; the one place flags are judged, against what the kind
+    # allows.  The kind fixes the fields that follow: a control frame
+    # ends here, a DATA/RETRANS frame goes on to its defs and digest.
+    cur = Cursor(unframe_view(data))
+    code = cur.u8()
+    kind = _CODE_TO_KIND.get(code)
+    if kind is None:
+        raise CorruptFrame("unknown packet kind code")
+    flags = cur.u8()
+    if flags & ~_P_ALLOWED[code]:
+        raise CorruptFrame(f"flags {flags:#x} on {kind.value} packet")
+    session = _intern(cur.str_())
+    session_start = cur.f64()
+    last_seq = cur.varint()
+    nack_range = ack_ledger_id = ack_consumer = None
+    if kind is PacketKind.NACK:
+        first = cur.varint()
+        nack_range = (first, cur.varint())
+    elif kind is PacketKind.ACK:
+        ack_ledger_id = _intern(cur.str_())
+        ack_consumer = _intern(cur.str_())
+    envelopes: List[Envelope] = []
+    parse = _Parse(Packet(kind, session, envelopes, nack_range, last_seq,
+                          session_start, ack_ledger_id, ack_consumer))
+    missing = tmissing = ()
+    if kind not in _ENVELOPE_KINDS:
+        if not cur.exhausted:
+            raise CorruptFrame(f"{cur.remaining()} trailing bytes "
+                               f"after {kind.value} header")
+    else:
+        # -- string defs, then typedefs and the frame's full
+        # type-reference list
+        defines = parse.defines = {}
+        for _ in range(cur.varint()):
+            idx = cur.varint()
+            defines[idx] = _intern(cur.str_())
+        if flags & _P_TYPED:
+            tdefines = parse.tdefines = {}
             for _ in range(cur.varint()):
-                idx = cur.varint()
-                defines[idx] = _intern(cur.str_())
-            if flags & _P_TYPED:
-                tdefines = parse.tdefines = {}
-                for _ in range(cur.varint()):
-                    tid = cur.varint()
-                    tdefines[tid] = cur.bytes_()
-                trefs = [cur.varint() for _ in range(cur.varint())]
-            # -- stage 4: digest, the one place subject, seq and flags
-            # are written.  Bits no writer sets, and an elision on the
-            # first entry (it has no predecessor), are a hostile
-            # encoder's.  A successor's seq is derived here, so the gate
-            # and the bodies see every seq.
-            cited = []
-            allowed = _E_FIRST
-            seq = None
-            for _ in range(cur.varint()):
-                eflags = cur.u8()
-                if eflags & ~allowed:
-                    raise CorruptFrame(f"bad digest entry flags {eflags:#x}"
-                                       f" (entry {len(cited)})")
-                allowed = _E_DEFINED
-                idx = cur.varint()
-                seq = seq + 1 if eflags & _E_NEXT_SEQ else cur.varint()
-                cited.append((eflags, idx, seq))
-            parse.rest = cur.buf[cur.pos:]
-            # The prefix is sound, so only now does the frame reach the
-            # receiver's session record (a frame that fails above makes
-            # none).  It passed its CRC, so its definitions are intact:
-            # apply them even if resolution fails below or the caller
-            # goes on to skip the frame — later frames reference them
-            # without redefining, and they make a later repair decodable.
-            table, ttable = _learned(peers, session)
-            for idx in defines:     # not update(): no call on the hot path
-                table[idx] = defines[idx]
-            if flags & _P_TYPED:
-                ttable.update(tdefines)
-                _typedef_learned.value += len(tdefines)
-                parse.tneeds = _needs(ttable, trefs, tdefines)
-                tmissing = [t for t, blob in parse.tneeds.items()
-                            if blob is None]
-            refs: Set[int] = set()
-            entries = parse.entries
-            seqs: List[int] = []
-            subjects: Dict[str, None] = {}      # distinct, first-seen order
-            needs_full = False
-            for eflags, idx, seq in cited:
-                refs.add(idx)
-                subject = table.get(idx, "")    # unlearned: reported below
-                subjects[subject] = None
-                if eflags & _E_LEDGER or seq == 0:
-                    needs_full = True
-                seqs.append(seq)
-                entries.append((eflags, subject, seq))
-            parse.digest = FrameDigest(session, tuple(subjects), seqs,
-                                       needs_full)
-            parse.needs = _needs(table, refs, defines)
-            missing = [i for i, text in parse.needs.items() if text is None]
-    envelopes = body_needs = None
-    if bodies and parse.rest is not None:
-        # -- stage 5: bodies, one per digest entry, read against it
-        cur = Cursor(parse.rest)
-        refs = set()
-        envelopes = []
+                tid = cur.varint()
+                tdefines[tid] = cur.bytes_()
+            trefs = [cur.varint() for _ in range(cur.varint())]
+        # -- digest, the one place subject, seq and flags are written.
+        # Bits no writer sets, and an elision on the first entry (it has
+        # no predecessor), are a hostile encoder's.  A successor's seq
+        # is derived here, so the gate and the bodies see every seq.
+        cited = []
+        allowed = _E_FIRST
+        seq = None
+        for _ in range(cur.varint()):
+            eflags = cur.u8()
+            if eflags & ~allowed:
+                raise CorruptFrame(f"bad digest entry flags {eflags:#x}"
+                                   f" (entry {len(cited)})")
+            allowed = _E_DEFINED
+            idx = cur.varint()
+            seq = seq + 1 if eflags & _E_NEXT_SEQ else cur.varint()
+            cited.append((eflags, idx, seq))
+        # The prefix is sound, so only now does the frame reach the
+        # receiver's session record (a frame that fails above makes
+        # none).  It passed its CRC, so its definitions are intact:
+        # apply them even if the bodies or resolution fail below, or the
+        # caller goes on to skip the frame — later frames reference them
+        # without redefining, and they make a later repair decodable.
+        table, ttable = _learned(peers, session)
+        for idx in defines:     # not update(): no call on the hot path
+            table[idx] = defines[idx]
+        if flags & _P_TYPED:
+            ttable.update(tdefines)
+            _typedef_learned.value += len(tdefines)
+            parse.tneeds = _needs(ttable, trefs, tdefines)
+            tmissing = [t for t, blob in parse.tneeds.items()
+                        if blob is None]
+        # -- bodies, one per digest entry, read against it
+        refs: Set[int] = set()
+        body_refs: Set[int] = set()
+        seqs: List[int] = []
+        subjects: Dict[str, None] = {}      # distinct, first-seen order
+        # a repair that says seqs are gone acts on the reliable window
+        needs_full = kind is PacketKind.RETRANS and last_seq > 0
         envelope = None
-        for entry in parse.entries:
-            envelope = _read_envelope(cur, table, refs, session, entry,
-                                      envelope)
+        for eflags, idx, seq in cited:
+            refs.add(idx)
+            subject = table.get(idx, "")    # unlearned: reported below
+            subjects[subject] = None
+            if eflags & _E_LEDGER or seq == 0:
+                needs_full = True
+            seqs.append(seq)
+            envelope = _read_envelope(cur, table, body_refs, session,
+                                      eflags, subject, seq, envelope)
             envelopes.append(envelope)
         if not cur.exhausted:
             raise CorruptFrame(
                 f"{cur.remaining()} trailing bytes after packet")
-        body_needs = _needs(table, refs, parse.defines)
-        missing = set(missing).union(
-            i for i, text in body_needs.items() if text is None)
-        body_needs.update(parse.needs)
-    # a control frame gives read_digest nothing to act on — it returns
-    # None and the caller decodes fully — so it does not count in the
-    # digest memo (it cites no ids, so it cannot be unresolved either)
-    acts = bodies or parse.digest is not None
-    if hit and acts:
-        (_decode_memo_hits if bodies else _digest_memo_hits).value += 1
-    if missing or tmissing:
-        packet = parse.packet
-        # a frame citing ids is a DATA/RETRANS frame, so it has a digest;
-        # a well-formed one has envelopes (the refs come from them), but
-        # a hostile encoder's might not: default the span
-        seqs = parse.digest.seqs or [0]
-        error = UnresolvedStringId if missing else UnresolvedTypeId
-        raise error(packet.session, missing or tmissing, min(seqs),
-                    max(seqs), packet.session_start)
-    if envelopes is not None:
-        parse.packet.envelopes = envelopes
-        parse.body_needs = body_needs
-        parse.rest = parse.entries = None
-    if not hit and key is not None:
-        if acts:
-            (_decode_memo_misses if bodies
-             else _digest_memo_misses).value += 1
+        parse.digest = FrameDigest(session, tuple(subjects), seqs,
+                                   needs_full)
+        needs = parse.needs = _needs(table, refs, defines)
+        body_needs = parse.body_needs = _needs(table, body_refs, defines)
+        body_needs.update(needs)
+        missing = [i for i, text in body_needs.items() if text is None]
+        if missing or tmissing:
+            key = None          # it cannot serve a decode: not stored
+            if not bodies:
+                missing = [i for i, text in needs.items() if text is None]
+            if missing or tmissing:
+                raise _unresolved(parse, missing, tmissing)
+    if key is not None:
         # every receiver of this broadcast gets this one Packet and its
         # Envelopes: nothing on the receive path assigns to a decoded
         # envelope, so sharing them is safe
@@ -885,17 +851,27 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
     return parse
 
 
+def _unresolved(parse: _Parse, missing: Iterable[int],
+                tmissing: Iterable[int]) -> UnresolvedIds:
+    """The error a parse citing unlearned ids earns: string ids first."""
+    packet = parse.packet
+    # a frame citing ids is a DATA/RETRANS frame, so it has a digest; a
+    # well-formed one has envelopes (the refs come from them), but a
+    # hostile encoder's might not: default the span
+    seqs = parse.digest.seqs or [0]
+    error = UnresolvedStringId if missing else UnresolvedTypeId
+    return error(packet.session, missing or tmissing, min(seqs), max(seqs),
+                 packet.session_start)
+
+
 def _read_envelope(cur: Cursor, table: Dict[int, str],
-                   refs: Set[int], session: str,
-                   entry: Tuple[int, str, int],
-                   prev: Optional[Envelope]) -> Envelope:
+                   refs: Set[int], session: str, eflags: int, subject: str,
+                   seq: int, prev: Optional[Envelope]) -> Envelope:
     """One envelope body of a frame from ``session`` (the frame header's:
-    the body does not repeat it), read against its digest ``entry`` —
-    which gives its subject and seq, and whose flags say which body
-    fields follow — and the frame's ``prev`` envelope, whose sender and
-    publish time an elided field repeats.  Qos is read off the ledger
-    flag."""
-    eflags, subject, seq = entry
+    the body does not repeat it), read against its digest entry — which
+    gives its subject and seq, and whose ``eflags`` say which body fields
+    follow — and the frame's ``prev`` envelope, whose sender and publish
+    time an elided field repeats.  Qos is read off the ledger flag."""
     sender = (prev.sender if eflags & _E_SAME_SENDER
               else _read_header_str(cur, table, refs))
     publish_time = (prev.publish_time if eflags & _E_SAME_TIME
@@ -945,23 +921,22 @@ def decode_packet(data: bytes, peers=None) -> Packet:
 
 
 def read_digest(data: bytes, peers=None) -> Optional[FrameDigest]:
-    """Parse just the header, defs, and subject digest of one frame.
+    """The subject digest of one frame: the interest gate's view of
+    the parse :func:`decode_packet` returns.
 
-    The interest gate's entry point — :func:`decode_packet` stopped
-    after stage 4: O(header) work (the CRC check is still O(frame), but
-    at C speed), never touching envelope bodies.  Returns ``None`` for
-    HEARTBEAT/NACK/ACK frames, which have no digest — the caller must
-    decode fully.  Like
+    O(header) on a memo hit — the definitions replayed and the digest's
+    ids checked for this receiver (the memo key's ``bytes`` copy is
+    still O(frame), at C speed); a miss parses the frame whole, so a
+    frame whose bodies are malformed raises the :class:`CorruptFrame`
+    :func:`decode_packet` would.  Returns ``None`` for HEARTBEAT/NACK/ACK
+    frames, which have no digest — the caller must decode fully.  Like
     :func:`decode_packet` it applies the frame's table and typedef
     definitions to the session's record in ``peers`` *even when the
     caller goes on to skip the frame* — a skipped frame must still
     replay what it carries — and raises :class:`UnresolvedStringId` /
     :class:`UnresolvedTypeId` when the digest or the typedef reference
-    list cites ids this receiver has not learned (a full decode reads the
-    same digest first, so the full path would fail identically).
-    Successful reads are memoized in the same per-frame entry a full
-    decode completes, with the same per-receiver ``defines`` replay and
-    by-value ``needs`` check.
+    list cites ids this receiver has not learned; ids only the bodies
+    cite fail :func:`decode_packet` alone.
     """
     return _walk(data, peers, False).digest
 

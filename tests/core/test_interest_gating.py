@@ -299,19 +299,20 @@ def test_undefined_entry_bit_fails_closed(flag):
 
 def test_via_flag_with_no_hops_fails_closed():
     """Entry bit 0x40 promises at least one ``via`` hop: a CRC-valid
-    frame whose body writes a hop count of 0 is refused by the full
-    decode (the digest, which holds no bodies, still reads), counted
-    once at the daemon that wanted its subject, and the bus carries on."""
+    frame whose body writes a hop count of 0 is refused by both entry
+    points (one parse serves both), counted once at every daemon that
+    hears it, interested or not, and the bus carries on."""
     hostile = make_envelope("zq.a", 1, "evil#0", via=("hopzz",))
     body = unframe(encode_packet(Packet(PacketKind.DATA, "evil#0",
                                         [hostile], session_start=0.0)))
     hops = b"\x01\x02\rpayload-bytes"  # 1 hop, its id, then the payload
     assert body.count(hops) == 1
     tampered = frame(body.replace(hops, b"\x00\rpayload-bytes"))
-    assert read_digest(tampered, peers=Learned()).subjects == ("zq.a",)
-    with pytest.raises(CorruptFrame, match="via flag with no hops") as caught:
-        decode_packet(tampered, peers=Learned())
-    assert type(caught.value) is CorruptFrame  # nothing to repair
+    for entry_point in (read_digest, decode_packet):
+        with pytest.raises(CorruptFrame,
+                           match="via flag with no hops") as caught:
+            entry_point(tampered, peers=Learned())
+        assert type(caught.value) is CorruptFrame  # nothing to repair
     bus = make_bus(advertise_subscriptions=False)
     got = []
     bus.client("node01", "mon").subscribe(
@@ -319,11 +320,11 @@ def test_via_flag_with_no_hops_fails_closed():
     evil_socket(bus).broadcast(tampered, DAEMON_PORT)
     bus.run_for(1.0)
     assert got == []
-    assert bus.daemons["node01"].corrupt_dropped == 1
+    assert [d.corrupt_dropped for d in bus.daemons.values()] == [1] * 4
     bus.client("node00", "pub").publish("zq.b", {"n": 1})
     bus.run_for(1.0)
     assert got == [("zq.b", {"n": 1})]
-    assert bus.daemons["node01"].corrupt_dropped == 1
+    assert [d.corrupt_dropped for d in bus.daemons.values()] == [1] * 4
 
 
 def test_magic_bit_restores_the_payload_a_marshaller_wrote():
@@ -366,9 +367,9 @@ def test_digest_memo_shares_parses():
                                 [make_envelope(seq=1)], session_start=0.0))
     read_digest(data)
     read_digest(data)
-    metrics = wire.wire_metrics()
-    assert metrics.counter("wire.digest_memo.misses").value == 1
-    assert metrics.counter("wire.digest_memo.hits").value == 1
+    decode_packet(data)
+    stats = wire.decode_memo_stats()
+    assert (stats["misses"], stats["hits"]) == (1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -547,14 +548,15 @@ def test_gate_is_invisible_beside_the_full_decode(monkeypatch, typed):
 
 
 def test_receiver_that_gave_up_keeps_up_without_futile_repair():
-    """The post-``_give_up`` corner (docs/PROTOCOLS.md).  An uninterested
-    daemon misses frames that defined a new subject id and a new sender
-    id, the sender's retention moves past them, and the receiver gives
-    up on the gap after ``nack_max`` NACKs.  Afterwards an id only the
-    bodies cite (the sender) is never needed — those frames skip from
-    the digest with no repair traffic — and an id the digest cites (the
-    subject) costs exactly one drop and one NACK: the self-contained
-    RETRANS re-defines it and the stream skips again."""
+    """The corner after a gap is given up (docs/PROTOCOLS.md).  An
+    uninterested daemon misses frames that defined a new subject id and
+    a new sender id, the sender's retention moves past them, and its
+    first NACK is answered that they are gone, so the receiver skips
+    them as unrecoverable.  Afterwards an id only the bodies cite (the
+    sender) is never needed — those frames skip from the digest with no
+    repair traffic — and an id the digest cites (the subject) costs
+    exactly one drop and one NACK: the self-contained RETRANS re-defines
+    it and the stream skips again."""
     bus = make_bus(seed=5, hosts=2, advertise_subscriptions=False,
                    reliable=ReliableConfig(retention=4, nack_max=3))
     got = []
@@ -576,22 +578,23 @@ def test_receiver_that_gave_up_keeps_up_without_futile_repair():
     bus.run_for(10.0)
     daemon = bus.daemons["node01"]
     stats = daemon.peers[bus.daemons["node00"].session].stats
-    assert (stats.gaps_skipped.value, stats.messages_lost.value) == (1, 20)
-    assert stats.nacks_sent.value == 3           # nack_max, then silence
+    assert (stats.unrecoverable.value, stats.messages_lost.value) == (20, 0)
+    assert stats.nacks_sent.value == 1           # answered: gone
 
     skipped = daemon.skipped_frames
     for n in range(10):                    # lost id cited by bodies only
         bus.sim.schedule(0.05 * n, other.publish, "feed.a", {"n": n})
     bus.run_for(5.0)
     assert daemon.skipped_frames == skipped + 10
-    assert (stats.nacks_sent.value, daemon.unresolved_dropped) == (3, 0)
+    assert (stats.nacks_sent.value, daemon.unresolved_dropped) == (1, 0)
 
     for n in range(10):                    # lost id cited by the digest
         bus.sim.schedule(0.05 * n, pub.publish, "feed.b", {"n": n})
     bus.run_for(5.0)
-    assert (stats.nacks_sent.value, daemon.unresolved_dropped) == (4, 1)
+    assert (stats.nacks_sent.value, daemon.unresolved_dropped) == (2, 1)
     assert daemon.skipped_frames == skipped + 19
-    assert (stats.gaps_skipped.value, stats.messages_lost.value) == (1, 20)
+    assert (stats.unrecoverable.value, stats.messages_lost.value) == (20, 0)
+    assert stats.gaps_skipped.value == 0
     assert stats.delivered.value == 49 - 20      # in step with the sender again
     assert got == []
 

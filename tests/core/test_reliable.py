@@ -9,7 +9,8 @@ in each case.
 import time
 
 from repro.core import (DAEMON_PORT, BusConfig, InformationBus, Packet,
-                        PacketKind, decode_packet, encode_packet)
+                        PacketKind, ReliableConfig, decode_packet,
+                        encode_packet)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel
@@ -287,8 +288,9 @@ def test_time_retention_turns_old_gaps_into_loss():
     pub.publish("tr.x", DataObject(reg, "story", n=2))
     bus.settle(10.0)
     assert received == [0, 2]     # 2 rolled 1 out of retention
-    lost = bus.daemon("node01").peers["node00#0"].stats.messages_lost
-    assert lost.value == 1
+    stats = bus.daemon("node01").peers["node00#0"].stats
+    # the sender answered that 1 is gone: unrecoverable, not lost
+    assert (stats.unrecoverable.value, stats.messages_lost.value) == (1, 0)
 
 
 def test_a_forged_nack_for_a_vast_range_is_served_from_retention_only():
@@ -319,3 +321,90 @@ def test_a_forged_nack_for_a_vast_range_is_served_from_retention_only():
     (repair,) = [packet for packet in repairs
                  if packet.kind is PacketKind.RETRANS]
     assert [envelope.seq for envelope in repair.envelopes] == [7, 8, 9, 10]
+    assert repair.last_seq == 6         # and every seq up to 6 is gone
+
+
+def burst_past_retention():
+    """3 hosts; node00 publishes 400 marshalled 190-character strings in
+    one burst at 3% loss, with retention 32, so some lost seqs have left
+    retention before their NACK arrives.  Per receiver: its arrival
+    times and seqs, and the stats of node00's session."""
+    cost = CostModel()
+    cost.loss_probability = 0.03
+    bus = InformationBus(seed=1, cost=cost, config=BusConfig(
+        reliable=ReliableConfig(retention=32)))
+    bus.add_hosts(3)
+    got = {"node01": [], "node02": []}
+    for host, arrivals in got.items():
+        bus.client(host, "mon").subscribe(
+            "burst.>", lambda s, p, info, arrivals=arrivals:
+            arrivals.append((bus.sim.now, info.seq)))
+    pub = bus.client("node00", "pub")
+    bus.run_for(1.0)
+    start = bus.sim.now
+    for n in range(400):
+        pub.publish("burst.x", "%0190d" % n)
+    bus.run_for(20.0)
+    session = bus.daemons["node00"].session
+    return start, [(arrivals, bus.daemons[host].peers[session].stats)
+                   for host, arrivals in got.items()]
+
+
+def test_a_nack_past_retention_is_answered_at_once():
+    """A NACK for seqs retention rolled past gets an answer saying they
+    are gone: the receiver books them as unrecoverable after one NACK
+    per gap, instead of NACKing ``nack_max`` times and then booking them
+    as lost while every later seq waits in its reorder buffer (what this
+    probe showed before: 20 and 21 NACKs, the last delivery 7.66 s and
+    7.69 s after the burst, 6 seqs ``messages_lost`` at each)."""
+    start, receivers = burst_past_retention()
+    for arrivals, stats in receivers:
+        seqs = [seq for _, seq in arrivals]
+        assert seqs == sorted(seqs) and len(seqs) == 394
+        missing = sorted(set(range(1, 401)) - set(seqs))
+        assert missing == list(range(missing[0], missing[0] + 6))
+        assert stats.unrecoverable.value == 6
+        assert stats.messages_lost.value == 0
+        assert stats.gaps_skipped.value == 0
+        assert max(at for at, _ in arrivals) - start <= 0.35
+    # one NACK per gap: the run retention had rolled past, and at
+    # node01 a lost tail that retention still held
+    assert [stats.nacks_sent.value for _, stats in receivers] == [2, 1]
+
+
+def test_a_gone_answer_nobody_asked_for_changes_nothing():
+    """A CRC-valid RETRANS saying seqs are gone is honoured only while
+    the receiver is NACKing that session.  Forged at a receiver with no
+    gap, or with a gap it has not NACKed yet, it skips nothing: the gap
+    is repaired and the stream arrives whole and in order."""
+    cost = CostModel.ideal()
+    bus = InformationBus(seed=3, cost=cost)
+    bus.add_hosts(2)
+    received = []
+    bus.client("node01", "mon").subscribe(
+        "rel.>", lambda s, o, i: received.append(o))
+    pub = bus.client("node00", "feed")
+    sender = bus.daemon("node00")
+    forged = encode_packet(Packet(PacketKind.RETRANS, sender.session,
+                                  last_seq=10**6,
+                                  session_start=sender.session_started))
+    forger = DatagramSocket(bus.sim, bus.lan.add_host("evil"), DAEMON_PORT,
+                            lambda data, size, src: None)
+    for n in range(3):
+        pub.publish("rel.x", n)
+    bus.settle(1.0)
+    stats = bus.daemon("node01").peers[sender.session].stats
+    forger.sendto(forged, "node01", DAEMON_PORT)        # no gap
+    bus.settle(1.0)
+    cost.loss_probability = 1.0
+    pub.publish("rel.x", 3)                             # lost: a gap
+    bus.run_for(0.001)
+    cost.loss_probability = 0.0
+    pub.publish("rel.x", 4)
+    bus.run_for(0.001)
+    assert stats.buffered.value == 1 and stats.nacks_sent.value == 0
+    forger.sendto(forged, "node01", DAEMON_PORT)        # gap, no NACK yet
+    bus.settle(1.0)
+    assert received == list(range(5))
+    assert stats.unrecoverable.value == 0
+    assert stats.nacks_sent.value == 1

@@ -276,10 +276,10 @@ class TestInterning:
 
 
 class TestStagedMemoHonesty:
-    """One memo entry per frame records how far it was parsed: a digest
-    read leaves it at stage 4, a decode completes it.  Whatever mix of
-    receivers and entry points touches an entry, every receiver sees
-    exactly what a memo-less parse would have shown it."""
+    """One memo entry per frame holds its whole parse, and both entry
+    points read it.  Whatever mix of receivers and entry points touches
+    an entry, every receiver sees exactly what a memo-less parse would
+    have shown it."""
 
     @staticmethod
     def typed_frames():
@@ -319,43 +319,30 @@ class TestStagedMemoHonesty:
         wire.configure_decode_memo()
         with_memo = make_receivers()
         seen = self.play(script, with_memo)
-        stats = dict(wire.decode_memo_stats(),
-                     digest_hits=wire.wire_metrics().counter(
-                         "wire.digest_memo.hits").value,
-                     digest_misses=wire.wire_metrics().counter(
-                         "wire.digest_memo.misses").value)
         wire.configure_decode_memo(0)
         without = make_receivers()
         assert self.play(script, without) == seen
         assert without == with_memo
-        return seen, stats
+        return seen
 
     def test_warm_receiver_digest_then_decode(self):
         _, (first, second) = self.typed_frames()
         script = [(read_digest, first, "a"), (decode_packet, first, "a"),
                   (read_digest, second, "a"), (decode_packet, second, "a")]
-        seen, stats = self.assert_memo_invisible(
+        seen = self.assert_memo_invisible(
             script, lambda: {"a": Learned()})
         assert seen[3].envelopes[0].seq == 2
-        # each frame: one digest miss, then the decode *completes* that
-        # entry — a decode miss (bodies not parsed yet), never a hit
-        assert (stats["digest_misses"], stats["misses"]) == (2, 2)
-        assert (stats["digest_hits"], stats["hits"]) == (0, 0)
-        assert stats["size"] == 2
 
     def test_second_receiver_completes_a_digest_stage_entry(self):
         _, (first, second) = self.typed_frames()
         script = [(read_digest, first, "a"), (read_digest, second, "a"),
-                  # b wants what a skipped: resumes a's entries at stage 5
+                  # b wants what a skipped
                   (read_digest, first, "b"), (decode_packet, first, "b"),
                   (read_digest, second, "b"), (decode_packet, second, "b"),
-                  # c finds them complete
                   (decode_packet, first, "c"), (decode_packet, second, "c")]
-        seen, stats = self.assert_memo_invisible(
+        seen = self.assert_memo_invisible(
             script, lambda: {n: Learned() for n in "abc"})
         assert seen[5] == seen[7]
-        assert (stats["digest_misses"], stats["digest_hits"]) == (2, 2)
-        assert (stats["misses"], stats["hits"]) == (2, 2)
 
     def test_completed_packet_is_shared(self):
         strings = StringTable()
@@ -379,13 +366,14 @@ class TestStagedMemoHonesty:
             return {"a": a,
                     "b": Learned({"node00#0": record(digest_ids)})}
 
-        for prime in ([(read_digest, second, "a")],          # stage 4 only
+        for prime in ([(read_digest, second, "a")],
                       [(read_digest, second, "a"),
-                       (decode_packet, second, "a")]):       # complete
+                       (decode_packet, second, "a")],
+                      [(read_digest, second, "b")]):   # b walks it first
             script = prime + [(read_digest, second, "b"),
                               (decode_packet, second, "b"),
                               (decode_packet, second, "a")]
-            seen, _ = self.assert_memo_invisible(script, receivers)
+            seen = self.assert_memo_invisible(script, receivers)
             assert seen[-3] == ("node00#0", ("news.equity.gmc",), [2],
                                 False)
             assert seen[-2] is UnresolvedStringId
@@ -399,14 +387,19 @@ class TestStagedMemoHonesty:
         digest_only = Learned({"node00#0": record({
             strings.ids[text]: text
             for text in ("news.equity.gmc",)})})
-        read_digest(second, peers=warm)            # entry at stage 4
+        # a walk that did not resolve for its receiver keeps nothing,
+        # even where the digest read it served succeeded
+        read_digest(second, peers=digest_only)
         for _ in range(3):
             with pytest.raises(UnresolvedStringId):
                 decode_packet(second, peers=digest_only)
         stats = wire.decode_memo_stats()
-        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 0, 1)
-        decode_packet(second, peers=warm)          # still a real parse
-        assert wire.decode_memo_stats()["misses"] == 1
+        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 4, 0)
+        read_digest(second, peers=warm)            # a real parse, kept
+        with pytest.raises(UnresolvedStringId):    # served, still cold
+            decode_packet(second, peers=digest_only)
+        stats = wire.decode_memo_stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 5, 1)
         # and a frame no stage accepts leaves nothing behind
         wire.configure_decode_memo()
         corrupt = flip_random_bit(second, random.Random(7))
@@ -420,18 +413,18 @@ class TestStagedMemoHonesty:
         first, second = data_frame(strings, [1]), data_frame(strings, [2])
         a = Learned()
         decode_packet(first, peers=a)
-        read_digest(second, peers=a)               # entry at stage 4
+        read_digest(second, peers=a)
         conflicting = Learned({"node00#0": record(
             {i: f"other-{i}" for i in range(8)})})
         assert read_digest(second, peers=conflicting).subjects[0] \
             .startswith("other-")
         packet = decode_packet(second, peers=conflicting)
         assert packet.envelopes[0].subject.startswith("other-")
-        # the bypass neither completed nor replaced a's entry
-        assert wire.decode_memo_stats()["misses"] == 1      # first frame
+        # each bypass is a miss, and neither replaced a's entry
+        assert wire.decode_memo_stats()["misses"] == 4
         served = decode_packet(second, peers=a)
         assert served.envelopes[0].subject == "news.equity.gmc"
-        assert wire.decode_memo_stats()["misses"] == 2
+        assert wire.decode_memo_stats()["hits"] == 1
         assert decode_packet(second, peers=a) is served
         assert decode_packet(second, peers=conflicting) is not served
 
@@ -443,11 +436,12 @@ class TestStagedMemoHonesty:
             if index % 2:
                 decode_packet(data)
         assert wire.decode_memo_stats()["size"] == 8
-        hits = wire.wire_metrics().counter("wire.digest_memo.hits")
+        hits = wire.wire_metrics().counter("wire.decode_memo.hits")
+        assert hits.value == 10                     # each decode
         read_digest(frames[-1])                     # newest: retained
-        assert hits.value == 1
+        assert hits.value == 11
         read_digest(frames[0])                      # oldest: evicted
-        assert hits.value == 1
+        assert hits.value == 11
         assert wire.decode_memo_stats()["size"] == 8
 
     def test_control_frames_are_crc_checked_once(self, monkeypatch):
@@ -463,8 +457,7 @@ class TestStagedMemoHonesty:
         assert read_digest(heartbeat) is None
         assert decode_packet(heartbeat).last_seq == 9
         assert len(calls) == 1
-        # and a frame without a digest never counts in the digest memo
-        metrics = wire.wire_metrics()
-        assert metrics.counter("wire.digest_memo.misses").value == 0
+        # a frame without a digest counts like any other
         assert read_digest(heartbeat) is None
-        assert metrics.counter("wire.digest_memo.hits").value == 0
+        stats = wire.decode_memo_stats()
+        assert (stats["misses"], stats["hits"]) == (1, 2)

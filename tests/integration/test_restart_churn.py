@@ -18,7 +18,7 @@ its outcome must not depend on their order.
 
 import pytest
 
-from repro.core import BusConfig, InformationBus, ShardMap
+from repro.core import BusConfig, InformationBus, SessionStats, ShardMap
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel
@@ -89,7 +89,7 @@ def test_fifty_restarts_leave_bounded_state(shards, typed):
                     <= (2 if typed else 0)
                 rows = [name for name in gauges
                         if name.startswith("reliable.recv[")]
-                assert len(rows) == 7 * len(daemon.peers)
+                assert len(rows) == len(SessionStats._FIELDS) * len(daemon.peers)
             for subject, snapshot in snapshots.items():
                 if not subject.startswith(f"_bus.stat.{address}."):
                     continue
@@ -98,7 +98,7 @@ def test_fifty_restarts_leave_bounded_state(shards, typed):
                 rows = [name for name in metrics
                         if name.startswith("reliable.recv[")]
                 assert records["value"] <= 2
-                assert len(rows) <= 7 * records["value"]
+                assert len(rows) <= len(SessionStats._FIELDS) * records["value"]
         if epoch < RESTARTS:
             bus.crash_host("node00")
             bus.run_for(0.1)

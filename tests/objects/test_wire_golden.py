@@ -115,7 +115,9 @@ def golden_packets():
     RETRANS redefines every id it references although the table already
     holds them.  The compressed DATA frame's second envelope sets every
     entry bit a successor may: ledger, magic left out, next seq, same
-    sender, same publish time, via hops."""
+    sender, same publish time, via hops.  The "RETRANS gone" frame is a
+    NACK's answer when retention holds none of the seqs asked for: no
+    envelopes, and ``last_seq`` the highest seq no longer retained."""
     table = StringTable()
     ledgered = frame_envelope(2, payload=encode(None), qos=QoS.GUARANTEED,
                               ledger_id="n0/g/1", via=("wan",))
@@ -130,6 +132,9 @@ def golden_packets():
                 session_start=0.25)),
         ("RETRANS", table,
          Packet(PacketKind.RETRANS, "n0#0", [frame_envelope(1)],
+                session_start=0.25)),
+        ("RETRANS gone", None,
+         Packet(PacketKind.RETRANS, "n0#0", last_seq=40,
                 session_start=0.25)),
         ("HEARTBEAT", None,
          Packet(PacketKind.HEARTBEAT, "n0#0", last_seq=300,

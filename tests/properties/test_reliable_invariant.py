@@ -10,7 +10,8 @@ would let them deliver past a hole.
 
 The machine drives one :class:`ReliableReceiver` through every entry
 point the daemon calls (envelopes, heartbeats, undecodable frames,
-interest-gate skips, the codec hearing a newer epoch of a host) and
+interest-gate skips, a sender's answer that seqs are gone, the codec
+hearing a newer epoch of a host) and
 through simulated time, each input claiming a session start before,
 after or unknown relative to the receiver's.  After every step it
 checks the clauses directly — not through ``has_gap`` — for every live
@@ -89,6 +90,13 @@ class ReceiverMachine(RuleBasedStateMachine):
     def undecodable(self, host, first_seq, extra, start):
         self.receiver.note_undecodable(self._session(host), first_seq,
                                        first_seq + extra, start)
+
+    @rule(host=HOSTS, offset=st.integers(-1, 3))
+    def gone(self, host, offset):
+        """A repair saying every seq up to one near the expected one has
+        left retention: asked for or not, short of the gap or past it."""
+        session = self._session(host)
+        self.receiver.handle_gone(session, self._next(session) + offset)
 
     @rule(host=HOSTS, offsets=st.lists(st.integers(-2, 3), max_size=4))
     def skip(self, host, offsets):

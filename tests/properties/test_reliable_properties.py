@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (Envelope, QoS, RefusedSession, ReliableConfig,
-                        ReliableReceiver, ReliableSender)
+                        ReliableReceiver, ReliableSender, SessionStats)
 from repro.sim import Simulator
 
 
@@ -311,4 +311,4 @@ def test_epochs_of_one_host_leave_one_record(steps, session_start):
     # instruments follow the records: seven rows each, none for the dead
     rows = [row for row in receiver._metrics.names()
             if row.startswith("reliable.recv[")]
-    assert len(rows) == 7 * len(receiver.sessions)
+    assert len(rows) == len(SessionStats._FIELDS) * len(receiver.sessions)

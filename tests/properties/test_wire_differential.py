@@ -23,7 +23,11 @@ encoder the checksum cannot catch.  For every such frame:
     bit its kind does not allow (any bit but TYPED, and TYPED on a
     HEARTBEAT/NACK/ACK frame) is rejected by both;
 (e) so is digest-flag validity: both reject the two hostile shapes as
-    plain :class:`CorruptFrame` — there is nothing to repair.
+    plain :class:`CorruptFrame` — there is nothing to repair;
+(f) one parse serves both, so both earn the same error class for every
+    frame — a malformed header, defs section, digest or body included —
+    but one whose bodies cite string ids this receiver has not learned,
+    which fails only the decode.
 """
 
 from dataclasses import replace
@@ -33,7 +37,8 @@ from hypothesis import strategies as st
 
 from repro.core import Envelope, Packet, PacketKind, QoS, wire
 from repro.core.typeplane import TypeTable
-from repro.core.wire import (CorruptFrame, StringTable, decode_packet,
+from repro.core.wire import (CorruptFrame, StringTable,
+                             UnresolvedStringId, decode_packet,
                              encode_packet, read_digest)
 from repro.objects import AttributeSpec, TypeDescriptor
 from repro.sim.framing import frame, unframe
@@ -158,6 +163,8 @@ def test_digest_and_decode_agree(seed, edits, digest_first):
         assert len(digest.seqs) == len(packet.envelopes)
     if original is None and not mutated:                            # (e)
         assert type(digest_error) is type(decode_error) is CorruptFrame
+    if not isinstance(decode_error, UnresolvedStringId):            # (f)
+        assert type(digest_error) is type(decode_error)
     if not mutated and decode_error is None:
         assert packet == original
         if original.envelopes:

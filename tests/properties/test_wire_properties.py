@@ -194,8 +194,8 @@ def test_elided_seqs_and_magic_round_trip(seqs, data):
                  for seq in seqs]
     packet = Packet(PacketKind.DATA, "h#0", envelopes, session_start=0.25)
     frame_bytes = encode_packet(packet)
-    wire.configure_decode_memo()        # a fresh digest walk, then a decode
-    assert read_digest(frame_bytes).seqs == seqs    # resuming at the bodies
+    wire.configure_decode_memo()        # a fresh walk, then a memo hit
+    assert read_digest(frame_bytes).seqs == seqs
     assert decode_packet(frame_bytes).envelopes == envelopes
     wire.configure_decode_memo(0)       # and a decode from scratch
     assert decode_packet(frame_bytes).envelopes == envelopes
