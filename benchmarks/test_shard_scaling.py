@@ -24,8 +24,7 @@ def drain(shards: int) -> dict:
     publish to the last delivery, and what each plane published."""
     cost = CostModel(cpu_jitter=0.0, loss_probability=0.0)
     bus = InformationBus(seed=2026, cost=cost,
-                         config=BusConfig(subject_shards=shards,
-                                          advertise_subscriptions=False))
+                         config=BusConfig(subject_shards=shards))
     bus.add_hosts(CONSUMERS + 1)
     done = {"count": 0, "last": 0.0}
 

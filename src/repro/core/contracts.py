@@ -79,7 +79,7 @@ def _instrument(entry: Any) -> bool:
 #: name -> {key: rule}: each control message, with the subject (or
 #: stream) it travels on and who admits it
 CONTRACTS: Dict[str, Dict[str, Rule]] = {
-    # ``_sub.advert``: a daemon plane's table change (``add``,
+    # ``_sub.advert``: a polled daemon plane's table change (``add``,
     # ``remove``), whole table (``snapshot``) or table digest
     # (``summary``), to router legs.  A change or a table reads a missing
     # ``patterns`` as none, a summary a missing ``digest`` as matching
@@ -91,8 +91,8 @@ CONTRACTS: Dict[str, Dict[str, Rule]] = {
                        and is_valid_pattern(pattern))),
                    "digest": optional(lambda digest: type(digest) is bytes
                                       and len(digest) == 8)},
-    # ``_sub.solicit.<host>``: a router leg asking that host's plane 0
-    # for every plane's snapshot
+    # ``_sub.solicit`` (a router leg's poll; ``host`` is the leg's) and
+    # ``_sub.solicit.<host>``, to plane 0, for every plane's table
     "sub_solicit": {"host": of(str)},
     # ``_svc.advert``: an RmiServer's announcement, to browsers
     "svc_advert": {"action": one_of("up", "presence", "down"),

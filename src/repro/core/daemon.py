@@ -97,9 +97,9 @@ def shard_stat_port(shard: int) -> int:
 #: (consumed by information routers; see repro.core.router).
 ADVERT_SUBJECT = "_sub.advert"
 
-#: Reserved subject prefix on which a router asks one host for its
-#: planes' whole tables: ``_sub.solicit.<host>``, heard by that host's
-#: plane 0 alone (reserved subjects travel on shard 0).
+#: Reserved subject on which a router leg polls its bus; a router asks
+#: one host for its planes' whole tables on ``_sub.solicit.<host>``.
+#: Reserved subjects travel on shard 0, so plane 0 hears both.
 SOLICIT_SUBJECT_PREFIX = "_sub.solicit"
 
 
@@ -137,12 +137,10 @@ class BusConfig:
     flow: FlowConfig = field(default_factory=FlowConfig)
     #: Distinct consumers that must ack a guaranteed message.
     ack_quorum: int = 1
-    #: Broadcast subscription-table changes on ADVERT_SUBJECT so routers
-    #: can forward across WANs only what somebody actually wants.
-    advertise_subscriptions: bool = True
-    #: Period of each plane's table advert: a digest of its public
-    #: subscription table, or the table itself when that encodes
-    #: smaller; a router whose view disagrees solicits the table.
+    #: Period of a router leg's poll of its bus: each polled plane
+    #: answers with a digest of its public subscription table (or the
+    #: table itself when that encodes smaller), at most once per
+    #: interval; a leg whose view disagrees solicits the table.
     advert_interval: float = 2.0
     #: Most guaranteed-delivery ledger ids remembered for deduping
     #: deliveries to non-durable subscribers; oldest are evicted past
@@ -182,12 +180,12 @@ class _DeliveryLane:
 
 
 class _SolicitListener:
-    """Plane 0's own registration on ``_sub.solicit.<host>``: both the
-    subscription its match yields and the client that one feeds (no
-    delivery lane, so it is called synchronously, and counted in the
-    plane's ``delivered`` like any delivery).  A router whose view of
-    one of this host's planes disagrees with that plane's summary asks
-    here, and every plane answers with its whole table."""
+    """Plane 0's own registration on ``_sub.solicit`` (a router leg's
+    poll) and ``_sub.solicit.<host>`` (a leg asking for every plane's
+    whole table), two literals so the trie's literal match stays one
+    dict probe: both the subscription its match yields and the client
+    that one feeds (no delivery lane, so it is called synchronously,
+    and counted in the plane's ``delivered`` like any delivery)."""
 
     __slots__ = ("client", "daemon", "seq", "durable")
 
@@ -207,8 +205,12 @@ class _SolicitListener:
             payload = decode(envelope.payload, None)
         except TypeError_:
             payload = None     # refused below like any other misfit
-        if (admits(payload, "sub_solicit", daemon._scope)
-                and payload["host"] == daemon.host.address):
+        if not admits(payload, "sub_solicit", daemon._scope):
+            return
+        if envelope.subject == SOLICIT_SUBJECT_PREFIX:
+            for plane in daemon.planes:
+                plane._advertise_snapshot(envelope.publish_time)
+        elif payload["host"] == daemon.host.address:
             for plane in daemon.planes:
                 plane._answer_solicit()
 
@@ -310,10 +312,9 @@ class BusDaemon:
             # unsharded snapshots are byte-identical to the pre-shard era
             scope.gauge("shard.id", source=lambda: self.shard)
             scope.gauge("shard.count", source=lambda: self.shard_count)
-        #: whether this plane ever advertised a public pattern: from
-        #: then on it adverts even an empty table, so a router's view of
-        #: what it (or an earlier incarnation) wanted stays checked
-        self._advertised = False
+        #: whether this plane ever answered a router's poll: from then on
+        #: it pushes each change and answers even with an empty table
+        self._polled = False
         self._started = False
         host.on_crash(self._on_crash)
         host.on_recover(self._on_recover)
@@ -428,24 +429,17 @@ class BusDaemon:
         #: (insertion-ordered so the oldest entries can be evicted at the
         #: configured cap)
         self._seen_ledgers: "OrderedDict[str, None]" = OrderedDict()
-        #: refcounts of advertisable (non-reserved) patterns on this host
+        #: refcounts of advertisable (non-reserved) patterns, polled or not
         self._public_patterns: Dict[str, int] = {}
-        #: the periodic advert of the current table, encoded; dropped by
-        #: every change to the table
-        self._advert_payload: Optional[bytes] = None
-        #: whether a solicit was answered since the last periodic advert
+        #: the publish time from which a poll is answered again
+        self._next_poll = 0.0
+        #: whether a solicit was answered since the last poll answer
         self._solicit_answered = False
-        self._solicit_listener: Optional[_SolicitListener] = None
-        self._advert_timer: Optional[PeriodicTimer] = None
-        if self.config.advertise_subscriptions:
-            self._advert_timer = PeriodicTimer(
-                self.sim, self.config.advert_interval,
-                self._advertise_snapshot, name="daemon.advert")
-            if self.shard == 0:
-                self._solicit_listener = _SolicitListener(self)
-                self._subscriptions.insert(
-                    f"{SOLICIT_SUBJECT_PREFIX}.{self.host.address}",
-                    self._solicit_listener)
+        if self.shard == 0:
+            listener = _SolicitListener(self)
+            self._subscriptions.insert(SOLICIT_SUBJECT_PREFIX, listener)
+            self._subscriptions.insert(
+                f"{SOLICIT_SUBJECT_PREFIX}.{self.host.address}", listener)
         # telemetry plane: own socket and NO registry instruments of
         # its own — the publisher must never publish stats about its
         # own stat traffic (no echo)
@@ -465,8 +459,6 @@ class BusDaemon:
 
     def _on_crash(self) -> None:
         self._started = False
-        if self._advert_timer is not None:
-            self._advert_timer.stop()
         if self._stat_timer is not None:
             self._stat_timer.stop()
         self._heartbeat.stop()
@@ -525,7 +517,7 @@ class BusDaemon:
         self._require_up()
         pattern = subscription.pattern
         self._subscriptions.insert(pattern, subscription)
-        if self._advertisable(pattern):
+        if not pattern.startswith("_"):     # reserved: never advertised
             count = self._public_patterns.get(pattern, 0)
             self._public_patterns[pattern] = count + 1
             if count == 0:
@@ -536,7 +528,7 @@ class BusDaemon:
         if not (self._started
                 and self._subscriptions.remove(pattern, subscription)):
             return
-        if self._advertisable(pattern):
+        if not pattern.startswith("_"):
             count = self._public_patterns.get(pattern, 0) - 1
             if count <= 0:
                 self._public_patterns.pop(pattern, None)
@@ -547,15 +539,12 @@ class BusDaemon:
     # ------------------------------------------------------------------
     # subscription advertisement (router support)
     # ------------------------------------------------------------------
-    def _advertisable(self, pattern: str) -> bool:
-        return (self.config.advertise_subscriptions
-                and not pattern.split(".", 1)[0].startswith("_"))
-
     def _advertise(self, action: str, patterns: List[str]) -> None:
-        """Broadcast one change (``add``/``remove``) to the public table."""
-        self._advertised = True
-        self._advert_payload = None
-        self._publish_advert(self._advert_bytes(action, patterns=patterns))
+        """One change (``add``/``remove``) to the public table, broadcast
+        once a router has polled this plane."""
+        if self._polled:
+            self._publish_advert(self._advert_bytes(action,
+                                                    patterns=patterns))
 
     def _advert_bytes(self, action: str, **fields: Any) -> bytes:
         return encode({"action": action, **fields, "host": self.host.address})
@@ -563,25 +552,31 @@ class BusDaemon:
     def _publish_advert(self, payload: bytes) -> None:
         self.publish(f"{self.host.address}._daemon", ADVERT_SUBJECT, payload)
 
-    def _advertise_snapshot(self) -> None:
-        """The periodic advert: a ``summary`` carrying the table's
-        :func:`advert_digest`, or the whole ``snapshot`` when that
-        encodes smaller (a ``>``-only table), so no plane sends more
-        than the table; both are encoded once per change to it."""
-        self._solicit_answered = False
-        if not self.up or not (self._public_patterns or self._advertised):
+    def _advertise_snapshot(self, asked_at: float) -> None:
+        """Answer a router leg's poll published at ``asked_at``, at most
+        once per ``advert_interval`` (every leg hears the answer), unless
+        the table is empty and was never told.  The first answer is the
+        whole table; later ones a ``summary`` carrying its
+        :func:`advert_digest`, or the ``snapshot`` when that encodes
+        smaller (a ``>``-only or empty table)."""
+        if (not self.up or asked_at < self._next_poll
+                or not (self._public_patterns or self._polled)):
             return
-        if self._advert_payload is None:
-            patterns = sorted(self._public_patterns)
-            self._advert_payload = min(
-                self._advert_bytes("snapshot", patterns=patterns),
-                self._advert_bytes("summary", digest=advert_digest(patterns)),
-                key=len)
-        self._publish_advert(self._advert_payload)
+        self._next_poll = asked_at + self.config.advert_interval
+        self._solicit_answered = False
+        if not self._polled:
+            self._polled = True
+            self._answer_solicit()
+            return
+        patterns = sorted(self._public_patterns)
+        self._publish_advert(min(
+            self._advert_bytes("snapshot", patterns=patterns),
+            self._advert_bytes("summary", digest=advert_digest(patterns)),
+            key=len))
 
     def _answer_solicit(self) -> None:
         """A router asked for this host's tables: send the whole one
-        now, at most once between two periodic adverts."""
+        now, at most once between two poll answers."""
         if not self.up or self._solicit_answered:
             return
         self._solicit_answered = True
@@ -590,9 +585,8 @@ class BusDaemon:
 
     def subscription_count(self) -> int:
         """The (pattern, subscription) registrations of applications on
-        this plane (plane 0's solicit listener is not one)."""
-        return len(self._subscriptions) - (
-            self._solicit_listener is not None)
+        this plane (plane 0's two solicit registrations are not)."""
+        return len(self._subscriptions) - (2 if self.shard == 0 else 0)
 
     # ------------------------------------------------------------------
     # publish path

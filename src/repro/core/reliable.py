@@ -392,10 +392,10 @@ class ReliableReceiver:
         for seq in seqs:
             if seq == expected:
                 expected += 1
-            elif 0 < seq < expected:
+            elif seq < expected:
                 duplicates += 1
             else:
-                return False    # seq 0, or a gap this frame would open
+                return False    # a gap this frame would open
         if duplicates:
             state.stats.duplicates.value += duplicates
         delivered = expected - state.expected

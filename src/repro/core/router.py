@@ -25,11 +25,11 @@ deferred store-and-forward shipment is re-shipped by its retry timer.
 ``shed`` counts only forwards a down link (or a vanished target leg)
 lost.
 
-A leg keeps one view of each advertising daemon plane's table.  Each
-interval a plane adverts a digest of its table (or the table, when
-that is smaller); a leg whose view disagrees asks that host for its
-tables on ``_sub.solicit.<host>``, so a late or deaf leg catches up
-within one interval plus a round trip.
+A leg keeps one view of each advertising daemon plane's table.  It
+polls its bus on ``_sub.solicit`` every interval; a plane answers with
+its table, then with digests, and pushes every change.  A leg whose
+view disagrees asks that host on ``_sub.solicit.<host>``, so a late or
+deaf leg catches up within one interval plus a round trip.
 
 A leg admits an ``_sub.advert`` payload through the ``sub_advert``
 contract (:mod:`repro.core.contracts`): any application may publish on
@@ -251,6 +251,9 @@ class RouterLeg:
         self._sf_seen = GuaranteedConsumer(self.host, self._SF_SEEN)
         self.host.on_recover(self._on_host_recover)
         self.client.subscribe(ADVERT_SUBJECT, self._on_advert)
+        self._poll()
+        PeriodicTimer(bus.sim, bus.config.advert_interval, self._poll,
+                      name="router.poll")
 
     @property
     def messages_forwarded(self) -> int:
@@ -302,6 +305,13 @@ class RouterLeg:
             self.router._local_wants_changed(self, "add", sorted(added))
         if removed:
             self.router._local_wants_changed(self, "remove", sorted(removed))
+
+    def _poll(self) -> None:
+        """Ask every host of this bus for its planes' tables (a digest,
+        once a plane has told its table)."""
+        if self.client.daemon.up:
+            self.client.publish(SOLICIT_SUBJECT_PREFIX,
+                                {"host": self.host.address})
 
     def _solicit(self, host: str) -> None:
         """Ask ``host`` for every plane's whole table: a summary from one

@@ -605,8 +605,8 @@ class FrameDigest:
     (what the interest gate matches); ``needs_full`` is True when any
     envelope must take the full decode path regardless of local interest
     (guaranteed/ledgered envelopes, whose ack+dedupe protocol runs even
-    with no subscriber, and unsequenced ``seq == 0`` telemetry frames),
-    and for a RETRANS frame that says seqs are gone (``last_seq > 0``).
+    with no subscriber), and for a RETRANS frame that says seqs are gone
+    (``last_seq > 0``).
     """
 
     __slots__ = ("session", "subjects", "seqs", "needs_full")
@@ -623,7 +623,8 @@ class _Parse:
     """One frame's whole parse — what the memo holds.
 
     ``packet`` is the decoded :class:`Packet`, envelopes and all, and
-    ``digest`` its :class:`FrameDigest` (``None`` for a control frame).
+    ``digest`` its :class:`FrameDigest` (``None`` for a control frame);
+    ``unsequenced`` says the digest names seq 0 (telemetry).
     ``defines`` / ``tdefines`` are the frame's in-frame string / type
     definitions (``None`` on a control frame / a frame without a typedef
     region).  ``needs`` maps every other string id the *digest* cites to
@@ -633,23 +634,28 @@ class _Parse:
     the typedef reference list, which both entry points check.
     """
 
-    __slots__ = ("packet", "digest", "defines", "needs", "body_needs",
-                 "tdefines", "tneeds")
+    __slots__ = ("packet", "digest", "unsequenced", "defines", "needs",
+                 "body_needs", "tdefines", "tneeds")
 
     def __init__(self, packet: Packet) -> None:
         self.packet = packet
         self.digest: Optional[FrameDigest] = None
+        self.unsequenced = False
         self.defines = self.needs = self.body_needs = None
         self.tdefines = self.tneeds = None
 
 
-def _learned(peers, session: str) -> Tuple[Dict[int, str], Dict[int, bytes]]:
-    """One receiver's learned string ids and typedef blobs for
-    ``session``: the tables of its record in ``peers.sessions``
+def _learned(peers, parse: _Parse) -> Tuple[Dict[int, str], Dict[int, bytes]]:
+    """One receiver's learned string ids and typedef blobs for the
+    session of ``parse``: the tables of its record in ``peers.sessions``
     (``peers.hear`` makes, or refuses, a missing one); throwaways when
-    there is no receiver."""
+    there is no receiver.  Walks and memo hits both pass here, so here
+    a receiver refuses seq 0, the telemetry mark no data port carries."""
     if peers is None:
         return {}, {}
+    if parse.unsequenced:
+        raise CorruptFrame("seq 0 on the data plane")
+    session = parse.packet.session
     peer = peers.sessions.get(session)
     if peer is None:
         peer = peers.hear(session)
@@ -720,7 +726,7 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
         if parse is not None:
             missing = tmissing = ()     # string / type ids this receiver lacks
             if parse.digest is not None:
-                table, types = _learned(peers, parse.packet.session)
+                table, types = _learned(peers, parse)
                 missing = _replay(table, parse.defines,
                                   parse.body_needs if bodies else parse.needs)
                 if missing is not None and parse.tdefines is not None:
@@ -792,6 +798,8 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
             allowed = _E_DEFINED
             idx = cur.varint()
             seq = seq + 1 if eflags & _E_NEXT_SEQ else cur.varint()
+            if not seq:
+                parse.unsequenced = True
             cited.append((eflags, idx, seq))
         # The prefix is sound, so only now does the frame reach the
         # receiver's session record (a frame that fails above makes
@@ -799,7 +807,7 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
         # apply them even if the bodies or resolution fail below, or the
         # caller goes on to skip the frame — later frames reference them
         # without redefining, and they make a later repair decodable.
-        table, ttable = _learned(peers, session)
+        table, ttable = _learned(peers, parse)
         for idx in defines:     # not update(): no call on the hot path
             table[idx] = defines[idx]
         if flags & _P_TYPED:
@@ -820,7 +828,7 @@ def _walk(data: bytes, peers, bodies: bool) -> _Parse:
             refs.add(idx)
             subject = table.get(idx, "")    # unlearned: reported below
             subjects[subject] = None
-            if eflags & _E_LEDGER or seq == 0:
+            if eflags & _E_LEDGER:
                 needs_full = True
             seqs.append(seq)
             envelope = _read_envelope(cur, table, body_refs, session,

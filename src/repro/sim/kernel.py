@@ -74,7 +74,7 @@ class Simulator:
     """
 
     #: Compact once at least this many heap entries are cancelled AND they
-    #: outnumber the live ones — timer-churn workloads (heartbeats, advert
+    #: outnumber the live ones — timer-churn workloads (heartbeats, router
     #: timers, retransmit timers across many hosts) otherwise accumulate
     #: dead events until they happen to be popped.
     COMPACT_MIN_CANCELLED = 64

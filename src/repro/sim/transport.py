@@ -76,21 +76,13 @@ class DatagramSocket:
         self._reassembly_deadline: Dict[Tuple[Address, int], float] = {}
         # counters live in the owner's MetricsRegistry when one is
         # handed in (`metrics_name` scopes them); otherwise in a private
-        # detached registry so the int properties always work
+        # detached registry
         if metrics is None:
             metrics = MetricsRegistry()
         scope = metrics.scope(metrics_name) if metrics_name else metrics
         self._datagrams_sent = scope.counter("datagrams_sent")
         self._datagrams_received = scope.counter("datagrams_received")
         host.bind(port, self._on_frame, lane=lane)
-
-    @property
-    def datagrams_sent(self) -> int:
-        return self._datagrams_sent.value
-
-    @property
-    def datagrams_received(self) -> int:
-        return self._datagrams_received.value
 
     def close(self) -> None:
         self.host.unbind(self.port)

@@ -247,8 +247,6 @@ def test_run_until_idle_after_shutdown():
     bus = make_bus(1)
     daemon = bus.daemon("node00")
     daemon._heartbeat.stop()
-    if daemon._advert_timer is not None:
-        daemon._advert_timer.stop()
     daemon._gpub.shutdown()
     bus.sim.run()
     assert bus.sim.pending() == 0

@@ -119,7 +119,7 @@ def test_types_are_compared_exactly():
 #: map lives here: nothing in the bus needs it)
 SUBJECT_CONTRACTS = {
     ADVERT_SUBJECT: ("sub_advert",),
-    f"{SOLICIT_SUBJECT_PREFIX}.": ("sub_solicit",),
+    SOLICIT_SUBJECT_PREFIX: ("sub_solicit",),
     SERVICE_ADVERT_SUBJECT: ("svc_advert",),
     "_bus.stat.": ("stat_snapshot",),
     "_discovery.": ("discovery_who", "discovery_iam"),
@@ -157,7 +157,7 @@ def test_a_clean_federation_refuses_nothing():
                           tracer=tracer)
     east.add_hosts(3, prefix="e")
     west.add_hosts(2, prefix="w")
-    # a table the router joins too late to hear: it learns it by solicit
+    # a table the router joins too late to hear: its first poll gets it
     west.client("w00", "sub").subscribe("feed.>", lambda *a: None)
     sim.run_until(0.1)
     router = Router()
@@ -168,7 +168,7 @@ def test_a_clean_federation_refuses_nothing():
         tap = bus.client(host, "tap")
         for pattern in (ADVERT_SUBJECT, SERVICE_ADVERT_SUBJECT, "_bus.stat.>",
                         "_discovery.>", "_rmi.group.>",
-                        f"{SOLICIT_SUBJECT_PREFIX}.>"):
+                        SOLICIT_SUBJECT_PREFIX, f"{SOLICIT_SUBJECT_PREFIX}.>"):
             tap.subscribe(pattern, lambda s, payload, i: taps.append(
                 (s, payload)))
     reg = quote_registry()

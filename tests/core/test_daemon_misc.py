@@ -6,6 +6,7 @@ from repro.core.daemon import SOLICIT_SUBJECT_PREFIX, advert_digest
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Tracer
+from tests.core.test_router import poll
 
 
 def story_registry():
@@ -64,6 +65,7 @@ def test_daemon_counters():
 
 
 def test_subscription_advertisement_on_wire():
+    """Once polled, a plane broadcasts each change to its table."""
     bus = InformationBus(seed=4, cost=CostModel.ideal())
     bus.add_hosts(2)
     adverts = []
@@ -71,6 +73,9 @@ def test_subscription_advertisement_on_wire():
     watcher.subscribe(ADVERT_SUBJECT,
                       lambda s, o, i: adverts.append(o))
     mon = bus.client("node01", "mon")
+    mon.subscribe("news.bonds.*", lambda *a: None)  # a table to answer with
+    poll(bus, "node00")
+    bus.run_for(0.1)
     sub = mon.subscribe("news.equity.*", lambda *a: None)
     bus.run_for(0.5)
     assert any(a["action"] == "add" and "news.equity.*" in a["patterns"]
@@ -81,23 +86,55 @@ def test_subscription_advertisement_on_wire():
                "news.equity.*" in a["patterns"] for a in adverts)
 
 
+def test_a_bus_without_a_router_sends_no_advert_or_solicit():
+    """Only a router reads a table, and a router polls before a plane
+    says anything: across subscribe, unsubscribe, crash and recover a
+    router-less bus publishes nothing on ``_sub.*``."""
+    tracer = Tracer(enabled=True)
+    bus = InformationBus(seed=4, cost=CostModel.ideal(), tracer=tracer)
+    bus.add_hosts(3)
+    heard = []
+    watcher = bus.client("node00", "watcher")
+    for pattern in (ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX,
+                    f"{SOLICIT_SUBJECT_PREFIX}.>"):
+        watcher.subscribe(pattern, lambda s, o, i: heard.append(s))
+    mon = bus.client("node01", "mon")
+    mon.subscribe("news.>", lambda *a: None)
+    quotes = mon.subscribe("quote.*", lambda *a: None)
+    bus.run_for(1.0)
+    mon.unsubscribe(quotes)
+    bus.run_for(1.0)
+    bus.crash_host("node01")
+    bus.run_for(1.0)
+    bus.recover_host("node01")
+    bus.run_for(5.0)
+    assert bus.daemon("node01").subscription_count() == 1
+    assert heard == []
+    assert not [r for r in tracer.records if r.category == "publish"
+                and r.fields["subject"].startswith("_sub.")]
+
+
 def test_reserved_patterns_not_advertised():
     bus = InformationBus(seed=5, cost=CostModel.ideal())
     bus.add_hosts(2)
     adverts = []
     bus.client("node00", "watcher").subscribe(
         ADVERT_SUBJECT, lambda s, o, i: adverts.append(o))
-    bus.client("node01", "mon").subscribe("_private.stuff",
-                                          lambda *a: None)
-    bus.run_for(3.0)   # would include a snapshot if it were advertisable
+    mon = bus.client("node01", "mon")
+    mon.subscribe("_private.stuff", lambda *a: None)
+    mon.subscribe("public.stuff", lambda *a: None)
+    poll(bus, "node00")
+    bus.run_for(3.0)   # the first answer is the table
+    assert [a["action"] for a in adverts] == ["snapshot"]
     assert all("_private.stuff" not in a.get("patterns", [])
                for a in adverts)
 
 
 def test_summary_advertisement_repeats_and_a_solicit_gets_the_table():
-    """Each interval a plane sends its table's digest (smaller than the
-    table); a solicit on ``_sub.solicit.<host>`` gets the whole table
-    at once, and a second one before the next interval gets nothing."""
+    """Polled each interval, a plane answers with its table's digest
+    (smaller than the table) after a first answer that is the table; a
+    solicit on ``_sub.solicit.<host>`` gets the whole table at once, and
+    a second one before the next poll gets nothing."""
     config = BusConfig()
     config.advert_interval = 0.5
     bus = InformationBus(seed=6, cost=CostModel.ideal(), config=config)
@@ -106,7 +143,10 @@ def test_summary_advertisement_repeats_and_a_solicit_gets_the_table():
     bus.client("node00", "watcher").subscribe(
         ADVERT_SUBJECT, lambda s, o, i: adverts.append((i.deliver_time, o)))
     bus.client("node01", "mon").subscribe("snap.equity.>", lambda *a: None)
-    bus.run_for(2.2)
+    poll(bus, "node00", every=config.advert_interval)
+    bus.run_for(0.2)
+    adverts.clear()     # the first answer
+    bus.run_for(2.0)
     summaries = [a for _, a in adverts if a["action"] == "summary"]
     assert len(summaries) >= 3
     assert all(a["digest"] == advert_digest(["snap.equity.>"])

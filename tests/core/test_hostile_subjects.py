@@ -16,7 +16,7 @@ well-formed frame is delivered in order.
 
 import pytest
 
-from repro.core import (BusConfig, Envelope, InformationBus, Packet,
+from repro.core import (Envelope, InformationBus, Packet,
                         PacketKind, QoS, encode_packet)
 from repro.core.daemon import DAEMON_PORT, STAT_PORT
 from repro.core.subjects import BadSubjectError
@@ -31,8 +31,7 @@ BAD_SUBJECTS = ["", "feed..x", "feed.bad subject!", ".".join(["e"] * 41)]
 def make_bus():
     """node00 subscribes, node01 has no interest; ``evil`` is a host with
     no daemon whose socket broadcasts hand-built frames."""
-    bus = InformationBus(seed=5, cost=CostModel.ideal(),
-                         config=BusConfig(advertise_subscriptions=False))
+    bus = InformationBus(seed=5, cost=CostModel.ideal())
     bus.add_hosts(2)
     socket = DatagramSocket(bus.sim, bus.lan.add_host("evil"), 99,
                             lambda data, size, src: None)

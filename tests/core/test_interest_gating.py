@@ -96,10 +96,15 @@ def test_needs_full_for_ledgered_and_unsequenced():
                                      ledger_id="node00.pub:1")],
                       session_start=0.0)
     assert read_digest(encode_packet(ledgered)).needs_full is True
-    stat = Packet(PacketKind.DATA, "node00#0",
-                  [make_envelope("_bus.stat.node00", seq=0)],
-                  session_start=0.0)
-    assert read_digest(encode_packet(stat)).needs_full is True
+    # an unsequenced (seq 0) frame is telemetry: read with no receiver
+    # (the stat port) it is an ordinary digest, and a receiver's data
+    # port refuses it outright
+    stat = encode_packet(Packet(PacketKind.DATA, "node00#0",
+                                [make_envelope("_bus.stat.node00", seq=0)],
+                                session_start=0.0))
+    assert read_digest(stat).needs_full is False
+    with pytest.raises(CorruptFrame, match="seq 0"):
+        read_digest(stat, peers=Learned())
     mixed = Packet(PacketKind.DATA, "node00#0",
                    [make_envelope(seq=1),
                     make_envelope(seq=2, qos=QoS.GUARANTEED,
@@ -216,7 +221,7 @@ def assert_fails_closed(tampered):
         with pytest.raises(CorruptFrame) as caught:
             entry_point(tampered, peers=Learned())
         assert type(caught.value) is CorruptFrame  # nothing to repair
-    bus = make_bus(advertise_subscriptions=False)
+    bus = make_bus()
     bus.client("node01", "mon").subscribe("zq.>", lambda *a: None)
     evil_socket(bus).broadcast(tampered, DAEMON_PORT)
     bus.run_for(1.0)
@@ -313,7 +318,7 @@ def test_via_flag_with_no_hops_fails_closed():
                            match="via flag with no hops") as caught:
             entry_point(tampered, peers=Learned())
         assert type(caught.value) is CorruptFrame  # nothing to repair
-    bus = make_bus(advertise_subscriptions=False)
+    bus = make_bus()
     got = []
     bus.client("node01", "mon").subscribe(
         "zq.>", lambda subject, obj, info: got.append((subject, obj)))
@@ -349,7 +354,7 @@ def test_flagged_payload_that_does_not_unmarshal_is_a_decode_error():
     """A hostile frame may set 0x04 on any payload: the receiver puts
     the magic back, the client's unmarshal refuses the bytes, and the
     refusal is counted — nothing raises, nothing is delivered."""
-    bus = make_bus(advertise_subscriptions=False)
+    bus = make_bus()
     got = []
     mon = bus.client("node01", "mon")
     mon.subscribe("zq.>", lambda subject, obj, info: got.append(obj))
@@ -498,10 +503,9 @@ def make_bus(seed=3, hosts=4, **cfg):
 
 
 def test_uninterested_daemon_skips_frames():
-    # adverts off so the only digest-bearing frames are the feed itself
-    # (advert snapshots are themselves skippable on router-less hosts,
-    # which would muddy the interested-daemon-never-skips assertion)
-    bus = make_bus(advertise_subscriptions=False)
+    # no router, so no adverts: the only digest-bearing frames are the
+    # feed itself
+    bus = make_bus()
     got = []
     bus.client("node01", "mon").subscribe(
         "feed.>", lambda s, p, i: got.append(p["n"]))
@@ -557,7 +561,7 @@ def test_receiver_that_gave_up_keeps_up_without_futile_repair():
     repair traffic — and an id the digest cites (the subject) costs
     exactly one drop and one NACK: the self-contained RETRANS re-defines
     it and the stream skips again."""
-    bus = make_bus(seed=5, hosts=2, advertise_subscriptions=False,
+    bus = make_bus(seed=5, hosts=2,
                    reliable=ReliableConfig(retention=4, nack_max=3))
     got = []
     bus.client("node01", "mon").subscribe("quiet.>",
@@ -655,7 +659,7 @@ def test_a_digest_naming_another_session_is_a_counted_corrupt_drop():
     """Digest flag 0x02 through real sockets: every daemon that hears
     the frame — interested in its subject or not — drops it as corrupt,
     once, learns nothing of the session, and hears its next frame."""
-    bus = make_bus(advertise_subscriptions=False)
+    bus = make_bus()
     bus.client("node01", "mon").subscribe("zq.>", lambda *a: None)
     socket = evil_socket(bus)
     socket.broadcast(with_digest_flag(0x02, session="evil#0"), DAEMON_PORT)
@@ -673,7 +677,7 @@ def test_a_digest_naming_another_session_is_a_counted_corrupt_drop():
 def test_guaranteed_frames_take_full_path():
     """Ledgered envelopes run the ack+dedupe protocol on every daemon,
     subscriber or not — the gate must never skip them."""
-    bus = make_bus(seed=5, advertise_subscriptions=False)
+    bus = make_bus(seed=5)
     got = []
     bus.client("node02", "ledger").subscribe(
         "g.>", lambda s, p, i: got.append(p["n"]), durable=True)

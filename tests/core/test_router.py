@@ -11,6 +11,7 @@ from repro.core.daemon import ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator
+from repro.sim.kernel import PeriodicTimer
 
 
 def story_registry():
@@ -25,6 +26,19 @@ def fast_config():
     config = BusConfig()
     config.advert_interval = 0.5
     return config
+
+
+def poll(bus, host, every=None):
+    """Poll ``bus`` from ``host`` as a router leg does: now, and then
+    every ``every`` seconds if given."""
+    asker = bus.client(host, "poller")
+
+    def fire():
+        asker.publish(SOLICIT_SUBJECT_PREFIX, {"host": host})
+
+    fire()
+    if every:
+        PeriodicTimer(bus.sim, every, fire)
 
 
 def two_buses(seed=1, link=None):
@@ -250,9 +264,10 @@ def test_malformed_advert_is_dropped_and_counted(payload):
     "e01",
 ], ids=["int-host", "list-host", "no-host", "not-a-dict"])
 def test_malformed_solicit_is_dropped_and_counted(payload):
-    """Any application may publish on a host's solicit subject: a payload
-    that is not a router's solicit is counted in that host's registry and
-    sends nothing, and a well-formed one after it gets the table."""
+    """Any application may publish on a host's solicit subject, or on the
+    poll subject every host hears: a payload that is not a router's
+    solicit is counted in that host's registry and sends nothing, and a
+    well-formed one after it gets the table."""
     bus = InformationBus(seed=3, cost=CostModel.ideal(), config=fast_config())
     bus.add_hosts(2, prefix="e")
     snapshots = []
@@ -262,14 +277,18 @@ def test_malformed_solicit_is_dropped_and_counted(payload):
     bus.client("e01", "mon").subscribe("news.equity.>", lambda *a: None)
     rogue = bus.client("e00", "rogue")
     bus.run_for(0.3)
-    rogue.publish(f"{SOLICIT_SUBJECT_PREFIX}.e01", payload)
+    for subject in (f"{SOLICIT_SUBJECT_PREFIX}.e01", SOLICIT_SUBJECT_PREFIX):
+        rogue.publish(subject, payload)
     bus.run_for(0.1)
     counter = "daemon.e01.contract.sub_solicit.refused"
-    assert bus.daemon("e01").metrics.snapshot()[counter]["value"] == 1
+    assert bus.daemon("e01").metrics.snapshot()[counter]["value"] == 2
     assert snapshots == []
     rogue.publish(f"{SOLICIT_SUBJECT_PREFIX}.e01", {"host": "e01"})
     bus.run_for(0.1)
     assert snapshots == [["news.equity.>"]]
+    rogue.publish(SOLICIT_SUBJECT_PREFIX, {"host": "e00"})   # a first poll
+    bus.run_for(0.1)
+    assert snapshots == [["news.equity.>"]] * 2
 
 
 def test_undecodable_solicit_is_dropped_and_counted():
@@ -360,9 +379,60 @@ def test_a_missed_remove_is_corrected_by_the_next_summary(kept):
     assert list(west_leg._forwarding) == kept
 
 
+def test_a_host_that_joins_after_a_poll_is_learned_at_the_next():
+    """A plane speaks only once polled, so a host added after the leg's
+    last poll is learned at the next one — within one advert interval
+    plus a round trip — and not at its first subscribe."""
+    sim, east, west, router = two_buses()
+    interval = fast_config().advert_interval
+    east_leg = router.legs["east:router-east"]
+    sim.run_until(1.01)                  # the leg polled at 0, 0.5, 1.0
+    east.add_host("e09")
+    east.client("e09", "late").subscribe("late.>", lambda *a: None)
+    sim.run_until(1.45)
+    assert "late.>" not in east_leg._want_counts
+    sim.run_until(1.01 + interval + 0.05)
+    assert "late.>" in east_leg._want_counts
+    sim.run_until(sim.now + 0.5)         # the want crosses the WAN
+    assert "late.>" in router.legs["west:router-west"]._forwarding
+
+
+def test_two_legs_polling_one_bus_cost_one_answer_per_interval():
+    """Every leg hears every answer, so a plane answers at most one poll
+    per advert interval however many legs poll its bus: two routers'
+    legs on ``east`` get the answers one leg would (here each a
+    snapshot, which a one-pattern table encodes smaller than its
+    summary)."""
+
+    def answers_per_host(routers):
+        sim = Simulator(seed=2)
+        east = InformationBus(cost=CostModel.ideal(), name="east", sim=sim,
+                              config=fast_config())
+        east.add_hosts(3, prefix="e")
+        counts = {"e01": 0, "e02": 0}
+        east.client("e00", "watcher").subscribe(
+            ADVERT_SUBJECT, lambda s, o, i: counts.__setitem__(
+                o["host"], counts.get(o["host"], 0) + 1))
+        east.client("e01", "a").subscribe("a.>", lambda *a: None)
+        east.client("e02", "b").subscribe("b.>", lambda *a: None)
+        for n in range(routers):
+            west = InformationBus(cost=CostModel.ideal(), name=f"west{n}",
+                                  sim=sim, config=fast_config())
+            sim.run_until(0.2 * n)        # the legs poll out of step
+            router = Router(f"r{n}")
+            router.add_leg(east)
+            router.add_leg(west)
+        sim.run_until(5.1)
+        return counts
+
+    one, two = answers_per_host(1), answers_per_host(2)
+    assert one == {"e01": 11, "e02": 11}   # polls at 0, 0.5 .. 5.0
+    assert two == one
+
+
 def test_advert_bytes_do_not_grow_with_the_table():
-    """On a bus with no router, a plane's advert costs the same each
-    interval whether its table holds 1 pattern or 500."""
+    """Polled each interval, a plane's answer costs the same whether its
+    table holds 1 pattern or 500 (after the first, which is the table)."""
     bus = InformationBus(seed=5, cost=CostModel.ideal(), config=fast_config())
     bus.add_hosts(3)
     sizes = {"node01": [], "node02": []}
@@ -373,6 +443,7 @@ def test_advert_bytes_do_not_grow_with_the_table():
     many = bus.client("node02", "many")
     for i in range(500):
         many.subscribe(f"mkt.s{i}.tick", lambda *a: None)
+    poll(bus, "node00", every=fast_config().advert_interval)
     bus.run_for(0.2)
     for adverts in sizes.values():
         adverts.clear()

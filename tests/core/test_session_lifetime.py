@@ -13,7 +13,7 @@ order and is dropped at first hearing.
 
 import pytest
 
-from repro.core import (BusConfig, Envelope, InformationBus, Packet,
+from repro.core import (Envelope, InformationBus, Packet,
                         PacketKind, QoS, SessionStats, StringTable,
                         encode_packet)
 from repro.core.daemon import DAEMON_PORT, STAT_PORT
@@ -27,8 +27,7 @@ def make_bus(hosts=3):
     """node00 publishes, node01 subscribes ``t.>``, node02 wants nothing
     (its interest gate skips every frame)."""
     tracer = Tracer(enabled=True)
-    bus = InformationBus(seed=3, cost=CostModel.ideal(), tracer=tracer,
-                         config=BusConfig(advertise_subscriptions=False))
+    bus = InformationBus(seed=3, cost=CostModel.ideal(), tracer=tracer)
     bus.add_hosts(hosts)
     inbox = []
     bus.client("node01", "mon").subscribe(
@@ -353,3 +352,34 @@ def test_reading_never_makes_a_record():
         daemon.peers["node00#7"]
     assert daemon.type_resolver("node09#0") is None
     assert list(daemon.peers) == ["node00#0"] and len(daemon.metrics) == rows
+
+
+def test_a_data_frame_naming_seq_0_is_refused():
+    """Sessions start at seq 1, and seq 0 marks telemetry, which only a
+    stat port carries.  A CRC-valid DATA frame naming seq 0 on a data
+    port is corrupt: counted once in ``corrupt_dropped``, delivered to
+    nobody, and no record is made for its session — also when the frame
+    memo already holds the frame's parse from a stat port, which reads
+    seq 0 as telemetry."""
+    bus, _tracer, _inbox = make_bus()
+    got = []
+    bus.client("node01", "ab").subscribe(
+        "a.b", lambda subject, obj, info: got.append(info.seq))
+    bus.run_for(1.0)
+    bus.crash_host("node01")
+    bus.recover_host("node01")
+    socket = evil_socket(bus)
+    fresh, memoized = (encode_packet(Packet(
+        PacketKind.DATA, session, [envelope(session, 0, "a.b")],
+        session_start=0.0)) for session in ("node09#0", "node08#0"))
+    socket.sendto(fresh, "node01", DAEMON_PORT)
+    socket.sendto(memoized, "node02", STAT_PORT)    # parsed as telemetry
+    bus.run_for(0.1)
+    socket.sendto(memoized, "node01", DAEMON_PORT)
+    bus.run_for(1.0)
+    daemon = bus.daemons["node01"]
+    assert got == []
+    assert daemon.corrupt_dropped == 2
+    assert daemon.delivered == 0
+    assert "node09#0" not in daemon.peers and "node08#0" not in daemon.peers
+    assert recv_rows(daemon) == []

@@ -197,8 +197,7 @@ def _shard_pivot(shards, messages=80):
                      cpu_recv_per_packet=0.0, cpu_recv_per_byte=0.0,
                      cpu_jitter=0.0, loss_probability=0.0)
     bus = InformationBus(seed=42, cost=cost, tracer=tracer,
-                         config=BusConfig(subject_shards=shards,
-                                          advertise_subscriptions=False))
+                         config=BusConfig(subject_shards=shards))
     bus.add_hosts(5)
     inboxes = {}
 
@@ -258,8 +257,8 @@ def test_four_planes_are_observably_one_daemon():
 
 
 @pytest.mark.parametrize("shards, last, wire_bytes, frames, published", [
-    (1, 0.04121083430501331, 130_052, 3_978, [600]),
-    (4, 0.013766406846240902, 507_396, 15_852, [150, 150, 150, 150]),
+    (1, 0.04127457121985925, 30_332, 742, [600]),
+    (4, 0.013419097213378531, 88_816, 2_904, [150, 150, 150, 150]),
 ])
 def test_fan_out_drain_is_pinned(shards, last, wire_bytes, frames,
                                  published):

@@ -109,7 +109,7 @@ def test_stat_traffic_never_echo_amplifies(monkeypatch):
     """An idle bus publishing only telemetry: data-plane counters stay
     zero, snapshots stay bit-stable, one wire frame per snapshot."""
     fires = _count_stat_fires(monkeypatch)
-    config = BusConfig(stat_interval=0.05, advertise_subscriptions=False)
+    config = BusConfig(stat_interval=0.05)
     bus = InformationBus(seed=3, config=config)
     bus.add_hosts(2)
     watcher = bus.client("node01", "watcher")
@@ -128,7 +128,7 @@ def test_stat_traffic_never_echo_amplifies(monkeypatch):
         assert daemon.delivered == 0
         # exactly one broadcast per snapshot: no stat-triggered stats
         assert fires[address] > 20
-        assert daemon._stat_socket.datagrams_sent == fires[address]
+        assert daemon._stat_socket._datagrams_sent.value == fires[address]
     # a daemon with no local stat subscriber reports bit-identical
     # metrics forever: its own publishing perturbs nothing it counts
     node00 = [o["metrics"] for s, o in snapshots
@@ -138,7 +138,7 @@ def test_stat_traffic_never_echo_amplifies(monkeypatch):
 
 
 def test_stat_self_traffic_is_not_measured_but_is_flow_controlled():
-    config = BusConfig(stat_interval=0.02, advertise_subscriptions=False)
+    config = BusConfig(stat_interval=0.02)
     bus = InformationBus(seed=5, config=config)
     bus.add_hosts(2)
     browser = bus.client("node00", "browser")
@@ -179,13 +179,13 @@ def test_stat_skips_a_snapshot_while_its_predecessor_is_on_the_lane(
     fires = _count_stat_fires(monkeypatch)
     cost = CostModel.ideal()
     cost.cpu_send_per_packet = 0.01      # each broadcast costs 10 ms
-    config = BusConfig(stat_interval=0.005, advertise_subscriptions=False)
+    config = BusConfig(stat_interval=0.005)
     bus = InformationBus(seed=9, cost=cost, config=config)
     bus.add_hosts(1)
     daemon = bus.daemons["node00"]
     sends = _record_stat_sends(daemon)
     bus.run_for(2.0)
-    assert len(sends) == daemon._stat_socket.datagrams_sent
+    assert len(sends) == daemon._stat_socket._datagrams_sent.value
     assert 10 < len(sends) < fires["node00"]          # some are skipped
     for (_, _, done), (sent, _, _) in zip(sends, sends[1:]):
         assert sent >= done      # the previous snapshot left the lane
@@ -234,7 +234,7 @@ def test_a_saturated_host_stays_visible():
 
 
 def test_stat_plane_survives_crash_and_recovery():
-    config = BusConfig(stat_interval=0.05, advertise_subscriptions=False)
+    config = BusConfig(stat_interval=0.05)
     bus = InformationBus(seed=11, config=config)
     bus.add_hosts(2)
     watcher = bus.client("node01", "watcher")

@@ -220,7 +220,7 @@ def test_gated_daemon_still_learns_typedefs():
     """An uninterested daemon skips frame bodies via the interest gate
     but must still accumulate typedefs — a mid-stream subscribe decodes
     from the very next frame without repair."""
-    bus = make_bus(seed=8, hosts=2, advertise_subscriptions=False)
+    bus = make_bus(seed=8, hosts=2)
     reg = story_registry()
     client = bus.client("node01", "mon")
     client.subscribe("quiet.>", lambda *a: None)   # daemon up, no interest

@@ -27,7 +27,7 @@ def make_bus(seed=11, hosts=4, corrupt_rate=0.0, **cfg):
 
 
 def fanout_run(messages=300, seed=3):
-    bus = make_bus(seed=seed, advertise_subscriptions=False)
+    bus = make_bus(seed=seed)
     boxes = []
     for i in range(1, 4):
         box = []

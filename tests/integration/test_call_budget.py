@@ -42,22 +42,24 @@ QUIESCE = 1.0           # simulated seconds after the last one
 
 FANOUT_RATE = 800.0     # msgs/s, paced
 #: Python + builtin calls per published message (8 deliveries each).
-#: Measured 746.6 on CPython 3.11 with the frame memo holding whole
-#: parses, so no receiver resumes a digest read at the bodies (753.2
-#: while one did, with a top-level string payload decoded in one step;
-#: 802.2 while it took four calls; 831.0 with the fast paths in place,
-#: one subscription match per delivery, in the daemon, and retention
-#: that only inserts; 835.0 while every stamp also read the clock for an
-#: age bound; 862.6 while the client matched again; 1,227.1 before the
-#: fast paths); later interpreters inline comprehensions and count
-#: fewer.
-CEILING = 810
+#: Measured 702.9 on CPython 3.11 with no table advert on a bus
+#: without a router (746.6 while every subscribe broadcast an add and
+#: every plane a periodic digest; 753.2 while a receiver resumed a
+#: digest read at the bodies, with a top-level string payload decoded
+#: in one step; 802.2 while it took four calls; 831.0 with the fast
+#: paths in place, one subscription match per delivery, in the daemon,
+#: and retention that only inserts; 835.0 while every stamp also read
+#: the clock for an age bound; 862.6 while the client matched again;
+#: 1,227.1 before the fast paths); later interpreters inline
+#: comprehensions and count fewer.
+CEILING = 760
 
 SPARSE_SUBJECTS = 2000
 SPARSE_RATE = 600.0     # msgs/s, paced
 #: Python + builtin calls per published message (1 delivery each).
-#: Measured 541.5 on CPython 3.11 with the frame memo holding whole
-#: parses (548.1 while a digest read left a partial one, with each
+#: Measured 492.3 on CPython 3.11 with no table advert on a bus
+#: without a router (541.5 while each of its 2,000 subscribes broadcast
+#: an add; 548.1 while a digest read left a partial parse, with each
 #: plane's periodic advert a digest of its table and a top-level string
 #: payload decoded in one step; 563.2 while every plane re-sent its
 #: 250-pattern table and the string decode took four calls; 590.4 with
@@ -65,7 +67,7 @@ SPARSE_RATE = 600.0     # msgs/s, paced
 #: retention that only inserts; 594.4 with the age-bound check on every
 #: stamp; 598.4 while the client matched again; 798.8 when every probe
 #: validated and walked the trie).
-SPARSE_CEILING = 590
+SPARSE_CEILING = 540
 
 
 def _calls_per_message(bus, publisher, subjects, rate):

@@ -30,7 +30,7 @@ import os
 
 import pytest
 
-from repro.core import BusConfig, InformationBus
+from repro.core import InformationBus
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Tracer
@@ -59,8 +59,7 @@ def pivot_run(typed: bool) -> dict:
     cost.bandwidth_bytes_per_sec = float("inf")
     if typed:
         cost.mtu = 1 << 20        # repairs never fragment
-    bus = InformationBus(seed=42, cost=cost, tracer=tracer,
-                         config=BusConfig(advertise_subscriptions=False))
+    bus = InformationBus(seed=42, cost=cost, tracer=tracer)
     bus.add_hosts(5)
     reg = tick_registry()
     if typed:

@@ -42,8 +42,7 @@ def tick_registry():
 def test_fifty_restarts_leave_bounded_state(shards, typed):
     bus = InformationBus(seed=11, cost=CostModel.ideal(),
                          config=BusConfig(subject_shards=shards,
-                                          stat_interval=0.1,
-                                          advertise_subscriptions=False))
+                                          stat_interval=0.1))
     bus.add_hosts(3)
     inbox = []
     monitor = bus.client("node01", "mon")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.metrics import MetricsRegistry
 from repro.sim import CostModel, DatagramSocket, EthernetSegment, Simulator, StreamManager
 
 
@@ -78,13 +79,17 @@ def test_lost_fragment_loses_whole_datagram():
 
 def test_datagram_counters():
     sim, lan, (a, b) = make_lan()
-    sb = DatagramSocket(sim, b, 40, lambda *x: None)
-    sa = DatagramSocket(sim, a, 41, lambda *x: None)
+    metrics = MetricsRegistry()
+    DatagramSocket(sim, b, 40, lambda *x: None, metrics=metrics,
+                   metrics_name="b")
+    sa = DatagramSocket(sim, a, 41, lambda *x: None, metrics=metrics,
+                        metrics_name="a")
     sa.sendto(b"one" * 3, "node1", 40)
     sa.sendto(b"two" * 3, "node1", 40)
     sim.run()
-    assert sa.datagrams_sent == 2
-    assert sb.datagrams_received == 2
+    snapshot = metrics.snapshot()
+    assert snapshot["a.datagrams_sent"]["value"] == 2
+    assert snapshot["b.datagrams_received"]["value"] == 2
 
 
 # ----------------------------------------------------------------------
