@@ -79,21 +79,23 @@ def _instrument(entry: Any) -> bool:
 #: name -> {key: rule}: each control message, with the subject (or
 #: stream) it travels on and who admits it
 CONTRACTS: Dict[str, Dict[str, Rule]] = {
-    # ``_sub.advert``: a polled daemon plane's table change (``add``,
-    # ``remove``), whole table (``snapshot``) or table digest
-    # (``summary``), to router legs.  A change or a table reads a missing
-    # ``patterns`` as none, a summary a missing ``digest`` as matching
-    # no view (it only solicits the table)
+    # ``_sub.advert``: a daemon plane's table change (``add``,
+    # ``remove``) or whole table (``snapshot``), to router legs; a
+    # missing ``patterns`` reads as none
     "sub_advert": {"host": of(str),
-                   "action": one_of("add", "remove", "snapshot", "summary"),
+                   "action": one_of("add", "remove", "snapshot"),
                    "patterns": optional(list_of(
                        lambda pattern: type(pattern) is str
-                       and is_valid_pattern(pattern))),
-                   "digest": optional(lambda digest: type(digest) is bytes
-                                      and len(digest) == 8)},
-    # ``_sub.solicit`` (a router leg's poll; ``host`` is the leg's) and
-    # ``_sub.solicit.<host>``, to plane 0, for every plane's table
-    "sub_solicit": {"host": of(str)},
+                       and is_valid_pattern(pattern)))},
+    # ``_sub.solicit``: a router leg's poll, to every host's plane 0;
+    # ``host`` is the leg's, ``views`` its digest of each plane's table
+    # by the plane's session without the epoch (missing: no views; a
+    # marshalled map's keys are always strings)
+    "sub_solicit": {"host": of(str),
+                    "views": optional(lambda views: type(views) is dict
+                                      and all(type(digest) is bytes
+                                              and len(digest) == 8
+                                              for digest in views.values()))},
     # ``_svc.advert``: an RmiServer's announcement, to browsers
     "svc_advert": {"action": one_of("up", "presence", "down"),
                    "service": of(str), "server": of(str),

@@ -63,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ADVERT_SUBJECT", "BusConfig", "BusDaemon", "BusDownError",
            "DAEMON_PORT", "SHARD_PORT_STRIDE", "SOLICIT_SUBJECT_PREFIX",
-           "STAT_PORT", "STAT_SUBJECT_PREFIX", "advert_digest",
+           "STAT_PORT", "STAT_SUBJECT_PREFIX", "advert_digest", "advert_key",
            "shard_data_port", "shard_stat_port"]
 
 #: The well-known UDP port every daemon binds.
@@ -97,19 +97,32 @@ def shard_stat_port(shard: int) -> int:
 #: (consumed by information routers; see repro.core.router).
 ADVERT_SUBJECT = "_sub.advert"
 
-#: Reserved subject on which a router leg polls its bus; a router asks
-#: one host for its planes' whole tables on ``_sub.solicit.<host>``.
-#: Reserved subjects travel on shard 0, so plane 0 hears both.
+#: Reserved subject on which a router leg polls its bus with its view of
+#: every plane's table.  Reserved subjects travel on shard 0, so plane 0
+#: hears it.
 SOLICIT_SUBJECT_PREFIX = "_sub.solicit"
 
 
 def advert_digest(patterns: Iterable[str]) -> bytes:
-    """The 8-byte digest a ``summary`` advert carries: a hash of the
-    sorted patterns, the same in every process whatever
-    ``PYTHONHASHSEED`` (a daemon summarizes its table with it, a router
-    checks its view of that table with it)."""
+    """The 8-byte digest of a table a poll carries per view: a hash of
+    the sorted patterns, the same in every process whatever
+    ``PYTHONHASHSEED`` (a router states its view of a plane's table with
+    it, the plane checks that against its own table)."""
     return hashlib.blake2b("\n".join(sorted(patterns)).encode("utf-8"),
                            digest_size=8).digest()
+
+
+def advert_key(session: str) -> str:
+    """The key a router's view of one plane's table goes by: the plane's
+    session without the epoch (``e01``, ``e01~1``), so a new
+    incarnation's table replaces the old one's."""
+    host, _, rest = session.partition("#")
+    _epoch, tilde, shard = rest.partition("~")
+    return host + tilde + shard
+
+
+#: a poll's missing view: the leg was never told a table
+_EMPTY_DIGEST = advert_digest(())
 
 
 #: Reserved subject space for telemetry snapshots: a daemon publishes
@@ -137,10 +150,10 @@ class BusConfig:
     flow: FlowConfig = field(default_factory=FlowConfig)
     #: Distinct consumers that must ack a guaranteed message.
     ack_quorum: int = 1
-    #: Period of a router leg's poll of its bus: each polled plane
-    #: answers with a digest of its public subscription table (or the
-    #: table itself when that encodes smaller), at most once per
-    #: interval; a leg whose view disagrees solicits the table.
+    #: Period of a router leg's poll of its bus.  The poll carries the
+    #: leg's digest of each plane's public subscription table; a plane
+    #: whose table differs answers with the whole table, at most once
+    #: per interval, and one that agrees stays silent.
     advert_interval: float = 2.0
     #: Most guaranteed-delivery ledger ids remembered for deduping
     #: deliveries to non-durable subscribers; oldest are evicted past
@@ -181,11 +194,11 @@ class _DeliveryLane:
 
 class _SolicitListener:
     """Plane 0's own registration on ``_sub.solicit`` (a router leg's
-    poll) and ``_sub.solicit.<host>`` (a leg asking for every plane's
-    whole table), two literals so the trie's literal match stays one
-    dict probe: both the subscription its match yields and the client
-    that one feeds (no delivery lane, so it is called synchronously,
-    and counted in the plane's ``delivered`` like any delivery)."""
+    poll, carrying the leg's view of every plane's table), a literal so
+    the trie's literal match stays one dict probe: both the subscription
+    its match yields and the client that one feeds (no delivery lane, so
+    it is called synchronously, and counted in the plane's
+    ``delivered`` like any delivery)."""
 
     __slots__ = ("client", "daemon", "seq", "durable")
 
@@ -207,12 +220,14 @@ class _SolicitListener:
             payload = None     # refused below like any other misfit
         if not admits(payload, "sub_solicit", daemon._scope):
             return
-        if envelope.subject == SOLICIT_SUBJECT_PREFIX:
-            for plane in daemon.planes:
-                plane._advertise_snapshot(envelope.publish_time)
-        elif payload["host"] == daemon.host.address:
-            for plane in daemon.planes:
-                plane._answer_solicit()
+        if payload["host"] == daemon.host.address:
+            return   # the leg's own forwarding: not demand it reads
+        # the publish time is the sender's word: one from the future
+        # must not hold the rate window shut
+        asked_at = min(envelope.publish_time, daemon.sim.now)
+        views = payload.get("views", {})
+        for plane in daemon.planes:
+            plane._advertise_snapshot(asked_at, views)
 
 
 class BusDaemon:
@@ -312,8 +327,8 @@ class BusDaemon:
             # unsharded snapshots are byte-identical to the pre-shard era
             scope.gauge("shard.id", source=lambda: self.shard)
             scope.gauge("shard.count", source=lambda: self.shard_count)
-        #: whether this plane ever answered a router's poll: from then on
-        #: it pushes each change and answers even with an empty table
+        #: whether this plane ever told a router its table: from then on
+        #: it pushes each change
         self._polled = False
         self._started = False
         host.on_crash(self._on_crash)
@@ -433,13 +448,9 @@ class BusDaemon:
         self._public_patterns: Dict[str, int] = {}
         #: the publish time from which a poll is answered again
         self._next_poll = 0.0
-        #: whether a solicit was answered since the last poll answer
-        self._solicit_answered = False
         if self.shard == 0:
-            listener = _SolicitListener(self)
-            self._subscriptions.insert(SOLICIT_SUBJECT_PREFIX, listener)
-            self._subscriptions.insert(
-                f"{SOLICIT_SUBJECT_PREFIX}.{self.host.address}", listener)
+            self._subscriptions.insert(SOLICIT_SUBJECT_PREFIX,
+                                       _SolicitListener(self))
         # telemetry plane: own socket and NO registry instruments of
         # its own — the publisher must never publish stats about its
         # own stat traffic (no echo)
@@ -520,7 +531,7 @@ class BusDaemon:
         if not pattern.startswith("_"):     # reserved: never advertised
             count = self._public_patterns.get(pattern, 0)
             self._public_patterns[pattern] = count + 1
-            if count == 0:
+            if count == 0 and self._polled:
                 self._advertise("add", [pattern])
 
     def remove_subscription(self, subscription: "Subscription") -> None:
@@ -532,7 +543,8 @@ class BusDaemon:
             count = self._public_patterns.get(pattern, 0) - 1
             if count <= 0:
                 self._public_patterns.pop(pattern, None)
-                self._advertise("remove", [pattern])
+                if self._polled:
+                    self._advertise("remove", [pattern])
             else:
                 self._public_patterns[pattern] = count
 
@@ -540,53 +552,35 @@ class BusDaemon:
     # subscription advertisement (router support)
     # ------------------------------------------------------------------
     def _advertise(self, action: str, patterns: List[str]) -> None:
-        """One change (``add``/``remove``) to the public table, broadcast
-        once a router has polled this plane."""
-        if self._polled:
-            self._publish_advert(self._advert_bytes(action,
-                                                    patterns=patterns))
+        """Broadcast a change (``add``/``remove``) to the public table,
+        or the whole table (``snapshot``), to router legs."""
+        self.publish(f"{self.host.address}._daemon", ADVERT_SUBJECT,
+                     encode({"action": action, "patterns": patterns,
+                             "host": self.host.address}))
 
-    def _advert_bytes(self, action: str, **fields: Any) -> bytes:
-        return encode({"action": action, **fields, "host": self.host.address})
-
-    def _publish_advert(self, payload: bytes) -> None:
-        self.publish(f"{self.host.address}._daemon", ADVERT_SUBJECT, payload)
-
-    def _advertise_snapshot(self, asked_at: float) -> None:
-        """Answer a router leg's poll published at ``asked_at``, at most
-        once per ``advert_interval`` (every leg hears the answer), unless
-        the table is empty and was never told.  The first answer is the
-        whole table; later ones a ``summary`` carrying its
-        :func:`advert_digest`, or the ``snapshot`` when that encodes
-        smaller (a ``>``-only or empty table)."""
-        if (not self.up or asked_at < self._next_poll
-                or not (self._public_patterns or self._polled)):
-            return
-        self._next_poll = asked_at + self.config.advert_interval
-        self._solicit_answered = False
-        if not self._polled:
-            self._polled = True
-            self._answer_solicit()
+    def _advertise_snapshot(self, asked_at: float,
+                            views: Dict[str, bytes]) -> None:
+        """Answer a router leg's poll asked at ``asked_at`` (its publish
+        time, capped at this plane's clock), whose ``views`` map each
+        plane's :func:`advert_key` to the leg's :func:`advert_digest` of
+        that plane's table (a missing key: an empty table).  A plane the
+        leg has right stays silent; one it has wrong broadcasts its
+        whole table, at most once per ``advert_interval`` (every leg
+        hears the answer), and from then on pushes each change."""
+        if not self.up or asked_at < self._next_poll:
             return
         patterns = sorted(self._public_patterns)
-        self._publish_advert(min(
-            self._advert_bytes("snapshot", patterns=patterns),
-            self._advert_bytes("summary", digest=advert_digest(patterns)),
-            key=len))
-
-    def _answer_solicit(self) -> None:
-        """A router asked for this host's tables: send the whole one
-        now, at most once between two poll answers."""
-        if not self.up or self._solicit_answered:
+        if (views.get(advert_key(self.session), _EMPTY_DIGEST)
+                == advert_digest(patterns)):
             return
-        self._solicit_answered = True
-        self._publish_advert(self._advert_bytes(
-            "snapshot", patterns=sorted(self._public_patterns)))
+        self._next_poll = asked_at + self.config.advert_interval
+        self._polled = True
+        self._advertise("snapshot", patterns)
 
     def subscription_count(self) -> int:
         """The (pattern, subscription) registrations of applications on
-        this plane (plane 0's two solicit registrations are not)."""
-        return len(self._subscriptions) - (2 if self.shard == 0 else 0)
+        this plane (plane 0's solicit registration is not)."""
+        return len(self._subscriptions) - (1 if self.shard == 0 else 0)
 
     # ------------------------------------------------------------------
     # publish path
@@ -1020,12 +1014,16 @@ class BusDaemon:
         if packet.kind is not PacketKind.DATA:
             return
         if packet.session == self.session:
-            return   # our own broadcast echoed back
-        # unsequenced: the delivery lanes, not the reliable protocol.  A
-        # daemon never sends telemetry guaranteed, so a ledger id here is
-        # forged and must not reach the ledger dedupe or send an ACK
+            return   # a host never hears its own broadcast: forged
+        # unsequenced: the delivery lanes, not the reliable protocol.
+        # Only telemetry rides this port, so an envelope on another
+        # subject, with a seq, or with a ledger id (a daemon never sends
+        # telemetry guaranteed) is forged, and must reach no subscriber,
+        # ledger dedupe or ACK
         for envelope in packet.envelopes:
-            if envelope.ledger_id is None:
+            if (not envelope.seq and envelope.ledger_id is None
+                    and envelope.subject.startswith(
+                        f"{STAT_SUBJECT_PREFIX}.")):
                 self._dispatch(envelope, False)
 
     # ------------------------------------------------------------------

@@ -26,10 +26,11 @@ deferred store-and-forward shipment is re-shipped by its retry timer.
 lost.
 
 A leg keeps one view of each advertising daemon plane's table.  It
-polls its bus on ``_sub.solicit`` every interval; a plane answers with
-its table, then with digests, and pushes every change.  A leg whose
-view disagrees asks that host on ``_sub.solicit.<host>``, so a late or
-deaf leg catches up within one interval plus a round trip.
+polls its bus on ``_sub.solicit`` every interval, and the poll carries
+the leg's view: a digest per plane.  A plane the leg has wrong answers
+with its whole table and from then on pushes every change; one the leg
+has right stays silent.  So a late or deaf leg catches up within one
+interval plus a round trip, and a converged bus sends no advert.
 
 A leg admits an ``_sub.advert`` payload through the ``sub_advert``
 contract (:mod:`repro.core.contracts`): any application may publish on
@@ -45,7 +46,6 @@ wants are skipped from their digests without decoding a body.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -55,7 +55,8 @@ from ..sim.trace import Tracer
 from .bus import InformationBus
 from .client import BusClient, Subscription
 from .contracts import admits
-from .daemon import ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX, advert_digest
+from .daemon import (ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX, advert_digest,
+                     advert_key)
 from .flow import Admission, BoundedQueue
 from .guaranteed import GuaranteedConsumer
 from .message import MessageInfo, QoS
@@ -226,17 +227,15 @@ class RouterLeg:
         self._views: Dict[str, Set[str]] = {}
         # pattern -> how many views want it (the bus's demand)
         self._want_counts: Dict[str, int] = {}
-        # host -> when its tables were last solicited (cleared by a
-        # snapshot from it): at most one solicit out per interval
-        self._solicited: Dict[str, float] = {}
         # forwarding subscriptions installed for remote legs' wants:
         # pattern -> (subscription, set of interested remote leg names)
         self._forwarding: Dict[str, Tuple[Subscription, Set[str]]] = {}
         # the same wants as a trie, pattern -> remote leg names: which
         # legs a subject goes to is one match, however many patterns
         self._wanted: SubjectTrie[str] = SubjectTrie()
-        # dedupe of forwarded messages (a message can match two patterns)
-        self._recent: "OrderedDict[Tuple[str, int], None]" = OrderedDict()
+        # the last delivery forwarded: a message two forwarding patterns
+        # match reaches _forward once per pattern with the one info
+        self._last_forwarded: Optional[MessageInfo] = None
         scope = router.metrics.scope(f"router.{router.name}.leg.{self.name}")
         self._metrics = scope
         self._messages_forwarded = scope.counter("forwarded")
@@ -269,18 +268,10 @@ class RouterLeg:
             return
         if payload["host"] == self.host.address:
             return   # our own forwarding subscriptions are not local wants
-        host, _, rest = info.session.partition("#")
-        _epoch, tilde, shard = rest.partition("~")
-        key = host + tilde + shard
-        view = self._views.setdefault(key, set())
+        view = self._views.setdefault(advert_key(info.session), set())
         action = payload["action"]
-        if action == "summary":
-            if payload.get("digest") != advert_digest(view):
-                self._solicit(host)
-            return
         patterns = set(payload.get("patterns", ()))
         if action == "snapshot":
-            self._solicited.pop(host, None)
             new, gone = patterns - view, view - patterns
         elif action == "add":
             new, gone = patterns - view, set()
@@ -307,21 +298,14 @@ class RouterLeg:
             self.router._local_wants_changed(self, "remove", sorted(removed))
 
     def _poll(self) -> None:
-        """Ask every host of this bus for its planes' tables (a digest,
-        once a plane has told its table)."""
+        """Tell every host of this bus what this leg believes each of its
+        planes wants (a digest per view): a plane it has wrong answers
+        with its table."""
         if self.client.daemon.up:
-            self.client.publish(SOLICIT_SUBJECT_PREFIX,
-                                {"host": self.host.address})
-
-    def _solicit(self, host: str) -> None:
-        """Ask ``host`` for every plane's whole table: a summary from one
-        of them disagreed with this leg's view of it."""
-        now = self.bus.sim.now
-        last = self._solicited.get(host)
-        if last is not None and now - last < self.bus.config.advert_interval:
-            return
-        self._solicited[host] = now
-        self.client.publish(f"{SOLICIT_SUBJECT_PREFIX}.{host}", {"host": host})
+            self.client.publish(SOLICIT_SUBJECT_PREFIX, {
+                "host": self.host.address,
+                "views": {key: advert_digest(view)
+                          for key, view in self._views.items()}})
 
     # ------------------------------------------------------------------
     # forwarding subscriptions for remote legs
@@ -359,12 +343,9 @@ class RouterLeg:
             # *other* routers are forwarded normally — that is what makes
             # multi-hop chains (A -router1- B -router2- C) work.
             return
-        key = (info.session, info.seq)
-        if key in self._recent:
+        if info is self._last_forwarded:
             return   # already forwarded (matched another pattern too)
-        self._recent[key] = None
-        while len(self._recent) > 4096:
-            self._recent.popitem(last=False)
+        self._last_forwarded = info
         targets = self._wanted.match(subject)
         if self.log_traffic:
             self.host.stable.append("router.log", {

@@ -46,7 +46,8 @@ def _snapshot():
 PRODUCED = {
     "sub_advert": {"action": "add", "patterns": ["news.>", "q.*"],
                    "host": "node00"},
-    "sub_solicit": {"host": "node00"},
+    "sub_solicit": {"host": "node00", "views": {"e01": b"\x00" * 8,
+                                                "e01~1": b"\x01" * 8}},
     "svc_advert": {"action": "up", "service": "svc.q",
                    "server": "node01.qsvc", "interface_name": "quote_service",
                    "operations": ["last", "symbols"]},
@@ -99,7 +100,7 @@ def hostile_cases():
 
 def test_every_hostile_payload_is_refused_by_its_contract():
     cases = list(hostile_cases())
-    assert len(cases) == 9 + 4 + 12 + 11
+    assert len(cases) == 10 + 7 + 12 + 11
     for name, payload in cases:
         assert not conforms(wire(payload), name), (name, payload)
 
@@ -168,7 +169,7 @@ def test_a_clean_federation_refuses_nothing():
         tap = bus.client(host, "tap")
         for pattern in (ADVERT_SUBJECT, SERVICE_ADVERT_SUBJECT, "_bus.stat.>",
                         "_discovery.>", "_rmi.group.>",
-                        SOLICIT_SUBJECT_PREFIX, f"{SOLICIT_SUBJECT_PREFIX}.>"):
+                        SOLICIT_SUBJECT_PREFIX):
             tap.subscribe(pattern, lambda s, payload, i: taps.append(
                 (s, payload)))
     reg = quote_registry()

@@ -95,8 +95,7 @@ def test_a_bus_without_a_router_sends_no_advert_or_solicit():
     bus.add_hosts(3)
     heard = []
     watcher = bus.client("node00", "watcher")
-    for pattern in (ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX,
-                    f"{SOLICIT_SUBJECT_PREFIX}.>"):
+    for pattern in (ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX):
         watcher.subscribe(pattern, lambda s, o, i: heard.append(s))
     mon = bus.client("node01", "mon")
     mon.subscribe("news.>", lambda *a: None)
@@ -130,11 +129,10 @@ def test_reserved_patterns_not_advertised():
                for a in adverts)
 
 
-def test_summary_advertisement_repeats_and_a_solicit_gets_the_table():
-    """Polled each interval, a plane answers with its table's digest
-    (smaller than the table) after a first answer that is the table; a
-    solicit on ``_sub.solicit.<host>`` gets the whole table at once, and
-    a second one before the next poll gets nothing."""
+def test_a_poll_gets_the_table_only_where_its_view_is_wrong():
+    """A plane answers a poll whose view of it is right with nothing, one
+    from its own host with nothing, and one whose view is wrong (or
+    missing) with its whole table, at most once per advert interval."""
     config = BusConfig()
     config.advert_interval = 0.5
     bus = InformationBus(seed=6, cost=CostModel.ideal(), config=config)
@@ -143,22 +141,18 @@ def test_summary_advertisement_repeats_and_a_solicit_gets_the_table():
     bus.client("node00", "watcher").subscribe(
         ADVERT_SUBJECT, lambda s, o, i: adverts.append((i.deliver_time, o)))
     bus.client("node01", "mon").subscribe("snap.equity.>", lambda *a: None)
-    poll(bus, "node00", every=config.advert_interval)
-    bus.run_for(0.2)
-    adverts.clear()     # the first answer
-    bus.run_for(2.0)
-    summaries = [a for _, a in adverts if a["action"] == "summary"]
-    assert len(summaries) >= 3
-    assert all(a["digest"] == advert_digest(["snap.equity.>"])
-               for a in summaries)
-    assert not [a for _, a in adverts if a["action"] == "snapshot"]
+    poll(bus, "node00", every=config.advert_interval,
+         views={"node01": ["snap.equity.>"]})
+    bus.run_for(2.2)
+    assert adverts == []
     asker = bus.client("node00", "asker")
-    for _ in range(2):
-        asker.publish(f"{SOLICIT_SUBJECT_PREFIX}.node01", {"host": "node01"})
+    for host, views in (("node01", {}), ("node00", {}),
+                        ("node00", {"node01": advert_digest(["other.>"])})):
+        asker.publish(SOLICIT_SUBJECT_PREFIX, {"host": host, "views": views})
     bus.run_for(0.1)
-    snapshots = [(t, a) for t, a in adverts if a["action"] == "snapshot"]
-    assert [a["patterns"] for _, a in snapshots] == [["snap.equity.>"]]
-    assert snapshots[0][0] < 2.3
+    assert [(a["action"], a["patterns"]) for _, a in adverts] == [
+        ("snapshot", ["snap.equity.>"])]
+    assert adverts[0][0] < 2.3
 
 
 def test_flush_forces_batched_messages_out():

@@ -5,13 +5,16 @@ import pstats
 
 import pytest
 
-from repro.core import (BusConfig, InformationBus, MessageInfo, QoS, Router,
-                        WanLink)
-from repro.core.daemon import ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX
-from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
+from repro.core import (BusConfig, Envelope, InformationBus, MessageInfo,
+                        Packet, PacketKind, QoS, Router, WanLink,
+                        encode_packet)
+from repro.core.daemon import (ADVERT_SUBJECT, DAEMON_PORT,
+                               SOLICIT_SUBJECT_PREFIX, advert_digest)
+from repro.objects import (AttributeSpec, DataObject, TypeDescriptor, encode,
                            standard_registry)
 from repro.sim import CostModel, Simulator
 from repro.sim.kernel import PeriodicTimer
+from repro.sim.transport import DatagramSocket
 
 
 def story_registry():
@@ -28,13 +31,17 @@ def fast_config():
     return config
 
 
-def poll(bus, host, every=None):
-    """Poll ``bus`` from ``host`` as a router leg does: now, and then
-    every ``every`` seconds if given."""
+def poll(bus, host, every=None, views=None):
+    """Poll ``bus`` from ``host`` as a router leg holding ``views``
+    (plane key -> patterns; none by default) does: now, and then every
+    ``every`` seconds if given."""
     asker = bus.client(host, "poller")
 
     def fire():
-        asker.publish(SOLICIT_SUBJECT_PREFIX, {"host": host})
+        asker.publish(SOLICIT_SUBJECT_PREFIX, {
+            "host": host,
+            "views": {key: advert_digest(patterns)
+                      for key, patterns in (views or {}).items()}})
 
     fire()
     if every:
@@ -234,13 +241,16 @@ def test_unsubscribe_withdraws_remote_interest():
     {"host": "x", "action": "summary", "digest": "01234567"},
     {"host": "x", "action": "summary", "digest": b"\x00" * 7},
     {"host": "x", "action": "solicit", "patterns": ["a"]},
+    {"host": "x", "action": "summary", "digest": b"\x00" * 8},
 ], ids=["int-patterns", "list-host", "int-pattern", "bad-pattern",
         "string-patterns", "list-action", "string-digest", "short-digest",
-        "solicit-action"])
+        "solicit-action", "summary-action"])
 def test_malformed_advert_is_dropped_and_counted(payload):
     """Any application may publish on the advert subject: a payload that
-    is not a daemon's advert neither crashes the simulation nor installs
-    forwarding, and a well-formed advert after it still takes effect."""
+    is not a daemon's advert (a table digest is not one: a plane sends
+    only changes and tables) neither crashes the simulation nor installs
+    forwarding, and a well-formed advert after it takes effect until the
+    next poll, whose view the forger's plane corrects."""
     sim, east, west, router = two_buses()
     rogue = east.client("e01", "rogue")
     sim.run_until(1.0)
@@ -252,8 +262,10 @@ def test_malformed_advert_is_dropped_and_counted(payload):
     assert router.metrics.snapshot()[counter]["value"] == 1
     rogue.publish(ADVERT_SUBJECT,
                   {"host": "x", "action": "add", "patterns": ["news.>"]})
-    sim.run_until(3.0)
+    sim.run_until(2.3)
     assert list(west_leg._forwarding) == ["news.>"]
+    sim.run_until(3.0)
+    assert west_leg._forwarding == {}
     assert router.metrics.snapshot()[counter]["value"] == 1
 
 
@@ -262,12 +274,25 @@ def test_malformed_advert_is_dropped_and_counted(payload):
     {"host": ["e01"]},
     {"hosts": "e01"},
     "e01",
-], ids=["int-host", "list-host", "no-host", "not-a-dict"])
+    {"host": "e00", "views": "e01"},
+    {"host": "e00", "views": {"e01": "01234567"}},
+    {"host": "e00", "views": {"e01": b"\x00" * 7}},
+], ids=["int-host", "list-host", "no-host", "not-a-dict", "views-not-a-dict",
+        "string-view-digest", "short-view-digest"])
 def test_malformed_solicit_is_dropped_and_counted(payload):
-    """Any application may publish on a host's solicit subject, or on the
-    poll subject every host hears: a payload that is not a router's
-    solicit is counted in that host's registry and sends nothing, and a
-    well-formed one after it gets the table."""
+    """Any application may publish on the poll subject every host hears:
+    a payload that is not a router's poll (a host, and a map of plane
+    key to 8-byte digest if any views) is counted in each host's
+    registry, never raised on, and sends nothing, and a well-formed one
+    after it gets the table.  (A map key is a string on the wire: the
+    marshal writes and reads no other.)"""
+    refused_then_answered(payload)
+
+
+def refused_then_answered(payload, publish="publish"):
+    """Publish ``payload`` on the poll subject (through ``publish``, a
+    client method) on a bus where e01 holds a pattern: e01 refuses it,
+    and answers a well-formed poll after it with its table."""
     bus = InformationBus(seed=3, cost=CostModel.ideal(), config=fast_config())
     bus.add_hosts(2, prefix="e")
     snapshots = []
@@ -277,43 +302,56 @@ def test_malformed_solicit_is_dropped_and_counted(payload):
     bus.client("e01", "mon").subscribe("news.equity.>", lambda *a: None)
     rogue = bus.client("e00", "rogue")
     bus.run_for(0.3)
-    for subject in (f"{SOLICIT_SUBJECT_PREFIX}.e01", SOLICIT_SUBJECT_PREFIX):
-        rogue.publish(subject, payload)
+    getattr(rogue, publish)(SOLICIT_SUBJECT_PREFIX, payload)
     bus.run_for(0.1)
     counter = "daemon.e01.contract.sub_solicit.refused"
-    assert bus.daemon("e01").metrics.snapshot()[counter]["value"] == 2
+    assert bus.daemon("e01").metrics.snapshot()[counter]["value"] == 1
     assert snapshots == []
-    rogue.publish(f"{SOLICIT_SUBJECT_PREFIX}.e01", {"host": "e01"})
+    rogue.publish(SOLICIT_SUBJECT_PREFIX, {"host": "e00"})
     bus.run_for(0.1)
     assert snapshots == [["news.equity.>"]]
-    rogue.publish(SOLICIT_SUBJECT_PREFIX, {"host": "e00"})   # a first poll
-    bus.run_for(0.1)
-    assert snapshots == [["news.equity.>"]] * 2
+    assert bus.daemon("e01").metrics.snapshot()[counter]["value"] == 1
 
 
 def test_undecodable_solicit_is_dropped_and_counted():
-    """A solicit payload that does not even unmarshal is refused like a
+    """A poll payload that does not even unmarshal is refused like a
     misshapen one: nothing raises, it is counted once in that host's
-    registry, no table goes out, and a well-formed solicit after it is
+    registry, no table goes out, and a well-formed poll after it is
     answered."""
-    bus = InformationBus(seed=3, cost=CostModel.ideal(), config=fast_config())
-    bus.add_hosts(2, prefix="e")
-    snapshots = []
-    bus.client("e00", "watcher").subscribe(
-        ADVERT_SUBJECT, lambda s, o, i: snapshots.extend(
-            [o["patterns"]] if o["action"] == "snapshot" else []))
-    bus.client("e01", "mon").subscribe("news.equity.>", lambda *a: None)
-    rogue = bus.client("e00", "rogue")
-    bus.run_for(0.3)
-    rogue.publish_bytes(f"{SOLICIT_SUBJECT_PREFIX}.e01", b"garbage")
-    bus.run_for(0.1)
-    counter = "daemon.e01.contract.sub_solicit.refused"
-    assert bus.daemon("e01").metrics.snapshot()[counter]["value"] == 1
-    assert snapshots == []
-    rogue.publish(f"{SOLICIT_SUBJECT_PREFIX}.e01", {"host": "e01"})
-    bus.run_for(0.1)
-    assert snapshots == [["news.equity.>"]]
-    assert bus.daemon("e01").metrics.snapshot()[counter]["value"] == 1
+    refused_then_answered(b"garbage", publish="publish_bytes")
+
+
+def test_a_poll_stamped_in_the_future_does_not_silence_a_bus():
+    """A poll's publish time is its sender's word: one forged frame
+    stamped far in the future must not hold the planes' answer windows
+    shut, so a router added after it still learns the bus's tables."""
+    sim = Simulator(seed=1)
+    east = InformationBus(cost=CostModel.ideal(), name="east", sim=sim,
+                          config=fast_config())
+    west = InformationBus(cost=CostModel.ideal(), name="west", sim=sim,
+                          config=fast_config())
+    east.add_hosts(3, prefix="e")
+    west.add_hosts(3, prefix="w")
+    received = []
+    west.client("w01", "mon").subscribe(
+        "a.b", lambda s, o, i: received.append(o))
+    forged = Envelope(subject=SOLICIT_SUBJECT_PREFIX, sender="evil.app",
+                      session="evil#0", seq=1,
+                      payload=encode({"host": "evil"}), publish_time=1e9)
+    evil = DatagramSocket(sim, west.lan.add_host("evil"), 99,
+                          lambda data, size, src: None)
+    evil.broadcast(encode_packet(Packet(PacketKind.DATA, "evil#0", [forged],
+                                        session_start=0.0)), DAEMON_PORT)
+    sim.run_until(0.5)
+    assert all(plane._next_poll < 1.0 for daemon in west.daemons.values()
+               for plane in daemon.planes)
+    router = Router()
+    router.add_leg(east)
+    router.add_leg(west)
+    sim.run_until(0.5 + fast_config().advert_interval + 0.1)
+    east.client("e00", "feed").publish("a.b", {"n": 1})
+    sim.run_until(sim.now + 1.0)
+    assert received == [{"n": 1}]
 
 
 def late_router(east, west, at):
@@ -327,9 +365,9 @@ def late_router(east, west, at):
 
 def test_late_router_learns_a_large_table_within_one_interval():
     """A router attached after a host holds 500 patterns never heard
-    their adds: the next summary disagrees with its empty view, and the
-    solicited snapshot teaches it all of them within one advert interval
-    plus a round trip."""
+    their adds: its poll's view of that plane (none) is wrong, and the
+    snapshot it answers with teaches the leg all of them within one
+    advert interval plus a round trip."""
     sim = Simulator(seed=4)
     east = InformationBus(cost=CostModel.ideal(), name="east", sim=sim,
                           config=fast_config())
@@ -351,17 +389,49 @@ def test_late_router_learns_a_large_table_within_one_interval():
         sorted(patterns)
 
 
+def test_a_late_router_learns_a_table_another_legs_answer_just_told():
+    """A plane answers at most one poll per advert interval, because
+    every leg hears every answer.  A router joining just after another
+    router's leg was answered did not hear that answer, and its first
+    poll finds the window shut: it learns the table at its next poll,
+    still within one advert interval plus a round trip."""
+    sim = Simulator(seed=4)
+    east = InformationBus(cost=CostModel.ideal(), name="east", sim=sim,
+                          config=fast_config())
+    east.add_hosts(2, prefix="e")
+    patterns = [f"mkt.s{i}.tick" for i in range(500)]
+    mon = east.client("e01", "mon")
+    for pattern in patterns:
+        mon.subscribe(pattern, lambda *a: None)
+    first = Router("r0")
+    first.add_leg(east)
+    first.add_leg(InformationBus(cost=CostModel.ideal(), name="west0",
+                                 sim=sim, config=fast_config()))
+    sim.run_until(0.2)
+    assert sorted(first.legs["east:r0-east"]._want_counts) == sorted(patterns)
+    late = Router("r1")
+    late_leg = late.add_leg(east)
+    late.add_leg(InformationBus(cost=CostModel.ideal(), name="west1",
+                                sim=sim, config=fast_config()))
+    sim.run_until(0.45)
+    assert late_leg._want_counts == {}
+    sim.run_until(0.2 + fast_config().advert_interval + 0.05)
+    assert sorted(late_leg._want_counts) == sorted(patterns)
+
+
 @pytest.mark.parametrize("kept", [["keep.>"], []], ids=["one-left", "none-left"])
-def test_a_missed_remove_is_corrected_by_the_next_summary(kept):
-    """The router's host is down while a remove goes by: the next
-    summary disagrees with the stale view, and the solicited snapshot
-    withdraws the pattern from the other bus.  A plane whose table the
-    remove emptied keeps advertising it, and its periodic advert is the
-    empty snapshot itself (smaller than a summary): no solicit needed."""
+def test_a_missed_remove_is_corrected_by_the_next_poll(kept):
+    """The router's host is down while a remove goes by: the next poll
+    carries the stale view's digest, and the plane answers with its
+    table (the empty one if the remove emptied it), which withdraws the
+    pattern from the other bus.  Nothing asks the host a second time."""
     sim, east, west, router = two_buses()
-    solicits = []
-    east.client("e00", "tap").subscribe(
-        f"{SOLICIT_SUBJECT_PREFIX}.>", lambda s, o, i: solicits.append(s))
+    heard = []
+    tap = east.client("e00", "tap")
+    tap.subscribe(f"{SOLICIT_SUBJECT_PREFIX}.>",
+                  lambda s, o, i: heard.append(s))
+    tap.subscribe(ADVERT_SUBJECT, lambda s, o, i: heard.append(
+        (o["action"], o.get("patterns"))))
     mon = east.client("e01", "mon")
     for pattern in kept:
         mon.subscribe(pattern, lambda *a: None)
@@ -373,14 +443,40 @@ def test_a_missed_remove_is_corrected_by_the_next_summary(kept):
     mon.unsubscribe(gone)
     sim.run_until(2.0)
     east.recover_host("router-east")
-    assert solicits == []
+    heard.clear()
     sim.run_until(2.0 + fast_config().advert_interval + 0.1)
-    assert solicits == ([f"{SOLICIT_SUBJECT_PREFIX}.e01"] if kept else [])
+    assert heard == [("snapshot", kept)]
     assert list(west_leg._forwarding) == kept
 
 
+def test_an_idle_routed_bus_sends_no_advert_once_converged():
+    """A leg's poll carries its view, and a plane answers only a wrong
+    one: once the legs have learned every table, two idle buses carry
+    their legs' polls and no ``_sub.advert`` at all."""
+    sim, east, west, router = two_buses()
+    heard = {"east": [], "west": []}
+    for bus in (east, west):
+        prefix = bus.name[0]
+        for n in (1, 2):
+            bus.client(f"{prefix}0{n}", "mon").subscribe(
+                f"{bus.name}.s{n}.>", lambda *a: None)
+        tap = bus.client(f"{prefix}00", "tap")
+        for subject in (ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX):
+            tap.subscribe(subject, lambda s, o, i, box=heard[bus.name]:
+                          box.append(s))
+    sim.run_until(1.1)
+    assert sorted(router.legs["east:router-east"]._want_counts) == \
+        ["east.s1.>", "east.s2.>"]
+    for box in heard.values():
+        box.clear()
+    sim.run_until(11.1)
+    # polls at 1.5, 2.0 .. 11.0: twenty per bus, and nothing else
+    assert heard == {"east": [SOLICIT_SUBJECT_PREFIX] * 20,
+                     "west": [SOLICIT_SUBJECT_PREFIX] * 20}
+
+
 def test_a_host_that_joins_after_a_poll_is_learned_at_the_next():
-    """A plane speaks only once polled, so a host added after the leg's
+    """A plane speaks only to a poll, so a host added after the leg's
     last poll is learned at the next one — within one advert interval
     plus a round trip — and not at its first subscribe."""
     sim, east, west, router = two_buses()
@@ -399,20 +495,19 @@ def test_a_host_that_joins_after_a_poll_is_learned_at_the_next():
 
 def test_two_legs_polling_one_bus_cost_one_answer_per_interval():
     """Every leg hears every answer, so a plane answers at most one poll
-    per advert interval however many legs poll its bus: two routers'
-    legs on ``east`` get the answers one leg would (here each a
-    snapshot, which a one-pattern table encodes smaller than its
-    summary)."""
+    per advert interval however many legs poll its bus, and none once
+    every leg has its table right: a second router's leg, polling out of
+    step, costs each plane one more answer, and then the bus is silent."""
 
     def answers_per_host(routers):
         sim = Simulator(seed=2)
         east = InformationBus(cost=CostModel.ideal(), name="east", sim=sim,
                               config=fast_config())
         east.add_hosts(3, prefix="e")
-        counts = {"e01": 0, "e02": 0}
+        times = {"e01": [], "e02": []}
         east.client("e00", "watcher").subscribe(
-            ADVERT_SUBJECT, lambda s, o, i: counts.__setitem__(
-                o["host"], counts.get(o["host"], 0) + 1))
+            ADVERT_SUBJECT, lambda s, o, i: times[o["host"]].append(
+                i.publish_time))
         east.client("e01", "a").subscribe("a.>", lambda *a: None)
         east.client("e02", "b").subscribe("b.>", lambda *a: None)
         for n in range(routers):
@@ -423,34 +518,38 @@ def test_two_legs_polling_one_bus_cost_one_answer_per_interval():
             router.add_leg(east)
             router.add_leg(west)
         sim.run_until(5.1)
-        return counts
+        return times
 
     one, two = answers_per_host(1), answers_per_host(2)
-    assert one == {"e01": 11, "e02": 11}   # polls at 0, 0.5 .. 5.0
-    assert two == one
+    assert {host: len(t) for host, t in one.items()} == {"e01": 1, "e02": 1}
+    assert {host: len(t) for host, t in two.items()} == {"e01": 2, "e02": 2}
+    for first, second in two.values():
+        assert second - first >= fast_config().advert_interval
+        assert second < 1.0
 
 
 def test_advert_bytes_do_not_grow_with_the_table():
-    """Polled each interval, a plane's answer costs the same whether its
-    table holds 1 pattern or 500 (after the first, which is the table)."""
-    bus = InformationBus(seed=5, cost=CostModel.ideal(), config=fast_config())
-    bus.add_hosts(3)
-    sizes = {"node01": [], "node02": []}
-    bus.client("node00", "watcher").subscribe(
-        ADVERT_SUBJECT, lambda s, o, i: sizes[o["host"]].append(
-            (o["action"], i.size)))
-    bus.client("node01", "one").subscribe("mkt.s0.tick", lambda *a: None)
-    many = bus.client("node02", "many")
-    for i in range(500):
-        many.subscribe(f"mkt.s{i}.tick", lambda *a: None)
-    poll(bus, "node00", every=fast_config().advert_interval)
-    bus.run_for(0.2)
-    for adverts in sizes.values():
-        adverts.clear()
-    bus.run_for(2.0)
-    assert len(sizes["node01"]) == 4
-    assert sizes["node01"] == sizes["node02"]
-    assert {action for action, _ in sizes["node02"]} == {"summary"}
+    """A converged leg's poll carries an 8-byte digest per view, so it
+    costs the same whether the plane it names holds 1 pattern or 500,
+    and the plane does not answer it."""
+
+    def steady(table):
+        sim, east, west, router = two_buses()
+        mon = east.client("e01", "mon")
+        for n in range(table):
+            mon.subscribe(f"mkt.s{n}.tick", lambda *a: None)
+        heard = []
+        tap = east.client("e00", "tap")
+        for subject in (ADVERT_SUBJECT, SOLICIT_SUBJECT_PREFIX):
+            tap.subscribe(subject, lambda s, o, i: heard.append((s, i.size)))
+        sim.run_until(1.1)
+        heard.clear()
+        sim.run_until(3.1)
+        return heard
+
+    one = steady(1)
+    assert [subject for subject, _ in one] == [SOLICIT_SUBJECT_PREFIX] * 4
+    assert steady(500) == one
 
 
 def test_router_logs_traffic_to_stable_storage():

@@ -383,3 +383,24 @@ def test_a_data_frame_naming_seq_0_is_refused():
     assert daemon.delivered == 0
     assert "node09#0" not in daemon.peers and "node08#0" not in daemon.peers
     assert recv_rows(daemon) == []
+
+
+def test_the_stat_port_delivers_only_telemetry():
+    """Only unsequenced ``_bus.stat.*`` envelopes ride a stat port: a
+    forged stat-port frame carrying an ordinary subject, at seq 0 or at
+    seq 5, reaches no subscriber and no counter, like a corrupt stat
+    frame, and makes no record."""
+    bus, _tracer, _inbox = make_bus()
+    got = []
+    bus.client("node01", "ab").subscribe(
+        "a.b", lambda subject, obj, info: got.append(info.seq))
+    socket = evil_socket(bus)
+    for seq in (0, 5):
+        socket.sendto(encode_packet(Packet(
+            PacketKind.DATA, "node09#0", [envelope("node09#0", seq, "a.b")],
+            session_start=0.0)), "node01", STAT_PORT)
+        bus.run_for(0.1)
+    daemon = bus.daemons["node01"]
+    assert got == []
+    assert daemon.delivered == 0 and daemon.corrupt_dropped == 0
+    assert "node09#0" not in daemon.peers
