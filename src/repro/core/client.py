@@ -85,8 +85,10 @@ class BusClient:
             plane.attach_client(self)
         #: this application's instruments, in plane 0's registry
         #: whichever plane delivers: the publish-to-callback ``latency``
-        #: histogram, and the refusal counters of the bus objects it
-        #: runs (:mod:`repro.core.contracts`)
+        #: histogram, ``latency.refused`` (deliveries whose publish time
+        #: is later than the delivery, made at the first), and the
+        #: refusal counters of the bus objects it runs
+        #: (:mod:`repro.core.contracts`)
         self.metrics = daemon.metrics.scope(f"client.{name}")
         self._latency = self.metrics.histogram("latency")
 
@@ -224,7 +226,12 @@ class BusClient:
             # seq-0 envelopes are telemetry-plane self-traffic: they are
             # delivered but never measured (the no-echo invariant)
             if seq:
-                self._latency.observe(now - publish_time)
+                if now >= publish_time:
+                    self._latency.observe(now - publish_time)
+                else:
+                    # the sender's stamp is later than this clock: not
+                    # a latency (one forged frame would skew them all)
+                    self.metrics.counter("latency.refused").inc()
 
     def _reattach(self) -> None:
         """Re-register all subscriptions after the host recovered."""

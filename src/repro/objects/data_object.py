@@ -24,6 +24,7 @@ from .types import (AttributeSpec, OperationSpec, TypeDescriptor, TypeError_,
 __all__ = ["DataObject", "check_value", "ValidationError"]
 
 _oid_counter = itertools.count(1)
+_new_instance = object.__new__
 
 
 def _new_oid(type_name: str) -> str:
@@ -137,6 +138,21 @@ def _plan_for(registry: TypeRegistry, type_name: str) -> _InstancePlan:
     if plan is None:
         plan = registry._plans[type_name] = _InstancePlan(registry, type_name)
     return plan
+
+
+def _prevalidated(registry: TypeRegistry, plan: _InstancePlan, type_name: str,
+                  attrs: Dict[str, Any], oid: str) -> "DataObject":
+    """An instance of ``plan``'s type owning ``attrs``, which the caller
+    has already proven: every name declared, every value of its declared
+    type, every required name present.  The oid is generated exactly as
+    the constructor would."""
+    obj = _new_instance(DataObject)
+    obj._registry = registry
+    obj._plan = plan
+    obj._type_name = type_name
+    obj._attrs = attrs
+    obj.oid = oid or _new_oid(type_name)
+    return obj
 
 
 class DataObject:

@@ -25,7 +25,7 @@ at registration; the instance plan and value checkers
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Set, Tuple
 
 from .types import (FUNDAMENTAL_TYPES, ROOT_TYPE, AttributeSpec,
                     TypeDescriptor, TypeError_, parse_type_name)
@@ -46,10 +46,13 @@ class TypeRegistry:
         self._attributes: Dict[str, Dict[str, AttributeSpec]] = {}
         #: memos owned here, compiled by data_object (instance plan per
         #: type name, checker per attribute-type name) and marshal
-        #: (dependency closure per set of instance types)
+        #: (reader per object type, dependency closure per set of
+        #: instance types, session descriptors already accepted)
         self._plans: Dict[str, object] = {}
         self._checkers: Dict[str, Callable[[object], None]] = {}
+        self._readers: Dict[str, object] = {}
         self._closures: Dict[frozenset, Tuple[TypeDescriptor, ...]] = {}
+        self._accepted: Set[TypeDescriptor] = set()
         self.register(TypeDescriptor(ROOT_TYPE, supertype=None,
                                      doc="root of the object hierarchy"))
 

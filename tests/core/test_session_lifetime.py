@@ -385,6 +385,28 @@ def test_a_data_frame_naming_seq_0_is_refused():
     assert recv_rows(daemon) == []
 
 
+def test_a_publish_time_after_the_delivery_is_not_a_latency():
+    """A publish time is its sender's word.  One CRC-valid DATA frame
+    stamped far in the future is still delivered, but its "latency" is
+    not observed (it would be about -1e9 s): it counts once in the
+    client's ``latency.refused`` instead."""
+    bus = InformationBus(seed=3, cost=CostModel.ideal())
+    bus.add_hosts(2)
+    got = []
+    client = bus.client("node01", "mon")
+    client.subscribe("a.b", lambda subject, obj, info: got.append(info.seq))
+    forged = Envelope(subject="a.b", sender="evil.app", session="evil#0",
+                      seq=1, payload=encode({"n": 1}), publish_time=1e9)
+    evil_socket(bus).broadcast(encode_packet(Packet(
+        PacketKind.DATA, "evil#0", [forged], session_start=0.0)),
+        DAEMON_PORT)
+    bus.run_for(1.0)
+    assert got == [1]
+    metrics = bus.daemons["node01"].metrics
+    assert metrics.get("client.mon.latency").count == 0
+    assert metrics.get("client.mon.latency.refused").value == 1
+
+
 def test_the_stat_port_delivers_only_telemetry():
     """Only unsequenced ``_bus.stat.*`` envelopes ride a stat port: a
     forged stat-port frame carrying an ordinary subject, at seq 0 or at

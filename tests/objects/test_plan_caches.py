@@ -2,7 +2,8 @@
 
 PR 13 derives supertype chains, merged attribute tables, instance plans,
 value checkers, dependency closures and session descriptors once and
-reuses them.  That is only safe because registries are append-only and
+reuses them; the decoder adds a reader per object type and the session
+descriptors each registry has accepted.  That is only safe because registries are append-only and
 descriptors immutable; these tests pin the places where a stale cache
 would show: one validation implementation behind three entry points,
 types registered *after* a cache was filled, and conflict detection that
@@ -242,6 +243,45 @@ def test_closure_memo_matches_type_closure_and_intern_order():
         type_closure(reg, {"nope"})
 
 
+def test_a_reader_accepts_a_subtype_registered_after_it_was_built():
+    """The decode reader of ``story`` is built on the first message; a
+    ``src`` whose type is a subtype of ``source`` registered only later
+    is still proven (the reader asks the registry per value) and decodes
+    without a constructor check, into an equal object."""
+    reg = standard_registry()
+    reg.register(TypeDescriptor("source", attributes=[
+        AttributeSpec("name", "string")]))
+    reg.register(TypeDescriptor("story", attributes=[
+        AttributeSpec("src", "source"),
+        AttributeSpec("all", "list<source>", required=False)]))
+    table = TypeTable()
+    receiver = standard_registry()
+    plain = DataObject(reg, "source", name="plain")
+    first, _ = encode_typed(DataObject(reg, "story", src=plain), reg, table)
+    assert decode(first, receiver, type_resolver=table).get("src") == plain
+    reader = receiver._readers["story"]
+
+    reg.register(TypeDescriptor("wire_source", supertype="source",
+                                attributes=[AttributeSpec("feed", "int")]))
+    wire = DataObject(reg, "wire_source", name="w", feed=3)
+    late = DataObject(reg, "story", src=wire, all=[plain, wire])
+    payload, _ = encode_typed(late, reg, table)
+    back = decode(payload, receiver, type_resolver=table)
+    assert back == late and back.get("src").type_name == "wire_source"
+    assert receiver._readers["story"] is reader      # the same reader
+    assert receiver.is_subtype("wire_source", "source")
+    # a value of an unrelated type is still refused, by the constructor
+    reg.register(TypeDescriptor("stranger", attributes=[
+        AttributeSpec("name", "string"), AttributeSpec("feed", "int")]))
+    forged = payload.replace(
+        bytes([0x4F, table.intern(reg.get("wire_source"))]),
+        bytes([0x4F, table.intern(reg.get("stranger"))]), 1)
+    with pytest.raises(ValidationError,
+                       match="expected object of type 'source', "
+                             "got 'stranger'"):
+        decode(forged, receiver, type_resolver=table)
+
+
 # ----------------------------------------------------------------------
 # (c) conflict detection stays per message
 # ----------------------------------------------------------------------
@@ -273,6 +313,34 @@ def test_conflicting_local_shape_raises_on_the_1st_and_1000th_message(
     assert decode(payloads[0], clean, type_resolver=resolver).get("n") == 0
     with pytest.raises(TypeError_, match="different interface"):
         decode(payloads[-1], conflicted, type_resolver=resolver)
+
+
+def test_a_conflicting_descriptor_raises_on_each_of_1000_messages():
+    """A receiver whose reader for ``story`` is built and whose first
+    session's descriptor is accepted meets a second session defining
+    ``story`` with another shape: every one of its 1,000 messages
+    raises, none is accepted, and the first session still decodes."""
+    receiver = story_registry()
+    good_reg = story_registry()
+    good_table = TypeTable()
+    good, _ = encode_typed(DataObject(good_reg, "story", n=1, body="b"),
+                           good_reg, good_table)
+    good_view = PeerTypeView({tid: good_table.blob(tid)
+                              for tid in range(len(good_table))})
+    assert decode(good, receiver, type_resolver=good_view).get("n") == 1
+    assert "story" in receiver._readers
+    accepted = set(receiver._accepted)
+    bad_reg = story_registry(body_type="bytes")
+    bad_table = TypeTable()
+    bad = [encode_typed(DataObject(bad_reg, "story", n=n, body=b"b"),
+                        bad_reg, bad_table)[0] for n in range(1000)]
+    bad_view = PeerTypeView({tid: bad_table.blob(tid)
+                             for tid in range(len(bad_table))})
+    for payload in bad:
+        with pytest.raises(TypeError_, match="different interface"):
+            decode(payload, receiver, type_resolver=bad_view)
+    assert receiver._accepted == accepted
+    assert decode(good, receiver, type_resolver=good_view).get("n") == 1
 
 
 def test_conflict_registered_after_the_session_was_learned():
