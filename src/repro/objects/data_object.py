@@ -15,11 +15,11 @@ Property objects to reference the object they annotate.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .registry import TypeRegistry
-from .types import (AttributeSpec, OperationSpec, TypeDescriptor, TypeError_,
-                    parse_type_name)
+from .types import (_FUNDAMENTALS, AttributeSpec, OperationSpec,
+                    TypeDescriptor, TypeError_, parse_type_name)
 
 __all__ = ["DataObject", "check_value", "ValidationError"]
 
@@ -35,77 +35,72 @@ class ValidationError(TypeError_):
     """An attribute value does not conform to its declared type."""
 
 
-def _expect(kind: str, accepted, rejected=()) -> Callable[[Any], None]:
-    """Checker for one fundamental type."""
+class _Rule:
+    """Which values satisfy one declared attribute type, compiled once per
+    (registry, type name) and memoised on the registry: the classes a
+    value may (``accepted``) and may not (``rejected``) be, the wire tags
+    that can carry such a value (``tags``), the rule each item of a
+    ``list<T>`` or ``map<T>`` obeys (``items``), and the object type a
+    value must equal or descend from (``type_name``; the registry is asked
+    per value, so a subtype registered later is accepted).  :meth:`check`
+    validates a Python value; the decoder reads the same fields to prove
+    a value from its tags (:mod:`~repro.objects.marshal`)."""
 
-    def check(value: Any) -> None:
-        if not isinstance(value, accepted) or isinstance(value, rejected):
-            raise ValidationError(f"expected {kind}, got {value!r}")
+    __slots__ = ("kind", "accepted", "rejected", "tags", "items",
+                 "type_name", "registry")
 
-    return check
+    def __init__(self, kind: str, accepted, rejected, tags: bytes,
+                 items: Optional["_Rule"] = None,
+                 type_name: Optional[str] = None,
+                 registry: Optional[TypeRegistry] = None) -> None:
+        self.kind = kind
+        self.accepted = accepted
+        self.rejected = rejected
+        self.tags = tags
+        self.items = items
+        self.type_name = type_name
+        self.registry = registry
 
-
-#: bool is an int subclass in Python; int and float attributes reject it
-_FUNDAMENTAL_CHECKERS: Dict[str, Callable[[Any], None]] = {
-    "any": lambda value: None,
-    "int": _expect("int", int, bool),
-    "float": _expect("float", (int, float), bool),
-    "bool": _expect("bool", bool),
-    "string": _expect("string", str),
-    "bytes": _expect("bytes", bytes),
-}
-
-
-def _container_checker(outer: str, check_item) -> Callable[[Any], None]:
-    if outer == "list":
-        def check(value: Any) -> None:
-            if not isinstance(value, list):
-                raise ValidationError(f"expected list, got {value!r}")
-            for item in value:
-                check_item(item)
-    else:
-        def check(value: Any) -> None:
-            if not isinstance(value, dict):
-                raise ValidationError(f"expected map, got {value!r}")
+    def check(self, value: Any) -> None:
+        """Raise :class:`ValidationError` unless ``value`` obeys the rule."""
+        if not isinstance(value, self.accepted) or isinstance(
+                value, self.rejected):
+            raise ValidationError(f"expected {self.kind}, got {value!r}")
+        items = self.items
+        if items is None:
+            if self.type_name is not None and not self.registry.is_subtype(
+                    value._type_name, self.type_name):
+                raise ValidationError(
+                    f"expected {self.kind}, got {value._type_name!r}")
+        elif isinstance(value, dict):
             for key, item in value.items():
                 if not isinstance(key, str):
                     raise ValidationError(
                         f"map keys must be strings, got {key!r}")
-                check_item(item)
-    return check
+                items.check(item)
+        else:
+            for item in value:
+                items.check(item)
 
 
-def _object_checker(registry: TypeRegistry, expected: str):
-    """A DataObject of type ``expected`` or a subtype.  The subtype test
-    reads the registry per value, so subtypes registered after the
-    checker was built are accepted."""
-
-    def check(value: Any) -> None:
-        if not isinstance(value, DataObject):
-            raise ValidationError(
-                f"expected object of type {expected!r}, got {value!r}")
-        if not registry.is_subtype(value._type_name, expected):
-            raise ValidationError(
-                f"expected object of type {expected!r}, "
-                f"got {value._type_name!r}")
-
-    return check
-
-
-def _checker(registry: TypeRegistry, type_name: str) -> Callable[[Any], None]:
-    """The compiled validator for ``type_name``, built on first use:
+def _rule(registry: TypeRegistry, type_name: str) -> _Rule:
+    """The compiled rule for ``type_name``, built on first use:
     ``parse_type_name`` runs here, once per distinct type name per
-    registry, and the returned closure only tests values."""
-    check = registry._checkers.get(type_name)
-    if check is None:
+    registry, and the rule only tests values."""
+    rule = registry._rules.get(type_name)
+    if rule is None:
         outer, inner = parse_type_name(type_name)
         if inner is not None:
-            check = _container_checker(outer, _checker(registry, inner))
+            accepted, tags = (list, b"l") if outer == "list" else (dict, b"m")
+            rule = _Rule(outer, accepted, (), tags,
+                         items=_rule(registry, inner))
+        elif outer in _FUNDAMENTALS:
+            rule = _Rule(outer, *_FUNDAMENTALS[outer])
         else:
-            check = (_FUNDAMENTAL_CHECKERS.get(outer)
-                     or _object_checker(registry, outer))
-        registry._checkers[type_name] = check
-    return check
+            rule = _Rule(f"object of type {outer!r}", DataObject, (), b"Oo",
+                         type_name=outer, registry=registry)
+        registry._rules[type_name] = rule
+    return rule
 
 
 def check_value(registry: TypeRegistry, type_name: str, value: Any) -> None:
@@ -114,21 +109,21 @@ def check_value(registry: TypeRegistry, type_name: str, value: Any) -> None:
     Implements the full attribute-type vocabulary: fundamentals, ``any``,
     object types (subtype instances accepted), ``list<T>`` and ``map<T>``.
     """
-    _checker(registry, type_name)(value)
+    _rule(registry, type_name).check(value)
 
 
 class _InstancePlan:
     """What constructing and reading an instance of one type needs,
     derived once per (registry, type) and memoised on the registry."""
 
-    __slots__ = ("descriptor", "specs", "checkers", "required")
+    __slots__ = ("descriptor", "specs", "rules", "required")
 
     def __init__(self, registry: TypeRegistry, type_name: str) -> None:
         self.descriptor = registry.get(type_name)   # raises on unknown type
         #: attribute name -> spec, inherited first (the registry's table)
         self.specs: Dict[str, AttributeSpec] = registry._attributes[type_name]
-        self.checkers = {name: _checker(registry, spec.type_name)
-                         for name, spec in self.specs.items()}
+        self.rules = {name: _rule(registry, spec.type_name)
+                      for name, spec in self.specs.items()}
         self.required = tuple(name for name, spec in self.specs.items()
                               if spec.required)
 
@@ -170,13 +165,13 @@ class DataObject:
         self._attrs: Dict[str, Any] = {}
         self.oid = oid or _new_oid(type_name)
         values = {**attributes, **kwargs} if attributes else kwargs
-        attrs, checkers = self._attrs, plan.checkers
+        attrs, rules = self._attrs, plan.rules
         for name, value in values.items():
-            check = checkers.get(name)
-            if check is None:
+            rule = rules.get(name)
+            if rule is None:
                 raise ValidationError(
                     f"type {type_name!r} has no attribute {name!r}")
-            check(value)
+            rule.check(value)
             attrs[name] = value
         for name in plan.required:
             if name not in attrs:
@@ -232,7 +227,7 @@ class DataObject:
 
     def set(self, name: str, value: Any) -> None:
         self._declared(name)
-        self._plan.checkers[name](value)
+        self._plan.rules[name].check(value)
         self._attrs[name] = value
 
     def has(self, name: str) -> bool:
@@ -253,7 +248,7 @@ class DataObject:
                 and other._attrs == self._attrs)
 
     def __hash__(self) -> int:
-        return hash((self._type_name, self.oid))
+        return hash(self._type_name)     # equal objects share a type
 
     def __repr__(self) -> str:
         attrs = ", ".join(f"{k}={v!r}" for k, v in sorted(self._attrs.items()))

@@ -41,14 +41,15 @@ bytes are always the :class:`MarshalError` branch of that family) —
 containers nested deeper than :data:`_MAX_DEPTH` and strings that are
 not valid UTF-8 included.  The encoder refuses the same nesting, so it
 cannot produce bytes its own decoder rejects.  An object's attributes
-are read through a reader compiled once per (registry, type): a value
-whose wire tags prove its declared type (``s`` for ``string``, ``l``
+are read through a reader compiled once per (registry, type) from the
+rules the validator checks values with: a value whose wire tags are
+among its declared type's rule's ``tags`` (``s`` for ``string``, ``l``
 of proven items for ``list<T>``, an object of the type or a subtype,
-...) skips its checker, and only an object whose every value was proven,
-with no name repeated and every required attribute present, is built
-without ``DataObject``'s checks.  Every other object takes the ordinary
-constructor, so validation is skipped only where the tags already did
-its work.
+...) skips the rule's check, and only an object whose every value was
+proven, with no name repeated and every required attribute present, is
+built without ``DataObject``'s checks.  Every other object takes the
+ordinary constructor, so validation is skipped only where the tags
+already did its work.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import struct
 from io import BytesIO
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from .data_object import DataObject, _plan_for, _prevalidated
+from .data_object import DataObject, _plan_for, _prevalidated, _Rule
 from .registry import TypeRegistry
 from .types import FUNDAMENTAL_TYPES, TypeDescriptor, TypeError_, parse_type_name
 
@@ -153,7 +154,10 @@ def _encode_value(write: Callable[[bytes], Any], value: Any,
     elif value is False:
         write(b"F")
     elif isinstance(value, int):
-        write(b"i" + _INT64.pack(value))
+        try:
+            write(b"i" + _INT64.pack(value))
+        except struct.error:
+            raise MarshalError(f"int {value} does not fit in 64 bits") from None
     elif isinstance(value, float):
         write(b"d" + _FLOAT64.pack(value))
     elif isinstance(value, bytes):
@@ -422,72 +426,33 @@ def _resolve_typed(registry: TypeRegistry, tid: int, resolver) -> str:
     return name
 
 
-class _Proof:
-    """Which wire values satisfy one declared attribute type by their
-    tags alone: a head tag in ``tags`` and, for ``list<T>`` /
-    ``map<T>``, every item proven by ``items``; for an object type, an
-    instance of ``type_name`` or of a subtype (asked of the registry per
-    value, so a subtype registered later is accepted)."""
-
-    __slots__ = ("tags", "items", "type_name")
-
-    def __init__(self, tags: bytes, items: Optional["_Proof"] = None,
-                 type_name: Optional[str] = None) -> None:
-        self.tags = tags
-        self.items = items
-        self.type_name = type_name
-
-
-#: the tags whose value satisfies each fundamental type (``any`` has no
-#: proof: its values take ``DataObject``'s own checks)
-_SCALAR_PROOFS = {"string": _Proof(b"s"), "int": _Proof(b"i"),
-                  "float": _Proof(b"di"), "bool": _Proof(b"TF"),
-                  "bytes": _Proof(b"b")}
-
-
-def _proof(type_name: str) -> Optional[_Proof]:
-    outer, inner = parse_type_name(type_name)
-    if inner is not None:
-        items = _proof(inner)
-        if items is None:
-            return None
-        return _Proof(b"l" if outer == "list" else b"m", items)
-    if outer in FUNDAMENTAL_TYPES:
-        return _SCALAR_PROOFS.get(outer)
-    return _Proof(b"Oo", type_name=outer)
-
-
 class _Reader:
     """How to read the body of one object type, compiled on first decode
     from its instance plan and memoised on the registry (append-only, so
-    it never goes stale): a proof per declared attribute, and its name
-    entries keyed with the tags that prove them."""
+    it never goes stale): each declared name's entry keyed with the tags
+    its attribute's rule names."""
 
-    __slots__ = ("plan", "proofs", "required", "fields")
+    __slots__ = ("plan", "required", "fields")
 
     def __init__(self, registry: TypeRegistry, type_name: str) -> None:
         self.plan = _plan_for(registry, type_name)
-        self.proofs: Dict[str, Optional[_Proof]] = {
-            name: _proof(spec.type_name)
-            for name, spec in self.plan.specs.items()}
         self.required = frozenset(self.plan.required)
-        #: a declared name's entry and a tag that proves its value, as
-        #: an encoder writes them: (name, tag, proof)
-        self.fields: Dict[bytes, Tuple[str, int, _Proof]] = {
-            _str(name) + bytes([tag]): (name, tag, proof)
-            for name, proof in self.proofs.items() if proof is not None
-            for tag in proof.tags}
+        #: a declared name's entry and a tag that can prove its value, as
+        #: an encoder writes them: (name, tag, rule)
+        self.fields: Dict[bytes, Tuple[str, int, _Rule]] = {
+            _str(name) + bytes([tag]): (name, tag, rule)
+            for name, rule in self.plan.rules.items() for tag in rule.tags}
 
 
 def _read_field(data: bytes, pos: int, registry: TypeRegistry, resolver,
-                depth: int, proof: Optional[_Proof]) -> Tuple[Any, int, bool]:
-    """One value where ``proof``'s type is declared (``None``: nothing
+                depth: int, rule: Optional[_Rule]) -> Tuple[Any, int, bool]:
+    """One value where ``rule``'s type is declared (``None``: nothing
     is) as ``(value, pos, proven)``, decoded exactly as
-    :func:`_decode_value` would."""
-    if pos >= len(data) or proof is None or data[pos] not in proof.tags:
+    :func:`_decode_value` would; proven means its tags satisfy ``rule``."""
+    if pos >= len(data) or rule is None or data[pos] not in rule.tags:
         value, pos = _decode_value(data, pos, registry, resolver, depth)
         return value, pos, False
-    items, expected = proof.items, proof.type_name
+    items, expected = rule.items, rule.type_name
     if items is None and expected is None:      # a scalar
         value, pos = _decode_value(data, pos, registry, resolver, depth)
         return value, pos, True
@@ -555,10 +520,11 @@ def _read_object(data: bytes, pos: int, registry: TypeRegistry, resolver,
         if field is None:
             name, pos = _read_str(data, pos)
             attrs[name], pos, ok = _read_field(
-                data, pos, registry, resolver, depth, reader.proofs.get(name))
+                data, pos, registry, resolver, depth,
+                reader.plan.rules.get(name))
             proven = proven and ok
             continue
-        name, tag, proof = field
+        name, tag, rule = field
         if tag == 0x73:     # s, a one-byte length read in place
             length = data[stop] if stop < end else 0x80
             if length < 0x80 and stop + length < end:
@@ -577,7 +543,7 @@ def _read_object(data: bytes, pos: int, registry: TypeRegistry, resolver,
             pos = stop + 8
         else:
             attrs[name], pos, ok = _read_field(data, stop - 1, registry,
-                                               resolver, depth, proof)
+                                               resolver, depth, rule)
             proven = proven and ok
     if proven and len(attrs) == count and reader.required <= attrs.keys():
         return _prevalidated(registry, reader.plan, type_name, attrs,

@@ -18,14 +18,14 @@ conflict arrives inline or through the type plane.
 The registry is append-only and descriptors are immutable, so anything
 that depends only on *(registry, type)* is derived once and never goes
 stale: the supertype chain and the merged attribute table are filled in
-at registration; the instance plan and value checkers
+at registration; the instance plan and attribute-type rules
 (:mod:`~repro.objects.data_object`) and the dependency closures
 (:mod:`~repro.objects.marshal`) are memoised here on first use.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from .types import (FUNDAMENTAL_TYPES, ROOT_TYPE, AttributeSpec,
                     TypeDescriptor, TypeError_, parse_type_name)
@@ -45,11 +45,12 @@ class TypeRegistry:
         #: name -> every attribute including inherited, supertype's first
         self._attributes: Dict[str, Dict[str, AttributeSpec]] = {}
         #: memos owned here, compiled by data_object (instance plan per
-        #: type name, checker per attribute-type name) and marshal
-        #: (reader per object type, dependency closure per set of
-        #: instance types, session descriptors already accepted)
+        #: type name, rule per attribute-type name: the one statement of
+        #: which values satisfy it, read by the validator and the decoder)
+        #: and marshal (reader per object type, dependency closure per set
+        #: of instance types, session descriptors already accepted)
         self._plans: Dict[str, object] = {}
-        self._checkers: Dict[str, Callable[[object], None]] = {}
+        self._rules: Dict[str, object] = {}
         self._readers: Dict[str, object] = {}
         self._closures: Dict[frozenset, Tuple[TypeDescriptor, ...]] = {}
         self._accepted: Set[TypeDescriptor] = set()

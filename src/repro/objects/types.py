@@ -32,8 +32,22 @@ __all__ = [
 #: The root of the object hierarchy; every object type descends from it.
 ROOT_TYPE = "object"
 
+#: What satisfies each fundamental (non-object) type, stated once for
+#: the validator and the decoder alike: ``(the Python classes a value
+#: may be, the classes it may not be, the wire tags that carry it)``.
+#: bool is an int subclass in Python, so int and float reject it; ``any``
+#: has no tags, since no tag proves a value of it.
+_FUNDAMENTALS = {
+    "int": (int, bool, b"i"),
+    "float": ((int, float), bool, b"di"),
+    "bool": (bool, (), b"TF"),
+    "string": (str, (), b"s"),
+    "bytes": (bytes, (), b"b"),
+    "any": (object, (), b""),
+}
+
 #: Fundamental (non-object) types the generic tools must understand.
-FUNDAMENTAL_TYPES = ("int", "float", "bool", "string", "bytes", "any")
+FUNDAMENTAL_TYPES = tuple(_FUNDAMENTALS)
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
 

@@ -133,6 +133,14 @@ def test_structural_equality_ignores_oid(reg):
     assert a != "not an object"
 
 
+def test_equal_objects_with_different_oids_hash_alike(reg):
+    a = DataObject(reg, "story", headline="same")
+    b = DataObject(reg, "story", headline="same")
+    assert a.oid != b.oid and a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_as_dict_is_a_copy(reg):
     story = DataObject(reg, "story", headline="x")
     d = story.as_dict()

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core import TypeTable
 from repro.objects import (AttributeSpec, DataObject, MarshalError,
                            OperationSpec, ParamSpec, TypeDescriptor,
-                           UnknownTypeError, decode, encode, encoded_size,
-                           standard_registry, type_closure)
+                           UnknownTypeError, decode, encode, encode_typed,
+                           encoded_size, standard_registry, type_closure)
 
 
 @pytest.fixture
@@ -137,6 +138,23 @@ def test_unencodable_value_rejected(reg):
         encode(object())
     with pytest.raises(MarshalError):
         encode({1: "non-string key"})
+
+
+def test_the_64_bit_int_edges_roundtrip(reg):
+    for value in (-(2**63), 2**63 - 1):
+        assert decode(encode(value), reg) == value
+
+
+@pytest.mark.parametrize("value", [-(2**63) - 1, 2**63])
+def test_an_int_outside_64_bits_is_a_marshal_error(reg, value):
+    reg.register(TypeDescriptor("count", attributes=[
+        AttributeSpec("n", "int")]))
+    count = DataObject(reg, "count", n=value)   # the int rule takes any int
+    for marshal in (lambda: encode(value), lambda: encoded_size(value),
+                    lambda: encode(count, reg, inline_types=True),
+                    lambda: encode_typed(count, reg, TypeTable())):
+        with pytest.raises(MarshalError, match=f"int {value} does not fit"):
+            marshal()
 
 
 def test_inline_types_requires_registry():

@@ -15,8 +15,9 @@ import pytest
 from repro.core import InformationBus, PeerTypeView, TypeTable
 from repro.objects import (AttributeSpec, DataObject, OperationSpec,
                            TypeDescriptor, TypeError_, ValidationError,
-                           check_value, decode, encode_typed,
-                           standard_registry, type_closure)
+                           check_value, data_object, decode, encode,
+                           encode_typed, standard_registry, type_closure)
+from repro.objects.marshal import MAGIC
 from repro.sim import CostModel
 
 
@@ -128,6 +129,44 @@ def test_acceptances_are_identical_through_every_entry_point(type_name, value):
     obj = DataObject(reg, "holder")
     obj.set("slot", value)
     assert obj.get("slot") is value
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+#: one value of every shape the encoder tags, subclasses included
+PROBES = [True, False, 0, -1, 1.5, "", b"", None, [], {}, BASE,
+          _Text("s"), _Count(3)]
+SCALARS = ["int", "float", "bool", "string", "bytes"]
+
+
+@pytest.mark.parametrize("type_name",
+                         SCALARS + ["list<int>", "map<string>", "base", "any"])
+def test_the_encoders_tags_and_the_rule_table_agree(type_name):
+    """The encoder chooses a value's tag by its own ``isinstance`` chain;
+    the validator and the decoder read the tags from the one rule table.
+    A scalar type accepts a value exactly when the encoder tags it with
+    one of the rule's tags; a container or object type never accepts a
+    value tagged otherwise; ``any`` accepts every value."""
+    tags = data_object._rule(REG, type_name).tags
+    for value in PROBES:
+        tagged = encode(value)[len(MAGIC)] in tags
+        try:
+            check_value(REG, type_name, value)
+            accepted = True
+        except ValidationError:
+            accepted = False
+        if type_name == "any":
+            assert accepted and not tagged, value
+        elif type_name in SCALARS:
+            assert accepted == tagged, value
+        else:
+            assert tagged or not accepted, value
 
 
 def test_structural_rejections_keep_their_messages():
