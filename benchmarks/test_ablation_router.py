@@ -8,7 +8,8 @@ isolation win: local-only traffic never crosses the link.
 """
 
 from repro.bench import Report, payload_of_size, summarize
-from repro.core import BusConfig, InformationBus, Router, WanLink
+from repro.core import BusConfig, InformationBus
+from repro.core.router import Router, WanLink
 from repro.sim import Simulator
 
 SIZE = 256

@@ -8,7 +8,8 @@ loss across a WAN outage that the plain router simply drops through.
 """
 
 from repro.bench import Report, summarize
-from repro.core import BusConfig, InformationBus, QoS, Router, WanLink
+from repro.core import BusConfig, InformationBus, QoS
+from repro.core.router import Router, WanLink
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator

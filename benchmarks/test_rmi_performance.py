@@ -9,9 +9,11 @@ is its reciprocal.
 """
 
 from repro.bench import Report, summarize
-from repro.core import InformationBus, RmiClient, RmiServer
-from repro.objects import (OperationSpec, ParamSpec, ServiceObject,
-                           TypeDescriptor, standard_registry)
+from repro.core import InformationBus
+from repro.core.rmi import RmiClient, RmiServer
+from repro.objects import (OperationSpec, ParamSpec, TypeDescriptor,
+                           standard_registry)
+from repro.objects.service import ServiceObject
 
 SIZES = [0, 1000, 4000, 8000]
 CALLS = 30

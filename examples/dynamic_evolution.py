@@ -20,9 +20,12 @@ running system with no restarts, no recompilation, no relinking:
 Run:  python examples/dynamic_evolution.py
 """
 
-from repro import InformationBus, RmiClient, RmiServer, ServiceObject, render
+from repro import InformationBus
 from repro.apps import ApplicationBuilder
+from repro.core.rmi import RmiClient, RmiServer
 from repro.objects import OperationSpec, ParamSpec, TypeDescriptor
+from repro.objects.printer import render
+from repro.objects.service import ServiceObject
 from repro.repository import CaptureServer
 from repro.tdl import Interpreter
 

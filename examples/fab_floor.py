@@ -18,11 +18,12 @@ A "24 by 7" fab5 floor on one bus:
 Run:  python examples/fab_floor.py
 """
 
-from repro import DataObject, InformationBus, QoS, RmiClient
+from repro import DataObject, InformationBus, QoS
 from repro.adapters import (COMMAND_SUBJECT, WipAdapter, WipLotRecord,
                             WipTerminal, register_wip_types)
 from repro.apps import (CellController, Equipment, FactoryConfigSystem,
                         register_config_types)
+from repro.core.rmi import RmiClient
 from repro.repository import CaptureServer
 
 

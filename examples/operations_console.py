@@ -17,10 +17,12 @@ each service"), built entirely from bus metadata:
 Run:  python examples/operations_console.py
 """
 
-from repro import InformationBus, RmiServer, ServiceObject
+from repro import InformationBus
 from repro.apps import BusBrowser, Equipment
-from repro.core import BusConfig, ExactlyOnceRmiClient
+from repro.core import BusConfig
+from repro.core.rmi import ExactlyOnceRmiClient, RmiServer
 from repro.objects import OperationSpec, ParamSpec, TypeDescriptor, standard_registry
+from repro.objects.service import ServiceObject
 
 
 def main() -> None:

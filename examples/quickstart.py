@@ -14,8 +14,10 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (AttributeSpec, DataObject, InformationBus, OperationSpec,
-                   ParamSpec, RmiClient, RmiServer, ServiceObject,
-                   TypeDescriptor, render, standard_registry)
+                   ParamSpec, TypeDescriptor, standard_registry)
+from repro.core.rmi import RmiClient, RmiServer
+from repro.objects.printer import render
+from repro.objects.service import ServiceObject
 
 
 def main() -> None:

@@ -18,10 +18,11 @@ Cast, exactly as in Section 5:
 Run:  python examples/trading_floor.py
 """
 
-from repro import InformationBus, RmiClient
+from repro import InformationBus
 from repro.adapters import (DowJonesAdapter, DowJonesFeed, ReutersAdapter,
                             ReutersFeed)
 from repro.apps import KeywordGenerator, NewsMonitor
+from repro.core.rmi import RmiClient
 from repro.repository import CaptureServer, QueryServer
 
 

@@ -20,10 +20,11 @@ them over a 35 ms transatlantic link:
 Run:  python examples/wan_trading.py
 """
 
-from repro import InformationBus, Router, Simulator, WanLink
+from repro import InformationBus, Simulator
 from repro.adapters import DowJonesAdapter, DowJonesFeed
 from repro.apps import NewsMonitor
 from repro.core import BusConfig
+from repro.core.router import Router, WanLink
 
 
 def main() -> None:

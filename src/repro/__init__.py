@@ -32,7 +32,7 @@ Subpackages
   type registration (P3).
 - :mod:`repro.tdl` — the TDL interpreted language (CLOS subset).
 - :mod:`repro.core` — the bus: subject-based addressing (P4), reliable and
-  guaranteed delivery, discovery, RMI, WAN routers.
+  guaranteed delivery; discovery, RMI and WAN routers in their modules.
 - :mod:`repro.repository` — the Object Repository over a built-in
   relational engine.
 - :mod:`repro.adapters` — legacy integration (news feeds, the Cobol WIP
@@ -41,24 +41,23 @@ Subpackages
   builder, factory configuration system.
 - :mod:`repro.bench` — workload generators and measurement harness for
   the Appendix figures.
+
+The package inits export the bus only, so ``import repro`` loads just
+what a bus process runs; a layer above it comes from its own module.
 """
 
 from .core import (BusClient, BusConfig, BusDaemon, InformationBus, QoS,
-                   RmiClient, RmiServer, Router, SubjectTrie, WanLink,
-                   subject_matches)
+                   SubjectTrie, subject_matches)
 from .objects import (AttributeSpec, DataObject, OperationSpec, ParamSpec,
-                      ServiceObject, TypeDescriptor, TypeRegistry, decode,
-                      encode, render, standard_registry)
+                      TypeDescriptor, TypeRegistry, decode, encode,
+                      standard_registry)
 from .sim import CostModel, Simulator
-from .tdl import Interpreter as TdlInterpreter
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AttributeSpec", "BusClient", "BusConfig", "BusDaemon", "CostModel",
     "DataObject", "InformationBus", "OperationSpec", "ParamSpec", "QoS",
-    "RmiClient", "RmiServer", "Router", "ServiceObject", "Simulator",
-    "SubjectTrie", "TdlInterpreter", "TypeDescriptor", "TypeRegistry",
-    "WanLink", "decode", "encode", "render", "standard_registry",
-    "subject_matches", "__version__",
+    "Simulator", "SubjectTrie", "TypeDescriptor", "TypeRegistry", "decode",
+    "encode", "standard_registry", "subject_matches", "__version__",
 ]

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ...core import RmiClient
-from ...objects import DataObject, render
+from ...core.rmi import RmiClient
+from ...objects import DataObject
+from ...objects.printer import render
 from ...tdl import Interpreter
 from .views import View
 from .widgets import Button, Form, Label, ListView, TextField, WidgetError

@@ -29,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..core import BusClient, Inquiry, MessageInfo, STAT_SUBJECT_PREFIX
+from ..core import BusClient, MessageInfo, STAT_SUBJECT_PREFIX
 from ..core.contracts import admits
+from ..core.discovery import Inquiry
 from ..core.metrics import sum_counters
 from ..core.rmi import SERVICE_ADVERT_SUBJECT
 

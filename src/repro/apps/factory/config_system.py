@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ...core import BusClient, RmiServer
+from ...core import BusClient
+from ...core.rmi import RmiServer
 from ...objects import (AttributeSpec, DataObject, OperationSpec, ParamSpec,
-                        ServiceObject, TypeDescriptor, TypeRegistry)
+                        TypeDescriptor, TypeRegistry)
+from ...objects.service import ServiceObject
 from ...repository import Database, ObjectStore
 
 __all__ = ["EQUIPMENT_CONFIG_TYPE", "FACTORY_CONFIG_SERVICE_TYPE",

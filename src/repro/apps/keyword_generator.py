@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..core import BusClient, MessageInfo, RmiServer
-from ..objects import (DataObject, OperationSpec, ParamSpec, ServiceObject,
-                       TypeDescriptor, is_property, make_property)
+from ..core import BusClient, MessageInfo
+from ..core.rmi import RmiServer
+from ..objects import DataObject, OperationSpec, ParamSpec, TypeDescriptor
+from ..objects.properties import is_property, make_property
+from ..objects.service import ServiceObject
 
 __all__ = ["KeywordGenerator", "KEYWORD_SERVICE_TYPE",
            "DEFAULT_CATEGORIES"]

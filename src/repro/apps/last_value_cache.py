@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from ..core import BusClient, MessageInfo, RmiClient, RmiServer
-from ..objects import (OperationSpec, ParamSpec, ServiceObject,
-                       TypeDescriptor)
+from ..core import BusClient, MessageInfo
+from ..core.rmi import RmiClient, RmiServer
+from ..objects import OperationSpec, ParamSpec, TypeDescriptor
+from ..objects.service import ServiceObject
 
 __all__ = ["LVC_SERVICE_TYPE", "LastValueCache", "snapshot_then_subscribe"]
 

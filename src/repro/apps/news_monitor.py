@@ -19,7 +19,9 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from ..core import BusClient, MessageInfo
-from ..objects import DataObject, PropertyIndex, is_property, render
+from ..objects import DataObject
+from ..objects.printer import render
+from ..objects.properties import PropertyIndex, is_property
 from .app_builder.views import View
 
 __all__ = ["NewsMonitor", "DEFAULT_HEADLINE_VIEW"]

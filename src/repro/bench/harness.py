@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..core import BusConfig, InformationBus
-from ..sim import BackgroundTraffic
+from ..sim.background import BackgroundTraffic
 from .payloads import payload_of_size
 from .stats import Summary, summarize
 

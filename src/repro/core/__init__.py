@@ -1,5 +1,13 @@
-"""The Information Bus core: subject-based pub/sub, QoS, discovery, RMI,
-and WAN routers."""
+"""The Information Bus core: subject-based pub/sub with reliable and
+guaranteed delivery.
+
+This package exports the bus and nothing above it, so a bus process
+loads only the bus.  The layers built on it are imported from their
+modules: :mod:`repro.core.discovery` (``Inquiry``, ``Responder``),
+:mod:`repro.core.rmi` (``RmiClient``, ``RmiServer``,
+``ExactlyOnceRmiClient``) and :mod:`repro.core.router` (``Router``,
+``WanLink``).
+"""
 
 from .subjects import (BadSubjectError, SubjectTrie, is_valid_pattern,
                        split_subject, subject_matches, validate_pattern,
@@ -25,31 +33,21 @@ from .daemon import (ADVERT_SUBJECT, DAEMON_PORT, STAT_PORT,
 from .sharding import ShardMap
 from .client import BusClient, Subscription
 from .bus import InformationBus
-from .discovery import DiscoveredService, Inquiry, Responder, inquiry_subject
-from .rmi import (ExactlyOnceRmiClient, RmiClient, RmiServer,
-                  ServerGroup)
-from .router import Router, RouterLeg, WanLink
 
 __all__ = [
     "ADVERT_SUBJECT", "Admission", "BadSubjectError", "BatchConfig",
-    "Batcher", "BoundedBuffer", "BoundedQueue",
-    "BusClient", "BusConfig", "BusDaemon", "BusDownError", "CorruptFrame",
-    "Counter", "DAEMON_PORT", "DiscoveredService", "Envelope",
-    "FrameDigest", "read_digest", "Gauge",
-    "Histogram", "MetricsRegistry", "MetricsScope",
-    "STAT_PORT", "STAT_SUBJECT_PREFIX", "sum_counters",
-    "FlowConfig", "OVERFLOW_POLICIES", "POLICY_BLOCK",
-    "POLICY_DROP_NEWEST", "POLICY_DROP_OLDEST", "PublishReceipt",
-    "GuaranteedConsumer", "GuaranteedPublisher", "InformationBus",
-    "Inquiry", "LedgerEntry", "MessageInfo", "Packet",
-    "ExactlyOnceRmiClient",
-    "PacketKind", "PeerSession", "QoS", "RefusedSession", "ReliableConfig",
-    "ReliableReceiver", "decode_packet", "encode_packet", "envelope_wire_size", "packet_wire_size",
-    "ReliableSender", "Responder", "RmiClient", "RmiServer",
-    "PeerTypeView", "Router", "RouterLeg", "ServerGroup", "SessionStats",
-    "ShardMap",
+    "Batcher", "BoundedBuffer", "BoundedQueue", "BusClient", "BusConfig",
+    "BusDaemon", "BusDownError", "CorruptFrame", "Counter", "DAEMON_PORT",
+    "Envelope", "FlowConfig", "FrameDigest", "Gauge", "GuaranteedConsumer",
+    "GuaranteedPublisher", "Histogram", "InformationBus", "LedgerEntry",
+    "MessageInfo", "MetricsRegistry", "MetricsScope", "OVERFLOW_POLICIES",
+    "POLICY_BLOCK", "POLICY_DROP_NEWEST", "POLICY_DROP_OLDEST", "Packet",
+    "PacketKind", "PeerSession", "PeerTypeView", "PublishReceipt", "QoS",
+    "RefusedSession", "ReliableConfig", "ReliableReceiver", "ReliableSender",
+    "STAT_PORT", "STAT_SUBJECT_PREFIX", "SessionStats", "ShardMap",
     "StringTable", "SubjectTrie", "Subscription", "TypeTable",
-    "UnresolvedStringId", "UnresolvedTypeId", "WanLink",
-    "inquiry_subject", "is_valid_pattern", "split_subject",
-    "subject_matches", "validate_pattern", "validate_subject",
+    "UnresolvedStringId", "UnresolvedTypeId", "decode_packet",
+    "encode_packet", "envelope_wire_size", "is_valid_pattern",
+    "packet_wire_size", "read_digest", "split_subject", "subject_matches",
+    "sum_counters", "validate_pattern", "validate_subject",
 ]

@@ -28,7 +28,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..objects import ServiceObject, decode, encode
+from ..objects import decode, encode
+from ..objects.service import ServiceObject
 from ..objects.types import TypeError_
 from ..sim.kernel import Event, PeriodicTimer
 from ..sim.transport import StreamConnection, StreamManager

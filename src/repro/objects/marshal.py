@@ -297,6 +297,10 @@ def encode(value: Any, registry: TypeRegistry = None,
     of every type used by the value are prepended so any receiver can
     decode it (P2: objects are self-describing on the wire).
     """
+    if value.__class__ is str and not inline_types:
+        # a top-level string in one step, the shape decode reads back in
+        # one; the same bytes as the general path below
+        return MAGIC + b"s" + _str(value)
     out = BytesIO()
     _encode_payload(out.write, value, registry, inline_types)
     return out.getvalue()

@@ -8,9 +8,10 @@ server started (Section 5.2's evolution scenario).
 
 from __future__ import annotations
 
-from ..core import BusClient, RmiServer
-from ..objects import (OperationSpec, ParamSpec, ServiceObject,
-                       TypeDescriptor)
+from ..core import BusClient
+from ..core.rmi import RmiServer
+from ..objects import OperationSpec, ParamSpec, TypeDescriptor
+from ..objects.service import ServiceObject
 from .object_store import ObjectStore
 
 __all__ = ["QUERY_SERVICE_TYPE", "QueryServer", "register_query_interface"]

@@ -9,7 +9,6 @@ transports (:mod:`repro.sim.transport`), and crash-surviving stable
 storage (:class:`~repro.sim.stable_storage.StableStore`).
 """
 
-from .background import BackgroundTraffic
 from .framing import CorruptFrame, FRAME_OVERHEAD, frame, unframe
 from .kernel import Event, PeriodicTimer, SimError, Simulator
 from .network import BROADCAST, Address, CostModel, Frame
@@ -20,10 +19,9 @@ from .transport import DatagramSocket, Endpoint, StreamConnection, StreamManager
 from .trace import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
-    "Address", "BROADCAST", "BackgroundTraffic", "CorruptFrame",
-    "CostModel", "DatagramSocket", "Endpoint",
-    "EthernetSegment", "Event", "FRAME_OVERHEAD", "Frame", "Host",
-    "PeriodicTimer", "PortInUseError", "SimError", "Simulator",
-    "StableStore", "StreamConnection", "StreamManager", "TraceRecord",
-    "NULL_TRACER", "Tracer", "frame", "unframe",
+    "Address", "BROADCAST", "CorruptFrame", "CostModel", "DatagramSocket",
+    "Endpoint", "EthernetSegment", "Event", "FRAME_OVERHEAD", "Frame",
+    "Host", "NULL_TRACER", "PeriodicTimer", "PortInUseError", "SimError",
+    "Simulator", "StableStore", "StreamConnection", "StreamManager",
+    "TraceRecord", "Tracer", "frame", "unframe",
 ]

@@ -13,7 +13,8 @@ from __future__ import annotations
 import sys
 from typing import IO, Optional
 
-from ..objects import DataObject, render
+from ..objects import DataObject
+from ..objects.printer import render
 from .errors import TdlError
 from .evaluator import Interpreter
 from .reader import to_source

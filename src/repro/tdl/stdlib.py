@@ -13,7 +13,9 @@ import functools
 import operator
 from typing import Any, List
 
-from ..objects import (DataObject, make_property, render)
+from ..objects import DataObject
+from ..objects.printer import render
+from ..objects.properties import make_property
 from .errors import TdlArityError, TdlError
 from .evaluator import is_nil
 from .reader import Keyword, Symbol, to_source

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.apps import BusBrowser
-from repro.core import InformationBus, RmiServer
-from repro.objects import (OperationSpec, ParamSpec, ServiceObject,
-                           TypeDescriptor, standard_registry)
+from repro.core import InformationBus
+from repro.core.rmi import RmiServer
+from repro.objects import (OperationSpec, ParamSpec, TypeDescriptor,
+                           standard_registry)
+from repro.objects.service import ServiceObject
 from repro.sim import CostModel
 
 

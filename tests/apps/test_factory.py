@@ -4,7 +4,8 @@ import pytest
 
 from repro.apps import (CellController, Equipment, FactoryConfigSystem,
                         register_config_types, sensor_subject)
-from repro.core import InformationBus, RmiClient
+from repro.core import InformationBus
+from repro.core.rmi import RmiClient
 from repro.objects import DataObject
 from repro.sim import CostModel
 

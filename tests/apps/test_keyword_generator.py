@@ -4,7 +4,8 @@ import pytest
 
 from repro.adapters import register_news_types
 from repro.apps import KeywordGenerator, NewsMonitor
-from repro.core import InformationBus, RmiClient
+from repro.core import InformationBus
+from repro.core.rmi import RmiClient
 from repro.objects import DataObject
 from repro.sim import CostModel
 

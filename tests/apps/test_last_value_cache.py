@@ -3,7 +3,8 @@
 import pytest
 
 from repro.apps import LastValueCache, last_value_cache, snapshot_then_subscribe
-from repro.core import InformationBus, RmiClient
+from repro.core import InformationBus
+from repro.core.rmi import RmiClient
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel

@@ -6,7 +6,8 @@ from repro.adapters import register_news_types
 from repro.apps import NewsMonitor, View, news_monitor
 from repro.apps.app_builder.views import ViewColumn
 from repro.core import InformationBus
-from repro.objects import DataObject, make_property
+from repro.objects import DataObject
+from repro.objects.properties import make_property
 from repro.sim import CostModel
 
 
@@ -118,7 +119,7 @@ def test_view_of_shorthand_and_list_rendering(world):
 
 def test_monitor_form_summary_and_selection(world):
     from repro.apps import NewsMonitorForm
-    from repro.objects import make_property
+    from repro.objects.properties import make_property
     bus, feed, monitor = world
     form = NewsMonitorForm(monitor)
     s = story(feed, "Chips up at fab5", topic="tsm")

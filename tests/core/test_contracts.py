@@ -10,7 +10,9 @@ import pytest
 
 from repro.apps import BusBrowser
 from repro.core import (ADVERT_SUBJECT, BusConfig, InformationBus,
-                        MetricsRegistry, RmiClient, RmiServer, Router)
+                        MetricsRegistry)
+from repro.core.rmi import RmiClient, RmiServer
+from repro.core.router import Router
 from repro.core.contracts import CONTRACTS, conforms, of, one_of
 from repro.core.daemon import SOLICIT_SUBJECT_PREFIX
 from repro.core.rmi import SERVICE_ADVERT_SUBJECT

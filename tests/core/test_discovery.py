@@ -1,6 +1,7 @@
 """Tests for the "Who's out there?" discovery protocol (Section 3.2)."""
 
-from repro.core import InformationBus, Inquiry, Responder, inquiry_subject
+from repro.core import InformationBus
+from repro.core.discovery import Inquiry, Responder, inquiry_subject
 from repro.sim import CostModel
 
 

@@ -6,9 +6,11 @@ once, even in the presence of failures, can be built on a layer above
 standard RMI."
 """
 
-from repro.core import ExactlyOnceRmiClient, InformationBus, RmiServer
-from repro.objects import (OperationSpec, ParamSpec, ServiceObject,
-                           TypeDescriptor, standard_registry)
+from repro.core import InformationBus
+from repro.core.rmi import ExactlyOnceRmiClient, RmiServer
+from repro.objects import (OperationSpec, ParamSpec, TypeDescriptor,
+                           standard_registry)
+from repro.objects.service import ServiceObject
 from repro.sim import CostModel
 
 

@@ -7,8 +7,9 @@ well-formed answer or presence still takes effect."""
 
 import pytest
 
-from repro.core import (InformationBus, Inquiry, Responder, RmiClient,
-                        RmiServer, ServerGroup, inquiry_subject)
+from repro.core import InformationBus
+from repro.core.discovery import Inquiry, Responder, inquiry_subject
+from repro.core.rmi import RmiClient, RmiServer, ServerGroup
 from repro.sim import CostModel
 from tests.core.test_rmi import make_service, quote_registry
 

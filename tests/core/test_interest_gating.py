@@ -14,10 +14,11 @@ boundary documented in docs/PROTOCOLS.md).
 
 import pytest
 
-from repro.core import (BusConfig, CorruptFrame, Envelope,
-                        InformationBus, Packet, PacketKind, QoS, Router,
-                        StringTable, UnresolvedStringId, decode_packet,
-                        encode_packet, read_digest)
+from repro.core import (BusConfig, CorruptFrame, Envelope, InformationBus,
+                        Packet, PacketKind, QoS, StringTable,
+                        UnresolvedStringId, decode_packet, encode_packet,
+                        read_digest)
+from repro.core.router import Router
 from repro.core import wire
 from repro.core.daemon import DAEMON_PORT, BusDaemon
 from repro.core.reliable import ReliableConfig, ReliableReceiver

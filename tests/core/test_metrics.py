@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import (BatchConfig, BusConfig, FlowConfig, ReliableConfig,
-                        WanLink)
+from repro.core import BatchConfig, BusConfig, FlowConfig, ReliableConfig
+from repro.core.router import WanLink
 from repro.core.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                 sum_counters)
 

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import InformationBus, RmiClient, RmiServer
-from repro.objects import (AttributeSpec, DataObject, OperationSpec,
-                           ParamSpec, ServiceObject, TypeDescriptor,
-                           standard_registry)
+from repro.core import InformationBus
+from repro.core.rmi import RmiClient, RmiServer
+from repro.objects import (AttributeSpec, DataObject, OperationSpec, ParamSpec,
+                           TypeDescriptor, standard_registry)
+from repro.objects.service import ServiceObject
 from repro.sim import CostModel
 
 

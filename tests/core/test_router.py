@@ -6,8 +6,8 @@ import pstats
 import pytest
 
 from repro.core import (BusConfig, Envelope, InformationBus, MessageInfo,
-                        Packet, PacketKind, QoS, Router, WanLink,
-                        encode_packet)
+                        Packet, PacketKind, QoS, encode_packet)
+from repro.core.router import Router, WanLink
 from repro.core.daemon import (ADVERT_SUBJECT, DAEMON_PORT,
                                SOLICIT_SUBJECT_PREFIX, advert_digest)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor, encode,

@@ -2,8 +2,8 @@
 observable drops, and backpressure on the router leg."""
 
 from repro.adapters import Adapter
-from repro.core import (Admission, BusConfig, InformationBus,
-                        MetricsRegistry, Router, WanLink)
+from repro.core import Admission, BusConfig, InformationBus, MetricsRegistry
+from repro.core.router import Router, WanLink
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator

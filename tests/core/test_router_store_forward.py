@@ -14,7 +14,8 @@ router's functions.  With ``Router(store_and_forward=True)``:
 
 import pytest
 
-from repro.core import BusConfig, InformationBus, QoS, Router, WanLink
+from repro.core import BusConfig, InformationBus, QoS
+from repro.core.router import Router, WanLink
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.repository import CaptureServer

@@ -12,8 +12,9 @@ import zlib
 import pytest
 
 from repro.apps import BusBrowser
-from repro.core import (BusConfig, BusDaemon, InformationBus, Inquiry,
-                        QoS, Responder, Router, ShardMap, inquiry_subject)
+from repro.core import BusConfig, BusDaemon, InformationBus, QoS, ShardMap
+from repro.core.discovery import Inquiry, Responder, inquiry_subject
+from repro.core.router import Router
 from repro.core.daemon import (DAEMON_PORT, SHARD_PORT_STRIDE, STAT_PORT,
                                shard_data_port, shard_stat_port)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,

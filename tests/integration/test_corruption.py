@@ -10,7 +10,8 @@ duplicates and no reordering.
 
 import pytest
 
-from repro.core import InformationBus, QoS, RmiClient, RmiServer
+from repro.core import InformationBus, QoS
+from repro.core.rmi import RmiClient, RmiServer
 from repro.core import wire
 from repro.sim import CostModel
 from tests.core.test_rmi import make_service, quote_registry

@@ -13,7 +13,8 @@ from repro.adapters import (COMMAND_SUBJECT, DowJonesAdapter, DowJonesFeed,
                             WipLotRecord, WipTerminal, register_wip_types)
 from repro.apps import (BusBrowser, CellController, Equipment,
                         KeywordGenerator, LastValueCache, NewsMonitor)
-from repro.core import InformationBus, RmiClient
+from repro.core import InformationBus
+from repro.core.rmi import RmiClient
 from repro.objects import DataObject
 from repro.repository import CaptureServer, QueryServer
 

@@ -18,7 +18,8 @@ log intact.
 
 import pytest
 
-from repro.core import BusConfig, InformationBus, QoS, RmiClient
+from repro.core import BusConfig, InformationBus, QoS
+from repro.core.rmi import RmiClient
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.repository import CaptureServer, QueryServer

@@ -11,7 +11,8 @@ data all stored, services answering, monitors live.
 """
 
 from repro.apps import KeywordGenerator, NewsMonitor
-from repro.core import InformationBus, QoS, RmiClient
+from repro.core import InformationBus, QoS
+from repro.core.rmi import RmiClient
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.repository import CaptureServer, QueryServer

@@ -4,7 +4,8 @@ import pytest
 
 from repro.objects import (AttributeSpec, DataObject, OperationSpec,
                            TypeDescriptor, ValidationError, check_value,
-                           make_property, standard_registry)
+                           standard_registry)
+from repro.objects.properties import make_property
 
 
 @pytest.fixture

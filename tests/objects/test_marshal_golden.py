@@ -162,22 +162,43 @@ def test_typed_golden_bytes_decode_through_learned_typedefs():
 
 # string lengths on both sides of the one- and two-byte varint edges; the
 # expected bytes are spelled out rather than stored (64 KB of "61")
-_LENGTH_PREFIXES = {127: "7f", 128: "8001", 16383: "ff7f", 16384: "808001"}
+_LENGTH_PREFIXES = {0: "00", 127: "7f", 128: "8001", 16383: "ff7f",
+                    16384: "808001"}
 
 
-@pytest.mark.parametrize("length", sorted(_LENGTH_PREFIXES))
-def test_string_length_prefix_golden(length):
-    text = "a" * length
-    expected = "494201" "73" + _LENGTH_PREFIXES[length] + "61" * length
+class _Text(str):
+    """A ``str`` subclass: ``encode`` writes it through the general path,
+    not the top-level ``str`` fast path."""
+
+
+def _check_string_golden(text, expected):
+    # the fast path, and the general path a subclass takes, write the
+    # same bytes
     assert encode(text).hex() == expected
+    assert encode(_Text(text)).hex() == expected
     reg = standard_registry()
     # no objects: no metadata block content, no type refs, same bytes
-    assert encode(text, reg, inline_types=True).hex() == \
-        "494201" "4d00" "73" + _LENGTH_PREFIXES[length] + "61" * length
+    inline = "494201" "4d00" + expected[6:]
+    assert encode(text, reg, inline_types=True).hex() == inline
     assert encode_typed(text, reg, TypeTable()) == \
         (bytes.fromhex(expected), ())
     assert encoded_size(text) == len(expected) // 2
     assert decode(bytes.fromhex(expected), reg) == text
+    assert decode(bytes.fromhex(inline), reg) == text
+
+
+@pytest.mark.parametrize("length", sorted(_LENGTH_PREFIXES))
+def test_string_length_prefix_golden(length):
+    _check_string_golden(
+        "a" * length,
+        "494201" "73" + _LENGTH_PREFIXES[length] + "61" * length)
+
+
+def test_non_ascii_string_golden():
+    # the prefix counts UTF-8 bytes, not characters: 64 two-byte
+    # characters need the two-byte varint
+    _check_string_golden("é€😀", "494201" "73" "09" "c3a9" "e282ac" "f09f9880")
+    _check_string_golden("é" * 64, "494201" "73" "8001" + "c3a9" * 64)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.objects import (AttributeSpec, DataObject, OperationSpec,
-                           ParamSpec, ServiceError, ServiceObject,
-                           TypeDescriptor, render, standard_registry)
+from repro.objects import (AttributeSpec, DataObject, OperationSpec, ParamSpec,
+                           TypeDescriptor, standard_registry)
+from repro.objects.printer import render
+from repro.objects.service import ServiceError, ServiceObject
 
 
 @pytest.fixture

@@ -39,6 +39,18 @@ def test_encoding_is_deterministic(value):
     assert encode(value) == encode(value)
 
 
+class _Text(str):
+    """A ``str`` subclass: ``encode`` writes it through the general path."""
+
+
+@given(st.text(max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_top_level_string_fast_path_writes_the_general_paths_bytes(text):
+    payload = encode(text)
+    assert payload == encode(_Text(text))
+    assert decode(payload, standard_registry()) == text
+
+
 attr_values = st.fixed_dictionaries({}, optional={
     "title": st.text(max_size=30),
     "count": st.integers(-10**9, 10**9),

@@ -9,7 +9,8 @@ how many legs could have forwarded it.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BusConfig, InformationBus, Router
+from repro.core import BusConfig, InformationBus
+from repro.core.router import Router
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator

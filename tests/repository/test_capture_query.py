@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import InformationBus, QoS, RmiClient
+from repro.core import InformationBus, QoS
+from repro.core.rmi import RmiClient
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.repository import CaptureServer, QueryServer

@@ -230,7 +230,7 @@ def test_traffic_counters():
 # ----------------------------------------------------------------------
 
 def test_background_traffic_hits_target_load():
-    from repro.sim import BackgroundTraffic
+    from repro.sim.background import BackgroundTraffic
     sim = Simulator(seed=1)
     lan = EthernetSegment(sim)   # default 10 Mbit/s cost model
     lan.add_host("a")
@@ -243,7 +243,7 @@ def test_background_traffic_hits_target_load():
 
 
 def test_background_traffic_delays_foreground_frames():
-    from repro.sim import BackgroundTraffic
+    from repro.sim.background import BackgroundTraffic
     def one_way_latency(load, seed=2):
         sim = Simulator(seed=seed)
         lan = EthernetSegment(sim)
@@ -266,7 +266,7 @@ def test_background_traffic_delays_foreground_frames():
 
 
 def test_background_traffic_rejects_silly_load():
-    from repro.sim import BackgroundTraffic
+    from repro.sim.background import BackgroundTraffic
     sim = Simulator()
     lan = EthernetSegment(sim)
     with pytest.raises(ValueError):
@@ -274,7 +274,7 @@ def test_background_traffic_rejects_silly_load():
 
 
 def test_background_traffic_zero_load_is_inert():
-    from repro.sim import BackgroundTraffic
+    from repro.sim.background import BackgroundTraffic
     sim = Simulator()
     lan = EthernetSegment(sim)
     bg = BackgroundTraffic(sim, lan, load=0.0)

@@ -3,6 +3,9 @@ its ``--out`` record, with ``run_ledger`` stubbed (no ledger run here)."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,10 +60,15 @@ def test_wall_metrics_come_from_run_py():
     assert "sim_latency_p50_ms" not in load_tool().wall_metrics()
 
 
+#: what the stubbed ``resolve_rev`` answers for ``HEAD~1``
+PARENT_SHA = "0123456789abcdef0123456789abcdef01234567"
+
+
 def stub_runs(tool, monkeypatch, drift=0.0):
     """No export and no ledger run: the change tree's machine metrics
     are 20% below the parent's, simulated ones equal (plus ``drift`` on
-    the change side's ``sim_msgs_per_s``)."""
+    the change side's ``sim_msgs_per_s``); ``HEAD~1`` is
+    :data:`PARENT_SHA`, and the export is asked for that commit."""
     machine = tool.wall_metrics()
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -78,7 +86,12 @@ def stub_runs(tool, monkeypatch, drift=0.0):
         return {"correct": True, "attempted": 10, "failed": 0,
                 "metrics": metrics}
 
-    monkeypatch.setattr(tool, "export_parent", lambda rev, into: None)
+    def export_parent(rev, into):
+        assert rev == PARENT_SHA
+
+    monkeypatch.setattr(tool, "resolve_rev",
+                        {"HEAD~1": PARENT_SHA}.__getitem__)
+    monkeypatch.setattr(tool, "export_parent", export_parent)
     monkeypatch.setattr(tool, "run_ledger", run_ledger)
 
 
@@ -91,7 +104,7 @@ def test_out_writes_every_run_quartile_and_verdict(monkeypatch, tmp_path,
                       "--pairs", "4", "--first-seed", "7",
                       "--out", str(out)]) == 0
     record = json.loads(out.read_text())
-    assert record["parent_rev"] == "HEAD~1" and record["failures"] == 0
+    assert record["parent_rev"] == PARENT_SHA and record["failures"] == 0
     summary = record["workloads"]["sparse_interest"]
     assert summary["seeds"] == [7, 8, 9, 10]
     assert len(summary["runs"]["parent"]) == len(summary["runs"]["change"]) == 4
@@ -141,3 +154,50 @@ def test_a_moved_simulated_metric_says_which_way_per_pair(monkeypatch,
     assert "moved" not in rows["sim_latency_p50_ms"]   # identical: no list
     assert "moved  worse beyond bound, worse beyond bound" in \
         capsys.readouterr().out
+
+
+def test_parent_rev_is_recorded_as_the_commit_it_names(tmp_path):
+    """``--out`` keeps ``git rev-parse`` of the rev as typed, so a record
+    made against ``HEAD`` still names its parent after the next commit."""
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=ab",
+           "-c", "user.email=ab@example.invalid"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "one"],
+                   check=True)
+    sha = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                         stdout=subprocess.PIPE).stdout.decode().strip()
+    tool = load_tool()
+    assert len(sha) == 40
+    assert tool.resolve_rev("HEAD", str(tmp_path)) == sha
+    assert tool.resolve_rev(sha[:10], str(tmp_path)) == sha
+    with pytest.raises(SystemExit):
+        tool.resolve_rev("no-such-rev", str(tmp_path))
+
+
+def test_every_run_reads_and_writes_no_bytecode_cache(monkeypatch, tmp_path):
+    """Both trees run in one bytecode state: no ``.pyc`` is written, and
+    each run looks for cached bytecode only in a fresh, empty directory,
+    so ``__pycache__`` files in either tree are never read."""
+    tool = load_tool()
+    seen = []
+
+    def run(argv, **kwargs):
+        env = kwargs["env"]
+        cache = env["PYTHONPYCACHEPREFIX"]
+        seen.append((argv, kwargs["cwd"], env["PYTHONDONTWRITEBYTECODE"],
+                     cache, os.path.isdir(cache) and os.listdir(cache)))
+        return subprocess.CompletedProcess(argv, 0, stdout=b'{"ok": 1}\n')
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path))
+    for tree in ("parent_tree", tool.ROOT):
+        assert tool.run_ledger(tree, "fanout_small", 7, 1.0) == {"ok": 1}
+    assert len(seen) == 2
+    for (argv, cwd, dont_write, cache, listing), tree in zip(
+            seen, ("parent_tree", tool.ROOT)):
+        assert argv[:2] == [sys.executable,
+                            os.path.join(tree, tool.RUN_PY)]
+        assert cwd == tree and dont_write == "1"
+        assert cache != str(tmp_path) and listing == []
+        assert not os.path.exists(cache)        # removed after the run
+    assert seen[0][3] != seen[1][3]

@@ -9,7 +9,11 @@ The parent is ``PARENT_REV`` exported (``git archive``) into a temporary
 directory; the change is the working tree this file sits in.  Each pair
 runs the *unchanged* ``benchmarks/ledger/run.py --workload W --seed S
 --seconds ... --trace 0`` once in each tree, one after the other on a
-fresh seed, alternating which tree goes first.  Metric names,
+fresh seed, alternating which tree goes first.  Both trees run in the
+same bytecode state, none: every run gets ``PYTHONDONTWRITEBYTECODE=1``
+and a fresh, empty ``PYTHONPYCACHEPREFIX``, so a working tree holding
+``__pycache__`` files reads neither ``setup_s`` nor ``peak_rss_mb`` low
+against an exported parent that holds none.  Metric names,
 directions and bounds come from ``BENCHMARK.json``; which metrics are
 measured on the machine (the rest are simulated, and must be identical
 for one seed) comes from ``run.py``'s own ``WALL_METRICS``.
@@ -29,7 +33,8 @@ choosing-metrics guide (section 8):
   (unless every change run beats every parent run); else
   ``within bound``.
 
-``--out FILE`` also writes all of it as JSON — per workload every
+``--out FILE`` also writes all of it as JSON — the parent's commit id
+(``git rev-parse PARENT_REV``, not the rev as typed), per workload every
 run.py result line, and per metric both sides' values, quartiles, pairs
 won and lost, and the verdict — so a record of the comparison can be
 committed instead of a pasted table (``benchmarks/ab/``).
@@ -55,6 +60,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_PY = os.path.join("benchmarks", "ledger", "run.py")
 
 
+def resolve_rev(rev: str, repo: str = ROOT) -> str:
+    """The commit id ``rev`` names in ``repo``."""
+    done = subprocess.run(
+        ["git", "-C", repo, "rev-parse", "--verify", "--quiet",
+         rev + "^{commit}"], stdout=subprocess.PIPE)
+    if done.returncode:
+        raise SystemExit(f"ledger_ab: {rev!r} names no commit")
+    return done.stdout.decode().strip()
+
+
 def export_parent(rev: str, into: str) -> None:
     """The committed files of ``rev``, unpacked under ``into``."""
     archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev],
@@ -75,11 +90,16 @@ def wall_metrics() -> Tuple[str, ...]:
 
 
 def run_ledger(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``run.py --trace 0`` in ``tree``; its driver line as a dict."""
-    done = subprocess.run(
-        [sys.executable, os.path.join(tree, RUN_PY), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        stdout=subprocess.PIPE, cwd=tree)
+    """One ``run.py --trace 0`` in ``tree``, reading and writing no
+    bytecode cache; its driver line as a dict."""
+    with tempfile.TemporaryDirectory(prefix="ledger_ab_pyc_") as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPYCACHEPREFIX=cache)
+        done = subprocess.run(
+            [sys.executable, os.path.join(tree, RUN_PY), "--workload",
+             workload, "--seed", str(seed), "--seconds", str(seconds),
+             "--trace", "0"],
+            stdout=subprocess.PIPE, cwd=tree, env=env)
     lines = done.stdout.decode().strip().splitlines()
     if not lines:
         raise SystemExit(f"ledger_ab: run.py printed nothing in {tree}")
@@ -221,11 +241,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     workloads = args.workload or known
     seeds = [args.first_seed + k for k in range(args.pairs)]
     machine = wall_metrics()
+    parent_rev = resolve_rev(args.parent_rev)
 
     failures = 0
     summaries: Dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="ledger_ab_") as parent_tree:
-        export_parent(args.parent_rev, parent_tree)
+        export_parent(parent_rev, parent_tree)
         for workload in workloads:
             parent_runs: List[dict] = []
             change_runs: List[dict] = []
@@ -250,7 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print("\nledger-ab:", f"{failures} FAILURE(S)" if failures else "ok")
     if args.out:
         with open(args.out, "w") as handle:
-            json.dump({"parent_rev": args.parent_rev,
+            json.dump({"parent_rev": parent_rev,
                        "seconds": args.seconds, "failures": failures,
                        "workloads": summaries}, handle, indent=1)
             handle.write("\n")
